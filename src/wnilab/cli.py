@@ -30,7 +30,7 @@ from . import transforms as tr
 from .kernels import bessel_j, struve_h
 from .quadrature import DivergentIntegral, NonConvergence, QuadratureConfig, integrate
 from .weights import (ExponentSet, TestFunction, Weight, make_log_counterexample,
-                      make_truncated_power)
+                      make_truncated_power, power_moment)
 
 
 class ConfigError(Exception):
@@ -184,17 +184,12 @@ def _rhs_norm(cfg: ExperimentConfig, f: TestFunction) -> Tuple[float, float]:
     if f.pieces is not None:
         total = 0.0
         for piece in f.pieces:
-            total += abs(piece.coef) ** p * _piece_power_mass(
+            total += abs(piece.coef) ** p * power_moment(
                 mu + p * piece.exponent, piece.lo, piece.hi)
         return (total ** (1.0 / p), 0.0) if math.isfinite(total) else (math.inf, 0.0)
     val, err = integrate(lambda x: x ** mu * np.abs(f(x)) ** p, f.support, cfg.quadrature,
                          breakpoints=f.breakpoints)
     return val ** (1.0 / p), err
-
-
-def _piece_power_mass(e: float, a: float, b: float) -> float:
-    from .weights import power_moment
-    return power_moment(e, a, b)
 
 
 def compute_ratio_records(cfg: ExperimentConfig) -> List[RatioRecord]:
@@ -555,8 +550,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--tol", type=float, default=None, help="relative tolerance override")
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; evaluation is serial and deterministic")
 
     p = sub.add_parser("verify", help="ratio table for a test-function family")
     common(p)

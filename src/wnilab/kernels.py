@@ -2,14 +2,28 @@
 model min-kernels, together with their two-sided power envelopes and
 primitive-function bounds.
 
-Evaluation strategy: a power series with compensated (Kahan) accumulation in
-extended precision below a crossover argument, and the classical
-large-argument expansions above it.  The crossover sits at 12 for the Bessel
-family (cancellation in the alternating series costs roughly x/ln 10 digits,
-so 12 keeps extended-precision headroom), and at 20 for Struve orders whose
-secondary asymptotic series does not terminate, since that series converges
-more slowly than the oscillatory one.  Both branches are cross-checked
-against each other in an overlap window by the test suite.
+Evaluation strategy: a power series in extended precision below a
+crossover argument, and the classical large-argument expansions above it.
+The crossover sits at 12 for the Bessel family (cancellation in the
+alternating series costs roughly x/ln 10 digits, so 12 keeps
+extended-precision headroom), and at 20 for Struve orders whose secondary
+asymptotic series does not terminate, since that series converges more
+slowly than the oscillatory one.  Both branches are cross-checked against
+each other in an overlap window by the test suite.
+
+Every series is summed by Horner's rule over a coefficient table built on
+the first use of an order and cached per order.  The number of terms is
+fixed once per batch, so no per-term reduction runs over the batch:
+
+* the power series (DLMF 10.8.1, 11.2.1) keeps terms up to the first k with
+  |c_k| max(x)^(2k) <= 1e-18; every smaller argument needs no more;
+* the asymptotic series P, Q (DLMF 10.17.3) and the Struve secondary
+  series (DLMF 11.6.1) are cut by the smallest-term rule at min(x); the
+  k-th term at x is the one at min(x) times (min(x)/x)^k, so the
+  truncation error at larger arguments is smaller still.  P and Q also
+  take half their first neglected term, whose sign and size bound the
+  remainder.  The secondary series terminates exactly for
+  half-odd-integer orders.
 
 All evaluators are pure, accept numpy arrays, and are safe to call
 concurrently.
@@ -19,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,46 +44,68 @@ from .quadrature import QuadratureConfig, integrate
 _BESSEL_CROSSOVER = 12.0
 _STRUVE_CROSSOVER = 20.0
 _SERIES_STOP = 1e-18
+_SERIES_MAX_TERMS = 400
+_ASYMPTOTIC_MAX_TERMS = 40
 _TWO_OVER_PI = 2.0 / math.pi
 
 
+def _horner(coefs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_k coefs[k] z^k, in the dtype of z; 0 for no coefficients."""
+    total = np.zeros_like(z)
+    for c in coefs[::-1]:
+        total *= z
+        total += c
+    return total
+
+
 # ---------------------------------------------------------------------------
-# series branch (extended precision, compensated summation)
+# series branch (extended precision)
 # ---------------------------------------------------------------------------
 
-def _kahan_add(total, comp, term):
-    y = term - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
+@lru_cache(maxsize=64)
+def _series_coefficients(s: float, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
+    """c_k = (-1/4)^k / ((s)_k (alpha + s)_k) for k <= _SERIES_MAX_TERMS, in
+    extended precision.  s = 1 gives the normalized Bessel series (DLMF
+    10.8.1), s = 3/2 the Struve series (DLMF 11.2.1).
+
+    Also returns, for the term-count rule, the running maximum over k >= 1
+    of (log _SERIES_STOP - log|c_k|) / (2k): term k is at most _SERIES_STOP
+    exactly when log x is at most that bound."""
+    k = np.arange(_SERIES_MAX_TERMS, dtype=np.longdouble)
+    ratios = -0.25 / ((k + s) * (k + alpha + s))
+    c = np.concatenate(([np.longdouble(1.0)], np.cumprod(ratios)))
+    log_c = np.log(np.abs(c[1:])).astype(float)
+    log_x_bounds = np.maximum.accumulate(
+        (math.log(_SERIES_STOP) - log_c) / (2.0 * np.arange(1, _SERIES_MAX_TERMS + 1)))
+    c.flags.writeable = False
+    log_x_bounds.flags.writeable = False
+    return c, log_x_bounds
+
+
+def _series_terms(log_x_bounds: np.ndarray, x_max: float) -> int:
+    """Index of the last series term kept for a batch: the first k >= 1 with
+    |c_k| x_max^(2k) <= _SERIES_STOP.  Terms grow while above 1 = c_0, so
+    that term lies past the peak, and every later term and every smaller x
+    contributes less."""
+    log_x = math.log(x_max) if x_max > 0.0 else -math.inf
+    return min(1 + int(np.searchsorted(log_x_bounds, log_x)), _SERIES_MAX_TERMS)
+
+
+def _series_sum(s: float, alpha: float, x: np.ndarray) -> np.ndarray:
+    """sum_k c_k x^(2k) by Horner's rule in x^2, in extended precision."""
+    c, log_x_bounds = _series_coefficients(s, alpha)
+    n = _series_terms(log_x_bounds, float(np.max(x, initial=0.0)))
+    xl = x.astype(np.longdouble)
+    return _horner(c[:n + 1], xl * xl)
 
 
 def _bessel_j_series(alpha: float, x: np.ndarray) -> np.ndarray:
-    xl = x.astype(np.longdouble)
-    q = (0.5 * xl) ** 2
-    term = np.ones_like(xl)
-    total = np.ones_like(xl)
-    comp = np.zeros_like(xl)
-    for k in range(400):
-        term = term * (-q) / ((k + 1.0) * (alpha + k + 1.0))
-        total, comp = _kahan_add(total, comp, term)
-        if np.all(np.abs(term) <= _SERIES_STOP * np.abs(total) + 1e-300):
-            break
-    return total.astype(float)
+    return _series_sum(1.0, alpha, x).astype(float)
 
 
 def _struve_h_series(alpha: float, x: np.ndarray) -> np.ndarray:
-    xl = x.astype(np.longdouble)
-    q = (0.5 * xl) ** 2
     t0 = np.longdouble(1.0 / (gamma(1.5) * gamma(alpha + 1.5)))
-    term = np.full_like(xl, t0)
-    total = term.copy()
-    comp = np.zeros_like(xl)
-    for k in range(400):
-        term = term * (-q) / ((k + 1.5) * (alpha + k + 1.5))
-        total, comp = _kahan_add(total, comp, term)
-        if np.all(np.abs(term) <= _SERIES_STOP * np.abs(total) + 1e-300):
-            break
+    total = t0 * _series_sum(1.5, alpha, x)
     prefactor = np.zeros_like(x)
     pos = x > 0
     prefactor[pos] = (0.5 * x[pos]) ** (alpha + 1.0)
@@ -79,34 +116,54 @@ def _struve_h_series(alpha: float, x: np.ndarray) -> np.ndarray:
 # asymptotic branch
 # ---------------------------------------------------------------------------
 
+def _smallest_term_index(tau: np.ndarray, scale) -> int:
+    """Index of the last term of an asymptotic series kept by the smallest-
+    term rule, given the term magnitudes tau: stop at the (first) smallest
+    term, or after the first term at most _SERIES_STOP * scale.
+
+    Applied at the batch's smallest argument.  Each term there is an upper
+    bound for the same term at larger arguments, so the truncation error of
+    the batch is at most the error at that argument.  For large orders the
+    terms first rise and then fall; the smallest term lies past that rise."""
+    last = int(np.argmin(tau))
+    small = np.flatnonzero(tau[1:] <= _SERIES_STOP * scale)
+    if small.size:
+        last = min(last, int(small[0]) + 1)
+    return last
+
+
+@lru_cache(maxsize=64)
+def _pq_coefficients(alpha: float) -> np.ndarray:
+    """Signed a_k(alpha) of DLMF 10.17.3 for k <= _ASYMPTOTIC_MAX_TERMS:
+    P = sum_k b_2k x^-2k and Q = sum_k b_(2k+1) x^-(2k+1)."""
+    mu = 4.0 * alpha * alpha
+    b = np.empty(_ASYMPTOTIC_MAX_TERMS + 1)
+    b[0] = 1.0
+    for k in range(_ASYMPTOTIC_MAX_TERMS):
+        b[k + 1] = b[k] * (mu - (2 * k + 1) ** 2) / (8.0 * (k + 1))
+    k = np.arange(_ASYMPTOTIC_MAX_TERMS + 1)
+    b[(k // 2) % 2 == 1] *= -1.0
+    b.flags.writeable = False
+    return b
+
+
 def _pq_expansion(alpha: float, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Slowly varying amplitude series P, Q of the large-argument expansion,
-    truncated per element at the smallest term (the series is asymptotic)."""
-    mu = 4.0 * alpha * alpha
+    truncated at the smallest term at min(x) and summed by Horner's rule in
+    1/x^2."""
+    b = _pq_coefficients(alpha)
+    x_min = float(np.min(x))
+    tau = np.abs(b) * x_min ** -np.arange(len(b), dtype=float)
+    n = _smallest_term_index(tau, 1.0)
+    # For real order and argument, once enough terms are kept, the remainder
+    # of each of P and Q has the sign of its first neglected term and does
+    # not exceed it (DLMF 10.17(iii)); adding half that term halves the
+    # error bound.
+    coefs = b[:n + 3].copy()
+    coefs[n + 1:] *= 0.5
     inv_x = 1.0 / x
-    tau = np.ones_like(x)
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    active = np.ones(x.shape, dtype=bool)
-    prev_abs = np.abs(tau)
-    for k in range(40):
-        tau_next = tau * ((mu - (2 * k + 1) ** 2) / (8.0 * (k + 1))) * inv_x
-        grown = np.abs(tau_next) >= prev_abs
-        active &= ~grown
-        if not np.any(active):
-            break
-        sign = -1.0 if ((k + 1) // 2) % 2 else 1.0
-        contrib = np.where(active, sign * tau_next, 0.0)
-        if (k + 1) % 2:
-            q = q + contrib
-        else:
-            p = p + contrib
-        tau = np.where(active, tau_next, tau)
-        prev_abs = np.abs(tau)
-        active &= prev_abs > _SERIES_STOP
-        if not np.any(active):
-            break
-    return p, q
+    w = inv_x * inv_x
+    return _horner(coefs[0::2], w), inv_x * _horner(coefs[1::2], w)
 
 
 def _bessel_j_asymptotic(alpha: float, x: np.ndarray) -> np.ndarray:
@@ -124,33 +181,35 @@ def _bessel_y(alpha: float, x: np.ndarray) -> np.ndarray:
     return amp * (np.sin(omega) * p + np.cos(omega) * q)
 
 
+@lru_cache(maxsize=64)
+def _struve_secondary_coefficients(alpha: float) -> np.ndarray:
+    """d_m of the non-oscillatory part of the large-argument Struve
+    expansion (DLMF 11.6.1), sum_m d_m (x/2)^-2m.  The list ends at the
+    first zero factor, where the series terminates exactly (half-odd-integer
+    orders)."""
+    d = [1.0]
+    for m in range(_ASYMPTOTIC_MAX_TERMS):
+        factor = (m + 0.5) * (alpha - 0.5 - m)
+        if factor == 0.0:
+            break
+        d.append(d[-1] * factor)
+    out = np.array(d)
+    out.flags.writeable = False
+    return out
+
+
 def _struve_secondary_series(alpha: float, x: np.ndarray) -> np.ndarray:
     """The non-oscillatory part of the large-argument Struve expansion.
 
     Terminates exactly for half-odd-integer orders; otherwise truncated at
-    the smallest term.
+    the smallest term at min(x).
     """
-    inv_q = (0.5 * x) ** -2.0
-    term = (gamma(0.5) * rgamma(alpha + 0.5) / math.pi) * (0.5 * x) ** (alpha - 1.0)
-    total = term.copy()
-    active = np.abs(term) > 0
-    prev_abs = np.abs(term)
-    for m in range(40):
-        factor = (m + 0.5) * (alpha - 0.5 - m)
-        if factor == 0.0:
-            break
-        term_next = term * factor * inv_q
-        grown = np.abs(term_next) >= prev_abs
-        active &= ~grown
-        if not np.any(active):
-            break
-        total = total + np.where(active, term_next, 0.0)
-        term = np.where(active, term_next, term)
-        prev_abs = np.abs(term)
-        active &= prev_abs > _SERIES_STOP * np.abs(total)
-        if not np.any(active):
-            break
-    return total
+    d = _struve_secondary_coefficients(alpha)
+    u_max = (0.5 * float(np.min(x))) ** -2.0
+    terms = d * u_max ** np.arange(len(d), dtype=float)
+    n = _smallest_term_index(np.abs(terms), np.abs(np.cumsum(terms))[1:])
+    lead = (gamma(0.5) * rgamma(alpha + 0.5) / math.pi) * (0.5 * x) ** (alpha - 1.0)
+    return lead * _horner(d[:n + 1], (0.5 * x) ** -2.0)
 
 
 def _struve_h_asymptotic(alpha: float, x: np.ndarray) -> np.ndarray:
@@ -306,12 +365,6 @@ class KernelSpec:
     def wavelength_x(self, y: float) -> Optional[float]:
         """Oscillation period in x at fixed y (asymptotic phase x*y)."""
         return 2.0 * math.pi / y if self.oscillatory else None
-
-    def with_constant(self, c: float) -> "KernelSpec":
-        env = PowerEnvelope(self.envelope.b1, self.envelope.c1, self.envelope.b2,
-                            self.envelope.c2, self.envelope.exact, c)
-        return KernelSpec(self.kind, env, self.evaluator, self.phi, self.alpha,
-                          self.delta, self.oscillatory, self.osc_drift_free, self.series)
 
 
 def _phi_kernel(kind, phi, envelope, alpha=None, delta=None, oscillatory=True,

@@ -97,10 +97,6 @@ def model_min(delta: float) -> TransformSpec:
         kernel_est_holds=True, delta=delta)
 
 
-def generic(b0: float, c0: float, kernel: KernelSpec, **kw) -> TransformSpec:
-    return TransformSpec(name="generic", b0=b0, c0=c0, kernel=kernel, **kw)
-
-
 _PRESETS = {
     "hankel": hankel,
     "scripth": scripth,

@@ -184,16 +184,20 @@ class GMWitness:
 
 
 def power_moment(e: float, a: float, b: float) -> float:
-    """integral_a^b x^e dx, exact, with the logarithmic case e = -1."""
+    """integral_a^b x^e dx, exact, with the logarithmic case e = -1.
+
+    inf when the integral diverges: at 0 for e <= -1, at infinity for
+    e >= -1."""
     if b <= a:
         return 0.0
-    if abs(e + 1.0) < 1e-14:
+    s = e + 1.0
+    if abs(s) < 1e-14:
+        s = 0.0
+    if (a == 0.0 and s <= 0.0) or (math.isinf(b) and s >= 0.0):
+        return math.inf
+    if s == 0.0:
         return math.log(b / a)
-    if math.isinf(b):
-        if e + 1.0 >= 0:
-            return math.inf
-        return -(a ** (e + 1.0)) / (e + 1.0)
-    return (b ** (e + 1.0) - (a ** (e + 1.0) if a > 0 else 0.0)) / (e + 1.0)
+    return (b ** s - a ** s) / s
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,18 @@ def test_skipped_rows_for_zero_function():
     assert verify_summary(cfg, records)["rows_used"] == 0
 
 
+def test_divergent_rhs_rows_are_skipped(tmp_path):
+    # |x^-1|^2 x^(2 gamma) with gamma = 1/4 is not integrable at 0.
+    doc = _modelmin_config(extra={"normalization": "power"})
+    doc["family"]["sigma"] = -1.0
+    cfg_path = tmp_path / "div.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "mm_records.csv").read_text().splitlines()[1:]
+    assert len(lines) == 7
+    assert all(line.endswith("rhs zero or infinite; skipped") for line in lines)
+
+
 def test_fit_growth_models_and_degenerate():
     rows = [RatioRecord(10.0 ** k, 1.0, 1.0, 5.0 * (10.0 ** k) ** 0.3, 0, 0)
             for k in range(5)]

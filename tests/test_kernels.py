@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gamma as scipy_gamma, jv as scipy_jv, struve as scipy_struve
@@ -26,7 +27,9 @@ def test_half_order_identities():
 
 def test_bessel_against_scipy_general_orders():
     xs = np.geomspace(1e-2, 1e4, 250)
-    for alpha in (0.0, 0.3, 0.75, 1.5, 3.0):
+    # From order 5 on, the asymptotic terms near the crossover rise before
+    # they fall.
+    for alpha in (0.0, 0.3, 0.75, 1.5, 3.0, 6.0, 7.5, 10.3):
         mine = bessel_j(alpha, xs)
         ref = scipy_gamma(alpha + 1.0) * (xs / 2.0) ** (-alpha) * scipy_jv(alpha, xs)
         env = np.minimum(1.0, xs ** (-alpha - 0.5))
@@ -61,7 +64,7 @@ def test_struve_large_argument_expansion():
 
 def test_struve_against_scipy_general_orders():
     xs = np.geomspace(1e-2, 1e3, 250)
-    for alpha in (0.0, 0.3, 0.75, 1.5, 2.0, 3.0):
+    for alpha in (0.0, 0.3, 0.75, 1.5, 2.0, 3.0, 7.3):
         mine = struve_h(alpha, xs)
         ref = scipy_struve(alpha, xs)
         if alpha >= 0.5:
@@ -96,6 +99,61 @@ def test_branch_agreement_in_crossover_window():
         scale = np.maximum(np.abs(s), np.minimum(xs ** (alpha + 1.0),
                                                  xs ** max(alpha - 1.0, -0.5)))
         assert np.max(np.abs(s - a) / scale) < 1e-8, alpha
+
+
+# Log-spaced over the whole range, a 1/40 step through both crossover
+# windows, and the first argument above each crossover, where the
+# asymptotic series has its largest truncation error.
+ORACLE_XS = np.unique(np.concatenate([
+    np.geomspace(0.05, 5e3, 120), np.linspace(10.0, 22.0, 481),
+    np.nextafter([12.0, 20.0], math.inf)]))
+BESSEL_ABS_TOL = 5e-13
+STRUVE_ABS_TOL = 1e-10
+
+
+def _mp_bessel_j(alpha, xs):
+    with mpmath.workdps(50):
+        return np.array([float(mpmath.gamma(alpha + 1) * (mpmath.mpf(x) / 2) ** -alpha
+                               * mpmath.besselj(alpha, x)) for x in xs])
+
+
+def _mp_struve_h(alpha, xs):
+    with mpmath.workdps(50):
+        return np.array([float(mpmath.struveh(alpha, x)) for x in xs])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0, 2.5, 3.0])
+def test_bessel_against_mpmath(alpha):
+    err = np.abs(bessel_j(alpha, ORACLE_XS) - _mp_bessel_j(alpha, ORACLE_XS))
+    assert np.max(err) <= BESSEL_ABS_TOL, ORACLE_XS[np.argmax(err)]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0, 1.5, 2.2])
+def test_struve_against_mpmath(alpha):
+    err = np.abs(struve_h(alpha, ORACLE_XS) - _mp_struve_h(alpha, ORACLE_XS))
+    assert np.max(err) <= STRUVE_ABS_TOL, ORACLE_XS[np.argmax(err)]
+
+
+def test_kernel_batch_shapes():
+    for fn in (bessel_j, struve_h):
+        out = fn(0.25, np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+    assert bessel_j(0.25, 0.0) == 1.0 and np.ndim(bessel_j(0.25, 0.0)) == 0
+    assert struve_h(0.25, 0.0) == 0.0 and np.ndim(struve_h(0.25, 0.0)) == 0
+    # The series term count comes from the largest argument of the batch,
+    # the asymptotic truncation from the smallest: the other end of each
+    # batch must still be accurate.
+    for alpha in (0.0, 1.5, 2.2):
+        small = np.array([1e-8, 11.9])
+        ref = _mp_bessel_j(alpha, small)
+        assert bessel_j(alpha, small) == pytest.approx(ref, rel=1e-15, abs=BESSEL_ABS_TOL)
+        ref = _mp_struve_h(alpha, small)
+        assert struve_h(alpha, small) == pytest.approx(ref, rel=1e-15, abs=STRUVE_ABS_TOL)
+        large = np.array([12.01, 1e4])
+        ref = _mp_bessel_j(alpha, large)
+        assert bessel_j(alpha, large) == pytest.approx(ref, rel=1e-13, abs=BESSEL_ABS_TOL)
+        ref = _mp_struve_h(alpha, large)
+        assert struve_h(alpha, large) == pytest.approx(ref, rel=1e-13, abs=STRUVE_ABS_TOL)
 
 
 def test_domain_errors():

@@ -8,7 +8,8 @@ from wnilab.transforms import hankel, scripth
 from wnilab.weights import (ExponentSet, GMWitness, Piece, SingularSystem,
                             TestFunction, Weight, WeightExpr, check_admissible,
                             check_gm, make_log_counterexample,
-                            make_truncated_power, make_vanishing_moment_function)
+                            make_truncated_power, make_vanishing_moment_function,
+                            power_moment)
 
 
 def test_weight_forms_and_exponents():
@@ -144,6 +145,20 @@ def test_gm_decay_along_grid_tail():
     first = np.max(vals[grid <= 10.0])
     last = np.max(vals[grid >= 1e2])
     assert last <= 0.1 * first
+
+
+def test_power_moment_divergent_ends():
+    assert power_moment(-1.5, 0.0, 1.0) == math.inf
+    assert power_moment(-1.0, 0.0, 1.0) == math.inf
+    assert power_moment(-1.0, 1.0, math.inf) == math.inf
+    assert power_moment(-0.5, 1.0, math.inf) == math.inf
+    assert power_moment(-0.5, 0.0, 4.0) == pytest.approx(4.0)
+    assert power_moment(-1.0, 1.0, math.e) == pytest.approx(1.0)
+    assert power_moment(-3.0, 1.0, math.inf) == pytest.approx(0.5)
+    f = TestFunction("x^-3", [Piece(0.0, 1.0, 1.0, -3.0)], check_moments=False)
+    assert f.abs_weighted_integral(0.0, 0.0, 1.0) == math.inf
+    rep = check_admissible(f, hankel(0.0), "pointwise")
+    assert not rep and math.isinf(rep.near_origin)
 
 
 def test_admissibility_modes():
