@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import sys
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import conditions as cond
 from . import transforms as tr
-from .kernels import bessel_j, struve_h
+from .kernels import KERNELS
 from .quadrature import DivergentIntegral, NonConvergence, QuadratureConfig, integrate
 from .weights import (ExponentSet, TestFunction, Weight, make_log_counterexample,
                       make_truncated_power, power_moment)
@@ -106,21 +107,15 @@ class ExperimentConfig:
 
 
 def _build_transform(desc: dict) -> tr.TransformSpec:
-    name = desc.get("name")
-    if name is None:
+    """The preset named by a transform block; every other key of the block
+    is one of the preset's parameters."""
+    if "name" not in desc:
         raise ConfigError("transform.name is required")
-    params = {}
-    if name in ("hankel", "scripth"):
-        if "alpha" not in desc:
-            raise ConfigError(f"transform {name!r} needs alpha")
-        params["alpha"] = float(desc["alpha"])
-    elif name in ("model_min", "modelmin"):
-        if "delta" not in desc:
-            raise ConfigError("transform model_min needs delta")
-        params["delta"] = float(desc["delta"])
-    elif name not in ("sine", "cosine"):
-        raise ConfigError(f"unknown transform {name!r}")
-    return tr.preset(name, **params)
+    try:
+        params = {k: float(v) for k, v in desc.items() if k != "name"}
+        return tr.preset(str(desc["name"]), **params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _log_grid(desc: dict) -> np.ndarray:
@@ -284,34 +279,35 @@ def fit_growth(records: Sequence[RatioRecord], model: str) -> dict:
 def run_conditions(doc: dict) -> dict:
     """Evaluate every applicable condition and range for a config with
     power or piecewise-power weights."""
-    transform = _build_transform(doc["transform"])
-    e = doc["exponents"]
-    exps = ExponentSet(p=float(e["p"]), q=float(e["q"]), a=float(e.get("a", 1.0)))
-    wts = doc["weights"]
-
-    beta = gamma = None
-    if "u" in wts or "v" in wts:
-        # explicit weight descriptors (power, piecewise_power or tabulated)
-        try:
+    try:
+        transform = _build_transform(doc["transform"])
+        e = doc["exponents"]
+        exps = ExponentSet(p=float(e["p"]), q=float(e["q"]), a=float(e.get("a", 1.0)))
+        wts = doc["weights"]
+        beta = gamma = None
+        if "u" in wts or "v" in wts:
+            # explicit weight descriptors (power, piecewise_power or tabulated)
             u = Weight.from_descriptor(wts["u"])
             v = Weight.from_descriptor(wts["v"])
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad weight descriptor: {exc}") from exc
-    elif "beta1" in wts:
-        b1, b2 = float(wts["beta1"]), float(wts["beta2"])
-        g1, g2 = float(wts["gamma1"]), float(wts["gamma2"])
-        if abs((b1 - g1) - (b2 - g2)) > 1e-12:
-            raise ConfigError(
-                "piecewise exponents must satisfy beta1 - gamma1 = beta2 - gamma2")
-        # u(x) = x^(-beta_bar' q): the component order swaps across x = 1.
-        u = Weight.piecewise_power(-b2 * exps.q, -b1 * exps.q)
-        v = Weight.piecewise_power(g1 * exps.p, g2 * exps.p)
-    else:
-        if "beta" not in wts or "gamma" not in wts:
-            raise ConfigError("weights must set beta and gamma explicitly")
-        beta, gamma = float(wts["beta"]), float(wts["gamma"])
-        u = Weight.power(-beta * exps.q)
-        v = Weight.power(gamma * exps.p)
+        elif "beta1" in wts:
+            b1, b2 = float(wts["beta1"]), float(wts["beta2"])
+            g1, g2 = float(wts["gamma1"]), float(wts["gamma2"])
+            if abs((b1 - g1) - (b2 - g2)) > 1e-12:
+                raise ConfigError(
+                    "piecewise exponents must satisfy beta1 - gamma1 = beta2 - gamma2")
+            # u(x) = x^(-beta_bar' q): the component order swaps across x = 1.
+            u = Weight.piecewise_power(-b2 * exps.q, -b1 * exps.q)
+            v = Weight.piecewise_power(g1 * exps.p, g2 * exps.p)
+        else:
+            if "beta" not in wts or "gamma" not in wts:
+                raise ConfigError("weights must set beta and gamma explicitly")
+            beta, gamma = float(wts["beta"]), float(wts["gamma"])
+            u = Weight.power(-beta * exps.q)
+            v = Weight.power(gamma * exps.p)
+    except KeyError as exc:
+        raise ConfigError(f"missing config field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
     delta = transform.b0
     s = Weight.power(delta)
@@ -520,21 +516,18 @@ def cmd_report(args) -> int:
 
 
 def cmd_eval_kernel(args) -> int:
-    xs = np.asarray([float(x) for x in args.x])
-    if args.kind == "bessel_j":
-        vals = bessel_j(args.alpha, xs)
-    elif args.kind == "struve_h":
-        vals = struve_h(args.alpha, xs)
-    elif args.kind == "sine":
-        vals = np.sin(xs)
-    elif args.kind == "cosine":
-        vals = np.cos(xs)
-    elif args.kind == "model_min":
-        vals = np.minimum(1.0, xs ** (-0.5 * args.delta))
-    else:
-        print(f"error: unknown kernel kind {args.kind!r}", file=sys.stderr)
-        return 2
-    for x, v in zip(np.atleast_1d(xs), np.atleast_1d(vals)):
+    """Print phi(x) of the registered kernel, built from the flags named
+    like its factory's parameters."""
+    factory = KERNELS[args.kind]
+    params = {name: getattr(args, name) for name in inspect.signature(factory).parameters}
+    try:
+        xs = np.asarray([float(x) for x in args.x])
+        if not np.all((xs >= 0.0) & (xs < math.inf)):
+            raise ValueError("kernel arguments must be finite and nonnegative")
+        vals = factory(**params).phi(xs)
+    except ValueError as exc:
+        raise ConfigError(f"eval-kernel: {exc}") from exc
+    for x, v in zip(xs, vals):
         print(f"{x:.17g} {v:.17g}")
     return 0
 
@@ -569,10 +562,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("eval-kernel", help="evaluate a kernel on the command line")
-    p.add_argument("--kind", required=True,
-                   choices=["bessel_j", "struve_h", "sine", "cosine", "model_min"])
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--delta", type=float, default=1.0)
+    p.add_argument("--kind", required=True, choices=list(KERNELS))
+    p.add_argument("--alpha", type=float, default=0.0,
+                   help="order, for kinds whose factory takes alpha")
+    p.add_argument("--delta", type=float, default=1.0,
+                   help="decay exponent, for kinds whose factory takes delta")
     p.add_argument("--x", nargs="+", required=True)
     p.set_defaults(func=cmd_eval_kernel)
     return parser

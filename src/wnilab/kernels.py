@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -229,8 +229,8 @@ def _struve_crossover(alpha: float) -> float:
 
 def _dispatch(x, crossover, small_fn, large_fn):
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(arr < 0):
-        raise ValueError("argument must be nonnegative")
+    if not np.all((arr >= 0.0) & (arr < math.inf)):
+        raise ValueError("argument must be finite and nonnegative")
     out = np.empty_like(arr)
     small = arr <= crossover
     if np.any(small):
@@ -313,17 +313,12 @@ class PowerEnvelope:
 
 @dataclass(frozen=True)
 class PrimitiveBound:
-    """|G(x,y)| <= bound_constant * x^b * y^c for xy >= 1, where G is the
-    zero-constant primitive of x^nu times the kernel factor."""
+    """|G(x,y)| <= C x^b y^c for xy >= 1, where G is the zero-constant
+    primitive of x^nu times the kernel factor."""
 
     b: float
     c: float
     nu: float
-    bound_constant: float = 1.0
-
-    def __post_init__(self):
-        if self.bound_constant <= 0:
-            raise ValueError("bound_constant must be positive")
 
 
 @dataclass(frozen=True)
@@ -347,12 +342,11 @@ class SeriesKernel:
 
 @dataclass(frozen=True)
 class KernelSpec:
+    """K(x, y) = phi(x*y) with its two-regime power envelope."""
+
     kind: str
     envelope: PowerEnvelope
-    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    phi: Optional[Callable[[np.ndarray], np.ndarray]] = None  # K = phi(x*y)
-    alpha: Optional[float] = None
-    delta: Optional[float] = None
+    phi: Callable[[np.ndarray], np.ndarray]
     oscillatory: bool = True
     # Large arguments are purely oscillatory (no secondary non-oscillating
     # term): half-period segment acceleration of long spans is then valid.
@@ -360,19 +354,11 @@ class KernelSpec:
     series: Optional[SeriesKernel] = None
 
     def __call__(self, x, y):
-        return self.evaluator(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        return self.phi(np.asarray(x, dtype=float) * np.asarray(y, dtype=float))
 
     def wavelength_x(self, y: float) -> Optional[float]:
         """Oscillation period in x at fixed y (asymptotic phase x*y)."""
         return 2.0 * math.pi / y if self.oscillatory else None
-
-
-def _phi_kernel(kind, phi, envelope, alpha=None, delta=None, oscillatory=True,
-                drift_free=False, series=None):
-    def evaluator(x, y):
-        return phi(np.asarray(x, dtype=float) * np.asarray(y, dtype=float))
-    return KernelSpec(kind, envelope, evaluator, phi, alpha, delta, oscillatory,
-                      drift_free, series)
 
 
 def bessel_j_kernel(alpha: float) -> KernelSpec:
@@ -381,8 +367,8 @@ def bessel_j_kernel(alpha: float) -> KernelSpec:
     env = PowerEnvelope(0.0, 0.0, -alpha - 0.5, -alpha - 0.5)
     series = SeriesKernel(0.0, 0.0, 2, 1.0,
                           lambda m: -1.0 / (4.0 * (m + 1.0) * (alpha + m + 1.0)))
-    return _phi_kernel("bessel_j", lambda t: bessel_j(alpha, t), env,
-                       alpha=alpha, drift_free=True, series=series)
+    return KernelSpec("bessel_j", env, lambda t: bessel_j(alpha, t),
+                      osc_drift_free=True, series=series)
 
 
 def struve_h_kernel(alpha: float) -> KernelSpec:
@@ -396,23 +382,23 @@ def struve_h_kernel(alpha: float) -> KernelSpec:
     a0 = 2.0 ** -(alpha + 1.0) / (gamma(1.5) * gamma(alpha + 1.5))
     series = SeriesKernel(alpha + 1.0, alpha + 1.0, 2, a0,
                           lambda m: -1.0 / (4.0 * (m + 1.5) * (m + alpha + 1.5)))
-    # Large arguments carry a non-oscillatory secondary term: drift_free stays False.
-    return _phi_kernel("struve_h", lambda t: struve_h(alpha, t), env,
-                       alpha=alpha, series=series)
+    # Large arguments carry a non-oscillatory secondary term: osc_drift_free
+    # stays False.
+    return KernelSpec("struve_h", env, lambda t: struve_h(alpha, t), series=series)
 
 
 def sine_kernel() -> KernelSpec:
     env = PowerEnvelope(1.0, 1.0, 0.0, 0.0)
     series = SeriesKernel(1.0, 1.0, 2, 1.0,
                           lambda m: -1.0 / ((2.0 * m + 2.0) * (2.0 * m + 3.0)))
-    return _phi_kernel("sine", np.sin, env, drift_free=True, series=series)
+    return KernelSpec("sine", env, np.sin, osc_drift_free=True, series=series)
 
 
 def cosine_kernel() -> KernelSpec:
     env = PowerEnvelope(0.0, 0.0, 0.0, 0.0)
     series = SeriesKernel(0.0, 0.0, 2, 1.0,
                           lambda m: -1.0 / ((2.0 * m + 1.0) * (2.0 * m + 2.0)))
-    return _phi_kernel("cosine", np.cos, env, alpha=-0.5, drift_free=True, series=series)
+    return KernelSpec("cosine", env, np.cos, osc_drift_free=True, series=series)
 
 
 def model_min_kernel(delta: float) -> KernelSpec:
@@ -426,11 +412,17 @@ def model_min_kernel(delta: float) -> KernelSpec:
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore"):
             return np.where(t <= 1.0, 1.0, t ** (-0.5 * delta))
-    return _phi_kernel("model_min", phi, env, delta=delta, oscillatory=False)
+    return KernelSpec("model_min", env, phi, oscillatory=False)
 
 
-def custom_kernel(evaluator, envelope: PowerEnvelope, oscillatory: bool = False) -> KernelSpec:
-    return KernelSpec("custom", envelope, evaluator, oscillatory=oscillatory)
+# The kernel factories by kind; each factory's parameters are the kernel's.
+KERNELS: Dict[str, Callable[..., KernelSpec]] = {
+    "bessel_j": bessel_j_kernel,
+    "struve_h": struve_h_kernel,
+    "sine": sine_kernel,
+    "cosine": cosine_kernel,
+    "model_min": model_min_kernel,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +457,7 @@ def check_envelope(kernel: KernelSpec,
     if y_grid is None:
         y_grid = np.geomspace(1e-3, 1e3, 200)
     xm, ym = np.meshgrid(x_grid, y_grid, indexing="ij")
-    if kernel.phi is not None:
-        kv = np.abs(kernel.phi(xm * ym))
-    else:
-        kv = np.abs(kernel.evaluator(xm, ym))
+    kv = np.abs(kernel.phi(xm * ym))
     env = kernel.envelope.bound(xm, ym)
     ratio = kv / env
     imax = np.unravel_index(int(np.argmax(ratio)), ratio.shape)

@@ -1,12 +1,12 @@
 """Integral transforms with power-type kernels: evaluation of
 F f(y) = y^c0 * integral x^b0 f(x) K(x,y) dx for the named transforms
-(Hankel, Struve, sine, cosine, model min-kernel) and generic kernels,
-plus the two pointwise upper bounds and the moment-reduced transform for
-series kernels.
+(Hankel, Struve, sine, cosine, model min-kernel), plus the two pointwise
+upper bounds and the moment-reduced transform for series kernels.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
@@ -53,7 +53,6 @@ class TransformSpec:
     kernel_est_holds: bool = False
     primitive_bound: Optional[PrimitiveBound] = None
     alpha: Optional[float] = None
-    delta: Optional[float] = None
 
     @property
     def series(self) -> Optional[SeriesKernel]:
@@ -94,7 +93,7 @@ def model_min(delta: float) -> TransformSpec:
     """The exactly two-sided model: K = 1 for xy <= 1, (xy)^(-delta/2) beyond."""
     return TransformSpec(
         name="model_min", b0=delta, c0=0.0, kernel=model_min_kernel(delta),
-        kernel_est_holds=True, delta=delta)
+        kernel_est_holds=True)
 
 
 _PRESETS = {
@@ -108,10 +107,19 @@ _PRESETS = {
 
 
 def preset(name: str, **params) -> TransformSpec:
+    """The named transform; params must be exactly its factory's parameters."""
     name = name.lower()
     if name not in _PRESETS:
         raise ValueError(f"unknown transform preset {name!r}")
-    return _PRESETS[name](**params)
+    factory = _PRESETS[name]
+    expected = inspect.signature(factory).parameters
+    for key in params:
+        if key not in expected:
+            raise ValueError(f"transform {name!r} has no parameter {key!r}")
+    for key in expected:
+        if key not in params:
+            raise ValueError(f"transform {name!r} needs parameter {key!r}")
+    return factory(**params)
 
 
 @dataclass
@@ -123,8 +131,7 @@ class TransformResult:
 
 
 def _point(spec: TransformSpec, f: TestFunction, y: float,
-           config: QuadratureConfig, kernel_fn=None, b_shift: float = 0.0,
-           c_shift: float = 0.0, envelope: Optional[PowerEnvelope] = None):
+           config: QuadratureConfig):
     """One transform value.
 
     The integral splits at x = 1/y.  The head (xy <= 1) is smooth and
@@ -135,10 +142,9 @@ def _point(spec: TransformSpec, f: TestFunction, y: float,
     (such regions arise only where the transform has already decayed to
     numerical irrelevance).
     """
-    kfn = kernel_fn if kernel_fn is not None else spec.kernel.phi
-    env = envelope if envelope is not None else spec.kernel.envelope
-    b_out = spec.b0 + b_shift
-    c_out = spec.c0 + c_shift
+    kfn = spec.kernel.phi
+    env = spec.kernel.envelope
+    b_out, c_out = spec.b0, spec.c0
     lo, hi = f.support
     lo = max(lo, 0.0)
 
@@ -376,13 +382,11 @@ def moment_reduced_kernel(spec: TransformSpec, ell: int) -> KernelSpec:
         raise ValueError("ell must be >= 1")
     k = series.step
     env = PowerEnvelope(k * ell, k * ell, k * (ell - 1), k * (ell - 1))
-    g = reduced_kernel_eval(series, ell, spec.kernel.phi)
-
-    def evaluator(x, y):
-        return g(np.asarray(x, dtype=float) * np.asarray(y, dtype=float))
-
-    return KernelSpec(f"{spec.kernel.kind}_reduced_{ell}", env, evaluator, phi=g,
-                      alpha=spec.kernel.alpha, oscillatory=spec.kernel.oscillatory)
+    # The partial sum subtracted beyond t = 1 is a polynomial drift, so the
+    # reduced kernel is never drift-free.
+    return KernelSpec(f"{spec.kernel.kind}_reduced_{ell}", env,
+                      reduced_kernel_eval(series, ell, spec.kernel.phi),
+                      oscillatory=spec.kernel.oscillatory)
 
 
 def moment_reduced_apply(spec: TransformSpec, f: TestFunction, ell: int,
@@ -392,12 +396,8 @@ def moment_reduced_apply(spec: TransformSpec, f: TestFunction, ell: int,
     """Evaluate F f through the reduced kernel, valid when the moments of
     orders b0 + b1 + j*k (j < ell) vanish.  Agrees with apply() within the
     combined quadrature error when the precondition holds."""
+    kernel = moment_reduced_kernel(spec, ell)
     series = spec.series
-    if series is None:
-        raise NoSeriesKernel(spec.name)
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    config = config or QuadratureConfig()
     for j in range(ell):
         mu = spec.b0 + series.b1 + j * series.step
         moment = (f.moment(mu) if f.pieces is not None
@@ -405,19 +405,6 @@ def moment_reduced_apply(spec: TransformSpec, f: TestFunction, ell: int,
         if abs(moment) > moment_tol:
             raise MomentsNotVanished(
                 f"moment of order {mu:g} is {moment:.3e} (tolerance {moment_tol:g})")
-
-    g = reduced_kernel_eval(series, ell, spec.kernel.phi)
-    reduced_env = moment_reduced_kernel(spec, ell).envelope
-    ys = np.asarray(list(y_grid), dtype=float)
-    vals = np.empty_like(ys)
-    errs = np.empty_like(ys)
-    notes: List[str] = []
-    for i, y in enumerate(ys):
-        try:
-            vals[i], errs[i] = _point(spec, f, float(y), config, kernel_fn=g,
-                                      b_shift=series.b1, c_shift=series.c1,
-                                      envelope=reduced_env)
-        except NonConvergence as exc:
-            vals[i], errs[i] = exc.value, exc.error
-            notes.append(f"y={y:g}: nonconvergent")
-    return TransformResult(ys, vals, errs, notes)
+    reduced = TransformSpec(f"{spec.name}_reduced_{ell}", spec.b0 + series.b1,
+                            spec.c0 + series.c1, kernel)
+    return apply(reduced, f, y_grid, config, check=False)

@@ -515,20 +515,7 @@ def check_admissible(f: TestFunction, transform, mode: str = "pointwise") -> Adm
     else:
         raise ValueError("mode must be 'pointwise' or 'gm'")
 
-    near = _regime_integral(f, mu0, 0.0, 1.0)
-    tail = _regime_integral(f, mu1, 1.0, math.inf)
+    near = f.abs_weighted_integral(mu0, 0.0, 1.0)
+    tail = f.abs_weighted_integral(mu1, 1.0, math.inf)
     finite = math.isfinite(near) and math.isfinite(tail)
     return AdmissibilityReport(finite, near, tail)
-
-
-def _regime_integral(f: TestFunction, mu: float, a: float, b: float) -> float:
-    if f.pieces is not None:
-        total = 0.0
-        for p in f.pieces:
-            lo, hi = max(a, p.lo), min(b, p.hi)
-            if hi > lo:
-                total += abs(p.coef) * power_moment(mu + p.exponent, lo, hi)
-        return total
-    val, _ = integrate(lambda x: x ** mu * np.abs(f(x)),
-                       (max(a, f.support[0]), min(b, f.support[1])))
-    return val

@@ -1,11 +1,15 @@
+import inspect
 import json
 import math
 
+import numpy as np
 import pytest
 
 from wnilab.cli import (ConfigError, ExperimentConfig, FitDegenerate, RatioRecord,
                         compute_ratio_records, fit_growth, main, run_conditions,
                         verify_summary)
+from wnilab.kernels import KERNELS
+from wnilab.transforms import _PRESETS
 
 
 def _modelmin_config(beta=0.25, gamma=0.25, points=7, extra=None):
@@ -230,3 +234,81 @@ def test_scripth_probe_positive_slope(tmp_path):
     assert rc == 0
     fit = json.loads((tmp_path / "sh-probe_growth.json").read_text())
     assert fit["fitted_exponent"] == pytest.approx(0.6, abs=0.05)
+
+
+def _hankel_conditions_doc(**changes):
+    doc = {
+        "experiment_id": "hk",
+        "transform": {"name": "hankel", "alpha": 0.0},
+        "exponents": {"p": 2.0, "q": 2.0, "a": 1.0},
+        "weights": {"beta": 0.25, "gamma": 0.25},
+    }
+    doc.update(changes)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+@pytest.mark.parametrize("doc", [
+    _hankel_conditions_doc(transform={"name": "hankel", "alpha": -2.0}),
+    _hankel_conditions_doc(exponents=None),
+    _hankel_conditions_doc(exponents={"p": 0.5, "q": 2.0, "a": 1.0}),
+], ids=["hankel-alpha-below-range", "no-exponents", "p-below-one"])
+def test_check_conditions_input_errors_exit_2(tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check-conditions", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "bessel_j", "--alpha", "-2", "--x", "1.0"],
+    ["--kind", "bessel_j", "--x", "-1"],
+    ["--kind", "bessel_j", "--x", "abc"],
+    ["--kind", "bessel_j", "--x", "inf"],
+    ["--kind", "struve_h", "--alpha", "1", "--x", "inf"],
+    ["--kind", "model_min", "--delta", "-1", "--x", "2.0"],
+], ids=["order-below-range", "negative-x", "non-numeric-x", "bessel-inf", "struve-inf",
+        "model-min-delta-not-positive"])
+def test_eval_kernel_input_errors_exit_2(argv, capsys):
+    assert main(["eval-kernel"] + argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+_EVAL_XS = [0.5, 1.0, 2.0, 13.0, 25.0]
+
+
+@pytest.mark.parametrize("kind", list(KERNELS))
+def test_eval_kernel_prints_registry_phi(kind, capsys):
+    assert main(["eval-kernel", "--kind", kind, "--alpha", "0.75", "--delta", "1.5",
+                 "--x"] + [str(x) for x in _EVAL_XS]) == 0
+    factory = KERNELS[kind]
+    given = {"alpha": 0.75, "delta": 1.5}
+    params = {name: given[name] for name in inspect.signature(factory).parameters}
+    xs = np.asarray(_EVAL_XS)
+    want = [f"{x:.17g} {v:.17g}" for x, v in zip(xs, factory(**params).phi(xs))]
+    got = capsys.readouterr().out.splitlines()
+    assert got == want
+    closed = {"sine": np.sin(xs), "cosine": np.cos(xs),
+              "model_min": np.minimum(1.0, xs ** -0.75)}
+    if kind in closed:
+        assert [float(line.split()[1]) for line in got] == closed[kind].tolist()
+
+
+def _bad_transform_blocks():
+    blocks = []
+    for name, factory in _PRESETS.items():
+        params = {p: 1.0 for p in inspect.signature(factory).parameters}
+        blocks.append(pytest.param(dict(name=name, alpah=1.0, **params),
+                                   id=f"{name}-unknown"))
+        if params:
+            blocks.append(pytest.param({"name": name}, id=f"{name}-missing"))
+    blocks.append(pytest.param({"name": "sine", "alpha": 3}, id="sine-alpha"))
+    return blocks
+
+
+@pytest.mark.parametrize("block", _bad_transform_blocks())
+@pytest.mark.parametrize("command", ["verify", "check-conditions"])
+def test_transform_block_takes_exactly_preset_parameters(tmp_path, command, block):
+    doc = _modelmin_config(points=2)
+    doc["transform"] = block
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2

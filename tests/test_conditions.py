@@ -9,7 +9,7 @@ from wnilab.conditions import (EnvelopeNotStrict, InverseRelationViolated,
                                oinarov_check, power_hardy_verdict,
                                power_pair_verdict_analytic, power_pitt_range,
                                special_case_222, vanishing_moment_range)
-from wnilab.kernels import PowerEnvelope, custom_kernel, model_min_kernel
+from wnilab.kernels import KernelSpec, PowerEnvelope, model_min_kernel
 from wnilab.transforms import (MissingPrimitiveBound, NoSeriesKernel, cosine,
                                hankel, model_min, scripth, sine)
 from wnilab.weights import ExponentSet, Weight
@@ -266,8 +266,8 @@ def test_oinarov_model_kernel_unbounded():
 
 
 def test_oinarov_constant_kernel_bounded():
-    const = custom_kernel(lambda x, y: np.ones_like(np.asarray(x * y, dtype=float)),
-                          PowerEnvelope(0.0, 0.0, 0.0, 0.0))
+    const = KernelSpec("custom", PowerEnvelope(0.0, 0.0, 0.0, 0.0),
+                       lambda t: np.ones_like(np.asarray(t, dtype=float)))
     rep = oinarov_check(const)
     assert rep.verdict == "bounded"
     assert rep.feasible_d == pytest.approx(2.0)
@@ -275,8 +275,8 @@ def test_oinarov_constant_kernel_bounded():
 
 def test_oinarov_exponential_kernel_diagnostic():
     # e^{-xy} on the same triples: the scan reports whatever it finds.
-    expk = custom_kernel(lambda x, y: np.exp(-np.asarray(x * y, dtype=float)),
-                         PowerEnvelope(0.0, 0.0, 0.0, 0.0))
+    expk = KernelSpec("custom", PowerEnvelope(0.0, 0.0, 0.0, 0.0),
+                      lambda t: np.exp(-np.asarray(t, dtype=float)))
     rep = oinarov_check(expk)
     assert rep.verdict in ("bounded", "unbounded")
     assert all(d >= 1.0 for d in rep.d_required)

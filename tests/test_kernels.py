@@ -161,8 +161,13 @@ def test_domain_errors():
         bessel_j(-1.0, 1.0)
     with pytest.raises(ValueError):
         struve_h(-0.5, 1.0)
-    with pytest.raises(ValueError):
-        bessel_j(0.0, -1.0)
+    # Negative or non-finite arguments (the large-argument expansions would
+    # give nan at infinity).
+    for x in (-1.0, math.inf, math.nan, [1.0, math.inf]):
+        with pytest.raises(ValueError):
+            bessel_j(0.0, x)
+        with pytest.raises(ValueError):
+            struve_h(1.0, x)
 
 
 def test_derivative_identity_residual():

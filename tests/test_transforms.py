@@ -33,6 +33,15 @@ def test_preset_envelope_data():
         preset("laplace")
 
 
+def test_preset_parameters_checked_against_signature():
+    with pytest.raises(ValueError, match="'sine'.*'alpha'"):
+        preset("sine", alpha=3.0)
+    with pytest.raises(ValueError, match="'hankel'.*'alpha'"):
+        preset("hankel")
+    with pytest.raises(ValueError, match="'modelmin'.*'alpah'"):
+        preset("modelmin", delta=1.0, alpah=1.0)
+
+
 def test_sine_transform_antiderivative_oracle():
     f = make_truncated_power(0.0, 3.0, "left")
     res = apply(sine(), f, [2.0], CFG)
@@ -160,6 +169,14 @@ def test_moment_reduced_sine_envelope():
     # sine series: G_1(t) = sin(t)/t - 1.
     ts = np.array([0.3, 0.9, 2.0, 7.0])
     assert np.allclose(kern.phi(ts), np.sin(ts) / ts - 1.0, rtol=1e-10, atol=1e-14)
+
+
+def test_reduced_kernel_is_not_drift_free():
+    # Beyond t = 1 the reduced kernel is phi minus a polynomial: segment
+    # acceleration of long spans does not apply to it.
+    for spec in (hankel(0.0), sine(), cosine()):
+        assert spec.kernel.osc_drift_free
+        assert not moment_reduced_kernel(spec, 1).osc_drift_free
 
 
 def test_infinite_support_transform_frozen_oracle():
