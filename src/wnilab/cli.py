@@ -81,21 +81,21 @@ class ExperimentConfig:
                 raise ConfigError("weights must set beta and gamma explicitly")
             beta, gamma = float(wts["beta"]), float(wts["gamma"])
             family = _build_family(doc["family"])
+            domain = doc.get("lhs_domain")
+            lhs_domain = (0.0, math.inf)
+            if domain is not None:
+                lo = float(domain[0]) if domain[0] is not None else 0.0
+                hi = float(domain[1]) if domain[1] is not None else math.inf
+                lhs_domain = (lo, hi)
+            qc = doc.get("quadrature", {})
+            quad = QuadratureConfig(rel_tol=float(qc.get("rel_tol", 1e-6)),
+                                    abs_tol=float(qc.get("abs_tol", 1e-12)),
+                                    max_panels=int(qc.get("max_panels", 4096)))
+            norm_rel = float(qc.get("norm_rel_tol", 1e-2))
         except KeyError as exc:
             raise ConfigError(f"missing config field {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (IndexError, TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        domain = doc.get("lhs_domain")
-        lhs_domain = (0.0, math.inf)
-        if domain is not None:
-            lo = float(domain[0]) if domain[0] is not None else 0.0
-            hi = float(domain[1]) if domain[1] is not None else math.inf
-            lhs_domain = (lo, hi)
-        qc = doc.get("quadrature", {})
-        quad = QuadratureConfig(rel_tol=float(qc.get("rel_tol", 1e-6)),
-                                abs_tol=float(qc.get("abs_tol", 1e-12)),
-                                max_panels=int(qc.get("max_panels", 4096)))
-        norm_rel = float(qc.get("norm_rel_tol", 1e-2))
         norm = doc.get("normalization", "power")
         if norm not in ("power", "sw"):
             raise ConfigError(f"normalization must be 'power' or 'sw', got {norm!r}")

@@ -3,8 +3,11 @@ single-condition form, the Lorentz-space necessity condition, closed-form
 power ranges per transform, and the kernel additivity (Oinarov) diagnostic.
 
 Supremum scans run on a log r-grid with golden-section refinement around
-the best point.  Bracket integrals are served by cumulative octave-panel
-structures, exact to near machine precision for power-like weights.
+the best point.  Bracket integrals are read from one
+``quadrature.CumulativeIntegral`` table per weight expression: octave
+panels on [2^-50, 2^51], refined wherever their Kronrod error estimate
+misses the tolerance (kinks of tabulated weights off the octave grid),
+plus closed-form power slivers beyond both ends.
 Endpoint divergence of inner integrals is decided from the weights'
 analytic endpoint exponents; unbounded growth of the supremum itself is
 detected by decade extension of the scan.
@@ -19,7 +22,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .kernels import KernelSpec
-from .quadrature import _eval_panels
+from .quadrature import CumulativeIntegral
 from .weights import ExponentSet, Weight, WeightExpr
 from .transforms import TransformSpec, MissingPrimitiveBound, NoSeriesKernel
 
@@ -35,68 +38,19 @@ class EnvelopeNotStrict(Exception):
 
 
 # ---------------------------------------------------------------------------
-# cumulative integrals of weight expressions
+# bracket integrals of weight expressions
 # ---------------------------------------------------------------------------
 
-_OCT_LO_EXP = -50  # 2^-50 ~ 8.9e-16
-_OCT_HI_EXP = 51   # 2^51  ~ 2.3e15
+# Octave edges 2^-50 (~8.9e-16) ... 2^51 (~2.3e15).
+_OCTAVE_EDGES = 2.0 ** np.arange(-50, 52, dtype=float)
 
 
-class CumulativeIntegral:
-    """Prefix/suffix integrals of a weight expression over (0, inf).
-
-    Octave panels cover [2^-50, 2^51]; the slivers beyond are closed-form
-    power integrals using the expression's endpoint exponents (all weights
-    here are asymptotically power-like by construction)."""
-
-    def __init__(self, expr: WeightExpr):
-        self.expr = expr
-        self.edges = 2.0 ** np.arange(_OCT_LO_EXP, _OCT_HI_EXP + 1, dtype=float)
-        vals, _, _ = _eval_panels(expr, self.edges[:-1], self.edges[1:])
-        self.panel_vals = vals
-        self.prefix = np.concatenate([[0.0], np.cumsum(vals)])
-        self.e0 = expr.exponent_at_zero
-        self.einf = expr.exponent_at_infinity
-
-    @property
-    def diverges_at_zero(self) -> bool:
-        return self.e0 <= -1.0 + 1e-12
-
-    @property
-    def diverges_at_infinity(self) -> bool:
-        return self.einf >= -1.0 - 1e-12
-
-    def _partial(self, a: float, b: float) -> float:
-        if b <= a:
-            return 0.0
-        v, _, _ = _eval_panels(self.expr, np.array([a]), np.array([b]))
-        return float(v[0])
-
-    def lower(self, r: float) -> float:
-        """integral_0^r, assuming convergence at the origin."""
-        if self.diverges_at_zero:
-            return math.inf
-        lo = self.edges[0]
-        sliver = float(self.expr(np.array([lo]))[0]) * lo / (self.e0 + 1.0)
-        if r <= lo:
-            return sliver * (r / lo) ** (self.e0 + 1.0)
-        r = min(r, self.edges[-1])
-        i = int(np.searchsorted(self.edges, r) - 1)
-        return sliver + float(self.prefix[i]) + self._partial(float(self.edges[i]), r)
-
-    def upper(self, r: float) -> float:
-        """integral_r^inf, assuming convergence at infinity."""
-        if self.diverges_at_infinity:
-            return math.inf
-        hi = self.edges[-1]
-        sliver = float(self.expr(np.array([hi]))[0]) * hi / (-1.0 - self.einf)
-        if r >= hi:
-            return sliver * (r / hi) ** (self.einf + 1.0)
-        r = max(r, self.edges[0])
-        i = int(np.searchsorted(self.edges, r, side="right") - 1)
-        i = max(0, min(i, len(self.edges) - 2))
-        rest = float(self.prefix[-1] - self.prefix[i + 1])
-        return sliver + rest + self._partial(r, float(self.edges[i + 1]))
+def _bracket(factors: Sequence[Tuple[Weight, float]]) -> CumulativeIntegral:
+    """Bracket integrals of a product of weight powers; the weights are
+    power-like beyond the octave edges by construction."""
+    expr = WeightExpr(factors)
+    return CumulativeIntegral(expr, _OCTAVE_EDGES,
+                              exponents=(expr.exponent_at_zero, expr.exponent_at_infinity))
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +123,16 @@ def _sup_scan(product: Callable[[float], float], label: str = "",
     return ConditionReport(best_v, best_r, "finite", None, trace, label)
 
 
+def _scan(product: Callable[[float], float], label: str, endpoint_divergent: bool,
+          **kwargs) -> ConditionReport:
+    """Supremum scan of a bracket product, or the divergent report when one
+    of its bracket integrals diverges at the end it integrates from."""
+    if endpoint_divergent:
+        return ConditionReport(math.inf, math.nan, "divergent",
+                               "inner-integral endpoint", [], label)
+    return _sup_scan(product, label, **kwargs)
+
+
 def _root(x: float, power: float) -> float:
     if x == 0.0:
         return 0.0
@@ -192,30 +156,17 @@ def hardy_pair_condition(u: Weight, v: Weight, s: Weight, w: Weight,
     q, p_prime, a_prime = exps.q, exps.p_prime, exps.a_prime
     inv_a = 0.0 if math.isinf(a_prime) else 1.0 / a_prime
 
-    expr_a1 = WeightExpr([(u, 1.0), (w, q * inv_a)])
-    expr_b1 = WeightExpr([(v, 1.0 - p_prime), (s, p_prime * inv_a)])
-    expr_a2 = WeightExpr([(u, 1.0), (w, q * (inv_a - 0.5))])
-    expr_b2 = WeightExpr([(v, 1.0 - p_prime), (s, p_prime * (inv_a - 0.5))])
+    c_a1 = _bracket([(u, 1.0), (w, q * inv_a)])
+    c_b1 = _bracket([(v, 1.0 - p_prime), (s, p_prime * inv_a)])
+    rep1 = _scan(lambda r: _root(c_a1.lower(1.0 / r), q) * _root(c_b1.lower(r), p_prime),
+                 "hardy_condition_1", c_a1.diverges_at_zero or c_b1.diverges_at_zero,
+                 n=scan_points)
 
-    c_a1 = CumulativeIntegral(expr_a1)
-    c_b1 = CumulativeIntegral(expr_b1)
-    if c_a1.diverges_at_zero or c_b1.diverges_at_zero:
-        rep1 = ConditionReport(math.inf, math.nan, "divergent",
-                               "inner-integral endpoint", [], "hardy_condition_1")
-    else:
-        def prod1(r: float) -> float:
-            return _root(c_a1.lower(1.0 / r), q) * _root(c_b1.lower(r), p_prime)
-        rep1 = _sup_scan(prod1, "hardy_condition_1", n=scan_points)
-
-    c_a2 = CumulativeIntegral(expr_a2)
-    c_b2 = CumulativeIntegral(expr_b2)
-    if c_a2.diverges_at_infinity or c_b2.diverges_at_infinity:
-        rep2 = ConditionReport(math.inf, math.nan, "divergent",
-                               "inner-integral endpoint", [], "hardy_condition_2")
-    else:
-        def prod2(r: float) -> float:
-            return _root(c_a2.upper(1.0 / r), q) * _root(c_b2.upper(r), p_prime)
-        rep2 = _sup_scan(prod2, "hardy_condition_2", n=scan_points)
+    c_a2 = _bracket([(u, 1.0), (w, q * (inv_a - 0.5))])
+    c_b2 = _bracket([(v, 1.0 - p_prime), (s, p_prime * (inv_a - 0.5))])
+    rep2 = _scan(lambda r: _root(c_a2.upper(1.0 / r), q) * _root(c_b2.upper(r), p_prime),
+                 "hardy_condition_2", c_a2.diverges_at_infinity or c_b2.diverges_at_infinity,
+                 n=scan_points)
     return rep1, rep2
 
 
@@ -232,17 +183,10 @@ def glued_condition(u: Weight, v: Weight, s: Weight, w: Weight,
             f"s(x) w(1/x) ranges over [{ratio.min():.3g}, {ratio.max():.3g}]")
 
     q, p_prime = exps.q, exps.p_prime
-    cum_v = CumulativeIntegral(WeightExpr([(v, 1.0 - p_prime)]))
-    tail_vs = CumulativeIntegral(WeightExpr([(v, 1.0 - p_prime), (s, -0.5 * p_prime)]))
-    cum_u = CumulativeIntegral(WeightExpr([(u, 1.0)]))
-    tail_uw = CumulativeIntegral(WeightExpr([(u, 1.0), (w, -0.5 * q)]))
-
-    if cum_v.diverges_at_zero or cum_u.diverges_at_zero:
-        return ConditionReport(math.inf, math.nan, "divergent",
-                               "inner-integral endpoint", [], "glued")
-    if tail_vs.diverges_at_infinity or tail_uw.diverges_at_infinity:
-        return ConditionReport(math.inf, math.nan, "divergent",
-                               "inner-integral endpoint", [], "glued")
+    cum_v = _bracket([(v, 1.0 - p_prime)])
+    tail_vs = _bracket([(v, 1.0 - p_prime), (s, -0.5 * p_prime)])
+    cum_u = _bracket([(u, 1.0)])
+    tail_uw = _bracket([(u, 1.0), (w, -0.5 * q)])
 
     def prod(t: float) -> float:
         s_t = float(np.asarray(s(np.array([t])))[0])
@@ -251,8 +195,8 @@ def glued_condition(u: Weight, v: Weight, s: Weight, w: Weight,
         b2 = w_inv ** (0.5 * q) * tail_uw.upper(1.0 / t) + cum_u.lower(1.0 / t)
         return _root(b1, p_prime) * _root(b2, q)
 
-    rep = _sup_scan(prod, "glued")
-    return rep
+    return _scan(prod, "glued", cum_v.diverges_at_zero or cum_u.diverges_at_zero
+                 or tail_vs.diverges_at_infinity or tail_uw.diverges_at_infinity)
 
 
 def special_case_222(u: Weight, v: Weight, s: Weight, w: Weight) -> ConditionReport:
@@ -260,29 +204,19 @@ def special_case_222(u: Weight, v: Weight, s: Weight, w: Weight) -> ConditionRep
     integrals enter with full (not rooted) powers.  Experimental: stated in
     the rearranged setting, exposed here for plain weights as a diagnostic.
     """
-    c_a = CumulativeIntegral(WeightExpr([(u, 1.0), (w, 1.0)]))
-    c_b = CumulativeIntegral(WeightExpr([(v, -1.0), (s, 1.0)]))
-    if c_a.diverges_at_zero or c_b.diverges_at_zero:
-        return ConditionReport(math.inf, math.nan, "divergent",
-                               "inner-integral endpoint", [], "special_222 (experimental)")
-
-    def prod(r: float) -> float:
-        return c_a.lower(1.0 / r) * c_b.lower(r)
-
-    rep = _sup_scan(prod, "special_222 (experimental)")
-    return rep
+    c_a = _bracket([(u, 1.0), (w, 1.0)])
+    c_b = _bracket([(v, -1.0), (s, 1.0)])
+    return _scan(lambda r: c_a.lower(1.0 / r) * c_b.lower(r), "special_222 (experimental)",
+                 c_a.diverges_at_zero or c_b.diverges_at_zero)
 
 
 def lorentz_necessity_condition(u: Weight, v: Weight, s: Weight,
                                 exps: ExponentSet) -> ConditionReport:
     """sup_r (int_0^(1/r) u)^(1/q) (int_0^r v)^(-1/p) (int_0^r s)."""
     q, p = exps.q, exps.p
-    cu = CumulativeIntegral(WeightExpr([(u, 1.0)]))
-    cv = CumulativeIntegral(WeightExpr([(v, 1.0)]))
-    cs = CumulativeIntegral(WeightExpr([(s, 1.0)]))
-    if cu.diverges_at_zero or cv.diverges_at_zero or cs.diverges_at_zero:
-        return ConditionReport(math.inf, math.nan, "divergent",
-                               "inner-integral endpoint", [], "lorentz_necessity")
+    cu = _bracket([(u, 1.0)])
+    cv = _bracket([(v, 1.0)])
+    cs = _bracket([(s, 1.0)])
 
     def prod(r: float) -> float:
         den = cv.lower(r)
@@ -290,7 +224,8 @@ def lorentz_necessity_condition(u: Weight, v: Weight, s: Weight,
             return math.inf
         return _root(cu.lower(1.0 / r), q) * den ** (-1.0 / p) * cs.lower(r)
 
-    return _sup_scan(prod, "lorentz_necessity")
+    return _scan(prod, "lorentz_necessity",
+                 cu.diverges_at_zero or cv.diverges_at_zero or cs.diverges_at_zero)
 
 
 # ---------------------------------------------------------------------------

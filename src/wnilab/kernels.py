@@ -39,7 +39,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .gammafn import gamma, rgamma
-from .quadrature import QuadratureConfig, integrate
+from .quadrature import CumulativeIntegral, QuadratureConfig
 
 _BESSEL_CROSSOVER = 12.0
 _STRUVE_CROSSOVER = 20.0
@@ -485,33 +485,43 @@ def fit_env_constant(kernel: KernelSpec) -> float:
 # primitive-function machinery
 # ---------------------------------------------------------------------------
 
-def struve_primitive(alpha: float, nu: float, y: float, x: float,
-                     config: Optional[QuadratureConfig] = None) -> Tuple[float, float]:
-    """integral_0^x t^nu Struve_alpha(t y) dt by adaptive quadrature."""
-    if alpha <= -0.5:
-        raise ValueError("order must exceed -1/2")
-    if nu < 0.5:
-        raise ValueError("nu must be >= 1/2")
-    if y <= 0 or x <= 0:
+def _primitive_table(kernel, alpha: float, nu: float, y: float, xs: np.ndarray,
+                     config: Optional[QuadratureConfig]) -> CumulativeIntegral:
+    """One table of integral_0^x t^nu kernel(alpha, t y) dt, with the sorted
+    grid xs among its edges."""
+    if y <= 0 or np.any(xs <= 0):
         raise ValueError("x and y must be positive")
 
     def f(t):
-        return t ** nu * struve_h(alpha, t * y)
+        return t ** nu * kernel(alpha, t * y)
 
-    return integrate(f, (0.0, x), config, wavelength=2.0 * math.pi / y)
+    return CumulativeIntegral(f, np.concatenate([[0.0], xs]), config,
+                              wavelength=2.0 * math.pi / y)
+
+
+def struve_primitive(alpha: float, nu: float, y: float, x: float,
+                     config: Optional[QuadratureConfig] = None) -> Tuple[float, float]:
+    """integral_0^x t^nu Struve_alpha(t y) dt and its error estimate."""
+    if nu < 0.5:
+        raise ValueError("nu must be >= 1/2")
+    table = _primitive_table(struve_h, alpha, nu, y, np.array([float(x)]), config)
+    return table.lower(x), table.error
 
 
 def struve_primitive_bound(alpha: float, nu: float, x_grid: Sequence[float],
                            y_grid: Sequence[float],
                            config: Optional[QuadratureConfig] = None) -> float:
     """Fitted constant C in |h(x; y)| <= C y^-1 x^nu min{(xy)^(a+2), (xy)^a}."""
+    if nu < 0.5:
+        raise ValueError("nu must be >= 1/2")
+    xs = np.sort(np.asarray(x_grid, dtype=float))
     best = 0.0
     for y in y_grid:
-        for x in x_grid:
-            val, _ = struve_primitive(alpha, nu, y, x, config)
+        table = _primitive_table(struve_h, alpha, nu, float(y), xs, config)
+        for x in xs:
             t = x * y
             bound = x ** nu / y * min(t ** (alpha + 2.0), t ** alpha)
-            best = max(best, abs(val) / bound)
+            best = max(best, abs(table.lower(x)) / bound)
     return best
 
 
@@ -531,23 +541,11 @@ def bessel_primitive_bound(alpha: float, nu: float, y: float,
     if nu <= -1.0:
         raise ValueError("nu must exceed -1 for an integrable origin")
     xs = np.sort(np.asarray(x_grid, dtype=float))
-    if np.any(xs <= 0):
-        raise ValueError("grid must be positive")
-
-    def f(t):
-        return t ** nu * bessel_j(alpha, t * y)
-
-    wavelength = 2.0 * math.pi / y
+    table = _primitive_table(bessel_j, alpha, nu, y, xs, config)
     best = 0.0
-    acc = 0.0
-    prev = 0.0
-    for x in xs:
-        inc, _ = integrate(f, (prev, x), config, wavelength=wavelength)
-        acc += inc
-        prev = x
-        if x * y >= 1.0:
-            bound = x ** (nu - alpha - 0.5) * y ** (-alpha - 1.5)
-            best = max(best, abs(acc) / bound)
+    for x in xs[xs * y >= 1.0]:
+        bound = x ** (nu - alpha - 0.5) * y ** (-alpha - 1.5)
+        best = max(best, abs(table.lower(x)) / bound)
     if best > cap:
         raise EstimateViolation(
             f"primitive estimate violated: fitted constant {best:.3g} exceeds cap {cap:.3g}")

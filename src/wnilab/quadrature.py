@@ -199,9 +199,10 @@ def _graded_tail_correction(lows: np.ndarray, his: np.ndarray, vals: np.ndarray)
     return float(tail), float(err)
 
 
-def _adaptive(f, lo: float, hi: float, config: QuadratureConfig,
-              wavelength: Optional[float], breakpoints: Sequence[float]):
-    edges = _initial_panels(lo, hi, wavelength, breakpoints)
+def _refine(f, edges: np.ndarray, config: QuadratureConfig, graded: bool):
+    """Error-driven refinement of the panels between ``edges``.  Returns the
+    accepted panels (lo, hi, vals) sorted by position, their total, the
+    sliver (0, edges[0]] when ``graded`` (else 0) and the error of both."""
     if len(edges) - 1 > config.max_panels:
         raise NonConvergence(math.nan, math.inf,
                              f"initial panelization needs {len(edges)-1} panels > budget {config.max_panels}")
@@ -209,10 +210,10 @@ def _adaptive(f, lo: float, hi: float, config: QuadratureConfig,
     phi = edges[1:].copy()
     vals, errs, resabs = _eval_panels(f, plo, phi)
 
-    graded = bool(lo <= _GRADING_FLOOR and hi > 4.0 * _GRADING_FLOOR)
-
     while True:
-        total = _ordered_sum(plo, vals)
+        # Pairwise sum in panel order, independent of refinement history.
+        order = np.argsort(plo, kind="stable")
+        total = float(np.sum(vals[order]))
         tail_val = tail_err = 0.0
         if graded:
             tail_val, tail_err = _graded_tail_correction(plo, phi, vals)
@@ -221,7 +222,7 @@ def _adaptive(f, lo: float, hi: float, config: QuadratureConfig,
         tol = max(config.abs_tol, config.rel_tol * abs(total + tail_val), floor)
         toterr = float(np.sum(errs)) + tail_err
         if toterr <= tol:
-            return total + tail_val, toterr
+            return plo[order], phi[order], vals[order], total, tail_val, toterr
         if len(plo) >= config.max_panels:
             raise NonConvergence(total + tail_val, toterr)
         # Split every panel holding more than its fair share of the excess.
@@ -241,10 +242,74 @@ def _adaptive(f, lo: float, hi: float, config: QuadratureConfig,
         plo, phi = new_lo, new_hi
 
 
-def _ordered_sum(keys: np.ndarray, vals: np.ndarray) -> float:
-    """Deterministic pairwise sum in panel order (independent of refinement history)."""
-    order = np.argsort(keys, kind="stable")
-    return float(np.sum(vals[order]))
+def _adaptive(f, lo: float, hi: float, config: QuadratureConfig,
+              wavelength: Optional[float], breakpoints: Sequence[float]):
+    edges = _initial_panels(lo, hi, wavelength, breakpoints)
+    graded = lo <= _GRADING_FLOOR and hi > 4.0 * _GRADING_FLOOR
+    *_, total, tail_val, err = _refine(f, edges, config, graded)
+    return total + tail_val, err
+
+
+class CumulativeIntegral:
+    """integral_0^r f (``lower``) and integral_r^inf f (``upper``) for many r:
+    prefix sums over the panels of one refinement pass, plus one Kronrod
+    panel for the partial piece of r's panel.  Raises NonConvergence when
+    the table cannot meet its tolerance.
+
+    With ``exponents=(e0, einf)`` the edges are the initial panels as given,
+    and closed-form slivers of x^e0 below edges[0] and x^einf above
+    edges[-1] complete the reads (inf at a non-integrable end).  Without
+    exponents the table covers [edges[0], edges[-1]] panelized as ``integrate`` does
+    it (inner edges as breakpoints, half-``wavelength`` cap, graded sliver
+    from 0).  Other reads outside the edges are clipped to them.
+    """
+
+    def __init__(self, f, edges: Sequence[float], config: Optional[QuadratureConfig] = None, *,
+                 exponents: Optional[Tuple[float, float]] = None,
+                 wavelength: Optional[float] = None):
+        edges = np.asarray(edges, dtype=float)
+        lo, hi = float(edges[0]), float(edges[-1])
+        graded = exponents is None and lo <= _GRADING_FLOOR and hi > 4.0 * _GRADING_FLOOR
+        if exponents is None:
+            edges = _initial_panels(lo, hi, wavelength, edges[1:-1])
+        plo, phi, vals, _, self.below, self.error = _refine(
+            f, edges, config or QuadratureConfig(), graded)
+        self.f = f
+        self.edges = np.append(plo, phi[-1])
+        self.prefix = np.concatenate([[0.0], np.cumsum(vals)])
+        self.e0, self.einf = exponents or (None, None)
+        self.diverges_at_zero = exponents is not None and self.e0 <= -1.0 + 1e-12
+        self.diverges_at_infinity = exponents is not None and self.einf >= -1.0 - 1e-12
+        self.above = 0.0
+        lo, hi = self.edges[0], self.edges[-1]
+        if exponents is not None and not self.diverges_at_zero:
+            self.below = float(f(np.array([lo]))[0]) * lo / (self.e0 + 1.0)
+        if exponents is not None and not self.diverges_at_infinity:
+            self.above = float(f(np.array([hi]))[0]) * hi / (-1.0 - self.einf)
+
+    def _partial(self, a: float, b: float) -> float:
+        return float(_eval_panels(self.f, np.array([a]), np.array([b]))[0][0]) if b > a else 0.0
+
+    def lower(self, r: float) -> float:
+        if self.diverges_at_zero:
+            return math.inf
+        lo = self.edges[0]
+        if r <= lo and self.e0 is not None:
+            return self.below * (r / lo) ** (self.e0 + 1.0)
+        r = min(max(r, lo), self.edges[-1])
+        i = max(0, int(np.searchsorted(self.edges, r) - 1))
+        return self.below + float(self.prefix[i]) + self._partial(float(self.edges[i]), r)
+
+    def upper(self, r: float) -> float:
+        if self.diverges_at_infinity:
+            return math.inf
+        hi = self.edges[-1]
+        if r >= hi and self.einf is not None:
+            return self.above * (r / hi) ** (self.einf + 1.0)
+        r = min(max(r, self.edges[0]), hi)
+        i = min(max(0, int(np.searchsorted(self.edges, r, side="right") - 1)), len(self.edges) - 2)
+        rest = float(self.prefix[-1] - self.prefix[i + 1])
+        return self.above + rest + self._partial(r, float(self.edges[i + 1]))
 
 
 def integrate(f, interval: Tuple[float, float], config: Optional[QuadratureConfig] = None, *,

@@ -17,8 +17,7 @@ from .kernels import (KernelSpec, PowerEnvelope, PrimitiveBound, SeriesKernel,
                       bessel_j_kernel, cosine_kernel, model_min_kernel,
                       sine_kernel, struve_h_kernel)
 from .quadrature import (DivergentIntegral, NonConvergence, QuadratureConfig,
-                         _alternating_head, _alternating_tail, integrate,
-                         tail_truncation_point)
+                         _alternating_head, _alternating_tail, integrate)
 from .weights import TestFunction, check_admissible
 
 

@@ -13,7 +13,7 @@ from wnilab.cli import ExperimentConfig, compute_ratio_records, fit_growth, veri
 from wnilab.conditions import (glued_condition, hardy_pair_condition, oinarov_check,
                                power_hardy_verdict, power_pitt_range)
 from wnilab.kernels import (bessel_j, check_envelope, model_min_kernel,
-                            struve_derivative_check, struve_h, struve_primitive)
+                            struve_derivative_check, struve_h, struve_primitive_bound)
 from wnilab.quadrature import QuadratureConfig
 from wnilab.transforms import (apply, hankel, moment_reduced_apply,
                                moment_reduced_kernel, pointwise_bound, scripth, sine)
@@ -53,14 +53,7 @@ def test_criterion_3_struve_primitive_bound():
 
     def fitted(alpha, nu, n):
         grid = np.geomspace(0.2, 20.0, n)
-        best = 0.0
-        for y in grid:
-            for x in grid:
-                val, _ = struve_primitive(alpha, nu, float(y), float(x), cfg)
-                t = x * y
-                bound = x ** nu / y * min(t ** (alpha + 2.0), t ** alpha)
-                best = max(best, abs(val) / bound)
-        return best
+        return struve_primitive_bound(alpha, nu, grid, grid, cfg)
 
     worst_drift = 0.0
     for alpha, nu in ((0.5, 1.5), (1.0, 0.5), (1.0, 2.0)):

@@ -258,6 +258,16 @@ def test_check_conditions_input_errors_exit_2(tmp_path, doc):
     assert main(["check-conditions", "--config", str(path), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("extra", [
+    {"quadrature": {"rel_tol": "abc"}},
+    {"lhs_domain": [1.0]},
+], ids=["non-numeric-rel-tol", "one-element-lhs-domain"])
+def test_verify_config_errors_exit_2(tmp_path, extra):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_modelmin_config(points=2, extra=extra)))
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+
 @pytest.mark.parametrize("argv", [
     ["--kind", "bessel_j", "--alpha", "-2", "--x", "1.0"],
     ["--kind", "bessel_j", "--x", "-1"],

@@ -1,12 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wnilab.quadrature import (DivergentIntegral, NoDecay, NonConvergence, NormSpec,
-                               QuadratureConfig, integrate, tail_truncation_point,
-                               weighted_lp_norm)
+from wnilab.conditions import _bracket
+from wnilab.kernels import bessel_j
+from wnilab.quadrature import (CumulativeIntegral, DivergentIntegral, NoDecay,
+                               NonConvergence, NormSpec, QuadratureConfig, integrate,
+                               tail_truncation_point, weighted_lp_norm)
+from wnilab.weights import Weight
 
 
 def test_polynomial_exactness_single_panel():
@@ -140,3 +144,63 @@ def test_config_validation():
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(max_panels=0)
+
+
+def test_condition_bracket_refines_kink_off_octave_grid():
+    # Log-linear table of x^(1/2) on (0, 3] and 9 sqrt(3) x^-2 on [3, inf):
+    # the kink at 3 lies inside the octave panel [2, 4], and the integral
+    # over (0, inf) is 2 sqrt(3) + 3 sqrt(3) = 5 sqrt(3).
+    xs = [1e-3, 1e-2, 0.1, 1.0, 3.0, 10.0, 100.0, 1e3]
+    ys = [x ** 0.5 if x <= 3.0 else 9.0 * math.sqrt(3.0) * x ** -2.0 for x in xs]
+    table = _bracket([(Weight.tabulated(xs, ys), 1.0)])
+    exact = 5.0 * math.sqrt(3.0)
+    for r in (0.05, 1.0, 2.5, 3.0, 3.5, 7.0, 500.0):
+        assert table.lower(r) + table.upper(r) == pytest.approx(exact, rel=1e-12)
+    for r in (0.05, 1.0, 2.5, 3.0):
+        assert table.lower(r) == pytest.approx(2.0 / 3.0 * r ** 1.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5])
+def test_bessel_primitive_table_closed_form(alpha):
+    # integral_0^x t^(2a+1) j_a(t) dt = Gamma(a+1) 2^a x^(a+1) J_(a+1)(x),
+    # with j_a = Gamma(a+1) (2/t)^a J_a(t) the normalized Bessel function.
+    xs = np.geomspace(0.01, 60.0, 25)
+    table = CumulativeIntegral(lambda t: t ** (2.0 * alpha + 1.0) * bessel_j(alpha, t),
+                               np.concatenate([[0.0], xs]), wavelength=2.0 * math.pi)
+    for x in xs:
+        exact = float(mpmath.gamma(alpha + 1.0) * mpmath.mpf(2.0) ** alpha
+                      * mpmath.mpf(x) ** (alpha + 1.0) * mpmath.besselj(alpha + 1.0, x))
+        assert table.lower(x) == pytest.approx(exact, rel=1e-10)
+
+
+def test_table_reads_match_integrate():
+    f = lambda t: t ** -0.4 * np.cos(2.0 * t)
+    xs = np.geomspace(0.1, 20.0, 9)
+    table = CumulativeIntegral(f, np.concatenate([[0.0], xs]), wavelength=math.pi)
+    total, total_err = integrate(f, (0.0, 20.0), wavelength=math.pi)
+    for x in np.concatenate([xs, [0.37, 5.5, 19.9]]):
+        val, err = integrate(f, (0.0, x), wavelength=math.pi)
+        assert abs(table.lower(x) - val) <= table.error + err
+        assert abs(table.upper(x) - (total - val)) <= table.error + total_err + err
+
+
+def test_table_power_slivers_and_endpoint_divergence():
+    edges = 2.0 ** np.arange(-50, 52, dtype=float)
+    table = CumulativeIntegral(lambda x: (1.0 + x) ** -2.0, edges, exponents=(0.0, -2.0))
+    assert not (table.diverges_at_zero or table.diverges_at_infinity)
+    for r in (1e-20, 1e-9, 0.3, 7.0, 1e9):
+        assert table.lower(r) == pytest.approx(r / (1.0 + r), rel=1e-12)
+    for r in (1e-9, 0.3, 7.0, 1e9, 1e20):
+        assert table.upper(r) == pytest.approx(1.0 / (1.0 + r), rel=1e-12)
+    table = CumulativeIntegral(lambda x: x ** -2.0, edges, exponents=(-2.0, -2.0))
+    assert table.diverges_at_zero and table.lower(1.0) == math.inf
+    table = CumulativeIntegral(lambda x: x ** 0.5, edges, exponents=(0.5, 0.5))
+    assert table.diverges_at_infinity and table.upper(1.0) == math.inf
+    for r in (1e-20, 0.3, 7.0):
+        assert table.lower(r) == pytest.approx(2.0 / 3.0 * r ** 1.5, rel=1e-12)
+
+
+def test_table_out_of_budget_raises():
+    with pytest.raises(NonConvergence):
+        CumulativeIntegral(lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0), [0.1, 1.0, 2.0],
+                           QuadratureConfig(max_panels=8))
