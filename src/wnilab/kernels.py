@@ -342,7 +342,11 @@ class SeriesKernel:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """K(x, y) = phi(x*y) with its two-regime power envelope."""
+    """K(x, y) = phi(x*y) with its two-regime power envelope.
+
+    The kernel factories are cached: equal parameters return the same
+    instance, so caches keyed on a kernel (the dilation tables of
+    ``transforms``) persist across config parses."""
 
     kind: str
     envelope: PowerEnvelope
@@ -361,6 +365,7 @@ class KernelSpec:
         return 2.0 * math.pi / y if self.oscillatory else None
 
 
+@lru_cache(maxsize=64)
 def bessel_j_kernel(alpha: float) -> KernelSpec:
     if alpha <= -1.0:
         raise ValueError("order must exceed -1")
@@ -371,6 +376,7 @@ def bessel_j_kernel(alpha: float) -> KernelSpec:
                       osc_drift_free=True, series=series)
 
 
+@lru_cache(maxsize=64)
 def struve_h_kernel(alpha: float) -> KernelSpec:
     if alpha <= -0.5:
         raise ValueError("order must exceed -1/2")
@@ -387,6 +393,7 @@ def struve_h_kernel(alpha: float) -> KernelSpec:
     return KernelSpec("struve_h", env, lambda t: struve_h(alpha, t), series=series)
 
 
+@lru_cache(maxsize=64)
 def sine_kernel() -> KernelSpec:
     env = PowerEnvelope(1.0, 1.0, 0.0, 0.0)
     series = SeriesKernel(1.0, 1.0, 2, 1.0,
@@ -394,6 +401,7 @@ def sine_kernel() -> KernelSpec:
     return KernelSpec("sine", env, np.sin, osc_drift_free=True, series=series)
 
 
+@lru_cache(maxsize=64)
 def cosine_kernel() -> KernelSpec:
     env = PowerEnvelope(0.0, 0.0, 0.0, 0.0)
     series = SeriesKernel(0.0, 0.0, 2, 1.0,
@@ -401,6 +409,7 @@ def cosine_kernel() -> KernelSpec:
     return KernelSpec("cosine", env, np.cos, osc_drift_free=True, series=series)
 
 
+@lru_cache(maxsize=64)
 def model_min_kernel(delta: float) -> KernelSpec:
     """K = 1 for xy <= 1 and (xy)^(-delta/2) beyond: the exactly two-sided
     model kernel."""

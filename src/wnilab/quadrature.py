@@ -43,6 +43,7 @@ _GK_WEIGHTS_G = np.array([
 ])
 
 _GRADING_FLOOR = 1e-15
+_EPS = float(np.finfo(float).eps)
 
 
 class NonConvergence(Exception):
@@ -201,8 +202,8 @@ def _graded_tail_correction(lows: np.ndarray, his: np.ndarray, vals: np.ndarray)
 
 def _refine(f, edges: np.ndarray, config: QuadratureConfig, graded: bool):
     """Error-driven refinement of the panels between ``edges``.  Returns the
-    accepted panels (lo, hi, vals) sorted by position, their total, the
-    sliver (0, edges[0]] when ``graded`` (else 0) and the error of both."""
+    accepted panels (lo, hi, vals, errs) sorted by position, their total,
+    the sliver (0, edges[0]] when ``graded`` (else 0) and the error of both."""
     if len(edges) - 1 > config.max_panels:
         raise NonConvergence(math.nan, math.inf,
                              f"initial panelization needs {len(edges)-1} panels > budget {config.max_panels}")
@@ -222,7 +223,7 @@ def _refine(f, edges: np.ndarray, config: QuadratureConfig, graded: bool):
         tol = max(config.abs_tol, config.rel_tol * abs(total + tail_val), floor)
         toterr = float(np.sum(errs)) + tail_err
         if toterr <= tol:
-            return plo[order], phi[order], vals[order], total, tail_val, toterr
+            return plo[order], phi[order], vals[order], errs[order], total, tail_val, toterr
         if len(plo) >= config.max_panels:
             raise NonConvergence(total + tail_val, toterr)
         # Split every panel holding more than its fair share of the excess.
@@ -252,9 +253,9 @@ def _adaptive(f, lo: float, hi: float, config: QuadratureConfig,
 
 class CumulativeIntegral:
     """integral_0^r f (``lower``) and integral_r^inf f (``upper``) for many r:
-    prefix sums over the panels of one refinement pass, plus one Kronrod
-    panel for the partial piece of r's panel.  Raises NonConvergence when
-    the table cannot meet its tolerance.
+    prefix and suffix sums over the panels of one refinement pass, plus one
+    Kronrod panel for the partial piece of r's panel.  Raises NonConvergence
+    when the table cannot meet its tolerance.
 
     With ``exponents=(e0, einf)`` the edges are the initial panels as given,
     and closed-form slivers of x^e0 below edges[0] and x^einf above
@@ -272,11 +273,20 @@ class CumulativeIntegral:
         graded = exponents is None and lo <= _GRADING_FLOOR and hi > 4.0 * _GRADING_FLOOR
         if exponents is None:
             edges = _initial_panels(lo, hi, wavelength, edges[1:-1])
-        plo, phi, vals, _, self.below, self.error = _refine(
+        plo, phi, vals, errs, _, self.below, self.error = _refine(
             f, edges, config or QuadratureConfig(), graded)
         self.f = f
         self.edges = np.append(plo, phi[-1])
         self.prefix = np.concatenate([[0.0], np.cumsum(vals)])
+        # Suffixes are summed from the top, so a table whose mass sits near
+        # its lower end keeps the digits of its small upper reads.
+        self.suffix = np.append(np.cumsum(vals[::-1])[::-1], 0.0)
+        # Error of each prefix: its panels' Kronrod errors, the graded
+        # sliver's share of the table error, and the rounding of the running
+        # sum (at most eps times the sum of the partial sums' magnitudes).
+        self.prefix_error = (np.concatenate([[0.0], np.cumsum(errs)])
+                             + max(self.error - float(np.sum(errs)), 0.0)
+                             + _EPS * np.cumsum(np.abs(self.prefix)))
         self.e0, self.einf = exponents or (None, None)
         self.diverges_at_zero = exponents is not None and self.e0 <= -1.0 + 1e-12
         self.diverges_at_infinity = exponents is not None and self.einf >= -1.0 - 1e-12
@@ -300,6 +310,22 @@ class CumulativeIntegral:
         i = max(0, int(np.searchsorted(self.edges, r) - 1))
         return self.below + float(self.prefix[i]) + self._partial(float(self.edges[i]), r)
 
+    def lower_with_error(self, r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``lower`` at every r of an array inside the edges, and an error
+        bound for each read: the prefix's error, the partial panel's Kronrod
+        error and the rounding of the final sum.  All partial panels are one
+        Kronrod batch."""
+        r = np.clip(np.asarray(r, dtype=float), self.edges[0], self.edges[-1])
+        i = np.maximum(np.searchsorted(self.edges, r) - 1, 0)
+        part = np.zeros_like(r)
+        part_err = np.zeros_like(r)
+        left = self.edges[i]
+        open_ = r > left
+        if np.any(open_):
+            part[open_], part_err[open_], _ = _eval_panels(self.f, left[open_], r[open_])
+        val = self.below + self.prefix[i] + part
+        return val, self.prefix_error[i] + part_err + 2.0 * _EPS * np.abs(val)
+
     def upper(self, r: float) -> float:
         if self.diverges_at_infinity:
             return math.inf
@@ -308,8 +334,7 @@ class CumulativeIntegral:
             return self.above * (r / hi) ** (self.einf + 1.0)
         r = min(max(r, self.edges[0]), hi)
         i = min(max(0, int(np.searchsorted(self.edges, r, side="right") - 1)), len(self.edges) - 2)
-        rest = float(self.prefix[-1] - self.prefix[i + 1])
-        return self.above + rest + self._partial(r, float(self.edges[i + 1]))
+        return self.above + float(self.suffix[i + 1]) + self._partial(r, float(self.edges[i + 1]))
 
 
 def integrate(f, interval: Tuple[float, float], config: Optional[QuadratureConfig] = None, *,

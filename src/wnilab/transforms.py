@@ -9,15 +9,17 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .kernels import (KernelSpec, PowerEnvelope, PrimitiveBound, SeriesKernel,
                       bessel_j_kernel, cosine_kernel, model_min_kernel,
                       sine_kernel, struve_h_kernel)
-from .quadrature import (DivergentIntegral, NonConvergence, QuadratureConfig,
-                         _alternating_head, _alternating_tail, integrate)
+from .quadrature import (CumulativeIntegral, DivergentIntegral, NonConvergence,
+                         QuadratureConfig, _alternating_head, _alternating_tail,
+                         integrate)
 from .weights import TestFunction, check_admissible
 
 
@@ -259,10 +261,123 @@ def _long_oscillatory_span(f: TestFunction, kfn, b_out: float, b2_env: float,
     return val, err
 
 
+# ---------------------------------------------------------------------------
+# dilation tables
+# ---------------------------------------------------------------------------
+
+# Series terms below this fraction of the leading coefficient are dropped;
+# on t <= 1 each term is at most its coefficient over its power.
+_SERIES_CUT = 1e-18
+_SERIES_MAX_TERMS = 60
+_EPS = float(np.finfo(float).eps)
+
+
+def _power_segment(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """integral_a^b t^(m-1) dt for 0 <= a <= b, by columns of m against
+    rows of (a, b): E^m (1 - (a/b)^|m|) / |m| with E the end where t^m is
+    larger, and log(b/a) for m = 0, so neither ends' powers nor a power m
+    near 0 cancel."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_ratio = np.log(b / a)[:, None]
+        end = np.where(m > 0, b[:, None], a[:, None])
+        mag = np.abs(m)
+        seg = end ** m * -np.expm1(-mag * log_ratio) / np.where(mag > 0, mag, 1.0)
+        seg = np.where(m == 0, log_ratio, seg)
+    return np.where((b > a)[:, None], seg, 0.0)
+
+
+class DilationTable:
+    """Phi(T) = integral t^nu phi(t) dt of a series kernel phi, read as
+    Phi(b) - Phi(a) for 0 <= a <= b <= reach.
+
+    On t <= 1 the kernel's series is integrated term by term in closed form.
+    On [1, reach] one cumulative table with half-period panels holds the
+    integral from 1; reach = 1 + 0.45 max_panels pi is the span of the
+    direct-panel route of ``_point``, so the table costs no more panels than
+    one such value.  Raises NonConvergence when the table cannot meet the
+    config's tolerance.
+    """
+
+    def __init__(self, kernel: KernelSpec, nu: float, config: QuadratureConfig):
+        series = kernel.series
+        coefs = series.coefficients(_SERIES_MAX_TERMS)
+        n = 1 + int(np.flatnonzero(np.abs(coefs) > _SERIES_CUT * abs(coefs[0]))[-1])
+        self.coefs = coefs[:n]
+        # t^nu phi(t) = sum_k a_k t^(powers_k - 1).
+        self.powers = nu + series.b1 + series.step * np.arange(n) + 1.0
+        half = 0.5 * kernel.wavelength_x(1.0)
+        self.reach = 1.0 + 0.45 * config.max_panels * half
+        self.far = CumulativeIntegral(lambda t: t ** nu * kernel.phi(t), [1.0, self.reach],
+                                      config, wavelength=2.0 * half)
+
+    def integral(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Phi(b) - Phi(a) and its error bound, for arrays 0 <= a <= b <= reach."""
+        terms = self.coefs * _power_segment(self.powers, np.minimum(a, 1.0), np.minimum(b, 1.0))
+        near = np.sum(terms, axis=1)
+        near_err = 4.0 * _EPS * np.sum(np.abs(terms), axis=1)
+        n = len(b)
+        far, far_err = self.far.lower_with_error(np.maximum(np.concatenate([b, a]), 1.0))
+        val = near + (far[:n] - far[n:])
+        rounding = 2.0 * _EPS * (np.abs(near) + np.abs(far[:n]) + np.abs(far[n:]))
+        return val, near_err + far_err[:n] + far_err[n:] + rounding
+
+
+@lru_cache(maxsize=32)
+def _dilation_table(kernel: KernelSpec, nu: float, rel_tol: float, abs_tol: float,
+                    max_panels: int) -> Optional[DilationTable]:
+    """The table of (kernel, nu) at these tolerances, built on first use;
+    None when it cannot be built within them."""
+    try:
+        return DilationTable(kernel, nu, QuadratureConfig(rel_tol=rel_tol, abs_tol=abs_tol,
+                                                          max_panels=max_panels))
+    except NonConvergence:
+        return None
+
+
+def _table_values(spec: TransformSpec, f: TestFunction, ys: np.ndarray,
+                  config: QuadratureConfig):
+    """F f at the ys the dilation tables serve: (mask of those ys, values,
+    errors).
+
+    A power piece c x^e on (lo, hi) contributes c y^(-nu-1) (Phi_nu(hi y) -
+    Phi_nu(lo y)), nu = b0 + e.  Served are piecewise-power f with finite
+    pieces, series kernels, and y with max(hi) y within the tables' reach
+    whose error meets ``_point``'s own test, max(abs_tol, rel_tol |value|).
+    """
+    served = np.zeros(ys.shape, dtype=bool)
+    none = served, np.empty(0), np.empty(0)
+    if (f.pieces is None or spec.series is None or not spec.kernel.oscillatory
+            or any(math.isinf(p.hi) for p in f.pieces)):
+        return none
+    tables = [_dilation_table(spec.kernel, spec.b0 + p.exponent, config.rel_tol,
+                              config.abs_tol, config.max_panels) for p in f.pieces]
+    # A piece from 0 with a non-integrable origin diverges: _point says so.
+    if any(t is None or (p.lo <= 0.0 and t.powers[0] <= 0.0)
+           for p, t in zip(f.pieces, tables)):
+        return none
+    reach = (ys > 0.0) & (ys * f.support[1] <= tables[0].reach)
+    y = ys[reach]
+    val = np.zeros_like(y)
+    err = np.zeros_like(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, t in zip(f.pieces, tables):
+            v, e = t.integral(max(p.lo, 0.0) * y, p.hi * y)
+            scale = p.coef * y ** (-(spec.b0 + p.exponent) - 1.0)
+            val += scale * v
+            err += np.abs(scale) * (e + 4.0 * _EPS * np.abs(v))
+        ok = err <= np.maximum(config.abs_tol, config.rel_tol * np.abs(val))
+        served[reach] = ok
+        scale = y[ok] ** spec.c0
+    return served, scale * val[ok], scale * err[ok]
+
+
 def apply(spec: TransformSpec, f: TestFunction, y_grid: Sequence[float],
           config: Optional[QuadratureConfig] = None, *,
           check: bool = True, admissibility_mode: str = "pointwise") -> TransformResult:
     """Evaluate F f on a grid of y values.
+
+    Values the dilation tables serve (``_table_values``) are read from them
+    in one vectorized pass; every other y takes ``_point``.
 
     check=True enforces the integrability precondition (pointwise mode by
     default; pass admissibility_mode='gm' for transforms consumed under the
@@ -279,7 +394,11 @@ def apply(spec: TransformSpec, f: TestFunction, y_grid: Sequence[float],
     vals = np.empty_like(ys)
     errs = np.empty_like(ys)
     notes: List[str] = []
-    for i, y in enumerate(ys):
+    served, table_vals, table_errs = _table_values(spec, f, ys, config)
+    vals[served] = table_vals
+    errs[served] = table_errs
+    for i in np.flatnonzero(~served):
+        y = ys[i]
         try:
             vals[i], errs[i] = _point(spec, f, float(y), config)
         except NonConvergence as exc:

@@ -178,10 +178,22 @@ def test_table_reads_match_integrate():
     xs = np.geomspace(0.1, 20.0, 9)
     table = CumulativeIntegral(f, np.concatenate([[0.0], xs]), wavelength=math.pi)
     total, total_err = integrate(f, (0.0, 20.0), wavelength=math.pi)
-    for x in np.concatenate([xs, [0.37, 5.5, 19.9]]):
+    rs = np.concatenate([xs, [0.37, 5.5, 19.9]])
+    reads, read_errs = table.lower_with_error(rs)
+    for x, read, read_err in zip(rs, reads, read_errs):
         val, err = integrate(f, (0.0, x), wavelength=math.pi)
         assert abs(table.lower(x) - val) <= table.error + err
         assert abs(table.upper(x) - (total - val)) <= table.error + total_err + err
+        assert read == pytest.approx(table.lower(x), rel=1e-14)
+        assert abs(read - val) <= read_err + err
+
+
+def test_bracket_upper_reads_suffix_sums():
+    # x^-2 on the octave table: nearly all of its mass sits near 2^-50, so
+    # an upper read taken as total minus prefix keeps no digit of 1/r.
+    table = _bracket([(Weight.power(-2.0), 1.0)])
+    for r in (1e-3, 0.3, 7.0, 1e4, 1e12):
+        assert table.upper(r) == pytest.approx(1.0 / r, rel=1e-12)
 
 
 def test_table_power_slivers_and_endpoint_divergence():

@@ -1,12 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wnilab.kernels import check_envelope, fit_env_constant, struve_h
-from wnilab.quadrature import QuadratureConfig
+from wnilab.quadrature import NonConvergence, QuadratureConfig
 from wnilab.transforms import (AdmissibilityError, MissingPrimitiveBound,
-                               MomentsNotVanished, NoSeriesKernel, apply, cosine,
+                               MomentsNotVanished, NoSeriesKernel, TransformSpec,
+                               _dilation_table, _point, _table_values, apply, cosine,
                                hankel, model_min, moment_reduced_apply,
                                moment_reduced_kernel, pointwise_bound, preset,
                                scripth, sine)
@@ -210,3 +213,141 @@ def test_long_span_sine_log_family():
         N = 10000.0
         exact = 2.0 * sici(y)[0] - sici(y / N)[0] - sici(N * y)[0]
         assert v == pytest.approx(exact, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# dilation tables against the per-value route
+# ---------------------------------------------------------------------------
+
+SERIES_PRESETS = [hankel(0.0), hankel(0.5), hankel(1.5), scripth(0.0), scripth(1.0),
+                  sine(), cosine()]
+REACH = 1.0 + 0.45 * CFG.max_panels * math.pi
+
+
+def _point_values(spec, f, ys, cfg=CFG):
+    """_point at every y, with a nonconvergent value kept as apply keeps it."""
+    out = []
+    for y in ys:
+        try:
+            out.append(_point(spec, f, float(y), cfg))
+        except NonConvergence as exc:
+            out.append((exc.value, exc.error))
+    return np.array(out).T
+
+
+@st.composite
+def _finite_pieces(draw):
+    """1-3 disjoint power pieces on (0, 4]; the first may start at 0 with an
+    exponent integrable there for every preset."""
+    n = draw(st.integers(1, 3))
+    edges = sorted(draw(st.lists(st.floats(0.05, 4.0), min_size=n + 1, max_size=n + 1,
+                                 unique=True)))
+    if draw(st.booleans()):
+        edges[0] = 0.0
+    pieces = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        e = draw(st.floats(-0.9, 2.0) if lo == 0.0 else st.floats(-3.0, 2.0))
+        pieces.append(Piece(lo, hi, draw(st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 0.1)), e))
+    return TestFunction("drawn", pieces, check_moments=False)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(f=_finite_pieces(), u=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+def test_table_route_agrees_with_point(f, u):
+    # hi y in (0, 1], (1, reach] and beyond reach, for every series preset.
+    hi = f.support[1]
+    ys = np.array([(0.05 + 0.95 * u[0]) / hi, (1.0 + (REACH - 1.0) * u[1]) / hi,
+                   REACH * (1.05 + u[2]) / hi])
+    for spec in SERIES_PRESETS:
+        served, vals, errs = _table_values(spec, f, ys, CFG)
+        # Reads whose error misses the tolerance (values far below their
+        # parts) are not served; y beyond the reach never is.
+        assert not served[2]
+        point_vals, point_errs = _point_values(spec, f, ys)
+        assert np.all(np.abs(vals - point_vals[served]) <= errs + point_errs[served])
+        res = apply(spec, f, ys, CFG, check=False)
+        assert np.array_equal(res.values[served], vals)
+        assert np.array_equal(res.values[~served], point_vals[~served])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5])
+def test_hankel_table_against_closed_form(alpha):
+    # f = 1 on (0, r): F f(y) = G(a+1) 2^a y^(-2a-2) (ry)^(a+1) J_(a+1)(ry).
+    r = 2.0
+    f = make_truncated_power(0.0, r, "left")
+    ys = np.geomspace(1e-3, REACH / r, 40)
+    served, vals, errs = _table_values(hankel(alpha), f, ys, CFG)
+    assert np.all(served)
+    with mpmath.workdps(30):
+        for y, v, e in zip(ys, vals, errs):
+            t = mpmath.mpf(r) * mpmath.mpf(y)
+            exact = (mpmath.gamma(alpha + 1) * mpmath.mpf(2) ** alpha * mpmath.mpf(y) ** (-2 * alpha - 2)
+                     * t ** (alpha + 1) * mpmath.besselj(alpha + 1, t))
+            assert abs(mpmath.mpf(v) - exact) <= e
+
+
+@pytest.mark.parametrize("spec", SERIES_PRESETS[:1] + SERIES_PRESETS[3:] + [model_min(1.0)],
+                         ids=lambda s: s.name if s.alpha is None else f"{s.name}-{s.alpha:g}")
+@pytest.mark.parametrize("lam", [1.0 / 3.0, 2.0, 10.0])
+def test_dilation_covariance_every_preset(spec, lam):
+    # F[f(lam .)](y) = lam^(c0 - b0 - 1) F f(y / lam), for f = x^(1/2) on
+    # (0, 1) as pieces (the table route on series kernels) and as a custom
+    # evaluator (always _point).
+    def as_pieces(scale):
+        return TestFunction("piece", [Piece(0.0, 1.0 / scale, scale ** 0.5, 0.5)],
+                            check_moments=False)
+
+    def as_custom(scale):
+        return TestFunction("custom", evaluator=lambda x: np.sqrt(scale * x),
+                            support=(0.0, 1.0 / scale), check_moments=False)
+
+    ys = np.array([0.3, 4.0, 60.0]) * lam
+    factor = lam ** (spec.c0 - spec.b0 - 1.0)
+    for make in (as_pieces, as_custom):
+        left = apply(spec, make(lam), ys, CFG, check=False)
+        right = apply(spec, make(1.0), ys / lam, CFG, check=False)
+        tol = left.errors + factor * right.errors + 1e-13 * np.abs(left.values)
+        assert np.all(np.abs(left.values - factor * right.values) <= tol)
+    served = _table_values(spec, as_pieces(lam), ys, CFG)[0]
+    assert np.all(served) == (spec.series is not None)
+
+
+def _assert_point_route(spec, f, ys, cfg=CFG):
+    res = apply(spec, f, ys, cfg, check=False)
+    vals, errs = _point_values(spec, f, ys, cfg)
+    assert np.array_equal(res.values, vals) and np.array_equal(res.errors, errs)
+
+
+def test_fallback_right_sided_power():
+    _assert_point_route(hankel(0.0), make_truncated_power(-2.5, 1.0, "right"), [0.5, 2.0, 20.0])
+
+
+def test_fallback_model_min():
+    _assert_point_route(model_min(1.0), make_truncated_power(0.0, 1.0, "left"), [0.5, 3.0])
+
+
+def test_fallback_moment_reduced():
+    spec = hankel(0.0)
+    f = make_log_counterexample(10.0, spec.b0)
+    ys = [0.05, 0.5, 5.0]
+    reduced = TransformSpec("hankel_reduced_1", spec.b0 + spec.series.b1,
+                            spec.c0 + spec.series.c1, moment_reduced_kernel(spec, 1))
+    vals, errs = _point_values(reduced, f, ys)
+    res = moment_reduced_apply(spec, f, 1, ys, CFG)
+    assert np.array_equal(res.values, vals) and np.array_equal(res.errors, errs)
+
+
+def test_fallback_beyond_reach():
+    f = make_truncated_power(0.0, 1.0, "left")
+    _assert_point_route(hankel(0.0), f, [1.5 * REACH, 3.0 * REACH])
+
+
+def test_fallback_read_error_over_tolerance():
+    # The table builds at rel_tol 1e-15 (its tolerance stops at the rounding
+    # floor), but no read meets 1e-15 relative: every value takes _point.
+    cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300)
+    spec = hankel(0.0)
+    f = make_truncated_power(0.0, 1.0, "left")
+    assert _dilation_table(spec.kernel, spec.b0, cfg.rel_tol, cfg.abs_tol,
+                           cfg.max_panels) is not None
+    _assert_point_route(spec, f, [0.5, 40.0], cfg)
