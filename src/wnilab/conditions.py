@@ -2,15 +2,20 @@
 single-condition form, the Lorentz-space necessity condition, closed-form
 power ranges per transform, and the kernel additivity (Oinarov) diagnostic.
 
-Supremum scans run on a log r-grid with golden-section refinement around
-the best point.  Bracket integrals are read from one
-``quadrature.CumulativeIntegral`` table per weight expression: octave
-panels on [2^-50, 2^51], refined wherever their Kronrod error estimate
-misses the tolerance (kinks of tabulated weights off the octave grid),
-plus closed-form power slivers beyond both ends.
-Endpoint divergence of inner integrals is decided from the weights'
-analytic endpoint exponents; unbounded growth of the supremum itself is
-detected by decade extension of the scan.
+Bracket integrals are read from one ``quadrature.CumulativeIntegral``
+table per weight expression: octave panels on [2^-50, 2^51], refined
+wherever their Kronrod error estimate misses the tolerance (kinks of
+tabulated weights off the octave grid), plus closed-form power slivers
+beyond both ends.
+
+Each condition states its bracket product once, as a list of factors
+(sums of weight-power x bracket-read terms, raised to a power).  The
+verdict comes from the table's end exponents: a read that integrates from
+a non-integrable end is infinite, and otherwise every read tends to 0, a
+constant, log x or x^(e+1), so the product behaves like C r^kappa
+(log r)^m at both ends and is unbounded iff kappa > 0, or kappa = 0 and
+m > 0.  A bounded product's supremum is scanned on a log r-grid with
+golden-section refinement around the best point.
 """
 
 from __future__ import annotations
@@ -27,6 +32,9 @@ from .weights import ExponentSet, Weight, WeightExpr
 from .transforms import TransformSpec, MissingPrimitiveBound, NoSeriesKernel
 
 ENDPOINT_TOLERANCE = 0.05  # verdicts this close to an analytic endpoint are not asserted
+# Exponent sums this close to 0 count as 0: the balance of a bracket product
+# (its power of r), and an integrand exponent + 1 (a log bracket).
+EXPONENT_TOLERANCE = 1e-9
 
 
 class InverseRelationViolated(Exception):
@@ -80,27 +88,10 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _sup_scan(product: Callable[[float], float], label: str = "",
-              r_lo: float = 1e-6, r_hi: float = 1e6, n: int = 60,
-              refine_steps: int = 20) -> ConditionReport:
-    rs = np.geomspace(r_lo, r_hi, n)
+              n: int = 60) -> ConditionReport:
+    rs = np.geomspace(1e-6, 1e6, n)
     vals = np.array([product(float(r)) for r in rs])
     trace = list(zip(rs.tolist(), vals.tolist()))
-
-    # Unbounded growth toward either end of the r-line: factor-1.5 growth
-    # across three successive decade extensions.
-    for site, seq in (("r->inf", [r_hi * 10.0 ** k for k in range(1, 4)]),
-                      ("r->0", [r_lo / 10.0 ** k for k in range(1, 4)])):
-        prev = vals[-1] if site == "r->inf" else vals[0]
-        growths = 0
-        for r in seq:
-            cur = product(float(r))
-            if prev > 0 and cur > 1.5 * prev:
-                growths += 1
-            prev = cur
-        if growths == 3:
-            return ConditionReport(math.inf, math.inf if site == "r->inf" else 0.0,
-                                   "divergent", site, trace, label)
-
     i = int(np.argmax(vals))
     a = math.log(rs[max(0, i - 1)])
     b = math.log(rs[min(len(rs) - 1, i + 1)])
@@ -109,7 +100,7 @@ def _sup_scan(product: Callable[[float], float], label: str = "",
     x2 = a + _GOLDEN * (b - a)
     f1 = product(math.exp(x1))
     f2 = product(math.exp(x2))
-    for _ in range(refine_steps):
+    for _ in range(20):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
@@ -123,22 +114,80 @@ def _sup_scan(product: Callable[[float], float], label: str = "",
     return ConditionReport(best_v, best_r, "finite", None, trace, label)
 
 
-def _scan(product: Callable[[float], float], label: str, endpoint_divergent: bool,
-          **kwargs) -> ConditionReport:
-    """Supremum scan of a bracket product, or the divergent report when one
-    of its bracket integrals diverges at the end it integrates from."""
-    if endpoint_divergent:
+@dataclass(frozen=True)
+class _Term:
+    """One bracket read: ``table.lower`` (or ``upper``) at r, or at 1/r when
+    ``inverted``, times ``weight ** weight_power`` at the same argument."""
+
+    table: CumulativeIntegral
+    upper: bool = False
+    inverted: bool = False
+    weight: Optional[Weight] = None
+    weight_power: float = 0.0
+
+    def value(self, r: float) -> float:
+        x = 1.0 / r if self.inverted else r
+        read = self.table.upper(x) if self.upper else self.table.lower(x)
+        if self.weight is None:
+            return read
+        return float(np.asarray(self.weight(np.array([x])))[0]) ** self.weight_power * read
+
+    def growth(self, r_to_inf: bool) -> Tuple[float, float]:
+        """(g, m) with the term ~ T^g (log T)^m as T -> inf, where r = T
+        (``r_to_inf``) or r = 1/T."""
+        x_to_inf = r_to_inf != self.inverted
+        # The integrand integrated from 1 toward the end x tends to grows like T^e.
+        e = self.table.einf + 1.0 if x_to_inf else -(self.table.e0 + 1.0)
+        if self.upper == x_to_inf:  # x tends to the end the read integrates from
+            g, m = e, 0.0
+        else:
+            g, m = (0.0, 1.0) if abs(e) <= EXPONENT_TOLERANCE else (max(e, 0.0), 0.0)
+        if self.weight is not None:
+            g += self.weight_power * (self.weight.exponent_at_infinity if x_to_inf
+                                      else -self.weight.exponent_at_zero)
+        return g, m
+
+
+# A bracket product: the product over its factors (terms, power) of
+# (sum of the terms) ** power.
+_Factors = Sequence[Tuple[Sequence[_Term], float]]
+
+
+def _product(factors: _Factors, r: float) -> float:
+    val = 1.0
+    for terms, power in factors:
+        base = sum(term.value(r) for term in terms)
+        if base == 0.0 and power < 0.0:
+            return math.inf
+        val *= base ** power
+    return val
+
+
+def _diverges_toward(factors: _Factors, r_to_inf: bool) -> bool:
+    """Whether the product ~ C T^kappa (log T)^m, with r = T or 1/T, is
+    unbounded as T -> inf: kappa > 0, or kappa = 0 and m > 0."""
+    kappa = logs = 0.0
+    for terms, power in factors:
+        growths = [term.growth(r_to_inf) for term in terms]
+        g = max(gj for gj, _ in growths)
+        kappa += power * g
+        logs += power * max(m for gj, m in growths if gj >= g - EXPONENT_TOLERANCE)
+    return kappa > EXPONENT_TOLERANCE or (kappa >= -EXPONENT_TOLERANCE
+                                          and logs > EXPONENT_TOLERANCE)
+
+
+def _scan(factors: _Factors, label: str, n: int = 60) -> ConditionReport:
+    """The divergent report when a bracket integral diverges at the end it
+    integrates from or the product is unbounded toward r -> inf or r -> 0,
+    else the supremum scan of the product."""
+    if any(t.table.diverges_at_infinity if t.upper else t.table.diverges_at_zero
+           for terms, _ in factors for t in terms):
         return ConditionReport(math.inf, math.nan, "divergent",
                                "inner-integral endpoint", [], label)
-    return _sup_scan(product, label, **kwargs)
-
-
-def _root(x: float, power: float) -> float:
-    if x == 0.0:
-        return 0.0
-    if math.isinf(x):
-        return math.inf
-    return x ** (1.0 / power)
+    for site, r_to_inf, argmax in (("r->inf", True, math.inf), ("r->0", False, 0.0)):
+        if _diverges_toward(factors, r_to_inf):
+            return ConditionReport(math.inf, argmax, "divergent", site, [], label)
+    return _sup_scan(lambda r: _product(factors, r), label, n=n)
 
 
 def hardy_pair_condition(u: Weight, v: Weight, s: Weight, w: Weight,
@@ -149,24 +198,20 @@ def hardy_pair_condition(u: Weight, v: Weight, s: Weight, w: Weight,
     First:  sup_r (int_0^(1/r) u w^(q/a'))^(1/q) (int_0^r v^(1-p') s^(p'/a'))^(1/p')
     Second: sup_r (int_(1/r)^inf u w^(q(1/a'-1/2)))^(1/q)
                   (int_r^inf v^(1-p') s^(p'(1/a'-1/2)))^(1/p')
-
-    Inner-integral endpoint divergence is decided from the weight
-    exponents; divergence of the supremum itself from scan growth.
     """
     q, p_prime, a_prime = exps.q, exps.p_prime, exps.a_prime
     inv_a = 0.0 if math.isinf(a_prime) else 1.0 / a_prime
 
     c_a1 = _bracket([(u, 1.0), (w, q * inv_a)])
     c_b1 = _bracket([(v, 1.0 - p_prime), (s, p_prime * inv_a)])
-    rep1 = _scan(lambda r: _root(c_a1.lower(1.0 / r), q) * _root(c_b1.lower(r), p_prime),
-                 "hardy_condition_1", c_a1.diverges_at_zero or c_b1.diverges_at_zero,
-                 n=scan_points)
+    rep1 = _scan([([_Term(c_a1, inverted=True)], 1.0 / q), ([_Term(c_b1)], 1.0 / p_prime)],
+                 "hardy_condition_1", n=scan_points)
 
     c_a2 = _bracket([(u, 1.0), (w, q * (inv_a - 0.5))])
     c_b2 = _bracket([(v, 1.0 - p_prime), (s, p_prime * (inv_a - 0.5))])
-    rep2 = _scan(lambda r: _root(c_a2.upper(1.0 / r), q) * _root(c_b2.upper(r), p_prime),
-                 "hardy_condition_2", c_a2.diverges_at_infinity or c_b2.diverges_at_infinity,
-                 n=scan_points)
+    rep2 = _scan([([_Term(c_a2, upper=True, inverted=True)], 1.0 / q),
+                  ([_Term(c_b2, upper=True)], 1.0 / p_prime)],
+                 "hardy_condition_2", n=scan_points)
     return rep1, rep2
 
 
@@ -183,20 +228,15 @@ def glued_condition(u: Weight, v: Weight, s: Weight, w: Weight,
             f"s(x) w(1/x) ranges over [{ratio.min():.3g}, {ratio.max():.3g}]")
 
     q, p_prime = exps.q, exps.p_prime
-    cum_v = _bracket([(v, 1.0 - p_prime)])
-    tail_vs = _bracket([(v, 1.0 - p_prime), (s, -0.5 * p_prime)])
-    cum_u = _bracket([(u, 1.0)])
-    tail_uw = _bracket([(u, 1.0), (w, -0.5 * q)])
-
-    def prod(t: float) -> float:
-        s_t = float(np.asarray(s(np.array([t])))[0])
-        w_inv = float(np.asarray(w(np.array([1.0 / t])))[0])
-        b1 = cum_v.lower(t) + s_t ** (0.5 * p_prime) * tail_vs.upper(t)
-        b2 = w_inv ** (0.5 * q) * tail_uw.upper(1.0 / t) + cum_u.lower(1.0 / t)
-        return _root(b1, p_prime) * _root(b2, q)
-
-    return _scan(prod, "glued", cum_v.diverges_at_zero or cum_u.diverges_at_zero
-                 or tail_vs.diverges_at_infinity or tail_uw.diverges_at_infinity)
+    # (int_0^t v^(1-p') + s(t)^(p'/2) int_t^inf v^(1-p') s^(-p'/2))^(1/p')
+    b1 = [_Term(_bracket([(v, 1.0 - p_prime)])),
+          _Term(_bracket([(v, 1.0 - p_prime), (s, -0.5 * p_prime)]), upper=True,
+                weight=s, weight_power=0.5 * p_prime)]
+    # (w(1/t)^(q/2) int_(1/t)^inf u w^(-q/2) + int_0^(1/t) u)^(1/q)
+    b2 = [_Term(_bracket([(u, 1.0), (w, -0.5 * q)]), upper=True, inverted=True,
+                weight=w, weight_power=0.5 * q),
+          _Term(_bracket([(u, 1.0)]), inverted=True)]
+    return _scan([(b1, 1.0 / p_prime), (b2, 1.0 / q)], "glued")
 
 
 def special_case_222(u: Weight, v: Weight, s: Weight, w: Weight) -> ConditionReport:
@@ -204,28 +244,16 @@ def special_case_222(u: Weight, v: Weight, s: Weight, w: Weight) -> ConditionRep
     integrals enter with full (not rooted) powers.  Experimental: stated in
     the rearranged setting, exposed here for plain weights as a diagnostic.
     """
-    c_a = _bracket([(u, 1.0), (w, 1.0)])
-    c_b = _bracket([(v, -1.0), (s, 1.0)])
-    return _scan(lambda r: c_a.lower(1.0 / r) * c_b.lower(r), "special_222 (experimental)",
-                 c_a.diverges_at_zero or c_b.diverges_at_zero)
+    return _scan([([_Term(_bracket([(u, 1.0), (w, 1.0)]), inverted=True)], 1.0),
+                  ([_Term(_bracket([(v, -1.0), (s, 1.0)]))], 1.0)], "special_222 (experimental)")
 
 
 def lorentz_necessity_condition(u: Weight, v: Weight, s: Weight,
                                 exps: ExponentSet) -> ConditionReport:
     """sup_r (int_0^(1/r) u)^(1/q) (int_0^r v)^(-1/p) (int_0^r s)."""
-    q, p = exps.q, exps.p
-    cu = _bracket([(u, 1.0)])
-    cv = _bracket([(v, 1.0)])
-    cs = _bracket([(s, 1.0)])
-
-    def prod(r: float) -> float:
-        den = cv.lower(r)
-        if den == 0.0:
-            return math.inf
-        return _root(cu.lower(1.0 / r), q) * den ** (-1.0 / p) * cs.lower(r)
-
-    return _scan(prod, "lorentz_necessity",
-                 cu.diverges_at_zero or cv.diverges_at_zero or cs.diverges_at_zero)
+    return _scan([([_Term(_bracket([(u, 1.0)]), inverted=True)], 1.0 / exps.q),
+                  ([_Term(_bracket([(v, 1.0)]))], -1.0 / exps.p),
+                  ([_Term(_bracket([(s, 1.0)]))], 1.0)], "lorentz_necessity")
 
 
 # ---------------------------------------------------------------------------
@@ -251,19 +279,13 @@ class RangeVerdict:
     satisfied: Optional[bool] = None
     indeterminate: Optional[bool] = None
 
-    @property
-    def beta_required(self) -> Optional[float]:
-        if self.gamma is None:
-            return None
-        return self.gamma + self.relation_offset
-
     def query(self, beta: float, gamma: Optional[float] = None) -> "RangeVerdict":
         inside = (beta > self.lo or (self.lo_closed and beta == self.lo)) and \
                  (beta < self.hi or (self.hi_closed and beta == self.hi))
         inside = inside and all(abs(beta - e) > 1e-12 for e in self.excluded)
         relation_ok = True
         if gamma is not None:
-            relation_ok = abs(beta - gamma - self.relation_offset) <= 1e-9
+            relation_ok = abs(beta - gamma - self.relation_offset) <= EXPONENT_TOLERANCE
         dist = min([abs(beta - self.lo), abs(beta - self.hi)] +
                    [abs(beta - e) for e in self.excluded] or [math.inf])
         return RangeVerdict(self.label, self.lo, self.hi, self.lo_closed,
@@ -394,16 +416,15 @@ def power_pair_verdict_analytic(u_exp: float, v_exp: float, s_exp: float,
     def verdict(ea: float, eb: float, at_zero: bool) -> Optional[bool]:
         conv_a = ea > -1.0 if at_zero else ea < -1.0
         conv_b = eb > -1.0 if at_zero else eb < -1.0
-        balance = -(ea + 1.0) / q + (eb + 1.0) / pp if not at_zero else \
-            (ea + 1.0) / q * -1.0 + (eb + 1.0) / pp
         # For powers: first bracket ~ r^(-(ea+1)/q) (zero case uses 1/r),
         # second ~ r^((eb+1)/p'); the sup is finite iff exponents cancel.
+        balance = -(ea + 1.0) / q + (eb + 1.0) / pp
         margin = min(abs(ea + 1.0), abs(eb + 1.0))
         if margin < ENDPOINT_TOLERANCE:
             return None
         if not (conv_a and conv_b):
             return False
-        return abs(balance) <= 1e-9
+        return abs(balance) <= EXPONENT_TOLERANCE
 
     ea1 = u_exp + w_exp * q * inv_a
     eb1 = v_exp * (1.0 - pp) + s_exp * pp * inv_a

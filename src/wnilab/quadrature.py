@@ -73,9 +73,6 @@ class QuadratureConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-14
     max_panels: int = 4096
-    # Fixed upper cutoff for integrals to infinity; None means the tail is
-    # resolved by decade extension or an analytic tail bound.
-    cutoff: Optional[float] = None
     # Consecutive factor-1.5 growths of the partial integral (one per decade
     # extension) before declaring divergence.  Norm integrals whose mass
     # sits far from the first decade need a longer horizon.
@@ -340,8 +337,7 @@ class CumulativeIntegral:
 def integrate(f, interval: Tuple[float, float], config: Optional[QuadratureConfig] = None, *,
               wavelength: Optional[float] = None,
               breakpoints: Sequence[float] = (),
-              tail_bound: Optional[Tuple[float, float]] = None,
-              alternating_tail: bool = False) -> Tuple[float, float]:
+              tail_bound: Optional[Tuple[float, float]] = None) -> Tuple[float, float]:
     """Integrate f over (lo, hi), hi possibly infinite.
 
     wavelength       -- oscillation period of the integrand; panels never
@@ -349,10 +345,6 @@ def integrate(f, interval: Tuple[float, float], config: Optional[QuadratureConfi
     breakpoints      -- interior points with kinks or jumps.
     tail_bound       -- (C, e) with |f(x)| <= C*x^e beyond the panelized
                         region; places the cutoff for an infinite limit.
-    alternating_tail -- the integrand alternates sign every half wavelength
-                        far out (signed oscillatory kernels); the tail is
-                        then summed by iterated averaging of half-period
-                        segments instead of brute-force truncation.
 
     Returns (value, error_estimate).  Raises NonConvergence when the panel
     budget is exhausted and DivergentIntegral when partial integrals grow
@@ -366,9 +358,6 @@ def integrate(f, interval: Tuple[float, float], config: Optional[QuadratureConfi
         if hi <= lo:
             return 0.0, 0.0
         return _adaptive(f, lo, hi, config, wavelength, breakpoints)
-
-    if config.cutoff is not None:
-        return _adaptive(f, lo, config.cutoff, config, wavelength, breakpoints)
 
     if tail_bound is not None:
         coef, expo = tail_bound
@@ -385,17 +374,8 @@ def integrate(f, interval: Tuple[float, float], config: Optional[QuadratureConfi
                     v2, e2 = _adaptive(f, start, cut, config, wavelength, breakpoints)
                     val, err = val + v2, err + e2
                 return val, err + coef * cut ** (expo + 1.0) / (-expo - 1.0)
-            if alternating_tail:
-                tv, te = _alternating_tail(f, start, wavelength, config)
-                return val + tv, err + te
             raise NonConvergence(val, math.inf, "oscillatory tail exceeds panel budget")
         # fall through when the bound does not decay
-
-    if alternating_tail and wavelength is not None and wavelength > 0:
-        start = max(lo * 2.0, 1.0, lo + 8.0 * wavelength)
-        val, err = _adaptive(f, lo, start, config, wavelength, breakpoints)
-        tv, te = _alternating_tail(f, start, wavelength, config)
-        return val + tv, err + te
 
     return _integrate_decades(f, lo, config, wavelength, breakpoints)
 

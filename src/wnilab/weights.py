@@ -161,10 +161,6 @@ class ExponentSet:
         return _dual(self.p)
 
     @property
-    def q_prime(self) -> float:
-        return _dual(self.q)
-
-    @property
     def a_prime(self) -> float:
         return _dual(self.a)
 

@@ -107,8 +107,8 @@ def _random_piecewise_tuple(rng, q, p_prime, delta):
         g1 = b1 - rel
         expected = False
     elif case == 3:    # exponent relation broken: sup grows without bound.
-        # The growth detector resolves exponents above log10(1.5) = 0.176
-        # per decade, so keep the break clear of that threshold.
+        # Breaks of 0.25-0.7; test_glued_matches_pair_small_offsets covers
+        # breaks of 0.01-0.17.
         off = rng.choice([-1.0, 1.0]) * rng.uniform(0.25, 0.7)
         g1, g2 = b1 - rel - off, b2 - rel - off
         expected = False
@@ -288,3 +288,73 @@ def test_condition_report_serializes():
     d = r1.to_dict()
     assert d["verdict"] == "finite"
     assert isinstance(d["scan_trace"][0][0], float)
+
+
+@pytest.mark.parametrize("p,q", [(2.0, 2.0), (1.5, 2.5)])
+@pytest.mark.parametrize("offset", [0.01, 0.03, 0.1, 0.17, -0.01, -0.03, -0.1, -0.17])
+def test_hardy_pair_small_offsets_divergent(offset, p, q):
+    # Pure powers off the exponent relation by `offset`: every bracket
+    # converges, and both products are c r^offset, so the analytic verdict
+    # is divergent at r -> inf for offset > 0 and at r -> 0 for offset < 0.
+    exps = ExponentSet(p=p, q=q, a=1.0)
+    beta = 1.0 / q - 0.25  # inside (1/q - delta/2, 1/q) for delta = 1
+    gamma = beta - (1.0 / q - 1.0 / exps.p_prime) - offset
+    assert power_pair_verdict_analytic(-beta * q, gamma * p, 1.0, 1.0, exps) == (False, False)
+    sw = Weight.power(1.0)
+    site = "r->inf" if offset > 0 else "r->0"
+    for rep in hardy_pair_condition(Weight.power(-beta * q), Weight.power(gamma * p),
+                                    sw, sw, exps):
+        assert (rep.verdict, rep.divergence_site, rep.scan_trace) == ("divergent", site, [])
+
+
+def test_glued_matches_pair_small_offsets():
+    # Piecewise-power tuples off the exponent relation by 0.01-0.17 on both
+    # pieces, with every bracket convergent: the pair and the glued
+    # condition are unbounded at the same end.
+    rng = np.random.default_rng(20261018)
+    for _ in range(12):
+        q = float(rng.choice([1.5, 2.0, 2.5]))
+        p = float(rng.uniform(1.3, q))
+        exps = ExponentSet(p=p, q=q, a=1.0)
+        delta = float(rng.uniform(1.0, 2.5))
+        sw = Weight.power(delta)
+        lo, hi = 1.0 / q - 0.5 * delta, 1.0 / q
+        rel = 1.0 / q - 1.0 / exps.p_prime
+        b1, b2 = (float(b) for b in rng.uniform(lo + 0.2, hi - 0.2, size=2))
+        off = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 0.17))
+        u = Weight.piecewise_power(-b2 * q, -b1 * q)
+        v = Weight.piecewise_power((b1 - rel - off) * p, (b2 - rel - off) * p)
+        reports = [*hardy_pair_condition(u, v, sw, sw, exps),
+                   glued_condition(u, v, sw, sw, exps)]
+        site = "r->inf" if off > 0 else "r->0"
+        assert [(r.verdict, r.divergence_site) for r in reports] == [("divergent", site)] * 3
+
+
+def test_lorentz_log_bracket_at_zero_balance():
+    # u = 1 on (0, 1] and 1/y beyond, v = x, s = 1, p = q = 2: for r < 1 the
+    # product is sqrt(2 (1 + log(1/r))), r^0 times a log factor: unbounded
+    # as r -> 0, however slowly.
+    rep = lorentz_necessity_condition(Weight.piecewise_power(0.0, -1.0), Weight.power(1.0),
+                                      Weight.power(0.0), ES22)
+    assert (rep.verdict, rep.divergence_site, rep.scan_trace) == ("divergent", "r->0", [])
+    # The log in the denominator instead: v = x on (0, 1] and 1/x beyond,
+    # s = 1 on (0, 1] and x^(-1/2) beyond, u = 1 on (0, 1] and y^-2 beyond.
+    # At r -> inf the product is ~ 2 / sqrt(log r); at r -> 0 it tends to 2.
+    rep = lorentz_necessity_condition(Weight.piecewise_power(0.0, -2.0),
+                                      Weight.piecewise_power(1.0, -1.0),
+                                      Weight.piecewise_power(0.0, -0.5), ES22)
+    assert rep.finite
+
+
+def test_hardy_pair_tabulated_weight_offset():
+    # u tabulated from a piecewise power with a kink at 1; its end
+    # exponents are fitted.  On the relation the pair is finite; off it by
+    # 0.05 (1.12x growth per decade) both products grow toward r -> inf.
+    b1, b2 = 0.2, 0.3  # inside (0, 1/2) for p = q = 2, delta = 1
+    xs = np.geomspace(1e-3, 1e3, 121)
+    u = Weight.tabulated(xs, np.where(xs <= 1.0, xs ** (-2.0 * b2), xs ** (-2.0 * b1)))
+    sw = Weight.power(1.0)
+    for off, want in ((0.0, ("finite", None)), (0.05, ("divergent", "r->inf"))):
+        v = Weight.piecewise_power(2.0 * (b1 - off), 2.0 * (b2 - off))
+        for rep in hardy_pair_condition(u, v, sw, sw, ES22):
+            assert (rep.verdict, rep.divergence_site) == want

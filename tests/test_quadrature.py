@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from wnilab.conditions import _bracket
 from wnilab.kernels import bessel_j
 from wnilab.quadrature import (CumulativeIntegral, DivergentIntegral, NoDecay,
-                               NonConvergence, NormSpec, QuadratureConfig, integrate,
-                               tail_truncation_point, weighted_lp_norm)
+                               NonConvergence, NormSpec, QuadratureConfig, _alternating_tail,
+                               integrate, tail_truncation_point, weighted_lp_norm)
 from wnilab.weights import Weight
 
 
@@ -63,22 +63,20 @@ def test_divergence_verdicts():
 
 
 def test_alternating_tail_oracle():
+    # A head integrated by panels plus the averaged half-period tail.
+    wavelength = 2.0 * math.pi
     # int_1^inf sin(x)/x^2 dx = sin(1) - Ci(1), frozen.
     exact = 0.5040670619069284
-    val, err = integrate(lambda x: np.sin(x) / x ** 2, (1.0, math.inf),
-                         wavelength=2.0 * math.pi, tail_bound=(1.0, -2.0),
-                         alternating_tail=True)
-    assert val == pytest.approx(exact, abs=1e-10)
+    f = lambda x: np.sin(x) / x ** 2
+    head, _ = integrate(f, (1.0, 2.0), wavelength=wavelength)
+    tail, _ = _alternating_tail(f, 2.0, wavelength, QuadratureConfig())
+    assert head + tail == pytest.approx(exact, abs=1e-10)
     # int_0^inf sin(x)/x dx = pi/2: envelope decays too slowly to truncate.
-    val, err = integrate(lambda x: np.where(x > 0, np.sin(x) / np.maximum(x, 1e-300), 1.0),
-                         (0.0, math.inf), wavelength=2.0 * math.pi, alternating_tail=True)
-    assert val == pytest.approx(math.pi / 2.0, abs=1e-10)
-
-
-def test_fixed_cutoff_mode():
-    cfg = QuadratureConfig(cutoff=5.0)
-    val, _ = integrate(lambda x: np.ones_like(x), (0.0, math.inf), cfg)
-    assert val == pytest.approx(5.0, rel=1e-12)
+    f = lambda x: np.where(x > 0, np.sin(x) / np.maximum(x, 1e-300), 1.0)
+    start = 8.0 * wavelength
+    head, _ = integrate(f, (0.0, start), wavelength=wavelength)
+    tail, _ = _alternating_tail(f, start, wavelength, QuadratureConfig())
+    assert head + tail == pytest.approx(math.pi / 2.0, abs=1e-10)
 
 
 def test_refinement_consistency():
