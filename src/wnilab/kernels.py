@@ -2,14 +2,13 @@
 model min-kernels, together with their two-sided power envelopes and
 primitive-function bounds.
 
-Evaluation strategy: a power series in extended precision below a
-crossover argument, and the classical large-argument expansions above it.
-The crossover sits at 12 for the Bessel family (cancellation in the
-alternating series costs roughly x/ln 10 digits, so 12 keeps
-extended-precision headroom), and at 20 for Struve orders whose secondary
-asymptotic series does not terminate, since that series converges more
-slowly than the oscillatory one.  Both branches are cross-checked against
-each other in an overlap window by the test suite.
+Evaluation strategy: a power series in extended precision up to the
+crossover argument 12 (cancellation in the alternating series costs
+roughly x/ln 10 digits, so 12 keeps extended-precision headroom), and the
+classical large-argument expansions above it.  Struve adds to Y_alpha the
+Laplace integral of H_alpha - Y_alpha, summed by a Gauss-Laguerre rule,
+and crosses over at max(12, 2 alpha).  Both branches are cross-checked
+against each other in an overlap window by the test suite.
 
 Every series is summed by Horner's rule over a coefficient table built on
 the first use of an order and cached per order.  The number of terms is
@@ -17,13 +16,11 @@ fixed once per batch, so no per-term reduction runs over the batch:
 
 * the power series (DLMF 10.8.1, 11.2.1) keeps terms up to the first k with
   |c_k| max(x)^(2k) <= 1e-18; every smaller argument needs no more;
-* the asymptotic series P, Q (DLMF 10.17.3) and the Struve secondary
-  series (DLMF 11.6.1) are cut by the smallest-term rule at min(x); the
-  k-th term at x is the one at min(x) times (min(x)/x)^k, so the
-  truncation error at larger arguments is smaller still.  P and Q also
-  take half their first neglected term, whose sign and size bound the
-  remainder.  The secondary series terminates exactly for
-  half-odd-integer orders.
+* the asymptotic series P, Q (DLMF 10.17.3) are cut by the smallest-term
+  rule at min(x); the k-th term at x is the one at min(x) times
+  (min(x)/x)^k, so the truncation error at larger arguments is smaller
+  still.  P and Q also take half their first neglected term, whose sign
+  and size bound the remainder.
 
 All evaluators are pure, accept numpy arrays, and are safe to call
 concurrently.
@@ -41,8 +38,7 @@ import numpy as np
 from .gammafn import gamma, rgamma
 from .quadrature import CumulativeIntegral, QuadratureConfig
 
-_BESSEL_CROSSOVER = 12.0
-_STRUVE_CROSSOVER = 20.0
+_CROSSOVER = 12.0
 _SERIES_STOP = 1e-18
 _SERIES_MAX_TERMS = 400
 _ASYMPTOTIC_MAX_TERMS = 40
@@ -181,46 +177,32 @@ def _bessel_y(alpha: float, x: np.ndarray) -> np.ndarray:
     return amp * (np.sin(omega) * p + np.cos(omega) * q)
 
 
-@lru_cache(maxsize=64)
-def _struve_secondary_coefficients(alpha: float) -> np.ndarray:
-    """d_m of the non-oscillatory part of the large-argument Struve
-    expansion (DLMF 11.6.1), sum_m d_m (x/2)^-2m.  The list ends at the
-    first zero factor, where the series terminates exactly (half-odd-integer
-    orders)."""
-    d = [1.0]
-    for m in range(_ASYMPTOTIC_MAX_TERMS):
-        factor = (m + 0.5) * (alpha - 0.5 - m)
-        if factor == 0.0:
-            break
-        d.append(d[-1] * factor)
-    out = np.array(d)
-    out.flags.writeable = False
-    return out
-
-
-def _struve_secondary_series(alpha: float, x: np.ndarray) -> np.ndarray:
-    """The non-oscillatory part of the large-argument Struve expansion.
-
-    Terminates exactly for half-odd-integer orders; otherwise truncated at
-    the smallest term at min(x).
-    """
-    d = _struve_secondary_coefficients(alpha)
-    u_max = (0.5 * float(np.min(x))) ** -2.0
-    terms = d * u_max ** np.arange(len(d), dtype=float)
-    n = _smallest_term_index(np.abs(terms), np.abs(np.cumsum(terms))[1:])
-    lead = (gamma(0.5) * rgamma(alpha + 0.5) / math.pi) * (0.5 * x) ** (alpha - 1.0)
-    return lead * _horner(d[:n + 1], (0.5 * x) ** -2.0)
+# 12-node Gauss-Laguerre rule, exact for polynomials of degree 23: the
+# roots x_i of L_12 and w_i = x_i / (13 L_13(x_i))^2, at 50 digits (mpmath).
+_LAGUERRE_NODES = (
+    0.11572211735802068, 0.6117574845151307, 1.5126102697764188,
+    2.8337513377435073, 4.5992276394183484, 6.844525453115177,
+    9.621316842456867, 13.006054993306348, 17.116855187462257,
+    22.151090379397004, 28.487967250984, 37.09912104446692)
+_LAGUERRE_WEIGHTS = (
+    0.2647313710554432, 0.37775927587313796, 0.24408201131987756,
+    0.09044922221168093, 0.020102381154634096, 0.0026639735418653157,
+    0.00020323159266299939, 8.365055856819799e-06, 1.6684938765409103e-07,
+    1.342391030515004e-09, 3.0616016350350207e-12, 8.148077467426241e-16)
 
 
 def _struve_h_asymptotic(alpha: float, x: np.ndarray) -> np.ndarray:
-    return _bessel_y(alpha, x) + _struve_secondary_series(alpha, x)
-
-
-def _struve_crossover(alpha: float) -> float:
-    m = alpha - 0.5
-    if m >= 0 and abs(m - round(m)) < 1e-12:
-        return _BESSEL_CROSSOVER  # secondary series terminates exactly
-    return _STRUVE_CROSSOVER
+    """H_alpha = Y_alpha + 2 (x/2)^alpha / (sqrt(pi) G(alpha + 1/2))
+    integral_0^inf e^(-x t) (1 + t^2)^(alpha - 1/2) dt (DLMF 11.5.2).  In
+    s = x t the integrand is e^(-s) times a function whose nearest
+    singularity lies at distance x >= 12 from the real axis, so the
+    Gauss-Laguerre rule sums it to rounding (the secondary series DLMF
+    11.6.1 that this integral expands into is 7e-11 off at x = 20)."""
+    laplace = np.zeros_like(x)
+    for s, w in zip(_LAGUERRE_NODES, _LAGUERRE_WEIGHTS):
+        laplace += w * (1.0 + (s / x) ** 2) ** (alpha - 0.5)
+    lead = 2.0 * rgamma(alpha + 0.5) / (gamma(0.5) * x)
+    return _bessel_y(alpha, x) + lead * (0.5 * x) ** alpha * laplace
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +226,7 @@ def bessel_j(alpha: float, x):
     """Normalized Bessel function of order alpha (> -1), equal to 1 at 0."""
     if alpha <= -1.0:
         raise ValueError(f"bessel_j requires order > -1, got {alpha}")
-    return _dispatch(x, _BESSEL_CROSSOVER,
+    return _dispatch(x, _CROSSOVER,
                      lambda a: _bessel_j_series(alpha, a),
                      lambda a: _bessel_j_asymptotic(alpha, a))
 
@@ -253,7 +235,9 @@ def struve_h(alpha: float, x):
     """Struve function of order alpha (> -1/2)."""
     if alpha <= -0.5:
         raise ValueError(f"struve_h requires order > -1/2, got {alpha}")
-    return _dispatch(x, _struve_crossover(alpha),
+    # Below 2 alpha, in the transition region x ~ alpha, Y_alpha and
+    # H_alpha - Y_alpha are far larger than their sum, so the series runs.
+    return _dispatch(x, max(_CROSSOVER, 2.0 * alpha),
                      lambda a: _struve_h_series(alpha, a),
                      lambda a: _struve_h_asymptotic(alpha, a))
 
@@ -340,6 +324,19 @@ class SeriesKernel:
         return out
 
 
+@dataclass(frozen=True, eq=False)  # hashed by identity: KernelSpec is a cache key
+class FarField:
+    """The large-argument form the asymptotic branch sums, as data: phi(t) ~
+    Re[scale e^(it) sum_k osc_k t^(osc_power - k)] + sum_m drift_m
+    t^(drift_power - 2m), two asymptotic series (finite where they end)."""
+
+    scale: complex
+    osc_power: float
+    osc: np.ndarray
+    drift_power: float = 0.0
+    drift: Tuple[float, ...] = ()
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """K(x, y) = phi(x*y) with its two-regime power envelope.
@@ -352,10 +349,8 @@ class KernelSpec:
     envelope: PowerEnvelope
     phi: Callable[[np.ndarray], np.ndarray]
     oscillatory: bool = True
-    # Large arguments are purely oscillatory (no secondary non-oscillating
-    # term): half-period segment acceleration of long spans is then valid.
-    osc_drift_free: bool = False
     series: Optional[SeriesKernel] = None
+    far_field: Optional[FarField] = None
 
     def __call__(self, x, y):
         return self.phi(np.asarray(x, dtype=float) * np.asarray(y, dtype=float))
@@ -365,6 +360,15 @@ class KernelSpec:
         return 2.0 * math.pi / y if self.oscillatory else None
 
 
+def _pq_far_field(alpha: float, factor: complex, power: float, *drift) -> FarField:
+    """factor (2/(pi t))^(1/2) e^(i omega) (P + iQ), whose real part is J
+    and imaginary part Y (DLMF 10.17.3); P + iQ = sum_k osc_k t^-k."""
+    b = _pq_coefficients(alpha)
+    phase = complex(np.exp(-1j * (0.5 * alpha + 0.25) * math.pi))
+    return FarField(factor * phase * math.sqrt(_TWO_OVER_PI), power,
+                    b * np.where(np.arange(len(b)) % 2, 1j, 1.0), *drift)
+
+
 @lru_cache(maxsize=64)
 def bessel_j_kernel(alpha: float) -> KernelSpec:
     if alpha <= -1.0:
@@ -372,8 +376,9 @@ def bessel_j_kernel(alpha: float) -> KernelSpec:
     env = PowerEnvelope(0.0, 0.0, -alpha - 0.5, -alpha - 0.5)
     series = SeriesKernel(0.0, 0.0, 2, 1.0,
                           lambda m: -1.0 / (4.0 * (m + 1.0) * (alpha + m + 1.0)))
-    return KernelSpec("bessel_j", env, lambda t: bessel_j(alpha, t),
-                      osc_drift_free=True, series=series)
+    return KernelSpec("bessel_j", env, lambda t: bessel_j(alpha, t), series=series,
+                      far_field=_pq_far_field(alpha, gamma(alpha + 1.0) * 2.0 ** alpha,
+                                              -alpha - 0.5))
 
 
 @lru_cache(maxsize=64)
@@ -388,9 +393,16 @@ def struve_h_kernel(alpha: float) -> KernelSpec:
     a0 = 2.0 ** -(alpha + 1.0) / (gamma(1.5) * gamma(alpha + 1.5))
     series = SeriesKernel(alpha + 1.0, alpha + 1.0, 2, a0,
                           lambda m: -1.0 / (4.0 * (m + 1.5) * (m + alpha + 1.5)))
-    # Large arguments carry a non-oscillatory secondary term: osc_drift_free
-    # stays False.
-    return KernelSpec("struve_h", env, lambda t: struve_h(alpha, t), series=series)
+    # H_a - Y_a ~ G(1/2) / (pi G(a + 1/2)) (t/2)^(a-1) sum_m d_m (t/2)^-2m,
+    # d_m = prod_(k<m) (k + 1/2)(a - 1/2 - k) (DLMF 11.6.1), as powers of t;
+    # zero from the first zero factor on (half-odd-integer orders).
+    k = np.arange(_ASYMPTOTIC_MAX_TERMS)
+    d = np.cumprod(np.concatenate([[1.0], (k + 0.5) * (alpha - 0.5 - k)]))
+    lead = gamma(0.5) * rgamma(alpha + 0.5) / math.pi * 2.0 ** (1.0 - alpha)
+    drift = tuple(lead * 4.0 ** np.arange(len(d)) * d)
+    far = _pq_far_field(alpha, -1j, -0.5, alpha - 1.0, drift)
+    return KernelSpec("struve_h", env, lambda t: struve_h(alpha, t), series=series,
+                      far_field=far)
 
 
 @lru_cache(maxsize=64)
@@ -398,7 +410,8 @@ def sine_kernel() -> KernelSpec:
     env = PowerEnvelope(1.0, 1.0, 0.0, 0.0)
     series = SeriesKernel(1.0, 1.0, 2, 1.0,
                           lambda m: -1.0 / ((2.0 * m + 2.0) * (2.0 * m + 3.0)))
-    return KernelSpec("sine", env, np.sin, osc_drift_free=True, series=series)
+    return KernelSpec("sine", env, np.sin, series=series,
+                      far_field=FarField(-1j, 0.0, np.ones(1)))
 
 
 @lru_cache(maxsize=64)
@@ -406,7 +419,8 @@ def cosine_kernel() -> KernelSpec:
     env = PowerEnvelope(0.0, 0.0, 0.0, 0.0)
     series = SeriesKernel(0.0, 0.0, 2, 1.0,
                           lambda m: -1.0 / ((2.0 * m + 1.0) * (2.0 * m + 2.0)))
-    return KernelSpec("cosine", env, np.cos, osc_drift_free=True, series=series)
+    return KernelSpec("cosine", env, np.cos, series=series,
+                      far_field=FarField(1.0, 0.0, np.ones(1)))
 
 
 @lru_cache(maxsize=64)

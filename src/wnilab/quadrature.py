@@ -255,11 +255,13 @@ class CumulativeIntegral:
     when the table cannot meet its tolerance.
 
     With ``exponents=(e0, einf)`` the edges are the initial panels as given,
-    and closed-form slivers of x^e0 below edges[0] and x^einf above
-    edges[-1] complete the reads (inf at a non-integrable end).  Without
-    exponents the table covers [edges[0], edges[-1]] panelized as ``integrate`` does
-    it (inner edges as breakpoints, half-``wavelength`` cap, graded sliver
-    from 0).  Other reads outside the edges are clipped to them.
+    and f continues as the power x^e0 below edges[0] and x^einf above
+    edges[-1]: closed-form slivers complete the reads (inf at a
+    non-integrable end), and reads beyond the edges integrate the power up
+    to r.  Without exponents the table covers [edges[0], edges[-1]]
+    panelized as ``integrate`` does it (inner edges as breakpoints,
+    half-``wavelength`` cap, graded sliver from 0), and reads outside the
+    edges are clipped to them.
     """
 
     def __init__(self, f, edges: Sequence[float], config: Optional[QuadratureConfig] = None, *,
@@ -288,22 +290,32 @@ class CumulativeIntegral:
         self.diverges_at_zero = exponents is not None and self.e0 <= -1.0 + 1e-12
         self.diverges_at_infinity = exponents is not None and self.einf >= -1.0 - 1e-12
         self.above = 0.0
-        lo, hi = self.edges[0], self.edges[-1]
         if exponents is not None and not self.diverges_at_zero:
-            self.below = float(f(np.array([lo]))[0]) * lo / (self.e0 + 1.0)
+            self.below = -self._power_sliver(0, 0.0)
         if exponents is not None and not self.diverges_at_infinity:
-            self.above = float(f(np.array([hi]))[0]) * hi / (-1.0 - self.einf)
+            self.above = self._power_sliver(-1, math.inf)
 
     def _partial(self, a: float, b: float) -> float:
         return float(_eval_panels(self.f, np.array([a]), np.array([b]))[0][0]) if b > a else 0.0
 
+    def _power_sliver(self, end: int, r: float) -> float:
+        """integral from edges[end] (0 or -1) to r of f continued beyond that
+        edge as its end power; r may be 0 or inf where that converges."""
+        x, e = float(self.edges[end]), self.einf if end else self.e0
+        fx = float(self.f(np.array([x]))[0]) * x
+        if abs(e + 1.0) <= 1e-12:
+            return fx * math.log(r / x)
+        return fx * ((r / x) ** (e + 1.0) - 1.0) / (e + 1.0)
+
     def lower(self, r: float) -> float:
         if self.diverges_at_zero:
             return math.inf
-        lo = self.edges[0]
+        lo, hi = self.edges[0], self.edges[-1]
         if r <= lo and self.e0 is not None:
             return self.below * (r / lo) ** (self.e0 + 1.0)
-        r = min(max(r, lo), self.edges[-1])
+        if r > hi and self.einf is not None:
+            return self.lower(hi) + self._power_sliver(-1, r)
+        r = min(max(r, lo), hi)
         i = max(0, int(np.searchsorted(self.edges, r) - 1))
         return self.below + float(self.prefix[i]) + self._partial(float(self.edges[i]), r)
 
@@ -326,10 +338,12 @@ class CumulativeIntegral:
     def upper(self, r: float) -> float:
         if self.diverges_at_infinity:
             return math.inf
-        hi = self.edges[-1]
+        lo, hi = self.edges[0], self.edges[-1]
         if r >= hi and self.einf is not None:
             return self.above * (r / hi) ** (self.einf + 1.0)
-        r = min(max(r, self.edges[0]), hi)
+        if r < lo and self.e0 is not None:
+            return self.upper(lo) - self._power_sliver(0, r)
+        r = min(max(r, lo), hi)
         i = min(max(0, int(np.searchsorted(self.edges, r, side="right") - 1)), len(self.edges) - 2)
         return self.above + float(self.suffix[i + 1]) + self._partial(r, float(self.edges[i + 1]))
 
@@ -378,43 +392,6 @@ def integrate(f, interval: Tuple[float, float], config: Optional[QuadratureConfi
         # fall through when the bound does not decay
 
     return _integrate_decades(f, lo, config, wavelength, breakpoints)
-
-
-def _euler_limit(vals: np.ndarray, errs: np.ndarray):
-    partial = np.cumsum(vals)
-    lasts = [partial[-1]]
-    t = partial
-    while len(t) > 1:
-        t = 0.5 * (t[:-1] + t[1:])
-        lasts.append(t[-1])
-    accel = abs(lasts[-1] - lasts[-2]) + abs(lasts[-2] - lasts[-3]) if len(lasts) > 2 else abs(vals[-1])
-    return float(lasts[-1]), float(accel + np.sum(errs))
-
-
-def _alternating_tail(f, start: float, wavelength: float,
-                      config: QuadratureConfig, n_segments: int = 32):
-    """integral_start^inf of a signed oscillatory integrand with decaying
-    envelope, by iterated averaging of partial integrals over half-period
-    segments (Euler transformation of the alternating segment series)."""
-    half = 0.5 * wavelength
-    edges = start + half * np.arange(n_segments + 1, dtype=float)
-    vals, errs, _ = _eval_panels(f, edges[:-1], edges[1:])
-    return _euler_limit(vals, errs)
-
-
-def _alternating_head(f, end: float, wavelength: float,
-                      config: QuadratureConfig, n_segments: int = 32):
-    """Regularized oscillatory integral up to ``end``, anchored by descending
-    half-period segments: differences of two heads with the same wavelength
-    give the exact integral between their anchors.  Requires the envelope
-    to decay away from the anchor (i.e. to grow with x) and the segments to
-    stay inside the oscillatory zone."""
-    half = 0.5 * wavelength
-    edges = end - half * np.arange(n_segments + 1, dtype=float)
-    if edges[-1] <= 0:
-        raise ValueError("descending segments leave the domain")
-    vals, errs, _ = _eval_panels(f, edges[1:][::-1], edges[:-1][::-1])
-    return _euler_limit(vals[::-1], errs)
 
 
 def _integrate_decades(f, lo: float, config: QuadratureConfig,

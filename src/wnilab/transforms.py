@@ -14,12 +14,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernels import (KernelSpec, PowerEnvelope, PrimitiveBound, SeriesKernel,
-                      bessel_j_kernel, cosine_kernel, model_min_kernel,
-                      sine_kernel, struve_h_kernel)
+from .kernels import (_ASYMPTOTIC_MAX_TERMS, FarField, KernelSpec, PowerEnvelope,
+                      PrimitiveBound, SeriesKernel, _smallest_term_index, bessel_j_kernel,
+                      cosine_kernel, model_min_kernel, sine_kernel, struve_h_kernel)
 from .quadrature import (CumulativeIntegral, DivergentIntegral, NonConvergence,
-                         QuadratureConfig, _alternating_head, _alternating_tail,
-                         integrate)
+                         QuadratureConfig, integrate)
 from .weights import TestFunction, check_admissible
 
 
@@ -137,11 +136,13 @@ def _point(spec: TransformSpec, f: TestFunction, y: float,
 
     The integral splits at x = 1/y.  The head (xy <= 1) is smooth and
     integrated directly.  The oscillatory region uses half-wavelength
-    panels; when its span would exceed the panel budget, unbounded
-    supports fall back to alternating-segment summation, and bounded
-    supports report zero with the kernel-envelope mass as the error bound
-    (such regions arise only where the transform has already decayed to
-    numerical irrelevance).
+    panels.  When its span would exceed the panel budget, power pieces on
+    kernels with a far field take panels for the first
+    _DIRECT_HALF_PERIODS half-periods and ``_far_field`` beyond; other f
+    report zero with the kernel-envelope mass as the error bound (such
+    regions arise only where the transform has already decayed to numerical
+    irrelevance).  A tail that does not decay is NonConvergence.  The error
+    adds eps times the magnitudes of the parts summed.
     """
     kfn = spec.kernel.phi
     env = spec.kernel.envelope
@@ -155,110 +156,54 @@ def _point(spec: TransformSpec, f: TestFunction, y: float,
     wavelength = spec.kernel.wavelength_x(y)
     half = 0.5 * wavelength if wavelength else None
     split = 1.0 / y
-    val = err = 0.0
+    parts = []
 
     head_hi = min(hi, split)
     if head_hi > lo:
-        v, e = integrate(integrand, (lo, head_hi), config,
-                         breakpoints=[b for b in f.breakpoints if lo < b < head_hi])
-        val += v
-        err += e
+        parts.append(integrate(integrand, (lo, head_hi), config,
+                               breakpoints=[b for b in f.breakpoints if lo < b < head_hi]))
 
     lo2 = max(lo, split)
     if hi > lo2:
         bps = sorted(b for b in f.breakpoints if lo2 < b < hi)
+        te = f.tail_exponent()  # None for bounded supports
         if half is None:
-            tb = None
-            if math.isinf(hi):
-                te = f.tail_exponent()
-                if te is not None:
-                    tb = (f.tail_coefficient() * env.env_constant * y ** env.c2,
-                          b_out + te + env.b2)
-            v, e = integrate(integrand, (lo2, hi), config, breakpoints=bps,
-                             tail_bound=tb)
+            tb = None if te is None else (f.tail_coefficient() * env.env_constant * y ** env.c2,
+                                          b_out + te + env.b2)
+            parts.append(integrate(integrand, (lo2, hi), config, breakpoints=bps,
+                                   tail_bound=tb))
+        elif hi - lo2 <= 0.45 * config.max_panels * half:
+            parts.append(integrate(integrand, (lo2, hi), config,
+                                   wavelength=wavelength, breakpoints=bps))
+        elif f.pieces is not None and spec.kernel.far_field is not None:
+            xstar = lo2 + _DIRECT_HALF_PERIODS * half
+            parts.append(integrate(integrand, (lo2, xstar), config, wavelength=wavelength,
+                                   breakpoints=[b for b in bps if b < xstar]))
+            for p in f.pieces:
+                a, b = max(p.lo, xstar), p.hi
+                if b > a:
+                    nu = b_out + p.exponent
+                    v, e = _far_field(spec.kernel.far_field, nu, np.array([a * y]),
+                                      np.array([b * y]))
+                    scale = p.coef * y ** (-nu - 1.0)
+                    parts.append((scale * float(v[0]), abs(scale) * float(e[0])))
         else:
-            budget_span = 0.45 * config.max_panels * half
-            if hi - lo2 <= budget_span:
-                v, e = integrate(integrand, (lo2, hi), config,
-                                 wavelength=wavelength, breakpoints=bps)
-            elif f.pieces is not None and spec.kernel.osc_drift_free:
-                v, e = _long_oscillatory_span(f, kfn, b_out, env.b2, y, lo2, hi,
-                                              wavelength, config)
-            elif math.isinf(hi):
-                # Cannot resolve honestly: bound the remainder by the
-                # kernel-envelope mass (finite only for decaying tails).
-                e_exp = None
-                te = f.tail_exponent()
-                if te is not None:
-                    e_exp = b_out + te + env.b2
-                if e_exp is None or e_exp >= -1.0:
-                    raise NonConvergence(val * y ** c_out, math.inf,
-                                         "oscillatory tail exceeds panel budget")
-                v, e = 0.0, env.env_constant * y ** env.c2 * \
-                    f.abs_weighted_integral(b_out + env.b2, lo2, hi)
-            else:
-                # Oscillation count outruns the budget: the value is below
-                # the envelope mass, which goes into the error bound.
-                v, e = 0.0, env.env_constant * y ** env.c2 * \
-                    f.abs_weighted_integral(b_out + env.b2, lo2, hi)
-        val += v
-        err += e
+            # Oscillation count outruns the budget: the value is below the
+            # envelope mass, which goes into the error bound.
+            decays = not math.isinf(hi) or (te is not None and b_out + te + env.b2 < -1.0)
+            mass = f.abs_weighted_integral(b_out + env.b2, lo2, hi) if decays else math.inf
+            parts.append((0.0, env.env_constant * y ** env.c2 * mass))
     scale = y ** c_out
+    val = sum(v for v, _ in parts)
+    err = sum(e for _, e in parts) + _EPS * sum(abs(v) for v, _ in parts)
+    if not math.isfinite(val + err):
+        # An envelope or a far-field drift term that does not decay.
+        raise NonConvergence(sum(v for v, _ in parts if math.isfinite(v)) * scale, math.inf,
+                             "oscillatory tail exceeds panel budget")
     return scale * val, scale * err
 
 
 _DIRECT_HALF_PERIODS = 96
-
-
-def _long_oscillatory_span(f: TestFunction, kfn, b_out: float, b2_env: float,
-                           y: float, lo2: float, hi: float, wavelength: float,
-                           config: QuadratureConfig):
-    """Oscillatory region too long for half-period panels: resolve the
-    first stretch directly, then sum each power piece by accelerated
-    half-period segments anchored at its ends.
-
-    Pieces with a decaying combined envelope use ascending tails at both
-    ends (difference of two convergent oscillatory tails); growing
-    envelopes use descending regularized heads, whose difference between
-    two anchors in the oscillatory zone is the exact integral.  Valid for
-    drift-free kernels only.
-    """
-    half = 0.5 * wavelength
-    xstar = lo2 + _DIRECT_HALF_PERIODS * half
-    bps = sorted(b for b in f.breakpoints if lo2 < b < xstar)
-
-    def masked(x):
-        return x ** b_out * f(x) * kfn(x * y)
-
-    val, err = integrate(masked, (lo2, xstar), config,
-                         wavelength=wavelength, breakpoints=bps)
-    for piece in f.pieces:
-        a = max(piece.lo, xstar)
-        b = min(piece.hi, hi)
-        if b <= a:
-            continue
-
-        def pure(x, c=piece.coef, ex=piece.exponent):
-            return c * x ** (ex + b_out) * kfn(x * y)
-
-        if not math.isinf(b) and (b - a) <= 64.0 * half:
-            v, e = integrate(pure, (a, b), config, wavelength=wavelength)
-        else:
-            # Envelope exponent of the oscillatory integrand on this piece.
-            ee = piece.exponent + b_out + b2_env
-            if math.isinf(b):
-                v, e = _alternating_tail(pure, a, wavelength, config)
-            elif ee < -0.05:
-                va, ea = _alternating_tail(pure, a, wavelength, config)
-                vb, eb = _alternating_tail(pure, b, wavelength, config)
-                v, e = va - vb, ea + eb
-            else:
-                vb, eb = _alternating_head(pure, b, wavelength, config)
-                va, ea = _alternating_head(pure, a, wavelength, config)
-                v, e = vb - va, ea + eb
-        val += v
-        err += e
-    return val, err
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +231,70 @@ def _power_segment(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where((b > a)[:, None], seg, 0.0)
 
 
+# Far-field series length: that of the kernels' asymptotic coefficients.
+_FAR_TERMS = _ASYMPTOTIC_MAX_TERMS + 1
+
+
+def _far_field(far: FarField, nu: float, a: np.ndarray,
+               b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """integral_a^b t^nu phi(t) dt and its error bound from the kernel's
+    large-argument form, for arrays a <= b <= inf, a in the asymptotic range.
+
+    Oscillatory terms integrate by parts: integral_T^inf t^m e^(it) dt =
+    i e^(iT) T^m sum_j m (m-1) ... (m-j+1) (i/T)^j, the Abel value where the
+    envelope grows.  The whole expansion gives one series i e^(iT) T^m0
+    sum_n e_n T^-n, m0 = nu + osc_power, e_n = osc_n + i (m0 - n + 1) e_(n-1).
+    Drift terms integrate as exact powers (inf where one does not decay
+    toward b = inf).  Each series is cut at its smallest term at min(a),
+    which bounds it at every larger argument; twice the first omitted term
+    bounds the truncation, eps times the summed terms' magnitudes the
+    rounding.
+    """
+    if not np.any(b > a):
+        return np.zeros(a.shape), np.zeros(a.shape)
+    m0 = nu + far.osc_power
+    e = np.pad(far.osc.astype(complex), (0, _FAR_TERMS - len(far.osc)))
+    for n in range(1, _FAR_TERMS):
+        e[n] += 1j * (m0 - n + 1.0) * e[n - 1]
+    w_max = 1.0 / float(np.min(a))
+    tau = np.abs(e) * w_max ** np.arange(_FAR_TERMS)
+    n = _smallest_term_index(tau[:-1], tau[0])
+
+    def tail(t):  # integral_t^inf of the oscillatory part, 0 at t = inf
+        w = 1.0 / t
+        amp = np.where(w > 0, abs(far.scale) * t ** m0, 0.0)
+        osc = amp * np.real(far.scale / abs(far.scale) * 1j * np.exp(1j * t)
+                            * np.polyval(e[n::-1], w))
+        trunc = 2.0 * abs(e[n + 1]) * w ** (n + 1)
+        rounding = 4.0 * _EPS * np.polyval(np.abs(e[n::-1]), w)
+        return np.where(w > 0, osc, 0.0), amp * (trunc + rounding)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        (val, err), (vb, eb) = tail(a), tail(b)
+        val, err = val - vb, err + eb
+        if far.drift:
+            d = np.pad(far.drift, (0, _FAR_TERMS - len(far.drift)))
+            tau = np.abs(d) * w_max ** (2.0 * np.arange(_FAR_TERMS))
+            j = _smallest_term_index(tau[:-1], tau[0])
+            terms = d[:j + 2] * _power_segment(nu + far.drift_power + 1.0
+                                               - 2.0 * np.arange(j + 2), a, b)
+            val = val + np.sum(terms[:, :-1], axis=1)
+            err = (err + 4.0 * _EPS * np.sum(np.abs(terms[:, :-1]), axis=1)
+                   + 2.0 * np.abs(terms[:, -1]))
+    return val, np.where(b > a, err, 0.0)
+
+
 class DilationTable:
     """Phi(T) = integral t^nu phi(t) dt of a series kernel phi, read as
-    Phi(b) - Phi(a) for 0 <= a <= b <= reach.
+    Phi(b) - Phi(a) for 0 <= a <= b <= inf.
 
     On t <= 1 the kernel's series is integrated term by term in closed form.
     On [1, reach] one cumulative table with half-period panels holds the
     integral from 1; reach = 1 + 0.45 max_panels pi is the span of the
     direct-panel route of ``_point``, so the table costs no more panels than
-    one such value.  Raises NonConvergence when the table cannot meet the
-    config's tolerance.
+    one such value.  Beyond the reach, ``_far_field`` integrates the
+    kernel's large-argument form.  Raises NonConvergence when the table
+    cannot meet the config's tolerance.
     """
 
     def __init__(self, kernel: KernelSpec, nu: float, config: QuadratureConfig):
@@ -305,21 +304,28 @@ class DilationTable:
         self.coefs = coefs[:n]
         # t^nu phi(t) = sum_k a_k t^(powers_k - 1).
         self.powers = nu + series.b1 + series.step * np.arange(n) + 1.0
+        self.nu, self.far_field = nu, kernel.far_field
         half = 0.5 * kernel.wavelength_x(1.0)
         self.reach = 1.0 + 0.45 * config.max_panels * half
-        self.far = CumulativeIntegral(lambda t: t ** nu * kernel.phi(t), [1.0, self.reach],
+        self.mid = CumulativeIntegral(lambda t: t ** nu * kernel.phi(t), [1.0, self.reach],
                                       config, wavelength=2.0 * half)
 
     def integral(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Phi(b) - Phi(a) and its error bound, for arrays 0 <= a <= b <= reach."""
+        """Phi(b) - Phi(a) and its error bound, for arrays 0 <= a <= b <= inf
+        (inf where a drift term does not decay toward b = inf)."""
         terms = self.coefs * _power_segment(self.powers, np.minimum(a, 1.0), np.minimum(b, 1.0))
         near = np.sum(terms, axis=1)
         near_err = 4.0 * _EPS * np.sum(np.abs(terms), axis=1)
         n = len(b)
-        far, far_err = self.far.lower_with_error(np.maximum(np.concatenate([b, a]), 1.0))
-        val = near + (far[:n] - far[n:])
-        rounding = 2.0 * _EPS * (np.abs(near) + np.abs(far[:n]) + np.abs(far[n:]))
-        return val, near_err + far_err[:n] + far_err[n:] + rounding
+        # Reads from a >= reach take nothing from the table, nor its error.
+        inside = np.tile(a < self.reach, 2)
+        mid, mid_err = (np.where(inside, m, 0.0) for m in
+                        self.mid.lower_with_error(np.maximum(np.concatenate([b, a]), 1.0)))
+        far, far_err = _far_field(self.far_field, self.nu, np.maximum(a, self.reach),
+                                  np.maximum(b, self.reach))
+        val = near + (mid[:n] - mid[n:]) + far
+        rounding = 2.0 * _EPS * (np.abs(near) + np.abs(mid[:n]) + np.abs(mid[n:]) + np.abs(far))
+        return val, near_err + mid_err[:n] + mid_err[n:] + far_err + rounding
 
 
 @lru_cache(maxsize=32)
@@ -340,14 +346,13 @@ def _table_values(spec: TransformSpec, f: TestFunction, ys: np.ndarray,
     errors).
 
     A power piece c x^e on (lo, hi) contributes c y^(-nu-1) (Phi_nu(hi y) -
-    Phi_nu(lo y)), nu = b0 + e.  Served are piecewise-power f with finite
-    pieces, series kernels, and y with max(hi) y within the tables' reach
-    whose error meets ``_point``'s own test, max(abs_tol, rel_tol |value|).
+    Phi_nu(lo y)), nu = b0 + e.  Served are piecewise-power f, series
+    kernels, and y > 0 whose finite error meets ``_point``'s own test,
+    max(abs_tol, rel_tol |value|).
     """
     served = np.zeros(ys.shape, dtype=bool)
     none = served, np.empty(0), np.empty(0)
-    if (f.pieces is None or spec.series is None or not spec.kernel.oscillatory
-            or any(math.isinf(p.hi) for p in f.pieces)):
+    if f.pieces is None or spec.series is None:
         return none
     tables = [_dilation_table(spec.kernel, spec.b0 + p.exponent, config.rel_tol,
                               config.abs_tol, config.max_panels) for p in f.pieces]
@@ -355,8 +360,8 @@ def _table_values(spec: TransformSpec, f: TestFunction, ys: np.ndarray,
     if any(t is None or (p.lo <= 0.0 and t.powers[0] <= 0.0)
            for p, t in zip(f.pieces, tables)):
         return none
-    reach = (ys > 0.0) & (ys * f.support[1] <= tables[0].reach)
-    y = ys[reach]
+    pos = ys > 0.0
+    y = ys[pos]
     val = np.zeros_like(y)
     err = np.zeros_like(y)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -365,8 +370,8 @@ def _table_values(spec: TransformSpec, f: TestFunction, ys: np.ndarray,
             scale = p.coef * y ** (-(spec.b0 + p.exponent) - 1.0)
             val += scale * v
             err += np.abs(scale) * (e + 4.0 * _EPS * np.abs(v))
-        ok = err <= np.maximum(config.abs_tol, config.rel_tol * np.abs(val))
-        served[reach] = ok
+        ok = np.isfinite(err) & (err <= np.maximum(config.abs_tol, config.rel_tol * np.abs(val)))
+        served[pos] = ok
         scale = y[ok] ** spec.c0
     return served, scale * val[ok], scale * err[ok]
 

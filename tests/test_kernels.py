@@ -90,10 +90,8 @@ def test_branch_agreement_in_crossover_window():
         a = _bessel_j_asymptotic(alpha, xs)
         scale = np.maximum(np.abs(s), xs ** (-alpha - 0.5))
         assert np.max(np.abs(s - a) / scale) < 1e-8, alpha
-    # The non-terminating Struve orders cross over at 20; both arms hold
-    # 1e-8 agreement only in a tight bracket around it.
-    xs = np.linspace(19.0, 21.0, 60)
-    for alpha in (0.0, 0.3, 0.75, 2.2):
+    # Struve crosses over at max(12, 2 alpha): 12 for these orders.
+    for alpha in (0.0, 0.3, 0.75, 1.5, 2.2):
         s = _struve_h_series(alpha, xs)
         a = _struve_h_asymptotic(alpha, xs)
         scale = np.maximum(np.abs(s), np.minimum(xs ** (alpha + 1.0),
@@ -101,14 +99,14 @@ def test_branch_agreement_in_crossover_window():
         assert np.max(np.abs(s - a) / scale) < 1e-8, alpha
 
 
-# Log-spaced over the whole range, a 1/40 step through both crossover
-# windows, and the first argument above each crossover, where the
-# asymptotic series has its largest truncation error.
+# Log-spaced over the whole range, a 1/40 step through [10, 22], and the
+# first arguments above 12 (the crossover, where the asymptotic series has
+# its largest truncation error) and 20.
 ORACLE_XS = np.unique(np.concatenate([
     np.geomspace(0.05, 5e3, 120), np.linspace(10.0, 22.0, 481),
     np.nextafter([12.0, 20.0], math.inf)]))
 BESSEL_ABS_TOL = 5e-13
-STRUVE_ABS_TOL = 1e-10
+STRUVE_ABS_TOL = 1e-11
 
 
 def _mp_bessel_j(alpha, xs):
@@ -132,6 +130,15 @@ def test_bessel_against_mpmath(alpha):
 def test_struve_against_mpmath(alpha):
     err = np.abs(struve_h(alpha, ORACLE_XS) - _mp_struve_h(alpha, ORACLE_XS))
     assert np.max(err) <= STRUVE_ABS_TOL, ORACLE_XS[np.argmax(err)]
+
+
+@pytest.mark.parametrize("alpha", [8.0, 14.5, 20.0])
+def test_struve_high_orders_against_mpmath(alpha):
+    # Relative error through the transition region x ~ alpha, where Y_alpha
+    # and H_alpha - Y_alpha cancel, and beyond the crossover 2 alpha.
+    xs = np.linspace(1.0, 80.0, 317)
+    ref = _mp_struve_h(alpha, xs)
+    assert np.max(np.abs(struve_h(alpha, xs) - ref) / np.abs(ref)) <= 1e-12
 
 
 def test_kernel_batch_shapes():

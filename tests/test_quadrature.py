@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from wnilab.conditions import _bracket
 from wnilab.kernels import bessel_j
 from wnilab.quadrature import (CumulativeIntegral, DivergentIntegral, NoDecay,
-                               NonConvergence, NormSpec, QuadratureConfig, _alternating_tail,
-                               integrate, tail_truncation_point, weighted_lp_norm)
+                               NonConvergence, NormSpec, QuadratureConfig, integrate,
+                               tail_truncation_point, weighted_lp_norm)
 from wnilab.weights import Weight
 
 
@@ -60,23 +60,6 @@ def test_divergence_verdicts():
     # finite horizon: the policy reports NonConvergence, not Divergent.
     with pytest.raises(NonConvergence):
         integrate(lambda x: 1.0 / x, (1.0, math.inf))
-
-
-def test_alternating_tail_oracle():
-    # A head integrated by panels plus the averaged half-period tail.
-    wavelength = 2.0 * math.pi
-    # int_1^inf sin(x)/x^2 dx = sin(1) - Ci(1), frozen.
-    exact = 0.5040670619069284
-    f = lambda x: np.sin(x) / x ** 2
-    head, _ = integrate(f, (1.0, 2.0), wavelength=wavelength)
-    tail, _ = _alternating_tail(f, 2.0, wavelength, QuadratureConfig())
-    assert head + tail == pytest.approx(exact, abs=1e-10)
-    # int_0^inf sin(x)/x dx = pi/2: envelope decays too slowly to truncate.
-    f = lambda x: np.where(x > 0, np.sin(x) / np.maximum(x, 1e-300), 1.0)
-    start = 8.0 * wavelength
-    head, _ = integrate(f, (0.0, start), wavelength=wavelength)
-    tail, _ = _alternating_tail(f, start, wavelength, QuadratureConfig())
-    assert head + tail == pytest.approx(math.pi / 2.0, abs=1e-10)
 
 
 def test_refinement_consistency():
@@ -208,6 +191,24 @@ def test_table_power_slivers_and_endpoint_divergence():
     assert table.diverges_at_infinity and table.upper(1.0) == math.inf
     for r in (1e-20, 0.3, 7.0):
         assert table.lower(r) == pytest.approx(2.0 / 3.0 * r ** 1.5, rel=1e-12)
+
+
+def test_bracket_reads_beyond_edges_on_growing_side():
+    # Beyond the octave edges [2^-50, 2^51] the reads continue the end
+    # powers: integral_0^r x^(-1/2) = 2 r^(1/2), integral_r^inf x^(-3/2) =
+    # 2 r^(-1/2), and integral_r^inf min(x^-1, x^-2) = 1 - log r through the
+    # edge 2^-50.
+    table = _bracket([(Weight.power(-0.5), 1.0)])
+    for r in (1e6, 2.0 ** 51, 1e20, 1e100):
+        assert table.lower(r) == pytest.approx(2.0 * math.sqrt(r), rel=1e-12)
+    table = _bracket([(Weight.power(-1.5), 1.0)])
+    for r in (1e-6, 2.0 ** -50, 1e-20, 1e-100):
+        assert table.upper(r) == pytest.approx(2.0 / math.sqrt(r), rel=1e-12)
+    edges = 2.0 ** np.arange(-50, 52, dtype=float)
+    table = CumulativeIntegral(lambda x: np.minimum(1.0 / x, x ** -2.0), edges,
+                               exponents=(-1.0, -2.0))
+    for r in (1e-3, 1e-20, 1e-100):
+        assert table.upper(r) == pytest.approx(1.0 - math.log(r), rel=1e-12)
 
 
 def test_table_out_of_budget_raises():

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wnilab.kernels import check_envelope, fit_env_constant, struve_h
-from wnilab.quadrature import NonConvergence, QuadratureConfig
-from wnilab.transforms import (AdmissibilityError, MissingPrimitiveBound,
-                               MomentsNotVanished, NoSeriesKernel, TransformSpec,
-                               _dilation_table, _point, _table_values, apply, cosine,
+from wnilab.quadrature import NonConvergence, QuadratureConfig, integrate
+from wnilab.transforms import (_DIRECT_HALF_PERIODS, AdmissibilityError,
+                               MissingPrimitiveBound, MomentsNotVanished, NoSeriesKernel,
+                               TransformSpec, _dilation_table, _point, _table_values, apply, cosine,
                                hankel, model_min, moment_reduced_apply,
                                moment_reduced_kernel, pointwise_bound, preset,
                                scripth, sine)
@@ -174,12 +174,13 @@ def test_moment_reduced_sine_envelope():
     assert np.allclose(kern.phi(ts), np.sin(ts) / ts - 1.0, rtol=1e-10, atol=1e-14)
 
 
-def test_reduced_kernel_is_not_drift_free():
-    # Beyond t = 1 the reduced kernel is phi minus a polynomial: segment
-    # acceleration of long spans does not apply to it.
+def test_reduced_kernel_has_no_far_field():
+    # Beyond t = 1 the reduced kernel is phi minus a polynomial, which the
+    # large-argument form of phi does not describe: its long spans keep the
+    # envelope-mass route of _point.
     for spec in (hankel(0.0), sine(), cosine()):
-        assert spec.kernel.osc_drift_free
-        assert not moment_reduced_kernel(spec, 1).osc_drift_free
+        assert spec.kernel.far_field is not None
+        assert moment_reduced_kernel(spec, 1).far_field is None
 
 
 def test_infinite_support_transform_frozen_oracle():
@@ -222,6 +223,18 @@ def test_long_span_sine_log_family():
 SERIES_PRESETS = [hankel(0.0), hankel(0.5), hankel(1.5), scripth(0.0), scripth(1.0),
                   sine(), cosine()]
 REACH = 1.0 + 0.45 * CFG.max_panels * math.pi
+FAR_YS = np.geomspace(1.01, 1e3, 9)  # hi y / REACH beyond the reach
+
+
+def _assert_served_within(spec, f, ys, exact, rel=0.0):
+    """Every y served, each read within its error (plus rel |exact|) of the
+    mpmath closed form exact(y)."""
+    served, vals, errs = _table_values(spec, f, ys, CFG)
+    assert np.all(served)
+    with mpmath.workdps(30):
+        for y, v, e in zip(ys, vals, errs):
+            ex = exact(mpmath.mpf(y))
+            assert abs(mpmath.mpf(v) - ex) <= e + rel * abs(ex)
 
 
 def _point_values(spec, f, ys, cfg=CFG):
@@ -251,6 +264,36 @@ def _finite_pieces(draw):
     return TestFunction("drawn", pieces, check_moments=False)
 
 
+def _direct_phase(f, y, cfg):
+    """The largest phase x y at which _point's direct panels evaluate the
+    kernel: hi y within the panel budget, else 96 half-periods past the
+    start of the oscillatory region."""
+    lo, hi = max(f.support[0], 1.0 / y), f.support[1]
+    if (hi - lo) * y <= 0.45 * cfg.max_panels * math.pi:
+        return hi * y
+    return lo * y + _DIRECT_HALF_PERIODS * math.pi
+
+
+def _assert_agrees_with_point(spec, f, ys, cfg=CFG):
+    """apply against _point: table reads within the sum of both errors, the
+    other values taken from _point itself.  Returns the served mask.
+
+    Where _point's direct panels run beyond the reach, the rounding of
+    their phases x y (up to eps x y times the kernel envelope) is missing
+    from its bar; rel_tol |value| is allowed for it there and nowhere
+    else."""
+    ys = np.asarray(ys, dtype=float)
+    served, vals, errs = _table_values(spec, f, ys, cfg)
+    point_vals, point_errs = _point_values(spec, f, ys, cfg)
+    rel = np.array([cfg.rel_tol if _direct_phase(f, y, cfg) > REACH else 0.0 for y in ys])
+    assert np.all(np.abs(vals - point_vals[served])
+                  <= errs + point_errs[served] + (rel * np.abs(point_vals))[served])
+    res = apply(spec, f, ys, cfg, check=False)
+    assert np.array_equal(res.values[served], vals)
+    assert np.array_equal(res.values[~served], point_vals[~served])
+    return served
+
+
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(f=_finite_pieces(), u=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
 def test_table_route_agrees_with_point(f, u):
@@ -259,31 +302,21 @@ def test_table_route_agrees_with_point(f, u):
     ys = np.array([(0.05 + 0.95 * u[0]) / hi, (1.0 + (REACH - 1.0) * u[1]) / hi,
                    REACH * (1.05 + u[2]) / hi])
     for spec in SERIES_PRESETS:
-        served, vals, errs = _table_values(spec, f, ys, CFG)
         # Reads whose error misses the tolerance (values far below their
-        # parts) are not served; y beyond the reach never is.
-        assert not served[2]
-        point_vals, point_errs = _point_values(spec, f, ys)
-        assert np.all(np.abs(vals - point_vals[served]) <= errs + point_errs[served])
-        res = apply(spec, f, ys, CFG, check=False)
-        assert np.array_equal(res.values[served], vals)
-        assert np.array_equal(res.values[~served], point_vals[~served])
+        # parts) are not served; beyond the reach the far field takes part.
+        _assert_agrees_with_point(spec, f, ys)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5])
 def test_hankel_table_against_closed_form(alpha):
-    # f = 1 on (0, r): F f(y) = G(a+1) 2^a y^(-2a-2) (ry)^(a+1) J_(a+1)(ry).
+    # f = 1 on (0, r): F f(y) = G(a+1) 2^a y^(-2a-2) (ry)^(a+1) J_(a+1)(ry),
+    # with r y up to 1e3 times the reach (the far field).
     r = 2.0
-    f = make_truncated_power(0.0, r, "left")
-    ys = np.geomspace(1e-3, REACH / r, 40)
-    served, vals, errs = _table_values(hankel(alpha), f, ys, CFG)
-    assert np.all(served)
-    with mpmath.workdps(30):
-        for y, v, e in zip(ys, vals, errs):
-            t = mpmath.mpf(r) * mpmath.mpf(y)
-            exact = (mpmath.gamma(alpha + 1) * mpmath.mpf(2) ** alpha * mpmath.mpf(y) ** (-2 * alpha - 2)
-                     * t ** (alpha + 1) * mpmath.besselj(alpha + 1, t))
-            assert abs(mpmath.mpf(v) - exact) <= e
+    _assert_served_within(
+        hankel(alpha), make_truncated_power(0.0, r, "left"),
+        np.concatenate([np.geomspace(1e-3, REACH / r, 40), FAR_YS * REACH / r]),
+        lambda y: (mpmath.gamma(alpha + 1) * mpmath.mpf(2) ** alpha * y ** (-2 * alpha - 2)
+                   * (r * y) ** (alpha + 1) * mpmath.besselj(alpha + 1, r * y)))
 
 
 @pytest.mark.parametrize("spec", SERIES_PRESETS[:1] + SERIES_PRESETS[3:] + [model_min(1.0)],
@@ -318,8 +351,13 @@ def _assert_point_route(spec, f, ys, cfg=CFG):
     assert np.array_equal(res.values, vals) and np.array_equal(res.errors, errs)
 
 
-def test_fallback_right_sided_power():
-    _assert_point_route(hankel(0.0), make_truncated_power(-2.5, 1.0, "right"), [0.5, 2.0, 20.0])
+def test_table_right_sided_power_agrees_with_point():
+    # The piece reaching infinity is read from the far field; _point takes
+    # panels for 96 half-periods and the far field beyond.  At y = 20 the
+    # value (5e-4) is far below the table's error budget: _point serves it.
+    served = _assert_agrees_with_point(hankel(0.0), make_truncated_power(-2.5, 1.0, "right"),
+                                       [0.5, 2.0, 20.0])
+    assert served.tolist() == [True, True, False]
 
 
 def test_fallback_model_min():
@@ -337,9 +375,20 @@ def test_fallback_moment_reduced():
     assert np.array_equal(res.values, vals) and np.array_equal(res.errors, errs)
 
 
-def test_fallback_beyond_reach():
+def test_table_beyond_reach_agrees_with_point():
     f = make_truncated_power(0.0, 1.0, "left")
-    _assert_point_route(hankel(0.0), f, [1.5 * REACH, 3.0 * REACH])
+    assert np.all(_assert_agrees_with_point(hankel(0.0), f, [1.5 * REACH, 3.0 * REACH]))
+    # A piece wholly beyond the reach is read from the far field alone.
+    f = TestFunction("far", [Piece(1.0, 2.0, 1.0, -1.3)], check_moments=False)
+    for spec in SERIES_PRESETS:
+        assert np.all(_assert_agrees_with_point(spec, f, [1.05 * REACH, 40.0 * REACH]))
+    # Its bar holds against closed forms for 1 on (1, 2): y^-2 [T J_1(T)]
+    # from T = y to 2y for hankel(0), (cos y - cos 2y) / y for sine.
+    f = TestFunction("far", [Piece(1.0, 2.0, 1.0, 0.0)], check_moments=False)
+    ys = np.array([1.05, 1.5, 40.0]) * REACH
+    _assert_served_within(hankel(0.0), f, ys, lambda y: (2 * y * mpmath.besselj(1, 2 * y)
+                                                         - y * mpmath.besselj(1, y)) / y ** 2)
+    _assert_served_within(sine(), f, ys, lambda y: (mpmath.cos(y) - mpmath.cos(2 * y)) / y)
 
 
 def test_fallback_read_error_over_tolerance():
@@ -351,3 +400,129 @@ def test_fallback_read_error_over_tolerance():
     assert _dilation_table(spec.kernel, spec.b0, cfg.rel_tol, cfg.abs_tol,
                            cfg.max_panels) is not None
     _assert_point_route(spec, f, [0.5, 40.0], cfg)
+
+
+# ---------------------------------------------------------------------------
+# the far field beyond the reach, against mpmath
+# ---------------------------------------------------------------------------
+
+def test_sine_log_family_far_field_against_si():
+    # 2 Si(y) - Si(y/N) - Si(N y) with N y beyond the reach.
+    N = 1e4
+    _assert_served_within(
+        sine(), make_log_counterexample(N, 0.0), FAR_YS * REACH / N,
+        lambda y: 2 * mpmath.si(y) - mpmath.si(mpmath.mpf(1.0 / N) * y)
+        - mpmath.si(mpmath.mpf(N) * y))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_scripth_far_field_against_closed_form(alpha):
+    # x^(a+1/2) on (0, r): r^(a+1) y^(-1/2) H_(a+1)(r y), from
+    # d/dt (t^(a+1) H_(a+1)(t)) = t^(a+1) H_a(t).
+    r = 2.0
+    _assert_served_within(
+        scripth(alpha), make_truncated_power(alpha + 0.5, r, "left"), FAR_YS * REACH / r,
+        lambda y: r ** (alpha + 1) * y ** -0.5 * mpmath.struveh(alpha + 1, r * y))
+
+
+def _mellin_bessel(alpha, nu):
+    # DLMF 10.22.43 at mu = nu - alpha + 1, scaled to j_a = G(a+1) (2/t)^a J_a.
+    mu = mpmath.mpf(nu) - alpha + 1
+    return (mpmath.gamma(alpha + 1) * mpmath.mpf(2) ** alpha * mpmath.mpf(2) ** (mu - 1)
+            * mpmath.gamma((alpha + mu) / 2) * mpmath.rgamma((alpha - mu) / 2 + 1))
+
+
+def _mellin_struve(alpha, nu):
+    mu = mpmath.mpf(nu) + 1
+    return (mpmath.mpf(2) ** (mu - 1) * mpmath.gamma((mu + alpha) / 2)
+            * mpmath.tan(mpmath.pi * (mu + alpha) / 2) * mpmath.rgamma((alpha - mu) / 2 + 1))
+
+
+def _mellin_sine(nu):
+    s = mpmath.mpf(nu) + 1
+    return mpmath.gamma(s) * mpmath.sin(mpmath.pi * s / 2)
+
+
+def _mellin_cosine(nu):
+    s = mpmath.mpf(nu) + 1
+    return mpmath.gamma(s) * mpmath.cos(mpmath.pi * s / 2)
+
+
+# (spec, nu, closed form): integral_0^inf t^nu phi(t) dt converges absolutely,
+# conditionally, or (growing envelope t^m, m >= 0) as an Abel value.
+MELLIN_CASES = [
+    (hankel(1.5), -0.5, _mellin_bessel(1.5, -0.5)),    # absolutely
+    (hankel(0.0), 0.25, _mellin_bessel(0.0, 0.25)),    # conditionally
+    (hankel(0.0), 0.75, _mellin_bessel(0.0, 0.75)),    # Abel, m = 1/4
+    (hankel(1.5), 2.7, _mellin_bessel(1.5, 2.7)),      # Abel, m = 0.7
+    (scripth(0.0), -1.5, _mellin_struve(0.0, -1.5)),   # absolutely
+    (scripth(0.0), -0.25, _mellin_struve(0.0, -0.25)),  # conditionally
+    (scripth(1.0), -2.5, _mellin_struve(1.0, -2.5)),   # absolutely
+    (sine(), -1.5, _mellin_sine(-1.5)),                # absolutely
+    (sine(), -0.5, _mellin_sine(-0.5)),                # conditionally
+    (sine(), 0.5, _mellin_sine(0.5)),                  # Abel, m = 1/2
+    (sine(), 1.25, _mellin_sine(1.25)),                # Abel, m = 5/4
+    (cosine(), -0.5, _mellin_cosine(-0.5)),            # conditionally
+    (cosine(), 0.5, _mellin_cosine(0.5)),              # Abel, m = 1/2
+    (cosine(), 1.25, _mellin_cosine(1.25)),            # Abel, m = 5/4
+]
+
+
+@pytest.mark.parametrize("spec,nu,exact", MELLIN_CASES,
+                         ids=[f"{s.name}-{s.alpha}-{nu}" for s, nu, _ in MELLIN_CASES])
+def test_phi_to_infinity_against_mellin_transform(spec, nu, exact):
+    table = _dilation_table(spec.kernel, nu, CFG.rel_tol, CFG.abs_tol, CFG.max_panels)
+    v, e = table.integral(np.array([0.0]), np.array([math.inf]))
+    assert abs(mpmath.mpf(v[0]) - exact) <= e[0]
+
+
+def test_struve_drift_that_does_not_decay_is_not_served():
+    # scripth(0) of x^-1/4 on (1, inf): the drift t^-3/4 of H_0 does not
+    # decay; the table reads inf and _point keeps its NonConvergence.
+    table = _dilation_table(scripth(0.0).kernel, 0.25, CFG.rel_tol, CFG.abs_tol,
+                            CFG.max_panels)
+    assert not np.isfinite(table.integral(np.array([0.0]), np.array([math.inf]))[0][0])
+    f = make_truncated_power(-0.25, 1.0, "right")
+    assert not _table_values(scripth(0.0), f, np.array([2.0]), CFG)[0][0]
+    with pytest.raises(NonConvergence):
+        _point(scripth(0.0), f, 2.0, CFG)
+
+
+def test_sine_far_field_oracles():
+    # integral_1^inf sin(t)/t^2 dt = sin(1) - Ci(1), and
+    # integral_0^inf sin(t)/t dt = pi/2 (frozen).
+    for nu, a, exact in ((-2.0, 1.0, 0.5040670619069284), (-1.0, 0.0, math.pi / 2.0)):
+        table = _dilation_table(sine().kernel, nu, CFG.rel_tol, CFG.abs_tol, CFG.max_panels)
+        v, e = table.integral(np.array([a]), np.array([math.inf]))
+        assert abs(v[0] - exact) <= e[0] + 1e-16
+        assert v[0] == pytest.approx(exact, abs=1e-10)
+
+
+def test_scripth_right_sided_power_against_mellin():
+    # scripth(0) of x^-2 on (1, inf): F f(y) = y (C - integral_0^y t^-3/2
+    # H_0(t) dt), with C = integral_0^inf t^-3/2 H_0 the Struve Mellin
+    # transform at mu = -1/2.
+    f = make_truncated_power(-2.0, 1.0, "right")
+    ys = [0.5, 1.0, 3.0]
+    res = apply(scripth(0.0), f, ys, CFG, check=False)
+    with mpmath.workdps(30):
+        c = _mellin_struve(0.0, -1.5)
+        for y, v, e in zip(ys, res.values, res.errors):
+            y = mpmath.mpf(y)
+            exact = y * (c - mpmath.quad(lambda t: t ** -1.5 * mpmath.struveh(0, t), [0, y]))
+            assert abs(mpmath.mpf(v) - exact) <= e
+            assert e <= CFG.rel_tol * abs(exact)
+
+
+def test_point_error_carries_rounding_of_its_parts():
+    # hankel(0) of 1 on (0, 2) at y = 6.677: a head on (0, 1/y) and a span
+    # on (1/y, 2).  The error is their Kronrod errors plus eps times their
+    # magnitudes.
+    spec, y = hankel(0.0), 6.677
+    cfg = QuadratureConfig(rel_tol=1e-9)
+    v, e = _point(spec, make_truncated_power(0.0, 2.0, "left"), y, cfg)
+    integrand = lambda x: x * spec.kernel.phi(x * y)
+    v1, e1 = integrate(integrand, (0.0, 1.0 / y), cfg)
+    v2, e2 = integrate(integrand, (1.0 / y, 2.0), cfg, wavelength=2.0 * math.pi / y)
+    assert v == v1 + v2
+    assert e == e1 + e2 + np.finfo(float).eps * (abs(v1) + abs(v2))
