@@ -30,8 +30,8 @@ from . import conditions as cond
 from . import transforms as tr
 from .kernels import KERNELS
 from .quadrature import DivergentIntegral, NonConvergence, QuadratureConfig, integrate
-from .weights import (ExponentSet, TestFunction, Weight, make_log_counterexample,
-                      make_truncated_power, power_moment)
+from .weights import (ExponentSet, TestFunction, Weight, WeightExpr,
+                      make_log_counterexample, make_truncated_power, power_moment)
 
 
 class ConfigError(Exception):
@@ -312,6 +312,8 @@ def run_conditions(doc: dict) -> dict:
     delta = transform.b0
     s = Weight.power(delta)
     w = Weight.power(delta)
+    inv_ap = 0.0 if math.isinf(exps.a_prime) else 1.0 / exps.a_prime
+    inv_a = 0.0 if math.isinf(exps.a) else 1.0 / exps.a
 
     rep1, rep2 = cond.hardy_pair_condition(u, v, s, w, exps)
     out = {
@@ -328,14 +330,17 @@ def run_conditions(doc: dict) -> dict:
             out["glued"] = cond.glued_condition(u, v, s, w, exps).to_dict()
         except cond.InverseRelationViolated as exc:
             out["glued"] = {"error": str(exc)}
-    out["lorentz_necessity"] = cond.lorentz_necessity_condition(u, v, s, exps).to_dict()
+    # The Lorentz form compares Ff and f directly: its u and v carry the s
+    # and w factors of the two-factor setting (the full exponents in the
+    # plain power normalization).
+    out["lorentz_necessity"] = cond.lorentz_necessity_condition(
+        WeightExpr([(u, 1.0), (w, exps.q * inv_ap)]),
+        WeightExpr([(v, 1.0), (s, exps.p * inv_a)]), s, exps).to_dict()
 
     if beta is not None:
         # Ranges live in the plain power normalization ||y^-b Ff||_q <=
         # ||x^g f||_p; fold the s and w factors of the two-factor setting
         # into the exponents before querying.
-        inv_ap = 0.0 if math.isinf(exps.a_prime) else 1.0 / exps.a_prime
-        inv_a = 0.0 if math.isinf(exps.a) else 1.0 / exps.a
         beta_pow = beta - delta * inv_ap
         gamma_pow = gamma + delta * inv_a
         out["power_normalization_exponents"] = {"beta": beta_pow, "gamma": gamma_pow}

@@ -541,10 +541,9 @@ def struve_primitive_bound(alpha: float, nu: float, x_grid: Sequence[float],
     best = 0.0
     for y in y_grid:
         table = _primitive_table(struve_h, alpha, nu, float(y), xs, config)
-        for x in xs:
-            t = x * y
-            bound = x ** nu / y * min(t ** (alpha + 2.0), t ** alpha)
-            best = max(best, abs(table.lower(x)) / bound)
+        t = xs * y
+        bound = xs ** nu / y * np.minimum(t ** (alpha + 2.0), t ** alpha)
+        best = max(best, float(np.max(np.abs(table.lower(xs)) / bound)))
     return best
 
 
@@ -565,10 +564,9 @@ def bessel_primitive_bound(alpha: float, nu: float, y: float,
         raise ValueError("nu must exceed -1 for an integrable origin")
     xs = np.sort(np.asarray(x_grid, dtype=float))
     table = _primitive_table(bessel_j, alpha, nu, y, xs, config)
-    best = 0.0
-    for x in xs[xs * y >= 1.0]:
-        bound = x ** (nu - alpha - 0.5) * y ** (-alpha - 1.5)
-        best = max(best, abs(table.lower(x)) / bound)
+    xs = xs[xs * y >= 1.0]
+    bound = xs ** (nu - alpha - 0.5) * y ** (-alpha - 1.5)
+    best = float(np.max(np.abs(table.lower(xs)) / bound, initial=0.0))
     if best > cap:
         raise EstimateViolation(
             f"primitive estimate violated: fitted constant {best:.3g} exceeds cap {cap:.3g}")

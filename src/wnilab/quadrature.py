@@ -295,57 +295,66 @@ class CumulativeIntegral:
         if exponents is not None and not self.diverges_at_infinity:
             self.above = self._power_sliver(-1, math.inf)
 
-    def _partial(self, a: float, b: float) -> float:
-        return float(_eval_panels(self.f, np.array([a]), np.array([b]))[0][0]) if b > a else 0.0
+    def _partials(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """integral_a^b f and its Kronrod error where b > a (else 0), all
+        panels in one batch."""
+        part = np.zeros_like(b)
+        part_err = np.zeros_like(b)
+        open_ = b > a
+        if np.any(open_):
+            part[open_], part_err[open_], _ = _eval_panels(self.f, a[open_], b[open_])
+        return part, part_err
 
-    def _power_sliver(self, end: int, r: float) -> float:
+    def _power_sliver(self, end: int, r):
         """integral from edges[end] (0 or -1) to r of f continued beyond that
         edge as its end power; r may be 0 or inf where that converges."""
         x, e = float(self.edges[end]), self.einf if end else self.e0
         fx = float(self.f(np.array([x]))[0]) * x
         if abs(e + 1.0) <= 1e-12:
-            return fx * math.log(r / x)
+            return fx * np.log(r / x)
         return fx * ((r / x) ** (e + 1.0) - 1.0) / (e + 1.0)
 
-    def lower(self, r: float) -> float:
-        if self.diverges_at_zero:
-            return math.inf
-        lo, hi = self.edges[0], self.edges[-1]
-        if r <= lo and self.e0 is not None:
-            return self.below * (r / lo) ** (self.e0 + 1.0)
-        if r > hi and self.einf is not None:
-            return self.lower(hi) + self._power_sliver(-1, r)
-        r = min(max(r, lo), hi)
-        i = max(0, int(np.searchsorted(self.edges, r) - 1))
-        return self.below + float(self.prefix[i]) + self._partial(float(self.edges[i]), r)
+    def lower(self, r):
+        """integral_0^r f: a float for a float r, an array for an array."""
+        val = self.lower_with_error(r)[0]
+        return float(val[0]) if np.ndim(r) == 0 else val
 
-    def lower_with_error(self, r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``lower`` at every r of an array inside the edges, and an error
-        bound for each read: the prefix's error, the partial panel's Kronrod
-        error and the rounding of the final sum.  All partial panels are one
-        Kronrod batch."""
-        r = np.clip(np.asarray(r, dtype=float), self.edges[0], self.edges[-1])
-        i = np.maximum(np.searchsorted(self.edges, r) - 1, 0)
-        part = np.zeros_like(r)
-        part_err = np.zeros_like(r)
-        left = self.edges[i]
-        open_ = r > left
-        if np.any(open_):
-            part[open_], part_err[open_], _ = _eval_panels(self.f, left[open_], r[open_])
+    def lower_with_error(self, r) -> Tuple[np.ndarray, np.ndarray]:
+        """``lower`` at every r of an array, and an error bound for each
+        read: the prefix's error, the partial panel's Kronrod error and the
+        rounding of the final sum.  All partial panels are one Kronrod batch.
+        Beyond the edges the power continuation is exact and a read carries
+        the error of the edge read.  A float r reads as an array of one."""
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        if self.diverges_at_zero:
+            return np.full(r.shape, math.inf), np.full(r.shape, math.inf)
+        lo, hi = self.edges[0], self.edges[-1]
+        x = np.clip(r, lo, hi)
+        i = np.maximum(np.searchsorted(self.edges, x) - 1, 0)
+        part, part_err = self._partials(self.edges[i], x)
         val = self.below + self.prefix[i] + part
+        if self.e0 is not None:
+            below, above = r <= lo, r > hi
+            val[below] = self.below * (r[below] / lo) ** (self.e0 + 1.0)
+            val[above] += self._power_sliver(-1, r[above])
         return val, self.prefix_error[i] + part_err + 2.0 * _EPS * np.abs(val)
 
-    def upper(self, r: float) -> float:
+    def upper(self, r):
+        """integral_r^inf f: a float for a float r, an array for an array."""
+        scalar = np.ndim(r) == 0
+        r = np.atleast_1d(np.asarray(r, dtype=float))
         if self.diverges_at_infinity:
-            return math.inf
+            return math.inf if scalar else np.full(r.shape, math.inf)
         lo, hi = self.edges[0], self.edges[-1]
-        if r >= hi and self.einf is not None:
-            return self.above * (r / hi) ** (self.einf + 1.0)
-        if r < lo and self.e0 is not None:
-            return self.upper(lo) - self._power_sliver(0, r)
-        r = min(max(r, lo), hi)
-        i = min(max(0, int(np.searchsorted(self.edges, r, side="right") - 1)), len(self.edges) - 2)
-        return self.above + float(self.suffix[i + 1]) + self._partial(r, float(self.edges[i + 1]))
+        x = np.clip(r, lo, hi)
+        i = np.minimum(np.maximum(np.searchsorted(self.edges, x, side="right") - 1, 0),
+                       len(self.edges) - 2)
+        val = self.above + self.suffix[i + 1] + self._partials(x, self.edges[i + 1])[0]
+        if self.einf is not None:
+            above, below = r >= hi, r < lo
+            val[above] = self.above * (r[above] / hi) ** (self.einf + 1.0)
+            val[below] -= self._power_sliver(0, r[below])
+        return float(val[0]) if scalar else val
 
 
 def integrate(f, interval: Tuple[float, float], config: Optional[QuadratureConfig] = None, *,

@@ -1,6 +1,8 @@
 import inspect
 import json
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +130,41 @@ def test_run_conditions_document():
     })
     assert doc["hardy_condition_1"]["verdict"] == "divergent"
     assert doc["pair_finite"] is False
+
+
+def test_shipped_conditions_config_lorentz_finite():
+    # Hankel order 0, beta = gamma = 1/4, p = q = 2: in the plain power
+    # normalization u = y^(-1/2) and v = x^(5/2), with s = x, so the
+    # Lorentz product (2 r^(-1/2))^(1/2) (r^(7/2) / (7/2))^(-1/2) r^2 / 2 is
+    # the constant sqrt(7)/2.
+    path = Path(__file__).resolve().parents[1] / "configs" / "hankel_conditions.json"
+    doc = run_conditions(json.loads(path.read_text()))
+    assert doc["pair_finite"] is True
+    rep = doc["lorentz_necessity"]
+    assert rep["verdict"] == "finite"
+    assert rep["sup_value"] == pytest.approx(math.sqrt(7.0) / 2.0, rel=1e-9)
+
+
+def test_finite_pair_implies_finite_lorentz():
+    # The Lorentz condition is necessary: every in-range power draw whose
+    # Hardy pair is finite must have a finite Lorentz report.  Draws lie on
+    # beta - gamma = 1/q - 1/p' with 1/q - delta/2 < beta < 1/q, delta the
+    # exponent of s = w = x^delta.
+    rng = random.Random(2018)
+    presets = [({"name": "hankel", "alpha": 0.0}, 1.0), ({"name": "hankel", "alpha": 1.0}, 3.0),
+               ({"name": "scripth", "alpha": 1.0}, 0.5), ({"name": "model_min", "delta": 1.0}, 1.0)]
+    finite_pairs = 0
+    for transform, delta in presets:
+        for q in (1.5, 2.5):
+            p = rng.uniform(1.2, q)
+            beta = rng.uniform(1.0 / q - 0.5 * delta, 1.0 / q)
+            gamma = beta - (1.0 / q - (p - 1.0) / p)
+            doc = run_conditions({"transform": transform, "exponents": {"p": p, "q": q, "a": 1.0},
+                                  "weights": {"beta": beta, "gamma": gamma}})
+            if doc["pair_finite"]:
+                finite_pairs += 1
+                assert doc["lorentz_necessity"]["verdict"] == "finite", (transform, p, q, beta)
+    assert finite_pairs >= 6
 
 
 def test_run_conditions_piecewise_validation():

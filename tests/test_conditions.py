@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from wnilab import conditions
 from wnilab.conditions import (EnvelopeNotStrict, InverseRelationViolated,
                                glued_condition, gm_power_range,
                                hardy_pair_condition, lorentz_necessity_condition,
@@ -31,6 +33,36 @@ def test_hardy_pair_hankel_setting_inside():
     # Pure powers on the relation: the product is constant, sup = 2 exactly.
     assert r1.sup_value == pytest.approx(2.0, rel=1e-6)
     assert r2.sup_value == pytest.approx(2.0, rel=1e-6)
+
+
+def test_hardy_pair_interior_maximum_against_mpmath():
+    # Piecewise powers (switch at x = 1) whose bracket products rise and
+    # fall: both suprema are interior maxima, at r > 1, where the brackets
+    # are sums of closed-form powers.  Each maximum is located in mpmath;
+    # the scan must find it to 1e-9 relative, at a point within its final
+    # zoom spacing in log r.
+    u, v = Weight.piecewise_power(-0.4, -0.6), Weight.piecewise_power(0.3, 0.5)
+    x = Weight.power(1.0)
+    rep1, rep2 = hardy_pair_condition(u, v, x, x, ES22)
+    c = [mpmath.mpf(e) for e in ("0.4", "0.5", "0.6", "0.7")]
+
+    def first(t):
+        # (int_0^(1/r) u)^(1/2) (int_0^r 1/v)^(1/2) for r > 1
+        r = mpmath.exp(t)
+        return mpmath.sqrt(r ** -c[2] / c[2] * (1 / c[3] + (r ** c[1] - 1) / c[1]))
+
+    def second(t):
+        # (int_(1/r)^inf u/x)^(1/2) (int_r^inf 1/(v x))^(1/2) for r > 1
+        r = mpmath.exp(t)
+        return mpmath.sqrt(((r ** c[0] - 1) / c[0] + 1 / c[2]) * r ** -c[1] / c[1])
+
+    spacing = math.log(1e12) / 59 * (2.0 / (conditions._ZOOM_POINTS - 1)) ** conditions._ZOOM_ROUNDS
+    with mpmath.workdps(30):
+        for rep, product, t0 in ((rep1, first, 1.08), (rep2, second, 1.27)):
+            assert rep.finite
+            t_max = mpmath.findroot(lambda t: mpmath.diff(product, t), t0)
+            assert rep.sup_value == pytest.approx(float(product(t_max)), rel=1e-9)
+            assert abs(math.log(rep.argmax_r) - float(t_max)) <= spacing
 
 
 def test_hardy_pair_endpoint_divergence():

@@ -211,6 +211,32 @@ def test_bracket_reads_beyond_edges_on_growing_side():
         assert table.upper(r) == pytest.approx(1.0 - math.log(r), rel=1e-12)
 
 
+def test_array_reads_equal_scalar_reads():
+    # One array read (one searchsorted, one Kronrod batch of partial panels)
+    # gives the scalar reads: inside the octave edges, exactly on edges, and
+    # beyond both edges, the growing side's power continuation included.
+    edges = 2.0 ** np.arange(-50, 52, dtype=float)
+    rs = np.concatenate([[1e-100, 1e-20, 2.0 ** -50, 2.0 ** -10, 1.0, 2.0 ** 10, 2.0 ** 51,
+                          1e20, 1e100], np.geomspace(1e-12, 1e12, 17)])
+    tables = [(_bracket([(Weight.power(-0.5), 1.0)]), "lower"),
+              (_bracket([(Weight.power(-1.5), 1.0)]), "upper"),
+              (_bracket([(Weight.piecewise_power(0.5, -2.5), 1.0)]), "lower"),
+              (_bracket([(Weight.piecewise_power(0.5, -2.5), 1.0)]), "upper"),
+              (CumulativeIntegral(lambda x: np.minimum(1.0 / x, x ** -2.0), edges,
+                                  exponents=(-1.0, -2.0)), "upper")]
+    for table, side in tables:
+        read = getattr(table, side)
+        reads = read(rs)
+        assert reads.shape == rs.shape
+        for r, val in zip(rs, reads):
+            scalar = read(float(r))
+            assert isinstance(scalar, float)
+            assert val == pytest.approx(scalar, rel=1e-14)
+    table = _bracket([(Weight.power(-0.5), 1.0)])
+    np.testing.assert_array_equal(table.lower_with_error(rs)[0], table.lower(rs))
+    assert table.lower(rs[:9])[-1] == pytest.approx(2e50, rel=1e-12)
+
+
 def test_table_out_of_budget_raises():
     with pytest.raises(NonConvergence):
         CumulativeIntegral(lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0), [0.1, 1.0, 2.0],
