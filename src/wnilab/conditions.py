@@ -17,7 +17,8 @@ constant, log x or x^(e+1), so the product behaves like C r^kappa
 m > 0.  A bounded product's supremum is scanned on a 60-point log r-grid,
 then zoomed in five rounds of 17 points, each spanning one spacing of the
 round before on either side of the best point so far; every round reads
-all its points in one array call, one Kronrod batch per bracket read.
+all its points in one array call, one Kronrod batch per bracket read.  A
+product constant on the grid to the brackets' tolerance reports no argmax.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .kernels import KernelSpec
-from .quadrature import CumulativeIntegral
+from .quadrature import CumulativeIntegral, QuadratureConfig
 from .weights import ExponentSet, Weight, WeightExpr
 from .transforms import TransformSpec, MissingPrimitiveBound, NoSeriesKernel
 
@@ -70,7 +71,7 @@ def _bracket(factors: Sequence[Tuple[Weight, float]]) -> CumulativeIntegral:
 @dataclass
 class ConditionReport:
     sup_value: float
-    argmax_r: float
+    argmax_r: Optional[float]  # None for a constant product
     verdict: str  # "finite" | "divergent" | "indeterminate"
     divergence_site: Optional[str] = None
     scan_trace: List[Tuple[float, float]] = field(default_factory=list)
@@ -93,6 +94,8 @@ class ConditionReport:
 # ln(1e12)/59 five rounds reach 1.4e-5 in log r.
 _ZOOM_ROUNDS = 5
 _ZOOM_POINTS = 17
+# Grid products this close (relative) are constant: the brackets' tolerance.
+_FLAT_SPREAD = QuadratureConfig().rel_tol
 
 
 def _sup_scan(product: Callable[[np.ndarray], np.ndarray], label: str = "",
@@ -100,8 +103,10 @@ def _sup_scan(product: Callable[[np.ndarray], np.ndarray], label: str = "",
     rs = np.geomspace(1e-6, 1e6, n)
     vals = product(rs)
     trace = list(zip(rs.tolist(), vals.tolist()))
-    ends = math.log(rs[0]), math.log(rs[-1])
     i = int(np.argmax(vals))
+    if vals[i] - np.min(vals) <= _FLAT_SPREAD * abs(vals[i]) < math.inf:
+        return ConditionReport(float(vals[i]), None, "finite", None, trace, label)
+    ends = math.log(rs[0]), math.log(rs[-1])
     best_t, best_v = math.log(rs[i]), float(vals[i])
     half = (ends[1] - ends[0]) / (n - 1)
     for _ in range(_ZOOM_ROUNDS):

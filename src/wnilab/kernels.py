@@ -1,14 +1,14 @@
 """Special-function kernels: normalized Bessel, Struve, sine/cosine and
-model min-kernels, together with their two-sided power envelopes and
-primitive-function bounds.
+model min-kernels, their two-sided power envelopes and their registry.
 
 Evaluation strategy: a power series in extended precision up to the
-crossover argument 12 (cancellation in the alternating series costs
-roughly x/ln 10 digits, so 12 keeps extended-precision headroom), and the
-classical large-argument expansions above it.  Struve adds to Y_alpha the
-Laplace integral of H_alpha - Y_alpha, summed by a Gauss-Laguerre rule,
-and crosses over at max(12, 2 alpha).  Both branches are cross-checked
-against each other in an overlap window by the test suite.
+crossover argument max(12, 2 alpha), and the classical large-argument
+expansions above it.  Below 12 extended precision absorbs the series'
+cancellation (about x/ln 10 digits); below 2 alpha, around x ~ alpha, the
+large-argument terms rise far above the value.  Struve adds to Y_alpha the
+Laplace integral of H_alpha - Y_alpha, summed by a Gauss-Laguerre rule.
+Both branches are cross-checked against each other in an overlap window by
+the test suite.
 
 Every series is summed by Horner's rule over a coefficient table built on
 the first use of an order and cached per order.  The number of terms is
@@ -31,12 +31,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from .gammafn import gamma, rgamma
-from .quadrature import CumulativeIntegral, QuadratureConfig
 
 _CROSSOVER = 12.0
 _SERIES_STOP = 1e-18
@@ -209,12 +208,12 @@ def _struve_h_asymptotic(alpha: float, x: np.ndarray) -> np.ndarray:
 # public evaluators
 # ---------------------------------------------------------------------------
 
-def _dispatch(x, crossover, small_fn, large_fn):
+def _dispatch(x, alpha, small_fn, large_fn):
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all((arr >= 0.0) & (arr < math.inf)):
         raise ValueError("argument must be finite and nonnegative")
     out = np.empty_like(arr)
-    small = arr <= crossover
+    small = arr <= max(_CROSSOVER, 2.0 * alpha)
     if np.any(small):
         out[small] = small_fn(arr[small])
     if np.any(~small):
@@ -226,7 +225,7 @@ def bessel_j(alpha: float, x):
     """Normalized Bessel function of order alpha (> -1), equal to 1 at 0."""
     if alpha <= -1.0:
         raise ValueError(f"bessel_j requires order > -1, got {alpha}")
-    return _dispatch(x, _CROSSOVER,
+    return _dispatch(x, alpha,
                      lambda a: _bessel_j_series(alpha, a),
                      lambda a: _bessel_j_asymptotic(alpha, a))
 
@@ -235,9 +234,7 @@ def struve_h(alpha: float, x):
     """Struve function of order alpha (> -1/2)."""
     if alpha <= -0.5:
         raise ValueError(f"struve_h requires order > -1/2, got {alpha}")
-    # Below 2 alpha, in the transition region x ~ alpha, Y_alpha and
-    # H_alpha - Y_alpha are far larger than their sum, so the series runs.
-    return _dispatch(x, max(_CROSSOVER, 2.0 * alpha),
+    return _dispatch(x, alpha,
                      lambda a: _struve_h_series(alpha, a),
                      lambda a: _struve_h_asymptotic(alpha, a))
 
@@ -293,16 +290,6 @@ class PowerEnvelope:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         return np.minimum(x ** self.b1 * y ** self.c1, x ** self.b2 * y ** self.c2)
-
-
-@dataclass(frozen=True)
-class PrimitiveBound:
-    """|G(x,y)| <= C x^b y^c for xy >= 1, where G is the zero-constant
-    primitive of x^nu times the kernel factor."""
-
-    b: float
-    c: float
-    nu: float
 
 
 @dataclass(frozen=True)
@@ -460,10 +447,6 @@ class EnvelopeReport:
     masked_fraction: float
     grid_shape: Tuple[int, int]
 
-    @property
-    def constant(self) -> float:
-        return self.max_ratio
-
 
 _ZERO_MASK_LEVEL = 1e-3
 
@@ -502,72 +485,3 @@ def fit_env_constant(kernel: KernelSpec) -> float:
     """Fitted envelope constant: the max kernel/envelope ratio over the
     standard 200x200 log grid on (1e-3, 1e3)^2."""
     return check_envelope(kernel).max_ratio
-
-
-# ---------------------------------------------------------------------------
-# primitive-function machinery
-# ---------------------------------------------------------------------------
-
-def _primitive_table(kernel, alpha: float, nu: float, y: float, xs: np.ndarray,
-                     config: Optional[QuadratureConfig]) -> CumulativeIntegral:
-    """One table of integral_0^x t^nu kernel(alpha, t y) dt, with the sorted
-    grid xs among its edges."""
-    if y <= 0 or np.any(xs <= 0):
-        raise ValueError("x and y must be positive")
-
-    def f(t):
-        return t ** nu * kernel(alpha, t * y)
-
-    return CumulativeIntegral(f, np.concatenate([[0.0], xs]), config,
-                              wavelength=2.0 * math.pi / y)
-
-
-def struve_primitive(alpha: float, nu: float, y: float, x: float,
-                     config: Optional[QuadratureConfig] = None) -> Tuple[float, float]:
-    """integral_0^x t^nu Struve_alpha(t y) dt and its error estimate."""
-    if nu < 0.5:
-        raise ValueError("nu must be >= 1/2")
-    table = _primitive_table(struve_h, alpha, nu, y, np.array([float(x)]), config)
-    return table.lower(x), table.error
-
-
-def struve_primitive_bound(alpha: float, nu: float, x_grid: Sequence[float],
-                           y_grid: Sequence[float],
-                           config: Optional[QuadratureConfig] = None) -> float:
-    """Fitted constant C in |h(x; y)| <= C y^-1 x^nu min{(xy)^(a+2), (xy)^a}."""
-    if nu < 0.5:
-        raise ValueError("nu must be >= 1/2")
-    xs = np.sort(np.asarray(x_grid, dtype=float))
-    best = 0.0
-    for y in y_grid:
-        table = _primitive_table(struve_h, alpha, nu, float(y), xs, config)
-        t = xs * y
-        bound = xs ** nu / y * np.minimum(t ** (alpha + 2.0), t ** alpha)
-        best = max(best, float(np.max(np.abs(table.lower(xs)) / bound)))
-    return best
-
-
-class EstimateViolation(Exception):
-    """A fitted bound constant exceeded its cap."""
-
-
-def bessel_primitive_bound(alpha: float, nu: float, y: float,
-                           x_grid: Sequence[float],
-                           config: Optional[QuadratureConfig] = None,
-                           cap: float = 1e4) -> float:
-    """Fitted C in |g(x; y)| <= C x^(nu - a - 1/2) y^(-a - 3/2) over grid
-    points with x*y >= 1, where g is the zero-constant primitive of
-    t^nu * bessel_j(alpha, t y)."""
-    if alpha < -0.5:
-        raise ValueError("order must be >= -1/2")
-    if nu <= -1.0:
-        raise ValueError("nu must exceed -1 for an integrable origin")
-    xs = np.sort(np.asarray(x_grid, dtype=float))
-    table = _primitive_table(bessel_j, alpha, nu, y, xs, config)
-    xs = xs[xs * y >= 1.0]
-    bound = xs ** (nu - alpha - 0.5) * y ** (-alpha - 1.5)
-    best = float(np.max(np.abs(table.lower(xs)) / bound, initial=0.0))
-    if best > cap:
-        raise EstimateViolation(
-            f"primitive estimate violated: fitted constant {best:.3g} exceeds cap {cap:.3g}")
-    return best

@@ -258,38 +258,36 @@ class CumulativeIntegral:
     and f continues as the power x^e0 below edges[0] and x^einf above
     edges[-1]: closed-form slivers complete the reads (inf at a
     non-integrable end), and reads beyond the edges integrate the power up
-    to r.  Without exponents the table covers [edges[0], edges[-1]]
-    panelized as ``integrate`` does it (inner edges as breakpoints,
-    half-``wavelength`` cap, graded sliver from 0), and reads outside the
-    edges are clipped to them.
+    to r.  Without exponents the table covers [edges[0], edges[-1]],
+    edges[0] above the grading floor 1e-15, panelized as ``integrate`` does
+    it (inner edges as breakpoints, half-``wavelength`` cap), and reads
+    outside the edges are clipped to them.
     """
 
     def __init__(self, f, edges: Sequence[float], config: Optional[QuadratureConfig] = None, *,
                  exponents: Optional[Tuple[float, float]] = None,
                  wavelength: Optional[float] = None):
         edges = np.asarray(edges, dtype=float)
-        lo, hi = float(edges[0]), float(edges[-1])
-        graded = exponents is None and lo <= _GRADING_FLOOR and hi > 4.0 * _GRADING_FLOOR
         if exponents is None:
-            edges = _initial_panels(lo, hi, wavelength, edges[1:-1])
-        plo, phi, vals, errs, _, self.below, self.error = _refine(
-            f, edges, config or QuadratureConfig(), graded)
+            if edges[0] <= _GRADING_FLOOR:
+                raise ValueError("a table without end exponents must start above 1e-15")
+            edges = _initial_panels(float(edges[0]), float(edges[-1]), wavelength, edges[1:-1])
+        plo, phi, vals, errs, _, _, self.error = _refine(
+            f, edges, config or QuadratureConfig(), graded=False)
         self.f = f
         self.edges = np.append(plo, phi[-1])
         self.prefix = np.concatenate([[0.0], np.cumsum(vals)])
         # Suffixes are summed from the top, so a table whose mass sits near
         # its lower end keeps the digits of its small upper reads.
         self.suffix = np.append(np.cumsum(vals[::-1])[::-1], 0.0)
-        # Error of each prefix: its panels' Kronrod errors, the graded
-        # sliver's share of the table error, and the rounding of the running
-        # sum (at most eps times the sum of the partial sums' magnitudes).
+        # Error of each prefix: its panels' Kronrod errors plus the rounding of
+        # the running sum (at most eps times the partial sums' magnitudes).
         self.prefix_error = (np.concatenate([[0.0], np.cumsum(errs)])
-                             + max(self.error - float(np.sum(errs)), 0.0)
                              + _EPS * np.cumsum(np.abs(self.prefix)))
         self.e0, self.einf = exponents or (None, None)
         self.diverges_at_zero = exponents is not None and self.e0 <= -1.0 + 1e-12
         self.diverges_at_infinity = exponents is not None and self.einf >= -1.0 - 1e-12
-        self.above = 0.0
+        self.below = self.above = 0.0
         if exponents is not None and not self.diverges_at_zero:
             self.below = -self._power_sliver(0, 0.0)
         if exponents is not None and not self.diverges_at_infinity:

@@ -1,7 +1,8 @@
 """Integral transforms with power-type kernels: evaluation of
 F f(y) = y^c0 * integral x^b0 f(x) K(x,y) dx for the named transforms
 (Hankel, Struve, sine, cosine, model min-kernel), plus the two pointwise
-upper bounds and the moment-reduced transform for series kernels.
+upper bounds, the moment-reduced transform for series kernels and the
+kernel primitives, read from the transform values' cached Phi_nu tables.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .kernels import (_ASYMPTOTIC_MAX_TERMS, FarField, KernelSpec, PowerEnvelope,
-                      PrimitiveBound, SeriesKernel, _smallest_term_index, bessel_j_kernel,
-                      cosine_kernel, model_min_kernel, sine_kernel, struve_h_kernel)
+                      SeriesKernel, _smallest_term_index, bessel_j_kernel, cosine_kernel,
+                      model_min_kernel, sine_kernel, struve_h_kernel)
 from .quadrature import (CumulativeIntegral, DivergentIntegral, NonConvergence,
                          QuadratureConfig, integrate)
 from .weights import TestFunction, check_admissible
@@ -36,6 +37,20 @@ class NoSeriesKernel(Exception):
 
 class MissingPrimitiveBound(Exception):
     """No primitive-function bound is available for this transform."""
+
+
+class EstimateViolation(Exception):
+    """A fitted bound constant exceeded its cap."""
+
+
+@dataclass(frozen=True)
+class PrimitiveBound:
+    """|G(x,y)| <= C x^b y^c for xy >= 1, where G is the zero-constant
+    primitive of x^nu times the kernel factor."""
+
+    b: float
+    c: float
+    nu: float
 
 
 @dataclass(frozen=True)
@@ -327,6 +342,14 @@ class DilationTable:
         rounding = 2.0 * _EPS * (np.abs(near) + np.abs(mid[:n]) + np.abs(mid[n:]) + np.abs(far))
         return val, near_err + mid_err[:n] + mid_err[n:] + far_err + rounding
 
+    def primitive(self, lo: np.ndarray, hi: np.ndarray,
+                  y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """integral_lo^hi t^nu phi(t y) dt = y^(-nu-1) (Phi(hi y) - Phi(lo y))
+        and its error bound, for arrays 0 <= lo <= hi and y > 0."""
+        v, e = self.integral(lo * y, hi * y)
+        scale = y ** (-self.nu - 1.0)
+        return scale * v, np.abs(scale) * (e + 4.0 * _EPS * np.abs(v))
+
 
 @lru_cache(maxsize=32)
 def _dilation_table(kernel: KernelSpec, nu: float, rel_tol: float, abs_tol: float,
@@ -340,15 +363,75 @@ def _dilation_table(kernel: KernelSpec, nu: float, rel_tol: float, abs_tol: floa
         return None
 
 
+def _primitive(kernel: KernelSpec, nu: float, x, y,
+               config: Optional[QuadratureConfig]) -> Tuple[np.ndarray, np.ndarray]:
+    """integral_0^x t^nu phi(t y) dt and its error bound, for x, y > 0
+    broadcast against each other, from the dilation table of (kernel, nu).
+    Raises NonConvergence when that table cannot meet the tolerance."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    if not (np.all(x > 0.0) and np.all(y > 0.0)):
+        raise ValueError("x and y must be positive")
+    config = config or QuadratureConfig()
+    table = _dilation_table(kernel, nu, config.rel_tol, config.abs_tol, config.max_panels)
+    if table is None:
+        raise NonConvergence(math.nan, math.inf, f"no Phi_nu table for nu = {nu:g}")
+    val, err = table.primitive(np.zeros(x.size), x.ravel(), y.ravel())
+    return val.reshape(x.shape), err.reshape(x.shape)
+
+
+def struve_primitive(alpha: float, nu: float, y: float, x: float,
+                     config: Optional[QuadratureConfig] = None) -> Tuple[float, float]:
+    """integral_0^x t^nu Struve_alpha(t y) dt and its error bound."""
+    if nu < 0.5:
+        raise ValueError("nu must be >= 1/2")
+    val, err = _primitive(struve_h_kernel(alpha), nu, x, y, config)
+    return float(val), float(err)
+
+
+def struve_primitive_bound(alpha: float, nu: float, x_grid: Sequence[float],
+                           y_grid: Sequence[float],
+                           config: Optional[QuadratureConfig] = None) -> float:
+    """Fitted constant C in |h(x; y)| <= C y^-1 x^nu min{(xy)^(a+2), (xy)^a}."""
+    if nu < 0.5:
+        raise ValueError("nu must be >= 1/2")
+    xs = np.asarray(x_grid, dtype=float)[:, None]
+    ys = np.asarray(y_grid, dtype=float)[None, :]
+    h, _ = _primitive(struve_h_kernel(alpha), nu, xs, ys, config)
+    t = xs * ys
+    bound = xs ** nu / ys * np.minimum(t ** (alpha + 2.0), t ** alpha)
+    return float(np.max(np.abs(h) / bound, initial=0.0))
+
+
+def bessel_primitive_bound(alpha: float, nu: float, y: float,
+                           x_grid: Sequence[float],
+                           config: Optional[QuadratureConfig] = None,
+                           cap: float = 1e4) -> float:
+    """Fitted C in |g(x; y)| <= C x^(nu - a - 1/2) y^(-a - 3/2) over grid
+    points with x*y >= 1, where g is the zero-constant primitive of
+    t^nu * bessel_j(alpha, t y)."""
+    if alpha < -0.5:
+        raise ValueError("order must be >= -1/2")
+    if nu <= -1.0:
+        raise ValueError("nu must exceed -1 for an integrable origin")
+    xs = np.asarray(x_grid, dtype=float)
+    g, _ = _primitive(bessel_j_kernel(alpha), nu, xs, y, config)
+    bound = np.where(xs * y >= 1.0, xs ** (nu - alpha - 0.5) * y ** (-alpha - 1.5), np.inf)
+    best = float(np.max(np.abs(g) / bound, initial=0.0))
+    if best > cap:
+        raise EstimateViolation(
+            f"primitive estimate violated: fitted constant {best:.3g} exceeds cap {cap:.3g}")
+    return best
+
+
 def _table_values(spec: TransformSpec, f: TestFunction, ys: np.ndarray,
                   config: QuadratureConfig):
     """F f at the ys the dilation tables serve: (mask of those ys, values,
     errors).
 
-    A power piece c x^e on (lo, hi) contributes c y^(-nu-1) (Phi_nu(hi y) -
-    Phi_nu(lo y)), nu = b0 + e.  Served are piecewise-power f, series
-    kernels, and y > 0 whose finite error meets ``_point``'s own test,
-    max(abs_tol, rel_tol |value|).
+    A power piece c x^e on (lo, hi) contributes c integral_lo^hi t^nu
+    phi(t y) dt, nu = b0 + e (``DilationTable.primitive``).  Served are
+    piecewise-power f, series kernels, and y > 0 whose finite error meets
+    ``_point``'s own test, max(abs_tol, rel_tol |value|).
     """
     served = np.zeros(ys.shape, dtype=bool)
     none = served, np.empty(0), np.empty(0)
@@ -366,10 +449,9 @@ def _table_values(spec: TransformSpec, f: TestFunction, ys: np.ndarray,
     err = np.zeros_like(y)
     with np.errstate(over="ignore", invalid="ignore"):
         for p, t in zip(f.pieces, tables):
-            v, e = t.integral(max(p.lo, 0.0) * y, p.hi * y)
-            scale = p.coef * y ** (-(spec.b0 + p.exponent) - 1.0)
-            val += scale * v
-            err += np.abs(scale) * (e + 4.0 * _EPS * np.abs(v))
+            v, e = t.primitive(max(p.lo, 0.0), p.hi, y)
+            val += p.coef * v
+            err += abs(p.coef) * e
         ok = np.isfinite(err) & (err <= np.maximum(config.abs_tol, config.rel_tol * np.abs(val)))
         served[pos] = ok
         scale = y[ok] ** spec.c0

@@ -13,10 +13,10 @@ from wnilab.cli import ExperimentConfig, compute_ratio_records, fit_growth, veri
 from wnilab.conditions import (glued_condition, hardy_pair_condition, oinarov_check,
                                power_hardy_verdict, power_pitt_range)
 from wnilab.kernels import (bessel_j, check_envelope, model_min_kernel,
-                            struve_derivative_check, struve_h, struve_primitive_bound)
+                            struve_derivative_check, struve_h)
 from wnilab.quadrature import QuadratureConfig
-from wnilab.transforms import (apply, hankel, moment_reduced_apply,
-                               moment_reduced_kernel, pointwise_bound, scripth, sine)
+from wnilab.transforms import (apply, hankel, moment_reduced_apply, moment_reduced_kernel,
+                               pointwise_bound, scripth, sine, struve_primitive_bound)
 from wnilab.weights import (ExponentSet, Weight, check_gm, make_truncated_power,
                             make_vanishing_moment_function, TestFunction, Piece)
 

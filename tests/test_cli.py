@@ -145,6 +145,21 @@ def test_shipped_conditions_config_lorentz_finite():
     assert rep["sup_value"] == pytest.approx(math.sqrt(7.0) / 2.0, rel=1e-9)
 
 
+def test_shipped_conditions_config_constant_products_have_no_argmax():
+    # Pure power weights on the exponent relation: every finite bracket
+    # product is constant in r, so the scan reports its grid maximum and no
+    # argmax (wherever rounding noise happened to peak).
+    path = Path(__file__).resolve().parents[1] / "configs" / "hankel_conditions.json"
+    doc = run_conditions(json.loads(path.read_text()))
+    finite = [rep for rep in doc.values()
+              if isinstance(rep, dict) and rep.get("verdict") == "finite"]
+    assert len(finite) >= 3
+    for rep in finite:
+        assert rep["argmax_r"] is None
+        values = [v for _, v in rep["scan_trace"]]
+        assert rep["sup_value"] == max(values)
+
+
 def test_finite_pair_implies_finite_lorentz():
     # The Lorentz condition is necessary: every in-range power draw whose
     # Hardy pair is finite must have a finite Lorentz report.  Draws lie on

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from scipy.special import gamma as scipy_gamma, jv as scipy_jv, struve as scipy_struve
 
-from wnilab.kernels import (PowerEnvelope, bessel_j, bessel_j_kernel,
-                            bessel_primitive_bound, check_envelope, cosine_kernel,
-                            model_min_kernel, sine_kernel, struve_derivative_check,
-                            struve_h, struve_h_kernel, struve_primitive,
-                            struve_primitive_bound)
+from wnilab.kernels import (PowerEnvelope, bessel_j, bessel_j_kernel, check_envelope,
+                            cosine_kernel, model_min_kernel, sine_kernel,
+                            struve_derivative_check, struve_h, struve_h_kernel)
+from wnilab.quadrature import QuadratureConfig
+from wnilab.transforms import bessel_primitive_bound, struve_primitive, struve_primitive_bound
 
 XS = np.geomspace(1e-3, 100.0, 200)
 
@@ -120,7 +120,7 @@ def _mp_struve_h(alpha, xs):
         return np.array([float(mpmath.struveh(alpha, x)) for x in xs])
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0, 2.5, 3.0])
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0, 2.5, 3.0, 8.0, 12.0, 15.0, 20.0])
 def test_bessel_against_mpmath(alpha):
     err = np.abs(bessel_j(alpha, ORACLE_XS) - _mp_bessel_j(alpha, ORACLE_XS))
     assert np.max(err) <= BESSEL_ABS_TOL, ORACLE_XS[np.argmax(err)]
@@ -194,6 +194,44 @@ def test_struve_primitive_closed_form():
     val, err = struve_primitive(alpha, alpha + 1.0, y, x)
     exact = x ** (alpha + 1.0) / y * struve_h(alpha + 1.0, x * y)
     assert val == pytest.approx(exact, rel=1e-9)
+
+
+def _mp_struve_primitive_closed_form(alpha, y, x):
+    # integral_0^x t^(a+1) Struve_a(t y) dt = y^-1 x^(a+1) Struve_(a+1)(x y).
+    with mpmath.workdps(30):
+        x = mpmath.mpf(x)
+        return x ** (alpha + 1) / y * mpmath.struveh(alpha + 1, x * y)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_struve_primitive_far_field_against_mpmath(alpha):
+    # Far beyond the dilation table's reach the read takes the closed-form
+    # far field; each read lies within its own error bar of the closed form.
+    y = 1.5
+    for xy in (1e5, 2e5):
+        val, err = struve_primitive(alpha, alpha + 1.0, y, xy / y)
+        exact = _mp_struve_primitive_closed_form(alpha, y, xy / y)
+        assert 0.0 < err <= 1e-13 * abs(val)
+        assert abs(val - exact) <= err
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_struve_primitive_criterion_3_grid_against_mpmath(alpha):
+    # Every read of the criterion-3 grid (nu = alpha + 1) against the closed
+    # form, within its error bar plus the error of the Struve series'
+    # leading coefficient 2^-(a+1) / (G(3/2) G(a+3/2)), which carries the
+    # Lanczos gamma error into the reads below x y = 1 (1.6e-15 relative at
+    # a = 1) and which the bar leaves out, like every kernel error.
+    cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13)
+    with mpmath.workdps(30):
+        a0 = mpmath.mpf(2) ** -(alpha + 1) / (mpmath.gamma(1.5) * mpmath.gamma(alpha + 1.5))
+        a0_err = float(abs(struve_h_kernel(alpha).series.a0 / a0 - 1))
+    grid = np.geomspace(0.2, 20.0, 12)
+    for x in grid:
+        for y in grid:
+            val, err = struve_primitive(alpha, alpha + 1.0, y, x, cfg)
+            exact = _mp_struve_primitive_closed_form(alpha, y, x)
+            assert abs(val - exact) <= err + a0_err * abs(val), (x, y)
 
 
 def test_struve_primitive_small_x_order():
