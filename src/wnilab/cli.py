@@ -160,8 +160,7 @@ def _lhs_norm(cfg: ExperimentConfig, f: TestFunction) -> Tuple[float, float]:
     # decades that contribute nothing).
     outer = QuadratureConfig(rel_tol=max(cfg.quadrature.rel_tol, cfg.norm_rel_tol),
                              abs_tol=cfg.quadrature.abs_tol,
-                             max_panels=cfg.quadrature.max_panels,
-                             growth_streak_limit=10)
+                             max_panels=cfg.quadrature.max_panels)
     val, err = integrate(integrand, cfg.lhs_domain, outer)
     if val <= 0.0:
         return 0.0, err
@@ -455,9 +454,12 @@ def _load_config(path: str) -> dict:
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.tol is not None:
-        cfg.quadrature = QuadratureConfig(rel_tol=args.tol,
-                                          abs_tol=cfg.quadrature.abs_tol,
-                                          max_panels=cfg.quadrature.max_panels)
+        try:
+            cfg.quadrature = QuadratureConfig(rel_tol=args.tol,
+                                              abs_tol=cfg.quadrature.abs_tol,
+                                              max_panels=cfg.quadrature.max_panels)
+        except ValueError as exc:
+            raise ConfigError(f"--tol {args.tol}: {exc}") from exc
     return cfg
 
 

@@ -315,7 +315,8 @@ class SeriesKernel:
 class FarField:
     """The large-argument form the asymptotic branch sums, as data: phi(t) ~
     Re[scale e^(it) sum_k osc_k t^(osc_power - k)] + sum_m drift_m
-    t^(drift_power - 2m), two asymptotic series (finite where they end)."""
+    t^(drift_power - 2m), two asymptotic series (finite where they end; the
+    model kernel's single drift term is exact beyond t = 1)."""
 
     scale: complex
     osc_power: float
@@ -328,9 +329,14 @@ class FarField:
 class KernelSpec:
     """K(x, y) = phi(x*y) with its two-regime power envelope.
 
+    ``series`` is phi's power series on all t; ``near`` is a series of phi on
+    t <= 1 only, for a kernel without the former.  A kernel with a
+    ``far_field`` has one of the two, and the dilation tables of
+    ``transforms`` read Phi_nu from them.
+
     The kernel factories are cached: equal parameters return the same
-    instance, so caches keyed on a kernel (the dilation tables of
-    ``transforms``) persist across config parses."""
+    instance, so caches keyed on a kernel (the dilation tables) persist
+    across config parses."""
 
     kind: str
     envelope: PowerEnvelope
@@ -338,6 +344,7 @@ class KernelSpec:
     oscillatory: bool = True
     series: Optional[SeriesKernel] = None
     far_field: Optional[FarField] = None
+    near: Optional[SeriesKernel] = None
 
     def __call__(self, x, y):
         return self.phi(np.asarray(x, dtype=float) * np.asarray(y, dtype=float))
@@ -413,7 +420,8 @@ def cosine_kernel() -> KernelSpec:
 @lru_cache(maxsize=64)
 def model_min_kernel(delta: float) -> KernelSpec:
     """K = 1 for xy <= 1 and (xy)^(-delta/2) beyond: the exactly two-sided
-    model kernel."""
+    model kernel.  Both parts are exact: a one-term series on t <= 1 and a
+    far field of one drift term (no oscillatory part) beyond 1."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     env = PowerEnvelope(0.0, 0.0, -0.5 * delta, -0.5 * delta, exact=True)
@@ -422,7 +430,9 @@ def model_min_kernel(delta: float) -> KernelSpec:
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore"):
             return np.where(t <= 1.0, 1.0, t ** (-0.5 * delta))
-    return KernelSpec("model_min", env, phi, oscillatory=False)
+    return KernelSpec("model_min", env, phi, oscillatory=False,
+                      far_field=FarField(1.0, 0.0, np.zeros(1), -0.5 * delta, (1.0,)),
+                      near=SeriesKernel(0.0, 0.0, 1, 1.0, lambda m: 0.0))
 
 
 # The kernel factories by kind; each factory's parameters are the kernel's.

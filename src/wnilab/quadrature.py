@@ -1,4 +1,5 @@
-"""Oscillation-aware adaptive integration on (0, inf) and weighted Lp norms.
+"""Oscillation-aware adaptive integration on (0, inf) and cumulative
+integral tables.
 
 The panel rule is the 15-point Kronrod extension of 7-point Gauss, applied
 in vectorized batches: every refinement round evaluates all dirty panels in
@@ -8,16 +9,15 @@ must accept numpy arrays.
 Endpoint singularities at zero are handled by panels geometrically graded
 toward the origin (ratio 1/2, floor 1e-15) plus a geometric-series
 extrapolation of the remaining sliver, which is exact for power-type
-integrands.  Infinite upper limits are handled either by an analytic
-power-law tail cutoff or by decade-by-decade extension with a growth-based
-divergence verdict.
+integrands.  Infinite upper limits are handled by decade-by-decade
+extension with a growth-based divergence verdict.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +44,11 @@ _GK_WEIGHTS_G = np.array([
 
 _GRADING_FLOOR = 1e-15
 _EPS = float(np.finfo(float).eps)
+# Consecutive factor-1.5 growths of the partial integral (one per decade
+# extension) before declaring divergence.  Integrals whose mass sits far
+# from the first decade, such as the outer norms of the command line, need
+# this long a horizon.
+_GROWTH_STREAK_LIMIT = 10
 
 
 class NonConvergence(Exception):
@@ -64,40 +69,17 @@ class DivergentIntegral(Exception):
         super().__init__(f"integral diverges ({direction})")
 
 
-class NoDecay(ValueError):
-    """Tail bound exponent is >= -1, so no truncation point exists."""
-
-
 @dataclass
 class QuadratureConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-14
     max_panels: int = 4096
-    # Consecutive factor-1.5 growths of the partial integral (one per decade
-    # extension) before declaring divergence.  Norm integrals whose mass
-    # sits far from the first decade need a longer horizon.
-    growth_streak_limit: int = 3
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
         if self.max_panels < 1:
             raise ValueError("max_panels must be >= 1")
-        if self.growth_streak_limit < 1:
-            raise ValueError("growth_streak_limit must be >= 1")
-
-
-@dataclass
-class NormSpec:
-    """Weighted Lp norm specification: (integral of weight*|f|^p)^(1/p)."""
-
-    p: float
-    weight: Callable[[np.ndarray], np.ndarray]
-    domain: Tuple[float, float] = (0.0, math.inf)
-
-    def __post_init__(self):
-        if not (self.p > 1.0):
-            raise ValueError("norm exponent must satisfy p > 1 (or p = inf)")
 
 
 def _eval_panels(f, lo: np.ndarray, hi: np.ndarray):
@@ -357,15 +339,12 @@ class CumulativeIntegral:
 
 def integrate(f, interval: Tuple[float, float], config: Optional[QuadratureConfig] = None, *,
               wavelength: Optional[float] = None,
-              breakpoints: Sequence[float] = (),
-              tail_bound: Optional[Tuple[float, float]] = None) -> Tuple[float, float]:
+              breakpoints: Sequence[float] = ()) -> Tuple[float, float]:
     """Integrate f over (lo, hi), hi possibly infinite.
 
     wavelength       -- oscillation period of the integrand; panels never
                         exceed half of it.
     breakpoints      -- interior points with kinks or jumps.
-    tail_bound       -- (C, e) with |f(x)| <= C*x^e beyond the panelized
-                        region; places the cutoff for an infinite limit.
 
     Returns (value, error_estimate).  Raises NonConvergence when the panel
     budget is exhausted and DivergentIntegral when partial integrals grow
@@ -375,30 +354,11 @@ def integrate(f, interval: Tuple[float, float], config: Optional[QuadratureConfi
     lo, hi = float(interval[0]), float(interval[1])
     if lo < 0:
         raise ValueError("domain must lie in [0, inf)")
-    if not math.isinf(hi):
-        if hi <= lo:
-            return 0.0, 0.0
-        return _adaptive(f, lo, hi, config, wavelength, breakpoints)
-
-    if tail_bound is not None:
-        coef, expo = tail_bound
-        if expo < -1.0 and coef >= 0.0:
-            start = max(lo * 2.0, 1.0)
-            val, err = _adaptive(f, lo, start, config, wavelength, breakpoints)
-            target = max(config.abs_tol, 0.1 * config.rel_tol * max(abs(val), config.abs_tol))
-            cut = tail_truncation_point(coef, expo, target)
-            cut = min(max(cut, start), 1e300)
-            feasible = (wavelength is None or
-                        (cut - start) / (0.5 * wavelength) <= 0.5 * config.max_panels)
-            if feasible:
-                if cut > start:
-                    v2, e2 = _adaptive(f, start, cut, config, wavelength, breakpoints)
-                    val, err = val + v2, err + e2
-                return val, err + coef * cut ** (expo + 1.0) / (-expo - 1.0)
-            raise NonConvergence(val, math.inf, "oscillatory tail exceeds panel budget")
-        # fall through when the bound does not decay
-
-    return _integrate_decades(f, lo, config, wavelength, breakpoints)
+    if math.isinf(hi):
+        return _integrate_decades(f, lo, config, wavelength, breakpoints)
+    if hi <= lo:
+        return 0.0, 0.0
+    return _adaptive(f, lo, hi, config, wavelength, breakpoints)
 
 
 def _integrate_decades(f, lo: float, config: QuadratureConfig,
@@ -438,7 +398,7 @@ def _integrate_decades(f, lo: float, config: QuadratureConfig,
         partials.append(abs(acc))
         if partials[-2] > 0 and partials[-1] / partials[-2] > 1.5:
             growth_streak += 1
-            if growth_streak >= config.growth_streak_limit:
+            if growth_streak >= _GROWTH_STREAK_LIMIT:
                 raise DivergentIntegral("x -> inf", partial=acc)
         else:
             growth_streak = 0
@@ -449,58 +409,3 @@ def _integrate_decades(f, lo: float, config: QuadratureConfig,
         else:
             quiet = 0
     raise NonConvergence(acc, err, "decade extension did not settle")
-
-
-def weighted_lp_norm(f, spec: NormSpec, config: Optional[QuadratureConfig] = None, *,
-                     wavelength: Optional[float] = None,
-                     breakpoints: Sequence[float] = (),
-                     tail_bound: Optional[Tuple[float, float]] = None) -> float:
-    """(integral over the domain of weight * |f|^p)^(1/p); p = inf gives a
-    grid-refined essential supremum.
-
-    Raises DivergentIntegral when the defining integral diverges under
-    domain extension.
-    """
-    config = config or QuadratureConfig()
-    lo, hi = spec.domain
-    if math.isinf(spec.p):
-        return _ess_sup(f, lo, hi if not math.isinf(hi) else 1e6)
-
-    def integrand(x):
-        return np.asarray(spec.weight(x)) * np.abs(f(x)) ** spec.p
-
-    tb = None
-    if tail_bound is not None:
-        c, e = tail_bound
-        tb = (c, e * spec.p)  # weight contribution must be folded in by the caller
-    val, _ = integrate(integrand, (lo, hi), config, wavelength=wavelength,
-                       breakpoints=breakpoints, tail_bound=tb)
-    return max(val, 0.0) ** (1.0 / spec.p)
-
-
-def _ess_sup(f, lo: float, hi: float) -> float:
-    lo = max(lo, 1e-12)
-    grid = np.geomspace(lo, hi, 512)
-    vals = np.abs(f(grid))
-    for _ in range(3):
-        i = int(np.argmax(vals))
-        a = grid[max(0, i - 1)]
-        b = grid[min(len(grid) - 1, i + 1)]
-        grid = np.geomspace(a, b, 512)
-        vals = np.abs(f(grid))
-    return float(np.max(vals))
-
-
-def tail_truncation_point(coefficient: float, exponent: float, target: float) -> float:
-    """Smallest X with integral_X^inf coefficient*x^exponent dx <= target.
-
-    Requires exponent < -1; raises NoDecay otherwise.
-    """
-    if exponent >= -1.0:
-        raise NoDecay(f"tail exponent {exponent} >= -1 admits no truncation point")
-    if target <= 0:
-        raise ValueError("target must be positive")
-    if coefficient <= 0:
-        return 1.0
-    a = -exponent - 1.0
-    return (coefficient / (a * target)) ** (1.0 / a)

@@ -150,9 +150,9 @@ def _point(spec: TransformSpec, f: TestFunction, y: float,
     """One transform value.
 
     The integral splits at x = 1/y.  The head (xy <= 1) is smooth and
-    integrated directly.  The oscillatory region uses half-wavelength
-    panels.  When its span would exceed the panel budget, power pieces on
-    kernels with a far field take panels for the first
+    integrated directly.  The region beyond uses half-wavelength panels on
+    an oscillatory kernel.  When its span would exceed the panel budget,
+    power pieces on kernels with a far field take panels for the first
     _DIRECT_HALF_PERIODS half-periods and ``_far_field`` beyond; other f
     report zero with the kernel-envelope mass as the error bound (such
     regions arise only where the transform has already decayed to numerical
@@ -181,13 +181,7 @@ def _point(spec: TransformSpec, f: TestFunction, y: float,
     lo2 = max(lo, split)
     if hi > lo2:
         bps = sorted(b for b in f.breakpoints if lo2 < b < hi)
-        te = f.tail_exponent()  # None for bounded supports
-        if half is None:
-            tb = None if te is None else (f.tail_coefficient() * env.env_constant * y ** env.c2,
-                                          b_out + te + env.b2)
-            parts.append(integrate(integrand, (lo2, hi), config, breakpoints=bps,
-                                   tail_bound=tb))
-        elif hi - lo2 <= 0.45 * config.max_panels * half:
+        if half is None or hi - lo2 <= 0.45 * config.max_panels * half:
             parts.append(integrate(integrand, (lo2, hi), config,
                                    wavelength=wavelength, breakpoints=bps))
         elif f.pieces is not None and spec.kernel.far_field is not None:
@@ -205,6 +199,7 @@ def _point(spec: TransformSpec, f: TestFunction, y: float,
         else:
             # Oscillation count outruns the budget: the value is below the
             # envelope mass, which goes into the error bound.
+            te = f.tail_exponent()  # None for bounded supports
             decays = not math.isinf(hi) or (te is not None and b_out + te + env.b2 < -1.0)
             mass = f.abs_weighted_integral(b_out + env.b2, lo2, hi) if decays else math.inf
             parts.append((0.0, env.env_constant * y ** env.c2 * mass))
@@ -300,30 +295,33 @@ def _far_field(far: FarField, nu: float, a: np.ndarray,
 
 
 class DilationTable:
-    """Phi(T) = integral t^nu phi(t) dt of a series kernel phi, read as
+    """Phi(T) = integral t^nu phi(t) dt of a kernel with a far field, read as
     Phi(b) - Phi(a) for 0 <= a <= b <= inf.
 
-    On t <= 1 the kernel's series is integrated term by term in closed form.
-    On [1, reach] one cumulative table with half-period panels holds the
-    integral from 1; reach = 1 + 0.45 max_panels pi is the span of the
-    direct-panel route of ``_point``, so the table costs no more panels than
-    one such value.  Beyond the reach, ``_far_field`` integrates the
-    kernel's large-argument form.  Raises NonConvergence when the table
-    cannot meet the config's tolerance.
+    On t <= 1 the kernel's series (or its near series) is integrated term by
+    term in closed form.  For an oscillatory kernel one cumulative table
+    with half-period panels holds the integral on [1, reach]; reach = 1 +
+    0.45 max_panels pi is the span of the direct-panel route of ``_point``,
+    so the table costs no more panels than one such value.  A kernel that
+    does not oscillate has reach 1 and no such table.  Beyond the reach,
+    ``_far_field`` integrates the kernel's large-argument form.  Raises
+    NonConvergence when the table cannot meet the config's tolerance.
     """
 
     def __init__(self, kernel: KernelSpec, nu: float, config: QuadratureConfig):
-        series = kernel.series
+        series = kernel.series or kernel.near
         coefs = series.coefficients(_SERIES_MAX_TERMS)
         n = 1 + int(np.flatnonzero(np.abs(coefs) > _SERIES_CUT * abs(coefs[0]))[-1])
         self.coefs = coefs[:n]
         # t^nu phi(t) = sum_k a_k t^(powers_k - 1).
         self.powers = nu + series.b1 + series.step * np.arange(n) + 1.0
         self.nu, self.far_field = nu, kernel.far_field
-        half = 0.5 * kernel.wavelength_x(1.0)
-        self.reach = 1.0 + 0.45 * config.max_panels * half
-        self.mid = CumulativeIntegral(lambda t: t ** nu * kernel.phi(t), [1.0, self.reach],
-                                      config, wavelength=2.0 * half)
+        self.reach, self.mid = 1.0, None
+        if kernel.oscillatory:
+            half = 0.5 * kernel.wavelength_x(1.0)
+            self.reach = 1.0 + 0.45 * config.max_panels * half
+            self.mid = CumulativeIntegral(lambda t: t ** nu * kernel.phi(t),
+                                          [1.0, self.reach], config, wavelength=2.0 * half)
 
     def integral(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Phi(b) - Phi(a) and its error bound, for arrays 0 <= a <= b <= inf
@@ -332,10 +330,12 @@ class DilationTable:
         near = np.sum(terms, axis=1)
         near_err = 4.0 * _EPS * np.sum(np.abs(terms), axis=1)
         n = len(b)
-        # Reads from a >= reach take nothing from the table, nor its error.
-        inside = np.tile(a < self.reach, 2)
-        mid, mid_err = (np.where(inside, m, 0.0) for m in
-                        self.mid.lower_with_error(np.maximum(np.concatenate([b, a]), 1.0)))
+        mid = mid_err = np.zeros(2 * n)
+        if self.mid is not None:
+            # Reads from a >= reach take nothing from the table, nor its error.
+            inside = np.tile(a < self.reach, 2)
+            mid, mid_err = (np.where(inside, m, 0.0) for m in
+                            self.mid.lower_with_error(np.maximum(np.concatenate([b, a]), 1.0)))
         far, far_err = _far_field(self.far_field, self.nu, np.maximum(a, self.reach),
                                   np.maximum(b, self.reach))
         val = near + (mid[:n] - mid[n:]) + far
@@ -348,7 +348,10 @@ class DilationTable:
         and its error bound, for arrays 0 <= lo <= hi and y > 0."""
         v, e = self.integral(lo * y, hi * y)
         scale = y ** (-self.nu - 1.0)
-        return scale * v, np.abs(scale) * (e + 4.0 * _EPS * np.abs(v))
+        # The exponent -nu - 1 is rounded, which moves the scale by up to
+        # eps |nu + 1| |log y| relative.
+        rel = _EPS * (4.0 + abs(self.nu + 1.0) * np.abs(np.log(y)))
+        return scale * v, np.abs(scale) * (e + rel * np.abs(v))
 
 
 @lru_cache(maxsize=32)
@@ -430,12 +433,13 @@ def _table_values(spec: TransformSpec, f: TestFunction, ys: np.ndarray,
 
     A power piece c x^e on (lo, hi) contributes c integral_lo^hi t^nu
     phi(t y) dt, nu = b0 + e (``DilationTable.primitive``).  Served are
-    piecewise-power f, series kernels, and y > 0 whose finite error meets
-    ``_point``'s own test, max(abs_tol, rel_tol |value|).
+    piecewise-power f, kernels with a far field (every preset), and y > 0
+    whose finite error meets ``_point``'s own test, max(abs_tol, rel_tol
+    |value|).
     """
     served = np.zeros(ys.shape, dtype=bool)
     none = served, np.empty(0), np.empty(0)
-    if f.pieces is None or spec.series is None:
+    if f.pieces is None or spec.kernel.far_field is None:
         return none
     tables = [_dilation_table(spec.kernel, spec.b0 + p.exponent, config.rel_tol,
                               config.abs_tol, config.max_panels) for p in f.pieces]

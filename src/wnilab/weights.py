@@ -286,21 +286,10 @@ class TestFunction:
             return None
         return max(p.exponent for p in self.pieces if math.isinf(p.hi))
 
-    def tail_coefficient(self) -> float:
-        if self.pieces is None:
-            return 0.0
-        return sum(abs(p.coef) for p in self.pieces if math.isinf(p.hi))
-
     def moment_by_quadrature(self, mu: float, config: Optional[QuadratureConfig] = None) -> float:
-        lo, hi = self.support
-        tb = None
-        if math.isinf(hi):
-            te = self.tail_exponent()
-            if te is not None:
-                tb = (self.tail_coefficient(), te + mu)
-        val, _ = integrate(lambda x: x ** mu * self(x), (lo, hi),
+        val, _ = integrate(lambda x: x ** mu * self(x), self.support,
                            config or QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15),
-                           breakpoints=self.breakpoints, tail_bound=tb)
+                           breakpoints=self.breakpoints)
         return val
 
     def scaled(self, sigma: float) -> "TestFunction":

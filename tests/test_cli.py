@@ -320,6 +320,16 @@ def test_verify_config_errors_exit_2(tmp_path, extra):
     assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_tol_override_not_finite_positive_exits_2(tmp_path, tol, capsys):
+    # A NaN tolerance would pass every comparison as a miss: refused up front.
+    path = tmp_path / "mm.json"
+    path.write_text(json.dumps(_modelmin_config(points=2)))
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path), "--tol", tol]) == 2
+    assert "--tol" in capsys.readouterr().err
+    assert not (tmp_path / "mm_records.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["--kind", "bessel_j", "--alpha", "-2", "--x", "1.0"],
     ["--kind", "bessel_j", "--x", "-1"],

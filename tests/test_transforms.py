@@ -341,8 +341,7 @@ def test_dilation_covariance_every_preset(spec, lam):
         right = apply(spec, make(1.0), ys / lam, CFG, check=False)
         tol = left.errors + factor * right.errors + 1e-13 * np.abs(left.values)
         assert np.all(np.abs(left.values - factor * right.values) <= tol)
-    served = _table_values(spec, as_pieces(lam), ys, CFG)[0]
-    assert np.all(served) == (spec.series is not None)
+    assert np.all(_table_values(spec, as_pieces(lam), ys, CFG)[0])
 
 
 def _assert_point_route(spec, f, ys, cfg=CFG):
@@ -360,8 +359,56 @@ def test_table_right_sided_power_agrees_with_point():
     assert served.tolist() == [True, True, False]
 
 
-def test_fallback_model_min():
-    _assert_point_route(model_min(1.0), make_truncated_power(0.0, 1.0, "left"), [0.5, 3.0])
+def _model_min_exact(delta, e, lo, hi, y):
+    """model_min(delta) of x^e on (lo, hi) at y: power segments on each side
+    of x = 1/y, integral x^nu (xy)^(-delta/2) beyond it, nu = delta + e."""
+    def seg(m, a, b):  # integral_a^b x^m dx
+        if b <= a:
+            return mpmath.mpf(0)
+        if m == -1:
+            return mpmath.log(b / a)
+        return ((0 if b == mpmath.inf else b ** (m + 1)) - a ** (m + 1)) / (m + 1)
+    nu, split = delta + mpmath.mpf(e), 1 / y
+    return (seg(nu, lo, min(hi, split))
+            + y ** (-delta / 2) * seg(nu - delta / 2, max(lo, split), hi))
+
+
+@pytest.mark.parametrize("e,lo,hi", [(0.0, 0.0, 1.0), (-0.7, 0.0, 2.0),
+                                     (-2.5, 1.0, math.inf), (0.3, 0.5, 3.0)])
+def test_model_min_table_against_closed_form(e, lo, hi):
+    # The model kernel's Phi_nu is elementary: 1 below t = 1 and one drift
+    # power beyond, so every read is served within its bar.
+    f = TestFunction("power", [Piece(lo, hi, 1.0, e)], check_moments=False)
+    ys = np.geomspace(1e-3, 1e4, 15)
+    served, vals, errs = _table_values(model_min(1.0), f, ys, CFG)
+    assert np.all(served)
+    with mpmath.workdps(40):
+        for y, v, err in zip(ys, vals, errs):
+            exact = _model_min_exact(1, e, mpmath.mpf(lo), mpmath.mpf(hi), mpmath.mpf(y))
+            assert abs(mpmath.mpf(v) - exact) <= err
+
+
+def test_model_min_slowly_decaying_tail():
+    # x^-1.151 (xy)^-0.15 decays like x^-1.001: the tail-bound cutoff of the
+    # per-value route overflowed here; the drift power integrates exactly.
+    f = make_truncated_power(-1.151, 1.0, "right")
+    res = apply(model_min(0.3), f, [1.0], CFG, check=False)
+    assert res.notes == []
+    with mpmath.workdps(40):
+        exact = _model_min_exact(mpmath.mpf(0.3), -1.151, 1, mpmath.inf, 1)
+        assert abs(res.values[0] - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("e,lo,hi", [(-0.4, 2.0, math.inf), (-3.0, 0.0, 1.0)],
+                         ids=["tail", "origin"])
+def test_model_min_divergent_pieces(e, lo, hi):
+    # x^0.6 (xy)^(-1/2) is not integrable at infinity, x^-2 not at 0.
+    f = TestFunction("power", [Piece(lo, hi, 1.0, e)], check_moments=False)
+    ys = [0.5, 3.0]
+    assert not np.any(_table_values(model_min(1.0), f, np.array(ys), CFG)[0])
+    res = apply(model_min(1.0), f, ys, CFG, check=False)
+    assert np.all(np.isinf(res.values))
+    assert all(note.endswith("divergent") for note in res.notes) and len(res.notes) == 2
 
 
 def test_fallback_moment_reduced():
