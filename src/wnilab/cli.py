@@ -176,10 +176,8 @@ def _rhs_norm(cfg: ExperimentConfig, f: TestFunction) -> Tuple[float, float]:
         s_extra = cfg.transform.b0 / exps.a if not math.isinf(exps.a) else 0.0
     mu = p * (cfg.gamma + s_extra)
     if f.pieces is not None:
-        total = 0.0
-        for piece in f.pieces:
-            total += abs(piece.coef) ** p * power_moment(
-                mu + p * piece.exponent, piece.lo, piece.hi)
+        total = sum(abs(piece.coef) ** p * power_moment(mu + p * piece.exponent, piece.lo, piece.hi)
+                    for piece in f.pieces)
         return (total ** (1.0 / p), 0.0) if math.isfinite(total) else (math.inf, 0.0)
     val, err = integrate(lambda x: x ** mu * np.abs(f(x)) ** p, f.support, cfg.quadrature,
                          breakpoints=f.breakpoints)

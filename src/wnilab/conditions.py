@@ -2,23 +2,20 @@
 single-condition form, the Lorentz-space necessity condition, closed-form
 power ranges per transform, and the kernel additivity (Oinarov) diagnostic.
 
-Bracket integrals are read from one ``quadrature.CumulativeIntegral``
-table per weight expression: octave panels on [2^-50, 2^51], refined
-wherever their Kronrod error estimate misses the tolerance (kinks of
-tabulated weights off the octave grid), plus closed-form power slivers
-beyond both ends.
+Every weight is a piecewise power, so every bracket integral is exact: a
+sum of closed-form power segments (``weights.power_moment``) between the
+nodes of its weights, continued with its end exponents beyond them.
 
 Each condition states its bracket product once, as a list of factors
-(sums of weight-power x bracket-read terms, raised to a power).  The
-verdict comes from the table's end exponents: a read that integrates from
-a non-integrable end is infinite, and otherwise every read tends to 0, a
-constant, log x or x^(e+1), so the product behaves like C r^kappa
-(log r)^m at both ends and is unbounded iff kappa > 0, or kappa = 0 and
-m > 0.  A bounded product's supremum is scanned on a 60-point log r-grid,
-then zoomed in five rounds of 17 points, each spanning one spacing of the
-round before on either side of the best point so far; every round reads
-all its points in one array call, one Kronrod batch per bracket read.  A
-product constant on the grid to the brackets' tolerance reports no argmax.
+(sums of weight-power x bracket-read terms, raised to a power).  By the
+brackets' end exponents a read that integrates from a non-integrable end
+is infinite, and otherwise every read tends to 0, a constant, log x or
+x^(e+1), so the product behaves like C r^kappa (log r)^m at both ends and
+is unbounded iff kappa > 0, or kappa = 0 and m > 0.  A bounded product is
+scanned on a 60-point log r-grid, then zoomed in five rounds of 17 points
+spanning one spacing of the round before about the best point so far; a
+limit C (kappa = m = 0) above the scan is the supremum, at r = 0 or inf.
+A product constant on the grid to 1e-9 reports no argmax.
 """
 
 from __future__ import annotations
@@ -30,8 +27,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .kernels import KernelSpec
-from .quadrature import CumulativeIntegral, QuadratureConfig
-from .weights import ExponentSet, Weight, WeightExpr
+from .weights import ExponentSet, Weight, WeightExpr, power_moment
 from .transforms import TransformSpec, MissingPrimitiveBound, NoSeriesKernel
 
 ENDPOINT_TOLERANCE = 0.05  # verdicts this close to an analytic endpoint are not asserted
@@ -52,16 +48,57 @@ class EnvelopeNotStrict(Exception):
 # bracket integrals of weight expressions
 # ---------------------------------------------------------------------------
 
-# Octave edges 2^-50 (~8.9e-16) ... 2^51 (~2.3e15).
-_OCTAVE_EDGES = 2.0 ** np.arange(-50, 52, dtype=float)
+def _end_coefficient(f, at_infinity: bool) -> np.float64:
+    """k with f(x) = k x^e beyond the outermost node of f toward that end
+    (beyond x = 1 without nodes), e the end exponent of f."""
+    x = np.float64((f.nodes or (1.0,))[-1 if at_infinity else 0])
+    e = f.exponent_at_infinity if at_infinity else f.exponent_at_zero
+    return np.asarray(f(np.array([x])), dtype=float)[0] * x ** -e
 
 
-def _bracket(factors: Sequence[Tuple[Weight, float]]) -> CumulativeIntegral:
-    """Bracket integrals of a product of weight powers; the weights are
-    power-like beyond the octave edges by construction."""
-    expr = WeightExpr(factors)
-    return CumulativeIntegral(expr, _OCTAVE_EDGES,
-                              exponents=(expr.exponent_at_zero, expr.exponent_at_infinity))
+class _Bracket:
+    """integral_0^x f, or integral_x^inf f, of a product f of weight powers
+    in closed form.  f is one power on each segment between consecutive
+    nodes of its weights (the node 1 without any): the outer segments take
+    its end exponents e0 and einf, an inner one the log-ratio of f at its
+    nodes.  Full segments give prefix and suffix sums of nonnegative terms;
+    a read adds one partial segment.  A read that integrates from a
+    non-integrable end (e0 <= -1 + 1e-12, einf >= -1 - 1e-12) is inf."""
+
+    def __init__(self, factors: Sequence[Tuple[Weight, float]]):
+        self.expr = expr = WeightExpr(factors)
+        self.e0, self.einf = expr.exponent_at_zero, expr.exponent_at_infinity
+        self.diverges_at_zero = self.e0 <= -1.0 + 1e-12
+        self.diverges_at_infinity = self.einf >= -1.0 - 1e-12
+        nodes = np.asarray(expr.nodes or (1.0,))
+        # Segment j runs from edges[j] to edges[j + 1]; on it
+        # f(x) = f(c) (x/c)^exponents[j] with c = anchors[j], a node.
+        self.edges = np.concatenate([[0.0], nodes, [math.inf]])
+        self.anchors = np.concatenate([nodes[:1], nodes])
+        with np.errstate(all="ignore"):
+            log_f = sum((p * np.log(w(self.anchors)) for w, p in expr.factors),
+                        np.zeros_like(self.anchors))
+            self.scale = np.exp(log_f) * self.anchors
+            inner = np.diff(log_f[1:]) / np.diff(np.log(nodes))
+        self.exponents = np.concatenate([[self.e0], inner, [self.einf]])
+        full = self._segment(np.arange(len(self.anchors)), self.edges[:-1], self.edges[1:])
+        self.prefix = np.concatenate([[0.0], np.cumsum(full)])
+        self.suffix = np.append(np.cumsum(full[::-1])[::-1], 0.0)
+
+    def _segment(self, j: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        c = self.anchors[j]
+        with np.errstate(invalid="ignore", over="ignore"):
+            return self.scale[j] * power_moment(self.exponents[j], a / c, b / c)
+
+    def read(self, x, upper: bool = False) -> np.ndarray:
+        """integral_0^x f, or integral_x^inf f if ``upper``, at each x of an array."""
+        x = np.asarray(x, dtype=float)
+        if self.diverges_at_infinity if upper else self.diverges_at_zero:
+            return np.full(x.shape, math.inf)
+        j = np.minimum(np.searchsorted(self.edges, x, side="right") - 1, len(self.anchors) - 1)
+        if upper:
+            return self.suffix[j + 1] + self._segment(j, x, self.edges[j + 1])
+        return self.prefix[j] + self._segment(j, self.edges[j], x)
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +131,9 @@ class ConditionReport:
 # ln(1e12)/59 five rounds reach 1.4e-5 in log r.
 _ZOOM_ROUNDS = 5
 _ZOOM_POINTS = 17
-# Grid products this close (relative) are constant: the brackets' tolerance.
-_FLAT_SPREAD = QuadratureConfig().rel_tol
+# Grid products this close (relative) are constant: the tolerance of the
+# quadrature brackets the scans once read, kept so flat reports stay flat.
+_FLAT_SPREAD = 1e-9
 
 
 def _sup_scan(product: Callable[[np.ndarray], np.ndarray], label: str = "",
@@ -121,10 +159,10 @@ def _sup_scan(product: Callable[[np.ndarray], np.ndarray], label: str = "",
 
 @dataclass(frozen=True)
 class _Term:
-    """One bracket read: ``table.lower`` (or ``upper``) at r, or at 1/r when
-    ``inverted``, times ``weight ** weight_power`` at the same argument."""
+    """One bracket read at x = r, or x = 1/r when ``inverted``, times
+    ``weight ** weight_power`` at x."""
 
-    table: CumulativeIntegral
+    table: _Bracket
     upper: bool = False
     inverted: bool = False
     weight: Optional[Weight] = None
@@ -132,25 +170,32 @@ class _Term:
 
     def value(self, r: np.ndarray) -> np.ndarray:
         x = 1.0 / r if self.inverted else r
-        read = self.table.upper(x) if self.upper else self.table.lower(x)
+        read = self.table.read(x, self.upper)
         if self.weight is None:
             return read
         return np.asarray(self.weight(x), dtype=float) ** self.weight_power * read
 
-    def growth(self, r_to_inf: bool) -> Tuple[float, float]:
-        """(g, m) with the term ~ T^g (log T)^m as T -> inf, where r = T
+    def growth(self, r_to_inf: bool) -> Tuple[float, float, float]:
+        """(g, m, c) with the term ~ c T^g (log T)^m as T -> inf, where r = T
         (``r_to_inf``) or r = 1/T."""
         x_to_inf = r_to_inf != self.inverted
-        # The integrand integrated from 1 toward the end x tends to grows like T^e.
+        # Beyond the outermost node the integrand is k x^(end exponent), and
+        # integrated from 1 toward the end x tends to it grows like T^e.  The
+        # read is ~ k T^e / |e| where it integrates from that end or grows,
+        # ~ k log T where e = 0, and else ~ the whole integral.
         e = self.table.einf + 1.0 if x_to_inf else -(self.table.e0 + 1.0)
-        if self.upper == x_to_inf:  # x tends to the end the read integrates from
-            g, m = e, 0.0
+        k = _end_coefficient(self.table.expr, x_to_inf)
+        if self.upper == x_to_inf or e > EXPONENT_TOLERANCE:
+            g, m, c = e, 0.0, k / abs(e)
+        elif e >= -EXPONENT_TOLERANCE:
+            g, m, c = 0.0, 1.0, k
         else:
-            g, m = (0.0, 1.0) if abs(e) <= EXPONENT_TOLERANCE else (max(e, 0.0), 0.0)
+            g, m, c = 0.0, 0.0, self.table.prefix[-1]
         if self.weight is not None:
             g += self.weight_power * (self.weight.exponent_at_infinity if x_to_inf
                                       else -self.weight.exponent_at_zero)
-        return g, m
+            c *= _end_coefficient(self.weight, x_to_inf) ** self.weight_power
+        return g, m, c
 
 
 # A bracket product: the product over its factors (terms, power) of
@@ -166,36 +211,52 @@ def _product(factors: _Factors, r: np.ndarray) -> np.ndarray:
     for terms, power in factors:
         base = sum(term.value(r) for term in terms)
         pole |= (base == 0.0) & (power < 0.0)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0 ** -p and 0 * inf
             val = val * base ** power
     return np.where(pole, math.inf, val)
 
 
-def _diverges_toward(factors: _Factors, r_to_inf: bool) -> bool:
-    """Whether the product ~ C T^kappa (log T)^m, with r = T or 1/T, is
-    unbounded as T -> inf: kappa > 0, or kappa = 0 and m > 0."""
-    kappa = logs = 0.0
-    for terms, power in factors:
-        growths = [term.growth(r_to_inf) for term in terms]
-        g = max(gj for gj, _ in growths)
-        kappa += power * g
-        logs += power * max(m for gj, m in growths if gj >= g - EXPONENT_TOLERANCE)
-    return kappa > EXPONENT_TOLERANCE or (kappa >= -EXPONENT_TOLERANCE
-                                          and logs > EXPONENT_TOLERANCE)
+def _toward(factors: _Factors, r_to_inf: bool) -> Tuple[float, float, float]:
+    """(kappa, m, C) with the product ~ C T^kappa (log T)^m as T -> inf, r = T
+    or 1/T; each factor's base is led by its terms of largest g, then m."""
+    kappa, logs, limit = 0.0, 0.0, np.float64(1.0)
+    with np.errstate(all="ignore"):  # a limit that over- or underflows
+        for terms, power in factors:
+            growths = [term.growth(r_to_inf) for term in terms]
+            g = max(gj for gj, _, _ in growths)
+            m = max(mj for gj, mj, _ in growths if gj >= g - EXPONENT_TOLERANCE)
+            kappa += power * g
+            logs += power * m
+            limit *= sum(c for gj, mj, c in growths
+                         if gj >= g - EXPONENT_TOLERANCE and mj == m) ** power
+    return kappa, logs, float(limit)
 
 
 def _scan(factors: _Factors, label: str, n: int = 60) -> ConditionReport:
-    """The divergent report when a bracket integral diverges at the end it
-    integrates from or the product is unbounded toward r -> inf or r -> 0,
-    else the supremum scan of the product."""
+    """Divergent when a bracket diverges at the end it integrates from or the
+    product ~ C T^kappa (log T)^m is unbounded toward r -> inf or r -> 0;
+    else the supremum of the scan and of the limits C where kappa = m = 0."""
     if any(t.table.diverges_at_infinity if t.upper else t.table.diverges_at_zero
            for terms, _ in factors for t in terms):
         return ConditionReport(math.inf, math.nan, "divergent",
                                "inner-integral endpoint", [], label)
-    for site, r_to_inf, argmax in (("r->inf", True, math.inf), ("r->0", False, 0.0)):
-        if _diverges_toward(factors, r_to_inf):
-            return ConditionReport(math.inf, argmax, "divergent", site, [], label)
-    return _sup_scan(lambda r: _product(factors, r), label, n=n)
+    limits = []
+    for site, r_to_inf, r_end in (("r->inf", True, math.inf), ("r->0", False, 0.0)):
+        kappa, logs, limit = _toward(factors, r_to_inf)
+        if kappa > EXPONENT_TOLERANCE or (kappa >= -EXPONENT_TOLERANCE
+                                          and logs > EXPONENT_TOLERANCE):
+            return ConditionReport(math.inf, r_end, "divergent", site, [], label)
+        if abs(kappa) <= EXPONENT_TOLERANCE and abs(logs) <= EXPONENT_TOLERANCE:
+            limits.append((r_end, limit))
+    with np.errstate(invalid="ignore"):  # the flatness test of an infinite product
+        rep = _sup_scan(lambda r: _product(factors, r), label, n=n)
+    for r_end, limit in limits:  # a limit that beats the scan is the supremum
+        if limit - rep.sup_value > _FLAT_SPREAD * abs(rep.sup_value):
+            rep.sup_value, rep.argmax_r = limit, r_end
+    if not rep.sup_value < math.inf:  # an infinite bracket, or a zero one under a negative power
+        rep.verdict = "divergent" if rep.sup_value == math.inf else "indeterminate"
+        rep.divergence_site = "inner-integral endpoint" if rep.sup_value == math.inf else None
+    return rep
 
 
 def hardy_pair_condition(u: Weight, v: Weight, s: Weight, w: Weight,
@@ -210,13 +271,13 @@ def hardy_pair_condition(u: Weight, v: Weight, s: Weight, w: Weight,
     q, p_prime, a_prime = exps.q, exps.p_prime, exps.a_prime
     inv_a = 0.0 if math.isinf(a_prime) else 1.0 / a_prime
 
-    c_a1 = _bracket([(u, 1.0), (w, q * inv_a)])
-    c_b1 = _bracket([(v, 1.0 - p_prime), (s, p_prime * inv_a)])
+    c_a1 = _Bracket([(u, 1.0), (w, q * inv_a)])
+    c_b1 = _Bracket([(v, 1.0 - p_prime), (s, p_prime * inv_a)])
     rep1 = _scan([([_Term(c_a1, inverted=True)], 1.0 / q), ([_Term(c_b1)], 1.0 / p_prime)],
                  "hardy_condition_1", n=scan_points)
 
-    c_a2 = _bracket([(u, 1.0), (w, q * (inv_a - 0.5))])
-    c_b2 = _bracket([(v, 1.0 - p_prime), (s, p_prime * (inv_a - 0.5))])
+    c_a2 = _Bracket([(u, 1.0), (w, q * (inv_a - 0.5))])
+    c_b2 = _Bracket([(v, 1.0 - p_prime), (s, p_prime * (inv_a - 0.5))])
     rep2 = _scan([([_Term(c_a2, upper=True, inverted=True)], 1.0 / q),
                   ([_Term(c_b2, upper=True)], 1.0 / p_prime)],
                  "hardy_condition_2", n=scan_points)
@@ -237,13 +298,13 @@ def glued_condition(u: Weight, v: Weight, s: Weight, w: Weight,
 
     q, p_prime = exps.q, exps.p_prime
     # (int_0^t v^(1-p') + s(t)^(p'/2) int_t^inf v^(1-p') s^(-p'/2))^(1/p')
-    b1 = [_Term(_bracket([(v, 1.0 - p_prime)])),
-          _Term(_bracket([(v, 1.0 - p_prime), (s, -0.5 * p_prime)]), upper=True,
+    b1 = [_Term(_Bracket([(v, 1.0 - p_prime)])),
+          _Term(_Bracket([(v, 1.0 - p_prime), (s, -0.5 * p_prime)]), upper=True,
                 weight=s, weight_power=0.5 * p_prime)]
     # (w(1/t)^(q/2) int_(1/t)^inf u w^(-q/2) + int_0^(1/t) u)^(1/q)
-    b2 = [_Term(_bracket([(u, 1.0), (w, -0.5 * q)]), upper=True, inverted=True,
+    b2 = [_Term(_Bracket([(u, 1.0), (w, -0.5 * q)]), upper=True, inverted=True,
                 weight=w, weight_power=0.5 * q),
-          _Term(_bracket([(u, 1.0)]), inverted=True)]
+          _Term(_Bracket([(u, 1.0)]), inverted=True)]
     return _scan([(b1, 1.0 / p_prime), (b2, 1.0 / q)], "glued")
 
 
@@ -252,16 +313,16 @@ def special_case_222(u: Weight, v: Weight, s: Weight, w: Weight) -> ConditionRep
     integrals enter with full (not rooted) powers.  Experimental: stated in
     the rearranged setting, exposed here for plain weights as a diagnostic.
     """
-    return _scan([([_Term(_bracket([(u, 1.0), (w, 1.0)]), inverted=True)], 1.0),
-                  ([_Term(_bracket([(v, -1.0), (s, 1.0)]))], 1.0)], "special_222 (experimental)")
+    return _scan([([_Term(_Bracket([(u, 1.0), (w, 1.0)]), inverted=True)], 1.0),
+                  ([_Term(_Bracket([(v, -1.0), (s, 1.0)]))], 1.0)], "special_222 (experimental)")
 
 
 def lorentz_necessity_condition(u: Weight, v: Weight, s: Weight,
                                 exps: ExponentSet) -> ConditionReport:
     """sup_r (int_0^(1/r) u)^(1/q) (int_0^r v)^(-1/p) (int_0^r s)."""
-    return _scan([([_Term(_bracket([(u, 1.0)]), inverted=True)], 1.0 / exps.q),
-                  ([_Term(_bracket([(v, 1.0)]))], -1.0 / exps.p),
-                  ([_Term(_bracket([(s, 1.0)]))], 1.0)], "lorentz_necessity")
+    return _scan([([_Term(_Bracket([(u, 1.0)]), inverted=True)], 1.0 / exps.q),
+                  ([_Term(_Bracket([(v, 1.0)]))], -1.0 / exps.p),
+                  ([_Term(_Bracket([(s, 1.0)]))], 1.0)], "lorentz_necessity")
 
 
 # ---------------------------------------------------------------------------

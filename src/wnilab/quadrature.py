@@ -1,5 +1,5 @@
-"""Oscillation-aware adaptive integration on (0, inf) and cumulative
-integral tables.
+"""Oscillation-aware adaptive integration on (0, inf), and the cumulative
+integral table behind the [1, R] part of the transforms' dilation tables.
 
 The panel rule is the 15-point Kronrod extension of 7-point Gauss, applied
 in vectorized batches: every refinement round evaluates all dirty panels in
@@ -231,110 +231,41 @@ def _adaptive(f, lo: float, hi: float, config: QuadratureConfig,
 
 
 class CumulativeIntegral:
-    """integral_0^r f (``lower``) and integral_r^inf f (``upper``) for many r:
-    prefix and suffix sums over the panels of one refinement pass, plus one
-    Kronrod panel for the partial piece of r's panel.  Raises NonConvergence
-    when the table cannot meet its tolerance.
-
-    With ``exponents=(e0, einf)`` the edges are the initial panels as given,
-    and f continues as the power x^e0 below edges[0] and x^einf above
-    edges[-1]: closed-form slivers complete the reads (inf at a
-    non-integrable end), and reads beyond the edges integrate the power up
-    to r.  Without exponents the table covers [edges[0], edges[-1]],
-    edges[0] above the grading floor 1e-15, panelized as ``integrate`` does
-    it (inner edges as breakpoints, half-``wavelength`` cap), and reads
-    outside the edges are clipped to them.
-    """
+    """integral_(edges[0])^r f for many r: prefix sums over the panels of one
+    refinement pass on [edges[0], edges[-1]], edges[0] above 1e-15,
+    panelized as ``integrate`` does it (inner edges as breakpoints,
+    half-``wavelength`` cap), plus one Kronrod panel for the partial piece
+    of r's panel; r outside the edges is clipped to them.  Raises
+    NonConvergence when the table cannot meet its tolerance."""
 
     def __init__(self, f, edges: Sequence[float], config: Optional[QuadratureConfig] = None, *,
-                 exponents: Optional[Tuple[float, float]] = None,
                  wavelength: Optional[float] = None):
         edges = np.asarray(edges, dtype=float)
-        if exponents is None:
-            if edges[0] <= _GRADING_FLOOR:
-                raise ValueError("a table without end exponents must start above 1e-15")
-            edges = _initial_panels(float(edges[0]), float(edges[-1]), wavelength, edges[1:-1])
-        plo, phi, vals, errs, _, _, self.error = _refine(
-            f, edges, config or QuadratureConfig(), graded=False)
+        if edges[0] <= _GRADING_FLOOR:
+            raise ValueError("a cumulative table must start above 1e-15")
+        edges = _initial_panels(float(edges[0]), float(edges[-1]), wavelength, edges[1:-1])
+        plo, phi, vals, errs, *_ = _refine(f, edges, config or QuadratureConfig(), graded=False)
         self.f = f
         self.edges = np.append(plo, phi[-1])
         self.prefix = np.concatenate([[0.0], np.cumsum(vals)])
-        # Suffixes are summed from the top, so a table whose mass sits near
-        # its lower end keeps the digits of its small upper reads.
-        self.suffix = np.append(np.cumsum(vals[::-1])[::-1], 0.0)
         # Error of each prefix: its panels' Kronrod errors plus the rounding of
         # the running sum (at most eps times the partial sums' magnitudes).
         self.prefix_error = (np.concatenate([[0.0], np.cumsum(errs)])
                              + _EPS * np.cumsum(np.abs(self.prefix)))
-        self.e0, self.einf = exponents or (None, None)
-        self.diverges_at_zero = exponents is not None and self.e0 <= -1.0 + 1e-12
-        self.diverges_at_infinity = exponents is not None and self.einf >= -1.0 - 1e-12
-        self.below = self.above = 0.0
-        if exponents is not None and not self.diverges_at_zero:
-            self.below = -self._power_sliver(0, 0.0)
-        if exponents is not None and not self.diverges_at_infinity:
-            self.above = self._power_sliver(-1, math.inf)
-
-    def _partials(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """integral_a^b f and its Kronrod error where b > a (else 0), all
-        panels in one batch."""
-        part = np.zeros_like(b)
-        part_err = np.zeros_like(b)
-        open_ = b > a
-        if np.any(open_):
-            part[open_], part_err[open_], _ = _eval_panels(self.f, a[open_], b[open_])
-        return part, part_err
-
-    def _power_sliver(self, end: int, r):
-        """integral from edges[end] (0 or -1) to r of f continued beyond that
-        edge as its end power; r may be 0 or inf where that converges."""
-        x, e = float(self.edges[end]), self.einf if end else self.e0
-        fx = float(self.f(np.array([x]))[0]) * x
-        if abs(e + 1.0) <= 1e-12:
-            return fx * np.log(r / x)
-        return fx * ((r / x) ** (e + 1.0) - 1.0) / (e + 1.0)
-
-    def lower(self, r):
-        """integral_0^r f: a float for a float r, an array for an array."""
-        val = self.lower_with_error(r)[0]
-        return float(val[0]) if np.ndim(r) == 0 else val
 
     def lower_with_error(self, r) -> Tuple[np.ndarray, np.ndarray]:
-        """``lower`` at every r of an array, and an error bound for each
-        read: the prefix's error, the partial panel's Kronrod error and the
-        rounding of the final sum.  All partial panels are one Kronrod batch.
-        Beyond the edges the power continuation is exact and a read carries
-        the error of the edge read.  A float r reads as an array of one."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        if self.diverges_at_zero:
-            return np.full(r.shape, math.inf), np.full(r.shape, math.inf)
-        lo, hi = self.edges[0], self.edges[-1]
-        x = np.clip(r, lo, hi)
-        i = np.maximum(np.searchsorted(self.edges, x) - 1, 0)
-        part, part_err = self._partials(self.edges[i], x)
-        val = self.below + self.prefix[i] + part
-        if self.e0 is not None:
-            below, above = r <= lo, r > hi
-            val[below] = self.below * (r[below] / lo) ** (self.e0 + 1.0)
-            val[above] += self._power_sliver(-1, r[above])
+        """integral_(edges[0])^r f at every r of an array, and an error bound
+        for each read: the prefix's error, the partial panel's Kronrod error
+        and the rounding of the final sum.  All partial panels are one
+        Kronrod batch; a read on an edge takes none."""
+        x = np.clip(np.atleast_1d(np.asarray(r, dtype=float)), self.edges[0], self.edges[-1])
+        i = np.searchsorted(self.edges, x, side="right") - 1
+        part, part_err = np.zeros_like(x), np.zeros_like(x)
+        open_ = x > self.edges[i]
+        if np.any(open_):
+            part[open_], part_err[open_], _ = _eval_panels(self.f, self.edges[i][open_], x[open_])
+        val = self.prefix[i] + part
         return val, self.prefix_error[i] + part_err + 2.0 * _EPS * np.abs(val)
-
-    def upper(self, r):
-        """integral_r^inf f: a float for a float r, an array for an array."""
-        scalar = np.ndim(r) == 0
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        if self.diverges_at_infinity:
-            return math.inf if scalar else np.full(r.shape, math.inf)
-        lo, hi = self.edges[0], self.edges[-1]
-        x = np.clip(r, lo, hi)
-        i = np.minimum(np.maximum(np.searchsorted(self.edges, x, side="right") - 1, 0),
-                       len(self.edges) - 2)
-        val = self.above + self.suffix[i + 1] + self._partials(x, self.edges[i + 1])[0]
-        if self.einf is not None:
-            above, below = r >= hi, r < lo
-            val[above] = self.above * (r[above] / hi) ** (self.einf + 1.0)
-            val[below] -= self._power_sliver(0, r[below])
-        return float(val[0]) if scalar else val
 
 
 def integrate(f, interval: Tuple[float, float], config: Optional[QuadratureConfig] = None, *,

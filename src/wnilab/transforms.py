@@ -20,7 +20,7 @@ from .kernels import (_ASYMPTOTIC_MAX_TERMS, FarField, KernelSpec, PowerEnvelope
                       model_min_kernel, sine_kernel, struve_h_kernel)
 from .quadrature import (CumulativeIntegral, DivergentIntegral, NonConvergence,
                          QuadratureConfig, integrate)
-from .weights import TestFunction, check_admissible
+from .weights import TestFunction, check_admissible, power_moment
 
 
 class AdmissibilityError(Exception):
@@ -227,18 +227,21 @@ _SERIES_MAX_TERMS = 60
 _EPS = float(np.finfo(float).eps)
 
 
-def _power_segment(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """integral_a^b t^(m-1) dt for 0 <= a <= b, by columns of m against
-    rows of (a, b): E^m (1 - (a/b)^|m|) / |m| with E the end where t^m is
-    larger, and log(b/a) for m = 0, so neither ends' powers nor a power m
-    near 0 cancel."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_ratio = np.log(b / a)[:, None]
-        end = np.where(m > 0, b[:, None], a[:, None])
-        mag = np.abs(m)
-        seg = end ** m * -np.expm1(-mag * log_ratio) / np.where(mag > 0, mag, 1.0)
-        seg = np.where(m == 0, log_ratio, seg)
-    return np.where((b > a)[:, None], seg, 0.0)
+def _power_terms(coefs: np.ndarray, exps: np.ndarray, de: float, a: np.ndarray,
+                 b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Terms c integral_a^b x^e dx (columns of c and of monotone e against rows
+    of a, b) and each row's error bound: 4 eps sum |term|, plus up to |de|
+    (|log E| + min(1/|m|, log(b/a))) |term| from exponents rounded by |de|,
+    m = e + 1 and E the end where x^m is larger, each factor at its maximum."""
+    terms = coefs * power_moment(exps, a[:, None], b[:, None])
+    m_lo, m_hi = sorted((exps[0] + 1.0, exps[-1] + 1.0))
+    # Finite from a = 0 are only terms with m > 0 (E = b), toward inf m < 0 (E = a).
+    ends = b if m_lo > 0 else a if m_hi < 0 else np.concatenate([a, b])
+    log_end = max(abs(math.log(x)) if 0 < x < math.inf else math.inf
+                  for x in (ends.min(initial=math.inf), ends.max(initial=0.0)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steep = 1.0 / min(abs(m_lo), abs(m_hi)) if m_lo * m_hi > 0 else np.log(b / a)
+    return terms, (4.0 * _EPS + de * (log_end + steep)) * np.sum(np.abs(terms), axis=1)
 
 
 # Far-field series length: that of the kernels' asymptotic coefficients.
@@ -286,11 +289,12 @@ def _far_field(far: FarField, nu: float, a: np.ndarray,
             d = np.pad(far.drift, (0, _FAR_TERMS - len(far.drift)))
             tau = np.abs(d) * w_max ** (2.0 * np.arange(_FAR_TERMS))
             j = _smallest_term_index(tau[:-1], tau[0])
-            terms = d[:j + 2] * _power_segment(nu + far.drift_power + 1.0
-                                               - 2.0 * np.arange(j + 2), a, b)
+            k = 2.0 * np.arange(j + 2)
+            # Exponents are rounded by at most 2 eps times their summands' size.
+            terms, terms_err = _power_terms(d[:j + 2], nu + far.drift_power - k, 2.0 * _EPS
+                                            * (abs(nu) + abs(far.drift_power) + k[-1] + 1.0), a, b)
             val = val + np.sum(terms[:, :-1], axis=1)
-            err = (err + 4.0 * _EPS * np.sum(np.abs(terms[:, :-1]), axis=1)
-                   + 2.0 * np.abs(terms[:, -1]))
+            err = err + terms_err + 2.0 * np.abs(terms[:, -1])
     return val, np.where(b > a, err, 0.0)
 
 
@@ -313,8 +317,10 @@ class DilationTable:
         coefs = series.coefficients(_SERIES_MAX_TERMS)
         n = 1 + int(np.flatnonzero(np.abs(coefs) > _SERIES_CUT * abs(coefs[0]))[-1])
         self.coefs = coefs[:n]
-        # t^nu phi(t) = sum_k a_k t^(powers_k - 1).
-        self.powers = nu + series.b1 + series.step * np.arange(n) + 1.0
+        # t^nu phi(t) = sum_k a_k t^exponents_k, each rounded by <= exponent_error.
+        steps = series.step * np.arange(n)
+        self.exponents = nu + series.b1 + steps
+        self.exponent_error = 2.0 * _EPS * (abs(nu) + abs(series.b1) + abs(steps[-1]) + 1.0)
         self.nu, self.far_field = nu, kernel.far_field
         self.reach, self.mid = 1.0, None
         if kernel.oscillatory:
@@ -326,9 +332,9 @@ class DilationTable:
     def integral(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Phi(b) - Phi(a) and its error bound, for arrays 0 <= a <= b <= inf
         (inf where a drift term does not decay toward b = inf)."""
-        terms = self.coefs * _power_segment(self.powers, np.minimum(a, 1.0), np.minimum(b, 1.0))
+        terms, near_err = _power_terms(self.coefs, self.exponents, self.exponent_error,
+                                       np.minimum(a, 1.0), np.minimum(b, 1.0))
         near = np.sum(terms, axis=1)
-        near_err = 4.0 * _EPS * np.sum(np.abs(terms), axis=1)
         n = len(b)
         mid = mid_err = np.zeros(2 * n)
         if self.mid is not None:
@@ -444,7 +450,7 @@ def _table_values(spec: TransformSpec, f: TestFunction, ys: np.ndarray,
     tables = [_dilation_table(spec.kernel, spec.b0 + p.exponent, config.rel_tol,
                               config.abs_tol, config.max_panels) for p in f.pieces]
     # A piece from 0 with a non-integrable origin diverges: _point says so.
-    if any(t is None or (p.lo <= 0.0 and t.powers[0] <= 0.0)
+    if any(t is None or (p.lo <= 0.0 and t.exponents[0] <= -1.0)
            for p, t in zip(f.pieces, tables)):
         return none
     pos = ys > 0.0

@@ -23,9 +23,10 @@ from .quadrature import QuadratureConfig, integrate
 # ---------------------------------------------------------------------------
 
 class Weight:
-    """Nonnegative weight on (0, inf): a power, a piecewise power (exponent
-    switch at x = 1), or a tabulated function with log-linear interpolation
-    and power-law extrapolation fitted on the outermost decades."""
+    """Nonnegative weight on (0, inf), one power of x between consecutive
+    ``nodes`` and beyond both ends: a power, a piecewise power (node 1), or a
+    tabulated function (log-linear between its abscissae, the nodes, with
+    power-law extrapolation fitted on the outermost decades)."""
 
     def __init__(self, form: str, **params):
         self.form = form
@@ -37,6 +38,7 @@ class Weight:
                 raise ValueError("weights are nonnegative")
             self._fn = lambda x: c * np.asarray(x, dtype=float) ** e
             self._e0 = self._einf = e
+            self.nodes: Tuple[float, ...] = ()
         elif form == "piecewise_power":
             a1, a2 = float(params["a1"]), float(params["a2"])
             def fn(x, a1=a1, a2=a2):
@@ -44,6 +46,7 @@ class Weight:
                 return np.where(x <= 1.0, x ** a1, x ** a2)
             self._fn = fn
             self._e0, self._einf = a1, a2
+            self.nodes = (1.0,)
         elif form == "tabulated":
             xs = np.asarray(params["x"], dtype=float)
             ys = np.asarray(params["y"], dtype=float)
@@ -59,6 +62,7 @@ class Weight:
                 out = np.where(x > xs[-1], ys[-1] * (x / xs[-1]) ** einf, out)
                 return out
             self._fn = fn
+            self.nodes = tuple(xs.tolist())
         else:
             raise ValueError(f"unknown weight form {form!r}")
 
@@ -104,12 +108,13 @@ def _fit_slope(lx, ly, mask):
 
 
 class WeightExpr:
-    """Product of weights raised to real powers, with tracked endpoint
-    exponents.  The condition evaluators build their bracket integrands
-    from these."""
+    """Product of weights (or of expressions) raised to real powers, with
+    tracked endpoint exponents and nodes, the union of its factors' nodes.
+    The condition evaluators build their bracket integrands from these."""
 
     def __init__(self, factors: Sequence[Tuple[Weight, float]]):
         self.factors = [(w, float(p)) for w, p in factors if p != 0.0]
+        self.nodes = tuple(sorted(set().union(*(w.nodes for w, _ in self.factors))))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -179,21 +184,23 @@ class GMWitness:
             raise ValueError("witness needs C > 0 and lambda > 1")
 
 
-def power_moment(e: float, a: float, b: float) -> float:
-    """integral_a^b x^e dx, exact, with the logarithmic case e = -1.
-
-    inf when the integral diverges: at 0 for e <= -1, at infinity for
-    e >= -1."""
-    if b <= a:
-        return 0.0
-    s = e + 1.0
-    if abs(s) < 1e-14:
-        s = 0.0
-    if (a == 0.0 and s <= 0.0) or (math.isinf(b) and s >= 0.0):
-        return math.inf
-    if s == 0.0:
-        return math.log(b / a)
-    return (b ** s - a ** s) / s
+def power_moment(e, a, b):
+    """integral_a^b x^e dx (0 where b <= a) for 0 <= a, b <= inf, broadcast
+    over arrays, a float for floats: E^m (1 - (a/b)^|m|) / |m| with m = e + 1
+    and E the end where x^m is larger, log(b/a) for m = 0, so neither the
+    ends' powers nor an m near 0 cancel; inf where it diverges (|m| < 1e-14
+    counts as 0)."""
+    m = np.asarray(e, dtype=float) + 1.0
+    m = np.where(np.abs(m) < 1e-14, 0.0, m)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_ratio = np.log(b / a)
+        mag = np.abs(m)
+        seg = np.where(m > 0, b, a) ** m * -np.expm1(-mag * log_ratio) / mag
+        if (m == 0).any():
+            seg = np.where(m == 0, log_ratio, seg)
+        out = np.where(b > a, seg, 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -273,12 +280,8 @@ class TestFunction:
             val, _ = integrate(lambda x: x ** mu * np.abs(self(x)),
                                (max(a, self.support[0]), min(b, self.support[1])))
             return val
-        total = 0.0
-        for p in self.pieces:
-            lo, hi = max(a, p.lo), min(b, p.hi)
-            if hi > lo:
-                total += abs(p.coef) * power_moment(mu + p.exponent, lo, hi)
-        return total
+        return sum(abs(p.coef) * power_moment(mu + p.exponent, max(a, p.lo), min(b, p.hi))
+                   for p in self.pieces)
 
     def tail_exponent(self) -> Optional[float]:
         """Power behavior at infinity, when the support is unbounded."""

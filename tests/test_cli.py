@@ -310,6 +310,28 @@ def test_check_conditions_input_errors_exit_2(tmp_path, doc):
     assert main(["check-conditions", "--config", str(path), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("weights", [
+    # u = 1, 0, 1 at x = 0.1, 1, 10: log-linear through the zero (clamped to
+    # 1e-300), so u falls and rises like x^-300 and x^300 about x = 1 and
+    # its end slopes are as steep.  Every inner integral of u diverges at
+    # the end it integrates from.
+    {"u": {"form": "tabulated", "x": [0.1, 1.0, 10.0], "y": [1.0, 0.0, 1.0]},
+     "v": {"form": "power", "exponent": 0.5}},
+    # v = 0: v^(1 - p') is infinite, and (integral_0^r v)^(-1/p) too.
+    {"u": {"form": "power", "exponent": -0.5},
+     "v": {"form": "power", "exponent": 0.5, "coefficient": 0.0}},
+], ids=["tabulated-zero", "zero-v"])
+def test_check_conditions_weight_with_zeros(tmp_path, capsys, weights):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(_hankel_conditions_doc(weights=weights)))
+    assert main(["check-conditions", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    doc = json.loads((tmp_path / "hk_conditions.json").read_text())
+    for key in ("hardy_condition_1", "hardy_condition_2", "glued", "lorentz_necessity"):
+        assert (doc[key]["verdict"], doc[key]["divergence_site"]) == (
+            "divergent", "inner-integral endpoint")
+
+
 @pytest.mark.parametrize("extra", [
     {"quadrature": {"rel_tol": "abc"}},
     {"lhs_domain": [1.0]},

@@ -399,6 +399,25 @@ def test_model_min_slowly_decaying_tail():
         assert abs(res.values[0] - exact) <= 1e-12 * exact
 
 
+def test_model_min_near_cancelling_exponent_within_bar():
+    # x^e (xy)^(-delta/2) on (1, inf) integrates t^(m-1) with m = e + 1 +
+    # delta/2 near 0; the rounding of m moves the value by |dm|/m^2, 63
+    # times the arithmetic bar at delta = 0.3, e = -1.151 and y = 1
+    # (m = -0.001).  The scan covers delta in 0.3 ... 2.3 and m in
+    # -0.03 ... -0.001, at y = 1/2 and 2: every read within its bar of the
+    # 40-digit value.
+    cases = [(0.3, -1.151, 1.0)] + [
+        (delta, -1.0 - delta / 2.0 + m, y) for delta in np.round(np.arange(0.3, 2.31, 0.1), 10)
+        for m in (-0.001, -0.002, -0.005, -0.01, -0.015, -0.02, -0.025, -0.03) for y in (0.5, 2.0)]
+    with mpmath.workdps(40):
+        for delta, e, y in cases:
+            f = make_truncated_power(e, 1.0, "right")
+            served, vals, errs = _table_values(model_min(float(delta)), f, np.array([y]), CFG)
+            assert served[0]
+            exact = _model_min_exact(mpmath.mpf(float(delta)), e, 1, mpmath.inf, mpmath.mpf(y))
+            assert abs(mpmath.mpf(vals[0]) - exact) <= errs[0], (delta, e, y)
+
+
 @pytest.mark.parametrize("e,lo,hi", [(-0.4, 2.0, math.inf), (-3.0, 0.0, 1.0)],
                          ids=["tail", "origin"])
 def test_model_min_divergent_pieces(e, lo, hi):
