@@ -155,9 +155,7 @@ def _lhs_norm(cfg: ExperimentConfig, f: TestFunction) -> Tuple[float, float]:
         return ys ** u_exp * np.abs(vals) ** q
 
     # The norm integrand is nonnegative: no cancellation can fool the error
-    # estimator, so adaptive octave panels are reliable without a
-    # wavelength cap (which would force half-period resolution across
-    # decades that contribute nothing).
+    # estimator, so adaptive octave panels are reliable.
     outer = QuadratureConfig(rel_tol=max(cfg.quadrature.rel_tol, cfg.norm_rel_tol),
                              abs_tol=cfg.quadrature.abs_tol,
                              max_panels=cfg.quadrature.max_panels)

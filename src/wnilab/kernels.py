@@ -35,7 +35,6 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .gammafn import gamma, rgamma
 
 _CROSSOVER = 12.0
 _SERIES_STOP = 1e-18
@@ -99,7 +98,7 @@ def _bessel_j_series(alpha: float, x: np.ndarray) -> np.ndarray:
 
 
 def _struve_h_series(alpha: float, x: np.ndarray) -> np.ndarray:
-    t0 = np.longdouble(1.0 / (gamma(1.5) * gamma(alpha + 1.5)))
+    t0 = np.longdouble(1.0 / (math.gamma(1.5) * math.gamma(alpha + 1.5)))
     total = t0 * _series_sum(1.5, alpha, x)
     prefactor = np.zeros_like(x)
     pos = x > 0
@@ -166,7 +165,7 @@ def _bessel_j_asymptotic(alpha: float, x: np.ndarray) -> np.ndarray:
     omega = x - (0.5 * alpha + 0.25) * math.pi
     amp = np.sqrt(_TWO_OVER_PI / x)
     j_big = amp * (np.cos(omega) * p - np.sin(omega) * q)
-    return gamma(alpha + 1.0) * (0.5 * x) ** (-alpha) * j_big
+    return math.gamma(alpha + 1.0) * (0.5 * x) ** (-alpha) * j_big
 
 
 def _bessel_y(alpha: float, x: np.ndarray) -> np.ndarray:
@@ -200,7 +199,7 @@ def _struve_h_asymptotic(alpha: float, x: np.ndarray) -> np.ndarray:
     laplace = np.zeros_like(x)
     for s, w in zip(_LAGUERRE_NODES, _LAGUERRE_WEIGHTS):
         laplace += w * (1.0 + (s / x) ** 2) ** (alpha - 0.5)
-    lead = 2.0 * rgamma(alpha + 0.5) / (gamma(0.5) * x)
+    lead = 2.0 / math.gamma(alpha + 0.5) / (math.gamma(0.5) * x)
     return _bessel_y(alpha, x) + lead * (0.5 * x) ** alpha * laplace
 
 
@@ -273,11 +272,8 @@ class PowerEnvelope:
     b2: float
     c2: float
     exact: bool = False
-    env_constant: float = 1.0
 
     def __post_init__(self):
-        if self.env_constant <= 0:
-            raise ValueError("env_constant must be positive")
         if abs((self.b1 - self.b2) - (self.c1 - self.c2)) > 1e-12:
             raise ValueError("envelope regimes must satisfy b1 - b2 = c1 - c2")
 
@@ -341,7 +337,6 @@ class KernelSpec:
     kind: str
     envelope: PowerEnvelope
     phi: Callable[[np.ndarray], np.ndarray]
-    oscillatory: bool = True
     series: Optional[SeriesKernel] = None
     far_field: Optional[FarField] = None
     near: Optional[SeriesKernel] = None
@@ -349,9 +344,11 @@ class KernelSpec:
     def __call__(self, x, y):
         return self.phi(np.asarray(x, dtype=float) * np.asarray(y, dtype=float))
 
-    def wavelength_x(self, y: float) -> Optional[float]:
-        """Oscillation period in x at fixed y (asymptotic phase x*y)."""
-        return 2.0 * math.pi / y if self.oscillatory else None
+    @property
+    def oscillatory(self) -> bool:
+        """phi oscillates with period 2 pi in t: its far field has an
+        oscillatory part."""
+        return self.far_field is not None and bool(np.any(self.far_field.osc))
 
 
 def _pq_far_field(alpha: float, factor: complex, power: float, *drift) -> FarField:
@@ -371,7 +368,7 @@ def bessel_j_kernel(alpha: float) -> KernelSpec:
     series = SeriesKernel(0.0, 0.0, 2, 1.0,
                           lambda m: -1.0 / (4.0 * (m + 1.0) * (alpha + m + 1.0)))
     return KernelSpec("bessel_j", env, lambda t: bessel_j(alpha, t), series=series,
-                      far_field=_pq_far_field(alpha, gamma(alpha + 1.0) * 2.0 ** alpha,
+                      far_field=_pq_far_field(alpha, math.gamma(alpha + 1.0) * 2.0 ** alpha,
                                               -alpha - 0.5))
 
 
@@ -384,7 +381,7 @@ def struve_h_kernel(alpha: float) -> KernelSpec:
                             exact=(alpha > 0.5))
     else:
         env = PowerEnvelope(alpha + 1.0, alpha + 1.0, -0.5, -0.5)
-    a0 = 2.0 ** -(alpha + 1.0) / (gamma(1.5) * gamma(alpha + 1.5))
+    a0 = 2.0 ** -(alpha + 1.0) / (math.gamma(1.5) * math.gamma(alpha + 1.5))
     series = SeriesKernel(alpha + 1.0, alpha + 1.0, 2, a0,
                           lambda m: -1.0 / (4.0 * (m + 1.5) * (m + alpha + 1.5)))
     # H_a - Y_a ~ G(1/2) / (pi G(a + 1/2)) (t/2)^(a-1) sum_m d_m (t/2)^-2m,
@@ -392,7 +389,7 @@ def struve_h_kernel(alpha: float) -> KernelSpec:
     # zero from the first zero factor on (half-odd-integer orders).
     k = np.arange(_ASYMPTOTIC_MAX_TERMS)
     d = np.cumprod(np.concatenate([[1.0], (k + 0.5) * (alpha - 0.5 - k)]))
-    lead = gamma(0.5) * rgamma(alpha + 0.5) / math.pi * 2.0 ** (1.0 - alpha)
+    lead = math.gamma(0.5) / math.gamma(alpha + 0.5) / math.pi * 2.0 ** (1.0 - alpha)
     drift = tuple(lead * 4.0 ** np.arange(len(d)) * d)
     far = _pq_far_field(alpha, -1j, -0.5, alpha - 1.0, drift)
     return KernelSpec("struve_h", env, lambda t: struve_h(alpha, t), series=series,
@@ -430,7 +427,7 @@ def model_min_kernel(delta: float) -> KernelSpec:
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore"):
             return np.where(t <= 1.0, 1.0, t ** (-0.5 * delta))
-    return KernelSpec("model_min", env, phi, oscillatory=False,
+    return KernelSpec("model_min", env, phi,
                       far_field=FarField(1.0, 0.0, np.zeros(1), -0.5 * delta, (1.0,)),
                       near=SeriesKernel(0.0, 0.0, 1, 1.0, lambda m: 0.0))
 

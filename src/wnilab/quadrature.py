@@ -1,5 +1,6 @@
-"""Oscillation-aware adaptive integration on (0, inf), and the cumulative
-integral table behind the [1, R] part of the transforms' dilation tables.
+"""Adaptive integration on (0, inf), and the cumulative integral table
+behind the [1, R] part of the transforms' dilation tables, whose panels
+never exceed half the integrand's oscillation period.
 
 The panel rule is the 15-point Kronrod extension of 7-point Gauss, applied
 in vectorized batches: every refinement round evaluates all dirty panels in
@@ -223,8 +224,8 @@ def _refine(f, edges: np.ndarray, config: QuadratureConfig, graded: bool):
 
 
 def _adaptive(f, lo: float, hi: float, config: QuadratureConfig,
-              wavelength: Optional[float], breakpoints: Sequence[float]):
-    edges = _initial_panels(lo, hi, wavelength, breakpoints)
+              breakpoints: Sequence[float]):
+    edges = _initial_panels(lo, hi, None, breakpoints)
     graded = lo <= _GRADING_FLOOR and hi > 4.0 * _GRADING_FLOOR
     *_, total, tail_val, err = _refine(f, edges, config, graded)
     return total + tail_val, err
@@ -269,12 +270,9 @@ class CumulativeIntegral:
 
 
 def integrate(f, interval: Tuple[float, float], config: Optional[QuadratureConfig] = None, *,
-              wavelength: Optional[float] = None,
               breakpoints: Sequence[float] = ()) -> Tuple[float, float]:
     """Integrate f over (lo, hi), hi possibly infinite.
 
-    wavelength       -- oscillation period of the integrand; panels never
-                        exceed half of it.
     breakpoints      -- interior points with kinks or jumps.
 
     Returns (value, error_estimate).  Raises NonConvergence when the panel
@@ -286,24 +284,22 @@ def integrate(f, interval: Tuple[float, float], config: Optional[QuadratureConfi
     if lo < 0:
         raise ValueError("domain must lie in [0, inf)")
     if math.isinf(hi):
-        return _integrate_decades(f, lo, config, wavelength, breakpoints)
+        return _integrate_decades(f, lo, config, breakpoints)
     if hi <= lo:
         return 0.0, 0.0
-    return _adaptive(f, lo, hi, config, wavelength, breakpoints)
+    return _adaptive(f, lo, hi, config, breakpoints)
 
 
-def _integrate_decades(f, lo: float, config: QuadratureConfig,
-                       wavelength: Optional[float], breakpoints: Sequence[float]):
+def _integrate_decades(f, lo: float, config: QuadratureConfig, breakpoints: Sequence[float]):
     """Extend the domain a decade at a time until the increments are
     negligible; declare divergence on sustained factor-1.5 growth.
 
     Before fully integrating a decade, its contribution is bounded with a
-    coarse sample; negligible decades are skipped so oscillation-capped
-    panel counts stay affordable on far-out tails.
+    coarse sample; negligible decades are skipped.
     """
     left = lo
     right = max(10.0 * max(lo, 1e-2), 1.0)
-    acc, err = _adaptive(f, left, right, config, wavelength, breakpoints)
+    acc, err = _adaptive(f, left, right, config, breakpoints)
     partials = [abs(acc)]
     growth_streak = 0
     quiet = 0
@@ -318,11 +314,7 @@ def _integrate_decades(f, lo: float, config: QuadratureConfig,
             if quiet >= 2:
                 return acc, err
             continue
-        if wavelength is not None and (nxt - right) / (0.5 * wavelength) > config.max_panels:
-            raise NonConvergence(acc, err + probe,
-                                 "oscillatory decade exceeds panel budget")
-        inc, ie = _adaptive(f, right, nxt, config, wavelength,
-                            [b for b in breakpoints if right < b < nxt])
+        inc, ie = _adaptive(f, right, nxt, config, [b for b in breakpoints if right < b < nxt])
         acc += inc
         err += ie
         right = nxt

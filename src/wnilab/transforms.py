@@ -2,7 +2,9 @@
 F f(y) = y^c0 * integral x^b0 f(x) K(x,y) dx for the named transforms
 (Hankel, Struve, sine, cosine, model min-kernel), plus the two pointwise
 upper bounds, the moment-reduced transform for series kernels and the
-kernel primitives, read from the transform values' cached Phi_nu tables.
+kernel primitives.  Every kernel is phi(xy), so every value is a read of
+a cached Phi_nu table (``DilationTable``): a power piece c x^e on (lo, hi)
+gives y^(c0 - nu - 1) c [Phi_nu(hi y) - Phi_nu(lo y)], nu = b0 + e.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ import numpy as np
 from .kernels import (_ASYMPTOTIC_MAX_TERMS, FarField, KernelSpec, PowerEnvelope,
                       SeriesKernel, _smallest_term_index, bessel_j_kernel, cosine_kernel,
                       model_min_kernel, sine_kernel, struve_h_kernel)
-from .quadrature import (CumulativeIntegral, DivergentIntegral, NonConvergence,
-                         QuadratureConfig, integrate)
+from .quadrature import CumulativeIntegral, NonConvergence, QuadratureConfig
 from .weights import TestFunction, check_admissible, power_moment
 
 
@@ -145,77 +146,6 @@ class TransformResult:
     notes: List[str] = field(default_factory=list)
 
 
-def _point(spec: TransformSpec, f: TestFunction, y: float,
-           config: QuadratureConfig):
-    """One transform value.
-
-    The integral splits at x = 1/y.  The head (xy <= 1) is smooth and
-    integrated directly.  The region beyond uses half-wavelength panels on
-    an oscillatory kernel.  When its span would exceed the panel budget,
-    power pieces on kernels with a far field take panels for the first
-    _DIRECT_HALF_PERIODS half-periods and ``_far_field`` beyond; other f
-    report zero with the kernel-envelope mass as the error bound (such
-    regions arise only where the transform has already decayed to numerical
-    irrelevance).  A tail that does not decay is NonConvergence.  The error
-    adds eps times the magnitudes of the parts summed.
-    """
-    kfn = spec.kernel.phi
-    env = spec.kernel.envelope
-    b_out, c_out = spec.b0, spec.c0
-    lo, hi = f.support
-    lo = max(lo, 0.0)
-
-    def integrand(x):
-        return x ** b_out * f(x) * kfn(x * y)
-
-    wavelength = spec.kernel.wavelength_x(y)
-    half = 0.5 * wavelength if wavelength else None
-    split = 1.0 / y
-    parts = []
-
-    head_hi = min(hi, split)
-    if head_hi > lo:
-        parts.append(integrate(integrand, (lo, head_hi), config,
-                               breakpoints=[b for b in f.breakpoints if lo < b < head_hi]))
-
-    lo2 = max(lo, split)
-    if hi > lo2:
-        bps = sorted(b for b in f.breakpoints if lo2 < b < hi)
-        if half is None or hi - lo2 <= 0.45 * config.max_panels * half:
-            parts.append(integrate(integrand, (lo2, hi), config,
-                                   wavelength=wavelength, breakpoints=bps))
-        elif f.pieces is not None and spec.kernel.far_field is not None:
-            xstar = lo2 + _DIRECT_HALF_PERIODS * half
-            parts.append(integrate(integrand, (lo2, xstar), config, wavelength=wavelength,
-                                   breakpoints=[b for b in bps if b < xstar]))
-            for p in f.pieces:
-                a, b = max(p.lo, xstar), p.hi
-                if b > a:
-                    nu = b_out + p.exponent
-                    v, e = _far_field(spec.kernel.far_field, nu, np.array([a * y]),
-                                      np.array([b * y]))
-                    scale = p.coef * y ** (-nu - 1.0)
-                    parts.append((scale * float(v[0]), abs(scale) * float(e[0])))
-        else:
-            # Oscillation count outruns the budget: the value is below the
-            # envelope mass, which goes into the error bound.
-            te = f.tail_exponent()  # None for bounded supports
-            decays = not math.isinf(hi) or (te is not None and b_out + te + env.b2 < -1.0)
-            mass = f.abs_weighted_integral(b_out + env.b2, lo2, hi) if decays else math.inf
-            parts.append((0.0, env.env_constant * y ** env.c2 * mass))
-    scale = y ** c_out
-    val = sum(v for v, _ in parts)
-    err = sum(e for _, e in parts) + _EPS * sum(abs(v) for v, _ in parts)
-    if not math.isfinite(val + err):
-        # An envelope or a far-field drift term that does not decay.
-        raise NonConvergence(sum(v for v, _ in parts if math.isfinite(v)) * scale, math.inf,
-                             "oscillatory tail exceeds panel budget")
-    return scale * val, scale * err
-
-
-_DIRECT_HALF_PERIODS = 96
-
-
 # ---------------------------------------------------------------------------
 # dilation tables
 # ---------------------------------------------------------------------------
@@ -261,12 +191,14 @@ def _far_field(far: FarField, nu: float, a: np.ndarray,
     toward b = inf).  Each series is cut at its smallest term at min(a),
     which bounds it at every larger argument; twice the first omitted term
     bounds the truncation, eps times the summed terms' magnitudes the
-    rounding.
+    rounding.  An end t = x y is itself rounded by up to eps t, which moves
+    the integral by up to eps t |t^nu phi(t)|: the bound adds that too.
     """
     if not np.any(b > a):
         return np.zeros(a.shape), np.zeros(a.shape)
     m0 = nu + far.osc_power
     e = np.pad(far.osc.astype(complex), (0, _FAR_TERMS - len(far.osc)))
+    osc_abs = np.abs(e)
     for n in range(1, _FAR_TERMS):
         e[n] += 1j * (m0 - n + 1.0) * e[n - 1]
     w_max = 1.0 / float(np.min(a))
@@ -280,7 +212,8 @@ def _far_field(far: FarField, nu: float, a: np.ndarray,
                             * np.polyval(e[n::-1], w))
         trunc = 2.0 * abs(e[n + 1]) * w ** (n + 1)
         rounding = 4.0 * _EPS * np.polyval(np.abs(e[n::-1]), w)
-        return np.where(w > 0, osc, 0.0), amp * (trunc + rounding)
+        moved = _EPS * np.where(w > 0, t, 0.0) * np.polyval(osc_abs[n::-1], w)
+        return np.where(w > 0, osc, 0.0), amp * (trunc + rounding + moved)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         (val, err), (vb, eb) = tail(a), tail(b)
@@ -295,6 +228,11 @@ def _far_field(far: FarField, nu: float, a: np.ndarray,
                                             * (abs(nu) + abs(far.drift_power) + k[-1] + 1.0), a, b)
             val = val + np.sum(terms[:, :-1], axis=1)
             err = err + terms_err + 2.0 * np.abs(terms[:, -1])
+            for t in (a, b):
+                fin = t < math.inf
+                s = np.where(fin, t, 1.0)[:, None]
+                moved = np.sum(np.abs(d[:j + 2]) * s ** (nu + far.drift_power + 1.0 - k), axis=1)
+                err = err + np.where(fin, _EPS * moved, 0.0)
     return val, np.where(b > a, err, 0.0)
 
 
@@ -304,12 +242,14 @@ class DilationTable:
 
     On t <= 1 the kernel's series (or its near series) is integrated term by
     term in closed form.  For an oscillatory kernel one cumulative table
-    with half-period panels holds the integral on [1, reach]; reach = 1 +
-    0.45 max_panels pi is the span of the direct-panel route of ``_point``,
-    so the table costs no more panels than one such value.  A kernel that
-    does not oscillate has reach 1 and no such table.  Beyond the reach,
-    ``_far_field`` integrates the kernel's large-argument form.  Raises
-    NonConvergence when the table cannot meet the config's tolerance.
+    with half-period panels (the half period of phi is pi) holds the
+    integral on [1, reach]; reach = 1 + 0.45 max_panels pi is a panel
+    budget, not a property of the kernel: 0.45 max_panels initial panels,
+    the rest of max_panels left to refinement.  A kernel that does not
+    oscillate has reach 1 and no such table.  Beyond the
+    reach, ``_far_field`` integrates the kernel's large-argument form.
+    Raises NonConvergence when the table cannot meet the config's
+    tolerance.
     """
 
     def __init__(self, kernel: KernelSpec, nu: float, config: QuadratureConfig):
@@ -324,10 +264,9 @@ class DilationTable:
         self.nu, self.far_field = nu, kernel.far_field
         self.reach, self.mid = 1.0, None
         if kernel.oscillatory:
-            half = 0.5 * kernel.wavelength_x(1.0)
-            self.reach = 1.0 + 0.45 * config.max_panels * half
+            self.reach = 1.0 + 0.45 * config.max_panels * math.pi
             self.mid = CumulativeIntegral(lambda t: t ** nu * kernel.phi(t),
-                                          [1.0, self.reach], config, wavelength=2.0 * half)
+                                          [1.0, self.reach], config, wavelength=2.0 * math.pi)
 
     def integral(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Phi(b) - Phi(a) and its error bound, for arrays 0 <= a <= b <= inf
@@ -372,6 +311,15 @@ def _dilation_table(kernel: KernelSpec, nu: float, rel_tol: float, abs_tol: floa
         return None
 
 
+def _table(kernel: KernelSpec, nu: float, config: QuadratureConfig) -> DilationTable:
+    """The cached table of (kernel, nu) at the config's tolerances.  Raises
+    NonConvergence when it cannot be built within them."""
+    table = _dilation_table(kernel, nu, config.rel_tol, config.abs_tol, config.max_panels)
+    if table is None:
+        raise NonConvergence(math.nan, math.inf, f"no Phi_nu table for nu = {nu:g}")
+    return table
+
+
 def _primitive(kernel: KernelSpec, nu: float, x, y,
                config: Optional[QuadratureConfig]) -> Tuple[np.ndarray, np.ndarray]:
     """integral_0^x t^nu phi(t y) dt and its error bound, for x, y > 0
@@ -380,10 +328,7 @@ def _primitive(kernel: KernelSpec, nu: float, x, y,
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     if not (np.all(x > 0.0) and np.all(y > 0.0)):
         raise ValueError("x and y must be positive")
-    config = config or QuadratureConfig()
-    table = _dilation_table(kernel, nu, config.rel_tol, config.abs_tol, config.max_panels)
-    if table is None:
-        raise NonConvergence(math.nan, math.inf, f"no Phi_nu table for nu = {nu:g}")
+    table = _table(kernel, nu, config or QuadratureConfig())
     val, err = table.primitive(np.zeros(x.size), x.ravel(), y.ravel())
     return val.reshape(x.shape), err.reshape(x.shape)
 
@@ -433,53 +378,44 @@ def bessel_primitive_bound(alpha: float, nu: float, y: float,
 
 
 def _table_values(spec: TransformSpec, f: TestFunction, ys: np.ndarray,
-                  config: QuadratureConfig):
-    """F f at the ys the dilation tables serve: (mask of those ys, values,
-    errors).
-
-    A power piece c x^e on (lo, hi) contributes c integral_lo^hi t^nu
-    phi(t y) dt, nu = b0 + e (``DilationTable.primitive``).  Served are
-    piecewise-power f, kernels with a far field (every preset), and y > 0
-    whose finite error meets ``_point``'s own test, max(abs_tol, rel_tol
-    |value|).
-    """
-    served = np.zeros(ys.shape, dtype=bool)
-    none = served, np.empty(0), np.empty(0)
-    if f.pieces is None or spec.kernel.far_field is None:
-        return none
-    tables = [_dilation_table(spec.kernel, spec.b0 + p.exponent, config.rel_tol,
-                              config.abs_tol, config.max_panels) for p in f.pieces]
-    # A piece from 0 with a non-integrable origin diverges: _point says so.
-    if any(t is None or (p.lo <= 0.0 and t.exponents[0] <= -1.0)
-           for p, t in zip(f.pieces, tables)):
-        return none
-    pos = ys > 0.0
-    y = ys[pos]
-    val = np.zeros_like(y)
-    err = np.zeros_like(y)
+                  config: QuadratureConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """F f and its error bound at every y > 0 of an array: a power piece
+    c x^e on (lo, hi) contributes c integral_lo^hi t^nu phi(t y) dt,
+    nu = b0 + e (``DilationTable.primitive``).  A read is not finite where
+    the integral diverges (a piece from 0 with t^nu phi(t) not integrable
+    there, or a drift that does not decay toward infinity)."""
+    tables = [_table(spec.kernel, spec.b0 + p.exponent, config) for p in f.pieces]
+    val = np.zeros_like(ys)
+    err = np.zeros_like(ys)
     with np.errstate(over="ignore", invalid="ignore"):
         for p, t in zip(f.pieces, tables):
-            v, e = t.primitive(max(p.lo, 0.0), p.hi, y)
+            v, e = t.primitive(max(p.lo, 0.0), p.hi, ys)
             val += p.coef * v
             err += abs(p.coef) * e
-        ok = np.isfinite(err) & (err <= np.maximum(config.abs_tol, config.rel_tol * np.abs(val)))
-        served[pos] = ok
-        scale = y[ok] ** spec.c0
-    return served, scale * val[ok], scale * err[ok]
+        scale = ys ** spec.c0
+        return scale * val, scale * err
 
 
 def apply(spec: TransformSpec, f: TestFunction, y_grid: Sequence[float],
           config: Optional[QuadratureConfig] = None, *,
           check: bool = True, admissibility_mode: str = "pointwise") -> TransformResult:
-    """Evaluate F f on a grid of y values.
+    """Evaluate F f on a grid of y > 0, for a piecewise-power f and a kernel
+    with a far field (every preset), in one vectorized pass over the
+    dilation tables (``_table_values``).
 
-    Values the dilation tables serve (``_table_values``) are read from them
-    in one vectorized pass; every other y takes ``_point``.
+    A value whose error misses max(abs_tol, rel_tol |value|) gets a note:
+    ``divergent`` (value and error inf) where the read is not finite,
+    ``nonconvergent`` otherwise, keeping the read and its error.  Raises
+    NonConvergence when a table cannot be built within the tolerances.
 
     check=True enforces the integrability precondition (pointwise mode by
     default; pass admissibility_mode='gm' for transforms consumed under the
     general-monotone estimates).
     """
+    if f.pieces is None:
+        raise ValueError(f"{f.family}: transforms need a piecewise-power test function")
+    if spec.kernel.far_field is None:
+        raise ValueError(f"{spec.name}: transforms need a kernel with a far field")
     config = config or QuadratureConfig()
     if check:
         report = check_admissible(f, spec, admissibility_mode)
@@ -488,22 +424,18 @@ def apply(spec: TransformSpec, f: TestFunction, y_grid: Sequence[float],
                 f"{f.family} is not admissible for {spec.name}: "
                 f"near-origin integral {report.near_origin}, tail {report.tail}")
     ys = np.asarray(list(y_grid), dtype=float)
-    vals = np.empty_like(ys)
-    errs = np.empty_like(ys)
+    if not np.all((ys > 0.0) & (ys < math.inf)):
+        raise ValueError("transform values are defined for 0 < y < inf")
+    vals, errs = _table_values(spec, f, ys, config)
+    with np.errstate(invalid="ignore"):
+        ok = np.isfinite(errs) & (errs <= np.maximum(config.abs_tol, config.rel_tol * np.abs(vals)))
     notes: List[str] = []
-    served, table_vals, table_errs = _table_values(spec, f, ys, config)
-    vals[served] = table_vals
-    errs[served] = table_errs
-    for i in np.flatnonzero(~served):
-        y = ys[i]
-        try:
-            vals[i], errs[i] = _point(spec, f, float(y), config)
-        except NonConvergence as exc:
-            vals[i], errs[i] = exc.value, exc.error
-            notes.append(f"y={y:g}: nonconvergent ({exc.error:.2g})")
-        except DivergentIntegral:
-            vals[i], errs[i] = math.inf, math.inf
-            notes.append(f"y={y:g}: divergent")
+    for i in np.flatnonzero(~ok):
+        if np.isfinite(vals[i]):
+            notes.append(f"y={ys[i]:g}: nonconvergent ({errs[i]:.2g})")
+        else:
+            vals[i] = errs[i] = math.inf
+            notes.append(f"y={ys[i]:g}: divergent")
     return TransformResult(ys, vals, errs, notes)
 
 
@@ -597,29 +529,35 @@ def moment_reduced_kernel(spec: TransformSpec, ell: int) -> KernelSpec:
         raise ValueError("ell must be >= 1")
     k = series.step
     env = PowerEnvelope(k * ell, k * ell, k * (ell - 1), k * (ell - 1))
-    # The partial sum subtracted beyond t = 1 is a polynomial drift, so the
-    # reduced kernel is never drift-free.
     return KernelSpec(f"{spec.kernel.kind}_reduced_{ell}", env,
-                      reduced_kernel_eval(series, ell, spec.kernel.phi),
-                      oscillatory=spec.kernel.oscillatory)
+                      reduced_kernel_eval(series, ell, spec.kernel.phi))
 
 
 def moment_reduced_apply(spec: TransformSpec, f: TestFunction, ell: int,
                          y_grid: Sequence[float],
                          config: Optional[QuadratureConfig] = None,
                          moment_tol: float = 1e-10) -> TransformResult:
-    """Evaluate F f through the reduced kernel, valid when the moments of
-    orders b0 + b1 + j*k (j < ell) vanish.  Agrees with apply() within the
-    combined quadrature error when the precondition holds."""
-    kernel = moment_reduced_kernel(spec, ell)
+    """F f through the reduced kernel G_ell(t) = t^(-b1) phi(t) -
+    sum_(m<ell) a_m t^(k m), valid when the moments M_mu(f) of orders
+    mu = b0 + b1 + m k (m < ell) vanish.  Every series kernel has c1 = b1,
+    so y^(c0+c1) integral x^(b0+b1) f(x) G_ell(xy) dx is ``apply`` minus
+    the terms a_m y^(c0+c1+k m) M_mu(f), in closed form; the error adds eps
+    times each term's magnitude."""
     series = spec.series
-    for j in range(ell):
-        mu = spec.b0 + series.b1 + j * series.step
-        moment = (f.moment(mu) if f.pieces is not None
-                  else f.moment_by_quadrature(mu))
+    if series is None:
+        raise NoSeriesKernel(spec.name)
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    orders = spec.b0 + series.b1 + series.step * np.arange(ell)
+    moments = [f.moment(mu) for mu in orders]
+    for mu, moment in zip(orders, moments):
         if abs(moment) > moment_tol:
             raise MomentsNotVanished(
                 f"moment of order {mu:g} is {moment:.3e} (tolerance {moment_tol:g})")
-    reduced = TransformSpec(f"{spec.name}_reduced_{ell}", spec.b0 + series.b1,
-                            spec.c0 + series.c1, kernel)
-    return apply(reduced, f, y_grid, config, check=False)
+    res = apply(spec, f, y_grid, config, check=False)
+    ys = res.y_grid
+    for m, (a, moment) in enumerate(zip(series.coefficients(ell), moments)):
+        term = a * ys ** (spec.c0 + series.c1 + series.step * m) * moment
+        res.values -= term
+        res.errors += _EPS * np.abs(term)
+    return res

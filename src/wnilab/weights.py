@@ -283,12 +283,6 @@ class TestFunction:
         return sum(abs(p.coef) * power_moment(mu + p.exponent, max(a, p.lo), min(b, p.hi))
                    for p in self.pieces)
 
-    def tail_exponent(self) -> Optional[float]:
-        """Power behavior at infinity, when the support is unbounded."""
-        if self.pieces is None or not math.isinf(self.support[1]):
-            return None
-        return max(p.exponent for p in self.pieces if math.isinf(p.hi))
-
     def moment_by_quadrature(self, mu: float, config: Optional[QuadratureConfig] = None) -> float:
         val, _ = integrate(lambda x: x ** mu * self(x), self.support,
                            config or QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15),

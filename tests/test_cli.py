@@ -10,6 +10,7 @@ import pytest
 from wnilab.cli import (ConfigError, ExperimentConfig, FitDegenerate, RatioRecord,
                         compute_ratio_records, fit_growth, main, run_conditions,
                         verify_summary)
+from wnilab import transforms
 from wnilab.kernels import KERNELS
 from wnilab.transforms import _PRESETS
 
@@ -59,6 +60,14 @@ def test_modelmin_ratio_constant_on_relation():
     summary = verify_summary(cfg, records)
     assert summary["bounded"] is True
     assert summary["unbounded_trend"] is False
+
+
+def test_table_that_cannot_be_built_is_a_nonconvergent_record(monkeypatch):
+    # A Phi_nu table that misses its tolerance raises NonConvergence inside
+    # the outer norm: the record says so instead of the command failing.
+    monkeypatch.setattr(transforms, "_dilation_table", lambda *args: None)
+    records = compute_ratio_records(ExperimentConfig.from_dict(_modelmin_config(points=2)))
+    assert [r.note for r in records] == ["nonconvergent"] * 2
 
 
 def test_modelmin_ratio_grows_off_relation():

@@ -218,20 +218,14 @@ def test_struve_primitive_far_field_against_mpmath(alpha):
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
 def test_struve_primitive_criterion_3_grid_against_mpmath(alpha):
     # Every read of the criterion-3 grid (nu = alpha + 1) against the closed
-    # form, within its error bar plus the error of the Struve series'
-    # leading coefficient 2^-(a+1) / (G(3/2) G(a+3/2)), which carries the
-    # Lanczos gamma error into the reads below x y = 1 (1.6e-15 relative at
-    # a = 1) and which the bar leaves out, like every kernel error.
+    # form, within its error bar.
     cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13)
-    with mpmath.workdps(30):
-        a0 = mpmath.mpf(2) ** -(alpha + 1) / (mpmath.gamma(1.5) * mpmath.gamma(alpha + 1.5))
-        a0_err = float(abs(struve_h_kernel(alpha).series.a0 / a0 - 1))
     grid = np.geomspace(0.2, 20.0, 12)
     for x in grid:
         for y in grid:
             val, err = struve_primitive(alpha, alpha + 1.0, y, x, cfg)
             exact = _mp_struve_primitive_closed_form(alpha, y, x)
-            assert abs(val - exact) <= err + a0_err * abs(val), (x, y)
+            assert abs(val - exact) <= err, (x, y)
 
 
 def test_struve_primitive_small_x_order():
@@ -286,8 +280,6 @@ def test_envelope_constant_stability_under_refinement():
 def test_envelope_invariants():
     with pytest.raises(ValueError):
         PowerEnvelope(1.0, 1.0, 0.0, 0.5)  # b1-b2 != c1-c2
-    with pytest.raises(ValueError):
-        PowerEnvelope(1.0, 1.0, 0.0, 0.0, env_constant=0.0)
     assert PowerEnvelope(1.0, 1.0, 0.0, 0.0).strict
     assert not PowerEnvelope(0.0, 0.0, 0.0, 0.0).strict
     assert cosine_kernel().envelope.strict is False

@@ -26,15 +26,20 @@ def test_trivial_closed_forms():
 
 def test_sine_antiderivative_oracle():
     # int_0^r sin(x y) dx = (1 - cos(r y)) / y, frozen at (r, y) = (3, 2).
-    val, _ = integrate(lambda x: np.sin(2.0 * x), (0.0, 3.0), wavelength=math.pi)
+    val, _ = integrate(lambda x: np.sin(2.0 * x), (0.0, 3.0))
     assert val == pytest.approx((1.0 - math.cos(6.0)) / 2.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("n,tol", [(10, 1e-14), (100, 1e-13), (10000, 1e-9)])
 def test_oscillatory_cancellation(n, tol):
+    # sin over n whole periods: the table's panels never exceed half a
+    # period, and the read, whose exact value is 0, lies within its bar.
     cfg = QuadratureConfig(abs_tol=tol, max_panels=50000)
-    val, err = integrate(np.sin, (0.0, 2.0 * math.pi * n), cfg, wavelength=2.0 * math.pi)
-    assert abs(val) <= tol
+    period = 2.0 * math.pi
+    table = CumulativeIntegral(np.sin, [period, period * (n + 1)], cfg, wavelength=period)
+    assert np.max(np.diff(table.edges)) <= 0.5 * period * (1.0 + 1e-12)
+    val, err = table.lower_with_error(table.edges[-1])
+    assert abs(val[0]) <= err[0]
 
 
 def test_integrable_endpoint_singularities():
@@ -61,10 +66,8 @@ def test_refinement_consistency():
     # Halving rel_tol never moves a converged value by more than the
     # previous error estimate.
     f = lambda x: np.sin(3.0 * x) * x ** -0.3
-    v1, e1 = integrate(f, (0.0, 10.0), QuadratureConfig(rel_tol=1e-6),
-                       wavelength=2.0 * math.pi / 3.0)
-    v2, _ = integrate(f, (0.0, 10.0), QuadratureConfig(rel_tol=5e-7),
-                      wavelength=2.0 * math.pi / 3.0)
+    v1, e1 = integrate(f, (0.0, 10.0), QuadratureConfig(rel_tol=1e-6))
+    v2, _ = integrate(f, (0.0, 10.0), QuadratureConfig(rel_tol=5e-7))
     assert abs(v2 - v1) <= max(e1, 1e-14)
 
 
@@ -126,7 +129,7 @@ def test_table_reads_match_integrate():
     rs = np.concatenate([xs, [0.37, 5.5, 19.9]])
     reads, read_errs = table.lower_with_error(rs)
     for x, read, read_err in zip(rs, reads, read_errs):
-        val, err = integrate(f, (0.1, x), wavelength=math.pi)
+        val, err = integrate(f, (0.1, x))
         assert abs(read - val) <= read_err + err
 
 

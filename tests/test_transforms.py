@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wnilab.kernels import check_envelope, fit_env_constant, struve_h
-from wnilab.quadrature import NonConvergence, QuadratureConfig, integrate
-from wnilab.transforms import (_DIRECT_HALF_PERIODS, AdmissibilityError,
-                               MissingPrimitiveBound, MomentsNotVanished, NoSeriesKernel,
-                               TransformSpec, _dilation_table, _point, _table_values, apply, cosine,
+from wnilab.quadrature import NonConvergence, QuadratureConfig
+from wnilab.transforms import (AdmissibilityError, MissingPrimitiveBound, MomentsNotVanished,
+                               NoSeriesKernel, TransformSpec, _dilation_table, apply, cosine,
                                hankel, model_min, moment_reduced_apply,
                                moment_reduced_kernel, pointwise_bound, preset,
                                scripth, sine)
@@ -176,11 +175,38 @@ def test_moment_reduced_sine_envelope():
 
 def test_reduced_kernel_has_no_far_field():
     # Beyond t = 1 the reduced kernel is phi minus a polynomial, which the
-    # large-argument form of phi does not describe: its long spans keep the
-    # envelope-mass route of _point.
+    # large-argument form of phi does not describe: apply refuses it, and
+    # moment_reduced_apply takes the closed-form reduction identity instead.
+    f = make_truncated_power(0.0, 1.0, "left")
     for spec in (hankel(0.0), sine(), cosine()):
         assert spec.kernel.far_field is not None
-        assert moment_reduced_kernel(spec, 1).far_field is None
+        kernel = moment_reduced_kernel(spec, 1)
+        assert kernel.far_field is None and not kernel.oscillatory
+        reduced = TransformSpec("reduced", spec.b0 + spec.series.b1,
+                                spec.c0 + spec.series.c1, kernel)
+        with pytest.raises(ValueError, match="far field"):
+            apply(reduced, f, [1.0], CFG, check=False)
+
+
+def test_apply_domain_is_positive_y():
+    # F f(y) is defined for y > 0; y = 0 and y = -1 name the domain.
+    f = make_truncated_power(0.0, 2.0, "left")
+    for y in (0.0, -1.0):
+        with pytest.raises(ValueError, match="0 < y"):
+            apply(hankel(0.0), f, [y, 1.0], check=False)
+
+
+def test_apply_refuses_custom_test_function():
+    f = TestFunction("custom", evaluator=np.sqrt, support=(0.0, 1.0), check_moments=False)
+    with pytest.raises(ValueError, match="piecewise-power"):
+        apply(hankel(0.0), f, [1.0], CFG, check=False)
+
+
+def test_table_that_cannot_be_built_is_nonconvergent():
+    # Two panels cannot hold the [1, R] table of the steep t^21 j_0(t).
+    with pytest.raises(NonConvergence, match="no Phi_nu table"):
+        apply(hankel(0.0), make_truncated_power(20.0, 1.0, "left"), [1.0],
+              QuadratureConfig(max_panels=2), check=False)
 
 
 def test_infinite_support_transform_frozen_oracle():
@@ -217,7 +243,7 @@ def test_long_span_sine_log_family():
 
 
 # ---------------------------------------------------------------------------
-# dilation tables against the per-value route
+# dilation tables against independent oracles
 # ---------------------------------------------------------------------------
 
 SERIES_PRESETS = [hankel(0.0), hankel(0.5), hankel(1.5), scripth(0.0), scripth(1.0),
@@ -226,26 +252,57 @@ REACH = 1.0 + 0.45 * CFG.max_panels * math.pi
 FAR_YS = np.geomspace(1.01, 1e3, 9)  # hi y / REACH beyond the reach
 
 
-def _assert_served_within(spec, f, ys, exact, rel=0.0):
-    """Every y served, each read within its error (plus rel |exact|) of the
-    mpmath closed form exact(y)."""
-    served, vals, errs = _table_values(spec, f, ys, CFG)
-    assert np.all(served)
+def _assert_served_within(spec, f, ys, exact):
+    """Every value without a note, each within its error of the mpmath
+    closed form exact(y)."""
+    res = apply(spec, f, ys, CFG, check=False)
+    assert res.notes == []
     with mpmath.workdps(30):
-        for y, v, e in zip(ys, vals, errs):
+        for y, v, e in zip(ys, res.values, res.errors):
             ex = exact(mpmath.mpf(y))
-            assert abs(mpmath.mpf(v) - ex) <= e + rel * abs(ex)
+            assert abs(mpmath.mpf(v) - ex) <= e
 
 
-def _point_values(spec, f, ys, cfg=CFG):
-    """_point at every y, with a nonconvergent value kept as apply keeps it."""
-    out = []
-    for y in ys:
-        try:
-            out.append(_point(spec, f, float(y), cfg))
-        except NonConvergence as exc:
-            out.append((exc.value, exc.error))
-    return np.array(out).T
+def _termwise_primitive(spec, nu, x):
+    """integral_0^x t^nu phi(t) dt for a series preset, from its termwise
+    primitive in mpmath (the analytic continuation in nu where the origin is
+    not integrable; differences of two ends are exact either way).
+
+    j_a (cosine j_(-1/2), sine t j_(1/2)): x^(m+1) / (m+1)
+    1F2(c; a+1, c+1; -x^2/4), c = (m+1)/2.  Struve H_a: x^(m+a+2) /
+    (2^(a+1) G(3/2) G(a+3/2) (m+a+2)) 2F3(1, c; 3/2, a+3/2, c+1; -x^2/4),
+    c = (m+a+2)/2."""
+    x = mpmath.mpf(x)
+    z = -x ** 2 / 4
+    if spec.kernel.kind == "struve_h":
+        a = mpmath.mpf(spec.alpha)
+        m = nu + a + 2
+        lead = x ** m / (2 ** (a + 1) * mpmath.gamma(1.5) * mpmath.gamma(a + 1.5) * m)
+        return lead * mpmath.hyp2f3(1, m / 2, 1.5, a + 1.5, m / 2 + 1, z)
+    a, m = {"bessel_j": (spec.alpha, nu), "cosine": (-0.5, nu), "sine": (0.5, nu + 1)}[
+        spec.kernel.kind]
+    return x ** (m + 1) / (m + 1) * mpmath.hyp1f2((m + 1) / 2, mpmath.mpf(a) + 1,
+                                                  (m + 1) / 2 + 1, z)
+
+
+def _termwise_transform(spec, f, y):
+    """F f(y) = y^c0 sum_pieces c y^(-nu-1) [P_nu(hi y) - P_nu(lo y)],
+    nu = b0 + e, with every exponent in mpf."""
+    y = mpmath.mpf(y)
+    total = mpmath.mpf(0)
+    for p in f.pieces:
+        nu = mpmath.mpf(spec.b0) + mpmath.mpf(p.exponent)
+        ends = _termwise_primitive(spec, nu, p.hi * y)
+        if p.lo > 0:
+            ends -= _termwise_primitive(spec, nu, p.lo * y)
+        total += p.coef * y ** (-nu - 1) * ends
+    return y ** mpmath.mpf(spec.c0) * total
+
+
+def _off_log_case(e):
+    # At integer and half-integer exponents some term of the primitive is a
+    # logarithm, which the hypergeometric forms above do not give.
+    return abs(2.0 * e - round(2.0 * e)) > 1e-6
 
 
 @st.composite
@@ -259,52 +316,26 @@ def _finite_pieces(draw):
         edges[0] = 0.0
     pieces = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        e = draw(st.floats(-0.9, 2.0) if lo == 0.0 else st.floats(-3.0, 2.0))
+        e = draw((st.floats(-0.9, 2.0) if lo == 0.0 else st.floats(-3.0, 2.0))
+                 .filter(_off_log_case))
         pieces.append(Piece(lo, hi, draw(st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 0.1)), e))
     return TestFunction("drawn", pieces, check_moments=False)
 
 
-def _direct_phase(f, y, cfg):
-    """The largest phase x y at which _point's direct panels evaluate the
-    kernel: hi y within the panel budget, else 96 half-periods past the
-    start of the oscillatory region."""
-    lo, hi = max(f.support[0], 1.0 / y), f.support[1]
-    if (hi - lo) * y <= 0.45 * cfg.max_panels * math.pi:
-        return hi * y
-    return lo * y + _DIRECT_HALF_PERIODS * math.pi
-
-
-def _assert_agrees_with_point(spec, f, ys, cfg=CFG):
-    """apply against _point: table reads within the sum of both errors, the
-    other values taken from _point itself.  Returns the served mask.
-
-    Where _point's direct panels run beyond the reach, the rounding of
-    their phases x y (up to eps x y times the kernel envelope) is missing
-    from its bar; rel_tol |value| is allowed for it there and nowhere
-    else."""
-    ys = np.asarray(ys, dtype=float)
-    served, vals, errs = _table_values(spec, f, ys, cfg)
-    point_vals, point_errs = _point_values(spec, f, ys, cfg)
-    rel = np.array([cfg.rel_tol if _direct_phase(f, y, cfg) > REACH else 0.0 for y in ys])
-    assert np.all(np.abs(vals - point_vals[served])
-                  <= errs + point_errs[served] + (rel * np.abs(point_vals))[served])
-    res = apply(spec, f, ys, cfg, check=False)
-    assert np.array_equal(res.values[served], vals)
-    assert np.array_equal(res.values[~served], point_vals[~served])
-    return served
-
-
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(f=_finite_pieces(), u=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
-def test_table_route_agrees_with_point(f, u):
-    # hi y in (0, 1], (1, reach] and beyond reach, for every series preset.
+def test_table_route_against_termwise_primitives(f, u):
+    # hi y in (0, 1], (1, reach] and beyond the reach, for every series
+    # preset: every value, with or without a note, lies within its own bar
+    # of the 30-digit termwise primitives.
     hi = f.support[1]
     ys = np.array([(0.05 + 0.95 * u[0]) / hi, (1.0 + (REACH - 1.0) * u[1]) / hi,
                    REACH * (1.05 + u[2]) / hi])
-    for spec in SERIES_PRESETS:
-        # Reads whose error misses the tolerance (values far below their
-        # parts) are not served; beyond the reach the far field takes part.
-        _assert_agrees_with_point(spec, f, ys)
+    with mpmath.workdps(30):
+        for spec in SERIES_PRESETS:
+            res = apply(spec, f, ys, CFG, check=False)
+            for y, v, e in zip(ys, res.values, res.errors):
+                assert abs(mpmath.mpf(v) - _termwise_transform(spec, f, y)) <= e, (spec.name, y)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5])
@@ -324,39 +355,35 @@ def test_hankel_table_against_closed_form(alpha):
 @pytest.mark.parametrize("lam", [1.0 / 3.0, 2.0, 10.0])
 def test_dilation_covariance_every_preset(spec, lam):
     # F[f(lam .)](y) = lam^(c0 - b0 - 1) F f(y / lam), for f = x^(1/2) on
-    # (0, 1) as pieces (the table route on series kernels) and as a custom
-    # evaluator (always _point).
+    # (0, 1); the same f as a custom evaluator is refused.
     def as_pieces(scale):
         return TestFunction("piece", [Piece(0.0, 1.0 / scale, scale ** 0.5, 0.5)],
                             check_moments=False)
 
-    def as_custom(scale):
-        return TestFunction("custom", evaluator=lambda x: np.sqrt(scale * x),
-                            support=(0.0, 1.0 / scale), check_moments=False)
-
     ys = np.array([0.3, 4.0, 60.0]) * lam
     factor = lam ** (spec.c0 - spec.b0 - 1.0)
-    for make in (as_pieces, as_custom):
-        left = apply(spec, make(lam), ys, CFG, check=False)
-        right = apply(spec, make(1.0), ys / lam, CFG, check=False)
-        tol = left.errors + factor * right.errors + 1e-13 * np.abs(left.values)
-        assert np.all(np.abs(left.values - factor * right.values) <= tol)
-    assert np.all(_table_values(spec, as_pieces(lam), ys, CFG)[0])
-
-
-def _assert_point_route(spec, f, ys, cfg=CFG):
-    res = apply(spec, f, ys, cfg, check=False)
-    vals, errs = _point_values(spec, f, ys, cfg)
-    assert np.array_equal(res.values, vals) and np.array_equal(res.errors, errs)
+    left = apply(spec, as_pieces(lam), ys, CFG, check=False)
+    right = apply(spec, as_pieces(1.0), ys / lam, CFG, check=False)
+    assert left.notes == [] and right.notes == []
+    tol = left.errors + factor * right.errors + 1e-13 * np.abs(left.values)
+    assert np.all(np.abs(left.values - factor * right.values) <= tol)
+    custom = TestFunction("custom", evaluator=lambda x: np.sqrt(lam * x),
+                          support=(0.0, 1.0 / lam), check_moments=False)
+    with pytest.raises(ValueError):
+        apply(spec, custom, ys, CFG, check=False)
 
 
 def test_table_right_sided_power_agrees_with_point():
-    # The piece reaching infinity is read from the far field; _point takes
-    # panels for 96 half-periods and the far field beyond.  At y = 20 the
-    # value (5e-4) is far below the table's error budget: _point serves it.
-    served = _assert_agrees_with_point(hankel(0.0), make_truncated_power(-2.5, 1.0, "right"),
-                                       [0.5, 2.0, 20.0])
-    assert served.tolist() == [True, True, False]
+    # The piece reaching infinity is read from the far field.  At y = 20
+    # the value (2e-3) is below its error bar's tolerance share, so it
+    # carries a nonconvergent note; it is within 6e-15 of the value the
+    # per-value quadrature route of earlier versions gave (frozen), and
+    # within its bar of 30-digit mpmath.quadosc.
+    f = make_truncated_power(-2.5, 1.0, "right")
+    res = apply(hankel(0.0), f, [0.5, 2.0, 20.0], CFG, check=False)
+    assert res.notes == [f"y=20: nonconvergent ({res.errors[2]:.2g})"]
+    assert abs(res.values[2] - -0.002275401573419947) <= 6e-15
+    assert abs(res.values[2] - -0.00227540157342001047308284160475) <= res.errors[2]
 
 
 def _model_min_exact(delta, e, lo, hi, y):
@@ -380,10 +407,10 @@ def test_model_min_table_against_closed_form(e, lo, hi):
     # power beyond, so every read is served within its bar.
     f = TestFunction("power", [Piece(lo, hi, 1.0, e)], check_moments=False)
     ys = np.geomspace(1e-3, 1e4, 15)
-    served, vals, errs = _table_values(model_min(1.0), f, ys, CFG)
-    assert np.all(served)
+    res = apply(model_min(1.0), f, ys, CFG, check=False)
+    assert res.notes == []
     with mpmath.workdps(40):
-        for y, v, err in zip(ys, vals, errs):
+        for y, v, err in zip(ys, res.values, res.errors):
             exact = _model_min_exact(1, e, mpmath.mpf(lo), mpmath.mpf(hi), mpmath.mpf(y))
             assert abs(mpmath.mpf(v) - exact) <= err
 
@@ -412,10 +439,10 @@ def test_model_min_near_cancelling_exponent_within_bar():
     with mpmath.workdps(40):
         for delta, e, y in cases:
             f = make_truncated_power(e, 1.0, "right")
-            served, vals, errs = _table_values(model_min(float(delta)), f, np.array([y]), CFG)
-            assert served[0]
+            res = apply(model_min(float(delta)), f, [y], CFG, check=False)
+            assert res.notes == []
             exact = _model_min_exact(mpmath.mpf(float(delta)), e, 1, mpmath.inf, mpmath.mpf(y))
-            assert abs(mpmath.mpf(vals[0]) - exact) <= errs[0], (delta, e, y)
+            assert abs(mpmath.mpf(res.values[0]) - exact) <= res.errors[0], (delta, e, y)
 
 
 @pytest.mark.parametrize("e,lo,hi", [(-0.4, 2.0, math.inf), (-3.0, 0.0, 1.0)],
@@ -423,31 +450,65 @@ def test_model_min_near_cancelling_exponent_within_bar():
 def test_model_min_divergent_pieces(e, lo, hi):
     # x^0.6 (xy)^(-1/2) is not integrable at infinity, x^-2 not at 0.
     f = TestFunction("power", [Piece(lo, hi, 1.0, e)], check_moments=False)
-    ys = [0.5, 3.0]
-    assert not np.any(_table_values(model_min(1.0), f, np.array(ys), CFG)[0])
-    res = apply(model_min(1.0), f, ys, CFG, check=False)
-    assert np.all(np.isinf(res.values))
-    assert all(note.endswith("divergent") for note in res.notes) and len(res.notes) == 2
+    res = apply(model_min(1.0), f, [0.5, 3.0], CFG, check=False)
+    assert np.all(np.isinf(res.values)) and np.all(np.isinf(res.errors))
+    assert res.notes == ["y=0.5: divergent", "y=3: divergent"]
 
 
-def test_fallback_moment_reduced():
-    spec = hankel(0.0)
-    f = make_log_counterexample(10.0, spec.b0)
+def _mp_reduced_transform(spec, f, y):
+    """y^(c0+c1) integral x^(b0+b1) f(x) G_1(xy) dx by mpmath.quad over
+    each piece, with G_1(t) = j_a(t) - 1 from mpmath.besselj (b1 = c1 = 0
+    for the Hankel kernels)."""
+    a = mpmath.mpf(spec.alpha)
+    y = mpmath.mpf(y)
+
+    def g1(t):
+        return mpmath.gamma(a + 1) * (2 / t) ** a * mpmath.besselj(a, t) - 1
+
+    total = mpmath.mpf(0)
+    for p in f.pieces:
+        lo, hi = mpmath.mpf(p.lo), mpmath.mpf(p.hi)
+        nodes = mpmath.linspace(lo, hi, 2 + int(hi * y))
+        total += p.coef * mpmath.quad(
+            lambda x: x ** (spec.b0 + mpmath.mpf(p.exponent)) * g1(x * y), nodes)
+    return y ** mpmath.mpf(spec.c0) * total
+
+
+@pytest.mark.parametrize("spec,f", [
+    (hankel(0.0), make_log_counterexample(10.0, 1.0)),
+    (hankel(0.5), make_vanishing_moment_function([hankel(0.5).b0], [0.2, 1.0, 5.0]))],
+    ids=["hankel-0-log", "hankel-0.5-criterion-9"])
+def test_moment_reduced_against_quadrature(spec, f):
+    # The reduced transform against 20-digit quadrature of the reduced
+    # kernel itself (x y <= 50), without the reduction identity.
     ys = [0.05, 0.5, 5.0]
-    reduced = TransformSpec("hankel_reduced_1", spec.b0 + spec.series.b1,
-                            spec.c0 + spec.series.c1, moment_reduced_kernel(spec, 1))
-    vals, errs = _point_values(reduced, f, ys)
     res = moment_reduced_apply(spec, f, 1, ys, CFG)
-    assert np.array_equal(res.values, vals) and np.array_equal(res.errors, errs)
+    assert res.notes == []
+    with mpmath.workdps(20):
+        for y, v, e in zip(ys, res.values, res.errors):
+            assert abs(mpmath.mpf(v) - _mp_reduced_transform(spec, f, y)) <= e, y
 
 
 def test_table_beyond_reach_agrees_with_point():
+    # hankel(0) of 1 on (0, 1), read beyond the reach: within its bar of
+    # J_1(y) / y, and within the sum of both bars of the values (frozen) of
+    # the per-value quadrature route of earlier versions.
     f = make_truncated_power(0.0, 1.0, "left")
-    assert np.all(_assert_agrees_with_point(hankel(0.0), f, [1.5 * REACH, 3.0 * REACH]))
+    ys = np.array([1.5, 3.0]) * REACH
+    _assert_served_within(hankel(0.0), f, ys, lambda y: mpmath.besselj(1, y) / y)
+    res = apply(hankel(0.0), f, ys, CFG)
+    point = [(-8.495943734544885e-08, 2.6331322787598873e-19),
+             (2.849929368138169e-07, 6.597149280188481e-20)]
+    for v, e, (pv, pe) in zip(res.values, res.errors, point):
+        assert abs(v - pv) <= e + pe
     # A piece wholly beyond the reach is read from the far field alone.
     f = TestFunction("far", [Piece(1.0, 2.0, 1.0, -1.3)], check_moments=False)
-    for spec in SERIES_PRESETS:
-        assert np.all(_assert_agrees_with_point(spec, f, [1.05 * REACH, 40.0 * REACH]))
+    ys = np.array([1.05, 40.0]) * REACH
+    with mpmath.workdps(30):
+        for spec in SERIES_PRESETS:
+            res = apply(spec, f, ys, CFG, check=False)
+            for y, v, e in zip(ys, res.values, res.errors):
+                assert abs(mpmath.mpf(v) - _termwise_transform(spec, f, y)) <= e, (spec.name, y)
     # Its bar holds against closed forms for 1 on (1, 2): y^-2 [T J_1(T)]
     # from T = y to 2y for hankel(0), (cos y - cos 2y) / y for sine.
     f = TestFunction("far", [Piece(1.0, 2.0, 1.0, 0.0)], check_moments=False)
@@ -459,13 +520,20 @@ def test_table_beyond_reach_agrees_with_point():
 
 def test_fallback_read_error_over_tolerance():
     # The table builds at rel_tol 1e-15 (its tolerance stops at the rounding
-    # floor), but no read meets 1e-15 relative: every value takes _point.
+    # floor), but no read meets 1e-15 relative: every value carries a
+    # nonconvergent note with its read and error, the read within its bar
+    # of the closed form J_1(y) / y.
     cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300)
     spec = hankel(0.0)
     f = make_truncated_power(0.0, 1.0, "left")
     assert _dilation_table(spec.kernel, spec.b0, cfg.rel_tol, cfg.abs_tol,
                            cfg.max_panels) is not None
-    _assert_point_route(spec, f, [0.5, 40.0], cfg)
+    res = apply(spec, f, [0.5, 40.0], cfg, check=False)
+    assert res.notes == [f"y={y:g}: nonconvergent ({e:.2g})"
+                         for y, e in zip(res.y_grid, res.errors)]
+    with mpmath.workdps(30):
+        for y, v, e in zip(res.y_grid, res.values, res.errors):
+            assert abs(mpmath.mpf(v) - mpmath.besselj(1, y) / y) <= e
 
 
 # ---------------------------------------------------------------------------
@@ -543,15 +611,14 @@ def test_phi_to_infinity_against_mellin_transform(spec, nu, exact):
 
 
 def test_struve_drift_that_does_not_decay_is_not_served():
-    # scripth(0) of x^-1/4 on (1, inf): the drift t^-3/4 of H_0 does not
-    # decay; the table reads inf and _point keeps its NonConvergence.
+    # scripth(0) of x^-1/4 on (1, inf): the drift t^-3/4 of t^1/4 H_0 is
+    # not integrable toward infinity; the table reads inf, a divergent value.
     table = _dilation_table(scripth(0.0).kernel, 0.25, CFG.rel_tol, CFG.abs_tol,
                             CFG.max_panels)
     assert not np.isfinite(table.integral(np.array([0.0]), np.array([math.inf]))[0][0])
-    f = make_truncated_power(-0.25, 1.0, "right")
-    assert not _table_values(scripth(0.0), f, np.array([2.0]), CFG)[0][0]
-    with pytest.raises(NonConvergence):
-        _point(scripth(0.0), f, 2.0, CFG)
+    res = apply(scripth(0.0), make_truncated_power(-0.25, 1.0, "right"), [2.0], CFG,
+                check=False)
+    assert res.notes == ["y=2: divergent"] and np.isinf(res.values[0])
 
 
 def test_sine_far_field_oracles():
@@ -578,17 +645,3 @@ def test_scripth_right_sided_power_against_mellin():
             exact = y * (c - mpmath.quad(lambda t: t ** -1.5 * mpmath.struveh(0, t), [0, y]))
             assert abs(mpmath.mpf(v) - exact) <= e
             assert e <= CFG.rel_tol * abs(exact)
-
-
-def test_point_error_carries_rounding_of_its_parts():
-    # hankel(0) of 1 on (0, 2) at y = 6.677: a head on (0, 1/y) and a span
-    # on (1/y, 2).  The error is their Kronrod errors plus eps times their
-    # magnitudes.
-    spec, y = hankel(0.0), 6.677
-    cfg = QuadratureConfig(rel_tol=1e-9)
-    v, e = _point(spec, make_truncated_power(0.0, 2.0, "left"), y, cfg)
-    integrand = lambda x: x * spec.kernel.phi(x * y)
-    v1, e1 = integrate(integrand, (0.0, 1.0 / y), cfg)
-    v2, e2 = integrate(integrand, (1.0 / y, 2.0), cfg, wavelength=2.0 * math.pi / y)
-    assert v == v1 + v2
-    assert e == e1 + e2 + np.finfo(float).eps * (abs(v1) + abs(v2))

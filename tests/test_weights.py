@@ -72,7 +72,7 @@ def test_truncated_power_families():
     g = make_truncated_power(-2.0, 1.0, "right")
     assert g(2.0) == pytest.approx(0.25)
     assert g(0.5) == 0.0
-    assert g.tail_exponent() == -2.0
+    assert g.support == (1.0, math.inf)
     with pytest.raises(ValueError):
         make_truncated_power(0.0, 1.0, "middle")
 
