@@ -30,7 +30,7 @@ from . import conditions as cond
 from . import transforms as tr
 from .kernels import KERNELS
 from .quadrature import DivergentIntegral, NonConvergence, QuadratureConfig, integrate
-from .weights import (ExponentSet, TestFunction, Weight, WeightExpr,
+from .weights import (ExponentSet, TestFunction, Weight,
                       make_log_counterexample, make_truncated_power, power_moment)
 
 
@@ -173,13 +173,9 @@ def _rhs_norm(cfg: ExperimentConfig, f: TestFunction) -> Tuple[float, float]:
     if cfg.normalization == "sw":
         s_extra = cfg.transform.b0 / exps.a if not math.isinf(exps.a) else 0.0
     mu = p * (cfg.gamma + s_extra)
-    if f.pieces is not None:
-        total = sum(abs(piece.coef) ** p * power_moment(mu + p * piece.exponent, piece.lo, piece.hi)
-                    for piece in f.pieces)
-        return (total ** (1.0 / p), 0.0) if math.isfinite(total) else (math.inf, 0.0)
-    val, err = integrate(lambda x: x ** mu * np.abs(f(x)) ** p, f.support, cfg.quadrature,
-                         breakpoints=f.breakpoints)
-    return val ** (1.0 / p), err
+    total = sum(abs(piece.coef) ** p * power_moment(mu + p * piece.exponent, piece.lo, piece.hi)
+                for piece in f.pieces)
+    return (total ** (1.0 / p), 0.0) if math.isfinite(total) else (math.inf, 0.0)
 
 
 def compute_ratio_records(cfg: ExperimentConfig) -> List[RatioRecord]:
@@ -329,8 +325,8 @@ def run_conditions(doc: dict) -> dict:
     # and w factors of the two-factor setting (the full exponents in the
     # plain power normalization).
     out["lorentz_necessity"] = cond.lorentz_necessity_condition(
-        WeightExpr([(u, 1.0), (w, exps.q * inv_ap)]),
-        WeightExpr([(v, 1.0), (s, exps.p * inv_a)]), s, exps).to_dict()
+        Weight.product([(u, 1.0), (w, exps.q * inv_ap)]),
+        Weight.product([(v, 1.0), (s, exps.p * inv_a)]), s, exps).to_dict()
 
     if beta is not None:
         # Ranges live in the plain power normalization ||y^-b Ff||_q <=

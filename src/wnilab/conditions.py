@@ -2,9 +2,10 @@
 single-condition form, the Lorentz-space necessity condition, closed-form
 power ranges per transform, and the kernel additivity (Oinarov) diagnostic.
 
-Every weight is a piecewise power, so every bracket integral is exact: a
-sum of closed-form power segments (``weights.power_moment``) between the
-nodes of its weights, continued with its end exponents beyond them.
+Every weight is a piecewise power, and so is a product of weight powers
+(``Weight.product``): every bracket is the exact ``Weight.integral`` of
+one, a sum of closed-form power segments between its nodes, continued with
+its end exponents beyond them.
 
 Each condition states its bracket product once, as a list of factors
 (sums of weight-power x bracket-read terms, raised to a power).  By the
@@ -27,7 +28,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .kernels import KernelSpec
-from .weights import ExponentSet, Weight, WeightExpr, power_moment
+from .weights import ExponentSet, Weight
 from .transforms import TransformSpec, MissingPrimitiveBound, NoSeriesKernel
 
 ENDPOINT_TOLERANCE = 0.05  # verdicts this close to an analytic endpoint are not asserted
@@ -42,63 +43,6 @@ class InverseRelationViolated(Exception):
 
 class EnvelopeNotStrict(Exception):
     """The kernel envelope has b1 - b2 <= 0; the power range is empty."""
-
-
-# ---------------------------------------------------------------------------
-# bracket integrals of weight expressions
-# ---------------------------------------------------------------------------
-
-def _end_coefficient(f, at_infinity: bool) -> np.float64:
-    """k with f(x) = k x^e beyond the outermost node of f toward that end
-    (beyond x = 1 without nodes), e the end exponent of f."""
-    x = np.float64((f.nodes or (1.0,))[-1 if at_infinity else 0])
-    e = f.exponent_at_infinity if at_infinity else f.exponent_at_zero
-    return np.asarray(f(np.array([x])), dtype=float)[0] * x ** -e
-
-
-class _Bracket:
-    """integral_0^x f, or integral_x^inf f, of a product f of weight powers
-    in closed form.  f is one power on each segment between consecutive
-    nodes of its weights (the node 1 without any): the outer segments take
-    its end exponents e0 and einf, an inner one the log-ratio of f at its
-    nodes.  Full segments give prefix and suffix sums of nonnegative terms;
-    a read adds one partial segment.  A read that integrates from a
-    non-integrable end (e0 <= -1 + 1e-12, einf >= -1 - 1e-12) is inf."""
-
-    def __init__(self, factors: Sequence[Tuple[Weight, float]]):
-        self.expr = expr = WeightExpr(factors)
-        self.e0, self.einf = expr.exponent_at_zero, expr.exponent_at_infinity
-        self.diverges_at_zero = self.e0 <= -1.0 + 1e-12
-        self.diverges_at_infinity = self.einf >= -1.0 - 1e-12
-        nodes = np.asarray(expr.nodes or (1.0,))
-        # Segment j runs from edges[j] to edges[j + 1]; on it
-        # f(x) = f(c) (x/c)^exponents[j] with c = anchors[j], a node.
-        self.edges = np.concatenate([[0.0], nodes, [math.inf]])
-        self.anchors = np.concatenate([nodes[:1], nodes])
-        with np.errstate(all="ignore"):
-            log_f = sum((p * np.log(w(self.anchors)) for w, p in expr.factors),
-                        np.zeros_like(self.anchors))
-            self.scale = np.exp(log_f) * self.anchors
-            inner = np.diff(log_f[1:]) / np.diff(np.log(nodes))
-        self.exponents = np.concatenate([[self.e0], inner, [self.einf]])
-        full = self._segment(np.arange(len(self.anchors)), self.edges[:-1], self.edges[1:])
-        self.prefix = np.concatenate([[0.0], np.cumsum(full)])
-        self.suffix = np.append(np.cumsum(full[::-1])[::-1], 0.0)
-
-    def _segment(self, j: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        c = self.anchors[j]
-        with np.errstate(invalid="ignore", over="ignore"):
-            return self.scale[j] * power_moment(self.exponents[j], a / c, b / c)
-
-    def read(self, x, upper: bool = False) -> np.ndarray:
-        """integral_0^x f, or integral_x^inf f if ``upper``, at each x of an array."""
-        x = np.asarray(x, dtype=float)
-        if self.diverges_at_infinity if upper else self.diverges_at_zero:
-            return np.full(x.shape, math.inf)
-        j = np.minimum(np.searchsorted(self.edges, x, side="right") - 1, len(self.anchors) - 1)
-        if upper:
-            return self.suffix[j + 1] + self._segment(j, x, self.edges[j + 1])
-        return self.prefix[j] + self._segment(j, self.edges[j], x)
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +103,11 @@ def _sup_scan(product: Callable[[np.ndarray], np.ndarray], label: str = "",
 
 @dataclass(frozen=True)
 class _Term:
-    """One bracket read at x = r, or x = 1/r when ``inverted``, times
+    """One bracket read at x = r, or x = 1/r when ``inverted``: the integral
+    of ``integrand`` from 0 to x, or from x to inf when ``upper``, times
     ``weight ** weight_power`` at x."""
 
-    table: _Bracket
+    integrand: Weight
     upper: bool = False
     inverted: bool = False
     weight: Optional[Weight] = None
@@ -170,7 +115,7 @@ class _Term:
 
     def value(self, r: np.ndarray) -> np.ndarray:
         x = 1.0 / r if self.inverted else r
-        read = self.table.read(x, self.upper)
+        read = self.integrand.integral(x, self.upper)
         if self.weight is None:
             return read
         return np.asarray(self.weight(x), dtype=float) ** self.weight_power * read
@@ -183,18 +128,19 @@ class _Term:
         # integrated from 1 toward the end x tends to it grows like T^e.  The
         # read is ~ k T^e / |e| where it integrates from that end or grows,
         # ~ k log T where e = 0, and else ~ the whole integral.
-        e = self.table.einf + 1.0 if x_to_inf else -(self.table.e0 + 1.0)
-        k = _end_coefficient(self.table.expr, x_to_inf)
+        f = self.integrand
+        e = f.exponent_at_infinity + 1.0 if x_to_inf else -(f.exponent_at_zero + 1.0)
+        k = f.end_coefficient(x_to_inf)
         if self.upper == x_to_inf or e > EXPONENT_TOLERANCE:
             g, m, c = e, 0.0, k / abs(e)
         elif e >= -EXPONENT_TOLERANCE:
             g, m, c = 0.0, 1.0, k
         else:
-            g, m, c = 0.0, 0.0, self.table.prefix[-1]
+            g, m, c = 0.0, 0.0, f.total
         if self.weight is not None:
             g += self.weight_power * (self.weight.exponent_at_infinity if x_to_inf
                                       else -self.weight.exponent_at_zero)
-            c *= _end_coefficient(self.weight, x_to_inf) ** self.weight_power
+            c *= self.weight.end_coefficient(x_to_inf) ** self.weight_power
         return g, m, c
 
 
@@ -236,7 +182,7 @@ def _scan(factors: _Factors, label: str, n: int = 60) -> ConditionReport:
     """Divergent when a bracket diverges at the end it integrates from or the
     product ~ C T^kappa (log T)^m is unbounded toward r -> inf or r -> 0;
     else the supremum of the scan and of the limits C where kappa = m = 0."""
-    if any(t.table.diverges_at_infinity if t.upper else t.table.diverges_at_zero
+    if any(t.integrand.diverges_at_infinity if t.upper else t.integrand.diverges_at_zero
            for terms, _ in factors for t in terms):
         return ConditionReport(math.inf, math.nan, "divergent",
                                "inner-integral endpoint", [], label)
@@ -271,13 +217,13 @@ def hardy_pair_condition(u: Weight, v: Weight, s: Weight, w: Weight,
     q, p_prime, a_prime = exps.q, exps.p_prime, exps.a_prime
     inv_a = 0.0 if math.isinf(a_prime) else 1.0 / a_prime
 
-    c_a1 = _Bracket([(u, 1.0), (w, q * inv_a)])
-    c_b1 = _Bracket([(v, 1.0 - p_prime), (s, p_prime * inv_a)])
+    c_a1 = Weight.product([(u, 1.0), (w, q * inv_a)])
+    c_b1 = Weight.product([(v, 1.0 - p_prime), (s, p_prime * inv_a)])
     rep1 = _scan([([_Term(c_a1, inverted=True)], 1.0 / q), ([_Term(c_b1)], 1.0 / p_prime)],
                  "hardy_condition_1", n=scan_points)
 
-    c_a2 = _Bracket([(u, 1.0), (w, q * (inv_a - 0.5))])
-    c_b2 = _Bracket([(v, 1.0 - p_prime), (s, p_prime * (inv_a - 0.5))])
+    c_a2 = Weight.product([(u, 1.0), (w, q * (inv_a - 0.5))])
+    c_b2 = Weight.product([(v, 1.0 - p_prime), (s, p_prime * (inv_a - 0.5))])
     rep2 = _scan([([_Term(c_a2, upper=True, inverted=True)], 1.0 / q),
                   ([_Term(c_b2, upper=True)], 1.0 / p_prime)],
                  "hardy_condition_2", n=scan_points)
@@ -298,13 +244,13 @@ def glued_condition(u: Weight, v: Weight, s: Weight, w: Weight,
 
     q, p_prime = exps.q, exps.p_prime
     # (int_0^t v^(1-p') + s(t)^(p'/2) int_t^inf v^(1-p') s^(-p'/2))^(1/p')
-    b1 = [_Term(_Bracket([(v, 1.0 - p_prime)])),
-          _Term(_Bracket([(v, 1.0 - p_prime), (s, -0.5 * p_prime)]), upper=True,
+    b1 = [_Term(Weight.product([(v, 1.0 - p_prime)])),
+          _Term(Weight.product([(v, 1.0 - p_prime), (s, -0.5 * p_prime)]), upper=True,
                 weight=s, weight_power=0.5 * p_prime)]
     # (w(1/t)^(q/2) int_(1/t)^inf u w^(-q/2) + int_0^(1/t) u)^(1/q)
-    b2 = [_Term(_Bracket([(u, 1.0), (w, -0.5 * q)]), upper=True, inverted=True,
+    b2 = [_Term(Weight.product([(u, 1.0), (w, -0.5 * q)]), upper=True, inverted=True,
                 weight=w, weight_power=0.5 * q),
-          _Term(_Bracket([(u, 1.0)]), inverted=True)]
+          _Term(u, inverted=True)]
     return _scan([(b1, 1.0 / p_prime), (b2, 1.0 / q)], "glued")
 
 
@@ -313,16 +259,17 @@ def special_case_222(u: Weight, v: Weight, s: Weight, w: Weight) -> ConditionRep
     integrals enter with full (not rooted) powers.  Experimental: stated in
     the rearranged setting, exposed here for plain weights as a diagnostic.
     """
-    return _scan([([_Term(_Bracket([(u, 1.0), (w, 1.0)]), inverted=True)], 1.0),
-                  ([_Term(_Bracket([(v, -1.0), (s, 1.0)]))], 1.0)], "special_222 (experimental)")
+    return _scan([([_Term(Weight.product([(u, 1.0), (w, 1.0)]), inverted=True)], 1.0),
+                  ([_Term(Weight.product([(v, -1.0), (s, 1.0)]))], 1.0)],
+                 "special_222 (experimental)")
 
 
 def lorentz_necessity_condition(u: Weight, v: Weight, s: Weight,
                                 exps: ExponentSet) -> ConditionReport:
     """sup_r (int_0^(1/r) u)^(1/q) (int_0^r v)^(-1/p) (int_0^r s)."""
-    return _scan([([_Term(_Bracket([(u, 1.0)]), inverted=True)], 1.0 / exps.q),
-                  ([_Term(_Bracket([(v, 1.0)]))], -1.0 / exps.p),
-                  ([_Term(_Bracket([(s, 1.0)]))], 1.0)], "lorentz_necessity")
+    return _scan([([_Term(u, inverted=True)], 1.0 / exps.q),
+                  ([_Term(v)], -1.0 / exps.p),
+                  ([_Term(s)], 1.0)], "lorentz_necessity")
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +321,7 @@ def _require_strict(spec: TransformSpec) -> None:
 
 
 def _relation_offset(spec: TransformSpec, exps: ExponentSet) -> float:
-    env = spec.kernel.envelope
-    return (spec.c0 - spec.b0 + env.c1 - env.b1) + 1.0 / exps.q - 1.0 / exps.p_prime
+    return spec.c0 - spec.b0 + 1.0 / exps.q - 1.0 / exps.p_prime
 
 
 def power_pitt_range(spec: TransformSpec, exps: ExponentSet,
@@ -389,7 +335,7 @@ def power_pitt_range(spec: TransformSpec, exps: ExponentSet,
     q, pp = exps.q, exps.p_prime
     offset = _relation_offset(spec, exps)
     suff = RangeVerdict("power_sufficient",
-                        1.0 / q + spec.c0 + env.c2, 1.0 / q + spec.c0 + env.c1,
+                        1.0 / q + spec.c0 + env.b2, 1.0 / q + spec.c0 + env.b1,
                         False, False, offset)
 
     sharp: Optional[RangeVerdict] = None
@@ -414,18 +360,18 @@ def gm_power_range(spec: TransformSpec, exps: ExponentSet,
                    beta: Optional[float] = None, gamma: Optional[float] = None
                    ) -> RangeVerdict:
     """Exponent range valid for admissible general-monotone functions,
-    driven by the primitive bound (b >= 0, c < c1) instead of the kernel's
+    driven by the primitive bound (b >= 0, c < b1) instead of the kernel's
     large-argument envelope."""
     pb = spec.primitive_bound
     if pb is None:
         raise MissingPrimitiveBound(spec.name)
     env = spec.kernel.envelope
-    if pb.b < 0 or pb.c >= env.c1:
-        raise ValueError("gm range needs primitive bound with b >= 0 and c < c1")
+    if pb.b < 0 or pb.c >= env.b1:
+        raise ValueError("gm range needs primitive bound with b >= 0 and c < b1")
     offset = _relation_offset(spec, exps)
     sharp = spec.name in ("hankel", "sine", "cosine", "scripth")
     verdict = RangeVerdict("gm_range", 1.0 / exps.q + spec.c0 + pb.c,
-                           1.0 / exps.q + spec.c0 + env.c1, False, False,
+                           1.0 / exps.q + spec.c0 + env.b1, False, False,
                            offset, sharp=sharp)
     if beta is not None:
         verdict = verdict.query(beta, gamma)
@@ -442,7 +388,7 @@ def vanishing_moment_range(spec: TransformSpec, n: int, exps: ExponentSet,
         raise NoSeriesKernel(spec.name)
     if n < 1:
         raise ValueError("n must be >= 1")
-    base = 1.0 / exps.q + spec.c0 + series.c1
+    base = 1.0 / exps.q + spec.c0 + series.b1
     k = float(series.step)
     excluded = tuple(base + j * k for j in range(1, n))
     verdict = RangeVerdict("vanishing_moment_range", base, base + n * k,
@@ -463,8 +409,8 @@ def power_hardy_verdict(spec: TransformSpec, exps: ExponentSet,
     d the envelope exponent drop."""
     _require_strict(spec)
     env = spec.kernel.envelope
-    d = env.c1 - env.c2
-    beta_red = beta - spec.c0 - env.c1
+    d = env.b1 - env.b2
+    beta_red = beta - spec.c0 - env.b1
     gamma_red = gamma - spec.b0 - env.b1
     exps_a1 = ExponentSet(p=exps.p, q=exps.q, a=1.0)
     u = Weight.power(-beta_red * exps.q)

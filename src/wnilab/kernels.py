@@ -260,7 +260,7 @@ def struve_derivative_check(alpha: float, x: float, h: float) -> float:
 
 @dataclass(frozen=True)
 class PowerEnvelope:
-    """Two-regime power bound min{x^b1 y^c1, x^b2 y^c2} for a kernel.
+    """Two-regime power bound min{(xy)^b1, (xy)^b2} for a kernel phi(xy).
 
     ``exact`` records that the bound is two-sided away from kernel zeros.
     ``strict`` is derived: the regimes genuinely cross (b1 - b2 > 0), which
@@ -268,14 +268,8 @@ class PowerEnvelope:
     """
 
     b1: float
-    c1: float
     b2: float
-    c2: float
     exact: bool = False
-
-    def __post_init__(self):
-        if abs((self.b1 - self.b2) - (self.c1 - self.c2)) > 1e-12:
-            raise ValueError("envelope regimes must satisfy b1 - b2 = c1 - c2")
 
     @property
     def strict(self) -> bool:
@@ -285,15 +279,15 @@ class PowerEnvelope:
         """min of the two regime bounds, without the fitted constant."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        return np.minimum(x ** self.b1 * y ** self.c1, x ** self.b2 * y ** self.c2)
+        return np.minimum(x ** self.b1 * y ** self.b1, x ** self.b2 * y ** self.b2)
 
 
 @dataclass(frozen=True)
 class SeriesKernel:
-    """Power-series form K(x,y) = x^b1 y^c1 * sum a_m (xy)^(k m)."""
+    """Power-series form phi(t) = t^b1 sum a_m t^(k m), so K(x, y) =
+    (xy)^b1 sum a_m (xy)^(k m)."""
 
     b1: float
-    c1: float
     step: int
     a0: float
     ratio: Callable[[int], float]  # a_{m+1} / a_m
@@ -364,8 +358,8 @@ def _pq_far_field(alpha: float, factor: complex, power: float, *drift) -> FarFie
 def bessel_j_kernel(alpha: float) -> KernelSpec:
     if alpha <= -1.0:
         raise ValueError("order must exceed -1")
-    env = PowerEnvelope(0.0, 0.0, -alpha - 0.5, -alpha - 0.5)
-    series = SeriesKernel(0.0, 0.0, 2, 1.0,
+    env = PowerEnvelope(0.0, -alpha - 0.5)
+    series = SeriesKernel(0.0, 2, 1.0,
                           lambda m: -1.0 / (4.0 * (m + 1.0) * (alpha + m + 1.0)))
     return KernelSpec("bessel_j", env, lambda t: bessel_j(alpha, t), series=series,
                       far_field=_pq_far_field(alpha, math.gamma(alpha + 1.0) * 2.0 ** alpha,
@@ -377,12 +371,11 @@ def struve_h_kernel(alpha: float) -> KernelSpec:
     if alpha <= -0.5:
         raise ValueError("order must exceed -1/2")
     if alpha >= 0.5:
-        env = PowerEnvelope(alpha + 1.0, alpha + 1.0, alpha - 1.0, alpha - 1.0,
-                            exact=(alpha > 0.5))
+        env = PowerEnvelope(alpha + 1.0, alpha - 1.0, exact=(alpha > 0.5))
     else:
-        env = PowerEnvelope(alpha + 1.0, alpha + 1.0, -0.5, -0.5)
+        env = PowerEnvelope(alpha + 1.0, -0.5)
     a0 = 2.0 ** -(alpha + 1.0) / (math.gamma(1.5) * math.gamma(alpha + 1.5))
-    series = SeriesKernel(alpha + 1.0, alpha + 1.0, 2, a0,
+    series = SeriesKernel(alpha + 1.0, 2, a0,
                           lambda m: -1.0 / (4.0 * (m + 1.5) * (m + alpha + 1.5)))
     # H_a - Y_a ~ G(1/2) / (pi G(a + 1/2)) (t/2)^(a-1) sum_m d_m (t/2)^-2m,
     # d_m = prod_(k<m) (k + 1/2)(a - 1/2 - k) (DLMF 11.6.1), as powers of t;
@@ -398,8 +391,8 @@ def struve_h_kernel(alpha: float) -> KernelSpec:
 
 @lru_cache(maxsize=64)
 def sine_kernel() -> KernelSpec:
-    env = PowerEnvelope(1.0, 1.0, 0.0, 0.0)
-    series = SeriesKernel(1.0, 1.0, 2, 1.0,
+    env = PowerEnvelope(1.0, 0.0)
+    series = SeriesKernel(1.0, 2, 1.0,
                           lambda m: -1.0 / ((2.0 * m + 2.0) * (2.0 * m + 3.0)))
     return KernelSpec("sine", env, np.sin, series=series,
                       far_field=FarField(-1j, 0.0, np.ones(1)))
@@ -407,8 +400,8 @@ def sine_kernel() -> KernelSpec:
 
 @lru_cache(maxsize=64)
 def cosine_kernel() -> KernelSpec:
-    env = PowerEnvelope(0.0, 0.0, 0.0, 0.0)
-    series = SeriesKernel(0.0, 0.0, 2, 1.0,
+    env = PowerEnvelope(0.0, 0.0)
+    series = SeriesKernel(0.0, 2, 1.0,
                           lambda m: -1.0 / ((2.0 * m + 1.0) * (2.0 * m + 2.0)))
     return KernelSpec("cosine", env, np.cos, series=series,
                       far_field=FarField(1.0, 0.0, np.ones(1)))
@@ -421,7 +414,7 @@ def model_min_kernel(delta: float) -> KernelSpec:
     far field of one drift term (no oscillatory part) beyond 1."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    env = PowerEnvelope(0.0, 0.0, -0.5 * delta, -0.5 * delta, exact=True)
+    env = PowerEnvelope(0.0, -0.5 * delta, exact=True)
 
     def phi(t):
         t = np.asarray(t, dtype=float)
@@ -429,7 +422,7 @@ def model_min_kernel(delta: float) -> KernelSpec:
             return np.where(t <= 1.0, 1.0, t ** (-0.5 * delta))
     return KernelSpec("model_min", env, phi,
                       far_field=FarField(1.0, 0.0, np.zeros(1), -0.5 * delta, (1.0,)),
-                      near=SeriesKernel(0.0, 0.0, 1, 1.0, lambda m: 0.0))
+                      near=SeriesKernel(0.0, 1, 1.0, lambda m: 0.0))
 
 
 # The kernel factories by kind; each factory's parameters are the kernel's.

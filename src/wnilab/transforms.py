@@ -412,8 +412,6 @@ def apply(spec: TransformSpec, f: TestFunction, y_grid: Sequence[float],
     default; pass admissibility_mode='gm' for transforms consumed under the
     general-monotone estimates).
     """
-    if f.pieces is None:
-        raise ValueError(f"{f.family}: transforms need a piecewise-power test function")
     if spec.kernel.far_field is None:
         raise ValueError(f"{spec.name}: transforms need a kernel with a far field")
     config = config or QuadratureConfig()
@@ -446,7 +444,7 @@ def pointwise_bound(spec: TransformSpec, f: TestFunction, y: float,
     standard: integral_0^(1/y) x^b0 |f| + y^(-b0/2) integral_(1/y)^inf
     x^(b0/2) |f|  (requires the min{1, (s w)^(-1/2)} kernel estimate).
 
-    gm: y^(c0+c1) integral_0^(1/y) x^(b0+b1) |f| + y^(c0+c) *
+    gm: y^(c0+b1) integral_0^(1/y) x^(b0+b1) |f| + y^(c0+c) *
     integral_(1/(lam y))^inf x^(b-1) |f|, with (b, c) the primitive bound
     and lam the general-monotonicity dilation constant.
 
@@ -473,7 +471,7 @@ def pointwise_bound(spec: TransformSpec, f: TestFunction, y: float,
         env = spec.kernel.envelope
         near = f.abs_weighted_integral(spec.b0 + env.b1, 0.0, split)
         far = f.abs_weighted_integral(pb.b - 1.0, 1.0 / (lam * y), math.inf)
-        return y ** (spec.c0 + env.c1) * near + y ** (spec.c0 + pb.c) * far
+        return y ** (spec.c0 + env.b1) * near + y ** (spec.c0 + pb.c) * far
     raise ValueError("mode must be 'standard' or 'gm'")
 
 
@@ -528,7 +526,7 @@ def moment_reduced_kernel(spec: TransformSpec, ell: int) -> KernelSpec:
     if ell < 1:
         raise ValueError("ell must be >= 1")
     k = series.step
-    env = PowerEnvelope(k * ell, k * ell, k * (ell - 1), k * (ell - 1))
+    env = PowerEnvelope(k * ell, k * (ell - 1))
     return KernelSpec(f"{spec.kernel.kind}_reduced_{ell}", env,
                       reduced_kernel_eval(series, ell, spec.kernel.phi))
 
@@ -539,9 +537,9 @@ def moment_reduced_apply(spec: TransformSpec, f: TestFunction, ell: int,
                          moment_tol: float = 1e-10) -> TransformResult:
     """F f through the reduced kernel G_ell(t) = t^(-b1) phi(t) -
     sum_(m<ell) a_m t^(k m), valid when the moments M_mu(f) of orders
-    mu = b0 + b1 + m k (m < ell) vanish.  Every series kernel has c1 = b1,
-    so y^(c0+c1) integral x^(b0+b1) f(x) G_ell(xy) dx is ``apply`` minus
-    the terms a_m y^(c0+c1+k m) M_mu(f), in closed form; the error adds eps
+    mu = b0 + b1 + m k (m < ell) vanish.  Every series kernel is phi(xy),
+    so y^(c0+b1) integral x^(b0+b1) f(x) G_ell(xy) dx is ``apply`` minus
+    the terms a_m y^(c0+b1+k m) M_mu(f), in closed form; the error adds eps
     times each term's magnitude."""
     series = spec.series
     if series is None:
@@ -557,7 +555,7 @@ def moment_reduced_apply(spec: TransformSpec, f: TestFunction, ell: int,
     res = apply(spec, f, y_grid, config, check=False)
     ys = res.y_grid
     for m, (a, moment) in enumerate(zip(series.coefficients(ell), moments)):
-        term = a * ys ** (spec.c0 + series.c1 + series.step * m) * moment
+        term = a * ys ** (spec.c0 + series.b1 + series.step * m) * moment
         res.values -= term
         res.errors += _EPS * np.abs(term)
     return res

@@ -1,10 +1,11 @@
 """Weights, Lebesgue exponent sets, closed-form test-function families,
 general-monotonicity checks and admissibility predicates.
 
-Weights and test functions are immutable after construction and safe to
-share across threads.  Test functions built here are piecewise powers, so
-moments and absolute integrals have exact closed forms; the constructors
-still verify declared vanishing moments by quadrature.
+Weights and test functions are piecewise powers, so values, products,
+moments, absolute integrals and weight integrals all have exact closed
+forms.  Both are immutable once built, apart from the segment sums a weight
+fills on its first ``integral`` read (the same arrays whichever thread fills
+them), and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -15,121 +16,173 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .quadrature import QuadratureConfig, integrate
-
 
 # ---------------------------------------------------------------------------
 # weights
 # ---------------------------------------------------------------------------
 
+_FORMS = {"power": {"exponent", "coefficient"},  # descriptor keys besides "form"
+          "piecewise_power": {"a1", "a2"}, "tabulated": {"x", "y"}}
+
+
 class Weight:
     """Nonnegative weight on (0, inf), one power of x between consecutive
-    ``nodes`` and beyond both ends: a power, a piecewise power (node 1), or a
-    tabulated function (log-linear between its abscissae, the nodes, with
-    power-law extrapolation fitted on the outermost decades)."""
+    ``nodes`` and beyond both ends.  It holds the sorted nodes, its
+    ``values`` and ``log_values`` there and its two end exponents.  A power
+    and a piecewise power have the node 1, a tabulated weight its abscissae
+    (log-linear between them, with power-law extrapolation fitted on the
+    outermost decades), and a product of weight powers (``product``) the
+    union of its factors' nodes.
 
-    def __init__(self, form: str, **params):
-        self.form = form
-        self.params = params
-        if form == "power":
-            e = float(params["exponent"])
-            c = float(params.get("coefficient", 1.0))
-            if c < 0:
-                raise ValueError("weights are nonnegative")
-            self._fn = lambda x: c * np.asarray(x, dtype=float) ** e
-            self._e0 = self._einf = e
-            self.nodes: Tuple[float, ...] = ()
-        elif form == "piecewise_power":
-            a1, a2 = float(params["a1"]), float(params["a2"])
-            def fn(x, a1=a1, a2=a2):
-                x = np.asarray(x, dtype=float)
-                return np.where(x <= 1.0, x ** a1, x ** a2)
-            self._fn = fn
-            self._e0, self._einf = a1, a2
-            self.nodes = (1.0,)
-        elif form == "tabulated":
-            xs = np.asarray(params["x"], dtype=float)
-            ys = np.asarray(params["y"], dtype=float)
-            if np.any(xs <= 0) or np.any(ys < 0):
-                raise ValueError("tabulated weight needs positive abscissae and nonnegative values")
-            lx, ly = np.log(xs), np.log(np.maximum(ys, 1e-300))
-            self._e0 = _fit_slope(lx, ly, lx <= lx[0] + math.log(10.0))
-            self._einf = _fit_slope(lx, ly, lx >= lx[-1] - math.log(10.0))
-            def fn(x, lx=lx, ly=ly, e0=self._e0, einf=self._einf, xs=xs, ys=ys):
-                x = np.asarray(x, dtype=float)
-                out = np.exp(np.interp(np.log(np.maximum(x, 1e-300)), lx, ly))
-                out = np.where(x < xs[0], ys[0] * (x / xs[0]) ** e0, out)
-                out = np.where(x > xs[-1], ys[-1] * (x / xs[-1]) ** einf, out)
-                return out
-            self._fn = fn
-            self.nodes = tuple(xs.tolist())
-        else:
-            raise ValueError(f"unknown weight form {form!r}")
+    ``integral`` reads integral_0^x w or integral_x^inf w exactly: a sum of
+    closed-form power segments (``power_moment``) between the nodes, each
+    with the log-ratio of the values at its nodes as exponent, continued
+    with the end exponents beyond them."""
+
+    def __init__(self, nodes: Tuple[float, ...], values, log_values, exponent_at_zero: float,
+                 exponent_at_infinity: float, descriptor: Optional[dict] = None):
+        if not (math.isfinite(exponent_at_zero) and math.isfinite(exponent_at_infinity)):
+            raise ValueError("weight exponents must be finite")
+        self.nodes = nodes
+        self.values, self.log_values = np.asarray(values, dtype=float), np.asarray(log_values)
+        self._log_nodes = np.log(nodes) if len(nodes) > 1 else None
+        self.exponent_at_zero, self.exponent_at_infinity = exponent_at_zero, exponent_at_infinity
+        self.diverges_at_zero = exponent_at_zero <= -1.0 + 1e-12
+        self.diverges_at_infinity = exponent_at_infinity >= -1.0 - 1e-12
+        self._descriptor = descriptor
+        self._prefix = None
 
     @classmethod
     def power(cls, exponent: float, coefficient: float = 1.0) -> "Weight":
-        if coefficient == 1.0:
-            return cls("power", exponent=exponent)
-        return cls("power", exponent=exponent, coefficient=coefficient)
+        c, e = float(coefficient), float(exponent)
+        if not 0.0 <= c < math.inf:
+            raise ValueError("a power weight needs a nonnegative finite coefficient")
+        extra = {} if coefficient == 1.0 else {"coefficient": coefficient}
+        return cls((1.0,), [c], np.log([c]) if c > 0 else [-math.inf], e, e,
+                   descriptor={"form": "power", "exponent": exponent, **extra})
 
     @classmethod
     def piecewise_power(cls, a1: float, a2: float) -> "Weight":
-        return cls("piecewise_power", a1=a1, a2=a2)
+        return cls((1.0,), [1.0], [0.0], float(a1), float(a2),
+                   descriptor={"form": "piecewise_power", "a1": a1, "a2": a2})
 
     @classmethod
     def tabulated(cls, x: Sequence[float], y: Sequence[float]) -> "Weight":
-        return cls("tabulated", x=list(x), y=list(y))
+        xs, ys = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if xs.ndim != 1 or len(xs) == 0 or ys.shape != xs.shape:
+            raise ValueError(f"tabulated weight needs x and y of one nonzero length, "
+                             f"got shapes {xs.shape} and {ys.shape}")
+        if not (np.all(np.diff(xs) > 0) and 0.0 < xs[0] and xs[-1] < math.inf):
+            raise ValueError("tabulated weight needs increasing positive finite abscissae")
+        if not np.all((ys >= 0.0) & (ys < math.inf)):
+            raise ValueError("tabulated weight needs nonnegative finite values")
+        lx, ly = np.log(xs), np.log(np.maximum(ys, 1e-300))
+        # The end exponents: log-log slopes fitted on the outermost decades.
+        e0, einf = (float(np.polyfit(lx[m], ly[m], 1)[0]) if np.sum(m) >= 2 else 0.0
+                    for m in (lx <= lx[0] + math.log(10.0), lx >= lx[-1] - math.log(10.0)))
+        return cls(tuple(xs.tolist()), ys, ly, e0, einf,
+                   descriptor={"form": "tabulated", "x": list(x), "y": list(y)})
+
+    @classmethod
+    def product(cls, factors: Sequence[Tuple["Weight", float]]) -> "Weight":
+        """prod w^p over the factors (w, p): at the union of their nodes
+        (the node 1 without any) its values are prod w(node)^p and its
+        log-values sum p log w(node)."""
+        factors = [(w, float(p)) for w, p in factors if p != 0.0]
+        nodes = np.asarray(sorted(set().union(*(w.nodes for w, _ in factors))) or [1.0])
+        values, log_values = np.ones_like(nodes), np.zeros_like(nodes)
+        with np.errstate(all="ignore"):  # weights with zeros
+            for w, p in factors:
+                at_nodes = np.asarray(w(nodes), dtype=float)
+                values = values * at_nodes ** p
+                log_values = log_values + p * np.log(at_nodes)
+        return cls(tuple(nodes.tolist()), values, log_values,
+                   float(sum(p * w.exponent_at_zero for w, p in factors)),
+                   float(sum(p * w.exponent_at_infinity for w, p in factors)))
 
     def __call__(self, x):
-        return self._fn(x)
-
-    @property
-    def exponent_at_zero(self) -> float:
-        return self._e0
-
-    @property
-    def exponent_at_infinity(self) -> float:
-        return self._einf
+        """Log-linear between the nodes, the end powers beyond them."""
+        x = np.asarray(x, dtype=float)
+        lo, hi = self.nodes[0], self.nodes[-1]
+        left = self.values[0] * (x / lo) ** self.exponent_at_zero
+        if len(self.nodes) == 1 and self.exponent_at_infinity == self.exponent_at_zero:
+            return left
+        right = self.values[-1] * (x / hi) ** self.exponent_at_infinity
+        if len(self.nodes) == 1:
+            return np.where(x <= lo, left, right)
+        inside = np.exp(np.interp(np.log(np.maximum(x, 1e-300)), self._log_nodes, self.log_values))
+        return np.where(x < lo, left, np.where(x > hi, right, inside))
 
     def descriptor(self) -> dict:
-        return {"form": self.form, **self.params}
+        if self._descriptor is None:
+            raise ValueError("a product of weights has no descriptor")
+        return dict(self._descriptor)
 
     @classmethod
     def from_descriptor(cls, d: dict) -> "Weight":
         d = dict(d)
-        return cls(d.pop("form"), **d)
+        form = d.pop("form")
+        if form not in _FORMS:
+            raise ValueError(f"unknown weight form {form!r}")
+        if not set(d) <= _FORMS[form]:
+            raise ValueError(f"{form} weight has no key(s) {sorted(set(d) - _FORMS[form])}")
+        return getattr(cls, form)(**d)
 
+    # -- closed-form integrals ---------------------------------------------
 
-def _fit_slope(lx, ly, mask):
-    lx, ly = lx[mask], ly[mask]
-    if len(lx) < 2:
-        return 0.0
-    return float(np.polyfit(lx, ly, 1)[0])
+    def _fill_segments(self) -> None:
+        """Segment j runs from _edges[j] to _edges[j + 1]; on it w(x) = w(c)
+        (x/c)^_exponents[j] with c = _anchors[j], a node: the outer segments
+        take the end exponents, an inner one the log-ratio of the values at
+        its nodes.  Filled on the first read, with the prefix and suffix sums
+        of the full segments (nonnegative terms); a second fill is the same."""
+        if self._prefix is not None:
+            return
+        nodes = np.asarray(self.nodes)
+        self._edges = np.concatenate([[0.0], nodes, [math.inf]])
+        self._anchors = np.concatenate([nodes[:1], nodes])
+        with np.errstate(all="ignore"):
+            log_w = np.concatenate([self.log_values[:1], self.log_values])
+            self._scale = np.exp(log_w) * self._anchors
+            inner = np.diff(self.log_values) / np.diff(np.log(nodes))
+        self._exponents = np.concatenate([[self.exponent_at_zero], inner,
+                                          [self.exponent_at_infinity]])
+        full = self._segment(np.arange(len(self._anchors)), self._edges[:-1], self._edges[1:])
+        self._suffix = np.append(np.cumsum(full[::-1])[::-1], 0.0)
+        self._prefix = np.concatenate([[0.0], np.cumsum(full)])
 
+    def _segment(self, j: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        c = self._anchors[j]
+        with np.errstate(invalid="ignore", over="ignore"):
+            return self._scale[j] * power_moment(self._exponents[j], a / c, b / c)
 
-class WeightExpr:
-    """Product of weights (or of expressions) raised to real powers, with
-    tracked endpoint exponents and nodes, the union of its factors' nodes.
-    The condition evaluators build their bracket integrands from these."""
-
-    def __init__(self, factors: Sequence[Tuple[Weight, float]]):
-        self.factors = [(w, float(p)) for w, p in factors if p != 0.0]
-        self.nodes = tuple(sorted(set().union(*(w.nodes for w, _ in self.factors))))
-
-    def __call__(self, x):
+    def integral(self, x, upper: bool = False) -> np.ndarray:
+        """integral_0^x w, or integral_x^inf w if ``upper``, at each x of an
+        array: a prefix or suffix sum plus one partial segment.  A read that
+        integrates from a non-integrable end (``diverges_at_zero``: end
+        exponent <= -1 + 1e-12; ``diverges_at_infinity``: >= -1 - 1e-12) is
+        inf."""
         x = np.asarray(x, dtype=float)
-        out = np.ones_like(x)
-        for w, p in self.factors:
-            out = out * np.asarray(w(x), dtype=float) ** p
-        return out
+        if self.diverges_at_infinity if upper else self.diverges_at_zero:
+            return np.full(x.shape, math.inf)
+        self._fill_segments()
+        j = np.minimum(np.searchsorted(self._edges, x, side="right") - 1, len(self._anchors) - 1)
+        if upper:
+            return self._suffix[j + 1] + self._segment(j, x, self._edges[j + 1])
+        return self._prefix[j] + self._segment(j, self._edges[j], x)
 
     @property
-    def exponent_at_zero(self) -> float:
-        return sum(p * w.exponent_at_zero for w, p in self.factors)
+    def total(self) -> np.float64:
+        """integral_0^inf w (inf where an end diverges)."""
+        self._fill_segments()
+        return self._prefix[-1]
 
-    @property
-    def exponent_at_infinity(self) -> float:
-        return sum(p * w.exponent_at_infinity for w, p in self.factors)
+    def end_coefficient(self, at_infinity: bool) -> np.float64:
+        """k with w(x) = k x^e beyond the outermost node toward that end, e
+        the end exponent there."""
+        i = -1 if at_infinity else 0
+        e = self.exponent_at_infinity if at_infinity else self.exponent_at_zero
+        return self.values[i] * np.float64(self.nodes[i]) ** -e
 
 
 # ---------------------------------------------------------------------------
@@ -212,52 +265,38 @@ class Piece:
 
 
 class TestFunction:
-    """A closed-form test function: a sum of power pieces on disjoint
-    intervals, or a custom evaluator.  Carries support, jump points,
-    vanished moments and an optional general-monotonicity witness."""
+    """A closed-form test function: a sum of power pieces c x^e on disjoint
+    intervals [lo, hi), so its values, moments and absolute integrals are
+    exact.  Carries support, jump points, vanished moments (each checked
+    with the exact ``moment`` at construction) and an optional
+    general-monotonicity witness."""
 
     __test__ = False  # keep pytest collection away from the name
 
-    def __init__(self, family: str, pieces: Optional[Sequence[Piece]] = None,
-                 evaluator: Optional[Callable] = None,
-                 support: Optional[Tuple[float, float]] = None,
+    def __init__(self, family: str, pieces: Sequence[Piece],
                  vanished_moments: Sequence[float] = (),
                  gm_witness: Optional[GMWitness] = None,
-                 params: Optional[dict] = None,
-                 check_moments: bool = True):
+                 params: Optional[dict] = None):
         self.family = family
-        self.pieces = list(pieces) if pieces is not None else None
+        self.pieces = list(pieces)
+        ordered = sorted(self.pieces, key=lambda p: (p.lo, p.hi))
+        if not ordered or not all(p.lo <= p.hi for p in ordered):
+            raise ValueError(f"{family}: needs one piece or more, each with lo <= hi")
+        if any(p.hi > nxt.lo for p, nxt in zip(ordered, ordered[1:])):
+            raise ValueError(f"{family}: pieces overlap")
         self.params = dict(params or {})
         self.gm_witness = gm_witness
-        if self.pieces is not None:
-            lo = min(p.lo for p in self.pieces)
-            hi = max(p.hi for p in self.pieces)
-            self.support = (lo, hi)
-            bps = set()
-            for p in self.pieces:
-                if p.lo > 0:
-                    bps.add(p.lo)
-                if not math.isinf(p.hi):
-                    bps.add(p.hi)
-            self.breakpoints = tuple(sorted(bps))
-        else:
-            if evaluator is None or support is None:
-                raise ValueError("custom test function needs evaluator and support")
-            self.support = tuple(support)
-            self.breakpoints = ()
-        self._evaluator = evaluator
+        self.support = (ordered[0].lo, max(p.hi for p in ordered))
+        self.breakpoints = tuple(sorted({p.lo for p in ordered if p.lo > 0}
+                                        | {p.hi for p in ordered if not math.isinf(p.hi)}))
         self.vanished_moments = tuple(vanished_moments)
-        if check_moments:
-            for mu in self.vanished_moments:
-                resid = abs(self.moment_by_quadrature(mu))
-                if resid > 1e-12:
-                    raise ValueError(
-                        f"declared vanished moment {mu} integrates to {resid:.3e}")
+        for mu in self.vanished_moments:
+            resid = abs(self.moment(mu))
+            if resid > 1e-12:
+                raise ValueError(f"declared vanished moment {mu} is {resid:.3e}")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if self.pieces is None:
-            return np.asarray(self._evaluator(x), dtype=float)
         out = np.zeros_like(x)
         for p in self.pieces:
             mask = (x >= p.lo) & (x < p.hi)
@@ -265,37 +304,20 @@ class TestFunction:
                 out[mask] += p.coef * x[mask] ** p.exponent
         return out
 
-    # -- exact piecewise helpers ------------------------------------------
-
     def moment(self, mu: float) -> float:
-        """integral x^mu f(x) dx, exact for piecewise powers."""
-        if self.pieces is None:
-            raise ValueError("exact moments need piecewise form")
+        """integral x^mu f(x) dx."""
         return sum(p.coef * power_moment(mu + p.exponent, p.lo, p.hi)
                    for p in self.pieces)
 
     def abs_weighted_integral(self, mu: float, a: float, b: float) -> float:
-        """integral_a^b x^mu |f(x)| dx, exact for piecewise powers."""
-        if self.pieces is None:
-            val, _ = integrate(lambda x: x ** mu * np.abs(self(x)),
-                               (max(a, self.support[0]), min(b, self.support[1])))
-            return val
+        """integral_a^b x^mu |f(x)| dx."""
         return sum(abs(p.coef) * power_moment(mu + p.exponent, max(a, p.lo), min(b, p.hi))
                    for p in self.pieces)
 
-    def moment_by_quadrature(self, mu: float, config: Optional[QuadratureConfig] = None) -> float:
-        val, _ = integrate(lambda x: x ** mu * self(x), self.support,
-                           config or QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15),
-                           breakpoints=self.breakpoints)
-        return val
-
     def scaled(self, sigma: float) -> "TestFunction":
-        """x^sigma * f, preserving the piecewise structure."""
-        if self.pieces is None:
-            raise ValueError("scaling needs piecewise form")
+        """x^sigma * f."""
         pieces = [Piece(p.lo, p.hi, p.coef, p.exponent + sigma) for p in self.pieces]
-        return TestFunction(self.family + f"*x^{sigma:g}", pieces,
-                            params=self.params, check_moments=False)
+        return TestFunction(self.family + f"*x^{sigma:g}", pieces, params=self.params)
 
 
 class SingularSystem(Exception):
@@ -384,7 +406,7 @@ _GM_C_CAP = 1e6
 _GM_GROWTH_CAP = 3.0  # max tolerated growth of the fitted C per decade
 
 
-def _variation(f: TestFunction, x: float, n_sub: int = 128) -> float:
+def _variation(f: Callable, x: float, n_sub: int = 128) -> float:
     """Total variation of f on [x, 2x] from a fine log subgrid, with jump
     points sampled from both sides."""
     pts = list(np.geomspace(x, 2.0 * x, n_sub))
@@ -396,13 +418,14 @@ def _variation(f: TestFunction, x: float, n_sub: int = 128) -> float:
     return float(np.sum(np.abs(np.diff(vals))))
 
 
-def check_gm(f: TestFunction,
+def check_gm(f: Callable,
              lambda_grid: Sequence[float] = _DEFAULT_LAMBDAS,
              x_grid: Optional[np.ndarray] = None,
              c_cap: float = _GM_C_CAP) -> Optional[GMWitness]:
     """Fit the smallest constant C (over the lambda menu) such that the
     variation of f on [x, 2x] is dominated by (C/x) times its average over
-    [x/lambda, lambda*x] on the whole grid.
+    [x/lambda, lambda*x] on the whole grid.  f is a test function or any
+    callable on (0, inf), such as np.sin.
 
     Membership needs more than C staying under the cap on a finite grid:
     the required constant must not grow systematically across decades,
@@ -432,17 +455,14 @@ def check_gm(f: TestFunction,
     return best
 
 
-def _abs_mass(f: TestFunction, a: float, b: float) -> float:
-    """integral_a^b |f|: exact for piecewise powers, log-grid trapezoid for
-    custom evaluators (the GM diagnostic only needs percent-level accuracy,
-    and blind quadrature of |f| stalls on oscillatory tails)."""
-    if f.pieces is not None:
+def _abs_mass(f: Callable, a: float, b: float) -> float:
+    """integral_a^b |f| (0 < a < b): exact for a test function, a log-grid
+    trapezoid for any other callable (the GM diagnostic only needs
+    percent-level accuracy, and blind quadrature of |f| stalls on
+    oscillatory tails)."""
+    if isinstance(f, TestFunction):
         return f.abs_weighted_integral(0.0, a, b)
-    lo = max(a, f.support[0], 1e-12)
-    hi = min(b, f.support[1])
-    if hi <= lo:
-        return 0.0
-    grid = np.geomspace(lo, hi, 512)
+    grid = np.geomspace(a, b, 512)
     return float(np.trapezoid(np.abs(f(grid)), grid))
 
 

@@ -231,9 +231,8 @@ def test_criterion_9_moment_reduction():
 def test_criterion_10_gm_machinery():
     # Monotone powers and truncated powers receive witnesses; sin does not.
     w1 = check_gm(make_truncated_power(0.0, 1.0, "left"))
-    w2 = check_gm(TestFunction("x^-1", [Piece(0.0, math.inf, 1.0, -1.0)],
-                               check_moments=False))
-    w3 = check_gm(TestFunction("sin", evaluator=np.sin, support=(0.0, math.inf)))
+    w2 = check_gm(TestFunction("x^-1", [Piece(0.0, math.inf, 1.0, -1.0)]))
+    w3 = check_gm(np.sin)
     witnesses_ok = w1 is not None and w2 is not None and w3 is None
 
     # The general-monotone pointwise bound dominates the Struve-type

@@ -84,7 +84,7 @@ def test_skipped_rows_for_zero_function():
     cfg = ExperimentConfig.from_dict(_modelmin_config())
     cfg.family = [(1.0, cfg.family[0][1].scaled(0.0))]  # keep one, then zero it
     from wnilab.weights import Piece, TestFunction
-    zero = TestFunction("zero", [Piece(0.0, 1.0, 0.0, 0.0)], check_moments=False)
+    zero = TestFunction("zero", [Piece(0.0, 1.0, 0.0, 0.0)])
     cfg.family = [(1.0, zero)]
     records = compute_ratio_records(cfg)
     assert records[0].note != ""
@@ -312,11 +312,25 @@ def _hankel_conditions_doc(**changes):
     _hankel_conditions_doc(transform={"name": "hankel", "alpha": -2.0}),
     _hankel_conditions_doc(exponents=None),
     _hankel_conditions_doc(exponents={"p": 0.5, "q": 2.0, "a": 1.0}),
-], ids=["hankel-alpha-below-range", "no-exponents", "p-below-one"])
-def test_check_conditions_input_errors_exit_2(tmp_path, doc):
+    _hankel_conditions_doc(weights={"u": {"form": "tabulated", "x": [], "y": []},
+                                    "v": {"form": "power", "exponent": 0.5}}),
+    _hankel_conditions_doc(weights={"u": {"form": "tabulated", "x": [0.5, 2.0], "y": [1.0]},
+                                    "v": {"form": "power", "exponent": 0.5}}),
+    _hankel_conditions_doc(weights={"u": {"form": "tabulated", "x": [2.0, 0.5], "y": [1.0, 1.0]},
+                                    "v": {"form": "power", "exponent": 0.5}}),
+    _hankel_conditions_doc(weights={"u": {"form": "tabulated", "x": [2.0, 2.0], "y": [1.0, 1.0]},
+                                    "v": {"form": "power", "exponent": 0.5}}),
+    _hankel_conditions_doc(weights={"u": {"form": "power", "exponent": -0.5},
+                                    "v": {"form": "power", "exponent": 0.5, "scale": 2.0}}),
+    _hankel_conditions_doc(weights={"beta": "nan", "gamma": 0.25}),
+], ids=["hankel-alpha-below-range", "no-exponents", "p-below-one", "tabulated-empty",
+        "tabulated-lengths-differ", "tabulated-decreasing", "tabulated-repeated",
+        "weight-unknown-key", "beta-nan"])
+def test_check_conditions_input_errors_exit_2(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main(["check-conditions", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("weights", [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wnilab import conditions
-from wnilab.conditions import (_Bracket, EnvelopeNotStrict, InverseRelationViolated,
+from wnilab.conditions import (EnvelopeNotStrict, InverseRelationViolated,
                                glued_condition, gm_power_range,
                                hardy_pair_condition, lorentz_necessity_condition,
                                oinarov_check, power_hardy_verdict,
@@ -14,7 +14,7 @@ from wnilab.conditions import (_Bracket, EnvelopeNotStrict, InverseRelationViola
 from wnilab.kernels import KernelSpec, PowerEnvelope, model_min_kernel
 from wnilab.transforms import (MissingPrimitiveBound, NoSeriesKernel, cosine,
                                hankel, model_min, scripth, sine)
-from wnilab.weights import ExponentSet, Weight, WeightExpr
+from wnilab.weights import ExponentSet, Weight
 
 ES22 = ExponentSet(p=2.0, q=2.0, a=1.0)
 
@@ -298,7 +298,7 @@ def test_oinarov_model_kernel_unbounded():
 
 
 def test_oinarov_constant_kernel_bounded():
-    const = KernelSpec("custom", PowerEnvelope(0.0, 0.0, 0.0, 0.0),
+    const = KernelSpec("custom", PowerEnvelope(0.0, 0.0),
                        lambda t: np.ones_like(np.asarray(t, dtype=float)))
     rep = oinarov_check(const)
     assert rep.verdict == "bounded"
@@ -307,7 +307,7 @@ def test_oinarov_constant_kernel_bounded():
 
 def test_oinarov_exponential_kernel_diagnostic():
     # e^{-xy} on the same triples: the scan reports whatever it finds.
-    expk = KernelSpec("custom", PowerEnvelope(0.0, 0.0, 0.0, 0.0),
+    expk = KernelSpec("custom", PowerEnvelope(0.0, 0.0),
                       lambda t: np.exp(-np.asarray(t, dtype=float)))
     rep = oinarov_check(expk)
     assert rep.verdict in ("bounded", "unbounded")
@@ -419,8 +419,8 @@ def _bracket_cases():
     # tabulated x^(1/2) on nodes 0.5, 2, 8)^2 times 3 x^-0.3, so 3 x^-0.1 on
     # (0, 1] and 3 x^-2.5 beyond.
     nodes = [0.5, 2.0, 8.0]
-    inner = WeightExpr([(Weight.piecewise_power(-0.4, -1.6), 1.0),
-                        (Weight.tabulated(nodes, [x ** 0.5 for x in nodes]), 1.0)])
+    inner = Weight.product([(Weight.piecewise_power(-0.4, -1.6), 1.0),
+                            (Weight.tabulated(nodes, [x ** 0.5 for x in nodes]), 1.0)])
     nested = ([(inner, 2.0), (Weight.power(-0.3, coefficient=3.0), 1.0)],
               [(0, 1, 3, -0.1), (1, mpmath.inf, 3, -2.5)], True)
     # A tabulated x^(1/2) up to 3, then sqrt(3) (x/3)^2, kinked at the node
@@ -438,17 +438,17 @@ def test_bracket_reads_against_mpmath_power_sums(case):
     # power sums to 1e-13 relative, and the tabulated kink to 1e-14 within
     # its nodes (beyond them its fitted end slopes carry rounding).
     factors, pieces, upper = _bracket_cases()[case]
-    table = _Bracket(factors)
+    table = Weight.product(factors)
     rs = np.array([1e-9, 1e-3, 0.02, 0.5, 1.0, 2.0, 3.0, 4.0, 7.5, 80.0, 1e3, 5e3, 1e9])
     rel = np.where((case == "growing-kink") & (rs >= 1e-3) & (rs <= 1e3), 1e-14, 1e-13)
     with mpmath.workdps(40):
-        for r, got, tol in zip(rs, table.read(rs), rel):
+        for r, got, tol in zip(rs, table.integral(rs), rel):
             assert abs(got / _power_sum(pieces, 0, mpmath.mpf(r)) - 1) <= tol
         if upper:
-            for r, got, tol in zip(rs, table.read(rs, upper=True), rel):
+            for r, got, tol in zip(rs, table.integral(rs, upper=True), rel):
                 assert abs(got / _power_sum(pieces, mpmath.mpf(r), mpmath.inf) - 1) <= tol
         else:
-            assert np.all(table.read(rs, upper=True) == math.inf)
+            assert np.all(table.integral(rs, upper=True) == math.inf)
 
 
 def test_bracket_endpoint_divergence():
@@ -456,33 +456,33 @@ def test_bracket_endpoint_divergence():
     # for lower reads, einf >= -1 - 1e-12 for upper reads.
     rs = np.array([1e-6, 1.0, 1e6])
     for e in (-2.0, -1.0, -1.0 + 1e-13):
-        table = _Bracket([(Weight.power(e), 1.0)])
-        assert table.diverges_at_zero and np.all(table.read(rs) == math.inf)
+        table = Weight.product([(Weight.power(e), 1.0)])
+        assert table.diverges_at_zero and np.all(table.integral(rs) == math.inf)
     for e in (0.5, -1.0, -1.0 - 1e-13):
-        table = _Bracket([(Weight.power(e), 1.0)])
-        assert table.diverges_at_infinity and np.all(table.read(rs, upper=True) == math.inf)
-    table = _Bracket([(Weight.power(-1.0 + 1e-11), 1.0)])
+        table = Weight.product([(Weight.power(e), 1.0)])
+        assert table.diverges_at_infinity and np.all(table.integral(rs, upper=True) == math.inf)
+    table = Weight.product([(Weight.power(-1.0 + 1e-11), 1.0)])
     assert not table.diverges_at_zero
-    assert table.read(rs)[1] == pytest.approx(1.0 / ((-1.0 + 1e-11) + 1.0), rel=1e-14)
+    assert table.integral(rs)[1] == pytest.approx(1.0 / ((-1.0 + 1e-11) + 1.0), rel=1e-14)
 
 
 def test_bracket_decaying_tabulated_kink():
     # Log-linear table of x^(1/2) on (0, 3] and 9 sqrt(3) x^-2 on [3, inf):
     # the integral over (0, inf) is 2 sqrt(3) + 3 sqrt(3) = 5 sqrt(3).
     ys = [x ** 0.5 if x <= 3.0 else 9.0 * math.sqrt(3.0) * x ** -2.0 for x in _KINK_NODES]
-    table = _Bracket([(Weight.tabulated(_KINK_NODES, ys), 1.0)])
+    table = Weight.product([(Weight.tabulated(_KINK_NODES, ys), 1.0)])
     rs = np.array([0.05, 1.0, 2.5, 3.0, 3.5, 7.0, 500.0])
-    np.testing.assert_allclose(table.read(rs) + table.read(rs, upper=True), 5.0 * math.sqrt(3.0),
+    np.testing.assert_allclose(table.integral(rs) + table.integral(rs, upper=True), 5.0 * math.sqrt(3.0),
                                rtol=1e-14)
-    np.testing.assert_allclose(table.read(rs[:4]), 2.0 / 3.0 * rs[:4] ** 1.5, rtol=1e-14)
+    np.testing.assert_allclose(table.integral(rs[:4]), 2.0 / 3.0 * rs[:4] ** 1.5, rtol=1e-14)
 
 
 def test_bracket_upper_reads_suffix_sums():
     # x^-2: nearly all of its mass sits near 0, so an upper read taken as
     # total minus prefix would keep no digit of 1/r.
-    table = _Bracket([(Weight.power(-2.0), 1.0)])
+    table = Weight.product([(Weight.power(-2.0), 1.0)])
     rs = np.array([1e-3, 0.3, 7.0, 1e4, 1e12])
-    np.testing.assert_allclose(table.read(rs, upper=True), 1.0 / rs, rtol=1e-14)
+    np.testing.assert_allclose(table.integral(rs, upper=True), 1.0 / rs, rtol=1e-14)
 
 
 def test_bracket_reads_at_extreme_arguments():
@@ -490,13 +490,13 @@ def test_bracket_reads_at_extreme_arguments():
     # 2 r^(-1/2) far beyond the scan range, and integral_r^inf
     # min(x^-1, x^-2) = 1 - log r for r < 1.
     rs = np.array([1e6, 2.0 ** 51, 1e20, 1e100])
-    np.testing.assert_allclose(_Bracket([(Weight.power(-0.5), 1.0)]).read(rs),
+    np.testing.assert_allclose(Weight.product([(Weight.power(-0.5), 1.0)]).integral(rs),
                                2.0 * np.sqrt(rs), rtol=1e-14)
-    np.testing.assert_allclose(_Bracket([(Weight.power(-1.5), 1.0)]).read(1.0 / rs, upper=True),
+    np.testing.assert_allclose(Weight.product([(Weight.power(-1.5), 1.0)]).integral(1.0 / rs, upper=True),
                                2.0 * np.sqrt(rs), rtol=1e-14)
     rs = np.array([1e-3, 1e-20, 1e-100])
-    table = _Bracket([(Weight.piecewise_power(-1.0, -2.0), 1.0)])
-    np.testing.assert_allclose(table.read(rs, upper=True), 1.0 - np.log(rs), rtol=1e-14)
+    table = Weight.product([(Weight.piecewise_power(-1.0, -2.0), 1.0)])
+    np.testing.assert_allclose(table.integral(rs, upper=True), 1.0 - np.log(rs), rtol=1e-14)
 
 
 def test_bracket_array_reads_equal_single_reads():
@@ -508,12 +508,12 @@ def test_bracket_array_reads_equal_single_reads():
     ys = [x ** 0.5 if x <= 3.0 else 9.0 * math.sqrt(3.0) * x ** -2.0 for x in _KINK_NODES]
     for weight in (Weight.power(-0.5), Weight.piecewise_power(0.5, -2.5),
                    Weight.tabulated(_KINK_NODES, ys)):
-        table = _Bracket([(weight, 1.0)])
+        table = Weight.product([(weight, 1.0)])
         for upper in (False, True):
-            reads = table.read(rs, upper)
+            reads = table.integral(rs, upper)
             assert reads.shape == rs.shape
             for r, val in zip(rs, reads):
-                assert table.read(np.array([r]), upper)[0] == val
+                assert table.integral(np.array([r]), upper)[0] == val
 
 
 @pytest.mark.parametrize("r_end", [math.inf, 0.0])

@@ -278,8 +278,6 @@ def test_envelope_constant_stability_under_refinement():
 
 
 def test_envelope_invariants():
-    with pytest.raises(ValueError):
-        PowerEnvelope(1.0, 1.0, 0.0, 0.5)  # b1-b2 != c1-c2
-    assert PowerEnvelope(1.0, 1.0, 0.0, 0.0).strict
-    assert not PowerEnvelope(0.0, 0.0, 0.0, 0.0).strict
+    assert PowerEnvelope(1.0, 0.0).strict
+    assert not PowerEnvelope(0.0, 0.0).strict
     assert cosine_kernel().envelope.strict is False

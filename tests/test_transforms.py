@@ -66,17 +66,17 @@ def test_model_min_first_branch_only():
 
 
 def test_apply_zero_function():
-    z = TestFunction("zero", [Piece(0.0, 1.0, 0.0, 0.0)], check_moments=False)
+    z = TestFunction("zero", [Piece(0.0, 1.0, 0.0, 0.0)])
     res = apply(hankel(0.0), z, [0.3, 3.0], CFG)
     assert np.allclose(res.values, 0.0)
 
 
 def test_linearity():
+    # 2 f - 3 g for f = x^0.2 on (0, 1) and g = x on (1, 2), disjoint pieces.
     spec = hankel(0.5)
-    f = make_truncated_power(0.2, 2.0, "left")
-    g = make_truncated_power(1.0, 1.0, "left")
-    combo = TestFunction("combo", [Piece(0.0, 2.0, 2.0, 0.2), Piece(0.0, 1.0, -3.0, 1.0)],
-                         check_moments=False)
+    f = TestFunction("f", [Piece(0.0, 1.0, 1.0, 0.2)])
+    g = TestFunction("g", [Piece(1.0, 2.0, 1.0, 1.0)])
+    combo = TestFunction("combo", [Piece(0.0, 1.0, 2.0, 0.2), Piece(1.0, 2.0, -3.0, 1.0)])
     ys = [0.3, 1.7, 9.0]
     rf = apply(spec, f, ys, CFG).values
     rg = apply(spec, g, ys, CFG).values
@@ -138,8 +138,7 @@ def test_pointwise_bound_gm_requires_data():
 
 def test_admissibility_gate():
     sh = scripth(0.75)
-    bad = TestFunction("x^-b", [Piece(0.0, math.inf, 1.0, -sh.primitive_bound.b)],
-                       check_moments=False)
+    bad = TestFunction("x^-b", [Piece(0.0, math.inf, 1.0, -sh.primitive_bound.b)])
     with pytest.raises(AdmissibilityError):
         apply(sh, bad, [1.0], CFG, admissibility_mode="gm")
     res = apply(sh, bad, [1.0], CFG, check=False)  # override computes anyway
@@ -183,7 +182,7 @@ def test_reduced_kernel_has_no_far_field():
         kernel = moment_reduced_kernel(spec, 1)
         assert kernel.far_field is None and not kernel.oscillatory
         reduced = TransformSpec("reduced", spec.b0 + spec.series.b1,
-                                spec.c0 + spec.series.c1, kernel)
+                                spec.c0 + spec.series.b1, kernel)
         with pytest.raises(ValueError, match="far field"):
             apply(reduced, f, [1.0], CFG, check=False)
 
@@ -194,12 +193,6 @@ def test_apply_domain_is_positive_y():
     for y in (0.0, -1.0):
         with pytest.raises(ValueError, match="0 < y"):
             apply(hankel(0.0), f, [y, 1.0], check=False)
-
-
-def test_apply_refuses_custom_test_function():
-    f = TestFunction("custom", evaluator=np.sqrt, support=(0.0, 1.0), check_moments=False)
-    with pytest.raises(ValueError, match="piecewise-power"):
-        apply(hankel(0.0), f, [1.0], CFG, check=False)
 
 
 def test_table_that_cannot_be_built_is_nonconvergent():
@@ -319,7 +312,7 @@ def _finite_pieces(draw):
         e = draw((st.floats(-0.9, 2.0) if lo == 0.0 else st.floats(-3.0, 2.0))
                  .filter(_off_log_case))
         pieces.append(Piece(lo, hi, draw(st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 0.1)), e))
-    return TestFunction("drawn", pieces, check_moments=False)
+    return TestFunction("drawn", pieces)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -355,10 +348,9 @@ def test_hankel_table_against_closed_form(alpha):
 @pytest.mark.parametrize("lam", [1.0 / 3.0, 2.0, 10.0])
 def test_dilation_covariance_every_preset(spec, lam):
     # F[f(lam .)](y) = lam^(c0 - b0 - 1) F f(y / lam), for f = x^(1/2) on
-    # (0, 1); the same f as a custom evaluator is refused.
+    # (0, 1).
     def as_pieces(scale):
-        return TestFunction("piece", [Piece(0.0, 1.0 / scale, scale ** 0.5, 0.5)],
-                            check_moments=False)
+        return TestFunction("piece", [Piece(0.0, 1.0 / scale, scale ** 0.5, 0.5)])
 
     ys = np.array([0.3, 4.0, 60.0]) * lam
     factor = lam ** (spec.c0 - spec.b0 - 1.0)
@@ -367,10 +359,6 @@ def test_dilation_covariance_every_preset(spec, lam):
     assert left.notes == [] and right.notes == []
     tol = left.errors + factor * right.errors + 1e-13 * np.abs(left.values)
     assert np.all(np.abs(left.values - factor * right.values) <= tol)
-    custom = TestFunction("custom", evaluator=lambda x: np.sqrt(lam * x),
-                          support=(0.0, 1.0 / lam), check_moments=False)
-    with pytest.raises(ValueError):
-        apply(spec, custom, ys, CFG, check=False)
 
 
 def test_table_right_sided_power_agrees_with_point():
@@ -405,7 +393,7 @@ def _model_min_exact(delta, e, lo, hi, y):
 def test_model_min_table_against_closed_form(e, lo, hi):
     # The model kernel's Phi_nu is elementary: 1 below t = 1 and one drift
     # power beyond, so every read is served within its bar.
-    f = TestFunction("power", [Piece(lo, hi, 1.0, e)], check_moments=False)
+    f = TestFunction("power", [Piece(lo, hi, 1.0, e)])
     ys = np.geomspace(1e-3, 1e4, 15)
     res = apply(model_min(1.0), f, ys, CFG, check=False)
     assert res.notes == []
@@ -449,7 +437,7 @@ def test_model_min_near_cancelling_exponent_within_bar():
                          ids=["tail", "origin"])
 def test_model_min_divergent_pieces(e, lo, hi):
     # x^0.6 (xy)^(-1/2) is not integrable at infinity, x^-2 not at 0.
-    f = TestFunction("power", [Piece(lo, hi, 1.0, e)], check_moments=False)
+    f = TestFunction("power", [Piece(lo, hi, 1.0, e)])
     res = apply(model_min(1.0), f, [0.5, 3.0], CFG, check=False)
     assert np.all(np.isinf(res.values)) and np.all(np.isinf(res.errors))
     assert res.notes == ["y=0.5: divergent", "y=3: divergent"]
@@ -502,7 +490,7 @@ def test_table_beyond_reach_agrees_with_point():
     for v, e, (pv, pe) in zip(res.values, res.errors, point):
         assert abs(v - pv) <= e + pe
     # A piece wholly beyond the reach is read from the far field alone.
-    f = TestFunction("far", [Piece(1.0, 2.0, 1.0, -1.3)], check_moments=False)
+    f = TestFunction("far", [Piece(1.0, 2.0, 1.0, -1.3)])
     ys = np.array([1.05, 40.0]) * REACH
     with mpmath.workdps(30):
         for spec in SERIES_PRESETS:
@@ -511,7 +499,7 @@ def test_table_beyond_reach_agrees_with_point():
                 assert abs(mpmath.mpf(v) - _termwise_transform(spec, f, y)) <= e, (spec.name, y)
     # Its bar holds against closed forms for 1 on (1, 2): y^-2 [T J_1(T)]
     # from T = y to 2y for hankel(0), (cos y - cos 2y) / y for sine.
-    f = TestFunction("far", [Piece(1.0, 2.0, 1.0, 0.0)], check_moments=False)
+    f = TestFunction("far", [Piece(1.0, 2.0, 1.0, 0.0)])
     ys = np.array([1.05, 1.5, 40.0]) * REACH
     _assert_served_within(hankel(0.0), f, ys, lambda y: (2 * y * mpmath.besselj(1, 2 * y)
                                                          - y * mpmath.besselj(1, y)) / y ** 2)

@@ -1,12 +1,15 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wnilab.quadrature import QuadratureConfig, integrate
 from wnilab.transforms import hankel, scripth
 from wnilab.weights import (ExponentSet, GMWitness, Piece, SingularSystem,
-                            TestFunction, Weight, WeightExpr, check_admissible,
+                            TestFunction, Weight, check_admissible,
                             check_gm, make_log_counterexample,
                             make_truncated_power, make_vanishing_moment_function,
                             power_moment)
@@ -45,11 +48,43 @@ def test_weight_descriptor_roundtrip():
         assert again(1.7) == pytest.approx(w(1.7))
 
 
-def test_weight_expr_tracks_exponents():
-    expr = WeightExpr([(Weight.power(1.0), 2.0), (Weight.piecewise_power(-0.5, 0.5), -1.0)])
-    assert expr.exponent_at_zero == pytest.approx(2.5)
-    assert expr.exponent_at_infinity == pytest.approx(1.5)
-    assert expr(2.0) == pytest.approx(4.0 / 2.0 ** 0.5)
+def test_weight_product_tracks_exponents():
+    prod = Weight.product([(Weight.power(1.0), 2.0), (Weight.piecewise_power(-0.5, 0.5), -1.0)])
+    assert prod.exponent_at_zero == pytest.approx(2.5)
+    assert prod.exponent_at_infinity == pytest.approx(1.5)
+    assert prod(2.0) == pytest.approx(4.0 / 2.0 ** 0.5)
+    assert prod.nodes == (1.0,)
+
+
+def test_product_of_tabulated_and_power_is_the_product_of_its_factors():
+    # At the union of the nodes (the table's and the power's 1) and between
+    # them, the product's log-linear read is its factors' product.
+    tab = Weight.tabulated([0.2, 0.7, 3.0, 9.0], [0.5, 1.3, 0.8, 2.0])
+    power = Weight.power(-0.6, coefficient=1.5)
+    prod = Weight.product([(tab, 2.0), (power, 1.0)])
+    assert prod.nodes == (0.2, 0.7, 1.0, 3.0, 9.0)
+    xs = np.sort(np.concatenate([prod.nodes, np.geomspace(0.2, 9.0, 23)]))
+    np.testing.assert_allclose(prod(xs), tab(xs) ** 2 * power(xs), rtol=1e-15)
+
+
+def test_weight_integral_filled_once_across_threads():
+    # The segment sums are filled on the first read; threads racing on that
+    # fill read the same values as one thread alone.
+    factors = [(Weight.tabulated([0.2, 0.7, 3.0, 9.0], [0.5, 1.3, 0.8, 2.0]), 1.0),
+               (Weight.power(-1.5), 1.0)]
+    xs = np.geomspace(1e-3, 1e3, 41)
+    expected = Weight.product(factors).integral(xs, upper=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            shared = Weight.product(factors)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                reads = [pool.submit(shared.integral, xs, True) for _ in range(8)]
+                for read in reads:
+                    np.testing.assert_array_equal(read.result(timeout=10), expected)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_exponent_set():
@@ -80,7 +115,7 @@ def test_truncated_power_families():
 def test_log_counterexample_exact_moment():
     f = make_log_counterexample(10.0, 0.0)
     assert f.moment(0.0) == 0.0  # log N - log N, exactly
-    assert f.moment_by_quadrature(0.0) == pytest.approx(0.0, abs=1e-12)
+    assert _moment_by_quadrature(f, 0.0) == pytest.approx(0.0, abs=1e-12)
     # Weighted 2-norm with v = x^(p-1): (2 log N)^(1/2).
     mass = f.abs_weighted_integral(1.0, 0.0, math.inf)  # int x |f| = N - 1/N
     assert mass == pytest.approx(10.0 - 0.1, rel=1e-12)
@@ -88,16 +123,37 @@ def test_log_counterexample_exact_moment():
         make_log_counterexample(1.5, 0.0)
 
 
+def _moment_by_quadrature(f, mu):
+    """integral x^mu f by adaptive quadrature, an oracle independent of the
+    exact moments."""
+    val, _ = integrate(lambda x: x ** mu * f(x), f.support,
+                       QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15), breakpoints=f.breakpoints)
+    return val
+
+
 def test_declared_moments_verified_at_construction():
     with pytest.raises(ValueError):
         TestFunction("bogus", [Piece(0.0, 1.0, 1.0, 0.0)], vanished_moments=(0.0,))
+
+
+@pytest.mark.parametrize("pieces", [
+    [],
+    [Piece(2.0, 1.0, 1.0, 0.0)],
+    [Piece(0.0, 1.0, 1.0, 0.0), Piece(0.0, 1.0, -1.0, 0.0)],
+    [Piece(1.0, 3.0, 1.0, 0.0), Piece(0.0, 2.0, 1.0, 0.0)],
+], ids=["no-pieces", "lo-above-hi", "same-interval", "overlap-unsorted"])
+def test_test_function_pieces_are_disjoint(pieces):
+    # f = 1 - 1 on (0, 1) as two pieces would be f = 0 with an absolute
+    # integral of 2: overlapping pieces are refused.
+    with pytest.raises(ValueError):
+        TestFunction("bad", pieces)
 
 
 def test_vanishing_moment_construction():
     f = make_vanishing_moment_function([2.0, 4.0], [0.25, 0.75, 2.0, 6.0])
     assert abs(f.moment(2.0)) < 1e-12
     assert abs(f.moment(4.0)) < 1e-12
-    assert abs(f.moment_by_quadrature(2.0)) < 1e-12
+    assert abs(_moment_by_quadrature(f, 2.0)) < 1e-12
     # One killed moment on nodes {1/N, 1, N} reproduces the log family shape.
     g = make_vanishing_moment_function([0.0], [0.1, 1.0, 10.0])
     assert g.pieces[0].exponent == pytest.approx(-1.0)
@@ -112,10 +168,9 @@ def test_vanishing_moment_construction():
 def test_gm_witnesses():
     assert check_gm(make_truncated_power(0.0, 1.0, "left")) is not None
     assert check_gm(make_truncated_power(1.5, 2.0, "left")) is not None
-    mono = TestFunction("x^-1", [Piece(0.0, math.inf, 1.0, -1.0)], check_moments=False)
+    mono = TestFunction("x^-1", [Piece(0.0, math.inf, 1.0, -1.0)])
     assert check_gm(mono) is not None
-    fsin = TestFunction("sin", evaluator=np.sin, support=(0.0, math.inf))
-    assert check_gm(fsin) is None
+    assert check_gm(np.sin) is None
 
 
 def test_gm_witness_validation():
@@ -137,8 +192,7 @@ def test_gm_decay_along_grid_tail():
     # General-monotone f with finite tail integral has x |f(x)| -> 0: the
     # last decade of the tail grid sits far below its first decade.
     f = TestFunction("min(1,x^-2)", [Piece(0.0, 1.0, 1.0, 0.0),
-                                     Piece(1.0, math.inf, 1.0, -2.0)],
-                     check_moments=False)
+                                     Piece(1.0, math.inf, 1.0, -2.0)])
     assert check_gm(f) is not None
     grid = np.geomspace(1.0, 1e3, 121)
     vals = grid * np.abs(f(grid))
@@ -155,7 +209,7 @@ def test_power_moment_divergent_ends():
     assert power_moment(-0.5, 0.0, 4.0) == pytest.approx(4.0)
     assert power_moment(-1.0, 1.0, math.e) == pytest.approx(1.0)
     assert power_moment(-3.0, 1.0, math.inf) == pytest.approx(0.5)
-    f = TestFunction("x^-3", [Piece(0.0, 1.0, 1.0, -3.0)], check_moments=False)
+    f = TestFunction("x^-3", [Piece(0.0, 1.0, 1.0, -3.0)])
     assert f.abs_weighted_integral(0.0, 0.0, 1.0) == math.inf
     rep = check_admissible(f, hankel(0.0), "pointwise")
     assert not rep and math.isinf(rep.near_origin)
@@ -170,7 +224,7 @@ def test_admissibility_modes():
     # f = x^{-b} exactly is not admissible in gm mode: log-divergent tail.
     sh = scripth(0.75)
     b = sh.primitive_bound.b
-    f = TestFunction("x^-b", [Piece(0.0, math.inf, 1.0, -b)], check_moments=False)
+    f = TestFunction("x^-b", [Piece(0.0, math.inf, 1.0, -b)])
     rep = check_admissible(f, sh, "gm")
     assert not rep and math.isinf(rep.tail)
 
