@@ -69,10 +69,15 @@ class ConditionReport:
                 "label": self.label}
 
 
-# Zoom rounds of the scan: each reads _ZOOM_POINTS points spanning one
-# spacing of the previous round on either side of the best point so far, so
-# the spacing shrinks 8x per round.  From the 60-point grid's spacing
-# ln(1e12)/59 five rounds reach 1.4e-5 in log r.
+# The scan's r-grid, shared by every scan and so read-only.  Zoom rounds of the scan: each
+# reads _ZOOM_POINTS points spanning one spacing of the previous round on
+# either side of the best point so far, so the spacing shrinks 8x per round.
+# From the 60-point grid's spacing ln(1e12)/59 five rounds reach 1.4e-5 in
+# log r.
+_SCAN_R = np.geomspace(1e-6, 1e6, 60)
+_SCAN_R.flags.writeable = False
+_SCAN_ENDS = math.log(_SCAN_R[0]), math.log(_SCAN_R[-1])
+_SCAN_SPACING = (_SCAN_ENDS[1] - _SCAN_ENDS[0]) / (len(_SCAN_R) - 1)
 _ZOOM_ROUNDS = 5
 _ZOOM_POINTS = 17
 # Grid products this close (relative) are constant: the tolerance of the
@@ -80,17 +85,15 @@ _ZOOM_POINTS = 17
 _FLAT_SPREAD = 1e-9
 
 
-def _sup_scan(product: Callable[[np.ndarray], np.ndarray], label: str = "",
-              n: int = 60) -> ConditionReport:
-    rs = np.geomspace(1e-6, 1e6, n)
-    vals = product(rs)
-    trace = list(zip(rs.tolist(), vals.tolist()))
+def _sup_scan(product: Callable[[np.ndarray], np.ndarray], label: str = "") -> ConditionReport:
+    vals = product(_SCAN_R)
+    trace = list(zip(_SCAN_R.tolist(), vals.tolist()))
     i = int(np.argmax(vals))
     if vals[i] - np.min(vals) <= _FLAT_SPREAD * abs(vals[i]) < math.inf:
         return ConditionReport(float(vals[i]), None, "finite", None, trace, label)
-    ends = math.log(rs[0]), math.log(rs[-1])
-    best_t, best_v = math.log(rs[i]), float(vals[i])
-    half = (ends[1] - ends[0]) / (n - 1)
+    ends = _SCAN_ENDS
+    best_t, best_v = math.log(_SCAN_R[i]), float(vals[i])
+    half = _SCAN_SPACING
     for _ in range(_ZOOM_ROUNDS):
         ts = np.linspace(max(best_t - half, ends[0]), min(best_t + half, ends[1]), _ZOOM_POINTS)
         vals = product(np.exp(ts))
@@ -178,7 +181,7 @@ def _toward(factors: _Factors, r_to_inf: bool) -> Tuple[float, float, float]:
     return kappa, logs, float(limit)
 
 
-def _scan(factors: _Factors, label: str, n: int = 60) -> ConditionReport:
+def _scan(factors: _Factors, label: str) -> ConditionReport:
     """Divergent when a bracket diverges at the end it integrates from or the
     product ~ C T^kappa (log T)^m is unbounded toward r -> inf or r -> 0;
     else the supremum of the scan and of the limits C where kappa = m = 0."""
@@ -195,7 +198,7 @@ def _scan(factors: _Factors, label: str, n: int = 60) -> ConditionReport:
         if abs(kappa) <= EXPONENT_TOLERANCE and abs(logs) <= EXPONENT_TOLERANCE:
             limits.append((r_end, limit))
     with np.errstate(invalid="ignore"):  # the flatness test of an infinite product
-        rep = _sup_scan(lambda r: _product(factors, r), label, n=n)
+        rep = _sup_scan(lambda r: _product(factors, r), label)
     for r_end, limit in limits:  # a limit that beats the scan is the supremum
         if limit - rep.sup_value > _FLAT_SPREAD * abs(rep.sup_value):
             rep.sup_value, rep.argmax_r = limit, r_end
@@ -206,8 +209,7 @@ def _scan(factors: _Factors, label: str, n: int = 60) -> ConditionReport:
 
 
 def hardy_pair_condition(u: Weight, v: Weight, s: Weight, w: Weight,
-                         exps: ExponentSet,
-                         scan_points: int = 60) -> Tuple[ConditionReport, ConditionReport]:
+                         exps: ExponentSet) -> Tuple[ConditionReport, ConditionReport]:
     """The two Hardy-type supremum conditions.
 
     First:  sup_r (int_0^(1/r) u w^(q/a'))^(1/q) (int_0^r v^(1-p') s^(p'/a'))^(1/p')
@@ -220,14 +222,19 @@ def hardy_pair_condition(u: Weight, v: Weight, s: Weight, w: Weight,
     c_a1 = Weight.product([(u, 1.0), (w, q * inv_a)])
     c_b1 = Weight.product([(v, 1.0 - p_prime), (s, p_prime * inv_a)])
     rep1 = _scan([([_Term(c_a1, inverted=True)], 1.0 / q), ([_Term(c_b1)], 1.0 / p_prime)],
-                 "hardy_condition_1", n=scan_points)
+                 "hardy_condition_1")
 
     c_a2 = Weight.product([(u, 1.0), (w, q * (inv_a - 0.5))])
     c_b2 = Weight.product([(v, 1.0 - p_prime), (s, p_prime * (inv_a - 0.5))])
     rep2 = _scan([([_Term(c_a2, upper=True, inverted=True)], 1.0 / q),
                   ([_Term(c_b2, upper=True)], 1.0 / p_prime)],
-                 "hardy_condition_2", n=scan_points)
+                 "hardy_condition_2")
     return rep1, rep2
+
+
+# Where the glued condition checks s(x) w(1/x) ~ 1.
+_GLUED_GRID = np.geomspace(1e-3, 1e3, 40)
+_GLUED_GRID.flags.writeable = False
 
 
 def glued_condition(u: Weight, v: Weight, s: Weight, w: Weight,
@@ -236,8 +243,7 @@ def glued_condition(u: Weight, v: Weight, s: Weight, w: Weight,
     s(x) w(1/x) comparable to 1, a = 1) to the simultaneous Hardy pair."""
     if not math.isinf(exps.a_prime):
         raise ValueError("the glued condition applies to a = 1")
-    grid = np.geomspace(1e-3, 1e3, 40)
-    ratio = np.asarray(s(grid), dtype=float) * np.asarray(w(1.0 / grid), dtype=float)
+    ratio = np.asarray(s(_GLUED_GRID), dtype=float) * np.asarray(w(1.0 / _GLUED_GRID), dtype=float)
     if np.any(ratio < 1.0 / 3.0) or np.any(ratio > 3.0):
         raise InverseRelationViolated(
             f"s(x) w(1/x) ranges over [{ratio.min():.3g}, {ratio.max():.3g}]")
@@ -310,7 +316,7 @@ class RangeVerdict:
                             bool(dist < ENDPOINT_TOLERANCE))
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**vars(self), "excluded": list(self.excluded)}
 
 
 def _require_strict(spec: TransformSpec) -> None:

@@ -223,9 +223,8 @@ def _refine(f, edges: np.ndarray, config: QuadratureConfig, graded: bool):
         plo, phi = new_lo, new_hi
 
 
-def _adaptive(f, lo: float, hi: float, config: QuadratureConfig,
-              breakpoints: Sequence[float]):
-    edges = _initial_panels(lo, hi, None, breakpoints)
+def _adaptive(f, lo: float, hi: float, config: QuadratureConfig):
+    edges = _initial_panels(lo, hi, None, ())
     graded = lo <= _GRADING_FLOOR and hi > 4.0 * _GRADING_FLOOR
     *_, total, tail_val, err = _refine(f, edges, config, graded)
     return total + tail_val, err
@@ -234,8 +233,8 @@ def _adaptive(f, lo: float, hi: float, config: QuadratureConfig,
 class CumulativeIntegral:
     """integral_(edges[0])^r f for many r: prefix sums over the panels of one
     refinement pass on [edges[0], edges[-1]], edges[0] above 1e-15,
-    panelized as ``integrate`` does it (inner edges as breakpoints,
-    half-``wavelength`` cap), plus one Kronrod panel for the partial piece
+    panelized as ``integrate`` does it plus the inner edges as breakpoints
+    and a half-``wavelength`` cap, plus one Kronrod panel for the partial piece
     of r's panel; r outside the edges is clipped to them.  Raises
     NonConvergence when the table cannot meet its tolerance."""
 
@@ -269,11 +268,9 @@ class CumulativeIntegral:
         return val, self.prefix_error[i] + part_err + 2.0 * _EPS * np.abs(val)
 
 
-def integrate(f, interval: Tuple[float, float], config: Optional[QuadratureConfig] = None, *,
-              breakpoints: Sequence[float] = ()) -> Tuple[float, float]:
+def integrate(f, interval: Tuple[float, float],
+              config: Optional[QuadratureConfig] = None) -> Tuple[float, float]:
     """Integrate f over (lo, hi), hi possibly infinite.
-
-    breakpoints      -- interior points with kinks or jumps.
 
     Returns (value, error_estimate).  Raises NonConvergence when the panel
     budget is exhausted and DivergentIntegral when partial integrals grow
@@ -284,13 +281,13 @@ def integrate(f, interval: Tuple[float, float], config: Optional[QuadratureConfi
     if lo < 0:
         raise ValueError("domain must lie in [0, inf)")
     if math.isinf(hi):
-        return _integrate_decades(f, lo, config, breakpoints)
+        return _integrate_decades(f, lo, config)
     if hi <= lo:
         return 0.0, 0.0
-    return _adaptive(f, lo, hi, config, breakpoints)
+    return _adaptive(f, lo, hi, config)
 
 
-def _integrate_decades(f, lo: float, config: QuadratureConfig, breakpoints: Sequence[float]):
+def _integrate_decades(f, lo: float, config: QuadratureConfig):
     """Extend the domain a decade at a time until the increments are
     negligible; declare divergence on sustained factor-1.5 growth.
 
@@ -299,7 +296,7 @@ def _integrate_decades(f, lo: float, config: QuadratureConfig, breakpoints: Sequ
     """
     left = lo
     right = max(10.0 * max(lo, 1e-2), 1.0)
-    acc, err = _adaptive(f, left, right, config, breakpoints)
+    acc, err = _adaptive(f, left, right, config)
     partials = [abs(acc)]
     growth_streak = 0
     quiet = 0
@@ -314,7 +311,7 @@ def _integrate_decades(f, lo: float, config: QuadratureConfig, breakpoints: Sequ
             if quiet >= 2:
                 return acc, err
             continue
-        inc, ie = _adaptive(f, right, nxt, config, [b for b in breakpoints if right < b < nxt])
+        inc, ie = _adaptive(f, right, nxt, config)
         acc += inc
         err += ie
         right = nxt

@@ -267,7 +267,7 @@ class Piece:
 class TestFunction:
     """A closed-form test function: a sum of power pieces c x^e on disjoint
     intervals [lo, hi), so its values, moments and absolute integrals are
-    exact.  Carries support, jump points, vanished moments (each checked
+    exact.  Carries its jump points, vanished moments (each checked
     with the exact ``moment`` at construction) and an optional
     general-monotonicity witness."""
 
@@ -286,7 +286,6 @@ class TestFunction:
             raise ValueError(f"{family}: pieces overlap")
         self.params = dict(params or {})
         self.gm_witness = gm_witness
-        self.support = (ordered[0].lo, max(p.hi for p in ordered))
         self.breakpoints = tuple(sorted({p.lo for p in ordered if p.lo > 0}
                                         | {p.hi for p in ordered if not math.isinf(p.hi)}))
         self.vanished_moments = tuple(vanished_moments)

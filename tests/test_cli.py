@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wnilab.cli import (ConfigError, ExperimentConfig, FitDegenerate, RatioRecord,
-                        compute_ratio_records, fit_growth, main, run_conditions,
-                        verify_summary)
+                        _write_json, compute_ratio_records, fit_growth, main,
+                        run_conditions, verify_summary)
 from wnilab import transforms
 from wnilab.kernels import KERNELS
 from wnilab.transforms import _PRESETS
@@ -429,3 +430,34 @@ def test_transform_block_takes_exactly_preset_parameters(tmp_path, command, bloc
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+
+
+_NUMBERS = st.none() | st.booleans() | st.integers() | st.floats()
+_STRINGS = st.text() | st.lists(st.sampled_from(
+    [", ", "[", "]", "], [", '"', "\\", "\n", "1.5", "é", "∞", "😀"])).map("".join)
+_LEAVES = (_NUMBERS | _STRINGS | st.lists(_NUMBERS) | st.lists(_NUMBERS).map(tuple)
+           | st.lists(st.lists(_NUMBERS, max_size=4)))
+_DOCS = st.recursive(_LEAVES, lambda kids: (st.lists(kids, max_size=4)
+                                            | st.lists(kids, max_size=4).map(tuple)
+                                            | st.dictionaries(_STRINGS, kids, max_size=4)),
+                     max_leaves=24)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(doc=_DOCS)
+@example(doc=[[1, [2]], 5])
+@example(doc={"scan_trace": [[1e-06, math.inf], [2.0, math.nan]], "e": [], "t": ((1, -0.0),)})
+def test_json_writer_is_the_stdlib_indented_form(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "doc.json"
+    _write_json(path, doc)
+    want = json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    assert path.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("doc", [object(), {"a": object()}, [1.0, object()],
+                                 [[1.0], [object()]], {"a": [np.int64(1)]}])
+def test_json_writer_refuses_what_the_stdlib_refuses(tmp_path, doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2, sort_keys=True, allow_nan=True)
+    with pytest.raises(TypeError):
+        _write_json(tmp_path / "doc.json", doc)

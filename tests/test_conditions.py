@@ -73,17 +73,33 @@ def test_hardy_pair_endpoint_divergence():
 
 
 def test_hardy_pair_model_setting():
-    # s = w = x^delta with delta = 1 and beta = gamma = 0.25: finite, and
-    # the sup is stable to 2% under scan-grid refinement.
+    # s = w = x^delta with delta = 1 and beta = gamma = 0.25, a = 1: both
+    # products are constant in r.  The first is
+    # (int_0^(1/r) x^-1/2)^(1/2) (int_0^r x^-1/2)^(1/2), the second
+    # (int_(1/r)^inf x^-3/2)^(1/2) (int_r^inf x^-3/2)^(1/2).  Each bracket
+    # is its power primitive in mpmath, and every scanned value and the sup
+    # must match the product at every grid point.
     u = Weight.power(-0.5)
     v = Weight.power(0.5)
     sw = Weight.power(1.0)
     r1, r2 = hardy_pair_condition(u, v, sw, sw, ES22)
-    assert r1.finite and r2.finite
-    assert len(r1.scan_trace) >= 50
-    r1d, r2d = hardy_pair_condition(u, v, sw, sw, ES22, scan_points=120)
-    assert abs(r1d.sup_value - r1.sup_value) / r1.sup_value < 0.02
-    assert abs(r2d.sup_value - r2.sup_value) / r2.sup_value < 0.02
+
+    def lower(e, x):  # int_0^x t^e, e > -1
+        return x ** (e + 1) / (e + 1)
+
+    def upper(e, x):  # int_x^inf t^e, e < -1
+        return -x ** (e + 1) / (e + 1)
+
+    half = mpmath.mpf(1) / 2
+    with mpmath.workdps(30):
+        for rep, bracket, e in ((r1, lower, -half), (r2, upper, -3 * half)):
+            assert rep.finite and rep.argmax_r is None
+            assert len(rep.scan_trace) == 60
+            for r, value in rep.scan_trace:
+                r = mpmath.mpf(r)
+                exact = mpmath.sqrt(bracket(e, 1 / r) * bracket(e, r))
+                assert value == pytest.approx(float(exact), rel=1e-14)
+                assert rep.sup_value == pytest.approx(float(exact), rel=1e-14)
 
 
 def test_scan_sup_scale_invariance():

@@ -321,7 +321,7 @@ def test_table_route_against_termwise_primitives(f, u):
     # hi y in (0, 1], (1, reach] and beyond the reach, for every series
     # preset: every value, with or without a note, lies within its own bar
     # of the 30-digit termwise primitives.
-    hi = f.support[1]
+    hi = max(p.hi for p in f.pieces)
     ys = np.array([(0.05 + 0.95 * u[0]) / hi, (1.0 + (REACH - 1.0) * u[1]) / hi,
                    REACH * (1.05 + u[2]) / hi])
     with mpmath.workdps(30):
