@@ -89,9 +89,11 @@ class ExperimentConfig:
             domain = doc.get("lhs_domain")
             lhs_domain = (0.0, math.inf)
             if domain is not None:
-                lo = float(domain[0]) if domain[0] is not None else 0.0
-                hi = float(domain[1]) if domain[1] is not None else math.inf
-                lhs_domain = (lo, hi)
+                lo, hi = domain
+                lhs_domain = (0.0 if lo is None else float(lo),
+                              math.inf if hi is None else float(hi))
+                if not 0.0 <= lhs_domain[0] < lhs_domain[1] <= math.inf:
+                    raise ConfigError(f"lhs_domain needs 0 <= lo < hi <= inf, got {domain}")
             qc = doc.get("quadrature", {})
             quad = QuadratureConfig(rel_tol=float(qc.get("rel_tol", 1e-6)),
                                     abs_tol=float(qc.get("abs_tol", 1e-12)),
@@ -146,7 +148,16 @@ def _build_family(desc: dict) -> List[Tuple[float, TestFunction]]:
 # ratio computation
 # ---------------------------------------------------------------------------
 
+# Share of the outer tolerance each closed-form end of the norm may take,
+# and the margin by which an end exponent of its integrand must clear -1.
+_END_SHARE = 0.25
+_END_TOL = 1e-12
+
+
 def _lhs_norm(cfg: ExperimentConfig, f: TestFunction) -> Tuple[float, float]:
+    """The outer norm and its error: panels on a window [y0, y1] of the lhs
+    domain, the ends of (0, inf) in closed form (``_lower_tail``,
+    ``_upper_tail``)."""
     spec, exps = cfg.transform, cfg.exps
     q = exps.q
     w_extra = 0.0
@@ -160,15 +171,67 @@ def _lhs_norm(cfg: ExperimentConfig, f: TestFunction) -> Tuple[float, float]:
         return ys ** u_exp * np.abs(vals) ** q
 
     # The norm integrand is nonnegative: no cancellation can fool the error
-    # estimator, so adaptive octave panels are reliable.
+    # estimator, so adaptive panels are reliable.
     outer = QuadratureConfig(rel_tol=max(cfg.quadrature.rel_tol, cfg.norm_rel_tol),
                              abs_tol=cfg.quadrature.abs_tol,
                              max_panels=cfg.quadrature.max_panels)
-    val, err = integrate(integrand, cfg.lhs_domain, outer)
+    share = _END_SHARE * outer.rel_tol
+    (y0, y1), val, err, bound = cfg.lhs_domain, 0.0, 0.0, 0.0
+    if y0 == 0.0:
+        y0, val, err = _lower_tail(cfg, f, u_exp, y1, share)
+    if math.isinf(y1):
+        y1, bound, slope = _upper_tail(cfg, f, u_exp, y0)
+    win, win_err = integrate(integrand, (y0, y1), outer)
+    val, err = val + win, err + win_err
+    if bound > share * val:
+        # The bound falls like y1^slope: one step to the y2 where it meets
+        # its share, at most twelve decades on; what is left stays in err.
+        y2 = y1 * min((bound / (share * val)) ** (-1.0 / slope) if val > 0 else 1e12, 1e12)
+        win, win_err = integrate(integrand, (y1, y2), outer)
+        val, err = val + win, err + win_err
+        _, bound, _ = _upper_tail(cfg, f, u_exp, y2)
+    err += bound
     if val <= 0.0:
         return 0.0, err
     norm = val ** (1.0 / q)
     return norm, norm / (q * val) * err
+
+
+def _lower_tail(cfg: ExperimentConfig, f: TestFunction, u: float, y_cap: float,
+                share: float) -> Tuple[float, float, float]:
+    """(y0, T, E): T = integral_0^y0 y^u |A y^k|^q, A y^k the leading term of
+    F f's moment series, with error E.  The other terms move F f by a
+    factor within 1 +- r(y); y0 <= min(y_cap, 1/X) keeps r(y0) <= share / q.
+    Raises DivergentIntegral when u + q k <= -1."""
+    q = cfg.exps.q
+    c, powers, c_err, y_max = tr.near_expansion(cfg.transform, f, cfg.quadrature)
+    live = np.flatnonzero(c)
+    lead = live[np.argmin(powers[live])]
+    slope = u + q * powers[lead] + 1.0
+    if slope <= _END_TOL:
+        raise DivergentIntegral("y -> 0")
+    rest = (np.abs(c) + c_err > 0.0) & (np.arange(len(c)) != lead)
+    size, gap = (np.abs(c) + c_err)[rest], powers[rest] - powers[lead]
+    amp = abs(c[lead])
+    r = lambda y: (c_err[lead] + float(np.sum(size * y ** gap))) / amp  # noqa: E731
+    y0 = min(y_cap, y_max)
+    if gap.size and r(y0) > share / q:  # floored: past it, r(y0) stays in the error
+        y0 = max(y0 * (share / q / r(y0)) ** (1.0 / float(np.min(gap))), 1e-300)
+    tail = amp ** q * y0 ** slope / slope
+    return y0, tail, tail * ((1.0 + r(y0)) ** q - 1.0)
+
+
+def _upper_tail(cfg: ExperimentConfig, f: TestFunction, u: float,
+                y_min: float) -> Tuple[float, float, float]:
+    """(y1, B, g): with |F f(y)| <= S (y/y1)^k beyond y1 >= y_min (S the
+    ``far_envelope`` at y1, k its top exponent), B = S^q y1^(u + 1) / -g
+    bounds integral_y1^inf y^u |F f|^q, g = u + q k + 1.  Raises
+    DivergentIntegral when g >= -1."""
+    k, kappa, y1 = tr.far_envelope(cfg.transform, f, y_min, cfg.quadrature)
+    slope = u + cfg.exps.q * float(np.max(kappa, initial=-math.inf)) + 1.0
+    if slope >= -_END_TOL:
+        raise DivergentIntegral("y -> inf")
+    return y1, float(np.sum(k * y1 ** kappa)) ** cfg.exps.q * y1 ** (u + 1.0) / -slope, slope
 
 
 def _rhs_norm(cfg: ExperimentConfig, f: TestFunction) -> Tuple[float, float]:
@@ -241,9 +304,9 @@ def _unbounded_trend(usable: Sequence[RatioRecord]) -> bool:
     rows = sorted(usable, key=lambda r: r.param)
     pmax = rows[-1].param
     window = [r for r in rows if r.param >= pmax / 10.0 ** _TREND_DECADES]
-    if len(window) < 3:
-        return False
     ratios = [r.ratio for r in window]
+    if len(window) < 3 or ratios[0] <= 0.0:
+        return False
     monotone = all(b >= a * 0.99 for a, b in zip(ratios[:-1], ratios[1:]))
     return bool(monotone and ratios[-1] >= _TREND_FACTOR * ratios[0])
 

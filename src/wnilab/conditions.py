@@ -157,10 +157,10 @@ def _product(factors: _Factors, r: np.ndarray) -> np.ndarray:
     negative power."""
     val = np.ones_like(r)
     pole = np.zeros(r.shape, dtype=bool)
-    for terms, power in factors:
-        base = sum(term.value(r) for term in terms)
-        pole |= (base == 0.0) & (power < 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):  # 0 ** -p and 0 * inf
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 ** -p and 0 * inf
+        for terms, power in factors:
+            base = sum(term.value(r) for term in terms)
+            pole |= (base == 0.0) & (power < 0.0)
             val = val * base ** power
     return np.where(pole, math.inf, val)
 

@@ -1,10 +1,11 @@
 """Integral transforms with power-type kernels: evaluation of
 F f(y) = y^c0 * integral x^b0 f(x) K(x,y) dx for the named transforms
 (Hankel, Struve, sine, cosine, model min-kernel), plus the two pointwise
-upper bounds, the moment-reduced transform for series kernels and the
-kernel primitives.  Every kernel is phi(xy), so every value is a read of
-a cached Phi_nu table (``DilationTable``): a power piece c x^e on (lo, hi)
-gives y^(c0 - nu - 1) c [Phi_nu(hi y) - Phi_nu(lo y)], nu = b0 + e.
+upper bounds, the moment-reduced transform for series kernels, the kernel
+primitives and F f's closed forms toward y = 0 and y = inf.  Every kernel
+is phi(xy), so every value is a read of a cached Phi_nu table
+(``DilationTable``): a power piece c x^e on (lo, hi) gives y^(c0 - nu - 1)
+c [Phi_nu(hi y) - Phi_nu(lo y)], nu = b0 + e.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ import inspect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernels import (_ASYMPTOTIC_MAX_TERMS, FarField, KernelSpec, PowerEnvelope,
+from .kernels import (_ASYMPTOTIC_MAX_TERMS, _CROSSOVER, FarField, KernelSpec,
                       SeriesKernel, _smallest_term_index, bessel_j_kernel, cosine_kernel,
                       model_min_kernel, sine_kernel, struve_h_kernel)
 from .quadrature import CumulativeIntegral, NonConvergence, QuadratureConfig
@@ -178,6 +179,16 @@ def _power_terms(coefs: np.ndarray, exps: np.ndarray, de: float, a: np.ndarray,
 _FAR_TERMS = _ASYMPTOTIC_MAX_TERMS + 1
 
 
+def _osc_series(far: FarField, nu: float) -> Tuple[float, np.ndarray, np.ndarray]:
+    """m0, the e_n of ``_far_field``'s oscillatory tail series and |osc_n|."""
+    m0 = nu + far.osc_power
+    e = np.pad(far.osc.astype(complex), (0, _FAR_TERMS - len(far.osc)))
+    osc_abs = np.abs(e)
+    for n in range(1, _FAR_TERMS):
+        e[n] += 1j * (m0 - n + 1.0) * e[n - 1]
+    return m0, e, osc_abs
+
+
 def _far_field(far: FarField, nu: float, a: np.ndarray,
                b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """integral_a^b t^nu phi(t) dt and its error bound from the kernel's
@@ -196,11 +207,7 @@ def _far_field(far: FarField, nu: float, a: np.ndarray,
     """
     if not np.any(b > a):
         return np.zeros(a.shape), np.zeros(a.shape)
-    m0 = nu + far.osc_power
-    e = np.pad(far.osc.astype(complex), (0, _FAR_TERMS - len(far.osc)))
-    osc_abs = np.abs(e)
-    for n in range(1, _FAR_TERMS):
-        e[n] += 1j * (m0 - n + 1.0) * e[n - 1]
+    m0, e, osc_abs = _osc_series(far, nu)
     w_max = 1.0 / float(np.min(a))
     tau = np.abs(e) * w_max ** np.arange(_FAR_TERMS)
     n = _smallest_term_index(tau[:-1], tau[0])
@@ -234,6 +241,39 @@ def _far_field(far: FarField, nu: float, a: np.ndarray,
                 moved = np.sum(np.abs(d[:j + 2]) * s ** (nu + far.drift_power + 1.0 - k), axis=1)
                 err = err + np.where(fin, _EPS * moved, 0.0)
     return val, np.where(b > a, err, 0.0)
+
+
+def _far_end(far: FarField, nu: float, t: float) -> Tuple[float, float, List[Tuple[float, float]]]:
+    """A(t), its error bound and (K, m) pairs with |A(T)| <= sum K T^m for
+    T >= t >= 12, A the far-field antiderivative of t^nu phi(t) (Phi(b) -
+    Phi(a) = A(b) - A(a)): minus the oscillatory tail, plus the drift
+    powers d_j t^s_j / s_j, s_j = nu + drift_power + 1 - 2j (s_j = 0, a
+    logarithm, raises NonConvergence).  Both series are cut at their
+    smallest terms at t, so a term T^(m - j) is at most t^-j T^m."""
+    val, err, env = 0.0, 0.0, []
+    if np.any(far.osc):
+        m0, e, _ = _osc_series(far, nu)
+        tau = np.abs(e) * t ** -np.arange(_FAR_TERMS, dtype=float)
+        n = _smallest_term_index(tau[:-1], tau[0])
+        amp = abs(far.scale) * t ** m0
+        val -= amp * float(np.real(far.scale / abs(far.scale) * 1j * np.exp(1j * t)
+                                   * np.polyval(e[n::-1], 1.0 / t)))
+        err += amp * (2.0 * tau[n + 1] + 4.0 * _EPS * np.sum(tau[:n + 1]))
+        env.append((abs(far.scale) * (np.sum(tau[:n + 1]) + 2.0 * tau[n + 1]), m0))
+    if far.drift:
+        d = np.pad(far.drift, (0, _FAR_TERMS - len(far.drift)))
+        tau = np.abs(d) * t ** (-2.0 * np.arange(_FAR_TERMS))
+        j = _smallest_term_index(tau[:-1], tau[0]) + 2
+        d, tau, s = d[:j], tau[:j], nu + far.drift_power + 1.0 - 2.0 * np.arange(j)
+        if np.any((np.abs(s) < 1e-12) & (d != 0.0)):
+            raise NonConvergence(math.nan, math.inf, f"logarithmic far-field term at nu = {nu:g}")
+        s = np.where(d != 0.0, s, 1.0)
+        terms = d * t ** s / s
+        val += float(np.sum(terms[:-1]))
+        err += 2.0 * abs(terms[-1]) + 4.0 * _EPS * float(np.sum(np.abs(terms)))
+        k = tau / np.abs(s)
+        env.append((float(np.sum(k[:-1]) + 2.0 * k[-1]), s[0]))
+    return val, err, env
 
 
 class DilationTable:
@@ -297,6 +337,20 @@ class DilationTable:
         # eps |nu + 1| |log y| relative.
         rel = _EPS * (4.0 + abs(self.nu + 1.0) * np.abs(np.log(y)))
         return scale * v, np.abs(scale) * (e + rel * np.abs(v))
+
+    def mellin(self) -> Tuple[float, float]:
+        """integral_0^inf t^nu phi(t) dt continued analytically (the Mellin
+        transform at nu + 1) and its error bound: the series' sum a_k / (e_k
+        + 1) for t <= 1, Phi(T) - Phi(1), T = max(reach, 12), minus A(T)."""
+        s = self.exponents + 1.0
+        if np.any(np.abs(s) < 1e-12):
+            raise NonConvergence(math.nan, math.inf, f"logarithmic term at nu = {self.nu:g}")
+        t = max(self.reach, _CROSSOVER)
+        near = self.coefs / s
+        mid, mid_err = self.integral(np.ones(1), np.full(1, t))
+        a, a_err, _ = _far_end(self.far_field, self.nu, t)
+        rounding = 4.0 * _EPS * (np.sum(np.abs(near)) + abs(mid[0]) + abs(a))
+        return float(np.sum(near) + mid[0] - a), float(mid_err[0] + a_err + rounding)
 
 
 @lru_cache(maxsize=32)
@@ -396,6 +450,62 @@ def _table_values(spec: TransformSpec, f: TestFunction, ys: np.ndarray,
         return scale * val, scale * err
 
 
+def near_expansion(spec: TransformSpec, f: TestFunction, config: QuadratureConfig
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(c, p, errors of c, 1/X): F f(y) = sum c_i y^p_i for y <= 1/X, X
+    f's largest jump point.  The moment series y^c0 sum a_m y^(b1 + k m)
+    M_(b0 + b1 + k m)(f) (the tables' a_m; exact moments, 0 where declared
+    vanished, a piece reaching inf continued as -c lo^s / s, s = mu + e +
+    1), plus for that piece its Mellin term c C y^(c0 - nu - 1)."""
+    series = spec.kernel.series or spec.kernel.near
+    a = _table(spec.kernel, spec.b0 + f.pieces[0].exponent, config).coefs
+    orders = spec.b0 + series.b1 + series.step * np.arange(len(a))
+    rows, mellin = [], []
+    for p in f.pieces:
+        if p.hi < math.inf:
+            rows.append(p.coef * power_moment(orders + p.exponent, p.lo, p.hi))
+            continue
+        nu = spec.b0 + p.exponent
+        c, c_err = _table(spec.kernel, nu, config).mellin()  # raises where an s below is 0
+        mellin.append((p.coef * c, spec.c0 - nu - 1.0, abs(p.coef) * c_err))
+        s = orders + p.exponent + 1.0
+        rows.append(-p.coef * p.lo ** s / s)
+    rows = np.asarray(rows)
+    vanished = np.array([any(abs(mu - v) <= 1e-12 for v in f.vanished_moments) for mu in orders])
+    coefs = np.where(vanished, 0.0, a * np.sum(rows, axis=0))
+    errs = np.where(vanished, 0.0, 4.0 * _EPS * np.abs(a) * np.sum(np.abs(rows), axis=0))
+    c_m, p_m, e_m = (np.asarray(v, dtype=float) for v in zip(*mellin)) if mellin else ((),) * 3
+    y_max = 1.0 / max(f.breakpoints) if f.breakpoints else math.inf
+    return (np.concatenate([coefs, c_m]), np.concatenate([spec.c0 + orders - spec.b0, p_m]),
+            np.concatenate([errs, e_m]), y_max)
+
+
+def far_envelope(spec: TransformSpec, f: TestFunction, y_min: float,
+                 config: QuadratureConfig) -> Tuple[np.ndarray, np.ndarray, float]:
+    """(K, kappa, y1): |F f(y)| <= sum K_i y^kappa_i for y >= y1 = max(y_min,
+    12 / f's smallest jump point).  A piece c x^e, nu = b0 + e, is y^(c0 -
+    nu - 1) c [A(hi y) - A(lo y)] (``_far_end``; A(inf) = 0, and the Mellin
+    constant for -A(0), dropped where within its error of 0); the jumps at
+    a point are summed per nu before they are bounded."""
+    y1 = max(y_min, _CROSSOVER / min(f.breakpoints))
+    jumps, bounds = {}, []
+    for p in f.pieces:
+        nu = spec.b0 + p.exponent
+        for x, sign in ((p.lo, -1.0), (p.hi, 1.0)):
+            if 0.0 < x < math.inf:
+                jumps[x, nu] = jumps.get((x, nu), 0.0) + sign * p.coef
+        if p.lo == 0.0:
+            c, c_err = _table(spec.kernel, nu, config).mellin()
+            if abs(c) > c_err:
+                bounds.append((abs(p.coef) * (abs(c) + c_err), spec.c0 - nu - 1.0))
+    for (x, nu), jump in jumps.items():
+        if jump != 0.0:
+            bounds.extend((abs(jump) * k * x ** m, spec.c0 - nu - 1.0 + m)
+                          for k, m in _far_end(spec.kernel.far_field, nu, x * y1)[2])
+    k, kappa = (np.asarray(v, dtype=float) for v in zip(*bounds)) if bounds else (np.zeros(0),) * 2
+    return k, kappa, y1
+
+
 def apply(spec: TransformSpec, f: TestFunction, y_grid: Sequence[float],
           config: Optional[QuadratureConfig] = None, *,
           check: bool = True, admissibility_mode: str = "pointwise") -> TransformResult:
@@ -478,58 +588,6 @@ def pointwise_bound(spec: TransformSpec, f: TestFunction, y: float,
 # ---------------------------------------------------------------------------
 # moment-reduced transform for series kernels
 # ---------------------------------------------------------------------------
-
-_SERIES_TAIL_TERMS = 80
-
-
-def reduced_kernel_eval(series: SeriesKernel, ell: int, phi) -> Callable:
-    """The kernel with its first ell series terms removed, as a function of
-    t = xy: direct tail summation for t <= 1, exact kernel minus partial
-    sum beyond (safe for small ell; the partial sum is comparable to the
-    remainder there)."""
-    coefs = series.coefficients(ell + _SERIES_TAIL_TERMS)
-    k = series.step
-
-    def g(t):
-        t = np.asarray(t, dtype=float)
-        out = np.empty_like(t)
-        small = t <= 1.0
-        if np.any(small):
-            ts = t[small]
-            acc = np.zeros_like(ts)
-            tk = ts ** (k * ell)
-            step = ts ** k
-            for m in range(ell, ell + _SERIES_TAIL_TERMS):
-                acc = acc + coefs[m] * tk
-                tk = tk * step
-                if np.all(np.abs(coefs[m] * tk) <= 1e-18 * (np.abs(acc) + 1e-300)):
-                    break
-            out[small] = acc
-        big = ~small
-        if np.any(big):
-            tb = t[big]
-            partial = np.zeros_like(tb)
-            for m in range(ell):
-                partial = partial + coefs[m] * tb ** (k * m)
-            out[big] = phi(tb) * tb ** (-series.b1) - partial
-        return out
-
-    return g
-
-
-def moment_reduced_kernel(spec: TransformSpec, ell: int) -> KernelSpec:
-    """KernelSpec for the moment-reduced kernel, with its two-regime
-    envelope min{t^(k*ell), t^(k*(ell-1))}."""
-    series = spec.series
-    if series is None:
-        raise NoSeriesKernel(spec.name)
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    k = series.step
-    env = PowerEnvelope(k * ell, k * (ell - 1))
-    return KernelSpec(f"{spec.kernel.kind}_reduced_{ell}", env,
-                      reduced_kernel_eval(series, ell, spec.kernel.phi))
-
 
 def moment_reduced_apply(spec: TransformSpec, f: TestFunction, ell: int,
                          y_grid: Sequence[float],

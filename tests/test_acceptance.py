@@ -12,11 +12,11 @@ import pytest
 from wnilab.cli import ExperimentConfig, compute_ratio_records, fit_growth, verify_summary
 from wnilab.conditions import (glued_condition, hardy_pair_condition, oinarov_check,
                                power_hardy_verdict, power_pitt_range)
-from wnilab.kernels import (bessel_j, check_envelope, model_min_kernel,
-                            struve_derivative_check, struve_h)
+from wnilab.kernels import (KernelSpec, PowerEnvelope, bessel_j, check_envelope,
+                            model_min_kernel, struve_derivative_check, struve_h)
 from wnilab.quadrature import QuadratureConfig
-from wnilab.transforms import (apply, hankel, moment_reduced_apply, moment_reduced_kernel,
-                               pointwise_bound, scripth, sine, struve_primitive_bound)
+from wnilab.transforms import (apply, hankel, moment_reduced_apply, pointwise_bound, scripth,
+                               sine, struve_primitive_bound)
 from wnilab.weights import (ExponentSet, Weight, check_gm, make_truncated_power,
                             make_vanishing_moment_function, TestFunction, Piece)
 
@@ -221,7 +221,10 @@ def test_criterion_9_moment_reduction():
     direct = apply(spec, f, ys, cfg).values
     reduced = moment_reduced_apply(spec, f, 1, ys, cfg).values
     rel = float(np.max(np.abs(direct - reduced) / np.maximum(np.abs(direct), 1e-13)))
-    rep = check_envelope(moment_reduced_kernel(spec, 1))
+    # The reduced kernel G_1(t) = phi(t) - 1 (b1 = 0, a_0 = 1) against its
+    # envelope min{t^2, 1}.
+    rep = check_envelope(KernelSpec("bessel_j_reduced_1", PowerEnvelope(2.0, 0.0),
+                                    lambda t: spec.kernel.phi(t) - 1.0))
     env_ok = math.isfinite(rep.max_ratio) and rep.max_ratio < 10.0
     assert _line(9, rel <= 1e-6 and env_ok,
                  f"reduced-kernel agreement {rel:.2e} (tol 1e-6), "

@@ -104,6 +104,55 @@ def test_divergent_rhs_rows_are_skipped(tmp_path):
     assert all(line.endswith("rhs zero or infinite; skipped") for line in lines)
 
 
+def test_zero_ratios_are_no_unbounded_trend():
+    # 0 >= 10 * 0 holds, but a flat row of zeros does not grow.
+    cfg = ExperimentConfig.from_dict(_modelmin_config())
+    rows = [RatioRecord(10.0 ** k, 0.0, 1.0, 0.0, 0.0, 0.0) for k in range(5)]
+    assert verify_summary(cfg, rows)["unbounded_trend"] is False
+
+
+def _weber_schafheitlin(lam):
+    """integral_0^inf t^-lam J_1(t)^2 dt for 0 < lam < 3."""
+    g = math.gamma
+    return (g(lam) * g((3.0 - lam) / 2.0)
+            / (2.0 ** lam * g((1.0 + lam) / 2.0) ** 2 * g((3.0 + lam) / 2.0)))
+
+
+def _hankel_sw_records(beta):
+    # Hankel order 0 of f = 1 on (0, r) is r J_1(r y) / y; with (p, q, a) =
+    # (2, 2, 2) in the sw normalization the outer norm is
+    # r^(beta + 1) W(1 + 2 beta)^(1/2), W the Weber-Schafheitlin integral,
+    # finite for -1/2 < beta < 1.
+    return compute_ratio_records(ExperimentConfig.from_dict({
+        "experiment_id": "ws",
+        "transform": {"name": "hankel", "alpha": 0.0},
+        "exponents": {"p": 2.0, "q": 2.0, "a": 2.0},
+        "weights": {"beta": beta, "gamma": 0.25},
+        "normalization": "sw",
+        "family": {"kind": "truncated_power", "sigma": 0.0, "side": "left",
+                   "grid": {"start": 1e-2, "stop": 1e2, "points": 3}},
+        "quadrature": {"rel_tol": 1e-6, "norm_rel_tol": 1e-2},
+    }))
+
+
+@pytest.mark.parametrize("beta", [0.25, 0.6, 0.995])
+def test_outer_norm_against_weber_schafheitlin(beta):
+    # beta = 0.995 puts the integrand's end exponent at 0 at -0.99: most of
+    # the norm lies below any window start and comes from the closed form.
+    for rec in _hankel_sw_records(beta):
+        exact = rec.param ** (beta + 1.0) * math.sqrt(_weber_schafheitlin(1.0 + 2.0 * beta))
+        assert rec.note == ""
+        assert abs(rec.lhs - exact) <= rec.lhs_err <= 1e-2 * exact
+
+
+@pytest.mark.parametrize("beta,end", [(-0.6, "y -> inf"), (1.005, "y -> 0")])
+def test_outer_norm_divergent_ends(beta, end):
+    # End exponents of the integrand at -0.8 toward infinity and -1.01 at 0.
+    records = _hankel_sw_records(beta)
+    assert [r.note for r in records] == [f"lhs divergent ({end})"] * 3
+    assert all(r.lhs == math.inf for r in records)
+
+
 def test_fit_growth_models_and_degenerate():
     rows = [RatioRecord(10.0 ** k, 1.0, 1.0, 5.0 * (10.0 ** k) ** 0.3, 0, 0)
             for k in range(5)]
@@ -359,7 +408,11 @@ def test_check_conditions_weight_with_zeros(tmp_path, capsys, weights):
 @pytest.mark.parametrize("extra", [
     {"quadrature": {"rel_tol": "abc"}},
     {"lhs_domain": [1.0]},
-], ids=["non-numeric-rel-tol", "one-element-lhs-domain"])
+    {"lhs_domain": [-1.0, 2.0]},
+    {"lhs_domain": [2.0, 1.0]},
+    {"lhs_domain": [0.0, 0.0]},
+], ids=["non-numeric-rel-tol", "one-element-lhs-domain", "negative-lhs-domain",
+        "reversed-lhs-domain", "empty-lhs-domain"])
 def test_verify_config_errors_exit_2(tmp_path, extra):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(_modelmin_config(points=2, extra=extra)))

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wnilab.kernels import check_envelope, fit_env_constant, struve_h
+from wnilab.kernels import KernelSpec, PowerEnvelope, check_envelope, fit_env_constant, struve_h
 from wnilab.quadrature import NonConvergence, QuadratureConfig
 from wnilab.transforms import (AdmissibilityError, MissingPrimitiveBound, MomentsNotVanished,
                                NoSeriesKernel, TransformSpec, _dilation_table, apply, cosine,
-                               hankel, model_min, moment_reduced_apply,
-                               moment_reduced_kernel, pointwise_bound, preset,
+                               far_envelope, hankel, model_min, moment_reduced_apply,
+                               near_expansion, pointwise_bound, preset,
                                scripth, sine)
 from wnilab.weights import (Piece, TestFunction, make_log_counterexample,
                             make_truncated_power, make_vanishing_moment_function)
@@ -160,10 +160,24 @@ def test_moment_reduced_agreement_and_errors():
         moment_reduced_apply(model_min(1.0), f, 1, [1.0], CFG)
 
 
+def _reduced_kernel(spec, ell):
+    """G_ell(t) = t^-b1 phi(t) - sum_(m<ell) a_m t^(k m), the kernel of the
+    moment-reduced transform, with its envelope min{t^(k ell), t^(k (ell - 1))}."""
+    series = spec.series
+    a = series.coefficients(ell)
+
+    def g(t):
+        t = np.asarray(t, dtype=float)
+        return spec.kernel.phi(t) * t ** -series.b1 - sum(a[m] * t ** (series.step * m)
+                                                          for m in range(ell))
+    env = PowerEnvelope(series.step * ell, series.step * (ell - 1))
+    return KernelSpec(f"{spec.kernel.kind}_reduced_{ell}", env, g)
+
+
 def test_moment_reduced_sine_envelope():
     # For the sine kernel with one killed moment, the reduced kernel obeys
     # min{t^3, t} up to constant.
-    kern = moment_reduced_kernel(sine(), 1)
+    kern = _reduced_kernel(sine(), 1)
     assert (kern.envelope.b1, kern.envelope.b2) == (2.0, 0.0)
     rep = check_envelope(kern)
     assert rep.max_ratio < 2.0
@@ -179,7 +193,7 @@ def test_reduced_kernel_has_no_far_field():
     f = make_truncated_power(0.0, 1.0, "left")
     for spec in (hankel(0.0), sine(), cosine()):
         assert spec.kernel.far_field is not None
-        kernel = moment_reduced_kernel(spec, 1)
+        kernel = _reduced_kernel(spec, 1)
         assert kernel.far_field is None and not kernel.oscillatory
         reduced = TransformSpec("reduced", spec.b0 + spec.series.b1,
                                 spec.c0 + spec.series.b1, kernel)
@@ -596,6 +610,68 @@ def test_phi_to_infinity_against_mellin_transform(spec, nu, exact):
     table = _dilation_table(spec.kernel, nu, CFG.rel_tol, CFG.abs_tol, CFG.max_panels)
     v, e = table.integral(np.array([0.0]), np.array([math.inf]))
     assert abs(mpmath.mpf(v[0]) - exact) <= e[0]
+
+
+# Beyond the cases above, Mellin transforms continued analytically: past the
+# strip at 0 (Bessel, sine), with a drift that grows toward infinity
+# (Struve at mu = 2, where tan(pi) makes it 0), and the model kernel, whose
+# Phi_1(0, T) = T^(3/2) / (3/2) - 1/6 beyond T = 1 continues to -1/6.
+CONTINUED_MELLIN_CASES = MELLIN_CASES + [
+    (hankel(0.0), -1.5, _mellin_bessel(0.0, -1.5)),
+    (sine(), -2.5, _mellin_sine(-2.5)),
+    (scripth(0.0), 1.0, _mellin_struve(0.0, 1.0)),
+    (model_min(1.0), 1.0, -mpmath.mpf(1) / 6),
+]
+
+
+@pytest.mark.parametrize("spec,nu,exact", CONTINUED_MELLIN_CASES,
+                         ids=[f"{s.name}-{s.alpha}-{nu}" for s, nu, _ in CONTINUED_MELLIN_CASES])
+def test_mellin_read_against_closed_form(spec, nu, exact):
+    table = _dilation_table(spec.kernel, nu, CFG.rel_tol, CFG.abs_tol, CFG.max_panels)
+    v, e = table.mellin()
+    assert abs(mpmath.mpf(v) - exact) <= e
+    # Not a vacuous bar: the growing envelopes t^(5/4) read Phi(T) ~ 5e4 at
+    # T = R, whose table error at rel_tol 1e-9 is about 5e-5.
+    assert e <= 1e-4 * max(1.0, abs(exact))
+
+
+END_CASES = [
+    (hankel(0.0), make_truncated_power(0.0, 2.0)),
+    (hankel(1.5), make_truncated_power(-2.5, 2.0, "right")),
+    (scripth(0.0), make_truncated_power(0.5, 2.0)),
+    (scripth(0.0), make_truncated_power(-2.0, 2.0, "right")),
+    (model_min(1.0), make_truncated_power(-0.3, 2.0)),
+    (sine(), make_truncated_power(-1.5, 0.5, "right")),
+    (cosine(), make_log_counterexample(10.0, 0.0)),
+]
+END_IDS = [f"{s.name}-{f.params.get('side', 'log')}" for s, f in END_CASES]
+
+
+@pytest.mark.parametrize("spec,f", END_CASES, ids=END_IDS)
+def test_near_expansion_is_the_transform_below_one_over_x(spec, f):
+    # sum c_i y^p_i against the table reads for y up to 1/X, X the largest
+    # jump point; a declared vanished moment is an exact 0.
+    c, p, c_err, y_max = near_expansion(spec, f, CFG)
+    ys = y_max * np.array([1e-3, 0.1, 0.5, 1.0])
+    res = apply(spec, f, ys, CFG, check=False)
+    series = np.sum(c * ys[:, None] ** p, axis=1)
+    bound = res.errors + np.sum(c_err * ys[:, None] ** p, axis=1) + 1e-13 * np.abs(series)
+    assert np.all(np.abs(series - res.values) <= bound)
+    if f.vanished_moments:
+        assert c[0] == 0.0 and np.all(c[1:] != 0.0)
+
+
+@pytest.mark.parametrize("spec,f", END_CASES, ids=END_IDS)
+def test_far_envelope_bounds_the_transform(spec, f):
+    # |F f| stays under the envelope on four decades beyond y1, and comes
+    # within a factor 3 of it.
+    k, kappa, y1 = far_envelope(spec, f, 0.0, CFG)
+    assert y1 * min(f.breakpoints) == pytest.approx(12.0)
+    ys = y1 * np.geomspace(1.0, 1e4, 400)
+    res = apply(spec, f, ys, CFG, check=False)
+    envelope = np.sum(k * ys[:, None] ** kappa, axis=1)
+    assert np.all(np.abs(res.values) <= envelope + res.errors)
+    assert np.max(np.abs(res.values) / envelope) >= 1.0 / 3.0
 
 
 def test_struve_drift_that_does_not_decay_is_not_served():
