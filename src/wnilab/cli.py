@@ -185,12 +185,13 @@ def _lhs_norm(cfg: ExperimentConfig, f: TestFunction) -> Tuple[float, float]:
     val, err = val + win, err + win_err
     if bound > share * val:
         # The bound falls like y1^slope: one step to the y2 where it meets
-        # its share, at most twelve decades on; what is left stays in err.
+        # its share, at most twelve decades on; what is left is read below.
         y2 = y1 * min((bound / (share * val)) ** (-1.0 / slope) if val > 0 else 1e12, 1e12)
         win, win_err = integrate(integrand, (y1, y2), outer)
         val, err = val + win, err + win_err
         _, bound, _ = _upper_tail(cfg, f, u_exp, y2)
-    err += bound
+    # The unreached tail lies in [0, bound]: read it as its midpoint.
+    val, err = val + 0.5 * bound, err + 0.5 * bound
     if val <= 0.0:
         return 0.0, err
     norm = val ** (1.0 / q)

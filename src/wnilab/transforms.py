@@ -179,66 +179,68 @@ def _power_terms(coefs: np.ndarray, exps: np.ndarray, de: float, a: np.ndarray,
 _FAR_TERMS = _ASYMPTOTIC_MAX_TERMS + 1
 
 
-def _osc_series(far: FarField, nu: float) -> Tuple[float, np.ndarray, np.ndarray]:
-    """m0, the e_n of ``_far_field``'s oscillatory tail series and |osc_n|."""
-    m0 = nu + far.osc_power
-    e = np.pad(far.osc.astype(complex), (0, _FAR_TERMS - len(far.osc)))
-    osc_abs = np.abs(e)
+def _osc_tail(far: FarField, nu: float, t: np.ndarray,
+              w_max: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(V, E, K, m0) at arrays t >= 1 / w_max: V = integral_t^inf of the
+    oscillatory part of t^nu phi(t) (0 at t = inf), E its error bound, |V|
+    <= K T^m0 at every T >= t.  Integration by parts, integral_T^inf t^m
+    e^(it) dt = i e^(iT) T^m sum_j m (m-1) ... (m-j+1) (i/T)^j (the Abel
+    value where the envelope grows), gives one series i e^(iT) T^m0 sum_n
+    e_n T^-n, m0 = nu + osc_power, e_n = osc_n + i (m0 - n + 1) e_(n-1).
+    It is cut at its smallest term at w_max, which bounds it at every larger
+    argument.  E is twice the first omitted term, eps times the summed terms'
+    magnitudes and eps t |t^nu phi(t)| for an end t rounded by up to eps t."""
+    m0 = float(nu + far.osc_power)
+    osc = np.pad(far.osc.astype(complex), (0, _FAR_TERMS - len(far.osc)))
+    e = osc.tolist()  # the recurrence in Python scalars, which numpy's are slow against
     for n in range(1, _FAR_TERMS):
         e[n] += 1j * (m0 - n + 1.0) * e[n - 1]
-    return m0, e, osc_abs
+    e, osc_abs = np.array(e), np.abs(osc)
+    n = _smallest_term_index(np.abs(e[:-1]) * w_max ** np.arange(_FAR_TERMS - 1), abs(e[0]))
+    w = 1.0 / t
+    amp = np.where(w > 0, abs(far.scale) * t ** m0, 0.0)
+    val = amp * np.real(far.scale / abs(far.scale) * 1j * np.exp(1j * t)
+                        * np.polyval(e[n::-1], w))
+    trunc = 2.0 * abs(e[n + 1]) * w ** (n + 1)
+    size = np.polyval(np.abs(e[n::-1]), w)
+    moved = _EPS * np.where(w > 0, t, 0.0) * np.polyval(osc_abs[n::-1], w)
+    return (np.where(w > 0, val, 0.0), amp * (trunc + 4.0 * _EPS * size + moved),
+            abs(far.scale) * (size + trunc), m0)
+
+
+def _drift_terms(far: FarField, w_max: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(d_j, 2j) of the drift sum_j d_j t^(nu + drift_power - 2j) of t^nu
+    phi(t), to the first term omitted at its smallest term at w_max."""
+    d = np.pad(far.drift, (0, _FAR_TERMS - len(far.drift)))
+    tau = np.abs(d) * w_max ** (2.0 * np.arange(_FAR_TERMS))
+    j = _smallest_term_index(tau[:-1], tau[0]) + 2
+    return d[:j], 2.0 * np.arange(j)
 
 
 def _far_field(far: FarField, nu: float, a: np.ndarray,
                b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """integral_a^b t^nu phi(t) dt and its error bound from the kernel's
-    large-argument form, for arrays a <= b <= inf, a in the asymptotic range.
-
-    Oscillatory terms integrate by parts: integral_T^inf t^m e^(it) dt =
-    i e^(iT) T^m sum_j m (m-1) ... (m-j+1) (i/T)^j, the Abel value where the
-    envelope grows.  The whole expansion gives one series i e^(iT) T^m0
-    sum_n e_n T^-n, m0 = nu + osc_power, e_n = osc_n + i (m0 - n + 1) e_(n-1).
-    Drift terms integrate as exact powers (inf where one does not decay
-    toward b = inf).  Each series is cut at its smallest term at min(a),
-    which bounds it at every larger argument; twice the first omitted term
-    bounds the truncation, eps times the summed terms' magnitudes the
-    rounding.  An end t = x y is itself rounded by up to eps t, which moves
-    the integral by up to eps t |t^nu phi(t)|: the bound adds that too.
-    """
+    large-argument form, for arrays a <= b <= inf, a in the asymptotic range:
+    the oscillatory part from ``_osc_tail``, the drift (``_drift_terms``)
+    as exact powers (inf where one does not decay toward b = inf), both
+    series cut at min(a)."""
     if not np.any(b > a):
         return np.zeros(a.shape), np.zeros(a.shape)
-    m0, e, osc_abs = _osc_series(far, nu)
     w_max = 1.0 / float(np.min(a))
-    tau = np.abs(e) * w_max ** np.arange(_FAR_TERMS)
-    n = _smallest_term_index(tau[:-1], tau[0])
-
-    def tail(t):  # integral_t^inf of the oscillatory part, 0 at t = inf
-        w = 1.0 / t
-        amp = np.where(w > 0, abs(far.scale) * t ** m0, 0.0)
-        osc = amp * np.real(far.scale / abs(far.scale) * 1j * np.exp(1j * t)
-                            * np.polyval(e[n::-1], w))
-        trunc = 2.0 * abs(e[n + 1]) * w ** (n + 1)
-        rounding = 4.0 * _EPS * np.polyval(np.abs(e[n::-1]), w)
-        moved = _EPS * np.where(w > 0, t, 0.0) * np.polyval(osc_abs[n::-1], w)
-        return np.where(w > 0, osc, 0.0), amp * (trunc + rounding + moved)
-
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        (val, err), (vb, eb) = tail(a), tail(b)
+        (val, err, _, _), (vb, eb, _, _) = (_osc_tail(far, nu, t, w_max) for t in (a, b))
         val, err = val - vb, err + eb
         if far.drift:
-            d = np.pad(far.drift, (0, _FAR_TERMS - len(far.drift)))
-            tau = np.abs(d) * w_max ** (2.0 * np.arange(_FAR_TERMS))
-            j = _smallest_term_index(tau[:-1], tau[0])
-            k = 2.0 * np.arange(j + 2)
+            d, k = _drift_terms(far, w_max)
             # Exponents are rounded by at most 2 eps times their summands' size.
-            terms, terms_err = _power_terms(d[:j + 2], nu + far.drift_power - k, 2.0 * _EPS
+            terms, terms_err = _power_terms(d, nu + far.drift_power - k, 2.0 * _EPS
                                             * (abs(nu) + abs(far.drift_power) + k[-1] + 1.0), a, b)
             val = val + np.sum(terms[:, :-1], axis=1)
             err = err + terms_err + 2.0 * np.abs(terms[:, -1])
             for t in (a, b):
                 fin = t < math.inf
                 s = np.where(fin, t, 1.0)[:, None]
-                moved = np.sum(np.abs(d[:j + 2]) * s ** (nu + far.drift_power + 1.0 - k), axis=1)
+                moved = np.sum(np.abs(d) * s ** (nu + far.drift_power + 1.0 - k), axis=1)
                 err = err + np.where(fin, _EPS * moved, 0.0)
     return val, np.where(b > a, err, 0.0)
 
@@ -246,32 +248,25 @@ def _far_field(far: FarField, nu: float, a: np.ndarray,
 def _far_end(far: FarField, nu: float, t: float) -> Tuple[float, float, List[Tuple[float, float]]]:
     """A(t), its error bound and (K, m) pairs with |A(T)| <= sum K T^m for
     T >= t >= 12, A the far-field antiderivative of t^nu phi(t) (Phi(b) -
-    Phi(a) = A(b) - A(a)): minus the oscillatory tail, plus the drift
-    powers d_j t^s_j / s_j, s_j = nu + drift_power + 1 - 2j (s_j = 0, a
-    logarithm, raises NonConvergence).  Both series are cut at their
-    smallest terms at t, so a term T^(m - j) is at most t^-j T^m."""
+    Phi(a) = A(b) - A(a)): minus ``_osc_tail``, plus the ``_drift_terms``
+    integrated, d_j t^s_j / s_j with s_j = nu + drift_power + 1 - 2j (s_j =
+    0, a logarithm, raises NonConvergence).  Both series are cut at t, so a
+    term T^(m - j) is at most t^-j T^m."""
     val, err, env = 0.0, 0.0, []
     if np.any(far.osc):
-        m0, e, _ = _osc_series(far, nu)
-        tau = np.abs(e) * t ** -np.arange(_FAR_TERMS, dtype=float)
-        n = _smallest_term_index(tau[:-1], tau[0])
-        amp = abs(far.scale) * t ** m0
-        val -= amp * float(np.real(far.scale / abs(far.scale) * 1j * np.exp(1j * t)
-                                   * np.polyval(e[n::-1], 1.0 / t)))
-        err += amp * (2.0 * tau[n + 1] + 4.0 * _EPS * np.sum(tau[:n + 1]))
-        env.append((abs(far.scale) * (np.sum(tau[:n + 1]) + 2.0 * tau[n + 1]), m0))
+        v, e, k, m0 = _osc_tail(far, nu, np.full(1, t), 1.0 / t)
+        val, err = -float(v[0]), float(e[0])
+        env.append((float(k[0]), m0))
     if far.drift:
-        d = np.pad(far.drift, (0, _FAR_TERMS - len(far.drift)))
-        tau = np.abs(d) * t ** (-2.0 * np.arange(_FAR_TERMS))
-        j = _smallest_term_index(tau[:-1], tau[0]) + 2
-        d, tau, s = d[:j], tau[:j], nu + far.drift_power + 1.0 - 2.0 * np.arange(j)
+        d, k = _drift_terms(far, 1.0 / t)
+        s = nu + far.drift_power + 1.0 - k
         if np.any((np.abs(s) < 1e-12) & (d != 0.0)):
             raise NonConvergence(math.nan, math.inf, f"logarithmic far-field term at nu = {nu:g}")
         s = np.where(d != 0.0, s, 1.0)
         terms = d * t ** s / s
         val += float(np.sum(terms[:-1]))
         err += 2.0 * abs(terms[-1]) + 4.0 * _EPS * float(np.sum(np.abs(terms)))
-        k = tau / np.abs(s)
+        k = np.abs(terms) * t ** -s[0]
         env.append((float(np.sum(k[:-1]) + 2.0 * k[-1]), s[0]))
     return val, err, env
 
@@ -341,7 +336,9 @@ class DilationTable:
     def mellin(self) -> Tuple[float, float]:
         """integral_0^inf t^nu phi(t) dt continued analytically (the Mellin
         transform at nu + 1) and its error bound: the series' sum a_k / (e_k
-        + 1) for t <= 1, Phi(T) - Phi(1), T = max(reach, 12), minus A(T)."""
+        + 1) for t <= 1, Phi(T) - Phi(1), T = max(reach, 12), minus A(T).
+        A read within its error of 0 is 0, error 0: such a constant vanishes
+        (integral_0^inf t J_0 and cos do), and its read is only rounding."""
         s = self.exponents + 1.0
         if np.any(np.abs(s) < 1e-12):
             raise NonConvergence(math.nan, math.inf, f"logarithmic term at nu = {self.nu:g}")
@@ -350,7 +347,8 @@ class DilationTable:
         mid, mid_err = self.integral(np.ones(1), np.full(1, t))
         a, a_err, _ = _far_end(self.far_field, self.nu, t)
         rounding = 4.0 * _EPS * (np.sum(np.abs(near)) + abs(mid[0]) + abs(a))
-        return float(np.sum(near) + mid[0] - a), float(mid_err[0] + a_err + rounding)
+        c, err = float(np.sum(near) + mid[0] - a), float(mid_err[0] + a_err + rounding)
+        return (c, err) if abs(c) > err else (0.0, 0.0)
 
 
 @lru_cache(maxsize=32)
@@ -456,7 +454,8 @@ def near_expansion(spec: TransformSpec, f: TestFunction, config: QuadratureConfi
     f's largest jump point.  The moment series y^c0 sum a_m y^(b1 + k m)
     M_(b0 + b1 + k m)(f) (the tables' a_m; exact moments, 0 where declared
     vanished, a piece reaching inf continued as -c lo^s / s, s = mu + e +
-    1), plus for that piece its Mellin term c C y^(c0 - nu - 1)."""
+    1), plus for that piece its Mellin term c C y^(c0 - nu - 1) where C is
+    not 0 (``DilationTable.mellin``)."""
     series = spec.kernel.series or spec.kernel.near
     a = _table(spec.kernel, spec.b0 + f.pieces[0].exponent, config).coefs
     orders = spec.b0 + series.b1 + series.step * np.arange(len(a))
@@ -467,7 +466,8 @@ def near_expansion(spec: TransformSpec, f: TestFunction, config: QuadratureConfi
             continue
         nu = spec.b0 + p.exponent
         c, c_err = _table(spec.kernel, nu, config).mellin()  # raises where an s below is 0
-        mellin.append((p.coef * c, spec.c0 - nu - 1.0, abs(p.coef) * c_err))
+        if c != 0.0:
+            mellin.append((p.coef * c, spec.c0 - nu - 1.0, abs(p.coef) * c_err))
         s = orders + p.exponent + 1.0
         rows.append(-p.coef * p.lo ** s / s)
     rows = np.asarray(rows)
@@ -485,8 +485,8 @@ def far_envelope(spec: TransformSpec, f: TestFunction, y_min: float,
     """(K, kappa, y1): |F f(y)| <= sum K_i y^kappa_i for y >= y1 = max(y_min,
     12 / f's smallest jump point).  A piece c x^e, nu = b0 + e, is y^(c0 -
     nu - 1) c [A(hi y) - A(lo y)] (``_far_end``; A(inf) = 0, and the Mellin
-    constant for -A(0), dropped where within its error of 0); the jumps at
-    a point are summed per nu before they are bounded."""
+    constant for -A(0)); the jumps at a point are summed per nu before they
+    are bounded."""
     y1 = max(y_min, _CROSSOVER / min(f.breakpoints))
     jumps, bounds = {}, []
     for p in f.pieces:
@@ -496,7 +496,7 @@ def far_envelope(spec: TransformSpec, f: TestFunction, y_min: float,
                 jumps[x, nu] = jumps.get((x, nu), 0.0) + sign * p.coef
         if p.lo == 0.0:
             c, c_err = _table(spec.kernel, nu, config).mellin()
-            if abs(c) > c_err:
+            if c != 0.0:
                 bounds.append((abs(p.coef) * (abs(c) + c_err), spec.c0 - nu - 1.0))
     for (x, nu), jump in jumps.items():
         if jump != 0.0:

@@ -118,28 +118,31 @@ def _weber_schafheitlin(lam):
             / (2.0 ** lam * g((1.0 + lam) / 2.0) ** 2 * g((3.0 + lam) / 2.0)))
 
 
-def _hankel_sw_records(beta):
-    # Hankel order 0 of f = 1 on (0, r) is r J_1(r y) / y; with (p, q, a) =
-    # (2, 2, 2) in the sw normalization the outer norm is
-    # r^(beta + 1) W(1 + 2 beta)^(1/2), W the Weber-Schafheitlin integral,
-    # finite for -1/2 < beta < 1.
+def _hankel_sw_records(beta, side="left"):
+    # Hankel order 0 of f = 1 on (0, r) is r J_1(r y) / y, and of f = 1 on
+    # (r, inf) it is -r J_1(r y) / y (an Abel value; the Mellin constant
+    # integral_0^inf t J_0 is 0).  With (p, q, a) = (2, 2, 2) in the sw
+    # normalization the outer norm of either is r^(beta + 1) W(1 + 2
+    # beta)^(1/2), W the Weber-Schafheitlin integral, finite for -1/2 <
+    # beta < 1.  The rhs of the right-sided f needs gamma < -1.
     return compute_ratio_records(ExperimentConfig.from_dict({
         "experiment_id": "ws",
         "transform": {"name": "hankel", "alpha": 0.0},
         "exponents": {"p": 2.0, "q": 2.0, "a": 2.0},
-        "weights": {"beta": beta, "gamma": 0.25},
+        "weights": {"beta": beta, "gamma": 0.25 if side == "left" else -1.5},
         "normalization": "sw",
-        "family": {"kind": "truncated_power", "sigma": 0.0, "side": "left",
+        "family": {"kind": "truncated_power", "sigma": 0.0, "side": side,
                    "grid": {"start": 1e-2, "stop": 1e2, "points": 3}},
         "quadrature": {"rel_tol": 1e-6, "norm_rel_tol": 1e-2},
     }))
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("beta", [0.25, 0.6, 0.995])
-def test_outer_norm_against_weber_schafheitlin(beta):
+def test_outer_norm_against_weber_schafheitlin(beta, side):
     # beta = 0.995 puts the integrand's end exponent at 0 at -0.99: most of
     # the norm lies below any window start and comes from the closed form.
-    for rec in _hankel_sw_records(beta):
+    for rec in _hankel_sw_records(beta, side):
         exact = rec.param ** (beta + 1.0) * math.sqrt(_weber_schafheitlin(1.0 + 2.0 * beta))
         assert rec.note == ""
         assert abs(rec.lhs - exact) <= rec.lhs_err <= 1e-2 * exact

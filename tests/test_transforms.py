@@ -661,6 +661,23 @@ def test_near_expansion_is_the_transform_below_one_over_x(spec, f):
         assert c[0] == 0.0 and np.all(c[1:] != 0.0)
 
 
+@pytest.mark.parametrize("spec,exact", [
+    (hankel(0.0), lambda y: -mpmath.besselj(1, y) / y),
+    (cosine(), lambda y: -mpmath.sin(y) / y),
+], ids=["hankel", "cosine"])
+def test_near_expansion_drops_a_vanishing_mellin_constant(spec, exact):
+    # f = 1 on (1, inf): the Mellin constants integral_0^inf t J_0 and
+    # integral_0^inf cos are 0, so F f leads with y^0 at 0, not with the
+    # rounding residue of the constant times y^-2 or y^-1.
+    f = make_truncated_power(0.0, 1.0, "right")
+    c, p, c_err, y_max = near_expansion(spec, f, CFG)
+    assert np.all(p >= 0.0) and p[np.flatnonzero(c)[0]] == 0.0
+    ys = np.array([1e-3, 0.1, 0.5, 1.0])
+    series = np.sum(c * ys[:, None] ** p, axis=1)
+    for y, v, e in zip(ys, series, np.sum(c_err * ys[:, None] ** p, axis=1)):
+        assert abs(mpmath.mpf(v) - exact(mpmath.mpf(y))) <= e + 1e-13
+
+
 @pytest.mark.parametrize("spec,f", END_CASES, ids=END_IDS)
 def test_far_envelope_bounds_the_transform(spec, f):
     # |F f| stays under the envelope on four decades beyond y1, and comes
