@@ -183,14 +183,15 @@ def _lhs_norm(cfg: ExperimentConfig, f: TestFunction) -> Tuple[float, float]:
         y1, bound, slope = _upper_tail(cfg, f, u_exp, y0)
     win, win_err = integrate(integrand, (y0, y1), outer)
     val, err = val + win, err + win_err
-    if bound > share * val:
-        # The bound falls like y1^slope: one step to the y2 where it meets
-        # its share, at most twelve decades on; what is left is read below.
-        y2 = y1 * min((bound / (share * val)) ** (-1.0 / slope) if val > 0 else 1e12, 1e12)
+    # The unreached tail lies in [0, bound] and is read as its midpoint, so
+    # it costs bound / 2 of the error, which may take up to its share.
+    if 0.5 * bound > share * val:
+        # The bound falls like y1^slope: one step to the y2 where half of it
+        # meets the share, at most twelve decades on.
+        y2 = y1 * min((0.5 * bound / (share * val)) ** (-1.0 / slope) if val > 0 else 1e12, 1e12)
         win, win_err = integrate(integrand, (y1, y2), outer)
         val, err = val + win, err + win_err
         _, bound, _ = _upper_tail(cfg, f, u_exp, y2)
-    # The unreached tail lies in [0, bound]: read it as its midpoint.
     val, err = val + 0.5 * bound, err + 0.5 * bound
     if val <= 0.0:
         return 0.0, err

@@ -260,16 +260,6 @@ def glued_condition(u: Weight, v: Weight, s: Weight, w: Weight,
     return _scan([(b1, 1.0 / p_prime), (b2, 1.0 / q)], "glued")
 
 
-def special_case_222(u: Weight, v: Weight, s: Weight, w: Weight) -> ConditionReport:
-    """Single-condition variant for (p, q, a) = (2, 2, 2): the bracket
-    integrals enter with full (not rooted) powers.  Experimental: stated in
-    the rearranged setting, exposed here for plain weights as a diagnostic.
-    """
-    return _scan([([_Term(Weight.product([(u, 1.0), (w, 1.0)]), inverted=True)], 1.0),
-                  ([_Term(Weight.product([(v, -1.0), (s, 1.0)]))], 1.0)],
-                 "special_222 (experimental)")
-
-
 def lorentz_necessity_condition(u: Weight, v: Weight, s: Weight,
                                 exps: ExponentSet) -> ConditionReport:
     """sup_r (int_0^(1/r) u)^(1/q) (int_0^r v)^(-1/p) (int_0^r s)."""
@@ -405,7 +395,7 @@ def vanishing_moment_range(spec: TransformSpec, n: int, exps: ExponentSet,
 
 
 # ---------------------------------------------------------------------------
-# scan route for pure power weights, and the analytic cross-check
+# scan route for pure power weights
 # ---------------------------------------------------------------------------
 
 def power_hardy_verdict(spec: TransformSpec, exps: ExponentSet,
@@ -423,35 +413,6 @@ def power_hardy_verdict(spec: TransformSpec, exps: ExponentSet,
     v = Weight.power(gamma_red * exps.p)
     sw = Weight.power(2.0 * d)
     return hardy_pair_condition(u, v, sw, sw, exps_a1)
-
-
-def power_pair_verdict_analytic(u_exp: float, v_exp: float, s_exp: float,
-                                w_exp: float, exps: ExponentSet
-                                ) -> Tuple[Optional[bool], Optional[bool]]:
-    """Closed-form finiteness of the two Hardy conditions for exact power
-    weights.  Returns None for a condition whose determining exponent sits
-    within the endpoint tolerance (numerically unresolvable open/closed)."""
-    q, pp, ap = exps.q, exps.p_prime, exps.a_prime
-    inv_a = 0.0 if math.isinf(ap) else 1.0 / ap
-
-    def verdict(ea: float, eb: float, at_zero: bool) -> Optional[bool]:
-        conv_a = ea > -1.0 if at_zero else ea < -1.0
-        conv_b = eb > -1.0 if at_zero else eb < -1.0
-        # For powers: first bracket ~ r^(-(ea+1)/q) (zero case uses 1/r),
-        # second ~ r^((eb+1)/p'); the sup is finite iff exponents cancel.
-        balance = -(ea + 1.0) / q + (eb + 1.0) / pp
-        margin = min(abs(ea + 1.0), abs(eb + 1.0))
-        if margin < ENDPOINT_TOLERANCE:
-            return None
-        if not (conv_a and conv_b):
-            return False
-        return abs(balance) <= EXPONENT_TOLERANCE
-
-    ea1 = u_exp + w_exp * q * inv_a
-    eb1 = v_exp * (1.0 - pp) + s_exp * pp * inv_a
-    ea2 = u_exp + w_exp * q * (inv_a - 0.5)
-    eb2 = v_exp * (1.0 - pp) + s_exp * pp * (inv_a - 0.5)
-    return verdict(ea1, eb1, True), verdict(ea2, eb2, False)
 
 
 # ---------------------------------------------------------------------------

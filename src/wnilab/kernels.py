@@ -479,9 +479,3 @@ def check_envelope(kernel: KernelSpec,
         masked_fraction=float(np.mean(masked)),
         grid_shape=ratio.shape,
     )
-
-
-def fit_env_constant(kernel: KernelSpec) -> float:
-    """Fitted envelope constant: the max kernel/envelope ratio over the
-    standard 200x200 log grid on (1e-3, 1e3)^2."""
-    return check_envelope(kernel).max_ratio

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernels import (_ASYMPTOTIC_MAX_TERMS, _CROSSOVER, FarField, KernelSpec,
+from .kernels import (_ASYMPTOTIC_MAX_TERMS, _CROSSOVER, KernelSpec,
                       SeriesKernel, _smallest_term_index, bessel_j_kernel, cosine_kernel,
                       model_min_kernel, sine_kernel, struve_h_kernel)
 from .quadrature import CumulativeIntegral, NonConvergence, QuadratureConfig
@@ -179,98 +179,6 @@ def _power_terms(coefs: np.ndarray, exps: np.ndarray, de: float, a: np.ndarray,
 _FAR_TERMS = _ASYMPTOTIC_MAX_TERMS + 1
 
 
-def _osc_tail(far: FarField, nu: float, t: np.ndarray,
-              w_max: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(V, E, K, m0) at arrays t >= 1 / w_max: V = integral_t^inf of the
-    oscillatory part of t^nu phi(t) (0 at t = inf), E its error bound, |V|
-    <= K T^m0 at every T >= t.  Integration by parts, integral_T^inf t^m
-    e^(it) dt = i e^(iT) T^m sum_j m (m-1) ... (m-j+1) (i/T)^j (the Abel
-    value where the envelope grows), gives one series i e^(iT) T^m0 sum_n
-    e_n T^-n, m0 = nu + osc_power, e_n = osc_n + i (m0 - n + 1) e_(n-1).
-    It is cut at its smallest term at w_max, which bounds it at every larger
-    argument.  E is twice the first omitted term, eps times the summed terms'
-    magnitudes and eps t |t^nu phi(t)| for an end t rounded by up to eps t."""
-    m0 = float(nu + far.osc_power)
-    osc = np.pad(far.osc.astype(complex), (0, _FAR_TERMS - len(far.osc)))
-    e = osc.tolist()  # the recurrence in Python scalars, which numpy's are slow against
-    for n in range(1, _FAR_TERMS):
-        e[n] += 1j * (m0 - n + 1.0) * e[n - 1]
-    e, osc_abs = np.array(e), np.abs(osc)
-    n = _smallest_term_index(np.abs(e[:-1]) * w_max ** np.arange(_FAR_TERMS - 1), abs(e[0]))
-    w = 1.0 / t
-    amp = np.where(w > 0, abs(far.scale) * t ** m0, 0.0)
-    val = amp * np.real(far.scale / abs(far.scale) * 1j * np.exp(1j * t)
-                        * np.polyval(e[n::-1], w))
-    trunc = 2.0 * abs(e[n + 1]) * w ** (n + 1)
-    size = np.polyval(np.abs(e[n::-1]), w)
-    moved = _EPS * np.where(w > 0, t, 0.0) * np.polyval(osc_abs[n::-1], w)
-    return (np.where(w > 0, val, 0.0), amp * (trunc + 4.0 * _EPS * size + moved),
-            abs(far.scale) * (size + trunc), m0)
-
-
-def _drift_terms(far: FarField, w_max: float) -> Tuple[np.ndarray, np.ndarray]:
-    """(d_j, 2j) of the drift sum_j d_j t^(nu + drift_power - 2j) of t^nu
-    phi(t), to the first term omitted at its smallest term at w_max."""
-    d = np.pad(far.drift, (0, _FAR_TERMS - len(far.drift)))
-    tau = np.abs(d) * w_max ** (2.0 * np.arange(_FAR_TERMS))
-    j = _smallest_term_index(tau[:-1], tau[0]) + 2
-    return d[:j], 2.0 * np.arange(j)
-
-
-def _far_field(far: FarField, nu: float, a: np.ndarray,
-               b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """integral_a^b t^nu phi(t) dt and its error bound from the kernel's
-    large-argument form, for arrays a <= b <= inf, a in the asymptotic range:
-    the oscillatory part from ``_osc_tail``, the drift (``_drift_terms``)
-    as exact powers (inf where one does not decay toward b = inf), both
-    series cut at min(a)."""
-    if not np.any(b > a):
-        return np.zeros(a.shape), np.zeros(a.shape)
-    w_max = 1.0 / float(np.min(a))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        (val, err, _, _), (vb, eb, _, _) = (_osc_tail(far, nu, t, w_max) for t in (a, b))
-        val, err = val - vb, err + eb
-        if far.drift:
-            d, k = _drift_terms(far, w_max)
-            # Exponents are rounded by at most 2 eps times their summands' size.
-            terms, terms_err = _power_terms(d, nu + far.drift_power - k, 2.0 * _EPS
-                                            * (abs(nu) + abs(far.drift_power) + k[-1] + 1.0), a, b)
-            val = val + np.sum(terms[:, :-1], axis=1)
-            err = err + terms_err + 2.0 * np.abs(terms[:, -1])
-            for t in (a, b):
-                fin = t < math.inf
-                s = np.where(fin, t, 1.0)[:, None]
-                moved = np.sum(np.abs(d) * s ** (nu + far.drift_power + 1.0 - k), axis=1)
-                err = err + np.where(fin, _EPS * moved, 0.0)
-    return val, np.where(b > a, err, 0.0)
-
-
-def _far_end(far: FarField, nu: float, t: float) -> Tuple[float, float, List[Tuple[float, float]]]:
-    """A(t), its error bound and (K, m) pairs with |A(T)| <= sum K T^m for
-    T >= t >= 12, A the far-field antiderivative of t^nu phi(t) (Phi(b) -
-    Phi(a) = A(b) - A(a)): minus ``_osc_tail``, plus the ``_drift_terms``
-    integrated, d_j t^s_j / s_j with s_j = nu + drift_power + 1 - 2j (s_j =
-    0, a logarithm, raises NonConvergence).  Both series are cut at t, so a
-    term T^(m - j) is at most t^-j T^m."""
-    val, err, env = 0.0, 0.0, []
-    if np.any(far.osc):
-        v, e, k, m0 = _osc_tail(far, nu, np.full(1, t), 1.0 / t)
-        val, err = -float(v[0]), float(e[0])
-        env.append((float(k[0]), m0))
-    if far.drift:
-        d, k = _drift_terms(far, 1.0 / t)
-        s = nu + far.drift_power + 1.0 - k
-        if np.any((np.abs(s) < 1e-12) & (d != 0.0)):
-            raise NonConvergence(math.nan, math.inf, f"logarithmic far-field term at nu = {nu:g}")
-        s = np.where(d != 0.0, s, 1.0)
-        terms = d * t ** s / s
-        val += float(np.sum(terms[:-1]))
-        err += 2.0 * abs(terms[-1]) + 4.0 * _EPS * float(np.sum(np.abs(terms)))
-        k = np.abs(terms) * t ** -s[0]
-        env.append((float(np.sum(k[:-1]) + 2.0 * k[-1]), s[0]))
-    return val, err, env
-
-
 class DilationTable:
     """Phi(T) = integral t^nu phi(t) dt of a kernel with a far field, read as
     Phi(b) - Phi(a) for 0 <= a <= b <= inf.
@@ -285,6 +193,11 @@ class DilationTable:
     reach, ``_far_field`` integrates the kernel's large-argument form.
     Raises NonConvergence when the table cannot meet the config's
     tolerance.
+
+    The far field's constants, which depend only on (kernel, nu), are
+    computed here once: the coefficients e_n of the oscillatory tail's
+    series (``_osc_tail``), the |osc_k| and the padded drift.  The Mellin
+    read is kept once made.
     """
 
     def __init__(self, kernel: KernelSpec, nu: float, config: QuadratureConfig):
@@ -296,12 +209,105 @@ class DilationTable:
         steps = series.step * np.arange(n)
         self.exponents = nu + series.b1 + steps
         self.exponent_error = 2.0 * _EPS * (abs(nu) + abs(series.b1) + abs(steps[-1]) + 1.0)
-        self.nu, self.far_field = nu, kernel.far_field
+        far = self.far_field = kernel.far_field
+        self.nu = nu
+        self.osc_power = float(nu + far.osc_power)
+        osc = np.pad(far.osc.astype(complex), (0, _FAR_TERMS - len(far.osc)))
+        e = osc.tolist()  # the recurrence in Python scalars, which numpy's are slow against
+        for k in range(1, _FAR_TERMS):
+            e[k] += 1j * (self.osc_power - k + 1.0) * e[k - 1]
+        self.osc_e, self.osc_abs = np.array(e), np.abs(osc)
+        self.osc_e_abs = np.abs(self.osc_e)
+        self.drift = np.pad(far.drift, (0, _FAR_TERMS - len(far.drift))) if far.drift else None
+        self._mellin: Optional[Tuple[float, float]] = None
         self.reach, self.mid = 1.0, None
         if kernel.oscillatory:
             self.reach = 1.0 + 0.45 * config.max_panels * math.pi
             self.mid = CumulativeIntegral(lambda t: t ** nu * kernel.phi(t),
                                           [1.0, self.reach], config, wavelength=2.0 * math.pi)
+
+    def _osc_tail(self, t: np.ndarray,
+                  w_max: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """(V, E, K, m0) at arrays t >= 1 / w_max: V = integral_t^inf of the
+        oscillatory part of t^nu phi(t) (0 at t = inf), E its error bound, |V|
+        <= K T^m0 at every T >= t.  Integration by parts, integral_T^inf t^m
+        e^(it) dt = i e^(iT) T^m sum_j m (m-1) ... (m-j+1) (i/T)^j (the Abel
+        value where the envelope grows), gives one series i e^(iT) T^m0 sum_n
+        e_n T^-n, m0 = nu + osc_power, e_n = osc_n + i (m0 - n + 1) e_(n-1).
+        It is cut at its smallest term at w_max, which bounds it at every larger
+        argument.  E is twice the first omitted term, eps times the summed terms'
+        magnitudes and eps t |t^nu phi(t)| for an end t rounded by up to eps t."""
+        far, m0, e, e_abs = self.far_field, self.osc_power, self.osc_e, self.osc_e_abs
+        n = _smallest_term_index(e_abs[:-1] * w_max ** np.arange(_FAR_TERMS - 1), e_abs[0])
+        w = 1.0 / t
+        amp = np.where(w > 0, abs(far.scale) * t ** m0, 0.0)
+        val = amp * np.real(far.scale / abs(far.scale) * 1j * np.exp(1j * t)
+                            * np.polyval(e[n::-1], w))
+        trunc = 2.0 * e_abs[n + 1] * w ** (n + 1)
+        size = np.polyval(e_abs[n::-1], w)
+        moved = _EPS * np.where(w > 0, t, 0.0) * np.polyval(self.osc_abs[n::-1], w)
+        return (np.where(w > 0, val, 0.0), amp * (trunc + 4.0 * _EPS * size + moved),
+                abs(far.scale) * (size + trunc), m0)
+
+    def _drift_terms(self, w_max: float) -> Tuple[np.ndarray, np.ndarray]:
+        """(d_j, 2j) of the drift sum_j d_j t^(nu + drift_power - 2j) of t^nu
+        phi(t), to the first term omitted at its smallest term at w_max."""
+        tau = np.abs(self.drift) * w_max ** (2.0 * np.arange(_FAR_TERMS))
+        j = _smallest_term_index(tau[:-1], tau[0]) + 2
+        return self.drift[:j], 2.0 * np.arange(j)
+
+    def _far_field(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """integral_a^b t^nu phi(t) dt and its error bound from the kernel's
+        large-argument form, for arrays a <= b <= inf, a in the asymptotic range:
+        the oscillatory part from ``_osc_tail``, the drift (``_drift_terms``)
+        as exact powers (inf where one does not decay toward b = inf), both
+        series cut at min(a)."""
+        if not np.any(b > a):
+            return np.zeros(a.shape), np.zeros(a.shape)
+        nu, drift_power = self.nu, self.far_field.drift_power
+        w_max = 1.0 / float(np.min(a))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            (val, err, _, _), (vb, eb, _, _) = (self._osc_tail(t, w_max) for t in (a, b))
+            val, err = val - vb, err + eb
+            if self.drift is not None:
+                d, k = self._drift_terms(w_max)
+                # Exponents are rounded by at most 2 eps times their summands' size.
+                terms, terms_err = _power_terms(d, nu + drift_power - k, 2.0 * _EPS
+                                                * (abs(nu) + abs(drift_power) + k[-1] + 1.0), a, b)
+                val = val + np.sum(terms[:, :-1], axis=1)
+                err = err + terms_err + 2.0 * np.abs(terms[:, -1])
+                for t in (a, b):
+                    fin = t < math.inf
+                    s = np.where(fin, t, 1.0)[:, None]
+                    moved = np.sum(np.abs(d) * s ** (nu + drift_power + 1.0 - k), axis=1)
+                    err = err + np.where(fin, _EPS * moved, 0.0)
+        return val, np.where(b > a, err, 0.0)
+
+    def _far_end(self, t: float) -> Tuple[float, float, List[Tuple[float, float]]]:
+        """A(t), its error bound and (K, m) pairs with |A(T)| <= sum K T^m for
+        T >= t >= 12, A the far-field antiderivative of t^nu phi(t) (Phi(b) -
+        Phi(a) = A(b) - A(a)): minus ``_osc_tail``, plus the ``_drift_terms``
+        integrated, d_j t^s_j / s_j with s_j = nu + drift_power + 1 - 2j (s_j =
+        0, a logarithm, raises NonConvergence).  Both series are cut at t, so a
+        term T^(m - j) is at most t^-j T^m."""
+        val, err, env = 0.0, 0.0, []
+        if np.any(self.far_field.osc):
+            v, e, k, m0 = self._osc_tail(np.full(1, t), 1.0 / t)
+            val, err = -float(v[0]), float(e[0])
+            env.append((float(k[0]), m0))
+        if self.drift is not None:
+            d, k = self._drift_terms(1.0 / t)
+            s = self.nu + self.far_field.drift_power + 1.0 - k
+            if np.any((np.abs(s) < 1e-12) & (d != 0.0)):
+                raise NonConvergence(math.nan, math.inf,
+                                     f"logarithmic far-field term at nu = {self.nu:g}")
+            s = np.where(d != 0.0, s, 1.0)
+            terms = d * t ** s / s
+            val += float(np.sum(terms[:-1]))
+            err += 2.0 * abs(terms[-1]) + 4.0 * _EPS * float(np.sum(np.abs(terms)))
+            k = np.abs(terms) * t ** -s[0]
+            env.append((float(np.sum(k[:-1]) + 2.0 * k[-1]), s[0]))
+        return val, err, env
 
     def integral(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Phi(b) - Phi(a) and its error bound, for arrays 0 <= a <= b <= inf
@@ -316,8 +322,7 @@ class DilationTable:
             inside = np.tile(a < self.reach, 2)
             mid, mid_err = (np.where(inside, m, 0.0) for m in
                             self.mid.lower_with_error(np.maximum(np.concatenate([b, a]), 1.0)))
-        far, far_err = _far_field(self.far_field, self.nu, np.maximum(a, self.reach),
-                                  np.maximum(b, self.reach))
+        far, far_err = self._far_field(np.maximum(a, self.reach), np.maximum(b, self.reach))
         val = near + (mid[:n] - mid[n:]) + far
         rounding = 2.0 * _EPS * (np.abs(near) + np.abs(mid[:n]) + np.abs(mid[n:]) + np.abs(far))
         return val, near_err + mid_err[:n] + mid_err[n:] + far_err + rounding
@@ -338,14 +343,21 @@ class DilationTable:
         transform at nu + 1) and its error bound: the series' sum a_k / (e_k
         + 1) for t <= 1, Phi(T) - Phi(1), T = max(reach, 12), minus A(T).
         A read within its error of 0 is 0, error 0: such a constant vanishes
-        (integral_0^inf t J_0 and cos do), and its read is only rounding."""
+        (integral_0^inf t J_0 and cos do), and its read is only rounding.
+        Computed on the first read and kept; a NonConvergence is raised
+        again on every read."""
+        if self._mellin is None:
+            self._mellin = self._mellin_read()
+        return self._mellin
+
+    def _mellin_read(self) -> Tuple[float, float]:
         s = self.exponents + 1.0
         if np.any(np.abs(s) < 1e-12):
             raise NonConvergence(math.nan, math.inf, f"logarithmic term at nu = {self.nu:g}")
         t = max(self.reach, _CROSSOVER)
         near = self.coefs / s
         mid, mid_err = self.integral(np.ones(1), np.full(1, t))
-        a, a_err, _ = _far_end(self.far_field, self.nu, t)
+        a, a_err, _ = self._far_end(t)
         rounding = 4.0 * _EPS * (np.sum(np.abs(near)) + abs(mid[0]) + abs(a))
         c, err = float(np.sum(near) + mid[0] - a), float(mid_err[0] + a_err + rounding)
         return (c, err) if abs(c) > err else (0.0, 0.0)
@@ -501,7 +513,7 @@ def far_envelope(spec: TransformSpec, f: TestFunction, y_min: float,
     for (x, nu), jump in jumps.items():
         if jump != 0.0:
             bounds.extend((abs(jump) * k * x ** m, spec.c0 - nu - 1.0 + m)
-                          for k, m in _far_end(spec.kernel.far_field, nu, x * y1)[2])
+                          for k, m in _table(spec.kernel, nu, config)._far_end(x * y1)[2])
     k, kappa = (np.asarray(v, dtype=float) for v in zip(*bounds)) if bounds else (np.zeros(0),) * 2
     return k, kappa, y1
 

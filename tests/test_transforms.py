@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -5,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wnilab.kernels import KernelSpec, PowerEnvelope, check_envelope, fit_env_constant, struve_h
+from wnilab.kernels import KernelSpec, PowerEnvelope, check_envelope, struve_h
 from wnilab.quadrature import NonConvergence, QuadratureConfig
 from wnilab.transforms import (AdmissibilityError, MissingPrimitiveBound, MomentsNotVanished,
-                               NoSeriesKernel, TransformSpec, _dilation_table, apply, cosine,
+                               DilationTable, NoSeriesKernel, TransformSpec, _dilation_table,
+                               apply, cosine,
                                far_envelope, hankel, model_min, moment_reduced_apply,
                                near_expansion, pointwise_bound, preset,
                                scripth, sine)
@@ -102,6 +104,12 @@ def test_pointwise_bound_standard():
     assert pointwise_bound(mm, f, 0.5) == pytest.approx(0.5, rel=1e-12)
     with pytest.raises(ValueError):
         pointwise_bound(scripth(1.0), f, 1.0)  # no two-factor kernel estimate
+
+
+def fit_env_constant(kernel: KernelSpec) -> float:
+    """Fitted envelope constant: the max kernel/envelope ratio over the
+    standard 200x200 log grid on (1e-3, 1e3)^2."""
+    return check_envelope(kernel).max_ratio
 
 
 def test_pointwise_bound_dominates_transform():
@@ -633,6 +641,26 @@ def test_mellin_read_against_closed_form(spec, nu, exact):
     # Not a vacuous bar: the growing envelopes t^(5/4) read Phi(T) ~ 5e4 at
     # T = R, whose table error at rel_tol 1e-9 is about 5e-5.
     assert e <= 1e-4 * max(1.0, abs(exact))
+
+
+def test_mellin_read_is_kept_on_the_table():
+    # A second read evaluates no kernel point and returns the first read's
+    # tuple; a read that raises is not kept and raises again.
+    points = []
+
+    def phi(t):
+        points.append(np.size(t))
+        return hankel(0.0).kernel.phi(t)
+
+    table = DilationTable(dataclasses.replace(hankel(0.0).kernel, phi=phi), 0.25, CFG)
+    first = table.mellin()
+    del points[:]
+    assert table.mellin() is first and points == []
+    table = _dilation_table(model_min(1.0).kernel, -0.5, CFG.rel_tol, CFG.abs_tol,
+                            CFG.max_panels)
+    for _ in range(2):
+        with pytest.raises(NonConvergence, match="logarithmic"):
+            table.mellin()
 
 
 END_CASES = [
