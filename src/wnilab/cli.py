@@ -24,6 +24,7 @@ import inspect
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -76,15 +77,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        try:
-            transform = _build_transform(doc["transform"])
-            e = doc["exponents"]
-            exps = ExponentSet(p=float(e["p"]), q=float(e["q"]),
-                               a=float(e.get("a", 1.0)))
-            wts = doc["weights"]
-            if "beta" not in wts or "gamma" not in wts:
-                raise ConfigError("weights must set beta and gamma explicitly")
-            beta, gamma = float(wts["beta"]), float(wts["gamma"])
+        with _config_fields():
+            transform, exps, wts = _shared_blocks(doc)
+            beta, gamma = _power_exponents(wts)
             family = _build_family(doc["family"])
             domain = doc.get("lhs_domain")
             lhs_domain = (0.0, math.inf)
@@ -99,10 +94,6 @@ class ExperimentConfig:
                                     abs_tol=float(qc.get("abs_tol", 1e-12)),
                                     max_panels=int(qc.get("max_panels", 4096)))
             norm_rel = float(qc.get("norm_rel_tol", 1e-2))
-        except KeyError as exc:
-            raise ConfigError(f"missing config field {exc}") from exc
-        except (IndexError, TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
         norm = doc.get("normalization", "power")
         if norm not in ("power", "sw"):
             raise ConfigError(f"normalization must be 'power' or 'sw', got {norm!r}")
@@ -111,6 +102,31 @@ class ExperimentConfig:
             raise ConfigError(f"growth_model must be 'power' or 'log', got {model!r}")
         return cls(str(doc.get("experiment_id", "experiment")), transform, exps,
                    beta, gamma, family, norm, lhs_domain, quad, norm_rel, model)
+
+
+@contextmanager
+def _config_fields():
+    """Missing or malformed config fields raise ConfigError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"missing config field {exc}") from exc
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _shared_blocks(doc: dict) -> Tuple[tr.TransformSpec, ExponentSet, dict]:
+    """The transform, the exponent set and the weights block of a config."""
+    transform, e = _build_transform(doc["transform"]), doc["exponents"]
+    exps = ExponentSet(p=float(e["p"]), q=float(e["q"]), a=float(e.get("a", 1.0)))
+    return transform, exps, doc["weights"]
+
+
+def _power_exponents(wts: dict) -> Tuple[float, float]:
+    """(beta, gamma) of a power-weights block; neither has a default."""
+    if "beta" not in wts or "gamma" not in wts:
+        raise ConfigError("weights must set beta and gamma explicitly")
+    return float(wts["beta"]), float(wts["gamma"])
 
 
 def _build_transform(desc: dict) -> tr.TransformSpec:
@@ -206,7 +222,7 @@ def _lower_tail(cfg: ExperimentConfig, f: TestFunction, u: float, y_cap: float,
     factor within 1 +- r(y); y0 <= min(y_cap, 1/X) keeps r(y0) <= share / q.
     Raises DivergentIntegral when u + q k <= -1."""
     q = cfg.exps.q
-    c, powers, c_err, y_max = tr.near_expansion(cfg.transform, f, cfg.quadrature)
+    c, powers, c_err, y_max = tr.near_expansion(cfg.transform, f)
     live = np.flatnonzero(c)
     lead = live[np.argmin(powers[live])]
     slope = u + q * powers[lead] + 1.0
@@ -229,7 +245,7 @@ def _upper_tail(cfg: ExperimentConfig, f: TestFunction, u: float,
     ``far_envelope`` at y1, k its top exponent), B = S^q y1^(u + 1) / -g
     bounds integral_y1^inf y^u |F f|^q, g = u + q k + 1.  Raises
     DivergentIntegral when g >= -1."""
-    k, kappa, y1 = tr.far_envelope(cfg.transform, f, y_min, cfg.quadrature)
+    k, kappa, y1 = tr.far_envelope(cfg.transform, f, y_min)
     slope = u + cfg.exps.q * float(np.max(kappa, initial=-math.inf)) + 1.0
     if slope >= -_END_TOL:
         raise DivergentIntegral("y -> inf")
@@ -340,11 +356,8 @@ def fit_growth(records: Sequence[RatioRecord], model: str) -> dict:
 def run_conditions(doc: dict) -> dict:
     """Evaluate every applicable condition and range for a config with
     power or piecewise-power weights."""
-    try:
-        transform = _build_transform(doc["transform"])
-        e = doc["exponents"]
-        exps = ExponentSet(p=float(e["p"]), q=float(e["q"]), a=float(e.get("a", 1.0)))
-        wts = doc["weights"]
+    with _config_fields():
+        transform, exps, wts = _shared_blocks(doc)
         beta = gamma = None
         if "u" in wts or "v" in wts:
             # explicit weight descriptors (power, piecewise_power or tabulated)
@@ -360,15 +373,9 @@ def run_conditions(doc: dict) -> dict:
             u = Weight.piecewise_power(-b2 * exps.q, -b1 * exps.q)
             v = Weight.piecewise_power(g1 * exps.p, g2 * exps.p)
         else:
-            if "beta" not in wts or "gamma" not in wts:
-                raise ConfigError("weights must set beta and gamma explicitly")
-            beta, gamma = float(wts["beta"]), float(wts["gamma"])
+            beta, gamma = _power_exponents(wts)
             u = Weight.power(-beta * exps.q)
             v = Weight.power(gamma * exps.p)
-    except KeyError as exc:
-        raise ConfigError(f"missing config field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
 
     delta = transform.b0
     s = Weight.power(delta)

@@ -41,6 +41,8 @@ _SERIES_STOP = 1e-18
 _SERIES_MAX_TERMS = 400
 _ASYMPTOTIC_MAX_TERMS = 40
 _TWO_OVER_PI = 2.0 / math.pi
+_EPS = float(np.finfo(float).eps)
+_LD_EPS = float(np.finfo(np.longdouble).eps)
 
 
 def _horner(coefs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -85,12 +87,19 @@ def _series_terms(log_x_bounds: np.ndarray, x_max: float) -> int:
     return min(1 + int(np.searchsorted(log_x_bounds, log_x)), _SERIES_MAX_TERMS)
 
 
-def _series_sum(s: float, alpha: float, x: np.ndarray) -> np.ndarray:
-    """sum_k c_k x^(2k) by Horner's rule in x^2, in extended precision."""
+def _series_sum(s: float, alpha: float, x: np.ndarray, absolute: bool = False) -> np.ndarray:
+    """sum_k c_k x^(2k) (sum_k |c_k| x^(2k) if absolute) by Horner's rule in
+    x^2, in extended precision."""
     c, log_x_bounds = _series_coefficients(s, alpha)
     n = _series_terms(log_x_bounds, float(np.max(x, initial=0.0)))
     xl = x.astype(np.longdouble)
-    return _horner(c[:n + 1], xl * xl)
+    return _horner(np.abs(c[:n + 1]) if absolute else c[:n + 1], xl * xl)
+
+
+def _series_rounding(s: float, alpha: float, x: np.ndarray) -> np.ndarray:
+    """Rounding bound of ``_series_sum``: 2 extended-precision eps times the
+    sum of the terms' magnitudes."""
+    return 2.0 * _LD_EPS * _series_sum(s, alpha, x, absolute=True).astype(float)
 
 
 def _bessel_j_series(alpha: float, x: np.ndarray) -> np.ndarray:
@@ -141,14 +150,19 @@ def _pq_coefficients(alpha: float) -> np.ndarray:
     return b
 
 
+def _pq_cut(alpha: float, x: np.ndarray) -> Tuple[np.ndarray, int]:
+    """The coefficients b_k and the index n of the last term kept whole:
+    the smallest term at min(x)."""
+    b = _pq_coefficients(alpha)
+    tau = np.abs(b) * float(np.min(x)) ** -np.arange(len(b), dtype=float)
+    return b, _smallest_term_index(tau, 1.0)
+
+
 def _pq_expansion(alpha: float, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Slowly varying amplitude series P, Q of the large-argument expansion,
     truncated at the smallest term at min(x) and summed by Horner's rule in
     1/x^2."""
-    b = _pq_coefficients(alpha)
-    x_min = float(np.min(x))
-    tau = np.abs(b) * x_min ** -np.arange(len(b), dtype=float)
-    n = _smallest_term_index(tau, 1.0)
+    b, n = _pq_cut(alpha, x)
     # For real order and argument, once enough terms are kept, the remainder
     # of each of P and Q has the sign of its first neglected term and does
     # not exceed it (DLMF 10.17(iii)); adding half that term halves the
@@ -158,6 +172,18 @@ def _pq_expansion(alpha: float, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     inv_x = 1.0 / x
     w = inv_x * inv_x
     return _horner(coefs[0::2], w), inv_x * _horner(coefs[1::2], w)
+
+
+def _pq_error(alpha: float, x: np.ndarray) -> np.ndarray:
+    """Error bound of cos(omega) P -+ sin(omega) Q and of sin(omega) P +-
+    cos(omega) Q, omega = x - phase: half the first term of each of P and Q
+    beyond the half term added (the truncation), and the rounding of omega
+    (up to eps (x + phase)), of the sines and of the sums."""
+    b, n = _pq_cut(alpha, x)
+    rest = np.abs(np.append(b, [0.0, 0.0])[n + 1:n + 3])
+    p, q = _pq_expansion(alpha, x)
+    trunc = 0.5 * (rest[0] * x ** -(n + 1.0) + rest[1] * x ** -(n + 2.0))
+    return trunc + _EPS * (x + (0.5 * alpha + 0.25) * math.pi + 4.0) * (np.abs(p) + np.abs(q))
 
 
 def _bessel_j_asymptotic(alpha: float, x: np.ndarray) -> np.ndarray:
@@ -189,8 +215,8 @@ _LAGUERRE_WEIGHTS = (
     1.342391030515004e-09, 3.0616016350350207e-12, 8.148077467426241e-16)
 
 
-def _struve_h_asymptotic(alpha: float, x: np.ndarray) -> np.ndarray:
-    """H_alpha = Y_alpha + 2 (x/2)^alpha / (sqrt(pi) G(alpha + 1/2))
+def _struve_h_laplace(alpha: float, x: np.ndarray) -> np.ndarray:
+    """H_alpha - Y_alpha = 2 (x/2)^alpha / (sqrt(pi) G(alpha + 1/2))
     integral_0^inf e^(-x t) (1 + t^2)^(alpha - 1/2) dt (DLMF 11.5.2).  In
     s = x t the integrand is e^(-s) times a function whose nearest
     singularity lies at distance x >= 12 from the real axis, so the
@@ -200,19 +226,28 @@ def _struve_h_asymptotic(alpha: float, x: np.ndarray) -> np.ndarray:
     for s, w in zip(_LAGUERRE_NODES, _LAGUERRE_WEIGHTS):
         laplace += w * (1.0 + (s / x) ** 2) ** (alpha - 0.5)
     lead = 2.0 / math.gamma(alpha + 0.5) / (math.gamma(0.5) * x)
-    return _bessel_y(alpha, x) + lead * (0.5 * x) ** alpha * laplace
+    return lead * (0.5 * x) ** alpha * laplace
+
+
+def _struve_h_asymptotic(alpha: float, x: np.ndarray) -> np.ndarray:
+    return _bessel_y(alpha, x) + _struve_h_laplace(alpha, x)
 
 
 # ---------------------------------------------------------------------------
 # public evaluators
 # ---------------------------------------------------------------------------
 
+def _crossover(alpha: float) -> float:
+    """The argument above which the evaluators take the asymptotic branch."""
+    return max(_CROSSOVER, 2.0 * alpha)
+
+
 def _dispatch(x, alpha, small_fn, large_fn):
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all((arr >= 0.0) & (arr < math.inf)):
         raise ValueError("argument must be finite and nonnegative")
     out = np.empty_like(arr)
-    small = arr <= max(_CROSSOVER, 2.0 * alpha)
+    small = arr <= _crossover(alpha)
     if np.any(small):
         out[small] = small_fn(arr[small])
     if np.any(~small):
@@ -229,6 +264,19 @@ def bessel_j(alpha: float, x):
                      lambda a: _bessel_j_asymptotic(alpha, a))
 
 
+def bessel_j_error(alpha: float, x):
+    """Absolute error bound of ``bessel_j(alpha, x)`` for the same batch x:
+    on the series branch ``_series_rounding`` plus eps for the cast to
+    double; on the asymptotic branch the amplitude times ``_pq_error`` (the
+    first omitted P, Q terms and the rounding), normalized, plus 4 eps for
+    the normalization."""
+    def large(a):
+        norm = math.gamma(alpha + 1.0) * (0.5 * a) ** (-alpha) * np.sqrt(_TWO_OVER_PI / a)
+        return norm * _pq_error(alpha, a) + 4.0 * _EPS * np.abs(_bessel_j_asymptotic(alpha, a))
+    return _dispatch(x, alpha, lambda a: (_series_rounding(1.0, alpha, a)
+                                          + _EPS * np.abs(_bessel_j_series(alpha, a))), large)
+
+
 def struve_h(alpha: float, x):
     """Struve function of order alpha (> -1/2)."""
     if alpha <= -0.5:
@@ -236,6 +284,20 @@ def struve_h(alpha: float, x):
     return _dispatch(x, alpha,
                      lambda a: _struve_h_series(alpha, a),
                      lambda a: _struve_h_asymptotic(alpha, a))
+
+
+def struve_h_error(alpha: float, x):
+    """Absolute error bound of ``struve_h(alpha, x)`` for the same batch x,
+    per branch as for ``bessel_j_error``, with 8 eps for the series' power,
+    gamma values and cast, and for the Laplace term's rounding."""
+    def small(a):
+        t0 = 1.0 / (math.gamma(1.5) * math.gamma(alpha + 1.5))
+        return (t0 * (0.5 * a) ** (alpha + 1.0) * _series_rounding(1.5, alpha, a)
+                + 8.0 * _EPS * np.abs(_struve_h_series(alpha, a)))
+    return _dispatch(x, alpha, small, lambda a: (
+        np.sqrt(_TWO_OVER_PI / a) * _pq_error(alpha, a)
+        + _EPS * np.abs(_struve_h_asymptotic(alpha, a))
+        + 8.0 * _EPS * np.abs(_struve_h_laplace(alpha, a))))
 
 
 def struve_derivative_check(alpha: float, x: float, h: float) -> float:
@@ -322,7 +384,10 @@ class KernelSpec:
     ``series`` is phi's power series on all t; ``near`` is a series of phi on
     t <= 1 only, for a kernel without the former.  A kernel with a
     ``far_field`` has one of the two, and the dilation tables of
-    ``transforms`` read Phi_nu from them.
+    ``transforms`` read Phi_nu from them; for an oscillatory one they also
+    read ``phi_error``, a bound on the absolute error of phi on a batch of
+    arguments.  phi is smooth on each side of ``crossover``, where an
+    evaluator switches branches.
 
     The kernel factories are cached: equal parameters return the same
     instance, so caches keyed on a kernel (the dilation tables) persist
@@ -334,6 +399,8 @@ class KernelSpec:
     series: Optional[SeriesKernel] = None
     far_field: Optional[FarField] = None
     near: Optional[SeriesKernel] = None
+    phi_error: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    crossover: float = _CROSSOVER
 
     def __call__(self, x, y):
         return self.phi(np.asarray(x, dtype=float) * np.asarray(y, dtype=float))
@@ -363,7 +430,8 @@ def bessel_j_kernel(alpha: float) -> KernelSpec:
                           lambda m: -1.0 / (4.0 * (m + 1.0) * (alpha + m + 1.0)))
     return KernelSpec("bessel_j", env, lambda t: bessel_j(alpha, t), series=series,
                       far_field=_pq_far_field(alpha, math.gamma(alpha + 1.0) * 2.0 ** alpha,
-                                              -alpha - 0.5))
+                                              -alpha - 0.5),
+                      phi_error=lambda t: bessel_j_error(alpha, t), crossover=_crossover(alpha))
 
 
 @lru_cache(maxsize=64)
@@ -386,7 +454,13 @@ def struve_h_kernel(alpha: float) -> KernelSpec:
     drift = tuple(lead * 4.0 ** np.arange(len(d)) * d)
     far = _pq_far_field(alpha, -1j, -0.5, alpha - 1.0, drift)
     return KernelSpec("struve_h", env, lambda t: struve_h(alpha, t), series=series,
-                      far_field=far)
+                      far_field=far, phi_error=lambda t: struve_h_error(alpha, t),
+                      crossover=_crossover(alpha))
+
+
+def _trig_error(t: np.ndarray) -> np.ndarray:
+    """numpy's sine and cosine are within 4 ulp of |value| <= 1."""
+    return np.full(np.shape(t), 4.0 * _EPS)
 
 
 @lru_cache(maxsize=64)
@@ -395,7 +469,7 @@ def sine_kernel() -> KernelSpec:
     series = SeriesKernel(1.0, 2, 1.0,
                           lambda m: -1.0 / ((2.0 * m + 2.0) * (2.0 * m + 3.0)))
     return KernelSpec("sine", env, np.sin, series=series,
-                      far_field=FarField(-1j, 0.0, np.ones(1)))
+                      far_field=FarField(-1j, 0.0, np.ones(1)), phi_error=_trig_error)
 
 
 @lru_cache(maxsize=64)
@@ -404,7 +478,7 @@ def cosine_kernel() -> KernelSpec:
     series = SeriesKernel(0.0, 2, 1.0,
                           lambda m: -1.0 / ((2.0 * m + 1.0) * (2.0 * m + 2.0)))
     return KernelSpec("cosine", env, np.cos, series=series,
-                      far_field=FarField(1.0, 0.0, np.ones(1)))
+                      far_field=FarField(1.0, 0.0, np.ones(1)), phi_error=_trig_error)
 
 
 @lru_cache(maxsize=64)

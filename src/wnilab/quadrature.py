@@ -1,7 +1,5 @@
-"""Adaptive integration on finite windows (lo, hi) with lo > 0, and the
-cumulative integral table behind the [1, R] part of the transforms'
-dilation tables, whose panels never exceed half the integrand's
-oscillation period.
+"""Adaptive integration on finite windows (lo, hi) with lo > 0, for the
+window of the command line's outer weighted norm.
 
 The panel rule is the 15-point Kronrod extension of 7-point Gauss, applied
 in vectorized batches: every refinement round evaluates all dirty panels in
@@ -15,33 +13,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-# 15-point Kronrod nodes on [-1, 1] and the embedded 7-point Gauss weights.
+# 15-point Kronrod nodes on [-1, 1] and the embedded 7-point Gauss weights,
+# rounded to double from 40 digits (tests/test_quadrature.py derives them).
 _GK_NODES = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-    0.586087235467691, 0.741531185599394, 0.864864423359769,
-    0.949107912342759, 0.991455371120813,
+    -0.9914553711208126, -0.9491079123427585, -0.8648644233597691,
+    -0.7415311855993945, -0.5860872354676911, -0.4058451513773972,
+    -0.20778495500789848, 0.0, 0.20778495500789848, 0.4058451513773972,
+    0.5860872354676911, 0.7415311855993945, 0.8648644233597691,
+    0.9491079123427585, 0.9914553711208126,
 ])
 _GK_WEIGHTS_K = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
+    0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
+    0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
+    0.20443294007529889, 0.20948214108472782, 0.20443294007529889,
+    0.19035057806478542, 0.1690047266392679, 0.14065325971552592,
+    0.10479001032225019, 0.06309209262997856, 0.022935322010529224,
 ])
 _GK_WEIGHTS_G = np.array([
-    0.0, 0.129484966168870, 0.0, 0.279705391489277, 0.0,
-    0.381830050505119, 0.0, 0.417959183673469, 0.0, 0.381830050505119,
-    0.0, 0.279705391489277, 0.0, 0.129484966168870, 0.0,
+    0.0, 0.1294849661688697, 0.0, 0.27970539148927664, 0.0,
+    0.3818300505051189, 0.0, 0.4179591836734694, 0.0, 0.3818300505051189,
+    0.0, 0.27970539148927664, 0.0, 0.1294849661688697, 0.0,
 ])
-
-_EPS = float(np.finfo(float).eps)
-
 
 class NonConvergence(Exception):
     """Panel budget exhausted; carries the best estimate and its error bound."""
@@ -96,24 +92,12 @@ def _eval_panels(f, lo: np.ndarray, hi: np.ndarray):
     return k15, err, resabs
 
 
-def _initial_panels(lo: float, hi: float, wavelength: Optional[float],
-                    breakpoints: Sequence[float]) -> np.ndarray:
-    """Panel edges for [lo, hi], 0 < lo: geometric where an interval spans
-    more than a factor of 4, split at breakpoints, capped at half a
-    wavelength for oscillatory integrands."""
-    edges = sorted({lo, hi} | {float(b) for b in breakpoints if lo < b < hi})
-    coarse = [edges[0]]
-    for left, right in zip(edges[:-1], edges[1:]):
-        if right / left > 4.0:
-            coarse.extend(np.geomspace(left, right, math.ceil(math.log2(right / left)) + 1)[1:-1])
-        coarse.append(right)
-    if not wavelength:
-        return np.asarray(coarse)
-    refined = [coarse[0]]
-    for left, right in zip(coarse[:-1], coarse[1:]):
-        n = max(1, math.ceil(2.0 * (right - left) / wavelength))
-        refined.extend(np.linspace(left, right, n + 1)[1:])
-    return np.asarray(refined)
+def _initial_panels(lo: float, hi: float) -> np.ndarray:
+    """Panel edges for [lo, hi], 0 < lo: geometric where the window spans
+    more than a factor of 4."""
+    if hi / lo <= 4.0:
+        return np.array([lo, hi])
+    return np.geomspace(lo, hi, math.ceil(math.log2(hi / lo)) + 1)
 
 
 def _refine(f, edges: np.ndarray, config: QuadratureConfig):
@@ -156,44 +140,6 @@ def _refine(f, edges: np.ndarray, config: QuadratureConfig):
         plo, phi = new_lo, new_hi
 
 
-class CumulativeIntegral:
-    """integral_(edges[0])^r f for many r: prefix sums over the panels of one
-    refinement pass on [edges[0], edges[-1]], edges[0] above 1e-15,
-    panelized as ``integrate`` does it, plus the inner edges as breakpoints
-    and a half-``wavelength`` cap, plus one Kronrod panel for the partial piece
-    of r's panel; r outside the edges is clipped to them.  Raises
-    NonConvergence when the table cannot meet its tolerance."""
-
-    def __init__(self, f, edges: Sequence[float], config: Optional[QuadratureConfig] = None, *,
-                 wavelength: Optional[float] = None):
-        edges = np.asarray(edges, dtype=float)
-        if edges[0] <= 1e-15:
-            raise ValueError("a cumulative table must start above 1e-15")
-        edges = _initial_panels(float(edges[0]), float(edges[-1]), wavelength, edges[1:-1])
-        plo, phi, vals, errs, *_ = _refine(f, edges, config or QuadratureConfig())
-        self.f = f
-        self.edges = np.append(plo, phi[-1])
-        self.prefix = np.concatenate([[0.0], np.cumsum(vals)])
-        # Error of each prefix: its panels' Kronrod errors plus the rounding of
-        # the running sum (at most eps times the partial sums' magnitudes).
-        self.prefix_error = (np.concatenate([[0.0], np.cumsum(errs)])
-                             + _EPS * np.cumsum(np.abs(self.prefix)))
-
-    def lower_with_error(self, r) -> Tuple[np.ndarray, np.ndarray]:
-        """integral_(edges[0])^r f at every r of an array, and an error bound
-        for each read: the prefix's error, the partial panel's Kronrod error
-        and the rounding of the final sum.  All partial panels are one
-        Kronrod batch; a read on an edge takes none."""
-        x = np.clip(np.atleast_1d(np.asarray(r, dtype=float)), self.edges[0], self.edges[-1])
-        i = np.searchsorted(self.edges, x, side="right") - 1
-        part, part_err = np.zeros_like(x), np.zeros_like(x)
-        open_ = x > self.edges[i]
-        if np.any(open_):
-            part[open_], part_err[open_], _ = _eval_panels(self.f, self.edges[i][open_], x[open_])
-        val = self.prefix[i] + part
-        return val, self.prefix_error[i] + part_err + 2.0 * _EPS * np.abs(val)
-
-
 def integrate(f, interval: Tuple[float, float],
               config: Optional[QuadratureConfig] = None) -> Tuple[float, float]:
     """Integrate f over a finite window (lo, hi) with lo > 0 (0 where hi <=
@@ -204,5 +150,5 @@ def integrate(f, interval: Tuple[float, float],
         raise ValueError("integrate takes a finite window (lo, hi) with lo > 0")
     if hi <= lo:
         return 0.0, 0.0
-    *_, total, err = _refine(f, _initial_panels(lo, hi, None, ()), config or QuadratureConfig())
+    *_, total, err = _refine(f, _initial_panels(lo, hi), config or QuadratureConfig())
     return total, err

@@ -21,7 +21,7 @@ import numpy as np
 from .kernels import (_ASYMPTOTIC_MAX_TERMS, _CROSSOVER, KernelSpec,
                       SeriesKernel, _smallest_term_index, bessel_j_kernel, cosine_kernel,
                       model_min_kernel, sine_kernel, struve_h_kernel)
-from .quadrature import CumulativeIntegral, NonConvergence, QuadratureConfig
+from .quadrature import NonConvergence, QuadratureConfig
 from .weights import TestFunction, check_admissible, power_moment
 
 
@@ -158,12 +158,13 @@ _SERIES_MAX_TERMS = 60
 _EPS = float(np.finfo(float).eps)
 
 
-def _power_terms(coefs: np.ndarray, exps: np.ndarray, de: float, a: np.ndarray,
+def _power_terms(coefs: np.ndarray, exps: np.ndarray, de: np.ndarray, a: np.ndarray,
                  b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Terms c integral_a^b x^e dx (columns of c and of monotone e against rows
-    of a, b) and each row's error bound: 4 eps sum |term|, plus up to |de|
-    (|log E| + min(1/|m|, log(b/a))) |term| from exponents rounded by |de|,
-    m = e + 1 and E the end where x^m is larger, each factor at its maximum."""
+    """Terms c integral_a^b x^e dx (columns of c, of monotone e and of de
+    against rows of a, b) and each row's error bound: 4 eps sum |term|, plus
+    up to de (|log E| + min(1/|m|, log(b/a))) |term| from each exponent
+    rounded by de, m = e + 1 and E the end where x^m is larger, each factor
+    at its maximum."""
     terms = coefs * power_moment(exps, a[:, None], b[:, None])
     m_lo, m_hi = sorted((exps[0] + 1.0, exps[-1] + 1.0))
     # Finite from a = 0 are only terms with m > 0 (E = b), toward inf m < 0 (E = a).
@@ -172,11 +173,41 @@ def _power_terms(coefs: np.ndarray, exps: np.ndarray, de: float, a: np.ndarray,
                   for x in (ends.min(initial=math.inf), ends.max(initial=0.0)))
     with np.errstate(divide="ignore", invalid="ignore"):
         steep = 1.0 / min(abs(m_lo), abs(m_hi)) if m_lo * m_hi > 0 else np.log(b / a)
-    return terms, (4.0 * _EPS + de * (log_end + steep)) * np.sum(np.abs(terms), axis=1)
+    factor = 4.0 * _EPS + de * (log_end + np.reshape(steep, (-1, 1)))
+    return terms, np.sum(factor * np.abs(terms), axis=1)
 
 
 # Far-field series length: that of the kernels' asymptotic coefficients.
 _FAR_TERMS = _ASYMPTOTIC_MAX_TERMS + 1
+# The reach is where the far field's truncation bounds meet _REACH_EPS of
+# their leading terms, at most _REACH_CAP past the kernel's crossover.
+_REACH_EPS = 4.0 * _EPS
+_REACH_CAP = 4096
+# Chebyshev sample counts tried on a piece, each one batch of kernel points.
+_CHEB_POINTS = (17, 33, 65, 129)
+
+
+def _chop(c: np.ndarray, tol: float = _EPS) -> int:
+    """How many leading coefficients of a Chebyshev series to keep at
+    relative precision tol, or len(c) where the series has not yet reached
+    the plateau its rounding leaves (Aurentz & Trefethen's standardChop, ACM
+    TOMS 43, 2017; indices 1-based as there)."""
+    n = len(c)
+    env = np.maximum.accumulate(np.abs(c)[::-1])[::-1]
+    env = env / max(env[0], 1e-300)
+    for j in range(2, n + 1):
+        j2 = round(1.25 * j + 5)
+        if j2 > n:
+            return n
+        if env[j - 1] == 0.0 or env[j2 - 1] / env[j - 1] > 3.0 * (1.0 - math.log(env[j - 1])
+                                                                  / math.log(tol)):
+            break
+    if env[j - 2] == 0.0:
+        return j - 1
+    j2 = min(j2, int(np.sum(env >= tol ** (7.0 / 6.0))) + 1)
+    env[j2 - 1] = min(env[j2 - 1], tol ** (7.0 / 6.0))
+    cc = np.log10(env[:j2]) + np.linspace(0.0, -math.log10(tol) / 3.0, j2)
+    return max(int(np.argmin(cc)), 1)
 
 
 class DilationTable:
@@ -184,15 +215,19 @@ class DilationTable:
     Phi(b) - Phi(a) for 0 <= a <= b <= inf.
 
     On t <= 1 the kernel's series (or its near series) is integrated term by
-    term in closed form.  For an oscillatory kernel one cumulative table
-    with half-period panels (the half period of phi is pi) holds the
-    integral on [1, reach]; reach = 1 + 0.45 max_panels pi is a panel
-    budget, not a property of the kernel: 0.45 max_panels initial panels,
-    the rest of max_panels left to refinement.  A kernel that does not
-    oscillate has reach 1 and no such table.  Beyond the
-    reach, ``_far_field`` integrates the kernel's large-argument form.
-    Raises NonConvergence when the table cannot meet the config's
-    tolerance.
+    term in closed form.  For an oscillatory kernel, t^nu phi(t) on [1, R]
+    is held as piecewise Chebyshev interpolants, read as their antiderivatives
+    plus prefix sums.  The pieces are graded, of width min(t, 4 pi) from
+    their left end t and split at the kernel's crossover, so negative nu
+    still converges; each piece's degree is set by the chopping rule
+    (``_chop``) at double precision, or at the kernel's own error where
+    that leaves no plateau at 129 samples (high Bessel orders near their
+    crossover).  The reach R is the first integer from the crossover on at
+    which the far field's truncation bounds fall to _REACH_EPS of their
+    leading terms (``_reach``).  A kernel that does not oscillate has reach 1
+    and no pieces.  Beyond the reach, ``_far_field`` integrates the
+    kernel's large-argument form.  Raises NonConvergence where no reach
+    lies within _REACH_CAP of the crossover or a piece does not chop.
 
     The far field's constants, which depend only on (kernel, nu), are
     computed here once: the coefficients e_n of the oscillatory tail's
@@ -200,15 +235,15 @@ class DilationTable:
     read is kept once made.
     """
 
-    def __init__(self, kernel: KernelSpec, nu: float, config: QuadratureConfig):
+    def __init__(self, kernel: KernelSpec, nu: float):
         series = kernel.series or kernel.near
         coefs = series.coefficients(_SERIES_MAX_TERMS)
         n = 1 + int(np.flatnonzero(np.abs(coefs) > _SERIES_CUT * abs(coefs[0]))[-1])
         self.coefs = coefs[:n]
-        # t^nu phi(t) = sum_k a_k t^exponents_k, each rounded by <= exponent_error.
+        # t^nu phi(t) = sum_k a_k t^exponents_k, each rounded by <= exponent_error_k.
         steps = series.step * np.arange(n)
         self.exponents = nu + series.b1 + steps
-        self.exponent_error = 2.0 * _EPS * (abs(nu) + abs(series.b1) + abs(steps[-1]) + 1.0)
+        self.exponent_error = 2.0 * _EPS * (abs(nu) + abs(series.b1) + steps + 1.0)
         far = self.far_field = kernel.far_field
         self.nu = nu
         self.osc_power = float(nu + far.osc_power)
@@ -220,11 +255,109 @@ class DilationTable:
         self.osc_e_abs = np.abs(self.osc_e)
         self.drift = np.pad(far.drift, (0, _FAR_TERMS - len(far.drift))) if far.drift else None
         self._mellin: Optional[Tuple[float, float]] = None
-        self.reach, self.mid = 1.0, None
+        self.reach, self.edges = 1.0, np.ones(1)
         if kernel.oscillatory:
-            self.reach = 1.0 + 0.45 * config.max_panels * math.pi
-            self.mid = CumulativeIntegral(lambda t: t ** nu * kernel.phi(t),
-                                          [1.0, self.reach], config, wavelength=2.0 * math.pi)
+            self.reach = self._reach(kernel.crossover)
+            self._build_pieces(kernel)
+
+    def _osc_truncation(self, w_max: float) -> Tuple[int, float]:
+        """The index n of the last term ``_osc_tail`` keeps at arguments
+        from 1 / w_max on, and its truncation bound there relative to the
+        leading term: twice the first omitted term."""
+        e_abs = self.osc_e_abs
+        n = _smallest_term_index(e_abs[:-1] * w_max ** np.arange(_FAR_TERMS - 1), e_abs[0])
+        return n, 2.0 * e_abs[n + 1] * w_max ** (n + 1) / e_abs[0]
+
+    def _drift_truncation(self, w_max: float) -> Tuple[int, float]:
+        """The number j of drift terms ``_drift_terms`` takes at arguments
+        from 1 / w_max on, the last one omitted, and the truncation bound
+        relative to the leading term: twice that last term."""
+        tau = np.abs(self.drift) * w_max ** (2.0 * np.arange(_FAR_TERMS))
+        j = _smallest_term_index(tau[:-1], tau[0]) + 2
+        return j, 2.0 * tau[j - 1] / tau[0]
+
+    def _reach(self, crossover: float) -> float:
+        """The first of ceil(crossover), ceil(crossover) + 1, ... at which
+        the truncation bounds of the oscillatory tail and of the drift are
+        at most _REACH_EPS of their leading terms."""
+        start = math.ceil(crossover)
+        for t in range(start, start + _REACH_CAP):
+            if (self._osc_truncation(1.0 / t)[1] <= _REACH_EPS
+                    and (self.drift is None or self._drift_truncation(1.0 / t)[1] <= _REACH_EPS)):
+                return float(t)
+        raise NonConvergence(math.nan, math.inf,
+                             f"no far-field reach within {_REACH_CAP} of the crossover")
+
+    def _build_pieces(self, kernel: KernelSpec) -> None:
+        """Chebyshev pieces of g(t) = t^nu phi(t) on [1, reach]: for each,
+        the coefficients of its antiderivative from its left end, the largest
+        |g| at its samples and its error bound.  That bound adds (i) the
+        chopped tail, 6 h sum |c_k| over the coefficients dropped (twice as
+        much again for the unseen ones aliased into them), h the half width;
+        (ii) integral t^nu phi_error + 2 eps |g| over the piece (trapezoids
+        on the samples, the end values held to the ends), the kernel's error
+        and that of the product; (iii) eps b TV(g), b the right end,
+        for sample points rounded by up to eps t; (iv) the rounding of the
+        coefficients and of their sum, 4 eps h (n max|g| + sum |B_k|)."""
+        from numpy.polynomial import chebyshev  # off the import path
+
+        edges = [1.0]
+        while edges[-1] < self.reach:
+            t = edges[-1]
+            edges.append(min(t + min(t, 4.0 * math.pi), self.reach,
+                             kernel.crossover if t < kernel.crossover else math.inf))
+        rows, amps, errs = [], [], []
+        for a, b in zip(edges[:-1], edges[1:]):
+            h = 0.5 * (b - a)
+            for size in _CHEB_POINTS:
+                # g at chebinterpolate's own sample points, the first-kind ones.
+                t = a + h * (1.0 + chebyshev.chebpts1(size))
+                g = t ** self.nu * kernel.phi(t)
+                c = chebyshev.chebinterpolate(lambda _: g, size - 1)
+                keep = _chop(c)
+                if keep < size:
+                    break
+            amps.append(float(np.max(np.abs(g))))
+            local = t ** self.nu * kernel.phi_error(t) + 2.0 * _EPS * np.abs(g)
+            if keep == size:  # no plateau at double precision: chop at the kernel's error
+                keep = _chop(c, float(np.max(local)) / amps[-1])
+                if keep == size:
+                    raise NonConvergence(math.nan, math.inf,
+                                         f"Phi_nu piece [{a:g}, {b:g}] does not chop")
+            rows.append(chebyshev.chebint(c[:keep], lbnd=-1.0, scl=h))
+            ts, local = np.concatenate([[a], t, [b]]), local[np.r_[0, :size, size - 1]]
+            errs.append(6.0 * h * float(np.sum(np.abs(c[keep:])))
+                        + float(np.sum(0.5 * (local[1:] + local[:-1]) * np.diff(ts)))
+                        + 2.0 * _EPS * b * float(np.sum(np.abs(np.diff(g))))
+                        + 4.0 * _EPS * h * (size * amps[-1] + float(np.sum(np.abs(rows[-1])))))
+        width = max(len(r) for r in rows)
+        self.pieces = np.array([np.pad(r, (0, width - len(r))) for r in rows])
+        self.edges, self.piece_amp = np.array(edges), np.array(amps)
+        self.piece_error = np.array(errs)
+        # A piece's antiderivative at its right end is the sum of its
+        # coefficients.  Each prefix's error: its pieces' errors plus the
+        # rounding of the running sum (at most eps times the partial sums).
+        self.prefix = np.concatenate([[0.0], np.cumsum(np.sum(self.pieces, axis=1))])
+        self.prefix_error = (np.concatenate([[0.0], np.cumsum(errs)])
+                             + _EPS * np.cumsum(np.abs(self.prefix)))
+
+    def _mid(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """integral_1^t t^nu phi(t) dt and its error bound at an array t,
+        clipped to [1, reach]: the prefix sum of t's piece plus its
+        antiderivative at t; the bound adds to the prefix's and the piece's
+        errors the rounding of the sum and eps t max|g|, for an end t rounded
+        by up to eps t.  A read at t <= 1 is 0, error 0."""
+        from numpy.polynomial import chebyshev
+
+        t = np.clip(t, 1.0, self.reach)
+        i = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, len(self.edges) - 2)
+        a, b = self.edges[i], self.edges[i + 1]
+        val = self.prefix[i] + chebyshev.chebval((2.0 * t - a - b) / (b - a), self.pieces[i].T,
+                                                 tensor=False)
+        err = (self.prefix_error[i] + self.piece_error[i]
+               + _EPS * (2.0 * np.abs(val) + t * self.piece_amp[i]))
+        inside = t > 1.0
+        return np.where(inside, val, 0.0), np.where(inside, err, 0.0)
 
     def _osc_tail(self, t: np.ndarray,
                   w_max: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -238,7 +371,7 @@ class DilationTable:
         argument.  E is twice the first omitted term, eps times the summed terms'
         magnitudes and eps t |t^nu phi(t)| for an end t rounded by up to eps t."""
         far, m0, e, e_abs = self.far_field, self.osc_power, self.osc_e, self.osc_e_abs
-        n = _smallest_term_index(e_abs[:-1] * w_max ** np.arange(_FAR_TERMS - 1), e_abs[0])
+        n = self._osc_truncation(w_max)[0]
         w = 1.0 / t
         amp = np.where(w > 0, abs(far.scale) * t ** m0, 0.0)
         val = amp * np.real(far.scale / abs(far.scale) * 1j * np.exp(1j * t)
@@ -252,8 +385,7 @@ class DilationTable:
     def _drift_terms(self, w_max: float) -> Tuple[np.ndarray, np.ndarray]:
         """(d_j, 2j) of the drift sum_j d_j t^(nu + drift_power - 2j) of t^nu
         phi(t), to the first term omitted at its smallest term at w_max."""
-        tau = np.abs(self.drift) * w_max ** (2.0 * np.arange(_FAR_TERMS))
-        j = _smallest_term_index(tau[:-1], tau[0]) + 2
+        j = self._drift_truncation(w_max)[0]
         return self.drift[:j], 2.0 * np.arange(j)
 
     def _far_field(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -273,7 +405,7 @@ class DilationTable:
                 d, k = self._drift_terms(w_max)
                 # Exponents are rounded by at most 2 eps times their summands' size.
                 terms, terms_err = _power_terms(d, nu + drift_power - k, 2.0 * _EPS
-                                                * (abs(nu) + abs(drift_power) + k[-1] + 1.0), a, b)
+                                                * (abs(nu) + abs(drift_power) + k + 1.0), a, b)
                 val = val + np.sum(terms[:, :-1], axis=1)
                 err = err + terms_err + 2.0 * np.abs(terms[:, -1])
                 for t in (a, b):
@@ -317,11 +449,10 @@ class DilationTable:
         near = np.sum(terms, axis=1)
         n = len(b)
         mid = mid_err = np.zeros(2 * n)
-        if self.mid is not None:
-            # Reads from a >= reach take nothing from the table, nor its error.
+        if self.reach > 1.0:
+            # Reads from a >= reach take nothing from the pieces, nor their error.
             inside = np.tile(a < self.reach, 2)
-            mid, mid_err = (np.where(inside, m, 0.0) for m in
-                            self.mid.lower_with_error(np.maximum(np.concatenate([b, a]), 1.0)))
+            mid, mid_err = (np.where(inside, m, 0.0) for m in self._mid(np.concatenate([b, a])))
         far, far_err = self._far_field(np.maximum(a, self.reach), np.maximum(b, self.reach))
         val = near + (mid[:n] - mid[n:]) + far
         rounding = 2.0 * _EPS * (np.abs(near) + np.abs(mid[:n]) + np.abs(mid[n:]) + np.abs(far))
@@ -364,66 +495,59 @@ class DilationTable:
 
 
 @lru_cache(maxsize=32)
-def _dilation_table(kernel: KernelSpec, nu: float, rel_tol: float, abs_tol: float,
-                    max_panels: int) -> Optional[DilationTable]:
-    """The table of (kernel, nu) at these tolerances, built on first use;
-    None when it cannot be built within them."""
+def _dilation_table(kernel: KernelSpec, nu: float) -> Optional[DilationTable]:
+    """The table of (kernel, nu), built on first use; None when it cannot be
+    built."""
     try:
-        return DilationTable(kernel, nu, QuadratureConfig(rel_tol=rel_tol, abs_tol=abs_tol,
-                                                          max_panels=max_panels))
+        return DilationTable(kernel, nu)
     except NonConvergence:
         return None
 
 
-def _table(kernel: KernelSpec, nu: float, config: QuadratureConfig) -> DilationTable:
-    """The cached table of (kernel, nu) at the config's tolerances.  Raises
-    NonConvergence when it cannot be built within them."""
-    table = _dilation_table(kernel, nu, config.rel_tol, config.abs_tol, config.max_panels)
+def _table(kernel: KernelSpec, nu: float) -> DilationTable:
+    """The cached table of (kernel, nu).  Raises NonConvergence when it
+    cannot be built."""
+    table = _dilation_table(kernel, nu)
     if table is None:
         raise NonConvergence(math.nan, math.inf, f"no Phi_nu table for nu = {nu:g}")
     return table
 
 
-def _primitive(kernel: KernelSpec, nu: float, x, y,
-               config: Optional[QuadratureConfig]) -> Tuple[np.ndarray, np.ndarray]:
+def _primitive(kernel: KernelSpec, nu: float, x, y) -> Tuple[np.ndarray, np.ndarray]:
     """integral_0^x t^nu phi(t y) dt and its error bound, for x, y > 0
     broadcast against each other, from the dilation table of (kernel, nu).
-    Raises NonConvergence when that table cannot meet the tolerance."""
+    Raises NonConvergence when that table cannot be built."""
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     if not (np.all(x > 0.0) and np.all(y > 0.0)):
         raise ValueError("x and y must be positive")
-    table = _table(kernel, nu, config or QuadratureConfig())
+    table = _table(kernel, nu)
     val, err = table.primitive(np.zeros(x.size), x.ravel(), y.ravel())
     return val.reshape(x.shape), err.reshape(x.shape)
 
 
-def struve_primitive(alpha: float, nu: float, y: float, x: float,
-                     config: Optional[QuadratureConfig] = None) -> Tuple[float, float]:
+def struve_primitive(alpha: float, nu: float, y: float, x: float) -> Tuple[float, float]:
     """integral_0^x t^nu Struve_alpha(t y) dt and its error bound."""
     if nu < 0.5:
         raise ValueError("nu must be >= 1/2")
-    val, err = _primitive(struve_h_kernel(alpha), nu, x, y, config)
+    val, err = _primitive(struve_h_kernel(alpha), nu, x, y)
     return float(val), float(err)
 
 
 def struve_primitive_bound(alpha: float, nu: float, x_grid: Sequence[float],
-                           y_grid: Sequence[float],
-                           config: Optional[QuadratureConfig] = None) -> float:
+                           y_grid: Sequence[float]) -> float:
     """Fitted constant C in |h(x; y)| <= C y^-1 x^nu min{(xy)^(a+2), (xy)^a}."""
     if nu < 0.5:
         raise ValueError("nu must be >= 1/2")
     xs = np.asarray(x_grid, dtype=float)[:, None]
     ys = np.asarray(y_grid, dtype=float)[None, :]
-    h, _ = _primitive(struve_h_kernel(alpha), nu, xs, ys, config)
+    h, _ = _primitive(struve_h_kernel(alpha), nu, xs, ys)
     t = xs * ys
     bound = xs ** nu / ys * np.minimum(t ** (alpha + 2.0), t ** alpha)
     return float(np.max(np.abs(h) / bound, initial=0.0))
 
 
 def bessel_primitive_bound(alpha: float, nu: float, y: float,
-                           x_grid: Sequence[float],
-                           config: Optional[QuadratureConfig] = None,
-                           cap: float = 1e4) -> float:
+                           x_grid: Sequence[float], cap: float = 1e4) -> float:
     """Fitted C in |g(x; y)| <= C x^(nu - a - 1/2) y^(-a - 3/2) over grid
     points with x*y >= 1, where g is the zero-constant primitive of
     t^nu * bessel_j(alpha, t y)."""
@@ -432,7 +556,7 @@ def bessel_primitive_bound(alpha: float, nu: float, y: float,
     if nu <= -1.0:
         raise ValueError("nu must exceed -1 for an integrable origin")
     xs = np.asarray(x_grid, dtype=float)
-    g, _ = _primitive(bessel_j_kernel(alpha), nu, xs, y, config)
+    g, _ = _primitive(bessel_j_kernel(alpha), nu, xs, y)
     bound = np.where(xs * y >= 1.0, xs ** (nu - alpha - 0.5) * y ** (-alpha - 1.5), np.inf)
     best = float(np.max(np.abs(g) / bound, initial=0.0))
     if best > cap:
@@ -441,14 +565,14 @@ def bessel_primitive_bound(alpha: float, nu: float, y: float,
     return best
 
 
-def _table_values(spec: TransformSpec, f: TestFunction, ys: np.ndarray,
-                  config: QuadratureConfig) -> Tuple[np.ndarray, np.ndarray]:
+def _table_values(spec: TransformSpec, f: TestFunction,
+                  ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """F f and its error bound at every y > 0 of an array: a power piece
     c x^e on (lo, hi) contributes c integral_lo^hi t^nu phi(t y) dt,
     nu = b0 + e (``DilationTable.primitive``).  A read is not finite where
     the integral diverges (a piece from 0 with t^nu phi(t) not integrable
     there, or a drift that does not decay toward infinity)."""
-    tables = [_table(spec.kernel, spec.b0 + p.exponent, config) for p in f.pieces]
+    tables = [_table(spec.kernel, spec.b0 + p.exponent) for p in f.pieces]
     val = np.zeros_like(ys)
     err = np.zeros_like(ys)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -460,7 +584,7 @@ def _table_values(spec: TransformSpec, f: TestFunction, ys: np.ndarray,
         return scale * val, scale * err
 
 
-def near_expansion(spec: TransformSpec, f: TestFunction, config: QuadratureConfig
+def near_expansion(spec: TransformSpec, f: TestFunction
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """(c, p, errors of c, 1/X): F f(y) = sum c_i y^p_i for y <= 1/X, X
     f's largest jump point.  The moment series y^c0 sum a_m y^(b1 + k m)
@@ -469,7 +593,7 @@ def near_expansion(spec: TransformSpec, f: TestFunction, config: QuadratureConfi
     1), plus for that piece its Mellin term c C y^(c0 - nu - 1) where C is
     not 0 (``DilationTable.mellin``)."""
     series = spec.kernel.series or spec.kernel.near
-    a = _table(spec.kernel, spec.b0 + f.pieces[0].exponent, config).coefs
+    a = _table(spec.kernel, spec.b0 + f.pieces[0].exponent).coefs
     orders = spec.b0 + series.b1 + series.step * np.arange(len(a))
     rows, mellin = [], []
     for p in f.pieces:
@@ -477,7 +601,7 @@ def near_expansion(spec: TransformSpec, f: TestFunction, config: QuadratureConfi
             rows.append(p.coef * power_moment(orders + p.exponent, p.lo, p.hi))
             continue
         nu = spec.b0 + p.exponent
-        c, c_err = _table(spec.kernel, nu, config).mellin()  # raises where an s below is 0
+        c, c_err = _table(spec.kernel, nu).mellin()  # raises where an s below is 0
         if c != 0.0:
             mellin.append((p.coef * c, spec.c0 - nu - 1.0, abs(p.coef) * c_err))
         s = orders + p.exponent + 1.0
@@ -492,8 +616,8 @@ def near_expansion(spec: TransformSpec, f: TestFunction, config: QuadratureConfi
             np.concatenate([errs, e_m]), y_max)
 
 
-def far_envelope(spec: TransformSpec, f: TestFunction, y_min: float,
-                 config: QuadratureConfig) -> Tuple[np.ndarray, np.ndarray, float]:
+def far_envelope(spec: TransformSpec, f: TestFunction,
+                 y_min: float) -> Tuple[np.ndarray, np.ndarray, float]:
     """(K, kappa, y1): |F f(y)| <= sum K_i y^kappa_i for y >= y1 = max(y_min,
     12 / f's smallest jump point).  A piece c x^e, nu = b0 + e, is y^(c0 -
     nu - 1) c [A(hi y) - A(lo y)] (``_far_end``; A(inf) = 0, and the Mellin
@@ -507,13 +631,13 @@ def far_envelope(spec: TransformSpec, f: TestFunction, y_min: float,
             if 0.0 < x < math.inf:
                 jumps[x, nu] = jumps.get((x, nu), 0.0) + sign * p.coef
         if p.lo == 0.0:
-            c, c_err = _table(spec.kernel, nu, config).mellin()
+            c, c_err = _table(spec.kernel, nu).mellin()
             if c != 0.0:
                 bounds.append((abs(p.coef) * (abs(c) + c_err), spec.c0 - nu - 1.0))
     for (x, nu), jump in jumps.items():
         if jump != 0.0:
             bounds.extend((abs(jump) * k * x ** m, spec.c0 - nu - 1.0 + m)
-                          for k, m in _table(spec.kernel, nu, config)._far_end(x * y1)[2])
+                          for k, m in _table(spec.kernel, nu)._far_end(x * y1)[2])
     k, kappa = (np.asarray(v, dtype=float) for v in zip(*bounds)) if bounds else (np.zeros(0),) * 2
     return k, kappa, y1
 
@@ -528,7 +652,7 @@ def apply(spec: TransformSpec, f: TestFunction, y_grid: Sequence[float],
     A value whose error misses max(abs_tol, rel_tol |value|) gets a note:
     ``divergent`` (value and error inf) where the read is not finite,
     ``nonconvergent`` otherwise, keeping the read and its error.  Raises
-    NonConvergence when a table cannot be built within the tolerances.
+    NonConvergence when a table cannot be built (``DilationTable``).
 
     check=True enforces the integrability precondition (pointwise mode by
     default; pass admissibility_mode='gm' for transforms consumed under the
@@ -546,7 +670,7 @@ def apply(spec: TransformSpec, f: TestFunction, y_grid: Sequence[float],
     ys = np.asarray(list(y_grid), dtype=float)
     if not np.all((ys > 0.0) & (ys < math.inf)):
         raise ValueError("transform values are defined for 0 < y < inf")
-    vals, errs = _table_values(spec, f, ys, config)
+    vals, errs = _table_values(spec, f, ys)
     with np.errstate(invalid="ignore"):
         ok = np.isfinite(errs) & (errs <= np.maximum(config.abs_tol, config.rel_tol * np.abs(vals)))
     notes: List[str] = []

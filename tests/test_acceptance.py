@@ -49,11 +49,9 @@ def test_criterion_2_derivative_identity():
 
 
 def test_criterion_3_struve_primitive_bound():
-    cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13)
-
     def fitted(alpha, nu, n):
         grid = np.geomspace(0.2, 20.0, n)
-        return struve_primitive_bound(alpha, nu, grid, grid, cfg)
+        return struve_primitive_bound(alpha, nu, grid, grid)
 
     worst_drift = 0.0
     for alpha, nu in ((0.5, 1.5), (1.0, 0.5), (1.0, 2.0)):

@@ -64,7 +64,7 @@ def test_modelmin_ratio_constant_on_relation():
 
 
 def test_table_that_cannot_be_built_is_a_nonconvergent_record(monkeypatch):
-    # A Phi_nu table that misses its tolerance raises NonConvergence inside
+    # A Phi_nu table that cannot be built raises NonConvergence inside
     # the outer norm: the record says so instead of the command failing.
     monkeypatch.setattr(transforms, "_dilation_table", lambda *args: None)
     records = compute_ratio_records(ExperimentConfig.from_dict(_modelmin_config(points=2)))

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from scipy.special import gamma as scipy_gamma, jv as scipy_jv, struve as scipy_struve
 
-from wnilab.kernels import (PowerEnvelope, bessel_j, bessel_j_kernel, check_envelope,
-                            cosine_kernel, model_min_kernel, sine_kernel,
-                            struve_derivative_check, struve_h, struve_h_kernel)
-from wnilab.quadrature import QuadratureConfig
+from wnilab.kernels import (PowerEnvelope, bessel_j, bessel_j_error, bessel_j_kernel,
+                            check_envelope, cosine_kernel, model_min_kernel, sine_kernel,
+                            struve_derivative_check, struve_h, struve_h_error, struve_h_kernel)
 from wnilab.transforms import bessel_primitive_bound, struve_primitive, struve_primitive_bound
 
 XS = np.geomspace(1e-3, 100.0, 200)
@@ -141,6 +140,32 @@ def test_struve_high_orders_against_mpmath(alpha):
     assert np.max(np.abs(struve_h(alpha, xs) - ref) / np.abs(ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("kind", ["bessel_j", "struve_h"])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 8.0])
+def test_kernel_error_bound_against_mpmath(kind, alpha):
+    # On x in [0, 80], each branch one batch: the error bound holds at
+    # every point against 50-digit mpmath, and its largest value is within
+    # 100 times the largest error seen, so it is not vacuous.
+    value, bound = {"bessel_j": (bessel_j, bessel_j_error),
+                    "struve_h": (struve_h, struve_h_error)}[kind]
+    xs = np.linspace(0.0, 80.0, 161)
+    crossover = max(12.0, 2.0 * alpha)
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        for batch in (xs[xs <= crossover], xs[xs > crossover]):
+            got, err = value(alpha, batch), bound(alpha, batch)
+            seen = np.zeros_like(batch)
+            for i, x in enumerate(batch):
+                x = mpmath.mpf(x)
+                if kind == "struve_h":
+                    exact = mpmath.struveh(a, x)
+                else:
+                    exact = mpmath.gamma(a + 1) * (2 / x) ** a * mpmath.besselj(a, x) if x else 1
+                seen[i] = float(abs(mpmath.mpf(got[i]) - exact))
+            assert np.all(seen <= err)
+            assert np.max(err) <= 100.0 * np.max(seen)
+
+
 def test_kernel_batch_shapes():
     for fn in (bessel_j, struve_h):
         out = fn(0.25, np.array([]))
@@ -219,11 +244,10 @@ def test_struve_primitive_far_field_against_mpmath(alpha):
 def test_struve_primitive_criterion_3_grid_against_mpmath(alpha):
     # Every read of the criterion-3 grid (nu = alpha + 1) against the closed
     # form, within its error bar.
-    cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13)
     grid = np.geomspace(0.2, 20.0, 12)
     for x in grid:
         for y in grid:
-            val, err = struve_primitive(alpha, alpha + 1.0, y, x, cfg)
+            val, err = struve_primitive(alpha, alpha + 1.0, y, x)
             exact = _mp_struve_primitive_closed_form(alpha, y, x)
             assert abs(val - exact) <= err, (x, y)
 

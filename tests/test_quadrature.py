@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wnilab import quadrature
-from wnilab.quadrature import CumulativeIntegral, NonConvergence, QuadratureConfig, integrate
+from wnilab.quadrature import QuadratureConfig, integrate
+from wnilab.transforms import DilationTable, hankel, scripth, sine
 
 
 def test_polynomial_exactness_single_panel():
@@ -40,14 +43,12 @@ def test_windows_only():
 
 @pytest.mark.parametrize("n,tol", [(10, 1e-14), (100, 1e-13), (10000, 1e-9)])
 def test_oscillatory_cancellation(n, tol):
-    # sin over n whole periods: the table's panels never exceed half a
-    # period, and the read, whose exact value is 0, lies within its bar.
+    # sin over n whole periods: the value, whose exact value is 0, lies
+    # within its bar.
     cfg = QuadratureConfig(abs_tol=tol, max_panels=50000)
     period = 2.0 * math.pi
-    table = CumulativeIntegral(np.sin, [period, period * (n + 1)], cfg, wavelength=period)
-    assert np.max(np.diff(table.edges)) <= 0.5 * period * (1.0 + 1e-12)
-    val, err = table.lower_with_error(table.edges[-1])
-    assert abs(val[0]) <= err[0]
+    val, err = integrate(np.sin, (period, period * (n + 1)), cfg)
+    assert abs(val) <= err
 
 
 def test_integrable_endpoint_singularities():
@@ -111,37 +112,96 @@ def test_config_validation():
         QuadratureConfig(max_panels=0)
 
 
+TABLE_CASES = [(hankel(0.0), 1.0), (hankel(1.5), -0.5), (scripth(0.0), 0.5), (sine(), -2.5)]
+
+
 def test_table_reads_match_integrate():
-    f = lambda t: t ** -0.4 * np.cos(2.0 * t)
-    xs = np.geomspace(0.1, 20.0, 9)
-    table = CumulativeIntegral(f, xs, wavelength=math.pi)
-    rs = np.concatenate([xs, [0.37, 5.5, 19.9]])
-    reads, read_errs = table.lower_with_error(rs)
-    for x, read, read_err in zip(rs, reads, read_errs):
-        val, err = integrate(f, (0.1, x))
-        assert abs(read - val) <= read_err + err
+    # The Chebyshev pieces of a dilation table read integral_1^x t^nu phi(t)
+    # dt within the sum of their bar and the Kronrod error.
+    spec, nu = TABLE_CASES[0]
+    table = DilationTable(spec.kernel, nu)
+    xs = np.concatenate([table.edges, [1.37, 5.5, 0.5 * (table.reach + 12.0)]])
+    reads, read_errs = table._mid(xs)
+    cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15)
+    for x, read, read_err in zip(xs, reads, read_errs):
+        val, err = integrate(lambda t: t ** nu * spec.kernel.phi(t), (1.0, x), cfg)
+        assert abs(read - val) <= read_err + err, x
 
 
-def test_table_reads_on_edges_are_prefix_sums(monkeypatch):
-    # A read that lands on a panel edge is that edge's prefix sum: it
-    # evaluates no partial panel.
-    table = CumulativeIntegral(lambda t: t ** -0.4 * np.cos(2.0 * t), np.geomspace(0.1, 20.0, 9),
-                               wavelength=math.pi)
-    monkeypatch.setattr(quadrature, "_eval_panels", None)
-    reads, errs = table.lower_with_error(table.edges)
-    np.testing.assert_array_equal(reads, table.prefix)
-    np.testing.assert_array_equal(errs, table.prefix_error + 2.0 * np.finfo(float).eps * np.abs(reads))
+def test_table_reads_on_edges_are_prefix_sums():
+    # A read on a piece edge is that edge's prefix sum, to rounding, and no
+    # read evaluates a kernel point.
+    points = []
+
+    def phi(t):
+        points.append(np.size(t))
+        return hankel(0.0).kernel.phi(t)
+
+    table = DilationTable(dataclasses.replace(hankel(0.0).kernel, phi=phi), 1.0)
+    del points[:]
+    reads, errs = table._mid(table.edges)
+    assert points == []
+    rounding = 4.0 * np.finfo(float).eps * np.cumsum(np.abs(table.prefix))
+    np.testing.assert_allclose(reads, table.prefix, rtol=0.0, atol=float(rounding[-1]))
 
 
-def test_table_out_of_budget_raises():
-    with pytest.raises(NonConvergence):
-        CumulativeIntegral(lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0), [0.1, 1.0, 2.0],
-                           QuadratureConfig(max_panels=8))
+@pytest.mark.parametrize("spec,nu", TABLE_CASES, ids=["j0-1", "j1.5--0.5", "h0-0.5", "sin--2.5"])
+def test_chebyshev_reads_against_mpmath(spec, nu):
+    # integral_1^x t^nu phi(t) dt from the Chebyshev pieces at 16 points of
+    # (1, reach], each within its bar of 20-digit mpmath quadrature, and the
+    # largest bar within 1e4 times the largest error seen.
+    table = DilationTable(spec.kernel, nu)
+    xs = np.linspace(1.0, table.reach, 17)[1:]
+    reads, errs = table._mid(xs)
+    kind, alpha = spec.kernel.kind, mpmath.mpf(spec.alpha or 0.0)
+
+    def phi(t):
+        if kind == "bessel_j":
+            return mpmath.gamma(alpha + 1) * (2 / t) ** alpha * mpmath.besselj(alpha, t)
+        return mpmath.struveh(alpha, t) if kind == "struve_h" else mpmath.sin(t)
+
+    worst, exact, lo = 0.0, mpmath.mpf(0), mpmath.mpf(1)
+    with mpmath.workdps(20):
+        for x, read, err in zip(xs, reads, errs):
+            exact += mpmath.quad(lambda t: t ** nu * phi(t), [lo, mpmath.mpf(x)])
+            lo = mpmath.mpf(x)
+            assert abs(mpmath.mpf(read) - exact) <= err, x
+            worst = max(worst, float(abs(mpmath.mpf(read) - exact)))
+    assert np.max(errs) <= 1e4 * max(worst, 1e-16)
 
 
-def test_table_without_exponents_starts_above_zero():
-    # Nothing accounts for a sliver (0, edges[0]], so a table from 0 is
-    # refused rather than silently short of it.
-    for lo in (0.0, 1e-16):
-        with pytest.raises(ValueError):
-            CumulativeIntegral(lambda x: x ** -0.5, [lo, 1.0])
+def _kronrod_rule():
+    """(nodes, Kronrod weights, Gauss weights) of the 15-point Gauss-Kronrod
+    rule at 40 digits: the Gauss nodes are the roots of P_7 and their
+    weights 2 / ((1 - x^2) P_7'(x)^2); the four positive Kronrod nodes and
+    the eight weights at 0 and the positive nodes solve the even moment
+    equations sum w x^(2m) = 2 / (2m + 1) to degree 22 by Newton's method,
+    started from the module's values."""
+    with mpmath.workdps(40):
+        gauss = [mpmath.findroot(lambda x: mpmath.legendre(7, x), mpmath.mpf(x0))
+                 for x0 in quadrature._GK_NODES[1::2]]
+        gauss_w = [2 / ((1 - x * x) * (7 * (x * mpmath.legendre(7, x) - mpmath.legendre(6, x))
+                                      / (x * x - 1)) ** 2) for x in gauss]
+        positive = gauss[4:]
+
+        def moments(*u):
+            nodes = [u[0], positive[0], u[1], positive[1], u[2], positive[2], u[3]]
+            return [(u[4] if m == 0 else 0) - mpmath.mpf(2) / (2 * m + 1)
+                    + 2 * sum(w * x ** (2 * m) for w, x in zip(u[5:], nodes)) for m in range(12)]
+
+        start = ([mpmath.mpf(x) for x in quadrature._GK_NODES[8::2]]
+                 + [mpmath.mpf(w) for w in quadrature._GK_WEIGHTS_K[7:]])
+        u = mpmath.findroot(moments, start)
+        half = [u[0], positive[0], u[1], positive[1], u[2], positive[2], u[3]]
+        nodes = [-x for x in half[::-1]] + [mpmath.mpf(0)] + half
+        weights = list(u[5:])[::-1] + [u[4]] + list(u[5:])
+        gauss_weights = [0 * x for x in nodes]
+        gauss_weights[1::2] = gauss_w
+        return [np.array([float(v) for v in col]) for col in (nodes, weights, gauss_weights)]
+
+
+def test_kronrod_constants_are_full_precision():
+    # The module's constants equal the 40-digit rule rounded to double, to 1 ulp.
+    for module, derived in zip((quadrature._GK_NODES, quadrature._GK_WEIGHTS_K,
+                                quadrature._GK_WEIGHTS_G), _kronrod_rule()):
+        assert np.all(np.abs(module - derived) <= np.spacing(np.abs(derived)))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wnilab.kernels import KernelSpec, PowerEnvelope, check_envelope, struve_h
+from wnilab.kernels import FarField, KernelSpec, PowerEnvelope, check_envelope, struve_h
 from wnilab.quadrature import NonConvergence, QuadratureConfig
 from wnilab.transforms import (AdmissibilityError, MissingPrimitiveBound, MomentsNotVanished,
                                DilationTable, NoSeriesKernel, TransformSpec, _dilation_table,
@@ -218,10 +218,47 @@ def test_apply_domain_is_positive_y():
 
 
 def test_table_that_cannot_be_built_is_nonconvergent():
-    # Two panels cannot hold the [1, R] table of the steep t^21 j_0(t).
-    with pytest.raises(NonConvergence, match="no Phi_nu table"):
-        apply(hankel(0.0), make_truncated_power(20.0, 1.0, "left"), [1.0],
-              QuadratureConfig(max_panels=2), check=False)
+    # A far field whose terms shrink only beyond t = 1e4 has no reach within
+    # the cap; and j_30's series, whose error bound exceeds its value toward
+    # its crossover 60, leaves a piece of t^61 j_30(t) that does not chop.
+    kernel = dataclasses.replace(sine().kernel,
+                                 far_field=FarField(-1j, 0.0, 1e4 ** np.arange(41.0)))
+    with pytest.raises(NonConvergence, match="no far-field reach"):
+        DilationTable(kernel, 0.0)
+    with pytest.raises(NonConvergence, match="does not chop"):
+        DilationTable(hankel(30.0).kernel, 61.0)
+    f = make_truncated_power(0.0, 1.0, "left")
+    for spec in (TransformSpec("slow", 0.0, 0.0, kernel), hankel(30.0)):
+        with pytest.raises(NonConvergence, match="no Phi_nu table"):
+            apply(spec, f, [1.0], check=False)
+
+
+def test_kernel_error_enters_the_read_bar():
+    # A Bessel kernel off by 1e-9 cos(t/3), whose error bound says so: every
+    # read of integral_0^T t j_0 from its table lies within its bar of the
+    # exact kernel's T J_1(T).
+    base = hankel(0.0).kernel
+    kernel = dataclasses.replace(base, phi=lambda t: base.phi(t) + 1e-9 * np.cos(t / 3.0),
+                                 phi_error=lambda t: base.phi_error(t) + 1e-9)
+    table = DilationTable(kernel, 1.0)
+    ts = np.linspace(1.0, table.reach, 30)
+    v, e = table.integral(np.zeros(30), ts)
+    with mpmath.workdps(30):
+        for t, vv, ee in zip(ts, v, e):
+            assert abs(mpmath.mpf(vv) - t * mpmath.besselj(1, t)) <= ee, t
+
+
+def test_table_chopped_at_the_kernel_error():
+    # j_20's series loses digits toward its crossover 40, so a piece there
+    # has no plateau at double precision and is chopped at the kernel's own
+    # error: integral_0^T t^41 j_20 = G(21) 2^20 T^21 J_21(T) within its bar.
+    table = DilationTable(hankel(20.0).kernel, 41.0)
+    ts = np.array([10.0, 30.0, 39.0, table.reach])
+    v, e = table.integral(np.zeros(4), ts)
+    with mpmath.workdps(40):
+        for t, vv, ee in zip(ts, v, e):
+            exact = mpmath.gamma(21) * 2 ** 20 * mpmath.mpf(t) ** 21 * mpmath.besselj(21, t)
+            assert abs(mpmath.mpf(vv) - exact) <= ee, t
 
 
 def test_infinite_support_transform_frozen_oracle():
@@ -263,8 +300,12 @@ def test_long_span_sine_log_family():
 
 SERIES_PRESETS = [hankel(0.0), hankel(0.5), hankel(1.5), scripth(0.0), scripth(1.0),
                   sine(), cosine()]
-REACH = 1.0 + 0.45 * CFG.max_panels * math.pi
-FAR_YS = np.geomspace(1.01, 1e3, 9)  # hi y / REACH beyond the reach
+FAR_YS = np.geomspace(1.01, 1e3, 9)  # hi y / reach beyond the reach
+
+
+def _reach(spec, f):
+    """The largest reach of the tables that F f reads."""
+    return max(_dilation_table(spec.kernel, spec.b0 + p.exponent).reach for p in f.pieces)
 
 
 def _assert_served_within(spec, f, ys, exact):
@@ -344,10 +385,11 @@ def test_table_route_against_termwise_primitives(f, u):
     # preset: every value, with or without a note, lies within its own bar
     # of the 30-digit termwise primitives.
     hi = max(p.hi for p in f.pieces)
-    ys = np.array([(0.05 + 0.95 * u[0]) / hi, (1.0 + (REACH - 1.0) * u[1]) / hi,
-                   REACH * (1.05 + u[2]) / hi])
     with mpmath.workdps(30):
         for spec in SERIES_PRESETS:
+            reach = _reach(spec, f)
+            ys = np.array([(0.05 + 0.95 * u[0]) / hi, (1.0 + (reach - 1.0) * u[1]) / hi,
+                           reach * (1.05 + u[2]) / hi])
             res = apply(spec, f, ys, CFG, check=False)
             for y, v, e in zip(ys, res.values, res.errors):
                 assert abs(mpmath.mpf(v) - _termwise_transform(spec, f, y)) <= e, (spec.name, y)
@@ -358,9 +400,10 @@ def test_hankel_table_against_closed_form(alpha):
     # f = 1 on (0, r): F f(y) = G(a+1) 2^a y^(-2a-2) (ry)^(a+1) J_(a+1)(ry),
     # with r y up to 1e3 times the reach (the far field).
     r = 2.0
+    f = make_truncated_power(0.0, r, "left")
+    reach = _reach(hankel(alpha), f)
     _assert_served_within(
-        hankel(alpha), make_truncated_power(0.0, r, "left"),
-        np.concatenate([np.geomspace(1e-3, REACH / r, 40), FAR_YS * REACH / r]),
+        hankel(alpha), f, np.concatenate([np.geomspace(1e-3, reach / r, 40), FAR_YS * reach / r]),
         lambda y: (mpmath.gamma(alpha + 1) * mpmath.mpf(2) ** alpha * y ** (-2 * alpha - 2)
                    * (r * y) ** (alpha + 1) * mpmath.besselj(alpha + 1, r * y)))
 
@@ -384,16 +427,33 @@ def test_dilation_covariance_every_preset(spec, lam):
 
 
 def test_table_right_sided_power_agrees_with_point():
-    # The piece reaching infinity is read from the far field.  At y = 20
-    # the value (2e-3) is below its error bar's tolerance share, so it
-    # carries a nonconvergent note; it is within 6e-15 of the value the
-    # per-value quadrature route of earlier versions gave (frozen), and
-    # within its bar of 30-digit mpmath.quadosc.
+    # The piece reaching infinity is read from the Chebyshev pieces and the
+    # far field.  At y = 20 the value (2e-3) is served without a note (the
+    # Kronrod prefix table of earlier versions left it one); it is within
+    # 6e-15 of the value the per-value quadrature route of earlier versions
+    # gave (frozen), and within its bar of 30-digit mpmath.quadosc.
     f = make_truncated_power(-2.5, 1.0, "right")
     res = apply(hankel(0.0), f, [0.5, 2.0, 20.0], CFG, check=False)
-    assert res.notes == [f"y=20: nonconvergent ({res.errors[2]:.2g})"]
+    assert res.notes == []
     assert abs(res.values[2] - -0.002275401573419947) <= 6e-15
     assert abs(res.values[2] - -0.00227540157342001047308284160475) <= res.errors[2]
+
+
+def test_right_sided_power_served_at_large_y():
+    # Hankel(0) of x^-2.5 on (1, inf) at rel_tol 1e-6 is y^(1/2) (C - P(y)),
+    # C the continued Mellin constant of t^-3/2 j_0 and P its termwise
+    # primitive.  Every value, 1e-7 to 8e-6 in size, is served without a
+    # note within its bar of the 30-digit form; earlier versions' Kronrod
+    # prefix table left each a bar of 8e-11 to 2e-10 and a nonconvergent note.
+    spec, ys = hankel(0.0), [1000.0, 2000.0, 4000.0, 5000.0, 5700.0]
+    res = apply(spec, make_truncated_power(-2.5, 1.0, "right"), ys,
+                QuadratureConfig(rel_tol=1e-6), check=False)
+    assert res.notes == []
+    with mpmath.workdps(30):
+        c = _mellin_bessel(0.0, -1.5)
+        for y, v, e in zip(ys, res.values, res.errors):
+            exact = mpmath.sqrt(y) * (c - _termwise_primitive(spec, mpmath.mpf(-1.5), y))
+            assert abs(mpmath.mpf(v) - exact) <= e, y
 
 
 def _model_min_exact(delta, e, lo, hi, y):
@@ -504,7 +564,8 @@ def test_table_beyond_reach_agrees_with_point():
     # J_1(y) / y, and within the sum of both bars of the values (frozen) of
     # the per-value quadrature route of earlier versions.
     f = make_truncated_power(0.0, 1.0, "left")
-    ys = np.array([1.5, 3.0]) * REACH
+    # The frozen points, 1.5 and 3 times the reach of earlier versions.
+    ys = np.array([1.5, 3.0]) * (1.0 + 0.45 * 4096 * math.pi)
     _assert_served_within(hankel(0.0), f, ys, lambda y: mpmath.besselj(1, y) / y)
     res = apply(hankel(0.0), f, ys, CFG)
     point = [(-8.495943734544885e-08, 2.6331322787598873e-19),
@@ -513,31 +574,28 @@ def test_table_beyond_reach_agrees_with_point():
         assert abs(v - pv) <= e + pe
     # A piece wholly beyond the reach is read from the far field alone.
     f = TestFunction("far", [Piece(1.0, 2.0, 1.0, -1.3)])
-    ys = np.array([1.05, 40.0]) * REACH
     with mpmath.workdps(30):
         for spec in SERIES_PRESETS:
+            ys = np.array([1.05, 40.0]) * _reach(spec, f)
             res = apply(spec, f, ys, CFG, check=False)
             for y, v, e in zip(ys, res.values, res.errors):
                 assert abs(mpmath.mpf(v) - _termwise_transform(spec, f, y)) <= e, (spec.name, y)
     # Its bar holds against closed forms for 1 on (1, 2): y^-2 [T J_1(T)]
     # from T = y to 2y for hankel(0), (cos y - cos 2y) / y for sine.
     f = TestFunction("far", [Piece(1.0, 2.0, 1.0, 0.0)])
-    ys = np.array([1.05, 1.5, 40.0]) * REACH
+    ys = np.array([1.05, 1.5, 40.0]) * max(_reach(hankel(0.0), f), _reach(sine(), f))
     _assert_served_within(hankel(0.0), f, ys, lambda y: (2 * y * mpmath.besselj(1, 2 * y)
                                                          - y * mpmath.besselj(1, y)) / y ** 2)
     _assert_served_within(sine(), f, ys, lambda y: (mpmath.cos(y) - mpmath.cos(2 * y)) / y)
 
 
 def test_fallback_read_error_over_tolerance():
-    # The table builds at rel_tol 1e-15 (its tolerance stops at the rounding
-    # floor), but no read meets 1e-15 relative: every value carries a
-    # nonconvergent note with its read and error, the read within its bar
-    # of the closed form J_1(y) / y.
+    # The table takes no tolerance, but no read meets 1e-15 relative: every
+    # value carries a nonconvergent note with its read and error, the read
+    # within its bar of the closed form J_1(y) / y.
     cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300)
     spec = hankel(0.0)
     f = make_truncated_power(0.0, 1.0, "left")
-    assert _dilation_table(spec.kernel, spec.b0, cfg.rel_tol, cfg.abs_tol,
-                           cfg.max_panels) is not None
     res = apply(spec, f, [0.5, 40.0], cfg, check=False)
     assert res.notes == [f"y={y:g}: nonconvergent ({e:.2g})"
                          for y, e in zip(res.y_grid, res.errors)]
@@ -553,8 +611,9 @@ def test_fallback_read_error_over_tolerance():
 def test_sine_log_family_far_field_against_si():
     # 2 Si(y) - Si(y/N) - Si(N y) with N y beyond the reach.
     N = 1e4
+    f = make_log_counterexample(N, 0.0)
     _assert_served_within(
-        sine(), make_log_counterexample(N, 0.0), FAR_YS * REACH / N,
+        sine(), f, FAR_YS * _reach(sine(), f) / N,
         lambda y: 2 * mpmath.si(y) - mpmath.si(mpmath.mpf(1.0 / N) * y)
         - mpmath.si(mpmath.mpf(N) * y))
 
@@ -564,8 +623,9 @@ def test_scripth_far_field_against_closed_form(alpha):
     # x^(a+1/2) on (0, r): r^(a+1) y^(-1/2) H_(a+1)(r y), from
     # d/dt (t^(a+1) H_(a+1)(t)) = t^(a+1) H_a(t).
     r = 2.0
+    f = make_truncated_power(alpha + 0.5, r, "left")
     _assert_served_within(
-        scripth(alpha), make_truncated_power(alpha + 0.5, r, "left"), FAR_YS * REACH / r,
+        scripth(alpha), f, FAR_YS * _reach(scripth(alpha), f) / r,
         lambda y: r ** (alpha + 1) * y ** -0.5 * mpmath.struveh(alpha + 1, r * y))
 
 
@@ -615,7 +675,7 @@ MELLIN_CASES = [
 @pytest.mark.parametrize("spec,nu,exact", MELLIN_CASES,
                          ids=[f"{s.name}-{s.alpha}-{nu}" for s, nu, _ in MELLIN_CASES])
 def test_phi_to_infinity_against_mellin_transform(spec, nu, exact):
-    table = _dilation_table(spec.kernel, nu, CFG.rel_tol, CFG.abs_tol, CFG.max_panels)
+    table = _dilation_table(spec.kernel, nu)
     v, e = table.integral(np.array([0.0]), np.array([math.inf]))
     assert abs(mpmath.mpf(v[0]) - exact) <= e[0]
 
@@ -635,7 +695,7 @@ CONTINUED_MELLIN_CASES = MELLIN_CASES + [
 @pytest.mark.parametrize("spec,nu,exact", CONTINUED_MELLIN_CASES,
                          ids=[f"{s.name}-{s.alpha}-{nu}" for s, nu, _ in CONTINUED_MELLIN_CASES])
 def test_mellin_read_against_closed_form(spec, nu, exact):
-    table = _dilation_table(spec.kernel, nu, CFG.rel_tol, CFG.abs_tol, CFG.max_panels)
+    table = _dilation_table(spec.kernel, nu)
     v, e = table.mellin()
     assert abs(mpmath.mpf(v) - exact) <= e
     # Not a vacuous bar: the growing envelopes t^(5/4) read Phi(T) ~ 5e4 at
@@ -652,12 +712,11 @@ def test_mellin_read_is_kept_on_the_table():
         points.append(np.size(t))
         return hankel(0.0).kernel.phi(t)
 
-    table = DilationTable(dataclasses.replace(hankel(0.0).kernel, phi=phi), 0.25, CFG)
+    table = DilationTable(dataclasses.replace(hankel(0.0).kernel, phi=phi), 0.25)
     first = table.mellin()
     del points[:]
     assert table.mellin() is first and points == []
-    table = _dilation_table(model_min(1.0).kernel, -0.5, CFG.rel_tol, CFG.abs_tol,
-                            CFG.max_panels)
+    table = _dilation_table(model_min(1.0).kernel, -0.5)
     for _ in range(2):
         with pytest.raises(NonConvergence, match="logarithmic"):
             table.mellin()
@@ -679,7 +738,7 @@ END_IDS = [f"{s.name}-{f.params.get('side', 'log')}" for s, f in END_CASES]
 def test_near_expansion_is_the_transform_below_one_over_x(spec, f):
     # sum c_i y^p_i against the table reads for y up to 1/X, X the largest
     # jump point; a declared vanished moment is an exact 0.
-    c, p, c_err, y_max = near_expansion(spec, f, CFG)
+    c, p, c_err, y_max = near_expansion(spec, f)
     ys = y_max * np.array([1e-3, 0.1, 0.5, 1.0])
     res = apply(spec, f, ys, CFG, check=False)
     series = np.sum(c * ys[:, None] ** p, axis=1)
@@ -698,7 +757,7 @@ def test_near_expansion_drops_a_vanishing_mellin_constant(spec, exact):
     # integral_0^inf cos are 0, so F f leads with y^0 at 0, not with the
     # rounding residue of the constant times y^-2 or y^-1.
     f = make_truncated_power(0.0, 1.0, "right")
-    c, p, c_err, y_max = near_expansion(spec, f, CFG)
+    c, p, c_err, y_max = near_expansion(spec, f)
     assert np.all(p >= 0.0) and p[np.flatnonzero(c)[0]] == 0.0
     ys = np.array([1e-3, 0.1, 0.5, 1.0])
     series = np.sum(c * ys[:, None] ** p, axis=1)
@@ -710,7 +769,7 @@ def test_near_expansion_drops_a_vanishing_mellin_constant(spec, exact):
 def test_far_envelope_bounds_the_transform(spec, f):
     # |F f| stays under the envelope on four decades beyond y1, and comes
     # within a factor 3 of it.
-    k, kappa, y1 = far_envelope(spec, f, 0.0, CFG)
+    k, kappa, y1 = far_envelope(spec, f, 0.0)
     assert y1 * min(f.breakpoints) == pytest.approx(12.0)
     ys = y1 * np.geomspace(1.0, 1e4, 400)
     res = apply(spec, f, ys, CFG, check=False)
@@ -722,8 +781,7 @@ def test_far_envelope_bounds_the_transform(spec, f):
 def test_struve_drift_that_does_not_decay_is_not_served():
     # scripth(0) of x^-1/4 on (1, inf): the drift t^-3/4 of t^1/4 H_0 is
     # not integrable toward infinity; the table reads inf, a divergent value.
-    table = _dilation_table(scripth(0.0).kernel, 0.25, CFG.rel_tol, CFG.abs_tol,
-                            CFG.max_panels)
+    table = _dilation_table(scripth(0.0).kernel, 0.25)
     assert not np.isfinite(table.integral(np.array([0.0]), np.array([math.inf]))[0][0])
     res = apply(scripth(0.0), make_truncated_power(-0.25, 1.0, "right"), [2.0], CFG,
                 check=False)
@@ -734,7 +792,7 @@ def test_sine_far_field_oracles():
     # integral_1^inf sin(t)/t^2 dt = sin(1) - Ci(1), and
     # integral_0^inf sin(t)/t dt = pi/2 (frozen).
     for nu, a, exact in ((-2.0, 1.0, 0.5040670619069284), (-1.0, 0.0, math.pi / 2.0)):
-        table = _dilation_table(sine().kernel, nu, CFG.rel_tol, CFG.abs_tol, CFG.max_panels)
+        table = _dilation_table(sine().kernel, nu)
         v, e = table.integral(np.array([a]), np.array([math.inf]))
         assert abs(v[0] - exact) <= e[0] + 1e-16
         assert v[0] == pytest.approx(exact, abs=1e-10)
