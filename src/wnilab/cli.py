@@ -25,7 +25,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -63,17 +63,11 @@ class ExperimentConfig:
     beta: float
     gamma: float
     family: List[Tuple[float, TestFunction]]
-    normalization: str = "power"  # "power" | "sw"
-    lhs_domain: Tuple[float, float] = (0.0, math.inf)
-    quadrature: QuadratureConfig = field(default_factory=lambda: QuadratureConfig(
-        rel_tol=1e-6, abs_tol=1e-12))
-    # Tolerance of the outer norm integral over y.  Its integrand carries
-    # the squared transform's oscillations; multi-period panels measure the
-    # mean with sub-percent aliasing noise, so percent-level tolerance here
-    # avoids resolving every oscillation while leaving the ratio
-    # diagnostics (thresholds 50x and 10x) untouched.
-    norm_rel_tol: float = 1e-2
-    growth_model: str = "power"  # "power" | "log"
+    normalization: str  # "power" | "sw"
+    lhs_domain: Tuple[float, float]
+    quadrature: QuadratureConfig
+    norm_rel_tol: float
+    growth_model: str  # "power" | "log"
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -93,6 +87,11 @@ class ExperimentConfig:
             quad = QuadratureConfig(rel_tol=float(qc.get("rel_tol", 1e-6)),
                                     abs_tol=float(qc.get("abs_tol", 1e-12)),
                                     max_panels=int(qc.get("max_panels", 4096)))
+            # Tolerance of the outer norm integral over y.  Its integrand
+            # carries the squared transform's oscillations; multi-period panels
+            # measure the mean with sub-percent aliasing noise, so percent-level
+            # tolerance here avoids resolving every oscillation while leaving
+            # the ratio diagnostics (thresholds 50x and 10x) untouched.
             norm_rel = float(qc.get("norm_rel_tol", 1e-2))
         norm = doc.get("normalization", "power")
         if norm not in ("power", "sw"):

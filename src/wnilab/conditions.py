@@ -22,7 +22,7 @@ A product constant on the grid to 1e-9 reports no argmax.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -425,9 +425,6 @@ class OinarovReport:
     d_required: List[float]
     verdict: str  # "bounded" | "unbounded"
     feasible_d: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def oinarov_check(kernel: KernelSpec,

@@ -2,28 +2,31 @@
 model min-kernels, their two-sided power envelopes and their registry.
 
 Evaluation strategy: a power series in extended precision up to the
-crossover argument max(12, 2 alpha), and the classical large-argument
-expansions above it.  Below 12 extended precision absorbs the series'
-cancellation (about x/ln 10 digits); below 2 alpha, around x ~ alpha, the
-large-argument terms rise far above the value.  Struve adds to Y_alpha the
-Laplace integral of H_alpha - Y_alpha, summed by a Gauss-Laguerre rule.
-Both branches are cross-checked against each other in an overlap window by
-the test suite.
+crossover argument max(12, 2 alpha), and the kernel's large-argument form
+(``FarField``, DLMF 10.17.3) above it.  Below 12 extended precision absorbs
+the series' cancellation (about x/ln 10 digits); below 2 alpha, around x ~
+alpha, the large-argument terms rise far above the value.  Struve adds to
+Y_alpha the Laplace integral of H_alpha - Y_alpha, summed by a
+Gauss-Laguerre rule.  Both branches are cross-checked against each other in
+an overlap window by the test suite.
 
-Every series is summed by Horner's rule over a coefficient table built on
-the first use of an order and cached per order.  The number of terms is
+Each expansion is stated once.  The power series' coefficients are built on
+the first use of an order and cached per order; a kernel's ``SeriesKernel``
+carries them rounded to double.  Its ``FarField`` is the one statement of
+the large-argument form: the evaluators sum it (``_far_sum``) and the
+dilation tables of ``transforms`` integrate it.  The number of terms is
 fixed once per batch, so no per-term reduction runs over the batch:
 
 * the power series (DLMF 10.8.1, 11.2.1) keeps terms up to the first k with
   |c_k| max(x)^(2k) <= 1e-18; every smaller argument needs no more;
-* the asymptotic series P, Q (DLMF 10.17.3) are cut by the smallest-term
-  rule at min(x); the k-th term at x is the one at min(x) times
-  (min(x)/x)^k, so the truncation error at larger arguments is smaller
-  still.  P and Q also take half their first neglected term, whose sign
-  and size bound the remainder.
+* the large-argument series is cut by the smallest-term rule at min(x); the
+  k-th term at x is the one at min(x) times (min(x)/x)^k, so the truncation
+  error at larger arguments is smaller still.  P and Q also take half their
+  first neglected term, whose sign and size bound the remainder.
 
-All evaluators are pure, accept numpy arrays, and are safe to call
-concurrently.
+Orders whose constants leave double precision (from about 149.3) are
+refused with ValueError.  All evaluators are pure, accept numpy arrays, and
+are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ def _struve_h_series(alpha: float, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# asymptotic branch
+# large-argument branch
 # ---------------------------------------------------------------------------
 
 def _smallest_term_index(tau: np.ndarray, scale) -> int:
@@ -135,10 +138,65 @@ def _smallest_term_index(tau: np.ndarray, scale) -> int:
     return last
 
 
-@lru_cache(maxsize=64)
-def _pq_coefficients(alpha: float) -> np.ndarray:
-    """Signed a_k(alpha) of DLMF 10.17.3 for k <= _ASYMPTOTIC_MAX_TERMS:
-    P = sum_k b_2k x^-2k and Q = sum_k b_(2k+1) x^-(2k+1)."""
+@dataclass(frozen=True, eq=False)  # hashed by identity: KernelSpec is a cache key
+class FarField:
+    """The large-argument form of a kernel, as data: phi(t) ~
+    Re[scale e^(it) sum_k osc_k t^(osc_power - k)] + sum_m drift_m
+    t^(drift_power - 2m), two asymptotic series (finite where they end; the
+    model kernel's single drift term is exact beyond t = 1).  The evaluators
+    sum the oscillatory part (``_far_sum``), the dilation tables integrate
+    both."""
+
+    scale: complex
+    osc_power: float
+    osc: np.ndarray
+    drift_power: float = 0.0
+    drift: Tuple[float, ...] = ()
+
+
+def _far_sum(far: FarField, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The oscillatory part of a far field at an array x > 0, |scale|
+    x^osc_power Re[(scale / |scale|) e^(ix) sum_k osc_k x^-k], and its error
+    bound.  The series is cut at its smallest term at min(x) (at larger x
+    each term is smaller still) and takes half of each of the next two
+    terms: for the Bessel series P + iQ (DLMF 10.17(iii)) the remainder of
+    each of P and Q has the sign of its first omitted term and does not
+    exceed it, so the truncation error is at most those half terms.  The
+    bound adds 4 eps times the terms' magnitudes, the rounding of the sum and
+    of the product with the unit phase and e^(ix); e^(ix) is computed from x
+    itself, so no rounded phase x - const enters."""
+    w = 1.0 / x
+    osc = np.pad(far.osc, (0, 2))
+    tau = np.abs(osc[:-2]) * float(np.max(w)) ** np.arange(len(osc) - 2)
+    n = _smallest_term_index(tau, tau[0])
+    coefs = osc[:n + 3].copy()
+    coefs[n + 1:] *= 0.5
+    # The power in two halves, each multiplied in: for high orders the scale
+    # is huge and x^osc_power alone underflows (j_40 at x = 1e8).
+    half_power = x ** (0.5 * far.osc_power)
+    amp = abs(far.scale) * half_power * half_power
+    val = amp * np.real(far.scale / abs(far.scale) * np.exp(1j * x) * np.polyval(coefs[::-1], w))
+    half = np.abs(coefs[n + 1:])
+    trunc = w ** (n + 1.0) * (half[0] + half[1] * w)
+    return val, amp * (trunc + 4.0 * _EPS * np.polyval(np.abs(coefs[::-1]), w))
+
+
+# Orders from about 149.3 on are refused: there Gamma(alpha + 3/2)
+# 2^(alpha + 1) leaves the normal doubles, so the Struve series' leading
+# coefficient underflows, and Bessel's far-field scale Gamma(alpha + 1)
+# 2^alpha overflows a little later.
+_LOG_ORDER_CAP = -math.log(float(np.finfo(float).tiny))
+
+
+def _check_order(alpha: float) -> None:
+    if math.lgamma(alpha + 1.5) + (alpha + 1.0) * math.log(2.0) >= _LOG_ORDER_CAP:
+        raise ValueError(f"order {alpha:g} is too large: its constants overflow")
+
+
+def _pq_far_field(alpha: float, factor: complex, power: float, *drift) -> FarField:
+    """factor (2/(pi t))^(1/2) e^(i omega) (P + iQ), omega = t - (alpha/2 +
+    1/4) pi, whose real part is J_alpha and imaginary part Y_alpha (DLMF
+    10.17.3): P + iQ = sum_k osc_k t^-k, osc_k = i^k a_k(alpha)."""
     mu = 4.0 * alpha * alpha
     b = np.empty(_ASYMPTOTIC_MAX_TERMS + 1)
     b[0] = 1.0
@@ -146,59 +204,30 @@ def _pq_coefficients(alpha: float) -> np.ndarray:
         b[k + 1] = b[k] * (mu - (2 * k + 1) ** 2) / (8.0 * (k + 1))
     k = np.arange(_ASYMPTOTIC_MAX_TERMS + 1)
     b[(k // 2) % 2 == 1] *= -1.0
-    b.flags.writeable = False
-    return b
+    phase = complex(np.exp(-1j * (0.5 * alpha + 0.25) * math.pi))
+    return FarField(factor * phase * math.sqrt(_TWO_OVER_PI), power,
+                     b * np.where(k % 2, 1j, 1.0), *drift)
 
 
-def _pq_cut(alpha: float, x: np.ndarray) -> Tuple[np.ndarray, int]:
-    """The coefficients b_k and the index n of the last term kept whole:
-    the smallest term at min(x)."""
-    b = _pq_coefficients(alpha)
-    tau = np.abs(b) * float(np.min(x)) ** -np.arange(len(b), dtype=float)
-    return b, _smallest_term_index(tau, 1.0)
+@lru_cache(maxsize=64)
+def _bessel_far_field(alpha: float) -> FarField:
+    """j_alpha(t) ~ Gamma(alpha + 1) 2^alpha t^-alpha Re[(2/(pi t))^(1/2)
+    e^(i omega) (P + iQ)]."""
+    _check_order(alpha)
+    return _pq_far_field(alpha, math.gamma(alpha + 1.0) * 2.0 ** alpha, -alpha - 0.5)
 
 
-def _pq_expansion(alpha: float, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Slowly varying amplitude series P, Q of the large-argument expansion,
-    truncated at the smallest term at min(x) and summed by Horner's rule in
-    1/x^2."""
-    b, n = _pq_cut(alpha, x)
-    # For real order and argument, once enough terms are kept, the remainder
-    # of each of P and Q has the sign of its first neglected term and does
-    # not exceed it (DLMF 10.17(iii)); adding half that term halves the
-    # error bound.
-    coefs = b[:n + 3].copy()
-    coefs[n + 1:] *= 0.5
-    inv_x = 1.0 / x
-    w = inv_x * inv_x
-    return _horner(coefs[0::2], w), inv_x * _horner(coefs[1::2], w)
-
-
-def _pq_error(alpha: float, x: np.ndarray) -> np.ndarray:
-    """Error bound of cos(omega) P -+ sin(omega) Q and of sin(omega) P +-
-    cos(omega) Q, omega = x - phase: half the first term of each of P and Q
-    beyond the half term added (the truncation), and the rounding of omega
-    (up to eps (x + phase)), of the sines and of the sums."""
-    b, n = _pq_cut(alpha, x)
-    rest = np.abs(np.append(b, [0.0, 0.0])[n + 1:n + 3])
-    p, q = _pq_expansion(alpha, x)
-    trunc = 0.5 * (rest[0] * x ** -(n + 1.0) + rest[1] * x ** -(n + 2.0))
-    return trunc + _EPS * (x + (0.5 * alpha + 0.25) * math.pi + 4.0) * (np.abs(p) + np.abs(q))
-
-
-def _bessel_j_asymptotic(alpha: float, x: np.ndarray) -> np.ndarray:
-    p, q = _pq_expansion(alpha, x)
-    omega = x - (0.5 * alpha + 0.25) * math.pi
-    amp = np.sqrt(_TWO_OVER_PI / x)
-    j_big = amp * (np.cos(omega) * p - np.sin(omega) * q)
-    return math.gamma(alpha + 1.0) * (0.5 * x) ** (-alpha) * j_big
-
-
-def _bessel_y(alpha: float, x: np.ndarray) -> np.ndarray:
-    p, q = _pq_expansion(alpha, x)
-    omega = x - (0.5 * alpha + 0.25) * math.pi
-    amp = np.sqrt(_TWO_OVER_PI / x)
-    return amp * (np.sin(omega) * p + np.cos(omega) * q)
+@lru_cache(maxsize=64)
+def _struve_far_field(alpha: float) -> FarField:
+    """Struve_alpha = Y_alpha + (H_alpha - Y_alpha), the latter's asymptotic
+    series G(1/2) / (pi G(a + 1/2)) (t/2)^(a-1) sum_m d_m (t/2)^-2m, d_m =
+    prod_(k<m) (k + 1/2)(a - 1/2 - k) (DLMF 11.6.1), as the drift in powers
+    of t; zero from the first zero factor on (half-odd-integer orders)."""
+    _check_order(alpha)
+    k = np.arange(_ASYMPTOTIC_MAX_TERMS)
+    d = np.cumprod(np.concatenate([[1.0], (k + 0.5) * (alpha - 0.5 - k)]))
+    lead = math.gamma(0.5) / math.gamma(alpha + 0.5) / math.pi * 2.0 ** (1.0 - alpha)
+    return _pq_far_field(alpha, -1j, -0.5, alpha - 1.0, tuple(lead * 4.0 ** np.arange(len(d)) * d))
 
 
 # 12-node Gauss-Laguerre rule, exact for polynomials of degree 23: the
@@ -229,10 +258,6 @@ def _struve_h_laplace(alpha: float, x: np.ndarray) -> np.ndarray:
     return lead * (0.5 * x) ** alpha * laplace
 
 
-def _struve_h_asymptotic(alpha: float, x: np.ndarray) -> np.ndarray:
-    return _bessel_y(alpha, x) + _struve_h_laplace(alpha, x)
-
-
 # ---------------------------------------------------------------------------
 # public evaluators
 # ---------------------------------------------------------------------------
@@ -259,20 +284,18 @@ def bessel_j(alpha: float, x):
     """Normalized Bessel function of order alpha (> -1), equal to 1 at 0."""
     if alpha <= -1.0:
         raise ValueError(f"bessel_j requires order > -1, got {alpha}")
-    return _dispatch(x, alpha,
-                     lambda a: _bessel_j_series(alpha, a),
-                     lambda a: _bessel_j_asymptotic(alpha, a))
+    return _dispatch(x, alpha, lambda a: _bessel_j_series(alpha, a),
+                     lambda a: _far_sum(_bessel_far_field(alpha), a)[0])
 
 
 def bessel_j_error(alpha: float, x):
     """Absolute error bound of ``bessel_j(alpha, x)`` for the same batch x:
     on the series branch ``_series_rounding`` plus eps for the cast to
-    double; on the asymptotic branch the amplitude times ``_pq_error`` (the
-    first omitted P, Q terms and the rounding), normalized, plus 4 eps for
-    the normalization."""
+    double; on the asymptotic branch ``_far_sum``'s bound plus 4 eps for the
+    scale and the power of x."""
     def large(a):
-        norm = math.gamma(alpha + 1.0) * (0.5 * a) ** (-alpha) * np.sqrt(_TWO_OVER_PI / a)
-        return norm * _pq_error(alpha, a) + 4.0 * _EPS * np.abs(_bessel_j_asymptotic(alpha, a))
+        val, err = _far_sum(_bessel_far_field(alpha), a)
+        return err + 4.0 * _EPS * np.abs(val)
     return _dispatch(x, alpha, lambda a: (_series_rounding(1.0, alpha, a)
                                           + _EPS * np.abs(_bessel_j_series(alpha, a))), large)
 
@@ -281,9 +304,9 @@ def struve_h(alpha: float, x):
     """Struve function of order alpha (> -1/2)."""
     if alpha <= -0.5:
         raise ValueError(f"struve_h requires order > -1/2, got {alpha}")
-    return _dispatch(x, alpha,
-                     lambda a: _struve_h_series(alpha, a),
-                     lambda a: _struve_h_asymptotic(alpha, a))
+    return _dispatch(x, alpha, lambda a: _struve_h_series(alpha, a),
+                     lambda a: _far_sum(_struve_far_field(alpha), a)[0]
+                     + _struve_h_laplace(alpha, a))
 
 
 def struve_h_error(alpha: float, x):
@@ -294,10 +317,12 @@ def struve_h_error(alpha: float, x):
         t0 = 1.0 / (math.gamma(1.5) * math.gamma(alpha + 1.5))
         return (t0 * (0.5 * a) ** (alpha + 1.0) * _series_rounding(1.5, alpha, a)
                 + 8.0 * _EPS * np.abs(_struve_h_series(alpha, a)))
-    return _dispatch(x, alpha, small, lambda a: (
-        np.sqrt(_TWO_OVER_PI / a) * _pq_error(alpha, a)
-        + _EPS * np.abs(_struve_h_asymptotic(alpha, a))
-        + 8.0 * _EPS * np.abs(_struve_h_laplace(alpha, a))))
+
+    def large(a):
+        val, err = _far_sum(_struve_far_field(alpha), a)
+        laplace = _struve_h_laplace(alpha, a)
+        return err + _EPS * np.abs(val + laplace) + 8.0 * _EPS * np.abs(laplace)
+    return _dispatch(x, alpha, small, large)
 
 
 def struve_derivative_check(alpha: float, x: float, h: float) -> float:
@@ -344,37 +369,22 @@ class PowerEnvelope:
         return np.minimum(x ** self.b1 * y ** self.b1, x ** self.b2 * y ** self.b2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # hashed by identity, as FarField
 class SeriesKernel:
-    """Power-series form phi(t) = t^b1 sum a_m t^(k m), so K(x, y) =
-    (xy)^b1 sum a_m (xy)^(k m)."""
+    """Power-series form phi(t) = t^b1 sum_m coefs[m] t^(step m), so K(x, y)
+    = (xy)^b1 sum_m coefs[m] (xy)^(step m)."""
 
     b1: float
     step: int
-    a0: float
-    ratio: Callable[[int], float]  # a_{m+1} / a_m
-
-    def coefficients(self, n: int) -> np.ndarray:
-        out = np.empty(n)
-        a = self.a0
-        for m in range(n):
-            out[m] = a
-            a *= self.ratio(m)
-        return out
+    coefs: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)  # hashed by identity: KernelSpec is a cache key
-class FarField:
-    """The large-argument form the asymptotic branch sums, as data: phi(t) ~
-    Re[scale e^(it) sum_k osc_k t^(osc_power - k)] + sum_m drift_m
-    t^(drift_power - 2m), two asymptotic series (finite where they end; the
-    model kernel's single drift term is exact beyond t = 1)."""
-
-    scale: complex
-    osc_power: float
-    osc: np.ndarray
-    drift_power: float = 0.0
-    drift: Tuple[float, ...] = ()
+def _series_kernel(b1: float, s: float, alpha: float, lead: float = 1.0) -> SeriesKernel:
+    """t^b1 lead sum_k c_k t^2k with the evaluators' coefficients c_k of
+    (s, alpha) (``_series_coefficients``), rounded to double."""
+    coefs = (lead * _series_coefficients(s, alpha)[0]).astype(float)
+    coefs.flags.writeable = False
+    return SeriesKernel(b1, 2, coefs)
 
 
 @dataclass(frozen=True)
@@ -412,25 +422,13 @@ class KernelSpec:
         return self.far_field is not None and bool(np.any(self.far_field.osc))
 
 
-def _pq_far_field(alpha: float, factor: complex, power: float, *drift) -> FarField:
-    """factor (2/(pi t))^(1/2) e^(i omega) (P + iQ), whose real part is J
-    and imaginary part Y (DLMF 10.17.3); P + iQ = sum_k osc_k t^-k."""
-    b = _pq_coefficients(alpha)
-    phase = complex(np.exp(-1j * (0.5 * alpha + 0.25) * math.pi))
-    return FarField(factor * phase * math.sqrt(_TWO_OVER_PI), power,
-                    b * np.where(np.arange(len(b)) % 2, 1j, 1.0), *drift)
-
-
 @lru_cache(maxsize=64)
 def bessel_j_kernel(alpha: float) -> KernelSpec:
     if alpha <= -1.0:
         raise ValueError("order must exceed -1")
     env = PowerEnvelope(0.0, -alpha - 0.5)
-    series = SeriesKernel(0.0, 2, 1.0,
-                          lambda m: -1.0 / (4.0 * (m + 1.0) * (alpha + m + 1.0)))
-    return KernelSpec("bessel_j", env, lambda t: bessel_j(alpha, t), series=series,
-                      far_field=_pq_far_field(alpha, math.gamma(alpha + 1.0) * 2.0 ** alpha,
-                                              -alpha - 0.5),
+    return KernelSpec("bessel_j", env, lambda t: bessel_j(alpha, t),
+                      series=_series_kernel(0.0, 1.0, alpha), far_field=_bessel_far_field(alpha),
                       phi_error=lambda t: bessel_j_error(alpha, t), crossover=_crossover(alpha))
 
 
@@ -442,20 +440,11 @@ def struve_h_kernel(alpha: float) -> KernelSpec:
         env = PowerEnvelope(alpha + 1.0, alpha - 1.0, exact=(alpha > 0.5))
     else:
         env = PowerEnvelope(alpha + 1.0, -0.5)
+    far = _struve_far_field(alpha)  # first: it refuses the orders whose gamma values overflow
     a0 = 2.0 ** -(alpha + 1.0) / (math.gamma(1.5) * math.gamma(alpha + 1.5))
-    series = SeriesKernel(alpha + 1.0, 2, a0,
-                          lambda m: -1.0 / (4.0 * (m + 1.5) * (m + alpha + 1.5)))
-    # H_a - Y_a ~ G(1/2) / (pi G(a + 1/2)) (t/2)^(a-1) sum_m d_m (t/2)^-2m,
-    # d_m = prod_(k<m) (k + 1/2)(a - 1/2 - k) (DLMF 11.6.1), as powers of t;
-    # zero from the first zero factor on (half-odd-integer orders).
-    k = np.arange(_ASYMPTOTIC_MAX_TERMS)
-    d = np.cumprod(np.concatenate([[1.0], (k + 0.5) * (alpha - 0.5 - k)]))
-    lead = math.gamma(0.5) / math.gamma(alpha + 0.5) / math.pi * 2.0 ** (1.0 - alpha)
-    drift = tuple(lead * 4.0 ** np.arange(len(d)) * d)
-    far = _pq_far_field(alpha, -1j, -0.5, alpha - 1.0, drift)
-    return KernelSpec("struve_h", env, lambda t: struve_h(alpha, t), series=series,
-                      far_field=far, phi_error=lambda t: struve_h_error(alpha, t),
-                      crossover=_crossover(alpha))
+    return KernelSpec("struve_h", env, lambda t: struve_h(alpha, t),
+                      series=_series_kernel(alpha + 1.0, 1.5, alpha, a0), far_field=far,
+                      phi_error=lambda t: struve_h_error(alpha, t), crossover=_crossover(alpha))
 
 
 def _trig_error(t: np.ndarray) -> np.ndarray:
@@ -466,8 +455,7 @@ def _trig_error(t: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=64)
 def sine_kernel() -> KernelSpec:
     env = PowerEnvelope(1.0, 0.0)
-    series = SeriesKernel(1.0, 2, 1.0,
-                          lambda m: -1.0 / ((2.0 * m + 2.0) * (2.0 * m + 3.0)))
+    series = _series_kernel(1.0, 1.0, 0.5)  # sin t = t j_(1/2)(t)
     return KernelSpec("sine", env, np.sin, series=series,
                       far_field=FarField(-1j, 0.0, np.ones(1)), phi_error=_trig_error)
 
@@ -475,8 +463,7 @@ def sine_kernel() -> KernelSpec:
 @lru_cache(maxsize=64)
 def cosine_kernel() -> KernelSpec:
     env = PowerEnvelope(0.0, 0.0)
-    series = SeriesKernel(0.0, 2, 1.0,
-                          lambda m: -1.0 / ((2.0 * m + 1.0) * (2.0 * m + 2.0)))
+    series = _series_kernel(0.0, 1.0, -0.5)  # cos t = j_(-1/2)(t)
     return KernelSpec("cosine", env, np.cos, series=series,
                       far_field=FarField(1.0, 0.0, np.ones(1)), phi_error=_trig_error)
 
@@ -496,7 +483,7 @@ def model_min_kernel(delta: float) -> KernelSpec:
             return np.where(t <= 1.0, 1.0, t ** (-0.5 * delta))
     return KernelSpec("model_min", env, phi,
                       far_field=FarField(1.0, 0.0, np.zeros(1), -0.5 * delta, (1.0,)),
-                      near=SeriesKernel(0.0, 1, 1.0, lambda m: 0.0))
+                      near=SeriesKernel(0.0, 1, np.ones(1)))
 
 
 # The kernel factories by kind; each factory's parameters are the kernel's.

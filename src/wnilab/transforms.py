@@ -52,7 +52,6 @@ class PrimitiveBound:
 
     b: float
     c: float
-    nu: float
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ def hankel(alpha: float) -> TransformSpec:
     return TransformSpec(
         name="hankel", b0=2.0 * alpha + 1.0, c0=0.0,
         kernel=bessel_j_kernel(alpha), kernel_est_holds=True,
-        primitive_bound=PrimitiveBound(b=alpha + 0.5, c=-alpha - 1.5, nu=2.0 * alpha + 1.0),
+        primitive_bound=PrimitiveBound(b=alpha + 0.5, c=-alpha - 1.5),
         alpha=alpha)
 
 
@@ -90,20 +89,20 @@ def scripth(alpha: float) -> TransformSpec:
     return TransformSpec(
         name="scripth", b0=0.5, c0=0.5,
         kernel=struve_h_kernel(alpha), kernel_est_holds=False,
-        primitive_bound=PrimitiveBound(b=alpha + 0.5, c=alpha - 1.0, nu=0.5),
+        primitive_bound=PrimitiveBound(b=alpha + 0.5, c=alpha - 1.0),
         alpha=alpha)
 
 
 def sine() -> TransformSpec:
     return TransformSpec(
         name="sine", b0=0.0, c0=0.0, kernel=sine_kernel(), kernel_est_holds=True,
-        primitive_bound=PrimitiveBound(b=0.0, c=-1.0, nu=0.0))
+        primitive_bound=PrimitiveBound(b=0.0, c=-1.0))
 
 
 def cosine() -> TransformSpec:
     return TransformSpec(
         name="cosine", b0=0.0, c0=0.0, kernel=cosine_kernel(), kernel_est_holds=True,
-        primitive_bound=PrimitiveBound(b=0.0, c=-1.0, nu=0.0))
+        primitive_bound=PrimitiveBound(b=0.0, c=-1.0))
 
 
 def model_min(delta: float) -> TransformSpec:
@@ -154,7 +153,6 @@ class TransformResult:
 # Series terms below this fraction of the leading coefficient are dropped;
 # on t <= 1 each term is at most its coefficient over its power.
 _SERIES_CUT = 1e-18
-_SERIES_MAX_TERMS = 60
 _EPS = float(np.finfo(float).eps)
 
 
@@ -175,6 +173,22 @@ def _power_terms(coefs: np.ndarray, exps: np.ndarray, de: np.ndarray, a: np.ndar
         steep = 1.0 / min(abs(m_lo), abs(m_hi)) if m_lo * m_hi > 0 else np.log(b / a)
     factor = 4.0 * _EPS + de * (log_end + np.reshape(steep, (-1, 1)))
     return terms, np.sum(factor * np.abs(terms), axis=1)
+
+
+def _continued_powers(coefs, s: np.ndarray, t: float,
+                      ds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Terms coefs t^s / s, powers x^(s - 1) integrated to t and continued
+    analytically to the far end, and each term's error bound: 4 eps of it
+    plus (|log t| + 1/|s|) ds of it for an s rounded by up to ds (the
+    relative change of t^s / s with s).  A term with s = 0 is a logarithm:
+    it raises NonConvergence."""
+    live = coefs != 0.0
+    if np.any(live & (np.abs(s) < 1e-12)):
+        raise NonConvergence(math.nan, math.inf, "logarithmic term (a power x^-1 integrated)")
+    s = np.where(live, s, 1.0)
+    terms = coefs * t ** s / s
+    log_t = abs(math.log(t)) if t > 0.0 else 0.0  # from t = 0 a term is 0 or inf
+    return terms, (4.0 * _EPS + ds * (log_t + 1.0 / np.abs(s))) * np.abs(terms)
 
 
 # Far-field series length: that of the kernels' asymptotic coefficients.
@@ -237,7 +251,7 @@ class DilationTable:
 
     def __init__(self, kernel: KernelSpec, nu: float):
         series = kernel.series or kernel.near
-        coefs = series.coefficients(_SERIES_MAX_TERMS)
+        coefs = series.coefs
         n = 1 + int(np.flatnonzero(np.abs(coefs) > _SERIES_CUT * abs(coefs[0]))[-1])
         self.coefs = coefs[:n]
         # t^nu phi(t) = sum_k a_k t^exponents_k, each rounded by <= exponent_error_k.
@@ -429,14 +443,12 @@ class DilationTable:
             env.append((float(k[0]), m0))
         if self.drift is not None:
             d, k = self._drift_terms(1.0 / t)
-            s = self.nu + self.far_field.drift_power + 1.0 - k
-            if np.any((np.abs(s) < 1e-12) & (d != 0.0)):
-                raise NonConvergence(math.nan, math.inf,
-                                     f"logarithmic far-field term at nu = {self.nu:g}")
-            s = np.where(d != 0.0, s, 1.0)
-            terms = d * t ** s / s
+            drift_power = self.far_field.drift_power
+            s = self.nu + drift_power + 1.0 - k
+            terms, terms_err = _continued_powers(
+                d, s, t, 2.0 * _EPS * (abs(self.nu) + abs(drift_power) + k + 1.0))
             val += float(np.sum(terms[:-1]))
-            err += 2.0 * abs(terms[-1]) + 4.0 * _EPS * float(np.sum(np.abs(terms)))
+            err += 2.0 * abs(terms[-1]) + float(np.sum(terms_err))
             k = np.abs(terms) * t ** -s[0]
             env.append((float(np.sum(k[:-1]) + 2.0 * k[-1]), s[0]))
         return val, err, env
@@ -482,14 +494,12 @@ class DilationTable:
         return self._mellin
 
     def _mellin_read(self) -> Tuple[float, float]:
-        s = self.exponents + 1.0
-        if np.any(np.abs(s) < 1e-12):
-            raise NonConvergence(math.nan, math.inf, f"logarithmic term at nu = {self.nu:g}")
+        near, near_err = _continued_powers(self.coefs, self.exponents + 1.0, 1.0,
+                                           self.exponent_error)
         t = max(self.reach, _CROSSOVER)
-        near = self.coefs / s
         mid, mid_err = self.integral(np.ones(1), np.full(1, t))
         a, a_err, _ = self._far_end(t)
-        rounding = 4.0 * _EPS * (np.sum(np.abs(near)) + abs(mid[0]) + abs(a))
+        rounding = 4.0 * _EPS * (np.sum(np.abs(near)) + abs(mid[0]) + abs(a)) + np.sum(near_err)
         c, err = float(np.sum(near) + mid[0] - a), float(mid_err[0] + a_err + rounding)
         return (c, err) if abs(c) > err else (0.0, 0.0)
 
@@ -595,21 +605,23 @@ def near_expansion(spec: TransformSpec, f: TestFunction
     series = spec.kernel.series or spec.kernel.near
     a = _table(spec.kernel, spec.b0 + f.pieces[0].exponent).coefs
     orders = spec.b0 + series.b1 + series.step * np.arange(len(a))
-    rows, mellin = [], []
+    rows, row_errs, mellin = [], [], []
     for p in f.pieces:
         if p.hi < math.inf:
             rows.append(p.coef * power_moment(orders + p.exponent, p.lo, p.hi))
+            row_errs.append(4.0 * _EPS * np.abs(rows[-1]))
             continue
         nu = spec.b0 + p.exponent
-        c, c_err = _table(spec.kernel, nu).mellin()  # raises where an s below is 0
+        table = _table(spec.kernel, nu)
+        c, c_err = table.mellin()  # raises where an s below is 0
         if c != 0.0:
             mellin.append((p.coef * c, spec.c0 - nu - 1.0, abs(p.coef) * c_err))
-        s = orders + p.exponent + 1.0
-        rows.append(-p.coef * p.lo ** s / s)
-    rows = np.asarray(rows)
+        row, row_err = _continued_powers(-p.coef, table.exponents + 1.0, p.lo, table.exponent_error)
+        rows.append(row)
+        row_errs.append(row_err)
     vanished = np.array([any(abs(mu - v) <= 1e-12 for v in f.vanished_moments) for mu in orders])
     coefs = np.where(vanished, 0.0, a * np.sum(rows, axis=0))
-    errs = np.where(vanished, 0.0, 4.0 * _EPS * np.abs(a) * np.sum(np.abs(rows), axis=0))
+    errs = np.where(vanished, 0.0, np.abs(a) * np.sum(row_errs, axis=0))
     c_m, p_m, e_m = (np.asarray(v, dtype=float) for v in zip(*mellin)) if mellin else ((),) * 3
     y_max = 1.0 / max(f.breakpoints) if f.breakpoints else math.inf
     return (np.concatenate([coefs, c_m]), np.concatenate([spec.c0 + orders - spec.b0, p_m]),
@@ -748,7 +760,7 @@ def moment_reduced_apply(spec: TransformSpec, f: TestFunction, ell: int,
                 f"moment of order {mu:g} is {moment:.3e} (tolerance {moment_tol:g})")
     res = apply(spec, f, y_grid, config, check=False)
     ys = res.y_grid
-    for m, (a, moment) in enumerate(zip(series.coefficients(ell), moments)):
+    for m, (a, moment) in enumerate(zip(series.coefs[:ell], moments)):
         term = a * ys ** (spec.c0 + series.b1 + series.step * m) * moment
         res.values -= term
         res.errors += _EPS * np.abs(term)

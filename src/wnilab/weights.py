@@ -40,7 +40,7 @@ class Weight:
     with the end exponents beyond them."""
 
     def __init__(self, nodes: Tuple[float, ...], values, log_values, exponent_at_zero: float,
-                 exponent_at_infinity: float, descriptor: Optional[dict] = None):
+                 exponent_at_infinity: float):
         if not (math.isfinite(exponent_at_zero) and math.isfinite(exponent_at_infinity)):
             raise ValueError("weight exponents must be finite")
         self.nodes = nodes
@@ -49,7 +49,6 @@ class Weight:
         self.exponent_at_zero, self.exponent_at_infinity = exponent_at_zero, exponent_at_infinity
         self.diverges_at_zero = exponent_at_zero <= -1.0 + 1e-12
         self.diverges_at_infinity = exponent_at_infinity >= -1.0 - 1e-12
-        self._descriptor = descriptor
         self._prefix = None
 
     @classmethod
@@ -57,14 +56,11 @@ class Weight:
         c, e = float(coefficient), float(exponent)
         if not 0.0 <= c < math.inf:
             raise ValueError("a power weight needs a nonnegative finite coefficient")
-        extra = {} if coefficient == 1.0 else {"coefficient": coefficient}
-        return cls((1.0,), [c], np.log([c]) if c > 0 else [-math.inf], e, e,
-                   descriptor={"form": "power", "exponent": exponent, **extra})
+        return cls((1.0,), [c], np.log([c]) if c > 0 else [-math.inf], e, e)
 
     @classmethod
     def piecewise_power(cls, a1: float, a2: float) -> "Weight":
-        return cls((1.0,), [1.0], [0.0], float(a1), float(a2),
-                   descriptor={"form": "piecewise_power", "a1": a1, "a2": a2})
+        return cls((1.0,), [1.0], [0.0], float(a1), float(a2))
 
     @classmethod
     def tabulated(cls, x: Sequence[float], y: Sequence[float]) -> "Weight":
@@ -80,8 +76,7 @@ class Weight:
         # The end exponents: log-log slopes fitted on the outermost decades.
         e0, einf = (float(np.polyfit(lx[m], ly[m], 1)[0]) if np.sum(m) >= 2 else 0.0
                     for m in (lx <= lx[0] + math.log(10.0), lx >= lx[-1] - math.log(10.0)))
-        return cls(tuple(xs.tolist()), ys, ly, e0, einf,
-                   descriptor={"form": "tabulated", "x": list(x), "y": list(y)})
+        return cls(tuple(xs.tolist()), ys, ly, e0, einf)
 
     @classmethod
     def product(cls, factors: Sequence[Tuple["Weight", float]]) -> "Weight":
@@ -112,11 +107,6 @@ class Weight:
             return np.where(x <= lo, left, right)
         inside = np.exp(np.interp(np.log(np.maximum(x, 1e-300)), self._log_nodes, self.log_values))
         return np.where(x < lo, left, np.where(x > hi, right, inside))
-
-    def descriptor(self) -> dict:
-        if self._descriptor is None:
-            raise ValueError("a product of weights has no descriptor")
-        return dict(self._descriptor)
 
     @classmethod
     def from_descriptor(cls, d: dict) -> "Weight":

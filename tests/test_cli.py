@@ -453,8 +453,10 @@ def test_tol_override_not_finite_positive_exits_2(tmp_path, tol, capsys):
     ["--kind", "bessel_j", "--x", "inf"],
     ["--kind", "struve_h", "--alpha", "1", "--x", "inf"],
     ["--kind", "model_min", "--delta", "-1", "--x", "2.0"],
+    ["--kind", "bessel_j", "--alpha", "200", "--x", "1"],
+    ["--kind", "struve_h", "--alpha", "200", "--x", "1"],
 ], ids=["order-below-range", "negative-x", "non-numeric-x", "bessel-inf", "struve-inf",
-        "model-min-delta-not-positive"])
+        "model-min-delta-not-positive", "bessel-order-overflows", "struve-order-overflows"])
 def test_eval_kernel_input_errors_exit_2(argv, capsys):
     assert main(["eval-kernel"] + argv) == 2
     assert capsys.readouterr().out == ""

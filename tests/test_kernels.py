@@ -81,18 +81,18 @@ def test_struve_nonnegative_for_order_at_least_half():
 
 
 def test_branch_agreement_in_crossover_window():
-    from wnilab.kernels import (_bessel_j_asymptotic, _bessel_j_series,
-                                _struve_h_asymptotic, _struve_h_series)
+    from wnilab.kernels import (_bessel_far_field, _bessel_j_series, _far_sum,
+                                _struve_far_field, _struve_h_laplace, _struve_h_series)
     xs = np.linspace(10.0, 14.0, 60)
     for alpha in (0.0, 0.6, 1.5, 3.0):
         s = _bessel_j_series(alpha, xs)
-        a = _bessel_j_asymptotic(alpha, xs)
+        a = _far_sum(_bessel_far_field(alpha), xs)[0]
         scale = np.maximum(np.abs(s), xs ** (-alpha - 0.5))
         assert np.max(np.abs(s - a) / scale) < 1e-8, alpha
     # Struve crosses over at max(12, 2 alpha): 12 for these orders.
     for alpha in (0.0, 0.3, 0.75, 1.5, 2.2):
         s = _struve_h_series(alpha, xs)
-        a = _struve_h_asymptotic(alpha, xs)
+        a = _far_sum(_struve_far_field(alpha), xs)[0] + _struve_h_laplace(alpha, xs)
         scale = np.maximum(np.abs(s), np.minimum(xs ** (alpha + 1.0),
                                                  xs ** max(alpha - 1.0, -0.5)))
         assert np.max(np.abs(s - a) / scale) < 1e-8, alpha
@@ -166,6 +166,32 @@ def test_kernel_error_bound_against_mpmath(kind, alpha):
             assert np.max(err) <= 100.0 * np.max(seen)
 
 
+@pytest.mark.parametrize("kind,alpha", [("bessel_j", 0.0), ("bessel_j", 0.5), ("bessel_j", 1.0),
+                                         ("bessel_j", 1.5), ("bessel_j", 8.0),
+                                         ("struve_h", 0.0), ("struve_h", 0.5)])
+def test_large_argument_against_mpmath(kind, alpha):
+    # Far from the crossover the large-argument form is summed with e^(ix)
+    # taken from x itself: at every x the error is within 1e-15 of the
+    # amplitude (2/(pi x))^(1/2) (times Gamma(alpha + 1) (x/2)^-alpha for
+    # Bessel), and within the error bound.
+    value, bound = {"bessel_j": (bessel_j, bessel_j_error),
+                    "struve_h": (struve_h, struve_h_error)}[kind]
+    xs = np.geomspace(1e4, 1e8, 33)
+    got, err = value(alpha, xs), bound(alpha, xs)
+    with mpmath.workdps(60):
+        a = mpmath.mpf(alpha)
+        for x, v, e in zip(xs, got, err):
+            x = mpmath.mpf(x)
+            amp = mpmath.sqrt(2 / (mpmath.pi * x))
+            if kind == "struve_h":
+                exact = mpmath.struveh(a, x)
+            else:
+                scale = mpmath.gamma(a + 1) * (x / 2) ** -a
+                exact, amp = scale * mpmath.besselj(a, x), scale * amp
+            seen = abs(mpmath.mpf(v) - exact)
+            assert seen <= 1e-15 * amp and seen <= e, float(x)
+
+
 def test_kernel_batch_shapes():
     for fn in (bessel_j, struve_h):
         out = fn(0.25, np.array([]))
@@ -200,6 +226,19 @@ def test_domain_errors():
             bessel_j(0.0, x)
         with pytest.raises(ValueError):
             struve_h(1.0, x)
+
+
+def test_orders_whose_constants_overflow_are_refused():
+    # From order 150 on Gamma(alpha + 3/2) 2^(alpha + 1) overflows: the
+    # factories and the large-argument branch raise ValueError, not
+    # OverflowError or a nan.
+    for factory in (bessel_j_kernel, struve_h_kernel):
+        factory(149.0)
+        for alpha in (150.0, 200.0, 2000.0):
+            with pytest.raises(ValueError, match="too large"):
+                factory(alpha)
+    with pytest.raises(ValueError, match="too large"):
+        bessel_j(200.0, 1e3)
 
 
 def test_derivative_identity_residual():

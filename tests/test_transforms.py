@@ -172,7 +172,7 @@ def _reduced_kernel(spec, ell):
     """G_ell(t) = t^-b1 phi(t) - sum_(m<ell) a_m t^(k m), the kernel of the
     moment-reduced transform, with its envelope min{t^(k ell), t^(k (ell - 1))}."""
     series = spec.series
-    a = series.coefficients(ell)
+    a = series.coefs[:ell]
 
     def g(t):
         t = np.asarray(t, dtype=float)
@@ -720,6 +720,45 @@ def test_mellin_read_is_kept_on_the_table():
     for _ in range(2):
         with pytest.raises(NonConvergence, match="logarithmic"):
             table.mellin()
+
+
+# Continued power ends t^s / s with s within 1e-3 of 0, where a rounded
+# exponent moves the term by (|log t| + 1/|s|) times its rounding: the model
+# kernel's drift (nu - 0.15 + 1 = s) in its Mellin constant, and the moment
+# series continued from x = 1 (0.3 + e + 1 = s) in the near expansion.
+CONTINUED_S = [-1e-3, -1e-4, 1e-4, 1e-3]
+
+
+@pytest.mark.parametrize("s", CONTINUED_S)
+def test_continued_power_ends_within_their_bars(s):
+    spec = model_min(0.3)
+    nu = -0.85 + s
+    c, err = DilationTable(spec.kernel, nu).mellin()
+    with mpmath.workdps(50):
+        exact = 1 / (mpmath.mpf(nu) + 1) - 1 / (mpmath.mpf(nu) + mpmath.mpf(-0.5 * 0.3) + 1)
+    assert abs(mpmath.mpf(c) - exact) <= err <= 1e-10 * abs(c)
+    e = -1.3 + s
+    coefs, powers, errs, _ = near_expansion(spec, make_truncated_power(e, 1.0, "right"))
+    with mpmath.workdps(50):
+        exact = -1 / (mpmath.mpf(spec.b0) + mpmath.mpf(e) + 1)
+    assert powers[0] == 0.0
+    assert abs(mpmath.mpf(coefs[0]) - exact) <= errs[0] <= 1e-10 * abs(coefs[0])
+
+
+def test_model_min_log_case_against_closed_form():
+    # x^-1.5 on (1, 2) under model_min(1): nu = -0.5 and the drift exponent
+    # is exactly 0, so Phi(T) = 2 sqrt(T) on T <= 1 and 2 + log T beyond.
+    f = TestFunction("log-case", [Piece(1.0, 2.0, 1.0, -1.5)])
+    ys = [0.3, 0.7, 1.5, 4.0]
+    res = apply(model_min(1.0), f, ys, CFG)
+    assert res.notes == []
+    with mpmath.workdps(30):
+        def phi(t):
+            t = mpmath.mpf(t)
+            return 2 * mpmath.sqrt(t) if t <= 1 else 2 + mpmath.log(t)
+        for y, v, e in zip(ys, res.values, res.errors):
+            exact = mpmath.mpf(y) ** -0.5 * (phi(2 * y) - phi(y))
+            assert abs(mpmath.mpf(v) - exact) <= min(e, 1e-15 * abs(exact)), y
 
 
 END_CASES = [

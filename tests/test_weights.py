@@ -43,9 +43,20 @@ def test_power_weight_homogeneous(expo, t, x):
 
 
 def test_weight_descriptor_roundtrip():
-    for w in (Weight.power(-0.4), Weight.piecewise_power(0.2, -1.1)):
-        again = Weight.from_descriptor(w.descriptor())
-        assert again(1.7) == pytest.approx(w(1.7))
+    # Each descriptor form builds the weight its factory builds.
+    cases = [({"form": "power", "exponent": -0.4}, Weight.power(-0.4)),
+             ({"form": "power", "exponent": 0.5, "coefficient": 2.0}, Weight.power(0.5, 2.0)),
+             ({"form": "piecewise_power", "a1": 0.2, "a2": -1.1},
+              Weight.piecewise_power(0.2, -1.1)),
+             ({"form": "tabulated", "x": [0.5, 1.0, 4.0], "y": [1.0, 2.0, 3.0]},
+              Weight.tabulated([0.5, 1.0, 4.0], [1.0, 2.0, 3.0]))]
+    xs = np.geomspace(0.1, 10.0, 9)
+    for d, w in cases:
+        again = Weight.from_descriptor(d)
+        assert again.nodes == w.nodes
+        assert (again.exponent_at_zero, again.exponent_at_infinity) == (
+            w.exponent_at_zero, w.exponent_at_infinity)
+        assert np.array_equal(again(xs), w(xs))
 
 
 def test_weight_product_tracks_exponents():
