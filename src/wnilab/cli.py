@@ -382,7 +382,8 @@ def run_conditions(doc: dict) -> dict:
     inv_ap = 0.0 if math.isinf(exps.a_prime) else 1.0 / exps.a_prime
     inv_a = 0.0 if math.isinf(exps.a) else 1.0 / exps.a
 
-    rep1, rep2 = cond.hardy_pair_condition(u, v, s, w, exps)
+    brackets = cond.BracketTable()
+    rep1, rep2 = cond.hardy_pair_condition(u, v, s, w, exps, brackets)
     out = {
         "experiment_id": doc.get("experiment_id", "conditions"),
         "transform": transform.name,
@@ -394,15 +395,16 @@ def run_conditions(doc: dict) -> dict:
     }
     if exps.a == 1.0:
         try:
-            out["glued"] = cond.glued_condition(u, v, s, w, exps).to_dict()
+            out["glued"] = cond.glued_condition(u, v, s, w, exps, brackets).to_dict()
         except cond.InverseRelationViolated as exc:
             out["glued"] = {"error": str(exc)}
     # The Lorentz form compares Ff and f directly: its u and v carry the s
     # and w factors of the two-factor setting (the full exponents in the
-    # plain power normalization).
+    # plain power normalization).  Its u is the first Hardy bracket's
+    # integrand.
     out["lorentz_necessity"] = cond.lorentz_necessity_condition(
-        Weight.product([(u, 1.0), (w, exps.q * inv_ap)]),
-        Weight.product([(v, 1.0), (s, exps.p * inv_a)]), s, exps).to_dict()
+        brackets.product([(u, 1.0), (w, exps.q * inv_ap)]),
+        brackets.product([(v, 1.0), (s, exps.p * inv_a)]), s, exps, brackets).to_dict()
 
     if beta is not None:
         # Ranges live in the plain power normalization ||y^-b Ff||_q <=

@@ -7,6 +7,11 @@ Every weight is a piecewise power, and so is a product of weight powers
 one, a sum of closed-form power segments between its nodes, continued with
 its end exponents beyond them.
 
+One ``BracketTable`` per config builds each distinct bracket integrand
+once and reads each bracket on the scan grid once, for every condition of
+the config: at a = 1 the glued condition's brackets are the Hardy pair's,
+and the Lorentz condition's u-bracket is the pair's first for every a.
+
 Each condition states its bracket product once, as a list of factors
 (sums of weight-power x bracket-read terms, raised to a power).  By the
 brackets' end exponents a read that integrates from a non-integrable end
@@ -104,6 +109,35 @@ def _sup_scan(product: Callable[[np.ndarray], np.ndarray], label: str = "") -> C
     return ConditionReport(best_v, math.exp(best_t), "finite", None, trace, label)
 
 
+class BracketTable:
+    """The brackets of one config: each product of weight powers built once
+    (``product``, keyed by its factors: weights by identity, powers other
+    than 0), and each bracket read on the scan grid once (``read``, keyed
+    by integrand, direction and argument).  Reads at other r, the zoom
+    rounds', are not kept.  The table holds its weights, so their
+    identities stay distinct while it lives; make one per config."""
+
+    def __init__(self):
+        self._products = {}
+        self._scan_reads = {}
+
+    def product(self, factors: Sequence[Tuple[Weight, float]]) -> Weight:
+        key = tuple((w, float(p)) for w, p in factors if p != 0.0)
+        if key not in self._products:
+            self._products[key] = Weight.product(key)
+        return self._products[key]
+
+    def read(self, integrand: Weight, upper: bool, inverted: bool, r: np.ndarray) -> np.ndarray:
+        """integrand's integral from 0 to x, or from x to inf when ``upper``,
+        at x = r, or 1/r when ``inverted``."""
+        if r is not _SCAN_R:
+            return integrand.integral(1.0 / r if inverted else r, upper)
+        key = (integrand, upper, inverted)
+        if key not in self._scan_reads:
+            self._scan_reads[key] = integrand.integral(1.0 / r if inverted else r, upper)
+        return self._scan_reads[key]
+
+
 @dataclass(frozen=True)
 class _Term:
     """One bracket read at x = r, or x = 1/r when ``inverted``: the integral
@@ -116,11 +150,11 @@ class _Term:
     weight: Optional[Weight] = None
     weight_power: float = 0.0
 
-    def value(self, r: np.ndarray) -> np.ndarray:
-        x = 1.0 / r if self.inverted else r
-        read = self.integrand.integral(x, self.upper)
+    def value(self, r: np.ndarray, brackets: BracketTable) -> np.ndarray:
+        read = brackets.read(self.integrand, self.upper, self.inverted, r)
         if self.weight is None:
             return read
+        x = 1.0 / r if self.inverted else r
         return np.asarray(self.weight(x), dtype=float) ** self.weight_power * read
 
     def growth(self, r_to_inf: bool) -> Tuple[float, float, float]:
@@ -152,14 +186,14 @@ class _Term:
 _Factors = Sequence[Tuple[Sequence[_Term], float]]
 
 
-def _product(factors: _Factors, r: np.ndarray) -> np.ndarray:
+def _product(factors: _Factors, r: np.ndarray, brackets: BracketTable) -> np.ndarray:
     """The product at every r of an array; inf where a base is 0 under a
     negative power."""
     val = np.ones_like(r)
     pole = np.zeros(r.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 ** -p and 0 * inf
         for terms, power in factors:
-            base = sum(term.value(r) for term in terms)
+            base = sum(term.value(r, brackets) for term in terms)
             pole |= (base == 0.0) & (power < 0.0)
             val = val * base ** power
     return np.where(pole, math.inf, val)
@@ -181,7 +215,7 @@ def _toward(factors: _Factors, r_to_inf: bool) -> Tuple[float, float, float]:
     return kappa, logs, float(limit)
 
 
-def _scan(factors: _Factors, label: str) -> ConditionReport:
+def _scan(factors: _Factors, label: str, brackets: BracketTable) -> ConditionReport:
     """Divergent when a bracket diverges at the end it integrates from or the
     product ~ C T^kappa (log T)^m is unbounded toward r -> inf or r -> 0;
     else the supremum of the scan and of the limits C where kappa = m = 0."""
@@ -198,7 +232,7 @@ def _scan(factors: _Factors, label: str) -> ConditionReport:
         if abs(kappa) <= EXPONENT_TOLERANCE and abs(logs) <= EXPONENT_TOLERANCE:
             limits.append((r_end, limit))
     with np.errstate(invalid="ignore"):  # the flatness test of an infinite product
-        rep = _sup_scan(lambda r: _product(factors, r), label)
+        rep = _sup_scan(lambda r: _product(factors, r, brackets), label)
     for r_end, limit in limits:  # a limit that beats the scan is the supremum
         if limit - rep.sup_value > _FLAT_SPREAD * abs(rep.sup_value):
             rep.sup_value, rep.argmax_r = limit, r_end
@@ -208,27 +242,31 @@ def _scan(factors: _Factors, label: str) -> ConditionReport:
     return rep
 
 
-def hardy_pair_condition(u: Weight, v: Weight, s: Weight, w: Weight,
-                         exps: ExponentSet) -> Tuple[ConditionReport, ConditionReport]:
+def hardy_pair_condition(u: Weight, v: Weight, s: Weight, w: Weight, exps: ExponentSet,
+                         brackets: Optional[BracketTable] = None
+                         ) -> Tuple[ConditionReport, ConditionReport]:
     """The two Hardy-type supremum conditions.
 
     First:  sup_r (int_0^(1/r) u w^(q/a'))^(1/q) (int_0^r v^(1-p') s^(p'/a'))^(1/p')
     Second: sup_r (int_(1/r)^inf u w^(q(1/a'-1/2)))^(1/q)
                   (int_r^inf v^(1-p') s^(p'(1/a'-1/2)))^(1/p')
+
+    ``brackets`` is the config's table (a new one when not given).
     """
+    brackets = BracketTable() if brackets is None else brackets
     q, p_prime, a_prime = exps.q, exps.p_prime, exps.a_prime
     inv_a = 0.0 if math.isinf(a_prime) else 1.0 / a_prime
 
-    c_a1 = Weight.product([(u, 1.0), (w, q * inv_a)])
-    c_b1 = Weight.product([(v, 1.0 - p_prime), (s, p_prime * inv_a)])
+    c_a1 = brackets.product([(u, 1.0), (w, q * inv_a)])
+    c_b1 = brackets.product([(v, 1.0 - p_prime), (s, p_prime * inv_a)])
     rep1 = _scan([([_Term(c_a1, inverted=True)], 1.0 / q), ([_Term(c_b1)], 1.0 / p_prime)],
-                 "hardy_condition_1")
+                 "hardy_condition_1", brackets)
 
-    c_a2 = Weight.product([(u, 1.0), (w, q * (inv_a - 0.5))])
-    c_b2 = Weight.product([(v, 1.0 - p_prime), (s, p_prime * (inv_a - 0.5))])
+    c_a2 = brackets.product([(u, 1.0), (w, q * (inv_a - 0.5))])
+    c_b2 = brackets.product([(v, 1.0 - p_prime), (s, p_prime * (inv_a - 0.5))])
     rep2 = _scan([([_Term(c_a2, upper=True, inverted=True)], 1.0 / q),
                   ([_Term(c_b2, upper=True)], 1.0 / p_prime)],
-                 "hardy_condition_2")
+                 "hardy_condition_2", brackets)
     return rep1, rep2
 
 
@@ -237,10 +275,11 @@ _GLUED_GRID = np.geomspace(1e-3, 1e3, 40)
 _GLUED_GRID.flags.writeable = False
 
 
-def glued_condition(u: Weight, v: Weight, s: Weight, w: Weight,
-                    exps: ExponentSet) -> ConditionReport:
+def glued_condition(u: Weight, v: Weight, s: Weight, w: Weight, exps: ExponentSet,
+                    brackets: Optional[BracketTable] = None) -> ConditionReport:
     """The single four-term supremum equivalent (under the s-w duality
-    s(x) w(1/x) comparable to 1, a = 1) to the simultaneous Hardy pair."""
+    s(x) w(1/x) comparable to 1, a = 1) to the simultaneous Hardy pair; its
+    four brackets are the pair's."""
     if not math.isinf(exps.a_prime):
         raise ValueError("the glued condition applies to a = 1")
     ratio = np.asarray(s(_GLUED_GRID), dtype=float) * np.asarray(w(1.0 / _GLUED_GRID), dtype=float)
@@ -248,24 +287,26 @@ def glued_condition(u: Weight, v: Weight, s: Weight, w: Weight,
         raise InverseRelationViolated(
             f"s(x) w(1/x) ranges over [{ratio.min():.3g}, {ratio.max():.3g}]")
 
+    brackets = BracketTable() if brackets is None else brackets
     q, p_prime = exps.q, exps.p_prime
     # (int_0^t v^(1-p') + s(t)^(p'/2) int_t^inf v^(1-p') s^(-p'/2))^(1/p')
-    b1 = [_Term(Weight.product([(v, 1.0 - p_prime)])),
-          _Term(Weight.product([(v, 1.0 - p_prime), (s, -0.5 * p_prime)]), upper=True,
+    b1 = [_Term(brackets.product([(v, 1.0 - p_prime)])),
+          _Term(brackets.product([(v, 1.0 - p_prime), (s, -0.5 * p_prime)]), upper=True,
                 weight=s, weight_power=0.5 * p_prime)]
     # (w(1/t)^(q/2) int_(1/t)^inf u w^(-q/2) + int_0^(1/t) u)^(1/q)
-    b2 = [_Term(Weight.product([(u, 1.0), (w, -0.5 * q)]), upper=True, inverted=True,
+    b2 = [_Term(brackets.product([(u, 1.0), (w, -0.5 * q)]), upper=True, inverted=True,
                 weight=w, weight_power=0.5 * q),
           _Term(u, inverted=True)]
-    return _scan([(b1, 1.0 / p_prime), (b2, 1.0 / q)], "glued")
+    return _scan([(b1, 1.0 / p_prime), (b2, 1.0 / q)], "glued", brackets)
 
 
-def lorentz_necessity_condition(u: Weight, v: Weight, s: Weight,
-                                exps: ExponentSet) -> ConditionReport:
+def lorentz_necessity_condition(u: Weight, v: Weight, s: Weight, exps: ExponentSet,
+                                brackets: Optional[BracketTable] = None) -> ConditionReport:
     """sup_r (int_0^(1/r) u)^(1/q) (int_0^r v)^(-1/p) (int_0^r s)."""
     return _scan([([_Term(u, inverted=True)], 1.0 / exps.q),
                   ([_Term(v)], -1.0 / exps.p),
-                  ([_Term(s)], 1.0)], "lorentz_necessity")
+                  ([_Term(s)], 1.0)], "lorentz_necessity",
+                 BracketTable() if brackets is None else brackets)
 
 
 # ---------------------------------------------------------------------------

@@ -250,12 +250,23 @@ def _struve_h_laplace(alpha: float, x: np.ndarray) -> np.ndarray:
     s = x t the integrand is e^(-s) times a function whose nearest
     singularity lies at distance x >= 12 from the real axis, so the
     Gauss-Laguerre rule sums it to rounding (the secondary series DLMF
-    11.6.1 that this integral expands into is 7e-11 off at x = 20)."""
+    11.6.1 that this integral expands into is 7e-11 off at x = 20).  Where
+    (x/2)^alpha overflows (x = 1e4 from alpha = 84 on), the small ``lead``
+    multiplies its square root before the second factor; where that
+    overflows too, so does the value at every order ``_check_order``
+    admits."""
     laplace = np.zeros_like(x)
     for s, w in zip(_LAGUERRE_NODES, _LAGUERRE_WEIGHTS):
         laplace += w * (1.0 + (s / x) ** 2) ** (alpha - 0.5)
     lead = 2.0 / math.gamma(alpha + 0.5) / (math.gamma(0.5) * x)
-    return lead * (0.5 * x) ** alpha * laplace
+    with np.errstate(over="ignore"):
+        power = (0.5 * x) ** alpha
+        out = lead * power * laplace
+        big = np.isinf(power)
+        if np.any(big):
+            half = (0.5 * x[big]) ** (0.5 * alpha)
+            out[big] = lead[big] * half * half * laplace[big]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +323,9 @@ def struve_h(alpha: float, x):
 def struve_h_error(alpha: float, x):
     """Absolute error bound of ``struve_h(alpha, x)`` for the same batch x,
     per branch as for ``bessel_j_error``, with 8 eps for the series' power,
-    gamma values and cast, and for the Laplace term's rounding."""
+    gamma values and cast, and for the Laplace term's rounding: max(8,
+    |alpha - 1/2|) eps there, since each of its terms raises the rounded
+    1 + (s/x)^2 to the power alpha - 1/2."""
     def small(a):
         t0 = 1.0 / (math.gamma(1.5) * math.gamma(alpha + 1.5))
         return (t0 * (0.5 * a) ** (alpha + 1.0) * _series_rounding(1.5, alpha, a)
@@ -321,7 +334,8 @@ def struve_h_error(alpha: float, x):
     def large(a):
         val, err = _far_sum(_struve_far_field(alpha), a)
         laplace = _struve_h_laplace(alpha, a)
-        return err + _EPS * np.abs(val + laplace) + 8.0 * _EPS * np.abs(laplace)
+        return (err + _EPS * np.abs(val + laplace)
+                + max(8.0, abs(alpha - 0.5)) * _EPS * np.abs(laplace))
     return _dispatch(x, alpha, small, large)
 
 

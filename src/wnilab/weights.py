@@ -3,9 +3,11 @@ general-monotonicity checks and admissibility predicates.
 
 Weights and test functions are piecewise powers, so values, products,
 moments, absolute integrals and weight integrals all have exact closed
-forms.  Both are immutable once built, apart from the segment sums a weight
-fills on its first ``integral`` read (the same arrays whichever thread fills
-them), and safe to share across threads.
+forms.  Both are immutable once built, apart from a weight's segments and
+their prefix and suffix sums: its first ``integral`` read fills them with
+its own partial segments in one ``power_moment`` batch, or ``total`` fills
+them alone (the same arrays either way, whichever thread fills them).  So
+both are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class Weight:
         self.exponent_at_zero, self.exponent_at_infinity = exponent_at_zero, exponent_at_infinity
         self.diverges_at_zero = exponent_at_zero <= -1.0 + 1e-12
         self.diverges_at_infinity = exponent_at_infinity >= -1.0 - 1e-12
-        self._prefix = None
+        self._edges = self._prefix = None
 
     @classmethod
     def power(cls, exponent: float, coefficient: float = 1.0) -> "Weight":
@@ -82,8 +84,10 @@ class Weight:
     def product(cls, factors: Sequence[Tuple["Weight", float]]) -> "Weight":
         """prod w^p over the factors (w, p): at the union of their nodes
         (the node 1 without any) its values are prod w(node)^p and its
-        log-values sum p log w(node)."""
+        log-values sum p log w(node).  One factor at power 1 is that weight."""
         factors = [(w, float(p)) for w, p in factors if p != 0.0]
+        if len(factors) == 1 and factors[0][1] == 1.0:
+            return factors[0][0]
         nodes = np.asarray(sorted(set().union(*(w.nodes for w, _ in factors))) or [1.0])
         values, log_values = np.ones_like(nodes), np.zeros_like(nodes)
         with np.errstate(all="ignore"):  # weights with zeros
@@ -120,16 +124,15 @@ class Weight:
 
     # -- closed-form integrals ---------------------------------------------
 
-    def _fill_segments(self) -> None:
+    def _fill_layout(self) -> None:
         """Segment j runs from _edges[j] to _edges[j + 1]; on it w(x) = w(c)
         (x/c)^_exponents[j] with c = _anchors[j], a node: the outer segments
         take the end exponents, an inner one the log-ratio of the values at
-        its nodes.  Filled on the first read, with the prefix and suffix sums
-        of the full segments (nonnegative terms); a second fill is the same."""
-        if self._prefix is not None:
+        its nodes.  Filled on the first read or ``total``; a second fill is
+        the same."""
+        if self._edges is not None:
             return
         nodes = np.asarray(self.nodes)
-        self._edges = np.concatenate([[0.0], nodes, [math.inf]])
         self._anchors = np.concatenate([nodes[:1], nodes])
         with np.errstate(all="ignore"):
             log_w = np.concatenate([self.log_values[:1], self.log_values])
@@ -137,9 +140,23 @@ class Weight:
             inner = np.diff(self.log_values) / np.diff(np.log(nodes))
         self._exponents = np.concatenate([[self.exponent_at_zero], inner,
                                           [self.exponent_at_infinity]])
-        full = self._segment(np.arange(len(self._anchors)), self._edges[:-1], self._edges[1:])
+        self._edges = np.concatenate([[0.0], nodes, [math.inf]])
+
+    def _partial(self, j: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The segments j from a to b.  The first call takes every full
+        segment into the same ``power_moment`` batch (elementwise, so the
+        values are those of separate batches) and fills their prefix and
+        suffix sums (nonnegative terms); a second fill is the same."""
+        if self._prefix is not None:
+            return self._segment(j, a, b)
+        n = len(self._anchors)
+        both = self._segment(np.concatenate([np.arange(n), np.ravel(j)]),
+                             np.concatenate([self._edges[:-1], np.ravel(a)]),
+                             np.concatenate([self._edges[1:], np.ravel(b)]))
+        full, part = both[:n], both[n:]
         self._suffix = np.append(np.cumsum(full[::-1])[::-1], 0.0)
         self._prefix = np.concatenate([[0.0], np.cumsum(full)])
+        return part.reshape(np.shape(j))
 
     def _segment(self, j: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         c = self._anchors[j]
@@ -148,23 +165,29 @@ class Weight:
 
     def integral(self, x, upper: bool = False) -> np.ndarray:
         """integral_0^x w, or integral_x^inf w if ``upper``, at each x of an
-        array: a prefix or suffix sum plus one partial segment.  A read that
-        integrates from a non-integrable end (``diverges_at_zero``: end
-        exponent <= -1 + 1e-12; ``diverges_at_infinity``: >= -1 - 1e-12) is
-        inf."""
+        array: a prefix or suffix sum plus one partial segment, all partial
+        segments of the read in one ``power_moment`` batch (``_partial``).  A
+        read that integrates from a non-integrable end (``diverges_at_zero``:
+        end exponent <= -1 + 1e-12; ``diverges_at_infinity``: >= -1 - 1e-12)
+        is inf."""
         x = np.asarray(x, dtype=float)
         if self.diverges_at_infinity if upper else self.diverges_at_zero:
             return np.full(x.shape, math.inf)
-        self._fill_segments()
+        self._fill_layout()
         j = np.minimum(np.searchsorted(self._edges, x, side="right") - 1, len(self._anchors) - 1)
+        # The partial segments first: the first read fills the sums with them.
         if upper:
-            return self._suffix[j + 1] + self._segment(j, x, self._edges[j + 1])
-        return self._prefix[j] + self._segment(j, self._edges[j], x)
+            part = self._partial(j, x, self._edges[j + 1])
+            return self._suffix[j + 1] + part
+        part = self._partial(j, self._edges[j], x)
+        return self._prefix[j] + part
 
     @property
     def total(self) -> np.float64:
         """integral_0^inf w (inf where an end diverges)."""
-        self._fill_segments()
+        if self._prefix is None:
+            self._fill_layout()
+            self._partial(np.zeros(0, dtype=int), np.zeros(0), np.zeros(0))
         return self._prefix[-1]
 
     def end_coefficient(self, at_infinity: bool) -> np.float64:

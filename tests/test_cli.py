@@ -11,9 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 from wnilab.cli import (ConfigError, ExperimentConfig, FitDegenerate, RatioRecord,
                         _write_json, compute_ratio_records, fit_growth, main,
                         run_conditions, verify_summary)
-from wnilab import cli, transforms
+from wnilab import cli, conditions as cond, transforms
 from wnilab.kernels import KERNELS
 from wnilab.transforms import _PRESETS
+from wnilab.weights import ExponentSet, Weight
 
 
 def _modelmin_config(beta=0.25, gamma=0.25, points=7, extra=None):
@@ -533,3 +534,74 @@ def test_json_writer_refuses_what_the_stdlib_refuses(tmp_path, doc):
         json.dumps(doc, indent=2, sort_keys=True, allow_nan=True)
     with pytest.raises(TypeError):
         _write_json(tmp_path / "doc.json", doc)
+
+
+# u tabulated from a piecewise power with a kink at 1, on the relation with
+# v: every scan of a config with it zooms in on an interior maximum.
+_TAB_XS = np.geomspace(1e-3, 1e3, 121)
+_TAB_U = {"form": "tabulated", "x": _TAB_XS.tolist(),
+          "y": np.where(_TAB_XS <= 1.0, _TAB_XS ** -0.6, _TAB_XS ** -0.4).tolist()}
+_PW_V = {"form": "piecewise_power", "a1": 0.4, "a2": 0.6}
+_SHARED_TABLE_DOCS = {
+    f"{name}-a{a:g}": _hankel_conditions_doc(exponents={"p": 2.0, "q": 2.0, "a": a},
+                                             weights=weights)
+    for a in (1.0, 2.0)
+    for name, weights in [
+        ("power", {"beta": 0.25, "gamma": 0.25}),
+        ("piecewise-exponents", {"beta1": 0.3, "beta2": 0.2, "gamma1": 0.3, "gamma2": 0.2}),
+        ("tabulated-u", {"u": _TAB_U, "v": _PW_V}),
+        ("piecewise-uv", {"u": {"form": "piecewise_power", "a1": -0.6, "a2": -0.4}, "v": _PW_V}),
+    ]}
+
+
+def _conditions_alone(doc):
+    """The condition blocks of ``run_conditions(doc)`` from the three
+    condition functions called alone, each with a table of its own."""
+    e, wts = doc["exponents"], doc["weights"]
+    exps = ExponentSet(p=e["p"], q=e["q"], a=e["a"])
+    if "u" in wts:
+        u, v = Weight.from_descriptor(wts["u"]), Weight.from_descriptor(wts["v"])
+    elif "beta1" in wts:
+        u = Weight.piecewise_power(-wts["beta2"] * exps.q, -wts["beta1"] * exps.q)
+        v = Weight.piecewise_power(wts["gamma1"] * exps.p, wts["gamma2"] * exps.p)
+    else:
+        u, v = Weight.power(-wts["beta"] * exps.q), Weight.power(wts["gamma"] * exps.p)
+    delta = cli._build_transform(doc["transform"]).b0
+    s, w = Weight.power(delta), Weight.power(delta)
+    inv_ap = 0.0 if math.isinf(exps.a_prime) else 1.0 / exps.a_prime
+    inv_a = 0.0 if math.isinf(exps.a) else 1.0 / exps.a
+    rep1, rep2 = cond.hardy_pair_condition(u, v, s, w, exps)
+    out = {"hardy_condition_1": rep1.to_dict(), "hardy_condition_2": rep2.to_dict()}
+    if exps.a == 1.0:
+        out["glued"] = cond.glued_condition(u, v, s, w, exps).to_dict()
+    out["lorentz_necessity"] = cond.lorentz_necessity_condition(
+        Weight.product([(u, 1.0), (w, exps.q * inv_ap)]),
+        Weight.product([(v, 1.0), (s, exps.p * inv_a)]), s, exps).to_dict()
+    return out
+
+
+def _condition_blocks(doc):
+    return json.dumps({k: doc[k] for k in ("hardy_condition_1", "hardy_condition_2", "glued",
+                                           "lorentz_necessity") if k in doc})
+
+
+@pytest.mark.parametrize("name", list(_SHARED_TABLE_DOCS))
+def test_shared_bracket_table_changes_no_report(name):
+    # run_conditions shares one bracket table among the Hardy pair, the
+    # glued and the Lorentz conditions; each called alone builds and reads
+    # its own.  The reports are the same to the bit, zoomed scans included.
+    doc = _SHARED_TABLE_DOCS[name]
+    got = run_conditions(doc)
+    assert _condition_blocks(got) == _condition_blocks(_conditions_alone(doc))
+    if name.startswith("tabulated-u"):
+        assert any(0.0 < (got[k].get("argmax_r") or 0.0) < math.inf
+                   for k in ("hardy_condition_1", "lorentz_necessity"))
+
+
+def test_bracket_tables_do_not_outlive_their_config():
+    # A config run after another reads the same reports as run first.
+    first, second = _SHARED_TABLE_DOCS["tabulated-u-a2"], _SHARED_TABLE_DOCS["power-a1"]
+    fresh = _condition_blocks(run_conditions(second))
+    run_conditions(first)
+    assert _condition_blocks(run_conditions(second)) == fresh
+    assert _condition_blocks(run_conditions(first)) == _condition_blocks(_conditions_alone(first))

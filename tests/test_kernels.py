@@ -140,6 +140,17 @@ def test_struve_high_orders_against_mpmath(alpha):
     assert np.max(np.abs(struve_h(alpha, xs) - ref) / np.abs(ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("alpha", [100.0, 140.0])
+def test_struve_large_order_large_argument_stays_finite(alpha):
+    # (x/2)^alpha overflows at x = 1e4 while H_alpha(x) does not (9.5e208
+    # at alpha = 100): the value is finite and within its error bound.
+    x = 1e4
+    got, err = struve_h(alpha, x), struve_h_error(alpha, x)
+    with mpmath.workdps(50):
+        exact = mpmath.struveh(alpha, x)
+        assert math.isfinite(got) and abs(mpmath.mpf(got) - exact) <= err
+
+
 @pytest.mark.parametrize("kind", ["bessel_j", "struve_h"])
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 8.0])
 def test_kernel_error_bound_against_mpmath(kind, alpha):

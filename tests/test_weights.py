@@ -78,6 +78,34 @@ def test_product_of_tabulated_and_power_is_the_product_of_its_factors():
     np.testing.assert_allclose(prod(xs), tab(xs) ** 2 * power(xs), rtol=1e-15)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Weight.tabulated([0.2, 0.7, 3.0, 9.0], [0.5, 1.3, 0.8, 0.02]),
+    lambda: Weight.product([(Weight.tabulated([0.2, 0.7, 3.0, 9.0], [0.5, 1.3, 0.8, 2.0]), 2.0),
+                            (Weight.piecewise_power(-0.4, -7.0), 1.0)]),
+], ids=["tabulated", "product"])
+@pytest.mark.parametrize("upper", [False, True])
+def test_weight_integral_does_not_depend_on_read_order(make, upper):
+    # The first read fills the segment sums in the batch of its own partial
+    # segments; ``total`` alone fills only the sums.  Either way every read
+    # and the total are the same to the bit.
+    xs = np.concatenate([np.geomspace(1e-3, 1e3, 37), [0.2, 0.7, 1.0, 3.0, 9.0]])
+    first = make()
+    read_first = first.integral(xs, upper)
+    total_after = first.total
+    second = make()
+    total_first = second.total
+    np.testing.assert_array_equal(second.integral(xs, upper), read_first)
+    assert total_first == total_after and math.isfinite(total_first)
+    assert first.integral(0.5, upper) == make().integral(0.5, upper)
+
+
+def test_product_of_one_weight_at_power_one_is_that_weight():
+    w = Weight.tabulated([0.2, 0.7, 3.0], [0.5, 1.3, 0.8])
+    assert Weight.product([(w, 1.0)]) is w
+    assert Weight.product([(w, 1.0), (Weight.power(2.0), 0.0)]) is w
+    assert Weight.product([(w, 2.0)]) is not w
+
+
 def test_weight_integral_filled_once_across_threads():
     # The segment sums are filled on the first read; threads racing on that
     # fill read the same values as one thread alone.
