@@ -25,7 +25,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -90,8 +90,7 @@ class ExperimentConfig:
             # Tolerance of the outer norm integral over y.  Its integrand
             # carries the squared transform's oscillations; multi-period panels
             # measure the mean with sub-percent aliasing noise, so percent-level
-            # tolerance here avoids resolving every oscillation while leaving
-            # the ratio diagnostics (thresholds 50x and 10x) untouched.
+            # tolerance here avoids resolving every oscillation.
             norm_rel = float(qc.get("norm_rel_tol", 1e-2))
         norm = doc.get("normalization", "power")
         if norm not in ("power", "sw"):
@@ -101,6 +100,13 @@ class ExperimentConfig:
             raise ConfigError(f"growth_model must be 'power' or 'log', got {model!r}")
         return cls(str(doc.get("experiment_id", "experiment")), transform, exps,
                    beta, gamma, family, norm, lhs_domain, quad, norm_rel, model)
+
+    @property
+    def power_exponents(self) -> Tuple[float, float]:
+        """(beta, gamma) in the plain power normalization the ratio uses."""
+        if self.normalization == "sw":
+            return _sw_fold(self.transform, self.exps, self.beta, self.gamma)
+        return self.beta, self.gamma
 
 
 @contextmanager
@@ -128,6 +134,20 @@ def _power_exponents(wts: dict) -> Tuple[float, float]:
     return float(wts["beta"]), float(wts["gamma"])
 
 
+def _sw_powers(exps: ExponentSet) -> Tuple[float, float]:
+    """(1/a', 1/a), each 0 where infinite: the powers of w and s in the
+    two-factor setting ||u^(1/q) w^(1/a') Ff||_q <= ||v^(1/p) s^(1/a) f||_p."""
+    return tuple(0.0 if math.isinf(t) else 1.0 / t for t in (exps.a_prime, exps.a))
+
+
+def _sw_fold(spec: tr.TransformSpec, exps: ExponentSet, beta: float,
+             gamma: float) -> Tuple[float, float]:
+    """(beta - b0/a', gamma + b0/a): the two-factor setting's u = y^(-beta q),
+    v = x^(gamma p), s = w = x^b0 in the plain power normalization."""
+    inv_ap, inv_a = _sw_powers(exps)
+    return beta - spec.b0 * inv_ap, gamma + spec.b0 * inv_a
+
+
 def _build_transform(desc: dict) -> tr.TransformSpec:
     """The preset named by a transform block; every other key of the block
     is one of the preset's parameters."""
@@ -140,17 +160,11 @@ def _build_transform(desc: dict) -> tr.TransformSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _log_grid(desc: dict) -> np.ndarray:
-    return np.geomspace(float(desc["start"]), float(desc["stop"]),
-                        int(desc["points"]))
-
-
 def _build_family(desc: dict) -> List[Tuple[float, TestFunction]]:
     kind = desc.get("kind")
     if kind == "truncated_power":
-        sigma = float(desc.get("sigma", 0.0))
-        side = desc.get("side", "left")
-        grid = _log_grid(desc["grid"])
+        sigma, side, g = float(desc.get("sigma", 0.0)), desc.get("side", "left"), desc["grid"]
+        grid = np.geomspace(float(g["start"]), float(g["stop"]), int(g["points"]))
         return [(float(r), make_truncated_power(sigma, float(r), side)) for r in grid]
     if kind == "log_counterexample":
         b01 = float(desc.get("b0_plus_b1", 0.0))
@@ -173,12 +187,8 @@ def _lhs_norm(cfg: ExperimentConfig, f: TestFunction) -> Tuple[float, float]:
     """The outer norm and its error: panels on a window [y0, y1] of the lhs
     domain, the ends of (0, inf) in closed form (``_lower_tail``,
     ``_upper_tail``)."""
-    spec, exps = cfg.transform, cfg.exps
-    q = exps.q
-    w_extra = 0.0
-    if cfg.normalization == "sw" and not math.isinf(exps.a_prime):
-        w_extra = spec.b0 / exps.a_prime
-    u_exp = q * (w_extra - cfg.beta)
+    spec, q = cfg.transform, cfg.exps.q
+    u_exp = -q * cfg.power_exponents[0]
 
     def integrand(ys):
         ys = np.asarray(ys, dtype=float)
@@ -187,9 +197,7 @@ def _lhs_norm(cfg: ExperimentConfig, f: TestFunction) -> Tuple[float, float]:
 
     # The norm integrand is nonnegative: no cancellation can fool the error
     # estimator, so adaptive panels are reliable.
-    outer = QuadratureConfig(rel_tol=max(cfg.quadrature.rel_tol, cfg.norm_rel_tol),
-                             abs_tol=cfg.quadrature.abs_tol,
-                             max_panels=cfg.quadrature.max_panels)
+    outer = replace(cfg.quadrature, rel_tol=max(cfg.quadrature.rel_tol, cfg.norm_rel_tol))
     share = _END_SHARE * outer.rel_tol
     (y0, y1), val, err, bound = cfg.lhs_domain, 0.0, 0.0, 0.0
     if y0 == 0.0:
@@ -252,12 +260,8 @@ def _upper_tail(cfg: ExperimentConfig, f: TestFunction, u: float,
 
 
 def _rhs_norm(cfg: ExperimentConfig, f: TestFunction) -> Tuple[float, float]:
-    exps = cfg.exps
-    p = exps.p
-    s_extra = 0.0
-    if cfg.normalization == "sw":
-        s_extra = cfg.transform.b0 / exps.a if not math.isinf(exps.a) else 0.0
-    mu = p * (cfg.gamma + s_extra)
+    p = cfg.exps.p
+    mu = p * cfg.power_exponents[1]
     total = sum(abs(piece.coef) ** p * power_moment(mu + p * piece.exponent, piece.lo, piece.hi)
                 for piece in f.pieces)
     return (total ** (1.0 / p), 0.0) if math.isfinite(total) else (math.inf, 0.0)
@@ -284,67 +288,78 @@ def compute_ratio_records(cfg: ExperimentConfig) -> List[RatioRecord]:
     return records
 
 
-_BOUNDED_MAX_OVER_MEDIAN = 50.0
-_TREND_DECADES = 3
-_TREND_FACTOR = 10.0
+def dilation_exponent(cfg: ExperimentConfig) -> Optional[float]:
+    """kappa with ratio(r) = ratio(1) r^kappa, or None: every truncated-power
+    member is a dilation of one f and every preset kernel is phi(xy), so on
+    the lhs domain (0, inf) kappa = b - g - (c0 - b0 + 1/q - 1/p') for the
+    power-normalized (b, g), 0 on the paper's exponent relation."""
+    if cfg.lhs_domain != (0.0, math.inf) or any(
+            f.family != "truncated_power" for _, f in cfg.family):
+        return None
+    beta, gamma = cfg.power_exponents
+    return beta - gamma - cond._relation_offset(cfg.transform, cfg.exps)
 
 
 def verify_summary(cfg: ExperimentConfig, records: Sequence[RatioRecord]) -> dict:
-    usable = [r for r in records if r.note == "" and math.isfinite(r.ratio)]
-    ratios = np.asarray([r.ratio for r in usable])
-    out = {
+    """Ratio statistics, growth fit and ``bounded``: no row's lhs diverges,
+    and the dilation exponent is 0 or, for any other family, the fitted
+    exponent is 0 within its bar (null with nothing to judge by)."""
+    ratios = [r.ratio for r in records if r.note == "" and math.isfinite(r.ratio)]
+    max_ratio, median = (max(ratios), float(np.median(ratios))) if ratios else (None, None)
+    kappa = dilation_exponent(cfg)
+    try:
+        fit = fit_growth(records, cfg.growth_model)
+    except FitDegenerate:
+        fit = dict.fromkeys(_FIT_FIELDS)
+    divergent = any(r.note.startswith("lhs divergent") for r in records)
+    if kappa is not None and (ratios or divergent):
+        source, flat = "dilation_exponent", abs(kappa) <= cond.EXPONENT_TOLERANCE
+    elif fit["fitted_exponent"] is not None:
+        source, flat = "fit", abs(fit["fitted_exponent"]) <= fit["fitted_exponent_err"]
+    else:
+        source, flat = None, None
+    return {
         "experiment_id": cfg.experiment_id,
         "transform": cfg.transform.name,
         "normalization": cfg.normalization,
         "p": cfg.exps.p, "q": cfg.exps.q, "a": cfg.exps.a,
         "beta": cfg.beta, "gamma": cfg.gamma,
-        "rows": len(records), "rows_used": len(usable),
-        "rows_skipped": len(records) - len(usable),
+        "rows": len(records), "rows_used": len(ratios),
+        "rows_skipped": len(records) - len(ratios),
+        "max_ratio": max_ratio, "median_ratio": median,
+        "max_over_median": None if max_ratio is None else max_ratio / median if median > 0 else math.inf,
+        "dilation_exponent": kappa, "verdict_source": source,
+        "bounded": False if divergent else flat,
+        **{k: fit[k] for k in _FIT_FIELDS},
     }
-    if len(usable) == 0:
-        out.update({"max_ratio": None, "median_ratio": None,
-                    "max_over_median": None, "bounded": None, "unbounded_trend": None})
-        return out
-    max_ratio = float(np.max(ratios))
-    median = float(np.median(ratios))
-    out["max_ratio"] = max_ratio
-    out["median_ratio"] = median
-    out["max_over_median"] = max_ratio / median if median > 0 else math.inf
-    out["bounded"] = bool(median > 0 and max_ratio / median <= _BOUNDED_MAX_OVER_MEDIAN)
-    out["unbounded_trend"] = _unbounded_trend(usable)
-    return out
-
-
-def _unbounded_trend(usable: Sequence[RatioRecord]) -> bool:
-    """Monotone ratio growth across the last _TREND_DECADES decades of the
-    parameter grid by a total factor of at least _TREND_FACTOR."""
-    rows = sorted(usable, key=lambda r: r.param)
-    pmax = rows[-1].param
-    window = [r for r in rows if r.param >= pmax / 10.0 ** _TREND_DECADES]
-    ratios = [r.ratio for r in window]
-    if len(window) < 3 or ratios[0] <= 0.0:
-        return False
-    monotone = all(b >= a * 0.99 for a, b in zip(ratios[:-1], ratios[1:]))
-    return bool(monotone and ratios[-1] >= _TREND_FACTOR * ratios[0])
 
 
 class FitDegenerate(Exception):
     """Fewer than 4 usable rows for a growth fit."""
 
 
+# The fields of a growth fit that both verify and probe-sharpness write.
+_FIT_FIELDS = ("model", "fitted_exponent", "fitted_exponent_err", "intercept")
+
+
 def fit_growth(records: Sequence[RatioRecord], model: str) -> dict:
+    """Least-squares slope of log ratio against x = log r (``power``) or
+    log log N (``log``), with the bar sum |d_i| e_i / sum d_i^2 (d_i = x_i
+    - mean x, e_i = lhs_err_i / lhs_i + rhs_err_i / rhs_i) by which the rows'
+    relative errors can move it."""
     usable = [r for r in records
               if r.note == "" and math.isfinite(r.ratio) and r.ratio > 0]
     if len(usable) < 4:
         raise FitDegenerate(f"only {len(usable)} usable rows")
-    params = np.asarray([r.param for r in usable])
-    ratios = np.asarray([r.ratio for r in usable])
-    if model == "log":
-        x = np.log(np.log(params))
-    else:
-        x = np.log(params)
+    params, ratios, rel = np.array(
+        [(r.param, r.ratio, r.lhs_err / r.lhs + r.rhs_err / r.rhs) for r in usable]).T
+    if model == "log" and np.any(params <= 1.0):
+        raise FitDegenerate("the log model needs every parameter above 1")
+    x = np.log(np.log(params)) if model == "log" else np.log(params)
     slope, intercept = np.polyfit(x, np.log(ratios), 1)
+    d = x - np.mean(x)
     return {"model": model, "fitted_exponent": float(slope),
+            "fitted_exponent_err": float(np.sum(np.abs(d) * rel) / np.sum(d * d)),
             "intercept": float(intercept), "rows_used": len(usable)}
 
 
@@ -376,11 +391,8 @@ def run_conditions(doc: dict) -> dict:
             u = Weight.power(-beta * exps.q)
             v = Weight.power(gamma * exps.p)
 
-    delta = transform.b0
-    s = Weight.power(delta)
-    w = Weight.power(delta)
-    inv_ap = 0.0 if math.isinf(exps.a_prime) else 1.0 / exps.a_prime
-    inv_a = 0.0 if math.isinf(exps.a) else 1.0 / exps.a
+    s, w = Weight.power(transform.b0), Weight.power(transform.b0)
+    inv_ap, inv_a = _sw_powers(exps)
 
     brackets = cond.BracketTable()
     rep1, rep2 = cond.hardy_pair_condition(u, v, s, w, exps, brackets)
@@ -407,11 +419,8 @@ def run_conditions(doc: dict) -> dict:
         brackets.product([(v, 1.0), (s, exps.p * inv_a)]), s, exps, brackets).to_dict()
 
     if beta is not None:
-        # Ranges live in the plain power normalization ||y^-b Ff||_q <=
-        # ||x^g f||_p; fold the s and w factors of the two-factor setting
-        # into the exponents before querying.
-        beta_pow = beta - delta * inv_ap
-        gamma_pow = gamma + delta * inv_a
+        # Ranges live in the plain power normalization.
+        beta_pow, gamma_pow = _sw_fold(transform, exps, beta, gamma)
         out["power_normalization_exponents"] = {"beta": beta_pow, "gamma": gamma_pow}
         try:
             suff, sharp = cond.power_pitt_range(transform, exps, beta_pow, gamma_pow)
@@ -537,7 +546,7 @@ def merge_report(artifacts: Sequence[Path], out_dir: Path) -> Tuple[Path, Path]:
             raise ConfigError(f"unknown artifact type {art}")
 
     verdicts = {d.get("experiment_id", ""): d for d in condition_docs}
-    bounded = {d.get("experiment_id", ""): d for d in summaries}
+    bounded = {d.get("experiment_id", ""): d.get("bounded") for d in summaries}
     merged_cols = _CSV_COLUMNS + ["pair_verdict", "consistent"]
     rows.sort(key=lambda r: (r.get("experiment_id", ""), float(r.get("param", "nan"))))
     out_csv = out_dir / "report.csv"
@@ -548,12 +557,13 @@ def merge_report(artifacts: Sequence[Path], out_dir: Path) -> Tuple[Path, Path]:
             eid = r.get("experiment_id", "")
             vd = verdicts.get(eid)
             pair = "" if vd is None else ("finite" if vd.get("pair_finite") else "divergent")
-            summ = bounded.get(eid)
             consistent = ""
-            if vd is not None and summ is not None and summ.get("bounded") is not None:
-                consistent = "CONSISTENT" if (vd.get("pair_finite") and summ["bounded"]) else \
-                    ("CONSISTENT" if (not vd.get("pair_finite") and not summ["bounded"])
-                     else "INCONSISTENT")
+            if vd is not None and bounded.get(eid) is not None:
+                # The sharp (iff) range where the document has one: the
+                # Hardy pair is only sufficient for some transforms.
+                sharp = vd.get("power_range_sharp")
+                holds = sharp["satisfied"] if sharp else vd.get("pair_finite")
+                consistent = "CONSISTENT" if bool(holds) == bounded[eid] else "INCONSISTENT"
             writer.writerow([r.get(c, "") for c in _CSV_COLUMNS] + [pair, consistent])
     out_json = out_dir / "report_summary.json"
     _write_json(out_json, {"rows": len(rows),
@@ -579,9 +589,7 @@ def _load_config(path: str) -> dict:
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.tol is not None:
         try:
-            cfg.quadrature = QuadratureConfig(rel_tol=args.tol,
-                                              abs_tol=cfg.quadrature.abs_tol,
-                                              max_panels=cfg.quadrature.max_panels)
+            cfg.quadrature = replace(cfg.quadrature, rel_tol=args.tol)
         except ValueError as exc:
             raise ConfigError(f"--tol {args.tol}: {exc}") from exc
     return cfg
@@ -599,8 +607,8 @@ def cmd_verify(args) -> int:
         line = f"  param={r.param:<12.6g} lhs={r.lhs:<14.8g} rhs={r.rhs:<14.8g} ratio={r.ratio:<12.6g}"
         print(line + (f"  [{r.note}]" if r.note else ""))
     print(f"max ratio {summary['max_ratio']}, median {summary['median_ratio']}, "
-          f"max/median {summary['max_over_median']}, bounded={summary['bounded']}, "
-          f"unbounded_trend={summary['unbounded_trend']}")
+          f"max/median {summary['max_over_median']}, bounded={summary['bounded']} "
+          f"({summary['verdict_source']})")
     bad = sum(1 for r in records if r.note.startswith("nonconvergent"))
     return 1 if bad > len(records) / 2 else 0
 
@@ -616,11 +624,10 @@ def cmd_probe_sharpness(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_records_csv(out_dir / f"{cfg.experiment_id}_records.csv", cfg, records)
-    doc = dict(fit)
-    doc["experiment_id"] = cfg.experiment_id
+    doc = dict(fit, experiment_id=cfg.experiment_id, dilation_exponent=dilation_exponent(cfg))
     _write_json(out_dir / f"{cfg.experiment_id}_growth.json", doc)
     print(f"model={fit['model']} fitted_exponent={fit['fitted_exponent']:.6g} "
-          f"rows={fit['rows_used']}")
+          f"+- {fit['fitted_exponent_err']:.2g} rows={fit['rows_used']}")
     return 0
 
 

@@ -92,18 +92,21 @@ def _eval_panels(f, lo: np.ndarray, hi: np.ndarray):
     return k15, err, resabs
 
 
-def _initial_panels(lo: float, hi: float) -> np.ndarray:
-    """Panel edges for [lo, hi], 0 < lo: geometric where the window spans
-    more than a factor of 4."""
-    if hi / lo <= 4.0:
-        return np.array([lo, hi])
-    return np.geomspace(lo, hi, math.ceil(math.log2(hi / lo)) + 1)
-
-
-def _refine(f, edges: np.ndarray, config: QuadratureConfig):
-    """Error-driven refinement of the panels between ``edges``.  Returns the
-    accepted panels (lo, hi, vals, errs) sorted by position, their total
-    and its error."""
+def integrate(f, interval: Tuple[float, float],
+              config: Optional[QuadratureConfig] = None) -> Tuple[float, float]:
+    """Integrate f over a finite window (lo, hi) with lo > 0 (0 where hi <=
+    lo) by error-driven refinement of its panels.  Returns (value,
+    error_estimate).  Raises NonConvergence when the panel budget is
+    exhausted."""
+    lo, hi = float(interval[0]), float(interval[1])
+    if not (0.0 < lo and hi < math.inf):
+        raise ValueError("integrate takes a finite window (lo, hi) with lo > 0")
+    if hi <= lo:
+        return 0.0, 0.0
+    config = config or QuadratureConfig()
+    # Geometric panels where the window spans more than a factor of 4.
+    edges = np.array([lo, hi]) if hi / lo <= 4.0 else np.geomspace(
+        lo, hi, math.ceil(math.log2(hi / lo)) + 1)
     if len(edges) - 1 > config.max_panels:
         raise NonConvergence(math.nan, math.inf,
                              f"initial panelization needs {len(edges)-1} panels > budget {config.max_panels}")
@@ -113,14 +116,13 @@ def _refine(f, edges: np.ndarray, config: QuadratureConfig):
 
     while True:
         # Pairwise sum in panel order, independent of refinement history.
-        order = np.argsort(plo, kind="stable")
-        total = float(np.sum(vals[order]))
+        total = float(np.sum(vals[np.argsort(plo, kind="stable")]))
         # The floor below which cancellation makes further refinement moot.
         floor = 100.0 * np.finfo(float).eps * float(np.sum(resabs))
         tol = max(config.abs_tol, config.rel_tol * abs(total), floor)
         toterr = float(np.sum(errs))
         if toterr <= tol:
-            return plo[order], phi[order], vals[order], errs[order], total, toterr
+            return total, toterr
         if len(plo) >= config.max_panels:
             raise NonConvergence(total, toterr)
         # Split every panel holding more than its fair share of the excess.
@@ -138,17 +140,3 @@ def _refine(f, edges: np.ndarray, config: QuadratureConfig):
         errs = np.concatenate([errs[keep], new_errs])
         resabs = np.concatenate([resabs[keep], new_resabs])
         plo, phi = new_lo, new_hi
-
-
-def integrate(f, interval: Tuple[float, float],
-              config: Optional[QuadratureConfig] = None) -> Tuple[float, float]:
-    """Integrate f over a finite window (lo, hi) with lo > 0 (0 where hi <=
-    lo).  Returns (value, error_estimate).  Raises NonConvergence when the
-    panel budget is exhausted."""
-    lo, hi = float(interval[0]), float(interval[1])
-    if not (0.0 < lo and hi < math.inf):
-        raise ValueError("integrate takes a finite window (lo, hi) with lo > 0")
-    if hi <= lo:
-        return 0.0, 0.0
-    *_, total, err = _refine(f, _initial_panels(lo, hi), config or QuadratureConfig())
-    return total, err

@@ -167,12 +167,16 @@ def _hankel_sw_config(beta, gamma, side, sigma, domain):
 
 def test_criterion_7_power_sharpness():
     # Inside the admissible range (relation satisfied) the family ratio is
-    # flat; at beta = 0.6 with gamma fixed the ratio must climb by a factor
+    # flat: the dilation exponent is 0 and the fitted one 0 within its bar.
+    # At beta = 0.6 with gamma fixed the dilation exponent is 0.35, the
+    # fitted one agrees within its bar, and the ratio must climb by a factor
     # of 10 over the last three decades.
     cfg_in = _hankel_sw_config(0.25, 0.25, "left", 0.0, None)
     rec_in = compute_ratio_records(cfg_in)
     s_in = verify_summary(cfg_in, rec_in)
-    ok_in = s_in["rows_used"] == 13 and s_in["max_over_median"] <= 50.0
+    ok_in = (s_in["rows_used"] == 13 and s_in["bounded"] is True
+             and s_in["dilation_exponent"] == 0.0
+             and abs(s_in["fitted_exponent"]) <= s_in["fitted_exponent_err"])
 
     cfg_out = _hankel_sw_config(0.6, 0.25, "left", 0.0, None)
     rec_out = compute_ratio_records(cfg_out)
@@ -181,10 +185,16 @@ def test_criterion_7_power_sharpness():
     window = [r.ratio for r in usable if r.param >= usable[-1].param / 1000.0]
     monotone = all(b >= a * 0.99 for a, b in zip(window[:-1], window[1:]))
     growth = window[-1] / window[0]
-    ok_out = monotone and growth >= 10.0 and s_out["unbounded_trend"]
+    kappa, slope = s_out["dilation_exponent"], s_out["fitted_exponent"]
+    ok_out = (monotone and growth >= 10.0 and s_out["bounded"] is False
+              and abs(kappa - 0.35) <= 1e-12
+              and abs(slope - kappa) <= s_out["fitted_exponent_err"])
     assert _line(7, ok_in and ok_out,
-                 f"in-range max/median {s_in['max_over_median']:.3f} (tol 50); "
-                 f"out-of-range growth x{growth:.1f} over 3 decades (need >=10, monotone={monotone})")
+                 f"in-range fitted exponent {s_in['fitted_exponent']:.2e} "
+                 f"(bar {s_in['fitted_exponent_err']:.1e}); out-of-range fitted "
+                 f"{slope:.6f} against dilation exponent {kappa:.6f} "
+                 f"(bar {s_out['fitted_exponent_err']:.1e}); growth x{growth:.1f} "
+                 f"over 3 decades (need >=10, monotone={monotone})")
 
 
 def test_criterion_8_log_sharpness():

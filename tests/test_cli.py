@@ -61,7 +61,9 @@ def test_modelmin_ratio_constant_on_relation():
     assert max(ratios) / min(ratios) < 1.01
     summary = verify_summary(cfg, records)
     assert summary["bounded"] is True
-    assert summary["unbounded_trend"] is False
+    assert summary["verdict_source"] == "dilation_exponent"
+    assert summary["dilation_exponent"] == 0.0
+    assert abs(summary["fitted_exponent"]) <= summary["fitted_exponent_err"]
 
 
 def test_table_that_cannot_be_built_is_a_nonconvergent_record(monkeypatch):
@@ -79,7 +81,10 @@ def test_modelmin_ratio_grows_off_relation():
     ratios = [r.ratio for r in sorted(usable, key=lambda r: r.param)]
     # dilation scaling gives ratio ~ r^(beta - gamma) = r^0.4
     assert ratios[-1] / ratios[0] == pytest.approx((1e2 / 1e-2) ** 0.4, rel=0.05)
-    assert verify_summary(cfg, records)["unbounded_trend"] is True
+    summary = verify_summary(cfg, records)
+    assert summary["bounded"] is False
+    assert summary["dilation_exponent"] == pytest.approx(0.4, abs=1e-12)
+    assert abs(summary["fitted_exponent"] - 0.4) <= summary["fitted_exponent_err"]
 
 
 def test_skipped_rows_for_zero_function():
@@ -105,11 +110,38 @@ def test_divergent_rhs_rows_are_skipped(tmp_path):
     assert all(line.endswith("rhs zero or infinite; skipped") for line in lines)
 
 
-def test_zero_ratios_are_no_unbounded_trend():
-    # 0 >= 10 * 0 holds, but a flat row of zeros does not grow.
-    cfg = ExperimentConfig.from_dict(_modelmin_config())
+def test_zero_ratios_are_no_growth():
+    # A row of zeros has no logarithm to fit: the dilation family keeps its
+    # closed-form verdict, and a family judged by its fit has none.
     rows = [RatioRecord(10.0 ** k, 0.0, 1.0, 0.0, 0.0, 0.0) for k in range(5)]
-    assert verify_summary(cfg, rows)["unbounded_trend"] is False
+    summary = verify_summary(ExperimentConfig.from_dict(_modelmin_config()), rows)
+    assert summary["max_ratio"] == 0.0 and summary["fitted_exponent"] is None
+    assert summary["bounded"] is True
+    cfg = ExperimentConfig.from_dict(_modelmin_config(extra={"lhs_domain": [0.5, 2.0]}))
+    summary = verify_summary(cfg, rows)
+    assert summary["dilation_exponent"] is None
+    assert summary["bounded"] is None and summary["verdict_source"] is None
+
+
+def test_fit_verdict_outside_the_dilation_setting():
+    # On a restricted lhs domain the ratio is no longer one power of r: the
+    # verdict is the fit's, a slope within its bar of 0.  A divergent row
+    # makes the family unbounded whatever the fit says.
+    cfg = ExperimentConfig.from_dict(_modelmin_config(extra={"lhs_domain": [0.5, 2.0]}))
+    flat = [RatioRecord(10.0 ** k, 1.0 + 1e-3 * (-1) ** k, 1.0, 1.0 + 1e-3 * (-1) ** k,
+                        2e-3, 0.0) for k in range(5)]
+    summary = verify_summary(cfg, flat)
+    assert summary["verdict_source"] == "fit" and summary["bounded"] is True
+    assert abs(summary["fitted_exponent"]) <= summary["fitted_exponent_err"]
+    grows = [RatioRecord(r.param, r.param ** 0.01, 1.0, r.param ** 0.01, 1e-3, 0.0)
+             for r in flat]
+    assert verify_summary(cfg, grows)["bounded"] is False
+    divergent = flat + [RatioRecord(1e5, math.inf, math.nan, math.inf, 0.0, 0.0,
+                                    "lhs divergent (y -> inf)")]
+    assert verify_summary(cfg, divergent)["bounded"] is False
+    # Fewer than 4 usable rows: the fit fields are null, not an error.
+    summary = verify_summary(cfg, flat[:3])
+    assert summary["fitted_exponent"] is None and summary["bounded"] is None
 
 
 def _weber_schafheitlin(lam):
@@ -182,6 +214,28 @@ def test_fit_growth_models_and_degenerate():
     assert fit["fitted_exponent"] == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(FitDegenerate):
         fit_growth(rows[:3], "power")
+    with pytest.raises(FitDegenerate):  # log log r is not real for r <= 1
+        fit_growth([RatioRecord(0.5 * 10.0 ** k, 1.0, 1.0, 1.0, 0, 0) for k in range(5)], "log")
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+       st.lists(st.floats(1e-6, 1e-2), min_size=6, max_size=6))
+def test_fit_bar_bounds_every_perturbation_within_the_rows_errors(signs, rel):
+    # Moving each log ratio by at most its relative error moves the slope by
+    # at most the bar, and the sign(d_i)-weighted move reaches it.
+    params = [10.0 ** k for k in range(-2, 4)]
+    exact = [RatioRecord(r, r ** 0.3, 1.0, r ** 0.3, e * r ** 0.3, 0.0)
+             for r, e in zip(params, rel)]
+    bar = fit_growth(exact, "power")["fitted_exponent_err"]
+    x = np.log(params)
+    d = x - x.mean()
+    for move in (np.asarray(signs) * rel, np.sign(d) * rel):
+        moved = [RatioRecord(r.param, 1.0, 1.0, r.ratio * math.exp(m), 0.0, 0.0)
+                 for r, m in zip(exact, move)]
+        shift = abs(fit_growth(moved, "power")["fitted_exponent"] - 0.3)
+        assert shift <= bar * (1.0 + 1e-9) + 1e-12
+    assert shift == pytest.approx(bar, rel=1e-6)
 
 
 def test_run_conditions_document():
@@ -301,7 +355,29 @@ def test_cli_end_to_end(tmp_path):
     assert rc == 0
     merged = (out / "report.csv").read_text().splitlines()
     assert merged[0].endswith("pair_verdict,consistent")
-    assert "CONSISTENT" in merged[1]
+    assert [line.split(",")[-1] for line in merged[1:]] == ["CONSISTENT"] * 5
+
+
+@pytest.mark.parametrize("name,bounded", [("hankel_verify_endpoint", False),
+                                          ("hankel_verify_inrange", True),
+                                          ("model_min_verify", True)])
+def test_shipped_verify_config_agrees_with_its_conditions(name, bounded, tmp_path):
+    # Each shipped verify config, checked by check-conditions under its own
+    # experiment_id, reads CONSISTENT on every row of the report, and its
+    # fitted exponent lies within its bar of the dilation exponent.
+    config = str(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json")
+    eid = json.loads(Path(config).read_text())["experiment_id"]
+    assert main(["verify", "--config", config, "--out", str(tmp_path)]) == 0
+    assert main(["check-conditions", "--config", config, "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / f"{eid}_summary.json").read_text())
+    assert summary["bounded"] is bounded
+    assert (abs(summary["fitted_exponent"] - summary["dilation_exponent"])
+            <= summary["fitted_exponent_err"])
+    assert main(["report", str(tmp_path / f"{eid}_records.csv"),
+                 str(tmp_path / f"{eid}_summary.json"),
+                 str(tmp_path / f"{eid}_conditions.json"), "--out", str(tmp_path)]) == 0
+    merged = (tmp_path / "report.csv").read_text().splitlines()[1:]
+    assert merged and all(line.split(",")[-1] == "CONSISTENT" for line in merged)
 
 
 def test_cli_probe_sharpness(tmp_path):
