@@ -26,7 +26,6 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import chain
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -416,7 +415,7 @@ def run_conditions(doc: dict) -> dict:
     # integrand.
     out["lorentz_necessity"] = cond.lorentz_necessity_condition(
         brackets.product([(u, 1.0), (w, exps.q * inv_ap)]),
-        brackets.product([(v, 1.0), (s, exps.p * inv_a)]), s, exps, brackets).to_dict()
+        brackets.product([(v, 1.0), (s, exps.p * inv_a)]), s, exps).to_dict()
 
     if beta is not None:
         # Ranges live in the plain power normalization.
@@ -472,7 +471,6 @@ _C_ENCODE = json.JSONEncoder(allow_nan=True).encode
 _encode_str = json.encoder.encode_basestring_ascii  # refuses a non-str key
 _LITERALS = {True: "true", False: "false", None: "null"}
 _NUMBER_TYPES = frozenset({int, float, bool, type(None)})
-_LIST_TYPES = frozenset({list, tuple})
 
 
 def _numbers(items) -> bool:
@@ -500,8 +498,8 @@ def _scalar(x) -> str:
 def _indented(x, nl: str) -> str:
     """``x`` as json.dumps(x, indent=2, sort_keys=True, allow_nan=True)
     writes it at the indent ``nl`` (a newline and the indent's spaces), for
-    str keys.  A list of numbers, or of non-empty lists of numbers, is one
-    C-encoder call re-indented by string replacement."""
+    str keys.  A list of numbers is one C-encoder call re-indented by string
+    replacement."""
     inner = nl + "  "
     if isinstance(x, dict):
         if not x:
@@ -514,11 +512,6 @@ def _indented(x, nl: str) -> str:
         return "[]"
     if _numbers(x):
         return "[" + inner + _C_ENCODE(x)[1:-1].replace(", ", "," + inner) + nl + "]"
-    if all(map(_LIST_TYPES.__contains__, map(type, x))) and all(x) and _numbers(chain(*x)):
-        deeper = inner + "  "
-        body = (_C_ENCODE(x)[2:-2].replace("], [", "\0").replace(", ", "," + deeper)
-                .replace("\0", inner + "]," + inner + "[" + deeper))
-        return "[" + inner + "[" + deeper + body + inner + "]" + nl + "]"
     return "[" + ",".join(inner + _indented(v, inner) for v in x) + nl + "]"
 
 

@@ -4,30 +4,27 @@ power ranges per transform, and the kernel additivity (Oinarov) diagnostic.
 
 Every weight is a piecewise power, and so is a product of weight powers
 (``Weight.product``): every bracket is the exact ``Weight.integral`` of
-one, a sum of closed-form power segments between its nodes, continued with
-its end exponents beyond them.
-
-One ``BracketTable`` per config builds each distinct bracket integrand
-once and reads each bracket on the scan grid once, for every condition of
-the config: at a = 1 the glued condition's brackets are the Hardy pair's,
-and the Lorentz condition's u-bracket is the pair's first for every a.
+one.  One ``BracketTable`` per config builds each distinct bracket
+integrand once for every condition of the config.
 
 Each condition states its bracket product once, as a list of factors
 (sums of weight-power x bracket-read terms, raised to a power).  By the
 brackets' end exponents a read that integrates from a non-integrable end
-is infinite, and otherwise every read tends to 0, a constant, log x or
-x^(e+1), so the product behaves like C r^kappa (log r)^m at both ends and
-is unbounded iff kappa > 0, or kappa = 0 and m > 0.  A bounded product is
-scanned on a 60-point log r-grid, then zoomed in five rounds of 17 points
-spanning one spacing of the round before about the best point so far; a
-limit C (kappa = m = 0) above the scan is the supremum, at r = 0 or inf.
-A product constant on the grid to 1e-9 reports no argmax.
+is infinite, and otherwise the product behaves like C r^kappa (log r)^m at
+both ends: unbounded iff kappa > 0, or kappa = 0 and m > 0.  A bounded
+product is smooth between its breakpoints, the images r = node or 1/node
+of its weights' kinks, and beyond the outermost it is C r^kappa (log r)^m
+to rounding from a reach its parts give.  The scan reads the breakpoints,
+the reaches and points inside each segment between them, refines about
+the best read, and takes a limit C (kappa = m = 0) above every read as
+the supremum, at r = 0 or inf.  A product with neither (every power-weight
+product) is the constant C: no read and no argmax.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,7 +57,6 @@ class ConditionReport:
     argmax_r: Optional[float]  # None for a constant product
     verdict: str  # "finite" | "divergent" | "indeterminate"
     divergence_site: Optional[str] = None
-    scan_trace: List[Tuple[float, float]] = field(default_factory=list)
     label: str = ""
 
     @property
@@ -68,58 +64,48 @@ class ConditionReport:
         return self.verdict == "finite"
 
     def to_dict(self) -> dict:
-        return {"sup_value": self.sup_value, "argmax_r": self.argmax_r,
-                "verdict": self.verdict, "divergence_site": self.divergence_site,
-                "scan_trace": [[float(r), float(v)] for r, v in self.scan_trace],
-                "label": self.label}
+        return dict(vars(self))
 
 
-# The scan's r-grid, shared by every scan and so read-only.  Zoom rounds of the scan: each
-# reads _ZOOM_POINTS points spanning one spacing of the previous round on
-# either side of the best point so far, so the spacing shrinks 8x per round.
-# From the 60-point grid's spacing ln(1e12)/59 five rounds reach 1.4e-5 in
-# log r.
-_SCAN_R = np.geomspace(1e-6, 1e6, 60)
-_SCAN_R.flags.writeable = False
-_SCAN_ENDS = math.log(_SCAN_R[0]), math.log(_SCAN_R[-1])
-_SCAN_SPACING = (_SCAN_ENDS[1] - _SCAN_ENDS[0]) / (len(_SCAN_R) - 1)
-_ZOOM_ROUNDS = 5
-_ZOOM_POINTS = 17
-# Grid products this close (relative) are constant: the tolerance of the
-# quadrature brackets the scans once read, kept so flat reports stay flat.
-_FLAT_SPREAD = 1e-9
+# Reads inside each segment besides one per unit of log r over the
+# product's rate; each refinement round reads 17 points across twice a
+# half-width that shrinks 8x per round, down to _REFINED in log r.
+_INNER, _REFINED = 8, 1e-6
+_ROUNDING = np.finfo(float).eps  # a part this small next to its factor's lead
 
 
-def _sup_scan(product: Callable[[np.ndarray], np.ndarray], label: str = "") -> ConditionReport:
-    vals = product(_SCAN_R)
-    trace = list(zip(_SCAN_R.tolist(), vals.tolist()))
+def _sup_scan(product: Callable[[np.ndarray], np.ndarray], label: str, t: np.ndarray,
+              limits: Sequence[Tuple[float, float]]) -> ConditionReport:
+    """The supremum of ``product`` (called with r arrays) and of its end
+    ``limits`` (r, C): reads at the sorted log r ``t``, refined about the
+    best.  Without reads the product is the constant C: no argmax."""
+    if len(t) == 0:
+        return ConditionReport(max(c for _, c in limits), None, "finite", None, label)
+    vals = product(np.exp(t))
     i = int(np.argmax(vals))
-    if vals[i] - np.min(vals) <= _FLAT_SPREAD * abs(vals[i]) < math.inf:
-        return ConditionReport(float(vals[i]), None, "finite", None, trace, label)
-    ends = _SCAN_ENDS
-    best_t, best_v = math.log(_SCAN_R[i]), float(vals[i])
-    half = _SCAN_SPACING
-    for _ in range(_ZOOM_ROUNDS):
-        ts = np.linspace(max(best_t - half, ends[0]), min(best_t + half, ends[1]), _ZOOM_POINTS)
+    best_t, best_v = float(t[i]), float(vals[i])
+    half = float(np.max(np.abs(t[max(i - 1, 0):i + 2] - best_t)))
+    while half > _REFINED and best_v < math.inf:
+        ts = np.linspace(best_t - half, best_t + half, 17)
         vals = product(np.exp(ts))
         j = int(np.argmax(vals))
         if vals[j] > best_v:
             best_t, best_v = float(ts[j]), float(vals[j])
-        half *= 2.0 / (_ZOOM_POINTS - 1)
-    return ConditionReport(best_v, math.exp(best_t), "finite", None, trace, label)
+        half /= 8.0
+    # A limit above every read is the supremum.
+    return max([ConditionReport(best_v, math.exp(best_t), "finite", None, label)] +
+               [ConditionReport(c, r, "finite", None, label) for r, c in limits],
+               key=lambda rep: rep.sup_value)
 
 
 class BracketTable:
-    """The brackets of one config: each product of weight powers built once
-    (``product``, keyed by its factors: weights by identity, powers other
-    than 0), and each bracket read on the scan grid once (``read``, keyed
-    by integrand, direction and argument).  Reads at other r, the zoom
-    rounds', are not kept.  The table holds its weights, so their
-    identities stay distinct while it lives; make one per config."""
+    """The bracket integrands of one config: each product of weight powers
+    built once (``product``, keyed by its factors: weights by identity,
+    powers other than 0).  The table holds its weights, so their identities
+    stay distinct while it lives; make one per config."""
 
     def __init__(self):
         self._products = {}
-        self._scan_reads = {}
 
     def product(self, factors: Sequence[Tuple[Weight, float]]) -> Weight:
         key = tuple((w, float(p)) for w, p in factors if p != 0.0)
@@ -127,58 +113,56 @@ class BracketTable:
             self._products[key] = Weight.product(key)
         return self._products[key]
 
-    def read(self, integrand: Weight, upper: bool, inverted: bool, r: np.ndarray) -> np.ndarray:
-        """integrand's integral from 0 to x, or from x to inf when ``upper``,
-        at x = r, or 1/r when ``inverted``."""
-        if r is not _SCAN_R:
-            return integrand.integral(1.0 / r if inverted else r, upper)
-        key = (integrand, upper, inverted)
-        if key not in self._scan_reads:
-            self._scan_reads[key] = integrand.integral(1.0 / r if inverted else r, upper)
-        return self._scan_reads[key]
-
 
 @dataclass(frozen=True)
 class _Term:
     """One bracket read at x = r, or x = 1/r when ``inverted``: the integral
     of ``integrand`` from 0 to x, or from x to inf when ``upper``, times
-    ``weight ** weight_power`` at x."""
+    ``weight ** weight_power`` at x (1 by default)."""
 
     integrand: Weight
     upper: bool = False
     inverted: bool = False
-    weight: Optional[Weight] = None
+    weight: Weight = Weight.power(0.0)
     weight_power: float = 0.0
 
-    def value(self, r: np.ndarray, brackets: BracketTable) -> np.ndarray:
-        read = brackets.read(self.integrand, self.upper, self.inverted, r)
-        if self.weight is None:
-            return read
+    def value(self, r: np.ndarray) -> np.ndarray:
         x = 1.0 / r if self.inverted else r
-        return np.asarray(self.weight(x), dtype=float) ** self.weight_power * read
+        return np.asarray(self.weight(x), dtype=float) ** self.weight_power * \
+            self.integrand.integral(x, self.upper)
 
-    def growth(self, r_to_inf: bool) -> Tuple[float, float, float]:
-        """(g, m, c) with the term ~ c T^g (log T)^m as T -> inf, where r = T
+    def breaks(self) -> np.ndarray:
+        """log r at the images of the integrand's and the weight's kinks."""
+        kinks = np.concatenate([self.integrand.kinks, self.weight.kinks])
+        return -np.log(kinks) if self.inverted else np.log(kinks)
+
+    def rate(self) -> float:
+        """The largest |d log / d log r| of the read plus the weight power's."""
+        f, w = self.integrand, self.weight
+        return (max(abs(f.exponent_at_zero + 1.0), abs(f.exponent_at_infinity + 1.0)) + abs(
+            self.weight_power) * max(abs(w.exponent_at_zero), abs(w.exponent_at_infinity)))
+
+    def growth(self, r_to_inf: bool) -> List[Tuple[float, float, float]]:
+        """Parts (g, m, c): beyond its outermost kink the term is exactly the
+        sum of c T^g (log T)^m over them as T -> inf, where r = T
         (``r_to_inf``) or r = 1/T."""
         x_to_inf = r_to_inf != self.inverted
         # Beyond the outermost node the integrand is k x^(end exponent), and
-        # integrated from 1 toward the end x tends to it grows like T^e.  The
-        # read is ~ k T^e / |e| where it integrates from that end or grows,
-        # ~ k log T where e = 0, and else ~ the whole integral.
-        f = self.integrand
+        # integrated from 1 toward the end x tends to it grows like T^e.  A read
+        # from that end is k T^e / |e|; any other k T^e / e, or k log T at e = 0,
+        # plus the constant making it the read at the node (0 without kinks).
+        f, i = self.integrand, -1 if x_to_inf else 0
         e = f.exponent_at_infinity + 1.0 if x_to_inf else -(f.exponent_at_zero + 1.0)
         k = f.end_coefficient(x_to_inf)
-        if self.upper == x_to_inf or e > EXPONENT_TOLERANCE:
-            g, m, c = e, 0.0, k / abs(e)
-        elif e >= -EXPONENT_TOLERANCE:
-            g, m, c = 0.0, 1.0, k
-        else:
-            g, m, c = 0.0, 0.0, f.total
-        if self.weight is not None:
-            g += self.weight_power * (self.weight.exponent_at_infinity if x_to_inf
-                                      else -self.weight.exponent_at_zero)
-            c *= self.weight.end_coefficient(x_to_inf) ** self.weight_power
-        return g, m, c
+        toward, log = self.upper == x_to_inf, abs(e) <= EXPONENT_TOLERANCE
+        parts = [(0.0, 1.0, k) if log else (e, 0.0, k / abs(e) if toward else k / e)]
+        if not toward and len(f.kinks):  # at the node k T^e = f(node) node, log T = +-log(node)
+            at_node = k * math.log(f.nodes[i]) * (1.0 if x_to_inf else -1.0) if log else \
+                f.values[i] * f.nodes[i] / e
+            parts.append((0.0, 0.0, float(f.integral(f.nodes[i], self.upper) - at_node)))
+        w, wp = self.weight, self.weight_power
+        shift = wp * (w.exponent_at_infinity if x_to_inf else -w.exponent_at_zero)
+        return [(g + shift, m, c * w.end_coefficient(x_to_inf) ** wp) for g, m, c in parts]
 
 
 # A bracket product: the product over its factors (terms, power) of
@@ -186,56 +170,72 @@ class _Term:
 _Factors = Sequence[Tuple[Sequence[_Term], float]]
 
 
-def _product(factors: _Factors, r: np.ndarray, brackets: BracketTable) -> np.ndarray:
+def _product(factors: _Factors, r: np.ndarray) -> np.ndarray:
     """The product at every r of an array; inf where a base is 0 under a
     negative power."""
     val = np.ones_like(r)
     pole = np.zeros(r.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 ** -p and 0 * inf
         for terms, power in factors:
-            base = sum(term.value(r, brackets) for term in terms)
+            base = sum(term.value(r) for term in terms)
             pole |= (base == 0.0) & (power < 0.0)
             val = val * base ** power
     return np.where(pole, math.inf, val)
 
 
-def _toward(factors: _Factors, r_to_inf: bool) -> Tuple[float, float, float]:
-    """(kappa, m, C) with the product ~ C T^kappa (log T)^m as T -> inf, r = T
-    or 1/T; each factor's base is led by its terms of largest g, then m."""
-    kappa, logs, limit = 0.0, 0.0, np.float64(1.0)
+def _toward(factors: _Factors, r_to_inf: bool) -> Tuple[float, float, float, float]:
+    """(kappa, m, C, reach) with the product ~ C T^kappa (log T)^m as T -> inf,
+    r = T or 1/T, and equal to it to rounding where log T >= reach.  Each
+    factor's base is led by its parts of largest g, then m; another part
+    c T^g' (log T)^m' is rounding once |c| T^(g' - g) is _ROUNDING times the
+    lead (at half the rate with a log; never if c or the lead overflows)."""
+    kappa, logs, limit, reach = 0.0, 0.0, np.float64(1.0), -math.inf
     with np.errstate(all="ignore"):  # a limit that over- or underflows
         for terms, power in factors:
-            growths = [term.growth(r_to_inf) for term in terms]
-            g = max(gj for gj, _, _ in growths)
-            m = max(mj for gj, mj, _ in growths if gj >= g - EXPONENT_TOLERANCE)
+            parts = [part for term in terms for part in term.growth(r_to_inf)]
+            g = max(gj for gj, _, _ in parts)
+            m = max(mj for gj, mj, _ in parts if gj >= g - EXPONENT_TOLERANCE)
+            leads = [gj >= g - EXPONENT_TOLERANCE and mj == m for gj, mj, _ in parts]
+            lead = sum(c for (_, _, c), led in zip(parts, leads) if led)
+            for gj, mj, c in (part for part, led in zip(parts, leads) if not led):
+                ratio, gap = abs(c) / (_ROUNDING * lead), (g - gj) / (1.0 + mj)
+                reach = max(reach, np.log(ratio) / gap if 0.0 < ratio < math.inf
+                            and gap > EXPONENT_TOLERANCE else math.inf)
             kappa += power * g
             logs += power * m
-            limit *= sum(c for gj, mj, c in growths
-                         if gj >= g - EXPONENT_TOLERANCE and mj == m) ** power
-    return kappa, logs, float(limit)
+            limit *= lead ** power
+    return kappa, logs, float(limit), reach
 
 
-def _scan(factors: _Factors, label: str, brackets: BracketTable) -> ConditionReport:
+def _scan(factors: _Factors, label: str) -> ConditionReport:
     """Divergent when a bracket diverges at the end it integrates from or the
     product ~ C T^kappa (log T)^m is unbounded toward r -> inf or r -> 0;
-    else the supremum of the scan and of the limits C where kappa = m = 0."""
+    else the supremum of the reads between the breakpoints and the ends'
+    reach, and of the limits C where kappa = m = 0."""
+    terms = [t for ts, _ in factors for t in ts]
     if any(t.integrand.diverges_at_infinity if t.upper else t.integrand.diverges_at_zero
-           for terms, _ in factors for t in terms):
-        return ConditionReport(math.inf, math.nan, "divergent",
-                               "inner-integral endpoint", [], label)
-    limits = []
-    for site, r_to_inf, r_end in (("r->inf", True, math.inf), ("r->0", False, 0.0)):
-        kappa, logs, limit = _toward(factors, r_to_inf)
+           for t in terms):
+        return ConditionReport(math.inf, math.nan, "divergent", "inner-integral endpoint", label)
+    # The fastest rate in log r of r, a read, a weight power or a partial
+    # product: none leaves the floats within 600 / rate of the breakpoints.
+    rate = max(1.0, max(1.0, sum(abs(p) for _, p in factors)) * max(t.rate() for t in terms))
+    breaks = np.concatenate([t.breaks() for t in terms])
+    lo, hi = (breaks.min(), breaks.max()) if len(breaks) else (0.0, 0.0)
+    limits, ends = [], []
+    for site, sign, r_end in (("r->inf", 1.0, math.inf), ("r->0", -1.0, 0.0)):
+        kappa, logs, limit, reach = _toward(factors, sign > 0.0)
         if kappa > EXPONENT_TOLERANCE or (kappa >= -EXPONENT_TOLERANCE
                                           and logs > EXPONENT_TOLERANCE):
-            return ConditionReport(math.inf, r_end, "divergent", site, [], label)
+            return ConditionReport(math.inf, r_end, "divergent", site, label)
         if abs(kappa) <= EXPONENT_TOLERANCE and abs(logs) <= EXPONENT_TOLERANCE:
             limits.append((r_end, limit))
-    with np.errstate(invalid="ignore"):  # the flatness test of an infinite product
-        rep = _sup_scan(lambda r: _product(factors, r, brackets), label)
-    for r_end, limit in limits:  # a limit that beats the scan is the supremum
-        if limit - rep.sup_value > _FLAT_SPREAD * abs(rep.sup_value):
-            rep.sup_value, rep.argmax_r = limit, r_end
+        edge = sign * (hi if sign > 0.0 else lo)  # the outermost breakpoint, in log T
+        if reach > edge:  # the end segment, from it to the reach
+            ends.append(sign * min(reach, edge + 600.0 / rate))
+    edges = np.union1d(breaks, ends + [lo, hi] if ends else [])
+    reads = np.sort(np.concatenate([edges] + [
+        np.linspace(a, b, _INNER + int((b - a) * rate) + 2)[1:-1] for a, b in zip(edges, edges[1:])]))
+    rep = _sup_scan(lambda r: _product(factors, r), label, reads, limits)
     if not rep.sup_value < math.inf:  # an infinite bracket, or a zero one under a negative power
         rep.verdict = "divergent" if rep.sup_value == math.inf else "indeterminate"
         rep.divergence_site = "inner-integral endpoint" if rep.sup_value == math.inf else None
@@ -260,32 +260,32 @@ def hardy_pair_condition(u: Weight, v: Weight, s: Weight, w: Weight, exps: Expon
     c_a1 = brackets.product([(u, 1.0), (w, q * inv_a)])
     c_b1 = brackets.product([(v, 1.0 - p_prime), (s, p_prime * inv_a)])
     rep1 = _scan([([_Term(c_a1, inverted=True)], 1.0 / q), ([_Term(c_b1)], 1.0 / p_prime)],
-                 "hardy_condition_1", brackets)
+                 "hardy_condition_1")
 
     c_a2 = brackets.product([(u, 1.0), (w, q * (inv_a - 0.5))])
     c_b2 = brackets.product([(v, 1.0 - p_prime), (s, p_prime * (inv_a - 0.5))])
     rep2 = _scan([([_Term(c_a2, upper=True, inverted=True)], 1.0 / q),
                   ([_Term(c_b2, upper=True)], 1.0 / p_prime)],
-                 "hardy_condition_2", brackets)
+                 "hardy_condition_2")
     return rep1, rep2
-
-
-# Where the glued condition checks s(x) w(1/x) ~ 1.
-_GLUED_GRID = np.geomspace(1e-3, 1e3, 40)
-_GLUED_GRID.flags.writeable = False
 
 
 def glued_condition(u: Weight, v: Weight, s: Weight, w: Weight, exps: ExponentSet,
                     brackets: Optional[BracketTable] = None) -> ConditionReport:
     """The single four-term supremum equivalent (under the s-w duality
     s(x) w(1/x) comparable to 1, a = 1) to the simultaneous Hardy pair; its
-    four brackets are the pair's."""
+    four brackets are the pair's.  s(x) w(1/x) is log-linear between the
+    nodes of s and the reciprocals of those of w, and a power beyond them:
+    its end exponents must be 0 and its values there in [1/3, 3]."""
     if not math.isinf(exps.a_prime):
         raise ValueError("the glued condition applies to a = 1")
-    ratio = np.asarray(s(_GLUED_GRID), dtype=float) * np.asarray(w(1.0 / _GLUED_GRID), dtype=float)
-    if np.any(ratio < 1.0 / 3.0) or np.any(ratio > 3.0):
+    x = np.concatenate([s.nodes, 1.0 / np.asarray(w.nodes)])
+    ratio = np.asarray(s(x), dtype=float) * np.asarray(w(1.0 / x), dtype=float)
+    ends = (s.exponent_at_zero - w.exponent_at_infinity, s.exponent_at_infinity - w.exponent_at_zero)
+    if max(map(abs, ends)) > EXPONENT_TOLERANCE or not np.all((ratio >= 1.0 / 3.0) & (ratio <= 3.0)):
         raise InverseRelationViolated(
-            f"s(x) w(1/x) ranges over [{ratio.min():.3g}, {ratio.max():.3g}]")
+            f"s(x) w(1/x) has end exponents {ends[0]:g}, {ends[1]:g} and ranges over "
+            f"[{ratio.min():.3g}, {ratio.max():.3g}] at the nodes")
 
     brackets = BracketTable() if brackets is None else brackets
     q, p_prime = exps.q, exps.p_prime
@@ -297,16 +297,15 @@ def glued_condition(u: Weight, v: Weight, s: Weight, w: Weight, exps: ExponentSe
     b2 = [_Term(brackets.product([(u, 1.0), (w, -0.5 * q)]), upper=True, inverted=True,
                 weight=w, weight_power=0.5 * q),
           _Term(u, inverted=True)]
-    return _scan([(b1, 1.0 / p_prime), (b2, 1.0 / q)], "glued", brackets)
+    return _scan([(b1, 1.0 / p_prime), (b2, 1.0 / q)], "glued")
 
 
-def lorentz_necessity_condition(u: Weight, v: Weight, s: Weight, exps: ExponentSet,
-                                brackets: Optional[BracketTable] = None) -> ConditionReport:
+def lorentz_necessity_condition(u: Weight, v: Weight, s: Weight, exps: ExponentSet
+                                ) -> ConditionReport:
     """sup_r (int_0^(1/r) u)^(1/q) (int_0^r v)^(-1/p) (int_0^r s)."""
     return _scan([([_Term(u, inverted=True)], 1.0 / exps.q),
                   ([_Term(v)], -1.0 / exps.p),
-                  ([_Term(s)], 1.0)], "lorentz_necessity",
-                 BracketTable() if brackets is None else brackets)
+                  ([_Term(s)], 1.0)], "lorentz_necessity")
 
 
 # ---------------------------------------------------------------------------

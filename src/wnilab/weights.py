@@ -142,6 +142,12 @@ class Weight:
                                           [self.exponent_at_infinity]])
         self._edges = np.concatenate([[0.0], nodes, [math.inf]])
 
+    @property
+    def kinks(self) -> np.ndarray:
+        """The nodes where the exponent changes (none for a power)."""
+        self._fill_layout()
+        return np.asarray(self.nodes)[self._exponents[:-1] != self._exponents[1:]]
+
     def _partial(self, j: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The segments j from a to b.  The first call takes every full
         segment into the same ``power_moment`` batch (elementwise, so the

@@ -278,17 +278,18 @@ def test_shipped_conditions_config_lorentz_finite():
 
 def test_shipped_conditions_config_constant_products_have_no_argmax():
     # Pure power weights on the exponent relation: every finite bracket
-    # product is constant in r, so the scan reports its grid maximum and no
-    # argmax (wherever rounding noise happened to peak).
+    # product is constant in r, so the scan reports that constant and no
+    # argmax.  With s = w = x, u = x^-1/2, v = x^1/2 and p = q = 2 the Hardy
+    # products are (2 r^-1/2 2 r^1/2)^(1/2) = 2, the glued one
+    # (4 r^1/2)^(1/2) (4 r^-1/2)^(1/2) = 4 and the Lorentz one sqrt(7)/2.
     path = Path(__file__).resolve().parents[1] / "configs" / "hankel_conditions.json"
     doc = run_conditions(json.loads(path.read_text()))
-    finite = [rep for rep in doc.values()
-              if isinstance(rep, dict) and rep.get("verdict") == "finite"]
-    assert len(finite) >= 3
-    for rep in finite:
-        assert rep["argmax_r"] is None
-        values = [v for _, v in rep["scan_trace"]]
-        assert rep["sup_value"] == max(values)
+    exact = {"hardy_condition_1": 2, "hardy_condition_2": 2, "glued": 4,
+             "lorentz_necessity": math.sqrt(7.0) / 2.0}
+    for key, value in exact.items():
+        rep = doc[key]
+        assert (rep["verdict"], rep["argmax_r"]) == ("finite", None)
+        assert rep["sup_value"] == pytest.approx(value, rel=1e-14)
 
 
 def test_finite_pair_implies_finite_lorentz():
@@ -613,7 +614,7 @@ def test_json_writer_refuses_what_the_stdlib_refuses(tmp_path, doc):
 
 
 # u tabulated from a piecewise power with a kink at 1, on the relation with
-# v: every scan of a config with it zooms in on an interior maximum.
+# v: every scan of a config with it refines about an interior maximum.
 _TAB_XS = np.geomspace(1e-3, 1e3, 121)
 _TAB_U = {"form": "tabulated", "x": _TAB_XS.tolist(),
           "y": np.where(_TAB_XS <= 1.0, _TAB_XS ** -0.6, _TAB_XS ** -0.4).tolist()}
@@ -665,13 +666,29 @@ def _condition_blocks(doc):
 def test_shared_bracket_table_changes_no_report(name):
     # run_conditions shares one bracket table among the Hardy pair, the
     # glued and the Lorentz conditions; each called alone builds and reads
-    # its own.  The reports are the same to the bit, zoomed scans included.
+    # its own.  The reports are the same to the bit, refined scans included.
     doc = _SHARED_TABLE_DOCS[name]
     got = run_conditions(doc)
     assert _condition_blocks(got) == _condition_blocks(_conditions_alone(doc))
     if name.startswith("tabulated-u"):
         assert any(0.0 < (got[k].get("argmax_r") or 0.0) < math.inf
                    for k in ("hardy_condition_1", "lorentz_necessity"))
+
+
+def test_power_weight_scans_read_no_bracket(monkeypatch):
+    # A power-weight product is C r^kappa with no breakpoint: its scan
+    # calls the product at no r.  A tabulated weight's scans read it.
+    calls = []
+    sup_scan = cond._sup_scan
+
+    def counted(product, *args):
+        return sup_scan(lambda r: calls.append(len(r)) or product(r), *args)
+
+    monkeypatch.setattr(cond, "_sup_scan", counted)
+    run_conditions(_SHARED_TABLE_DOCS["power-a1"])
+    assert calls == []
+    run_conditions(_SHARED_TABLE_DOCS["tabulated-u-a1"])
+    assert len(calls) > 0
 
 
 def test_bracket_tables_do_not_outlive_their_config():
