@@ -6,10 +6,8 @@ eval-kernel.  Experiments are described by JSON configs with named
 transform presets and explicit exponents (no defaults for beta or gamma:
 exponent typos are the dominant failure mode, so they must be spelled
 out).  CSV output uses 17 significant digits and newline line endings so
-reruns diff byte-identically.  JSON output is the stdlib's indented form
-(``json.dumps(doc, indent=2, sort_keys=True, allow_nan=True)``), written by
-a short writer that hands each list of numbers, or list of lists of
-numbers, to json's C encoder in one call and re-indents its text.
+reruns diff byte-identically.  JSON output is the stdlib's indented form,
+``json.dumps(doc, indent=2, sort_keys=True, allow_nan=True)``.
 
 Exit codes: 0 success, 1 numerical failure dominating a run, 2 config or
 usage error.
@@ -54,6 +52,11 @@ class RatioRecord:
     note: str = ""
 
 
+# A config's normalization where it names none: its weights are the
+# two-factor u and v (``_weights``).
+_NORMALIZATION = "sw"
+
+
 @dataclass
 class ExperimentConfig:
     experiment_id: str
@@ -63,6 +66,7 @@ class ExperimentConfig:
     gamma: float
     family: List[Tuple[float, TestFunction]]
     normalization: str  # "power" | "sw"
+    power_pair: Tuple[float, float]  # (beta, gamma) in the plain power normalization
     lhs_domain: Tuple[float, float]
     quadrature: QuadratureConfig
     norm_rel_tol: float
@@ -71,8 +75,11 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         with _config_fields():
-            transform, exps, wts = _shared_blocks(doc)
-            beta, gamma = _power_exponents(wts)
+            transform, exps = _shared_blocks(doc)
+            pair = _weights(doc, transform, exps)[2]
+            if pair is None:
+                raise ConfigError("weights must set beta and gamma explicitly")
+            beta, gamma = float(doc["weights"]["beta"]), float(doc["weights"]["gamma"])
             family = _build_family(doc["family"])
             domain = doc.get("lhs_domain")
             lhs_domain = (0.0, math.inf)
@@ -91,21 +98,12 @@ class ExperimentConfig:
             # measure the mean with sub-percent aliasing noise, so percent-level
             # tolerance here avoids resolving every oscillation.
             norm_rel = float(qc.get("norm_rel_tol", 1e-2))
-        norm = doc.get("normalization", "power")
-        if norm not in ("power", "sw"):
-            raise ConfigError(f"normalization must be 'power' or 'sw', got {norm!r}")
         model = doc.get("growth_model", "power")
         if model not in ("power", "log"):
             raise ConfigError(f"growth_model must be 'power' or 'log', got {model!r}")
-        return cls(str(doc.get("experiment_id", "experiment")), transform, exps,
-                   beta, gamma, family, norm, lhs_domain, quad, norm_rel, model)
-
-    @property
-    def power_exponents(self) -> Tuple[float, float]:
-        """(beta, gamma) in the plain power normalization the ratio uses."""
-        if self.normalization == "sw":
-            return _sw_fold(self.transform, self.exps, self.beta, self.gamma)
-        return self.beta, self.gamma
+        norm = doc.get("normalization", _NORMALIZATION)
+        return cls(str(doc.get("experiment_id", "experiment")), transform, exps, beta, gamma,
+                   family, norm, pair, lhs_domain, quad, norm_rel, model)
 
 
 @contextmanager
@@ -119,18 +117,10 @@ def _config_fields():
         raise ConfigError(str(exc)) from exc
 
 
-def _shared_blocks(doc: dict) -> Tuple[tr.TransformSpec, ExponentSet, dict]:
-    """The transform, the exponent set and the weights block of a config."""
+def _shared_blocks(doc: dict) -> Tuple[tr.TransformSpec, ExponentSet]:
+    """The transform and the exponent set of a config."""
     transform, e = _build_transform(doc["transform"]), doc["exponents"]
-    exps = ExponentSet(p=float(e["p"]), q=float(e["q"]), a=float(e.get("a", 1.0)))
-    return transform, exps, doc["weights"]
-
-
-def _power_exponents(wts: dict) -> Tuple[float, float]:
-    """(beta, gamma) of a power-weights block; neither has a default."""
-    if "beta" not in wts or "gamma" not in wts:
-        raise ConfigError("weights must set beta and gamma explicitly")
-    return float(wts["beta"]), float(wts["gamma"])
+    return transform, ExponentSet(p=float(e["p"]), q=float(e["q"]), a=float(e.get("a", 1.0)))
 
 
 def _sw_powers(exps: ExponentSet) -> Tuple[float, float]:
@@ -139,12 +129,44 @@ def _sw_powers(exps: ExponentSet) -> Tuple[float, float]:
     return tuple(0.0 if math.isinf(t) else 1.0 / t for t in (exps.a_prime, exps.a))
 
 
-def _sw_fold(spec: tr.TransformSpec, exps: ExponentSet, beta: float,
-             gamma: float) -> Tuple[float, float]:
-    """(beta - b0/a', gamma + b0/a): the two-factor setting's u = y^(-beta q),
-    v = x^(gamma p), s = w = x^b0 in the plain power normalization."""
+def _weights(doc: dict, spec: tr.TransformSpec, exps: ExponentSet
+             ) -> Tuple[Weight, Weight, Optional[Tuple[float, float]]]:
+    """(u, v, pair): the two-factor u and v of a config, s = w = x^b0, and
+    for beta/gamma weights the pair (beta, gamma) of the plain power
+    normalization ||y^(-beta) Ff||_q <= C ||x^gamma f||_p.
+
+    The weights block gives u = y^(-beta q) and v = x^(gamma p), piecewise
+    exponents or descriptors.  Under ``normalization`` "sw" (the default)
+    these are the two-factor u and v, and the pair is (beta - b0/a',
+    gamma + b0/a); under "power" they are the plain power weights, the
+    two-factor ones u w^(-q/a') and v s^(-p/a), and the pair is as given."""
+    norm, wts, pair = doc.get("normalization", _NORMALIZATION), doc["weights"], None
+    if norm not in ("power", "sw"):
+        raise ConfigError(f"normalization must be 'power' or 'sw', got {norm!r}")
     inv_ap, inv_a = _sw_powers(exps)
-    return beta - spec.b0 * inv_ap, gamma + spec.b0 * inv_a
+    if "u" in wts or "v" in wts:
+        # explicit weight descriptors (power, piecewise_power or tabulated)
+        u, v = Weight.from_descriptor(wts["u"]), Weight.from_descriptor(wts["v"])
+    elif "beta1" in wts:
+        b1, b2 = float(wts["beta1"]), float(wts["beta2"])
+        g1, g2 = float(wts["gamma1"]), float(wts["gamma2"])
+        if abs((b1 - g1) - (b2 - g2)) > 1e-12:
+            raise ConfigError("piecewise exponents must satisfy beta1 - gamma1 = beta2 - gamma2")
+        # u(x) = x^(-beta_bar' q): the component order swaps across x = 1.
+        u = Weight.piecewise_power(-b2 * exps.q, -b1 * exps.q)
+        v = Weight.piecewise_power(g1 * exps.p, g2 * exps.p)
+    else:
+        if "beta" not in wts or "gamma" not in wts:
+            raise ConfigError("weights must set beta and gamma explicitly")
+        beta, gamma = float(wts["beta"]), float(wts["gamma"])
+        u, v = Weight.power(-beta * exps.q), Weight.power(gamma * exps.p)
+        pair = ((beta, gamma) if norm == "power"
+                else (beta - spec.b0 * inv_ap, gamma + spec.b0 * inv_a))
+    if norm == "power":
+        s = Weight.power(spec.b0)
+        u = Weight.product([(u, 1.0), (s, -exps.q * inv_ap)])
+        v = Weight.product([(v, 1.0), (s, -exps.p * inv_a)])
+    return u, v, pair
 
 
 def _build_transform(desc: dict) -> tr.TransformSpec:
@@ -187,7 +209,7 @@ def _lhs_norm(cfg: ExperimentConfig, f: TestFunction) -> Tuple[float, float]:
     domain, the ends of (0, inf) in closed form (``_lower_tail``,
     ``_upper_tail``)."""
     spec, q = cfg.transform, cfg.exps.q
-    u_exp = -q * cfg.power_exponents[0]
+    u_exp = -q * cfg.power_pair[0]
 
     def integrand(ys):
         ys = np.asarray(ys, dtype=float)
@@ -260,7 +282,7 @@ def _upper_tail(cfg: ExperimentConfig, f: TestFunction, u: float,
 
 def _rhs_norm(cfg: ExperimentConfig, f: TestFunction) -> Tuple[float, float]:
     p = cfg.exps.p
-    mu = p * cfg.power_exponents[1]
+    mu = p * cfg.power_pair[1]
     total = sum(abs(piece.coef) ** p * power_moment(mu + p * piece.exponent, piece.lo, piece.hi)
                 for piece in f.pieces)
     return (total ** (1.0 / p), 0.0) if math.isfinite(total) else (math.inf, 0.0)
@@ -295,7 +317,7 @@ def dilation_exponent(cfg: ExperimentConfig) -> Optional[float]:
     if cfg.lhs_domain != (0.0, math.inf) or any(
             f.family != "truncated_power" for _, f in cfg.family):
         return None
-    beta, gamma = cfg.power_exponents
+    beta, gamma = cfg.power_pair
     return beta - gamma - cond._relation_offset(cfg.transform, cfg.exps)
 
 
@@ -367,29 +389,11 @@ def fit_growth(records: Sequence[RatioRecord], model: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def run_conditions(doc: dict) -> dict:
-    """Evaluate every applicable condition and range for a config with
-    power or piecewise-power weights."""
+    """Evaluate every applicable condition and range for a config's weights
+    (``_weights``)."""
     with _config_fields():
-        transform, exps, wts = _shared_blocks(doc)
-        beta = gamma = None
-        if "u" in wts or "v" in wts:
-            # explicit weight descriptors (power, piecewise_power or tabulated)
-            u = Weight.from_descriptor(wts["u"])
-            v = Weight.from_descriptor(wts["v"])
-        elif "beta1" in wts:
-            b1, b2 = float(wts["beta1"]), float(wts["beta2"])
-            g1, g2 = float(wts["gamma1"]), float(wts["gamma2"])
-            if abs((b1 - g1) - (b2 - g2)) > 1e-12:
-                raise ConfigError(
-                    "piecewise exponents must satisfy beta1 - gamma1 = beta2 - gamma2")
-            # u(x) = x^(-beta_bar' q): the component order swaps across x = 1.
-            u = Weight.piecewise_power(-b2 * exps.q, -b1 * exps.q)
-            v = Weight.piecewise_power(g1 * exps.p, g2 * exps.p)
-        else:
-            beta, gamma = _power_exponents(wts)
-            u = Weight.power(-beta * exps.q)
-            v = Weight.power(gamma * exps.p)
-
+        transform, exps = _shared_blocks(doc)
+        u, v, pair = _weights(doc, transform, exps)
     s, w = Weight.power(transform.b0), Weight.power(transform.b0)
     inv_ap, inv_a = _sw_powers(exps)
 
@@ -399,7 +403,7 @@ def run_conditions(doc: dict) -> dict:
         "experiment_id": doc.get("experiment_id", "conditions"),
         "transform": transform.name,
         "exponents": {"p": exps.p, "q": exps.q, "a": exps.a},
-        "weights": wts,
+        "weights": doc["weights"],
         "hardy_condition_1": rep1.to_dict(),
         "hardy_condition_2": rep2.to_dict(),
         "pair_finite": rep1.finite and rep2.finite,
@@ -417,9 +421,9 @@ def run_conditions(doc: dict) -> dict:
         brackets.product([(u, 1.0), (w, exps.q * inv_ap)]),
         brackets.product([(v, 1.0), (s, exps.p * inv_a)]), s, exps).to_dict()
 
-    if beta is not None:
+    if pair is not None:
         # Ranges live in the plain power normalization.
-        beta_pow, gamma_pow = _sw_fold(transform, exps, beta, gamma)
+        beta_pow, gamma_pow = pair
         out["power_normalization_exponents"] = {"beta": beta_pow, "gamma": gamma_pow}
         try:
             suff, sharp = cond.power_pitt_range(transform, exps, beta_pow, gamma_pow)
@@ -467,56 +471,8 @@ def write_records_csv(path: Path, cfg: ExperimentConfig,
                              _fmt(r.lhs_err), _fmt(r.rhs_err), r.note])
 
 
-_C_ENCODE = json.JSONEncoder(allow_nan=True).encode
-_encode_str = json.encoder.encode_basestring_ascii  # refuses a non-str key
-_LITERALS = {True: "true", False: "false", None: "null"}
-_NUMBER_TYPES = frozenset({int, float, bool, type(None)})
-
-
-def _numbers(items) -> bool:
-    """Every item an int, float, bool or None, whose JSON text holds no
-    ", " and no bracket (other types take the item-by-item route)."""
-    return all(map(_NUMBER_TYPES.__contains__, map(type, items)))
-
-
-def _scalar(x) -> str:
-    if isinstance(x, str):
-        return _encode_str(x)
-    if x is None or x is True or x is False:
-        return _LITERALS[x]
-    if isinstance(x, float):
-        if x != x:
-            return "NaN"
-        if abs(x) == math.inf:
-            return "Infinity" if x > 0 else "-Infinity"
-        return float.__repr__(x)
-    if isinstance(x, int):
-        return int.__repr__(x)
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-
-
-def _indented(x, nl: str) -> str:
-    """``x`` as json.dumps(x, indent=2, sort_keys=True, allow_nan=True)
-    writes it at the indent ``nl`` (a newline and the indent's spaces), for
-    str keys.  A list of numbers is one C-encoder call re-indented by string
-    replacement."""
-    inner = nl + "  "
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
-        return ("{" + ",".join(inner + _encode_str(k) + ": " + _indented(x[k], inner)
-                               for k in sorted(x)) + nl + "}")
-    if not isinstance(x, (list, tuple)):
-        return _scalar(x)
-    if not x:
-        return "[]"
-    if _numbers(x):
-        return "[" + inner + _C_ENCODE(x)[1:-1].replace(", ", "," + inner) + nl + "]"
-    return "[" + ",".join(inner + _indented(v, inner) for v in x) + nl + "]"
-
-
 def _write_json(path: Path, doc: dict) -> None:
-    text = _indented(doc, "\n") + "\n"
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(text)
 

@@ -14,7 +14,7 @@ from wnilab.cli import (ConfigError, ExperimentConfig, FitDegenerate, RatioRecor
 from wnilab import cli, conditions as cond, transforms
 from wnilab.kernels import KERNELS
 from wnilab.transforms import _PRESETS
-from wnilab.weights import ExponentSet, Weight
+from wnilab.weights import Weight
 
 
 def _modelmin_config(beta=0.25, gamma=0.25, points=7, extra=None):
@@ -42,6 +42,10 @@ def test_config_validation_errors():
         ExperimentConfig.from_dict(doc)
     doc = _modelmin_config(extra={"normalization": "weird"})
     with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(doc)
+    doc = _modelmin_config(extra={"weights": {"u": {"form": "power", "exponent": -0.5},
+                                              "v": {"form": "power", "exponent": 0.5}}})
+    with pytest.raises(ConfigError, match="weights must set beta and gamma explicitly"):
         ExperimentConfig.from_dict(doc)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(_modelmin_config(extra={
@@ -468,9 +472,10 @@ def _hankel_conditions_doc(**changes):
     _hankel_conditions_doc(weights={"u": {"form": "power", "exponent": -0.5},
                                     "v": {"form": "power", "exponent": 0.5, "scale": 2.0}}),
     _hankel_conditions_doc(weights={"beta": "nan", "gamma": 0.25}),
+    _hankel_conditions_doc(normalization="weird"),
 ], ids=["hankel-alpha-below-range", "no-exponents", "p-below-one", "tabulated-empty",
         "tabulated-lengths-differ", "tabulated-decreasing", "tabulated-repeated",
-        "weight-unknown-key", "beta-nan"])
+        "weight-unknown-key", "beta-nan", "normalization-unknown"])
 def test_check_conditions_input_errors_exit_2(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -634,17 +639,9 @@ _SHARED_TABLE_DOCS = {
 def _conditions_alone(doc):
     """The condition blocks of ``run_conditions(doc)`` from the three
     condition functions called alone, each with a table of its own."""
-    e, wts = doc["exponents"], doc["weights"]
-    exps = ExponentSet(p=e["p"], q=e["q"], a=e["a"])
-    if "u" in wts:
-        u, v = Weight.from_descriptor(wts["u"]), Weight.from_descriptor(wts["v"])
-    elif "beta1" in wts:
-        u = Weight.piecewise_power(-wts["beta2"] * exps.q, -wts["beta1"] * exps.q)
-        v = Weight.piecewise_power(wts["gamma1"] * exps.p, wts["gamma2"] * exps.p)
-    else:
-        u, v = Weight.power(-wts["beta"] * exps.q), Weight.power(wts["gamma"] * exps.p)
-    delta = cli._build_transform(doc["transform"]).b0
-    s, w = Weight.power(delta), Weight.power(delta)
+    transform, exps = cli._shared_blocks(doc)
+    u, v, _ = cli._weights(doc, transform, exps)
+    s, w = Weight.power(transform.b0), Weight.power(transform.b0)
     inv_ap = 0.0 if math.isinf(exps.a_prime) else 1.0 / exps.a_prime
     inv_a = 0.0 if math.isinf(exps.a) else 1.0 / exps.a
     rep1, rep2 = cond.hardy_pair_condition(u, v, s, w, exps)
@@ -698,3 +695,75 @@ def test_bracket_tables_do_not_outlive_their_config():
     run_conditions(first)
     assert _condition_blocks(run_conditions(second)) == fresh
     assert _condition_blocks(run_conditions(first)) == _condition_blocks(_conditions_alone(first))
+
+
+def test_conditions_read_a_power_config_as_verify_does():
+    # scripth_probe is a "power" config: verify tests ||y^-1.8 F f||_2 <=
+    # C ||x^1.2 f||_2, and check-conditions reads the same pair.
+    path = Path(__file__).resolve().parents[1] / "configs" / "scripth_probe.json"
+    doc = json.loads(path.read_text())
+    assert run_conditions(doc)["power_normalization_exponents"] == {"beta": 1.8, "gamma": 1.2}
+    assert ExperimentConfig.from_dict(doc).power_pair == (1.8, 1.2)
+
+
+def _power_twin(weights, b0, exps):
+    """The "power" weights block of an "sw" one: beta - b0/a' and gamma +
+    b0/a, or descriptor exponents shifted by q b0/a' and p b0/a."""
+    inv_ap, inv_a = cli._sw_powers(exps)
+    du, dv = b0 * inv_ap, b0 * inv_a
+    if "u" in weights:
+        keys = {"power": ("exponent",), "piecewise_power": ("a1", "a2")}
+        u, v = dict(weights["u"]), dict(weights["v"])
+        for k in keys[u["form"]]:
+            u[k] += exps.q * du
+        for k in keys[v["form"]]:
+            v[k] += exps.p * dv
+        return {"u": u, "v": v}
+    return {k: x - du if k.startswith("beta") else x + dv for k, x in weights.items()}
+
+
+# Two-factor weights: on the exponent relation (finite Hardy pairs for
+# hankel) and off it.
+_SW_WEIGHTS = {
+    "beta-gamma": {"beta": 0.25, "gamma": 0.25},
+    "beta-gamma-off": {"beta": 1.8, "gamma": 1.2},
+    "piecewise-exponents": {"beta1": 0.3, "beta2": 0.2, "gamma1": 0.3, "gamma2": 0.2},
+    "power-descriptors": {"u": {"form": "power", "exponent": -0.5},
+                          "v": {"form": "power", "exponent": 0.5}},
+    "piecewise-descriptors": {"u": {"form": "piecewise_power", "a1": -0.6, "a2": -0.4},
+                              "v": _PW_V},
+}
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0])
+@pytest.mark.parametrize("transform", [{"name": "hankel", "alpha": 0.0},
+                                       {"name": "scripth", "alpha": 0.0}],
+                         ids=["hankel", "scripth"])
+@pytest.mark.parametrize("form", list(_SW_WEIGHTS))
+def test_power_config_reads_as_its_sw_twin(form, transform, a):
+    # b0 = 1 (hankel) and 1/2 (scripth): the two normalizations differ by
+    # the s and w factors, and a config in either gives the same reports.
+    sw = _hankel_conditions_doc(transform=transform, exponents={"p": 2.0, "q": 2.0, "a": a},
+                                weights=_SW_WEIGHTS[form], normalization="sw")
+    spec, exps = cli._shared_blocks(sw)
+    power = dict(sw, weights=_power_twin(sw["weights"], spec.b0, exps), normalization="power")
+    got, want = run_conditions(power), run_conditions(sw)
+    assert set(got) == set(want)
+    reports = [k for k in got if isinstance(got[k], dict) and "verdict" in got[k]]
+    assert len(reports) == (4 if a == 1.0 else 3)
+    for key in reports:
+        g, w = got[key], want[key]
+        assert (g["verdict"], g["divergence_site"]) == (w["verdict"], w["divergence_site"])
+        if math.isfinite(w["sup_value"]):
+            assert g["sup_value"] == pytest.approx(w["sup_value"], rel=1e-12, abs=0.0)
+        else:
+            assert repr(g["sup_value"]) == repr(w["sup_value"])
+    if "beta" in sw["weights"]:
+        pair = got["power_normalization_exponents"]
+        assert (pair["beta"], pair["gamma"]) == (power["weights"]["beta"],
+                                                 power["weights"]["gamma"])
+        for key, value in want["power_normalization_exponents"].items():
+            assert value == pytest.approx(pair[key], rel=1e-12)
+        for key in ("power_range", "gm_range", "vanishing_moment_range_n1"):
+            assert (got[key].get("satisfied"), got[key].get("indeterminate")) == (
+                want[key].get("satisfied"), want[key].get("indeterminate"))
