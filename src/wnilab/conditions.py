@@ -142,27 +142,30 @@ class _Term:
         return (max(abs(f.exponent_at_zero + 1.0), abs(f.exponent_at_infinity + 1.0)) + abs(
             self.weight_power) * max(abs(w.exponent_at_zero), abs(w.exponent_at_infinity)))
 
-    def growth(self, r_to_inf: bool) -> List[Tuple[float, float, float]]:
-        """Parts (g, m, c): beyond its outermost kink the term is exactly the
-        sum of c T^g (log T)^m over them as T -> inf, where r = T
-        (``r_to_inf``) or r = 1/T."""
+    def growth(self, r_to_inf: bool) -> List[Tuple[float, float, float, float]]:
+        """Parts (g, m, c, L): beyond its outermost kink the term is exactly
+        the sum of c e^L T^g (log T)^m over them as T -> inf, where r = T
+        (``r_to_inf``) or r = 1/T.  L carries the anchor's power a^(-e) in
+        logs, which overflows where a steep end meets an anchor far from 1."""
         x_to_inf = r_to_inf != self.inverted
-        # Beyond the outermost node the integrand is k x^(end exponent), and
-        # integrated from 1 toward the end x tends to it grows like T^e.  A read
-        # from that end is k T^e / |e|; any other k T^e / e, or k log T at e = 0,
-        # plus the constant making it the read at the node (0 without kinks).
+        # Beyond its outermost kink the integrand is w(a) (x/a)^eps on its
+        # outer segment, anchored at a, and integrated from 1 toward the end x
+        # tends to it grows like T^e.  A read from that end is k T^e / |e|, any
+        # other k T^e / e, or k log T at e = 0, with k = w(a) a^(-eps), plus the
+        # constant making it the read at x = a (0 without kinks).
         f, i = self.integrand, -1 if x_to_inf else 0
-        e = f.exponent_at_infinity + 1.0 if x_to_inf else -(f.exponent_at_zero + 1.0)
-        k = f.end_coefficient(x_to_inf)
+        a, k, eps = f.anchors[i], f.at_anchors[i], f.exponents[i]
+        e, scale = eps + 1.0 if x_to_inf else -(eps + 1.0), -eps * math.log(a)
         toward, log = self.upper == x_to_inf, abs(e) <= EXPONENT_TOLERANCE
-        parts = [(0.0, 1.0, k) if log else (e, 0.0, k / abs(e) if toward else k / e)]
-        if not toward and len(f.kinks):  # at the node k T^e = f(node) node, log T = +-log(node)
-            at_node = k * math.log(f.nodes[i]) * (1.0 if x_to_inf else -1.0) if log else \
-                f.values[i] * f.nodes[i] / e
-            parts.append((0.0, 0.0, float(f.integral(f.nodes[i], self.upper) - at_node)))
+        parts = [(0.0, 1.0, k, scale) if log else (e, 0.0, k / abs(e) if toward else k / e, scale)]
+        if not toward and len(f.kinks):  # at x = a: T^e a^(-eps) = a, log T = +-log(a)
+            at_anchor = k * np.exp(scale) * math.log(a) * (1.0 if x_to_inf else -1.0) if log \
+                else k * a / e
+            parts.append((0.0, 0.0, float(f.integral(a, self.upper) - at_anchor), 0.0))
         w, wp = self.weight, self.weight_power
-        shift = wp * (w.exponent_at_infinity if x_to_inf else -w.exponent_at_zero)
-        return [(g + shift, m, c * w.end_coefficient(x_to_inf) ** wp) for g, m, c in parts]
+        a, k, eps = w.anchors[i], w.at_anchors[i], w.exponents[i]
+        shift = wp * (eps if x_to_inf else -eps)
+        return [(g + shift, m, c * k ** wp, s - wp * eps * math.log(a)) for g, m, c, s in parts]
 
 
 # A bracket product: the product over its factors (terms, power) of
@@ -187,24 +190,27 @@ def _toward(factors: _Factors, r_to_inf: bool) -> Tuple[float, float, float, flo
     """(kappa, m, C, reach) with the product ~ C T^kappa (log T)^m as T -> inf,
     r = T or 1/T, and equal to it to rounding where log T >= reach.  Each
     factor's base is led by its parts of largest g, then m; another part
-    c T^g' (log T)^m' is rounding once |c| T^(g' - g) is _ROUNDING times the
-    lead (at half the rate with a log; never if c or the lead overflows)."""
-    kappa, logs, limit, reach = 0.0, 0.0, np.float64(1.0), -math.inf
+    c e^L T^g' (log T)^m' is rounding once |c| e^L T^(g' - g) is _ROUNDING
+    times the lead (at half the rate with a log; never if c or the lead
+    overflows).  The leads' scales e^L stay in logs until C is formed."""
+    kappa, logs, limit, scale, reach = 0.0, 0.0, np.float64(1.0), 0.0, -math.inf
     with np.errstate(all="ignore"):  # a limit that over- or underflows
         for terms, power in factors:
             parts = [part for term in terms for part in term.growth(r_to_inf)]
-            g = max(gj for gj, _, _ in parts)
-            m = max(mj for gj, mj, _ in parts if gj >= g - EXPONENT_TOLERANCE)
-            leads = [gj >= g - EXPONENT_TOLERANCE and mj == m for gj, mj, _ in parts]
-            lead = sum(c for (_, _, c), led in zip(parts, leads) if led)
-            for gj, mj, c in (part for part, led in zip(parts, leads) if not led):
+            g = max(gj for gj, _, _, _ in parts)
+            m = max(mj for gj, mj, _, _ in parts if gj >= g - EXPONENT_TOLERANCE)
+            leads = [gj >= g - EXPONENT_TOLERANCE and mj == m for gj, mj, _, _ in parts]
+            ref = max(s for (_, _, _, s), led in zip(parts, leads) if led)
+            lead = sum(c * np.exp(s - ref) for (_, _, c, s), led in zip(parts, leads) if led)
+            for gj, mj, c, s in (part for part, led in zip(parts, leads) if not led):
                 ratio, gap = abs(c) / (_ROUNDING * lead), (g - gj) / (1.0 + mj)
-                reach = max(reach, np.log(ratio) / gap if 0.0 < ratio < math.inf
+                reach = max(reach, (np.log(ratio) + (s - ref)) / gap if 0.0 < ratio < math.inf
                             and gap > EXPONENT_TOLERANCE else math.inf)
             kappa += power * g
             logs += power * m
             limit *= lead ** power
-    return kappa, logs, float(limit), reach
+            scale += power * ref
+    return kappa, logs, float(limit * np.exp(scale)), reach
 
 
 def _scan(factors: _Factors, label: str) -> ConditionReport:

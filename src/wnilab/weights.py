@@ -3,11 +3,10 @@ general-monotonicity checks and admissibility predicates.
 
 Weights and test functions are piecewise powers, so values, products,
 moments, absolute integrals and weight integrals all have exact closed
-forms.  Both are immutable once built, apart from a weight's segments and
-their prefix and suffix sums: its first ``integral`` read fills them with
-its own partial segments in one ``power_moment`` batch, or ``total`` fills
-them alone (the same arrays either way, whichever thread fills them).  So
-both are safe to share across threads.
+forms.  Both are immutable once built, apart from a weight's prefix and
+suffix sums: its first ``integral`` read fills them, in one assignment of
+the same arrays whichever thread fills them.  So both are safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -29,43 +28,59 @@ _FORMS = {"power": {"exponent", "coefficient"},  # descriptor keys besides "form
 
 class Weight:
     """Nonnegative weight on (0, inf), one power of x between consecutive
-    ``nodes`` and beyond both ends.  It holds the sorted nodes, its
-    ``values`` and ``log_values`` there and its two end exponents.  A power
-    and a piecewise power have the node 1, a tabulated weight its abscissae
-    (log-linear between them, with power-law extrapolation fitted on the
-    outermost decades), and a product of weight powers (``product``) the
-    union of its factors' nodes.
+    ``nodes`` and beyond both ends, given by its values at the nodes and
+    the exponents of the len(nodes) + 1 pieces.  A power and a piecewise
+    power have the node 1, a tabulated weight its abscissae (log-linear
+    between them, with power-law extrapolation fitted on the outermost
+    decades), and a product of weight powers (``product``) the union of its
+    factors' nodes.
 
-    ``integral`` reads integral_0^x w or integral_x^inf w exactly: a sum of
-    closed-form power segments (``power_moment``) between the nodes, each
-    with the log-ratio of the values at its nodes as exponent, continued
-    with the end exponents beyond them."""
+    Its segment table is built once: ``kinks`` are the nodes where the
+    exponent changes, segment j runs from ``edges[j]`` to ``edges[j + 1]``
+    (0, the kinks, inf), and on it w(x) = at_anchors[j] (x / anchors[j]) **
+    exponents[j].  Each segment is anchored at its node (kinks included)
+    where |log w| is least, so no value overflows or underflows where
+    another node on the segment does not.
 
-    def __init__(self, nodes: Tuple[float, ...], values, log_values, exponent_at_zero: float,
-                 exponent_at_infinity: float):
-        if not (math.isfinite(exponent_at_zero) and math.isfinite(exponent_at_infinity)):
+    ``integral`` reads integral_0^x w or integral_x^inf w exactly: a prefix
+    or suffix sum of closed-form segments (``power_moment``) plus one
+    partial segment."""
+
+    def __init__(self, nodes: Tuple[float, ...], values, exponents):
+        exponents = [float(e) for e in exponents]
+        e0, einf = exponents[0], exponents[-1]
+        if not (math.isfinite(e0) and math.isfinite(einf)):
             raise ValueError("weight exponents must be finite")
         self.nodes = nodes
-        self.values, self.log_values = np.asarray(values, dtype=float), np.asarray(log_values)
-        self._log_nodes = np.log(nodes) if len(nodes) > 1 else None
-        self.exponent_at_zero, self.exponent_at_infinity = exponent_at_zero, exponent_at_infinity
-        self.diverges_at_zero = exponent_at_zero <= -1.0 + 1e-12
-        self.diverges_at_infinity = exponent_at_infinity >= -1.0 - 1e-12
-        self._edges = self._prefix = None
+        self.exponent_at_zero, self.exponent_at_infinity = e0, einf
+        self.diverges_at_zero = e0 <= -1.0 + 1e-12
+        self.diverges_at_infinity = einf >= -1.0 - 1e-12
+        kinked = [i for i in range(len(nodes)) if exponents[i] != exponents[i + 1]]
+        size = [abs(math.log(v)) if v > 0.0 else math.inf for v in values]
+        bounds = [0] + kinked + [len(nodes) - 1]  # each segment's first and last node
+        anchored = [min(range(lo, hi + 1), key=size.__getitem__)
+                    for lo, hi in zip(bounds, bounds[1:])]
+        self.kinks = np.array([nodes[i] for i in kinked])
+        self.edges = np.array([0.0] + self.kinks.tolist() + [math.inf])
+        self.exponents = np.array(exponents[:1] + [exponents[i + 1] for i in kinked])
+        self.anchors = np.array([nodes[i] for i in anchored])
+        self.at_anchors = np.array([values[i] for i in anchored], dtype=float)
+        self._sums = None
 
     @classmethod
     def power(cls, exponent: float, coefficient: float = 1.0) -> "Weight":
         c, e = float(coefficient), float(exponent)
         if not 0.0 <= c < math.inf:
             raise ValueError("a power weight needs a nonnegative finite coefficient")
-        return cls((1.0,), [c], np.log([c]) if c > 0 else [-math.inf], e, e)
+        return cls((1.0,), [c], [e, e])
 
     @classmethod
     def piecewise_power(cls, a1: float, a2: float) -> "Weight":
-        return cls((1.0,), [1.0], [0.0], float(a1), float(a2))
+        return cls((1.0,), [1.0], [float(a1), float(a2)])
 
     @classmethod
     def tabulated(cls, x: Sequence[float], y: Sequence[float]) -> "Weight":
+        """Log-linear through the points (x, y), a y of 0 read as 1e-300."""
         xs, ys = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         if xs.ndim != 1 or len(xs) == 0 or ys.shape != xs.shape:
             raise ValueError(f"tabulated weight needs x and y of one nonzero length, "
@@ -74,43 +89,43 @@ class Weight:
             raise ValueError("tabulated weight needs increasing positive finite abscissae")
         if not np.all((ys >= 0.0) & (ys < math.inf)):
             raise ValueError("tabulated weight needs nonnegative finite values")
-        lx, ly = np.log(xs), np.log(np.maximum(ys, 1e-300))
-        # The end exponents: log-log slopes fitted on the outermost decades.
-        e0, einf = (float(np.polyfit(lx[m], ly[m], 1)[0]) if np.sum(m) >= 2 else 0.0
-                    for m in (lx <= lx[0] + math.log(10.0), lx >= lx[-1] - math.log(10.0)))
-        return cls(tuple(xs.tolist()), ys, ly, e0, einf)
+        ys = np.maximum(ys, 1e-300)
+        lx, ly = np.log(xs), np.log(ys)
+        inner = np.diff(ly) / np.diff(lx)
+        # The end exponents: log-log slopes fitted on the outermost decades,
+        # so a decade of two nodes continues the slope between them.
+        e0, einf = (float(np.polyfit(lx[m], ly[m], 1)[0]) if np.sum(m) > 2 else
+                    float(inner[i]) if np.sum(m) == 2 else 0.0
+                    for m, i in ((lx <= lx[0] + math.log(10.0), 0),
+                                 (lx >= lx[-1] - math.log(10.0), -1)))
+        return cls(tuple(xs.tolist()), ys, np.concatenate([[e0], inner, [einf]]))
 
     @classmethod
     def product(cls, factors: Sequence[Tuple["Weight", float]]) -> "Weight":
         """prod w^p over the factors (w, p): at the union of their nodes
-        (the node 1 without any) its values are prod w(node)^p and its
-        log-values sum p log w(node).  One factor at power 1 is that weight."""
+        (the node 1 without any) its values are prod w(node)^p, and on each
+        piece its exponent is sum p e over the factors' exponents there.  One
+        factor at power 1 is that weight."""
         factors = [(w, float(p)) for w, p in factors if p != 0.0]
         if len(factors) == 1 and factors[0][1] == 1.0:
             return factors[0][0]
         nodes = np.asarray(sorted(set().union(*(w.nodes for w, _ in factors))) or [1.0])
-        values, log_values = np.ones_like(nodes), np.zeros_like(nodes)
+        starts = np.concatenate([[0.0], nodes])  # where each piece starts
+        values, exponents = np.ones_like(nodes), np.zeros_like(starts)
         with np.errstate(all="ignore"):  # weights with zeros
             for w, p in factors:
-                at_nodes = np.asarray(w(nodes), dtype=float)
-                values = values * at_nodes ** p
-                log_values = log_values + p * np.log(at_nodes)
-        return cls(tuple(nodes.tolist()), values, log_values,
-                   float(sum(p * w.exponent_at_zero for w, p in factors)),
-                   float(sum(p * w.exponent_at_infinity for w, p in factors)))
+                values = values * np.asarray(w(nodes), dtype=float) ** p
+                exponents = exponents + p * w.exponents[w._segment(starts)]
+        return cls(tuple(nodes.tolist()), values, exponents)
+
+    def _segment(self, x) -> np.ndarray:
+        """The index of the segment of each x (the number of kinks <= x)."""
+        return np.searchsorted(self.kinks, x, side="right")
 
     def __call__(self, x):
-        """Log-linear between the nodes, the end powers beyond them."""
         x = np.asarray(x, dtype=float)
-        lo, hi = self.nodes[0], self.nodes[-1]
-        left = self.values[0] * (x / lo) ** self.exponent_at_zero
-        if len(self.nodes) == 1 and self.exponent_at_infinity == self.exponent_at_zero:
-            return left
-        right = self.values[-1] * (x / hi) ** self.exponent_at_infinity
-        if len(self.nodes) == 1:
-            return np.where(x <= lo, left, right)
-        inside = np.exp(np.interp(np.log(np.maximum(x, 1e-300)), self._log_nodes, self.log_values))
-        return np.where(x < lo, left, np.where(x > hi, right, inside))
+        j = self._segment(x)
+        return self.at_anchors[j] * (x / self.anchors[j]) ** self.exponents[j]
 
     @classmethod
     def from_descriptor(cls, d: dict) -> "Weight":
@@ -124,84 +139,30 @@ class Weight:
 
     # -- closed-form integrals ---------------------------------------------
 
-    def _fill_layout(self) -> None:
-        """Segment j runs from _edges[j] to _edges[j + 1]; on it w(x) = w(c)
-        (x/c)^_exponents[j] with c = _anchors[j], a node: the outer segments
-        take the end exponents, an inner one the log-ratio of the values at
-        its nodes.  Filled on the first read or ``total``; a second fill is
-        the same."""
-        if self._edges is not None:
-            return
-        nodes = np.asarray(self.nodes)
-        self._anchors = np.concatenate([nodes[:1], nodes])
-        with np.errstate(all="ignore"):
-            log_w = np.concatenate([self.log_values[:1], self.log_values])
-            self._scale = np.exp(log_w) * self._anchors
-            inner = np.diff(self.log_values) / np.diff(np.log(nodes))
-        self._exponents = np.concatenate([[self.exponent_at_zero], inner,
-                                          [self.exponent_at_infinity]])
-        self._edges = np.concatenate([[0.0], nodes, [math.inf]])
-
-    @property
-    def kinks(self) -> np.ndarray:
-        """The nodes where the exponent changes (none for a power)."""
-        self._fill_layout()
-        return np.asarray(self.nodes)[self._exponents[:-1] != self._exponents[1:]]
-
-    def _partial(self, j: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The segments j from a to b.  The first call takes every full
-        segment into the same ``power_moment`` batch (elementwise, so the
-        values are those of separate batches) and fills their prefix and
-        suffix sums (nonnegative terms); a second fill is the same."""
-        if self._prefix is not None:
-            return self._segment(j, a, b)
-        n = len(self._anchors)
-        both = self._segment(np.concatenate([np.arange(n), np.ravel(j)]),
-                             np.concatenate([self._edges[:-1], np.ravel(a)]),
-                             np.concatenate([self._edges[1:], np.ravel(b)]))
-        full, part = both[:n], both[n:]
-        self._suffix = np.append(np.cumsum(full[::-1])[::-1], 0.0)
-        self._prefix = np.concatenate([[0.0], np.cumsum(full)])
-        return part.reshape(np.shape(j))
-
-    def _segment(self, j: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        c = self._anchors[j]
+    def _moment(self, j: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """integral_a^b w on the segments j."""
+        c = self.anchors[j]
         with np.errstate(invalid="ignore", over="ignore"):
-            return self._scale[j] * power_moment(self._exponents[j], a / c, b / c)
+            return self.at_anchors[j] * c * power_moment(self.exponents[j], a / c, b / c)
 
     def integral(self, x, upper: bool = False) -> np.ndarray:
         """integral_0^x w, or integral_x^inf w if ``upper``, at each x of an
-        array: a prefix or suffix sum plus one partial segment, all partial
-        segments of the read in one ``power_moment`` batch (``_partial``).  A
-        read that integrates from a non-integrable end (``diverges_at_zero``:
-        end exponent <= -1 + 1e-12; ``diverges_at_infinity``: >= -1 - 1e-12)
-        is inf."""
+        array: a prefix or suffix sum (nonnegative terms, filled on the first
+        read) plus one partial segment.  A read that integrates from a
+        non-integrable end (``diverges_at_zero``: end exponent <= -1 + 1e-12;
+        ``diverges_at_infinity``: >= -1 - 1e-12) is inf."""
         x = np.asarray(x, dtype=float)
         if self.diverges_at_infinity if upper else self.diverges_at_zero:
             return np.full(x.shape, math.inf)
-        self._fill_layout()
-        j = np.minimum(np.searchsorted(self._edges, x, side="right") - 1, len(self._anchors) - 1)
-        # The partial segments first: the first read fills the sums with them.
+        if self._sums is None:
+            full = self._moment(np.arange(len(self.exponents)), self.edges[:-1], self.edges[1:])
+            self._sums = (np.concatenate([[0.0], np.cumsum(full)]),
+                          np.append(np.cumsum(full[::-1])[::-1], 0.0))
+        prefix, suffix = self._sums
+        j = self._segment(x)
         if upper:
-            part = self._partial(j, x, self._edges[j + 1])
-            return self._suffix[j + 1] + part
-        part = self._partial(j, self._edges[j], x)
-        return self._prefix[j] + part
-
-    @property
-    def total(self) -> np.float64:
-        """integral_0^inf w (inf where an end diverges)."""
-        if self._prefix is None:
-            self._fill_layout()
-            self._partial(np.zeros(0, dtype=int), np.zeros(0), np.zeros(0))
-        return self._prefix[-1]
-
-    def end_coefficient(self, at_infinity: bool) -> np.float64:
-        """k with w(x) = k x^e beyond the outermost node toward that end, e
-        the end exponent there."""
-        i = -1 if at_infinity else 0
-        e = self.exponent_at_infinity if at_infinity else self.exponent_at_zero
-        return self.values[i] * np.float64(self.nodes[i]) ** -e
+            return suffix[j + 1] + self._moment(j, x, self.edges[j + 1])
+        return prefix[j] + self._moment(j, self.edges[j], x)
 
 
 # ---------------------------------------------------------------------------

@@ -590,3 +590,15 @@ def test_hardy_sup_at_a_spike_anywhere(case, r_s):
     assert rep.finite and dense > 1.7
     assert rep.sup_value == pytest.approx(dense, rel=2e-7)
     assert abs(math.log(rep.argmax_r / r_s)) < 2e-3
+
+
+@pytest.mark.parametrize("x0", [1e4, 1e7])
+def test_steep_table_far_from_one_reads_its_constant(x0):
+    # u = (x/x0)^-50 tabulated at x0 and 1.1 x0, v = x^50, s = w = 1 and
+    # (p, q, a) = (2, 2, 1): the second product is the constant
+    # (x0^50 T^49 / 49)^(1/2) (T^-49 / 49)^(1/2) = x0^25 / 49, although the
+    # ends' coefficient x0^50 leaves the floats at x0 = 1e7.
+    u = Weight.tabulated([x0, 1.1 * x0], [1.0, 1.1 ** -50])
+    one = Weight.power(0.0)
+    _, rep = hardy_pair_condition(u, Weight.power(50.0), one, one, ES22)
+    assert rep.finite and rep.sup_value == pytest.approx(x0 ** 25 / 49.0, rel=1e-6)

@@ -85,18 +85,41 @@ def test_product_of_tabulated_and_power_is_the_product_of_its_factors():
 ], ids=["tabulated", "product"])
 @pytest.mark.parametrize("upper", [False, True])
 def test_weight_integral_does_not_depend_on_read_order(make, upper):
-    # The first read fills the segment sums in the batch of its own partial
-    # segments; ``total`` alone fills only the sums.  Either way every read
-    # and the total are the same to the bit.
+    # The first read fills the prefix and suffix sums.  Reads made in
+    # opposite orders, one array against one x at a time after a first read
+    # in the other direction, are the same to the bit.
     xs = np.concatenate([np.geomspace(1e-3, 1e3, 37), [0.2, 0.7, 1.0, 3.0, 9.0]])
-    first = make()
-    read_first = first.integral(xs, upper)
-    total_after = first.total
-    second = make()
-    total_first = second.total
-    np.testing.assert_array_equal(second.integral(xs, upper), read_first)
-    assert total_first == total_after and math.isfinite(total_first)
-    assert first.integral(0.5, upper) == make().integral(0.5, upper)
+    first, second = make(), make()
+    forward = first.integral(xs, upper)
+    second.integral(xs[::-1], not upper)
+    backward = [second.integral(x, upper) for x in xs[::-1]]
+    np.testing.assert_array_equal(np.array(backward[::-1]), forward)
+    np.testing.assert_array_equal(first.integral(xs[::-1], upper)[::-1], forward)
+    assert np.all(np.isfinite(forward) & (forward > 0.0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Weight.piecewise_power(0.5, -2.5),
+    lambda: Weight.product([(Weight.tabulated([0.2, 0.7, 3.0, 9.0], [0.5, 1.3, 0.8, 2.0]), 2.0),
+                            (Weight.piecewise_power(-0.4, -7.0), 1.0)]),
+    lambda: Weight.tabulated([0.1, 0.3, 1.0, 10.0], [2.0, 0.0, 1.0, 0.5]),
+    # The zero squared underflows: the segment rising from it is anchored
+    # at its other end.
+    lambda: Weight.product([(Weight.tabulated([0.1, 0.3, 1.0, 10.0], [2.0, 0.0, 1.0, 0.5]), 2.0)]),
+], ids=["piecewise", "product", "tabulated-zero", "tabulated-zero-squared"])
+def test_weight_value_is_the_density_it_integrates(make):
+    # A fine log-grid trapezoid of w across each segment (the outer ones cut
+    # a decade beyond the outermost kink) matches the difference of its
+    # integral, and w reads no NaN anywhere.
+    w = make()
+    edges = np.concatenate([[w.kinks[0] / 10.0], w.kinks, [w.kinks[-1] * 10.0]])
+    for a, b in zip(edges, edges[1:]):
+        t = np.linspace(math.log(a), math.log(b), 400_001)
+        trapezoid = np.trapezoid(w(np.exp(t)) * np.exp(t), t)
+        exact = w.integral(b) - w.integral(a)
+        assert abs(trapezoid - exact) <= 1e-6 * exact, (a, b)
+    xs = np.concatenate([[0.0, math.inf], np.geomspace(1e-300, 1e300, 601)])
+    assert not np.any(np.isnan(w(xs)))
 
 
 def test_product_of_one_weight_at_power_one_is_that_weight():
