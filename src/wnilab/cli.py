@@ -123,12 +123,6 @@ def _shared_blocks(doc: dict) -> Tuple[tr.TransformSpec, ExponentSet]:
     return transform, ExponentSet(p=float(e["p"]), q=float(e["q"]), a=float(e.get("a", 1.0)))
 
 
-def _sw_powers(exps: ExponentSet) -> Tuple[float, float]:
-    """(1/a', 1/a), each 0 where infinite: the powers of w and s in the
-    two-factor setting ||u^(1/q) w^(1/a') Ff||_q <= ||v^(1/p) s^(1/a) f||_p."""
-    return tuple(0.0 if math.isinf(t) else 1.0 / t for t in (exps.a_prime, exps.a))
-
-
 def _weights(doc: dict, spec: tr.TransformSpec, exps: ExponentSet
              ) -> Tuple[Weight, Weight, Optional[Tuple[float, float]]]:
     """(u, v, pair): the two-factor u and v of a config, s = w = x^b0, and
@@ -143,7 +137,7 @@ def _weights(doc: dict, spec: tr.TransformSpec, exps: ExponentSet
     norm, wts, pair = doc.get("normalization", _NORMALIZATION), doc["weights"], None
     if norm not in ("power", "sw"):
         raise ConfigError(f"normalization must be 'power' or 'sw', got {norm!r}")
-    inv_ap, inv_a = _sw_powers(exps)
+    inv_ap, inv_a = exps.inv_a_prime, exps.inv_a
     if "u" in wts or "v" in wts:
         # explicit weight descriptors (power, piecewise_power or tabulated)
         u, v = Weight.from_descriptor(wts["u"]), Weight.from_descriptor(wts["v"])
@@ -395,7 +389,6 @@ def run_conditions(doc: dict) -> dict:
         transform, exps = _shared_blocks(doc)
         u, v, pair = _weights(doc, transform, exps)
     s, w = Weight.power(transform.b0), Weight.power(transform.b0)
-    inv_ap, inv_a = _sw_powers(exps)
 
     brackets = cond.BracketTable()
     rep1, rep2 = cond.hardy_pair_condition(u, v, s, w, exps, brackets)
@@ -418,27 +411,27 @@ def run_conditions(doc: dict) -> dict:
     # plain power normalization).  Its u is the first Hardy bracket's
     # integrand.
     out["lorentz_necessity"] = cond.lorentz_necessity_condition(
-        brackets.product([(u, 1.0), (w, exps.q * inv_ap)]),
-        brackets.product([(v, 1.0), (s, exps.p * inv_a)]), s, exps).to_dict()
+        brackets.product([(u, 1.0), (w, exps.q * exps.inv_a_prime)]),
+        brackets.product([(v, 1.0), (s, exps.p * exps.inv_a)]), s, exps).to_dict()
 
     if pair is not None:
         # Ranges live in the plain power normalization.
         beta_pow, gamma_pow = pair
         out["power_normalization_exponents"] = {"beta": beta_pow, "gamma": gamma_pow}
         try:
-            suff, sharp = cond.power_pitt_range(transform, exps, beta_pow, gamma_pow)
-            out["power_range"] = suff.to_dict()
-            out["power_range_sharp"] = sharp.to_dict() if sharp else None
+            suff, sharp = cond.power_pitt_range(transform, exps)
+            out["power_range"] = suff.query(beta_pow, gamma_pow).to_dict()
+            out["power_range_sharp"] = sharp.query(beta_pow, gamma_pow).to_dict() if sharp else None
         except cond.EnvelopeNotStrict as exc:
             out["power_range"] = {"error": str(exc)}
         try:
-            out["gm_range"] = cond.gm_power_range(transform, exps,
-                                                  beta_pow, gamma_pow).to_dict()
+            out["gm_range"] = cond.gm_power_range(transform, exps).query(
+                beta_pow, gamma_pow).to_dict()
         except (tr.MissingPrimitiveBound, ValueError) as exc:
             out["gm_range"] = {"error": str(exc)}
         try:
             out["vanishing_moment_range_n1"] = cond.vanishing_moment_range(
-                transform, 1, exps, beta_pow, gamma_pow).to_dict()
+                transform, 1, exps).query(beta_pow, gamma_pow).to_dict()
         except tr.NoSeriesKernel as exc:
             out["vanishing_moment_range_n1"] = {"error": str(exc)}
     return out

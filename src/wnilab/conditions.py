@@ -30,13 +30,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .kernels import KernelSpec
-from .weights import ExponentSet, Weight
+from .weights import EXPONENT_TOLERANCE, ExponentSet, Weight
 from .transforms import TransformSpec, MissingPrimitiveBound, NoSeriesKernel
 
 ENDPOINT_TOLERANCE = 0.05  # verdicts this close to an analytic endpoint are not asserted
-# Exponent sums this close to 0 count as 0: the balance of a bracket product
-# (its power of r), and an integrand exponent + 1 (a log bracket).
-EXPONENT_TOLERANCE = 1e-9
 
 
 class InverseRelationViolated(Exception):
@@ -260,8 +257,7 @@ def hardy_pair_condition(u: Weight, v: Weight, s: Weight, w: Weight, exps: Expon
     ``brackets`` is the config's table (a new one when not given).
     """
     brackets = BracketTable() if brackets is None else brackets
-    q, p_prime, a_prime = exps.q, exps.p_prime, exps.a_prime
-    inv_a = 0.0 if math.isinf(a_prime) else 1.0 / a_prime
+    q, p_prime, inv_a = exps.q, exps.p_prime, exps.inv_a_prime
 
     c_a1 = brackets.product([(u, 1.0), (w, q * inv_a)])
     c_b1 = brackets.product([(v, 1.0 - p_prime), (s, p_prime * inv_a)])
@@ -366,8 +362,7 @@ def _relation_offset(spec: TransformSpec, exps: ExponentSet) -> float:
     return spec.c0 - spec.b0 + 1.0 / exps.q - 1.0 / exps.p_prime
 
 
-def power_pitt_range(spec: TransformSpec, exps: ExponentSet,
-                     beta: Optional[float] = None, gamma: Optional[float] = None
+def power_pitt_range(spec: TransformSpec, exps: ExponentSet
                      ) -> Tuple[RangeVerdict, Optional[RangeVerdict]]:
     """Sufficient exponent range from the two-regime power envelope, and
     the known sharp (iff) range where one exists for the named transform.
@@ -390,17 +385,10 @@ def power_pitt_range(spec: TransformSpec, exps: ExponentSet,
     elif spec.name == "scripth" and spec.alpha is not None and spec.alpha > 0.5:
         sharp = RangeVerdict("power_sharp", suff.lo, suff.hi, False, False,
                              offset, sharp=True)
-
-    if beta is not None:
-        suff = suff.query(beta, gamma)
-        if sharp is not None:
-            sharp = sharp.query(beta, gamma)
     return suff, sharp
 
 
-def gm_power_range(spec: TransformSpec, exps: ExponentSet,
-                   beta: Optional[float] = None, gamma: Optional[float] = None
-                   ) -> RangeVerdict:
+def gm_power_range(spec: TransformSpec, exps: ExponentSet) -> RangeVerdict:
     """Exponent range valid for admissible general-monotone functions,
     driven by the primitive bound (b >= 0, c < b1) instead of the kernel's
     large-argument envelope."""
@@ -412,20 +400,14 @@ def gm_power_range(spec: TransformSpec, exps: ExponentSet,
         raise ValueError("gm range needs primitive bound with b >= 0 and c < b1")
     offset = _relation_offset(spec, exps)
     sharp = spec.name in ("hankel", "sine", "cosine", "scripth")
-    verdict = RangeVerdict("gm_range", 1.0 / exps.q + spec.c0 + pb.c,
-                           1.0 / exps.q + spec.c0 + env.b1, False, False,
-                           offset, sharp=sharp)
-    if beta is not None:
-        verdict = verdict.query(beta, gamma)
-    return verdict
+    return RangeVerdict("gm_range", 1.0 / exps.q + spec.c0 + pb.c,
+                        1.0 / exps.q + spec.c0 + env.b1, False, False, offset, sharp=sharp)
 
 
-def vanishing_moment_range(spec: TransformSpec, n: int, exps: ExponentSet,
-                           beta: Optional[float] = None,
-                           gamma: Optional[float] = None) -> RangeVerdict:
+def vanishing_moment_range(spec: TransformSpec, n: int, exps: ExponentSet) -> RangeVerdict:
     """Extended range when the first n kernel-series moments of f vanish,
     with the excluded interior lattice points."""
-    series = spec.series
+    series = spec.kernel.series
     if series is None:
         raise NoSeriesKernel(spec.name)
     if n < 1:
@@ -433,11 +415,8 @@ def vanishing_moment_range(spec: TransformSpec, n: int, exps: ExponentSet,
     base = 1.0 / exps.q + spec.c0 + series.b1
     k = float(series.step)
     excluded = tuple(base + j * k for j in range(1, n))
-    verdict = RangeVerdict("vanishing_moment_range", base, base + n * k,
-                           False, False, _relation_offset(spec, exps), excluded)
-    if beta is not None:
-        verdict = verdict.query(beta, gamma)
-    return verdict
+    return RangeVerdict("vanishing_moment_range", base, base + n * k,
+                        False, False, _relation_offset(spec, exps), excluded)
 
 
 # ---------------------------------------------------------------------------

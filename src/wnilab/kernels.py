@@ -1,5 +1,5 @@
 """Special-function kernels: normalized Bessel, Struve, sine/cosine and
-model min-kernels, their two-sided power envelopes and their registry.
+model min-kernels, their two-regime power envelopes and their registry.
 
 Evaluation strategy: a power series in extended precision up to the
 crossover argument max(12, 2 alpha), and the kernel's large-argument form
@@ -361,7 +361,8 @@ def struve_derivative_check(alpha: float, x: float, h: float) -> float:
 
 @dataclass(frozen=True)
 class PowerEnvelope:
-    """Two-regime power bound min{(xy)^b1, (xy)^b2} for a kernel phi(xy).
+    """Two-regime power bound min{(xy)^b1, (xy)^b2} for a kernel phi(xy);
+    a preset kernel reads it from its expansions (``_envelope``).
 
     ``exact`` records that the bound is two-sided away from kernel zeros.
     ``strict`` is derived: the regimes genuinely cross (b1 - b2 > 0), which
@@ -399,6 +400,14 @@ def _series_kernel(b1: float, s: float, alpha: float, lead: float = 1.0) -> Seri
     coefs = (lead * _series_coefficients(s, alpha)[0]).astype(float)
     coefs.flags.writeable = False
     return SeriesKernel(b1, 2, coefs)
+
+
+def _envelope(near: SeriesKernel, far: FarField, exact: bool = False) -> PowerEnvelope:
+    """The envelope the expansions state: (xy)^b1 from the series' leading
+    power, and (xy)^b2 from the slower-decaying of the far field's
+    oscillatory and drift powers, each where that part is present."""
+    parts = ((far.osc_power, np.any(far.osc)), (far.drift_power, far.drift))
+    return PowerEnvelope(near.b1, max(power for power, present in parts if present), exact)
 
 
 @dataclass(frozen=True)
@@ -440,24 +449,21 @@ class KernelSpec:
 def bessel_j_kernel(alpha: float) -> KernelSpec:
     if alpha <= -1.0:
         raise ValueError("order must exceed -1")
-    env = PowerEnvelope(0.0, -alpha - 0.5)
-    return KernelSpec("bessel_j", env, lambda t: bessel_j(alpha, t),
-                      series=_series_kernel(0.0, 1.0, alpha), far_field=_bessel_far_field(alpha),
-                      phi_error=lambda t: bessel_j_error(alpha, t), crossover=_crossover(alpha))
+    series, far = _series_kernel(0.0, 1.0, alpha), _bessel_far_field(alpha)
+    return KernelSpec("bessel_j", _envelope(series, far), lambda t: bessel_j(alpha, t),
+                      series=series, far_field=far, phi_error=lambda t: bessel_j_error(alpha, t),
+                      crossover=_crossover(alpha))
 
 
 @lru_cache(maxsize=64)
 def struve_h_kernel(alpha: float) -> KernelSpec:
     if alpha <= -0.5:
         raise ValueError("order must exceed -1/2")
-    if alpha >= 0.5:
-        env = PowerEnvelope(alpha + 1.0, alpha - 1.0, exact=(alpha > 0.5))
-    else:
-        env = PowerEnvelope(alpha + 1.0, -0.5)
     far = _struve_far_field(alpha)  # first: it refuses the orders whose gamma values overflow
     a0 = 2.0 ** -(alpha + 1.0) / (math.gamma(1.5) * math.gamma(alpha + 1.5))
-    return KernelSpec("struve_h", env, lambda t: struve_h(alpha, t),
-                      series=_series_kernel(alpha + 1.0, 1.5, alpha, a0), far_field=far,
+    series = _series_kernel(alpha + 1.0, 1.5, alpha, a0)
+    return KernelSpec("struve_h", _envelope(series, far, exact=alpha > 0.5),
+                      lambda t: struve_h(alpha, t), series=series, far_field=far,
                       phi_error=lambda t: struve_h_error(alpha, t), crossover=_crossover(alpha))
 
 
@@ -468,18 +474,18 @@ def _trig_error(t: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def sine_kernel() -> KernelSpec:
-    env = PowerEnvelope(1.0, 0.0)
     series = _series_kernel(1.0, 1.0, 0.5)  # sin t = t j_(1/2)(t)
-    return KernelSpec("sine", env, np.sin, series=series,
-                      far_field=FarField(-1j, 0.0, np.ones(1)), phi_error=_trig_error)
+    far = FarField(-1j, 0.0, np.ones(1))
+    return KernelSpec("sine", _envelope(series, far), np.sin, series=series, far_field=far,
+                      phi_error=_trig_error)
 
 
 @lru_cache(maxsize=64)
 def cosine_kernel() -> KernelSpec:
-    env = PowerEnvelope(0.0, 0.0)
     series = _series_kernel(0.0, 1.0, -0.5)  # cos t = j_(-1/2)(t)
-    return KernelSpec("cosine", env, np.cos, series=series,
-                      far_field=FarField(1.0, 0.0, np.ones(1)), phi_error=_trig_error)
+    far = FarField(1.0, 0.0, np.ones(1))
+    return KernelSpec("cosine", _envelope(series, far), np.cos, series=series, far_field=far,
+                      phi_error=_trig_error)
 
 
 @lru_cache(maxsize=64)
@@ -489,15 +495,14 @@ def model_min_kernel(delta: float) -> KernelSpec:
     far field of one drift term (no oscillatory part) beyond 1."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    env = PowerEnvelope(0.0, -0.5 * delta, exact=True)
 
     def phi(t):
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore"):
             return np.where(t <= 1.0, 1.0, t ** (-0.5 * delta))
-    return KernelSpec("model_min", env, phi,
-                      far_field=FarField(1.0, 0.0, np.zeros(1), -0.5 * delta, (1.0,)),
-                      near=SeriesKernel(0.0, 1, np.ones(1)))
+    near = SeriesKernel(0.0, 1, np.ones(1))
+    far = FarField(1.0, 0.0, np.zeros(1), -0.5 * delta, (1.0,))
+    return KernelSpec("model_min", _envelope(near, far, exact=True), phi, far_field=far, near=near)
 
 
 # The kernel factories by kind; each factory's parameters are the kernel's.

@@ -1,11 +1,11 @@
 """Integral transforms with power-type kernels: evaluation of
 F f(y) = y^c0 * integral x^b0 f(x) K(x,y) dx for the named transforms
-(Hankel, Struve, sine, cosine, model min-kernel), plus the two pointwise
-upper bounds, the moment-reduced transform for series kernels, the kernel
-primitives and F f's closed forms toward y = 0 and y = inf.  Every kernel
-is phi(xy), so every value is a read of a cached Phi_nu table
-(``DilationTable``): a power piece c x^e on (lo, hi) gives y^(c0 - nu - 1)
-c [Phi_nu(hi y) - Phi_nu(lo y)], nu = b0 + e.
+(Hankel, Struve, sine, cosine, model min-kernel), the regime table of
+admissibility and the pointwise bounds, the moment-reduced transform for
+series kernels, the kernel primitives and F f's closed forms toward y = 0
+and y = inf.  Every kernel is phi(xy), so every value is a read of a cached
+Phi_nu table (``DilationTable``): a power piece c x^e on (lo, hi) gives
+y^(c0 - nu - 1) c [Phi_nu(hi y) - Phi_nu(lo y)], nu = b0 + e.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernels import (_ASYMPTOTIC_MAX_TERMS, _CROSSOVER, KernelSpec,
-                      SeriesKernel, _smallest_term_index, bessel_j_kernel, cosine_kernel,
-                      model_min_kernel, sine_kernel, struve_h_kernel)
+from .kernels import (_ASYMPTOTIC_MAX_TERMS, _CROSSOVER, KernelSpec, _smallest_term_index,
+                      bessel_j_kernel, cosine_kernel, model_min_kernel, sine_kernel,
+                      struve_h_kernel)
 from .quadrature import NonConvergence, QuadratureConfig
-from .weights import TestFunction, check_admissible, power_moment
+from .weights import TestFunction, power_moment
 
 
 class AdmissibilityError(Exception):
@@ -69,10 +69,6 @@ class TransformSpec:
     kernel_est_holds: bool = False
     primitive_bound: Optional[PrimitiveBound] = None
     alpha: Optional[float] = None
-
-    @property
-    def series(self) -> Optional[SeriesKernel]:
-        return self.kernel.series
 
 
 def hankel(alpha: float) -> TransformSpec:
@@ -556,11 +552,14 @@ def struve_primitive_bound(alpha: float, nu: float, x_grid: Sequence[float],
     return float(np.max(np.abs(h) / bound, initial=0.0))
 
 
-def bessel_primitive_bound(alpha: float, nu: float, y: float,
-                           x_grid: Sequence[float], cap: float = 1e4) -> float:
+_PRIMITIVE_CAP = 1e4
+
+
+def bessel_primitive_bound(alpha: float, nu: float, y: float, x_grid: Sequence[float]) -> float:
     """Fitted C in |g(x; y)| <= C x^(nu - a - 1/2) y^(-a - 3/2) over grid
     points with x*y >= 1, where g is the zero-constant primitive of
-    t^nu * bessel_j(alpha, t y)."""
+    t^nu * bessel_j(alpha, t y).  Raises EstimateViolation where C exceeds
+    _PRIMITIVE_CAP."""
     if alpha < -0.5:
         raise ValueError("order must be >= -1/2")
     if nu <= -1.0:
@@ -569,9 +568,9 @@ def bessel_primitive_bound(alpha: float, nu: float, y: float,
     g, _ = _primitive(bessel_j_kernel(alpha), nu, xs, y)
     bound = np.where(xs * y >= 1.0, xs ** (nu - alpha - 0.5) * y ** (-alpha - 1.5), np.inf)
     best = float(np.max(np.abs(g) / bound, initial=0.0))
-    if best > cap:
-        raise EstimateViolation(
-            f"primitive estimate violated: fitted constant {best:.3g} exceeds cap {cap:.3g}")
+    if best > _PRIMITIVE_CAP:
+        raise EstimateViolation(f"primitive estimate violated: fitted constant {best:.3g} "
+                                f"exceeds cap {_PRIMITIVE_CAP:.3g}")
     return best
 
 
@@ -656,7 +655,7 @@ def far_envelope(spec: TransformSpec, f: TestFunction,
 
 def apply(spec: TransformSpec, f: TestFunction, y_grid: Sequence[float],
           config: Optional[QuadratureConfig] = None, *,
-          check: bool = True, admissibility_mode: str = "pointwise") -> TransformResult:
+          check: bool = True, admissibility_mode: str = "standard") -> TransformResult:
     """Evaluate F f on a grid of y > 0, for a piecewise-power f and a kernel
     with a far field (every preset), in one vectorized pass over the
     dilation tables (``_table_values``).
@@ -666,9 +665,9 @@ def apply(spec: TransformSpec, f: TestFunction, y_grid: Sequence[float],
     ``nonconvergent`` otherwise, keeping the read and its error.  Raises
     NonConvergence when a table cannot be built (``DilationTable``).
 
-    check=True enforces the integrability precondition (pointwise mode by
-    default; pass admissibility_mode='gm' for transforms consumed under the
-    general-monotone estimates).
+    check=True enforces the integrability precondition (``check_admissible``
+    in the standard mode by default; pass admissibility_mode='gm' for
+    transforms consumed under the general-monotone estimates).
     """
     if spec.kernel.far_field is None:
         raise ValueError(f"{spec.name}: transforms need a kernel with a far field")
@@ -695,59 +694,85 @@ def apply(spec: TransformSpec, f: TestFunction, y_grid: Sequence[float],
     return TransformResult(ys, vals, errs, notes)
 
 
-def pointwise_bound(spec: TransformSpec, f: TestFunction, y: float,
-                    mode: str = "standard", lam: Optional[float] = None) -> float:
-    """Upper bound for |F f(y)| from the kernel's regime estimates.
+def _regimes(spec: TransformSpec, mode: str) -> Tuple[Tuple[float, float], Tuple[float, float]]:
+    """((mu, k) near, (mu, k) far): the regime estimates of |F f(y)| are y^k
+    integral x^mu |f| over x below 1/y and beyond it.
 
-    standard: integral_0^(1/y) x^b0 |f| + y^(-b0/2) integral_(1/y)^inf
-    x^(b0/2) |f|  (requires the min{1, (s w)^(-1/2)} kernel estimate).
-
-    gm: y^(c0+b1) integral_0^(1/y) x^(b0+b1) |f| + y^(c0+c) *
-    integral_(1/(lam y))^inf x^(b-1) |f|, with (b, c) the primitive bound
-    and lam the general-monotonicity dilation constant.
-
-    Both are the analytic right-hand sides without their implicit
-    constants; domination holds up to a fitted constant.
-    """
-    split = 1.0 / y
+    standard: (b0, 0) and (b0/2, -b0/2), from |K| <= C min{1, (x^b0
+    y^b0)^(-1/2)}.  gm: (b0 + b1, c0 + b1) and (b - 1, c0 + c), from the
+    envelope's b1 and the primitive bound (b, c); the far integral starts at
+    1/(lam y), lam the general-monotonicity dilation constant."""
     if mode == "standard":
-        if not spec.kernel_est_holds:
-            raise ValueError(f"{spec.name} does not satisfy the two-factor kernel estimate")
-        near = f.abs_weighted_integral(spec.b0, 0.0, split)
-        far = f.abs_weighted_integral(0.5 * spec.b0, split, math.inf)
-        return near + y ** (-0.5 * spec.b0) * far
+        return (spec.b0, 0.0), (0.5 * spec.b0, -0.5 * spec.b0)
     if mode == "gm":
         pb = spec.primitive_bound
         if pb is None:
             raise MissingPrimitiveBound(spec.name)
-        if pb.b < 0:
-            raise ValueError("general-monotone bound requires primitive exponent b >= 0")
-        if lam is None:
-            if f.gm_witness is None:
-                raise ValueError("gm mode needs a witness lambda (or explicit lam)")
-            lam = f.gm_witness.lam
-        env = spec.kernel.envelope
-        near = f.abs_weighted_integral(spec.b0 + env.b1, 0.0, split)
-        far = f.abs_weighted_integral(pb.b - 1.0, 1.0 / (lam * y), math.inf)
-        return y ** (spec.c0 + env.b1) * near + y ** (spec.c0 + pb.c) * far
+        b1 = spec.kernel.envelope.b1
+        return (spec.b0 + b1, spec.c0 + b1), (pb.b - 1.0, spec.c0 + pb.c)
     raise ValueError("mode must be 'standard' or 'gm'")
+
+
+@dataclass
+class AdmissibilityReport:
+    admissible: bool
+    near_origin: float
+    tail: float
+
+    def __bool__(self) -> bool:
+        return self.admissible
+
+
+def check_admissible(f: TestFunction, spec: TransformSpec,
+                     mode: str = "standard") -> AdmissibilityReport:
+    """Are the two regime integrals of |f| (``_regimes``) finite on (0, 1)
+    and (1, inf), so the transform of f is pointwise defined?"""
+    (mu0, _), (mu1, _) = _regimes(spec, mode)
+    near = f.abs_weighted_integral(mu0, 0.0, 1.0)
+    tail = f.abs_weighted_integral(mu1, 1.0, math.inf)
+    return AdmissibilityReport(math.isfinite(near) and math.isfinite(tail), near, tail)
+
+
+def pointwise_bound(spec: TransformSpec, f: TestFunction, y: float,
+                    mode: str = "standard") -> float:
+    """Upper bound for |F f(y)|: the sum of the two regime estimates
+    (``_regimes``), the analytic right-hand side without its implicit
+    constant, so domination holds up to a fitted constant.  The standard
+    mode needs the two-factor kernel estimate, the gm mode a primitive
+    exponent b >= 0 and f's general-monotonicity witness."""
+    if mode == "standard" and not spec.kernel_est_holds:
+        raise ValueError(f"{spec.name} does not satisfy the two-factor kernel estimate")
+    (mu0, k0), (mu1, k1) = _regimes(spec, mode)
+    lam = 1.0
+    if mode == "gm":
+        if spec.primitive_bound.b < 0:
+            raise ValueError("general-monotone bound requires primitive exponent b >= 0")
+        if f.gm_witness is None:
+            raise ValueError("gm mode needs f's general-monotonicity witness")
+        lam = f.gm_witness.lam
+    near = f.abs_weighted_integral(mu0, 0.0, 1.0 / y)
+    far = f.abs_weighted_integral(mu1, 1.0 / (lam * y), math.inf)
+    return y ** k0 * near + y ** k1 * far
 
 
 # ---------------------------------------------------------------------------
 # moment-reduced transform for series kernels
 # ---------------------------------------------------------------------------
 
+# The largest |moment| ``moment_reduced_apply`` counts as vanished.
+_MOMENT_TOL = 1e-10
+
+
 def moment_reduced_apply(spec: TransformSpec, f: TestFunction, ell: int,
                          y_grid: Sequence[float],
-                         config: Optional[QuadratureConfig] = None,
-                         moment_tol: float = 1e-10) -> TransformResult:
+                         config: Optional[QuadratureConfig] = None) -> TransformResult:
     """F f through the reduced kernel G_ell(t) = t^(-b1) phi(t) -
     sum_(m<ell) a_m t^(k m), valid when the moments M_mu(f) of orders
     mu = b0 + b1 + m k (m < ell) vanish.  Every series kernel is phi(xy),
     so y^(c0+b1) integral x^(b0+b1) f(x) G_ell(xy) dx is ``apply`` minus
     the terms a_m y^(c0+b1+k m) M_mu(f), in closed form; the error adds eps
     times each term's magnitude."""
-    series = spec.series
+    series = spec.kernel.series
     if series is None:
         raise NoSeriesKernel(spec.name)
     if ell < 1:
@@ -755,9 +780,9 @@ def moment_reduced_apply(spec: TransformSpec, f: TestFunction, ell: int,
     orders = spec.b0 + series.b1 + series.step * np.arange(ell)
     moments = [f.moment(mu) for mu in orders]
     for mu, moment in zip(orders, moments):
-        if abs(moment) > moment_tol:
+        if abs(moment) > _MOMENT_TOL:
             raise MomentsNotVanished(
-                f"moment of order {mu:g} is {moment:.3e} (tolerance {moment_tol:g})")
+                f"moment of order {mu:g} is {moment:.3e} (tolerance {_MOMENT_TOL:g})")
     res = apply(spec, f, y_grid, config, check=False)
     ys = res.y_grid
     for m, (a, moment) in enumerate(zip(series.coefs[:ell], moments)):

@@ -1,5 +1,5 @@
-"""Weights, Lebesgue exponent sets, closed-form test-function families,
-general-monotonicity checks and admissibility predicates.
+"""Weights, Lebesgue exponent sets, closed-form test-function families and
+general-monotonicity checks.
 
 Weights and test functions are piecewise powers, so values, products,
 moments, absolute integrals and weight integrals all have exact closed
@@ -22,6 +22,9 @@ import numpy as np
 # weights
 # ---------------------------------------------------------------------------
 
+# Exponents this close count as equal: a node between two such pieces is
+# no kink, and an exponent sum this close to 0 is 0 (``conditions``).
+EXPONENT_TOLERANCE = 1e-9
 _FORMS = {"power": {"exponent", "coefficient"},  # descriptor keys besides "form"
           "piecewise_power": {"a1", "a2"}, "tabulated": {"x", "y"}}
 
@@ -55,7 +58,8 @@ class Weight:
         self.exponent_at_zero, self.exponent_at_infinity = e0, einf
         self.diverges_at_zero = e0 <= -1.0 + 1e-12
         self.diverges_at_infinity = einf >= -1.0 - 1e-12
-        kinked = [i for i in range(len(nodes)) if exponents[i] != exponents[i + 1]]
+        kinked = [i for i in range(len(nodes))
+                  if abs(exponents[i] - exponents[i + 1]) > EXPONENT_TOLERANCE]
         size = [abs(math.log(v)) if v > 0.0 else math.inf for v in values]
         bounds = [0] + kinked + [len(nodes) - 1]  # each segment's first and last node
         anchored = [min(range(lo, hi + 1), key=size.__getitem__)
@@ -92,12 +96,9 @@ class Weight:
         ys = np.maximum(ys, 1e-300)
         lx, ly = np.log(xs), np.log(ys)
         inner = np.diff(ly) / np.diff(lx)
-        # The end exponents: log-log slopes fitted on the outermost decades,
-        # so a decade of two nodes continues the slope between them.
-        e0, einf = (float(np.polyfit(lx[m], ly[m], 1)[0]) if np.sum(m) > 2 else
-                    float(inner[i]) if np.sum(m) == 2 else 0.0
-                    for m, i in ((lx <= lx[0] + math.log(10.0), 0),
-                                 (lx >= lx[-1] - math.log(10.0), -1)))
+        # The end exponents: log-log slopes fitted on the outermost decades.
+        e0, einf = (float(np.polyfit(lx[m], ly[m], 1)[0]) if np.sum(m) > 1 else 0.0
+                    for m in (lx <= lx[0] + math.log(10.0), lx >= lx[-1] - math.log(10.0)))
         return cls(tuple(xs.tolist()), ys, np.concatenate([[e0], inner, [einf]]))
 
     @classmethod
@@ -201,6 +202,17 @@ class ExponentSet:
     @property
     def a_prime(self) -> float:
         return _dual(self.a)
+
+    @property
+    def inv_a(self) -> float:
+        """1/a, 0 where a is infinite: the power of s in the two-factor
+        setting ||u^(1/q) w^(1/a') Ff||_q <= ||v^(1/p) s^(1/a) f||_p."""
+        return 0.0 if math.isinf(self.a) else 1.0 / self.a
+
+    @property
+    def inv_a_prime(self) -> float:
+        """1/a', 0 where a' is infinite (a = 1): the power of w there."""
+        return 0.0 if math.isinf(self.a_prime) else 1.0 / self.a_prime
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +342,11 @@ def make_log_counterexample(N: float, b0_plus_b1: float) -> TestFunction:
 
 
 def make_vanishing_moment_function(orders: Sequence[float],
-                                   nodes: Sequence[float],
-                                   exponent: Optional[float] = None) -> TestFunction:
-    """Piecewise power c_i x^e on the node intervals with every listed
-    moment killed.  Coefficients come from an exact closed-form linear
-    solve; the result is normalized to unit L2 norm."""
+                                   nodes: Sequence[float]) -> TestFunction:
+    """Piecewise power c_i x^e, e = -(min(orders) + 1), on the node intervals
+    with every listed moment killed (1 on the first interval without
+    orders).  Coefficients come from an exact closed-form linear solve; the
+    result is normalized to unit L2 norm."""
     nodes = sorted(float(t) for t in nodes)
     if any(t <= 0 for t in nodes):
         raise ValueError("nodes must be positive")
@@ -343,12 +355,12 @@ def make_vanishing_moment_function(orders: Sequence[float],
     if not orders:
         if m < 1:
             raise SingularSystem("need at least one interval")
-        pieces = [Piece(nodes[0], nodes[1], 1.0, exponent if exponent is not None else 0.0)]
+        pieces = [Piece(nodes[0], nodes[1], 1.0, 0.0)]
         return TestFunction("vanishing_moments", pieces, params={"orders": []})
     if m < len(orders) + 1:
         raise SingularSystem(
             f"{m} intervals cannot kill {len(orders)} moments with a free normalization")
-    e = exponent if exponent is not None else -(min(orders) + 1.0)
+    e = -(min(orders) + 1.0)
 
     rows = []
     for mu in orders:
@@ -380,15 +392,15 @@ def make_vanishing_moment_function(orders: Sequence[float],
 # general monotonicity
 # ---------------------------------------------------------------------------
 
-_DEFAULT_LAMBDAS = (1.25, 1.5, 2.0, 4.0, 8.0)
+_GM_LAMBDAS = (1.25, 1.5, 2.0, 4.0, 8.0)
 _GM_C_CAP = 1e6
 _GM_GROWTH_CAP = 3.0  # max tolerated growth of the fitted C per decade
 
 
-def _variation(f: Callable, x: float, n_sub: int = 128) -> float:
-    """Total variation of f on [x, 2x] from a fine log subgrid, with jump
-    points sampled from both sides."""
-    pts = list(np.geomspace(x, 2.0 * x, n_sub))
+def _variation(f: Callable, x: float) -> float:
+    """Total variation of f on [x, 2x] from a 128-point log subgrid, with
+    jump points sampled from both sides."""
+    pts = list(np.geomspace(x, 2.0 * x, 128))
     for b in getattr(f, "breakpoints", ()):
         if x <= b <= 2.0 * x:
             pts.extend([b * (1.0 - 1e-9), b * (1.0 + 1e-9)])
@@ -397,26 +409,23 @@ def _variation(f: Callable, x: float, n_sub: int = 128) -> float:
     return float(np.sum(np.abs(np.diff(vals))))
 
 
-def check_gm(f: Callable,
-             lambda_grid: Sequence[float] = _DEFAULT_LAMBDAS,
-             x_grid: Optional[np.ndarray] = None,
-             c_cap: float = _GM_C_CAP) -> Optional[GMWitness]:
-    """Fit the smallest constant C (over the lambda menu) such that the
-    variation of f on [x, 2x] is dominated by (C/x) times its average over
-    [x/lambda, lambda*x] on the whole grid.  f is a test function or any
-    callable on (0, inf), such as np.sin.
+def check_gm(f: Callable) -> Optional[GMWitness]:
+    """Fit the smallest constant C (over the lambda menu _GM_LAMBDAS) such
+    that the variation of f on [x, 2x] is dominated by (C/x) times its
+    average over [x/lambda, lambda*x] on a grid of 40 points per decade on
+    [1e-3, 1e3].  f is a test function or any callable on (0, inf), such as
+    np.sin.
 
     Membership needs more than C staying under the cap on a finite grid:
     the required constant must not grow systematically across decades,
     otherwise any bounded grid would certify sin-like functions.  Returns
     None when no tested lambda admits a stable constant.
     """
-    if x_grid is None:
-        x_grid = np.geomspace(1e-3, 1e3, 241)  # 40 points per decade
+    x_grid = np.geomspace(1e-3, 1e3, 241)
     variations = np.asarray([_variation(f, float(x)) for x in x_grid])
 
     best: Optional[GMWitness] = None
-    for lam in lambda_grid:
+    for lam in _GM_LAMBDAS:
         required = np.empty(len(x_grid))
         for i, x in enumerate(x_grid):
             if variations[i] == 0.0:
@@ -425,7 +434,7 @@ def check_gm(f: Callable,
             avg = _abs_mass(f, x / lam, lam * x)
             required[i] = math.inf if avg == 0.0 else variations[i] * x / avg
         cmax = float(np.max(required))
-        if not math.isfinite(cmax) or cmax > c_cap or cmax == 0.0:
+        if not math.isfinite(cmax) or cmax > _GM_C_CAP or cmax == 0.0:
             continue
         if _grows_across_decades(x_grid, required):
             continue
@@ -460,43 +469,3 @@ def _grows_across_decades(x_grid: np.ndarray, required: np.ndarray) -> bool:
     logm = np.log10([m for _, m in live])
     slope = float(np.polyfit(idx, logm, 1)[0])
     return slope > math.log10(_GM_GROWTH_CAP)
-
-
-# ---------------------------------------------------------------------------
-# admissibility
-# ---------------------------------------------------------------------------
-
-@dataclass
-class AdmissibilityReport:
-    admissible: bool
-    near_origin: float
-    tail: float
-
-    def __bool__(self) -> bool:
-        return self.admissible
-
-
-def check_admissible(f: TestFunction, transform, mode: str = "pointwise") -> AdmissibilityReport:
-    """Are the two regime integrals of |f| finite, so the transform of f is
-    pointwise defined?
-
-    mode='pointwise' checks integral_0^1 x^b0 |f| + integral_1^inf
-    x^(b0/2) |f|; mode='gm' checks integral_0^1 x^(b0+b1) |f| +
-    integral_1^inf x^(b-1) |f| with b from the transform's primitive bound.
-    """
-    if mode == "pointwise":
-        mu0 = transform.b0
-        mu1 = 0.5 * transform.b0
-    elif mode == "gm":
-        mu0 = transform.b0 + transform.kernel.envelope.b1
-        pb = transform.primitive_bound
-        if pb is None:
-            raise ValueError(f"transform {transform.name!r} carries no primitive bound")
-        mu1 = pb.b - 1.0
-    else:
-        raise ValueError("mode must be 'pointwise' or 'gm'")
-
-    near = f.abs_weighted_integral(mu0, 0.0, 1.0)
-    tail = f.abs_weighted_integral(mu1, 1.0, math.inf)
-    finite = math.isfinite(near) and math.isfinite(tail)
-    return AdmissibilityReport(finite, near, tail)

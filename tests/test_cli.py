@@ -709,8 +709,7 @@ def test_conditions_read_a_power_config_as_verify_does():
 def _power_twin(weights, b0, exps):
     """The "power" weights block of an "sw" one: beta - b0/a' and gamma +
     b0/a, or descriptor exponents shifted by q b0/a' and p b0/a."""
-    inv_ap, inv_a = cli._sw_powers(exps)
-    du, dv = b0 * inv_ap, b0 * inv_a
+    du, dv = b0 * exps.inv_a_prime, b0 * exps.inv_a
     if "u" in weights:
         keys = {"power": ("exponent",), "piecewise_power": ("a1", "a2")}
         u, v = dict(weights["u"]), dict(weights["v"])

@@ -351,6 +351,28 @@ def test_envelope_constant_stability_under_refinement():
     assert max(cs) / min(cs) < 1.05
 
 
+@pytest.mark.parametrize("kernel,b1,b2,exact", [
+    (bessel_j_kernel(-0.5), 0.0, 0.0, False),
+    (bessel_j_kernel(0.0), 0.0, -0.5, False),
+    (bessel_j_kernel(2.5), 0.0, -3.0, False),
+    (struve_h_kernel(0.25), 1.25, -0.5, False),
+    (struve_h_kernel(0.5), 1.5, -0.5, False),
+    (struve_h_kernel(0.75), 1.75, -0.25, True),
+    (sine_kernel(), 1.0, 0.0, False),
+    (cosine_kernel(), 0.0, 0.0, False),
+    (model_min_kernel(1.0), 0.0, -0.5, True),
+], ids=["bessel-0.5", "bessel0", "bessel2.5", "struve0.25", "struve0.5", "struve0.75",
+        "sine", "cosine", "model_min1"])
+def test_preset_envelope_is_its_expansions_leading_powers(kernel, b1, b2, exact):
+    # min{(xy)^b1, (xy)^b2}: b1 is the series' leading power (t^(a+1) for
+    # Struve, t for sine, 1 otherwise), b2 the slower decay of the far field:
+    # Bessel's t^(-a-1/2), the larger of Struve's t^(-1/2) and drift t^(a-1)
+    # (equal at a = 1/2), the model's t^(-delta/2).
+    env, lead, far = kernel.envelope, kernel.series or kernel.near, kernel.far_field
+    assert (env.b1, env.b2, env.exact) == (b1, b2, exact)
+    assert env.b1 == lead.b1 and env.b2 in (far.osc_power, far.drift_power)
+
+
 def test_envelope_invariants():
     assert PowerEnvelope(1.0, 0.0).strict
     assert not PowerEnvelope(0.0, 0.0).strict

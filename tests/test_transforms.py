@@ -10,11 +10,11 @@ from wnilab.kernels import FarField, KernelSpec, PowerEnvelope, check_envelope, 
 from wnilab.quadrature import NonConvergence, QuadratureConfig
 from wnilab.transforms import (AdmissibilityError, MissingPrimitiveBound, MomentsNotVanished,
                                DilationTable, NoSeriesKernel, TransformSpec, _dilation_table,
-                               apply, cosine,
+                               apply, check_admissible, cosine,
                                far_envelope, hankel, model_min, moment_reduced_apply,
                                near_expansion, pointwise_bound, preset,
                                scripth, sine)
-from wnilab.weights import (Piece, TestFunction, make_log_counterexample,
+from wnilab.weights import (GMWitness, Piece, TestFunction, make_log_counterexample,
                             make_truncated_power, make_vanishing_moment_function)
 
 CFG = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13)
@@ -141,7 +141,31 @@ def test_pointwise_bound_gm_requires_data():
     with pytest.raises(MissingPrimitiveBound):
         pointwise_bound(model_min(1.0), f, 1.0, mode="gm")
     with pytest.raises(ValueError):
-        pointwise_bound(hankel(0.0), f, 1.0, mode="gm")  # no witness, no lam
+        pointwise_bound(hankel(0.0), f, 1.0, mode="gm")  # no witness
+
+
+@pytest.mark.parametrize("name,params", [
+    ("hankel", {"alpha": 0.0}), ("hankel", {"alpha": 1.5}), ("scripth", {"alpha": 0.75}),
+    ("sine", {}), ("cosine", {}), ("model_min", {"delta": 1.0})])
+def test_admissible_exactly_where_the_pointwise_bound_is_finite(name, params):
+    # Both read one regime table: in each mode a preset carries (standard
+    # with the two-factor kernel estimate, gm with a primitive bound), a
+    # truncated power on either side is admissible exactly when its bound
+    # at y = 1 is finite.
+    spec = preset(name, **params)
+    modes = ["standard"] * spec.kernel_est_holds + ["gm"] * (spec.primitive_bound is not None)
+    seen = set()
+    for sigma in np.arange(-4.0, 3.01, 0.25):
+        for side in ("left", "right"):
+            f = make_truncated_power(float(sigma), 2.0, side)
+            f.gm_witness = GMWitness(C=1.0, lam=2.0)
+            for mode in modes:
+                admissible = bool(check_admissible(f, spec, mode))
+                assert admissible == math.isfinite(pointwise_bound(spec, f, 1.0, mode))
+                seen.add(admissible)
+    assert seen == {False, True}
+    with pytest.raises(ValueError, match="mode must be"):
+        check_admissible(f, spec, "pointwise")
 
 
 def test_admissibility_gate():
@@ -171,7 +195,7 @@ def test_moment_reduced_agreement_and_errors():
 def _reduced_kernel(spec, ell):
     """G_ell(t) = t^-b1 phi(t) - sum_(m<ell) a_m t^(k m), the kernel of the
     moment-reduced transform, with its envelope min{t^(k ell), t^(k (ell - 1))}."""
-    series = spec.series
+    series = spec.kernel.series
     a = series.coefs[:ell]
 
     def g(t):
@@ -203,8 +227,8 @@ def test_reduced_kernel_has_no_far_field():
         assert spec.kernel.far_field is not None
         kernel = _reduced_kernel(spec, 1)
         assert kernel.far_field is None and not kernel.oscillatory
-        reduced = TransformSpec("reduced", spec.b0 + spec.series.b1,
-                                spec.c0 + spec.series.b1, kernel)
+        reduced = TransformSpec("reduced", spec.b0 + spec.kernel.series.b1,
+                                spec.c0 + spec.kernel.series.b1, kernel)
         with pytest.raises(ValueError, match="far field"):
             apply(reduced, f, [1.0], CFG, check=False)
 

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wnilab.transforms import hankel, scripth
+from wnilab.transforms import check_admissible, hankel, scripth
 from wnilab.weights import (ExponentSet, GMWitness, Piece, SingularSystem,
-                            TestFunction, Weight, check_admissible,
+                            TestFunction, Weight,
                             check_gm, make_log_counterexample,
                             make_truncated_power, make_vanishing_moment_function,
                             power_moment)
@@ -273,14 +273,14 @@ def test_power_moment_divergent_ends():
     assert power_moment(-3.0, 1.0, math.inf) == pytest.approx(0.5)
     f = TestFunction("x^-3", [Piece(0.0, 1.0, 1.0, -3.0)])
     assert f.abs_weighted_integral(0.0, 0.0, 1.0) == math.inf
-    rep = check_admissible(f, hankel(0.0), "pointwise")
+    rep = check_admissible(f, hankel(0.0), "standard")
     assert not rep and math.isinf(rep.near_origin)
 
 
 def test_admissibility_modes():
     hk = hankel(0.0)
     ind = make_truncated_power(0.0, 1.0, "left")
-    rep = check_admissible(ind, hk, "pointwise")
+    rep = check_admissible(ind, hk, "standard")
     assert rep and math.isfinite(rep.near_origin)
 
     # f = x^{-b} exactly is not admissible in gm mode: log-divergent tail.
@@ -293,7 +293,7 @@ def test_admissibility_modes():
     # The extremal family x^(a+1/2) on (0, r) is admissible for the Struve transform.
     fr = make_truncated_power(0.75 + 0.5, 1.0, "left")
     assert check_admissible(fr, sh, "gm")
-    assert check_admissible(fr, sh, "pointwise")
+    assert check_admissible(fr, sh, "standard")
 
     with pytest.raises(ValueError):
         check_admissible(ind, hk, "bogus")
