@@ -33,7 +33,7 @@ from . import conditions as cond
 from . import transforms as tr
 from .kernels import KERNELS
 from .quadrature import DivergentIntegral, NonConvergence, QuadratureConfig, integrate
-from .weights import (ExponentSet, TestFunction, Weight,
+from .weights import (DIVERGENCE_MARGIN, ExponentSet, TestFunction, Weight,
                       make_log_counterexample, make_truncated_power, power_moment)
 
 
@@ -192,22 +192,23 @@ def _build_family(desc: dict) -> List[Tuple[float, TestFunction]]:
 # ratio computation
 # ---------------------------------------------------------------------------
 
-# Share of the outer tolerance each closed-form end of the norm may take,
-# and the margin by which an end exponent of its integrand must clear -1.
+# Share of the outer tolerance each closed-form end of the norm may take.
 _END_SHARE = 0.25
-_END_TOL = 1e-12
 
 
 def _lhs_norm(cfg: ExperimentConfig, f: TestFunction) -> Tuple[float, float]:
     """The outer norm and its error: panels on a window [y0, y1] of the lhs
     domain, the ends of (0, inf) in closed form (``_lower_tail``,
-    ``_upper_tail``)."""
+    ``_upper_tail``).  A transform value that is not finite on the window
+    raises DivergentIntegral."""
     spec, q = cfg.transform, cfg.exps.q
     u_exp = -q * cfg.power_pair[0]
 
     def integrand(ys):
         ys = np.asarray(ys, dtype=float)
         vals = tr.apply(spec, f, ys, cfg.quadrature, check=False).values
+        if not np.all(np.isfinite(vals)):
+            raise DivergentIntegral("inner integral")
         return ys ** u_exp * np.abs(vals) ** q
 
     # The norm integrand is nonnegative: no cancellation can fool the error
@@ -248,7 +249,7 @@ def _lower_tail(cfg: ExperimentConfig, f: TestFunction, u: float, y_cap: float,
     live = np.flatnonzero(c)
     lead = live[np.argmin(powers[live])]
     slope = u + q * powers[lead] + 1.0
-    if slope <= _END_TOL:
+    if slope <= DIVERGENCE_MARGIN:
         raise DivergentIntegral("y -> 0")
     rest = (np.abs(c) + c_err > 0.0) & (np.arange(len(c)) != lead)
     size, gap = (np.abs(c) + c_err)[rest], powers[rest] - powers[lead]
@@ -269,7 +270,7 @@ def _upper_tail(cfg: ExperimentConfig, f: TestFunction, u: float,
     DivergentIntegral when g >= -1."""
     k, kappa, y1 = tr.far_envelope(cfg.transform, f, y_min)
     slope = u + cfg.exps.q * float(np.max(kappa, initial=-math.inf)) + 1.0
-    if slope >= -_END_TOL:
+    if slope >= -DIVERGENCE_MARGIN:
         raise DivergentIntegral("y -> inf")
     return y1, float(np.sum(k * y1 ** kappa)) ** cfg.exps.q * y1 ** (u + 1.0) / -slope, slope
 
@@ -528,17 +529,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config {path}: line {exc.lineno}: {exc.msg}") from exc
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if args.tol is not None:
-        try:
-            cfg.quadrature = replace(cfg.quadrature, rel_tol=args.tol)
-        except ValueError as exc:
-            raise ConfigError(f"--tol {args.tol}: {exc}") from exc
-    return cfg
-
-
 def cmd_verify(args) -> int:
-    cfg = _apply_overrides(ExperimentConfig.from_dict(_load_config(args.config)), args)
+    cfg = ExperimentConfig.from_dict(_load_config(args.config))
     records = compute_ratio_records(cfg)
     summary = verify_summary(cfg, records)
     out_dir = Path(args.out)
@@ -556,7 +548,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_probe_sharpness(args) -> int:
-    cfg = _apply_overrides(ExperimentConfig.from_dict(_load_config(args.config)), args)
+    cfg = ExperimentConfig.from_dict(_load_config(args.config))
     records = compute_ratio_records(cfg)
     try:
         fit = fit_growth(records, cfg.growth_model)
@@ -625,7 +617,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--tol", type=float, default=None, help="relative tolerance override")
 
     p = sub.add_parser("verify", help="ratio table for a test-function family")
     common(p)

@@ -136,8 +136,8 @@ class _Term:
     def rate(self) -> float:
         """The largest |d log / d log r| of the read plus the weight power's."""
         f, w = self.integrand, self.weight
-        return (max(abs(f.exponent_at_zero + 1.0), abs(f.exponent_at_infinity + 1.0)) + abs(
-            self.weight_power) * max(abs(w.exponent_at_zero), abs(w.exponent_at_infinity)))
+        return (max(abs(f.exponents[0] + 1.0), abs(f.exponents[-1] + 1.0)) + abs(
+            self.weight_power) * max(abs(w.exponents[0]), abs(w.exponents[-1])))
 
     def growth(self, r_to_inf: bool) -> List[Tuple[float, float, float, float]]:
         """Parts (g, m, c, L): beyond its outermost kink the term is exactly
@@ -283,7 +283,7 @@ def glued_condition(u: Weight, v: Weight, s: Weight, w: Weight, exps: ExponentSe
         raise ValueError("the glued condition applies to a = 1")
     x = np.concatenate([s.nodes, 1.0 / np.asarray(w.nodes)])
     ratio = np.asarray(s(x), dtype=float) * np.asarray(w(1.0 / x), dtype=float)
-    ends = (s.exponent_at_zero - w.exponent_at_infinity, s.exponent_at_infinity - w.exponent_at_zero)
+    ends = (s.exponents[0] - w.exponents[-1], s.exponents[-1] - w.exponents[0])
     if max(map(abs, ends)) > EXPONENT_TOLERANCE or not np.all((ratio >= 1.0 / 3.0) & (ratio <= 3.0)):
         raise InverseRelationViolated(
             f"s(x) w(1/x) has end exponents {ends[0]:g}, {ends[1]:g} and ranges over "
@@ -382,7 +382,7 @@ def power_pitt_range(spec: TransformSpec, exps: ExponentSet
     elif spec.name == "sine":
         lo = max(1.0 / q - 1.0 / pp, 0.0)
         sharp = RangeVerdict("power_sharp", lo, 1.0 + 1.0 / q, True, False, offset, sharp=True)
-    elif spec.name == "scripth" and spec.alpha is not None and spec.alpha > 0.5:
+    elif spec.name == "scripth" and env.exact:
         sharp = RangeVerdict("power_sharp", suff.lo, suff.hi, False, False,
                              offset, sharp=True)
     return suff, sharp
@@ -467,9 +467,7 @@ def oinarov_check(kernel: KernelSpec,
         worst = 1.0
         for a, b in ab_pairs:
             t, u, v = n ** a, n ** b, n ** (-(a + b) / 2.0)
-            k_tu = float(np.asarray(kernel(t, u)))
-            k_uv = float(np.asarray(kernel(u, v)))
-            k_tv = float(np.asarray(kernel(t, v)))
+            k_tu, k_uv, k_tv = (float(kernel.phi(x * y)) for x, y in ((t, u), (u, v), (t, v)))
             total = k_tu + k_uv
             if k_tv <= 0.0 or total <= 0.0:
                 worst = math.inf

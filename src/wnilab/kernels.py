@@ -112,10 +112,7 @@ def _bessel_j_series(alpha: float, x: np.ndarray) -> np.ndarray:
 def _struve_h_series(alpha: float, x: np.ndarray) -> np.ndarray:
     t0 = np.longdouble(1.0 / (math.gamma(1.5) * math.gamma(alpha + 1.5)))
     total = t0 * _series_sum(1.5, alpha, x)
-    prefactor = np.zeros_like(x)
-    pos = x > 0
-    prefactor[pos] = (0.5 * x[pos]) ** (alpha + 1.0)
-    return prefactor * total.astype(float)
+    return (0.5 * x) ** (alpha + 1.0) * total.astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +431,6 @@ class KernelSpec:
     near: Optional[SeriesKernel] = None
     phi_error: Optional[Callable[[np.ndarray], np.ndarray]] = None
     crossover: float = _CROSSOVER
-
-    def __call__(self, x, y):
-        return self.phi(np.asarray(x, dtype=float) * np.asarray(y, dtype=float))
 
     @property
     def oscillatory(self) -> bool:

@@ -49,8 +49,9 @@ class NonConvergence(Exception):
 
 
 class DivergentIntegral(Exception):
-    """An integral over (0, inf) whose integrand is not integrable at the
-    end named by ``direction``."""
+    """A divergent integral: its integrand is not integrable at the end
+    named by ``direction`` ("y -> 0", "y -> inf"), or it is an outer norm
+    whose inner integral is infinite ("inner integral")."""
 
     def __init__(self, direction: str):
         self.direction = direction
@@ -127,9 +128,8 @@ def integrate(f, interval: Tuple[float, float],
             raise NonConvergence(total, toterr)
         # Split every panel holding more than its fair share of the excess.
         share = tol / (2.0 * len(plo))
+        # The largest error exceeds toterr / n > 2 share, so it is split.
         split = errs > max(share, 0.25 * float(np.max(errs)))
-        if not np.any(split):
-            split = errs == np.max(errs)
         keep = ~split
         mid = 0.5 * (plo[split] + phi[split])
         new_lo = np.concatenate([plo[keep], plo[split], mid])

@@ -18,11 +18,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernels import (_ASYMPTOTIC_MAX_TERMS, _CROSSOVER, KernelSpec, _smallest_term_index,
-                      bessel_j_kernel, cosine_kernel, model_min_kernel, sine_kernel,
-                      struve_h_kernel)
+from .kernels import (_ASYMPTOTIC_MAX_TERMS, KernelSpec, _smallest_term_index, bessel_j_kernel,
+                      cosine_kernel, model_min_kernel, sine_kernel, struve_h_kernel)
 from .quadrature import NonConvergence, QuadratureConfig
-from .weights import TestFunction, power_moment
+from .weights import DIVERGENCE_MARGIN, TestFunction, power_moment
 
 
 class AdmissibilityError(Exception):
@@ -114,13 +113,11 @@ _PRESETS = {
     "sine": sine,
     "cosine": cosine,
     "model_min": model_min,
-    "modelmin": model_min,
 }
 
 
 def preset(name: str, **params) -> TransformSpec:
     """The named transform; params must be exactly its factory's parameters."""
-    name = name.lower()
     if name not in _PRESETS:
         raise ValueError(f"unknown transform preset {name!r}")
     factory = _PRESETS[name]
@@ -176,10 +173,10 @@ def _continued_powers(coefs, s: np.ndarray, t: float,
     """Terms coefs t^s / s, powers x^(s - 1) integrated to t and continued
     analytically to the far end, and each term's error bound: 4 eps of it
     plus (|log t| + 1/|s|) ds of it for an s rounded by up to ds (the
-    relative change of t^s / s with s).  A term with s = 0 is a logarithm:
-    it raises NonConvergence."""
+    relative change of t^s / s with s).  A term with |s| below
+    DIVERGENCE_MARGIN is a logarithm: it raises NonConvergence."""
     live = coefs != 0.0
-    if np.any(live & (np.abs(s) < 1e-12)):
+    if np.any(live & (np.abs(s) < DIVERGENCE_MARGIN)):
         raise NonConvergence(math.nan, math.inf, "logarithmic term (a power x^-1 integrated)")
     s = np.where(live, s, 1.0)
     terms = coefs * t ** s / s
@@ -195,6 +192,14 @@ _REACH_EPS = 4.0 * _EPS
 _REACH_CAP = 4096
 # Chebyshev sample counts tried on a piece, each one batch of kernel points.
 _CHEB_POINTS = (17, 33, 65, 129)
+
+
+def _cut(tau: np.ndarray) -> Tuple[int, float]:
+    """(n, b) for a far-field series of term magnitudes tau at its smallest
+    argument: n indexes the last term kept, the smallest (``_smallest_term_index``),
+    and b bounds the rest relative to the first term: twice the first omitted."""
+    n = _smallest_term_index(tau[:-1], tau[0])
+    return n, 2.0 * tau[n + 1] / tau[0]
 
 
 def _chop(c: np.ndarray, tol: float = _EPS) -> int:
@@ -265,35 +270,28 @@ class DilationTable:
         self.osc_e_abs = np.abs(self.osc_e)
         self.drift = np.pad(far.drift, (0, _FAR_TERMS - len(far.drift))) if far.drift else None
         self._mellin: Optional[Tuple[float, float]] = None
+        self.crossover = kernel.crossover
         self.reach, self.edges = 1.0, np.ones(1)
         if kernel.oscillatory:
-            self.reach = self._reach(kernel.crossover)
+            self.reach = self._reach()
             self._build_pieces(kernel)
 
-    def _osc_truncation(self, w_max: float) -> Tuple[int, float]:
-        """The index n of the last term ``_osc_tail`` keeps at arguments
-        from 1 / w_max on, and its truncation bound there relative to the
-        leading term: twice the first omitted term."""
-        e_abs = self.osc_e_abs
-        n = _smallest_term_index(e_abs[:-1] * w_max ** np.arange(_FAR_TERMS - 1), e_abs[0])
-        return n, 2.0 * e_abs[n + 1] * w_max ** (n + 1) / e_abs[0]
+    def _osc_cut(self, w_max: float) -> Tuple[int, float]:
+        """``_cut`` of the oscillatory tail's series at arguments from 1 / w_max on."""
+        return _cut(self.osc_e_abs * w_max ** np.arange(_FAR_TERMS))
 
-    def _drift_truncation(self, w_max: float) -> Tuple[int, float]:
-        """The number j of drift terms ``_drift_terms`` takes at arguments
-        from 1 / w_max on, the last one omitted, and the truncation bound
-        relative to the leading term: twice that last term."""
-        tau = np.abs(self.drift) * w_max ** (2.0 * np.arange(_FAR_TERMS))
-        j = _smallest_term_index(tau[:-1], tau[0]) + 2
-        return j, 2.0 * tau[j - 1] / tau[0]
+    def _drift_cut(self, w_max: float) -> Tuple[int, float]:
+        """``_cut`` of the drift at arguments from 1 / w_max on."""
+        return _cut(np.abs(self.drift) * w_max ** (2.0 * np.arange(_FAR_TERMS)))
 
-    def _reach(self, crossover: float) -> float:
+    def _reach(self) -> float:
         """The first of ceil(crossover), ceil(crossover) + 1, ... at which
         the truncation bounds of the oscillatory tail and of the drift are
         at most _REACH_EPS of their leading terms."""
-        start = math.ceil(crossover)
+        start = math.ceil(self.crossover)
         for t in range(start, start + _REACH_CAP):
-            if (self._osc_truncation(1.0 / t)[1] <= _REACH_EPS
-                    and (self.drift is None or self._drift_truncation(1.0 / t)[1] <= _REACH_EPS)):
+            if (self._osc_cut(1.0 / t)[1] <= _REACH_EPS
+                    and (self.drift is None or self._drift_cut(1.0 / t)[1] <= _REACH_EPS)):
                 return float(t)
         raise NonConvergence(math.nan, math.inf,
                              f"no far-field reach within {_REACH_CAP} of the crossover")
@@ -381,7 +379,7 @@ class DilationTable:
         argument.  E is twice the first omitted term, eps times the summed terms'
         magnitudes and eps t |t^nu phi(t)| for an end t rounded by up to eps t."""
         far, m0, e, e_abs = self.far_field, self.osc_power, self.osc_e, self.osc_e_abs
-        n = self._osc_truncation(w_max)[0]
+        n = self._osc_cut(w_max)[0]
         w = 1.0 / t
         amp = np.where(w > 0, abs(far.scale) * t ** m0, 0.0)
         val = amp * np.real(far.scale / abs(far.scale) * 1j * np.exp(1j * t)
@@ -395,7 +393,7 @@ class DilationTable:
     def _drift_terms(self, w_max: float) -> Tuple[np.ndarray, np.ndarray]:
         """(d_j, 2j) of the drift sum_j d_j t^(nu + drift_power - 2j) of t^nu
         phi(t), to the first term omitted at its smallest term at w_max."""
-        j = self._drift_truncation(w_max)[0]
+        j = self._drift_cut(w_max)[0] + 2
         return self.drift[:j], 2.0 * np.arange(j)
 
     def _far_field(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -427,11 +425,11 @@ class DilationTable:
 
     def _far_end(self, t: float) -> Tuple[float, float, List[Tuple[float, float]]]:
         """A(t), its error bound and (K, m) pairs with |A(T)| <= sum K T^m for
-        T >= t >= 12, A the far-field antiderivative of t^nu phi(t) (Phi(b) -
-        Phi(a) = A(b) - A(a)): minus ``_osc_tail``, plus the ``_drift_terms``
-        integrated, d_j t^s_j / s_j with s_j = nu + drift_power + 1 - 2j (s_j =
-        0, a logarithm, raises NonConvergence).  Both series are cut at t, so a
-        term T^(m - j) is at most t^-j T^m."""
+        T >= t >= crossover, A the far-field antiderivative of t^nu phi(t)
+        (Phi(b) - Phi(a) = A(b) - A(a)): minus ``_osc_tail``, plus the
+        ``_drift_terms`` integrated, d_j t^s_j / s_j with s_j = nu + drift_power
+        + 1 - 2j (s_j = 0, a logarithm, raises NonConvergence).  Both series
+        are cut at t, so a term T^(m - j) is at most t^-j T^m."""
         val, err, env = 0.0, 0.0, []
         if np.any(self.far_field.osc):
             v, e, k, m0 = self._osc_tail(np.full(1, t), 1.0 / t)
@@ -480,11 +478,11 @@ class DilationTable:
     def mellin(self) -> Tuple[float, float]:
         """integral_0^inf t^nu phi(t) dt continued analytically (the Mellin
         transform at nu + 1) and its error bound: the series' sum a_k / (e_k
-        + 1) for t <= 1, Phi(T) - Phi(1), T = max(reach, 12), minus A(T).
-        A read within its error of 0 is 0, error 0: such a constant vanishes
-        (integral_0^inf t J_0 and cos do), and its read is only rounding.
-        Computed on the first read and kept; a NonConvergence is raised
-        again on every read."""
+        + 1) for t <= 1, Phi(T) - Phi(1), T = max(reach, crossover), minus
+        A(T).  A read within its error of 0 is 0, error 0: such a constant
+        vanishes (integral_0^inf t J_0 and cos do), and its read is only
+        rounding.  Computed on the first read and kept; a NonConvergence is
+        raised again on every read."""
         if self._mellin is None:
             self._mellin = self._mellin_read()
         return self._mellin
@@ -492,7 +490,7 @@ class DilationTable:
     def _mellin_read(self) -> Tuple[float, float]:
         near, near_err = _continued_powers(self.coefs, self.exponents + 1.0, 1.0,
                                            self.exponent_error)
-        t = max(self.reach, _CROSSOVER)
+        t = max(self.reach, self.crossover)
         mid, mid_err = self.integral(np.ones(1), np.full(1, t))
         a, a_err, _ = self._far_end(t)
         rounding = 4.0 * _EPS * (np.sum(np.abs(near)) + abs(mid[0]) + abs(a)) + np.sum(near_err)
@@ -630,11 +628,11 @@ def near_expansion(spec: TransformSpec, f: TestFunction
 def far_envelope(spec: TransformSpec, f: TestFunction,
                  y_min: float) -> Tuple[np.ndarray, np.ndarray, float]:
     """(K, kappa, y1): |F f(y)| <= sum K_i y^kappa_i for y >= y1 = max(y_min,
-    12 / f's smallest jump point).  A piece c x^e, nu = b0 + e, is y^(c0 -
-    nu - 1) c [A(hi y) - A(lo y)] (``_far_end``; A(inf) = 0, and the Mellin
-    constant for -A(0)); the jumps at a point are summed per nu before they
-    are bounded."""
-    y1 = max(y_min, _CROSSOVER / min(f.breakpoints))
+    crossover / X), X f's smallest jump point, so every jump x y lies in the
+    kernel's asymptotic range.  A piece c x^e, nu = b0 + e, is y^(c0 - nu -
+    1) c [A(hi y) - A(lo y)] (``_far_end``; A(inf) = 0, and the Mellin
+    constant for -A(0)); the jumps at a point are summed per nu first."""
+    y1 = max(y_min, spec.kernel.crossover / min(f.breakpoints))
     jumps, bounds = {}, []
     for p in f.pieces:
         nu = spec.b0 + p.exponent
@@ -655,7 +653,7 @@ def far_envelope(spec: TransformSpec, f: TestFunction,
 
 def apply(spec: TransformSpec, f: TestFunction, y_grid: Sequence[float],
           config: Optional[QuadratureConfig] = None, *,
-          check: bool = True, admissibility_mode: str = "standard") -> TransformResult:
+          check: bool = True) -> TransformResult:
     """Evaluate F f on a grid of y > 0, for a piecewise-power f and a kernel
     with a far field (every preset), in one vectorized pass over the
     dilation tables (``_table_values``).
@@ -665,15 +663,15 @@ def apply(spec: TransformSpec, f: TestFunction, y_grid: Sequence[float],
     ``nonconvergent`` otherwise, keeping the read and its error.  Raises
     NonConvergence when a table cannot be built (``DilationTable``).
 
-    check=True enforces the integrability precondition (``check_admissible``
-    in the standard mode by default; pass admissibility_mode='gm' for
-    transforms consumed under the general-monotone estimates).
+    check=True enforces the integrability precondition
+    (``check_admissible``) in the regime the transform carries: standard
+    where its kernel has the two-factor estimate, gm otherwise.
     """
     if spec.kernel.far_field is None:
         raise ValueError(f"{spec.name}: transforms need a kernel with a far field")
     config = config or QuadratureConfig()
     if check:
-        report = check_admissible(f, spec, admissibility_mode)
+        report = check_admissible(f, spec, "standard" if spec.kernel_est_holds else "gm")
         if not report:
             raise AdmissibilityError(
                 f"{f.family} is not admissible for {spec.name}: "

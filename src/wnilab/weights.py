@@ -25,6 +25,9 @@ import numpy as np
 # Exponents this close count as equal: a node between two such pieces is
 # no kink, and an exponent sum this close to 0 is 0 (``conditions``).
 EXPONENT_TOLERANCE = 1e-9
+# An end exponent must clear -1 by more than this for an integral to converge
+# there; within it the end is divergent (or a logarithm, continued analytically).
+DIVERGENCE_MARGIN = 1e-12
 _FORMS = {"power": {"exponent", "coefficient"},  # descriptor keys besides "form"
           "piecewise_power": {"a1", "a2"}, "tabulated": {"x", "y"}}
 
@@ -41,9 +44,10 @@ class Weight:
     Its segment table is built once: ``kinks`` are the nodes where the
     exponent changes, segment j runs from ``edges[j]`` to ``edges[j + 1]``
     (0, the kinks, inf), and on it w(x) = at_anchors[j] (x / anchors[j]) **
-    exponents[j].  Each segment is anchored at its node (kinks included)
-    where |log w| is least, so no value overflows or underflows where
-    another node on the segment does not.
+    exponents[j], so exponents[0] and exponents[-1] are its end exponents.
+    Each segment is anchored at its node (kinks included) where |log w| is
+    least, so no value overflows or underflows where another node on the
+    segment does not.
 
     ``integral`` reads integral_0^x w or integral_x^inf w exactly: a prefix
     or suffix sum of closed-form segments (``power_moment``) plus one
@@ -51,13 +55,9 @@ class Weight:
 
     def __init__(self, nodes: Tuple[float, ...], values, exponents):
         exponents = [float(e) for e in exponents]
-        e0, einf = exponents[0], exponents[-1]
-        if not (math.isfinite(e0) and math.isfinite(einf)):
+        if not (math.isfinite(exponents[0]) and math.isfinite(exponents[-1])):
             raise ValueError("weight exponents must be finite")
         self.nodes = nodes
-        self.exponent_at_zero, self.exponent_at_infinity = e0, einf
-        self.diverges_at_zero = e0 <= -1.0 + 1e-12
-        self.diverges_at_infinity = einf >= -1.0 - 1e-12
         kinked = [i for i in range(len(nodes))
                   if abs(exponents[i] - exponents[i + 1]) > EXPONENT_TOLERANCE]
         size = [abs(math.log(v)) if v > 0.0 else math.inf for v in values]
@@ -69,6 +69,8 @@ class Weight:
         self.exponents = np.array(exponents[:1] + [exponents[i + 1] for i in kinked])
         self.anchors = np.array([nodes[i] for i in anchored])
         self.at_anchors = np.array([values[i] for i in anchored], dtype=float)
+        self.diverges_at_zero = self.exponents[0] <= -1.0 + DIVERGENCE_MARGIN
+        self.diverges_at_infinity = self.exponents[-1] >= -1.0 - DIVERGENCE_MARGIN
         self._sums = None
 
     @classmethod
@@ -150,8 +152,9 @@ class Weight:
         """integral_0^x w, or integral_x^inf w if ``upper``, at each x of an
         array: a prefix or suffix sum (nonnegative terms, filled on the first
         read) plus one partial segment.  A read that integrates from a
-        non-integrable end (``diverges_at_zero``: end exponent <= -1 + 1e-12;
-        ``diverges_at_infinity``: >= -1 - 1e-12) is inf."""
+        non-integrable end (``diverges_at_zero``: end exponent <= -1 +
+        DIVERGENCE_MARGIN; ``diverges_at_infinity``: >= -1 - DIVERGENCE_MARGIN)
+        is inf."""
         x = np.asarray(x, dtype=float)
         if self.diverges_at_infinity if upper else self.diverges_at_zero:
             return np.full(x.shape, math.inf)

@@ -70,7 +70,7 @@ def test_criterion_4_transform_oracles():
         spec = scripth(alpha)
         for r in (0.5, 2.0):
             f = make_truncated_power(alpha + 0.5, r, "left")
-            vals = apply(spec, f, ys, cfg, admissibility_mode="gm").values
+            vals = apply(spec, f, ys, cfg).values
             closed = r ** (alpha + 1.0) * ys ** -0.5 * np.array(
                 [struve_h(alpha + 1.0, r * y) for y in ys])
             worst = max(worst, float(np.max(np.abs(vals - closed) / np.abs(closed))))
@@ -260,10 +260,10 @@ def test_criterion_10_gm_machinery():
               make_truncated_power(0.3, 0.5, "left")):
         f.gm_witness = check_gm(f)
         assert f.gm_witness is not None
-        vals = apply(spec, f, ys, cfg, admissibility_mode="gm").values
+        vals = apply(spec, f, ys, cfg).values
         ratios = np.abs(vals) / np.array([pointwise_bound(spec, f, y, "gm") for y in ys])
         c_fit = float(np.max(ratios))
-        vals_ext = apply(spec, f, ys_ext, cfg, admissibility_mode="gm").values
+        vals_ext = apply(spec, f, ys_ext, cfg).values
         ratios_ext = np.abs(vals_ext) / np.array(
             [pointwise_bound(spec, f, y, "gm") for y in ys_ext])
         stable = bool(np.all(ratios_ext <= 1.1 * c_fit))

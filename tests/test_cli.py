@@ -1,3 +1,4 @@
+import csv
 import inspect
 import json
 import math
@@ -125,6 +126,24 @@ def test_zero_ratios_are_no_growth():
     summary = verify_summary(cfg, rows)
     assert summary["dilation_exponent"] is None
     assert summary["bounded"] is None and summary["verdict_source"] is None
+
+
+def test_divergent_inner_value_on_a_window_is_a_divergent_row(tmp_path, capsys):
+    # model_min(1) of 1 on (r, inf): integral_r^inf x (x y)^-1/2 dx diverges,
+    # so F f is inf at every y of the window [0.5, 2].
+    doc = {"experiment_id": "mm-win", "transform": {"name": "model_min", "delta": 1.0},
+           "exponents": {"p": 2, "q": 2, "a": 1}, "weights": {"beta": 0.25, "gamma": -1.0},
+           "normalization": "power", "lhs_domain": [0.5, 2.0],
+           "family": {"kind": "truncated_power", "sigma": 0.0, "side": "right",
+                      "grid": {"start": 0.5, "stop": 2.0, "points": 4}}}
+    path = tmp_path / "mm-win.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "mm-win_records.csv") as fh:
+        notes = [row["note"] for row in csv.DictReader(fh)]
+    assert len(notes) == 4 and all(note.startswith("lhs divergent") for note in notes)
+    assert json.loads((tmp_path / "mm-win_summary.json").read_text())["bounded"] is False
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_fit_verdict_outside_the_dilation_setting():
@@ -517,16 +536,6 @@ def test_verify_config_errors_exit_2(tmp_path, extra):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(_modelmin_config(points=2, extra=extra)))
     assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
-
-
-@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
-def test_tol_override_not_finite_positive_exits_2(tmp_path, tol, capsys):
-    # A NaN tolerance would pass every comparison as a miss: refused up front.
-    path = tmp_path / "mm.json"
-    path.write_text(json.dumps(_modelmin_config(points=2)))
-    assert main(["verify", "--config", str(path), "--out", str(tmp_path), "--tol", tol]) == 2
-    assert "--tol" in capsys.readouterr().err
-    assert not (tmp_path / "mm_records.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -32,7 +32,6 @@ def test_preset_envelope_data():
     assert sh_small.kernel.envelope.b2 == pytest.approx(-0.5)
     sn = sine()
     assert (sn.kernel.envelope.b1, sn.kernel.envelope.b2) == (1.0, 0.0)
-    assert preset("modelmin", delta=2.0).b0 == 2.0
     with pytest.raises(ValueError):
         preset("laplace")
 
@@ -42,8 +41,8 @@ def test_preset_parameters_checked_against_signature():
         preset("sine", alpha=3.0)
     with pytest.raises(ValueError, match="'hankel'.*'alpha'"):
         preset("hankel")
-    with pytest.raises(ValueError, match="'modelmin'.*'alpah'"):
-        preset("modelmin", delta=1.0, alpah=1.0)
+    with pytest.raises(ValueError, match="'model_min'.*'alpah'"):
+        preset("model_min", delta=1.0, alpah=1.0)
 
 
 def test_sine_transform_antiderivative_oracle():
@@ -56,7 +55,7 @@ def test_scripth_closed_form():
     alpha, r = 0.75, 0.5
     f = make_truncated_power(alpha + 0.5, r, "left")
     ys = np.geomspace(1e-2, 1e2, 12)
-    res = apply(scripth(alpha), f, ys, CFG, admissibility_mode="gm")
+    res = apply(scripth(alpha), f, ys, CFG)
     closed = r ** (alpha + 1.0) * ys ** -0.5 * np.array([struve_h(alpha + 1.0, r * y) for y in ys])
     assert np.max(np.abs(res.values - closed) / np.abs(closed)) < 1e-8
 
@@ -131,7 +130,7 @@ def test_pointwise_bound_gm_dominates():
     assert witness is not None
     f.gm_witness = witness
     ys = np.geomspace(1e-2, 1e2, 15)
-    vals = apply(spec, f, ys, CFG, admissibility_mode="gm").values
+    vals = apply(spec, f, ys, CFG).values
     ratios = [abs(v) / pointwise_bound(spec, f, y, mode="gm") for y, v in zip(ys, vals)]
     assert max(ratios) < 50.0
 
@@ -172,9 +171,20 @@ def test_admissibility_gate():
     sh = scripth(0.75)
     bad = TestFunction("x^-b", [Piece(0.0, math.inf, 1.0, -sh.primitive_bound.b)])
     with pytest.raises(AdmissibilityError):
-        apply(sh, bad, [1.0], CFG, admissibility_mode="gm")
+        apply(sh, bad, [1.0], CFG)
     res = apply(sh, bad, [1.0], CFG, check=False)  # override computes anyway
     assert res.values.shape == (1,)
+
+
+def test_admissibility_gate_reads_the_regime_its_transform_carries():
+    # scripth's kernel lacks the two-factor estimate, so its gate is the gm
+    # regime, whose near-origin exponent b0 + b1 admits x^-1.6 on (0, 1).
+    # The value is integral_0^1 x^-1.1 H_(3/4)(x) dx.
+    res = apply(scripth(0.75), make_truncated_power(-1.6, 1.0, "left"), [1.0])
+    with mpmath.workdps(30):
+        power = mpmath.mpf(-1.6) + 0.5
+        exact = mpmath.quad(lambda x: x ** power * mpmath.struveh(0.75, x), [0, 1])
+    assert abs(mpmath.mpf(res.values[0]) - exact) <= res.errors[0]
 
 
 def test_moment_reduced_agreement_and_errors():
@@ -839,6 +849,18 @@ def test_far_envelope_bounds_the_transform(spec, f):
     envelope = np.sum(k * ys[:, None] ** kappa, axis=1)
     assert np.all(np.abs(res.values) <= envelope + res.errors)
     assert np.max(np.abs(res.values) / envelope) >= 1.0 / 3.0
+
+
+def test_far_envelope_starts_at_the_kernel_crossover():
+    # hankel(10) crosses over at 2 alpha = 20: from y1 = 20 / X on every
+    # jump x y lies in the kernel's asymptotic range, and the envelope bounds
+    # |F f| over three decades.
+    spec, f = hankel(10.0), make_truncated_power(0.0, 1.0, "left")
+    k, kappa, y1 = far_envelope(spec, f, 1e-3)
+    assert y1 == 20.0
+    ys = y1 * np.geomspace(1.0, 1e3, 400)
+    res = apply(spec, f, ys, CFG, check=False)
+    assert np.all(np.abs(res.values) <= np.sum(k * ys[:, None] ** kappa, axis=1) + res.errors)
 
 
 def test_struve_drift_that_does_not_decay_is_not_served():

@@ -18,17 +18,17 @@ from wnilab.weights import (ExponentSet, GMWitness, Piece, SingularSystem,
 def test_weight_forms_and_exponents():
     w = Weight.power(0.6)
     assert w(2.0) == pytest.approx(2.0 ** 0.6)
-    assert w.exponent_at_zero == w.exponent_at_infinity == 0.6
+    assert w.exponents[0] == w.exponents[-1] == 0.6
 
     pw = Weight.piecewise_power(-0.3, 0.7)
     assert pw(0.5) == pytest.approx(0.5 ** -0.3)
     assert pw(2.0) == pytest.approx(2.0 ** 0.7)
-    assert pw.exponent_at_zero == -0.3 and pw.exponent_at_infinity == 0.7
+    assert pw.exponents[0] == -0.3 and pw.exponents[-1] == 0.7
 
     xs = np.geomspace(1e-2, 1e2, 41)
     tab = Weight.tabulated(xs, xs ** 1.3)
     assert tab(3.0) == pytest.approx(3.0 ** 1.3, rel=1e-3)
-    assert tab.exponent_at_zero == pytest.approx(1.3, abs=1e-6)
+    assert tab.exponents[0] == pytest.approx(1.3, abs=1e-6)
     # power-law extrapolation beyond the table
     assert tab(1e3) == pytest.approx(1e3 ** 1.3, rel=1e-2)
 
@@ -54,15 +54,14 @@ def test_weight_descriptor_roundtrip():
     for d, w in cases:
         again = Weight.from_descriptor(d)
         assert again.nodes == w.nodes
-        assert (again.exponent_at_zero, again.exponent_at_infinity) == (
-            w.exponent_at_zero, w.exponent_at_infinity)
+        assert (again.exponents[0], again.exponents[-1]) == (w.exponents[0], w.exponents[-1])
         assert np.array_equal(again(xs), w(xs))
 
 
 def test_weight_product_tracks_exponents():
     prod = Weight.product([(Weight.power(1.0), 2.0), (Weight.piecewise_power(-0.5, 0.5), -1.0)])
-    assert prod.exponent_at_zero == pytest.approx(2.5)
-    assert prod.exponent_at_infinity == pytest.approx(1.5)
+    assert prod.exponents[0] == pytest.approx(2.5)
+    assert prod.exponents[-1] == pytest.approx(1.5)
     assert prod(2.0) == pytest.approx(4.0 / 2.0 ** 0.5)
     assert prod.nodes == (1.0,)
 
