@@ -127,7 +127,11 @@ def _smallest_term_index(tau: np.ndarray, scale) -> int:
     Applied at the batch's smallest argument.  Each term there is an upper
     bound for the same term at larger arguments, so the truncation error of
     the batch is at most the error at that argument.  For large orders the
-    terms first rise and then fall; the smallest term lies past that rise."""
+    terms first rise and then fall; the smallest term lies past that rise.
+    A term that is 0 while a later one is not (0 by cancellation) is passed
+    over: only zeros that end the series stop it."""
+    later = np.maximum.accumulate(tau[::-1])[::-1]
+    tau = np.where((tau == 0.0) & (later > 0.0), np.inf, tau)
     last = int(np.argmin(tau))
     small = np.flatnonzero(tau[1:] <= _SERIES_STOP * scale)
     if small.size:

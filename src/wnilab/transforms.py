@@ -268,6 +268,7 @@ class DilationTable:
             e[k] += 1j * (self.osc_power - k + 1.0) * e[k - 1]
         self.osc_e, self.osc_abs = np.array(e), np.abs(osc)
         self.osc_e_abs = np.abs(self.osc_e)
+        self._osc_e_abs = self.osc_e_abs.tolist()  # the envelope's Horner sum in Python floats
         self.drift = np.pad(far.drift, (0, _FAR_TERMS - len(far.drift))) if far.drift else None
         self._mellin: Optional[Tuple[float, float]] = None
         self.crossover = kernel.crossover
@@ -350,34 +351,31 @@ class DilationTable:
                              + _EPS * np.cumsum(np.abs(self.prefix)))
 
     def _mid(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """integral_1^t t^nu phi(t) dt and its error bound at an array t,
-        clipped to [1, reach]: the prefix sum of t's piece plus its
+        """integral_1^t t^nu phi(t) dt and its error bound at an array t > 1,
+        clipped to the reach: the prefix sum of t's piece plus its
         antiderivative at t; the bound adds to the prefix's and the piece's
         errors the rounding of the sum and eps t max|g|, for an end t rounded
-        by up to eps t.  A read at t <= 1 is 0, error 0."""
+        by up to eps t."""
         from numpy.polynomial import chebyshev
 
-        t = np.clip(t, 1.0, self.reach)
+        t = np.minimum(t, self.reach)
         i = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, len(self.edges) - 2)
         a, b = self.edges[i], self.edges[i + 1]
         val = self.prefix[i] + chebyshev.chebval((2.0 * t - a - b) / (b - a), self.pieces[i].T,
                                                  tensor=False)
-        err = (self.prefix_error[i] + self.piece_error[i]
-               + _EPS * (2.0 * np.abs(val) + t * self.piece_amp[i]))
-        inside = t > 1.0
-        return np.where(inside, val, 0.0), np.where(inside, err, 0.0)
+        return val, (self.prefix_error[i] + self.piece_error[i]
+                     + _EPS * (2.0 * np.abs(val) + t * self.piece_amp[i]))
 
-    def _osc_tail(self, t: np.ndarray,
-                  w_max: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """(V, E, K, m0) at arrays t >= 1 / w_max: V = integral_t^inf of the
-        oscillatory part of t^nu phi(t) (0 at t = inf), E its error bound, |V|
-        <= K T^m0 at every T >= t.  Integration by parts, integral_T^inf t^m
-        e^(it) dt = i e^(iT) T^m sum_j m (m-1) ... (m-j+1) (i/T)^j (the Abel
-        value where the envelope grows), gives one series i e^(iT) T^m0 sum_n
-        e_n T^-n, m0 = nu + osc_power, e_n = osc_n + i (m0 - n + 1) e_(n-1).
-        It is cut at its smallest term at w_max, which bounds it at every larger
-        argument.  E is twice the first omitted term, eps times the summed terms'
-        magnitudes and eps t |t^nu phi(t)| for an end t rounded by up to eps t."""
+    def _osc_tail(self, t: np.ndarray, w_max: float) -> Tuple[np.ndarray, np.ndarray]:
+        """(V, E) at arrays t >= 1 / w_max: V = integral_t^inf of the
+        oscillatory part of t^nu phi(t) (0 at t = inf), E its error bound.
+        Integration by parts, integral_T^inf t^m e^(it) dt = i e^(iT) T^m
+        sum_j m (m-1) ... (m-j+1) (i/T)^j (the Abel value where the envelope
+        grows), gives one series i e^(iT) T^m0 sum_n e_n T^-n, m0 = nu +
+        osc_power, e_n = osc_n + i (m0 - n + 1) e_(n-1).  It is cut at its
+        smallest term at w_max, which bounds it at every larger argument.  E is
+        twice the first omitted term, eps times the summed terms' magnitudes
+        and eps t |t^nu phi(t)| for an end t rounded by up to eps t."""
         far, m0, e, e_abs = self.far_field, self.osc_power, self.osc_e, self.osc_e_abs
         n = self._osc_cut(w_max)[0]
         w = 1.0 / t
@@ -387,8 +385,7 @@ class DilationTable:
         trunc = 2.0 * e_abs[n + 1] * w ** (n + 1)
         size = np.polyval(e_abs[n::-1], w)
         moved = _EPS * np.where(w > 0, t, 0.0) * np.polyval(self.osc_abs[n::-1], w)
-        return (np.where(w > 0, val, 0.0), amp * (trunc + 4.0 * _EPS * size + moved),
-                abs(far.scale) * (size + trunc), m0)
+        return np.where(w > 0, val, 0.0), amp * (trunc + 4.0 * _EPS * size + moved)
 
     def _drift_terms(self, w_max: float) -> Tuple[np.ndarray, np.ndarray]:
         """(d_j, 2j) of the drift sum_j d_j t^(nu + drift_power - 2j) of t^nu
@@ -407,7 +404,7 @@ class DilationTable:
         nu, drift_power = self.nu, self.far_field.drift_power
         w_max = 1.0 / float(np.min(a))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            (val, err, _, _), (vb, eb, _, _) = (self._osc_tail(t, w_max) for t in (a, b))
+            (val, err), (vb, eb) = (self._osc_tail(t, w_max) for t in (a, b))
             val, err = val - vb, err + eb
             if self.drift is not None:
                 d, k = self._drift_terms(w_max)
@@ -423,29 +420,51 @@ class DilationTable:
                     err = err + np.where(fin, _EPS * moved, 0.0)
         return val, np.where(b > a, err, 0.0)
 
-    def _far_end(self, t: float) -> Tuple[float, float, List[Tuple[float, float]]]:
-        """A(t), its error bound and (K, m) pairs with |A(T)| <= sum K T^m for
-        T >= t >= crossover, A the far-field antiderivative of t^nu phi(t)
-        (Phi(b) - Phi(a) = A(b) - A(a)): minus ``_osc_tail``, plus the
-        ``_drift_terms`` integrated, d_j t^s_j / s_j with s_j = nu + drift_power
-        + 1 - 2j (s_j = 0, a logarithm, raises NonConvergence).  Both series
-        are cut at t, so a term T^(m - j) is at most t^-j T^m."""
-        val, err, env = 0.0, 0.0, []
+    def _drift_end(self, t: float) -> Tuple[np.ndarray, np.ndarray, float]:
+        """The ``_drift_terms`` cut at t and integrated to t, d_j t^s_j / s_j
+        with s_j = nu + drift_power + 1 - 2j (s_j = 0, a logarithm, raises
+        NonConvergence), their error bounds and s_0."""
+        d, k = self._drift_terms(1.0 / t)
+        drift_power = self.far_field.drift_power
+        s = self.nu + drift_power + 1.0 - k
+        terms, terms_err = _continued_powers(
+            d, s, t, 2.0 * _EPS * (abs(self.nu) + abs(drift_power) + k + 1.0))
+        return terms, terms_err, s[0]
+
+    def _far_end(self, t: float) -> Tuple[float, float]:
+        """A(t) and its error bound at t >= crossover, A the far-field
+        antiderivative of t^nu phi(t) (Phi(b) - Phi(a) = A(b) - A(a)): minus
+        ``_osc_tail``, plus ``_drift_end``, both series cut at t."""
+        val, err = 0.0, 0.0
         if np.any(self.far_field.osc):
-            v, e, k, m0 = self._osc_tail(np.full(1, t), 1.0 / t)
+            v, e = self._osc_tail(np.full(1, t), 1.0 / t)
             val, err = -float(v[0]), float(e[0])
-            env.append((float(k[0]), m0))
         if self.drift is not None:
-            d, k = self._drift_terms(1.0 / t)
-            drift_power = self.far_field.drift_power
-            s = self.nu + drift_power + 1.0 - k
-            terms, terms_err = _continued_powers(
-                d, s, t, 2.0 * _EPS * (abs(self.nu) + abs(drift_power) + k + 1.0))
+            terms, terms_err, _ = self._drift_end(t)
             val += float(np.sum(terms[:-1]))
             err += 2.0 * abs(terms[-1]) + float(np.sum(terms_err))
-            k = np.abs(terms) * t ** -s[0]
-            env.append((float(np.sum(k[:-1]) + 2.0 * k[-1]), s[0]))
-        return val, err, env
+        return val, err
+
+    def _far_envelope(self, t: float) -> List[Tuple[float, float]]:
+        """(K, m) pairs with |A(T)| <= sum K T^m for T >= t >= crossover (A
+        as in ``_far_end``), each series cut at t, so a term T^(m - j) is at
+        most t^-j T^m.  The oscillatory pair is |scale| (sum_(k <= n) |e_k|
+        t^-k + 2 |e_(n+1)| t^-(n+1)), summed by Horner's rule in Python
+        floats, with m = osc_power."""
+        env = []
+        if np.any(self.far_field.osc):
+            w, e_abs = 1.0 / t, self._osc_e_abs
+            n = self._osc_cut(w)[0]
+            size = 0.0
+            for c in e_abs[n::-1]:
+                size = size * w + c
+            env.append((abs(self.far_field.scale) * (size + 2.0 * e_abs[n + 1] * w ** (n + 1)),
+                        self.osc_power))
+        if self.drift is not None:
+            terms, _, s = self._drift_end(t)
+            k = np.abs(terms) * t ** -s
+            env.append((float(np.sum(k[:-1]) + 2.0 * k[-1]), s))
+        return env
 
     def integral(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Phi(b) - Phi(a) and its error bound, for arrays 0 <= a <= b <= inf
@@ -454,11 +473,14 @@ class DilationTable:
                                        np.minimum(a, 1.0), np.minimum(b, 1.0))
         near = np.sum(terms, axis=1)
         n = len(b)
-        mid = mid_err = np.zeros(2 * n)
+        mid, mid_err = np.zeros(2 * n), np.zeros(2 * n)
         if self.reach > 1.0:
-            # Reads from a >= reach take nothing from the pieces, nor their error.
-            inside = np.tile(a < self.reach, 2)
-            mid, mid_err = (np.where(inside, m, 0.0) for m in self._mid(np.concatenate([b, a])))
+            # Only ends t > 1 of reads from a < reach take from the pieces;
+            # every other end reads 0, error 0.
+            ends = np.concatenate([b, a])
+            rows = np.flatnonzero((ends > 1.0) & np.tile(a < self.reach, 2))
+            if rows.size:
+                mid[rows], mid_err[rows] = self._mid(ends[rows])
         far, far_err = self._far_field(np.maximum(a, self.reach), np.maximum(b, self.reach))
         val = near + (mid[:n] - mid[n:]) + far
         rounding = 2.0 * _EPS * (np.abs(near) + np.abs(mid[:n]) + np.abs(mid[n:]) + np.abs(far))
@@ -492,7 +514,7 @@ class DilationTable:
                                            self.exponent_error)
         t = max(self.reach, self.crossover)
         mid, mid_err = self.integral(np.ones(1), np.full(1, t))
-        a, a_err, _ = self._far_end(t)
+        a, a_err = self._far_end(t)
         rounding = 4.0 * _EPS * (np.sum(np.abs(near)) + abs(mid[0]) + abs(a)) + np.sum(near_err)
         c, err = float(np.sum(near) + mid[0] - a), float(mid_err[0] + a_err + rounding)
         return (c, err) if abs(c) > err else (0.0, 0.0)
@@ -630,7 +652,7 @@ def far_envelope(spec: TransformSpec, f: TestFunction,
     """(K, kappa, y1): |F f(y)| <= sum K_i y^kappa_i for y >= y1 = max(y_min,
     crossover / X), X f's smallest jump point, so every jump x y lies in the
     kernel's asymptotic range.  A piece c x^e, nu = b0 + e, is y^(c0 - nu -
-    1) c [A(hi y) - A(lo y)] (``_far_end``; A(inf) = 0, and the Mellin
+    1) c [A(hi y) - A(lo y)] (``_far_envelope``; A(inf) = 0, and the Mellin
     constant for -A(0)); the jumps at a point are summed per nu first."""
     y1 = max(y_min, spec.kernel.crossover / min(f.breakpoints))
     jumps, bounds = {}, []
@@ -646,7 +668,7 @@ def far_envelope(spec: TransformSpec, f: TestFunction,
     for (x, nu), jump in jumps.items():
         if jump != 0.0:
             bounds.extend((abs(jump) * k * x ** m, spec.c0 - nu - 1.0 + m)
-                          for k, m in _table(spec.kernel, nu)._far_end(x * y1)[2])
+                          for k, m in _table(spec.kernel, nu)._far_envelope(x * y1))
     k, kappa = (np.asarray(v, dtype=float) for v in zip(*bounds)) if bounds else (np.zeros(0),) * 2
     return k, kappa, y1
 
@@ -676,7 +698,7 @@ def apply(spec: TransformSpec, f: TestFunction, y_grid: Sequence[float],
             raise AdmissibilityError(
                 f"{f.family} is not admissible for {spec.name}: "
                 f"near-origin integral {report.near_origin}, tail {report.tail}")
-    ys = np.asarray(list(y_grid), dtype=float)
+    ys = np.asarray(y_grid, dtype=float)
     if not np.all((ys > 0.0) & (ys < math.inf)):
         raise ValueError("transform values are defined for 0 < y < inf")
     vals, errs = _table_values(spec, f, ys)

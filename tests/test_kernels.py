@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy.special import gamma as scipy_gamma, jv as scipy_jv, struve as scipy_struve
 
-from wnilab.kernels import (PowerEnvelope, bessel_j, bessel_j_error, bessel_j_kernel,
-                            check_envelope, cosine_kernel, model_min_kernel, sine_kernel,
-                            struve_derivative_check, struve_h, struve_h_error, struve_h_kernel)
+from wnilab.kernels import (PowerEnvelope, _smallest_term_index, bessel_j, bessel_j_error,
+                            bessel_j_kernel, check_envelope, cosine_kernel, model_min_kernel,
+                            sine_kernel, struve_derivative_check, struve_h, struve_h_error,
+                            struve_h_kernel)
 from wnilab.transforms import bessel_primitive_bound, struve_primitive, struve_primitive_bound
 
 XS = np.geomspace(1e-3, 100.0, 200)
@@ -201,6 +202,14 @@ def test_large_argument_against_mpmath(kind, alpha):
                 exact, amp = scale * mpmath.besselj(a, x), scale * amp
             seen = abs(mpmath.mpf(v) - exact)
             assert seen <= 1e-15 * amp and seen <= e, float(x)
+
+
+def test_smallest_term_passes_over_a_cancelled_zero():
+    # A zero that later terms outgrow is not the smallest term; zeros that
+    # end the series are, and so is the first term below the stop.
+    assert _smallest_term_index(np.array([1.0, 0.0, 0.2, 0.1, 0.3]), 1.0) == 3
+    assert _smallest_term_index(np.array([1.0, 0.5, 0.0, 0.0]), 1.0) == 2
+    assert _smallest_term_index(np.array([1.0, 0.0, 1e-20, 1e-30]), 1.0) == 2
 
 
 def test_kernel_batch_shapes():

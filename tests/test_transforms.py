@@ -18,6 +18,7 @@ from wnilab.weights import (GMWitness, Piece, TestFunction, make_log_counterexam
                             make_truncated_power, make_vanishing_moment_function)
 
 CFG = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13)
+EPS = float(np.finfo(float).eps)
 
 
 def test_preset_envelope_data():
@@ -293,6 +294,48 @@ def test_table_chopped_at_the_kernel_error():
         for t, vv, ee in zip(ts, v, e):
             exact = mpmath.gamma(21) * 2 ** 20 * mpmath.mpf(t) ** 21 * mpmath.besselj(21, t)
             assert abs(mpmath.mpf(vv) - exact) <= ee, t
+
+
+def test_table_past_a_far_field_term_cancelled_to_zero():
+    # For t^0 j_(5/2)(t) the tail series' e_1 = 3i - 3i is 0, yet e_2 = 3
+    # and the terms after it grow: the cut passes over that zero, so the
+    # table builds, and a read beyond its reach lies within its bar of
+    # mpmath's integral of j_(5/2) = G(7/2) (2/t)^(5/2) J_(5/2)(t).
+    table = DilationTable(hankel(2.5).kernel, 0.0)
+    assert table.osc_e_abs[1] == 0.0 and table.osc_e_abs[2] == 3.0
+    a = np.array([1.5, 3.0]) * table.reach
+    b = a + np.array([7.3, 20.0])
+    v, e = table.integral(a, b)
+    with mpmath.workdps(30):
+        j = lambda t: mpmath.gamma(3.5) * (2 / t) ** 2.5 * mpmath.besselj(2.5, t)  # noqa: E731
+        for lo, hi, vv, ee in zip(a, b, v, e):
+            assert abs(mpmath.mpf(vv) - mpmath.quad(j, mpmath.linspace(lo, hi, 5))) <= ee
+    # Zeros that end the series still end it: sine and cosine at nu = 0
+    # have e_1 ... e_40 = 0, and their reach stays the crossover.
+    for spec in (sine(), cosine()):
+        table = DilationTable(spec.kernel, 0.0)
+        assert not np.any(table.osc_e_abs[1:]) and table.reach == 12.0
+
+
+# Batches whose reads are independent of the batch: every b >= 1 (the
+# series' error takes no log of an end), and tail series that end (sin t at
+# nu = 0, t^2 j_(1/2)(t) = t sin t at nu = 2), so the far field's cut does
+# not move.
+@pytest.mark.parametrize("spec,nu", [(sine(), 0.0), (hankel(0.5), 2.0)], ids=["sine", "hankel"])
+def test_chebyshev_reads_skip_rows_that_are_zero(spec, nu):
+    # Rows from a = 0, from 1 < a < reach and from a >= reach, ending below
+    # and beyond the reach: the batch reads each row bitwise as it reads
+    # that row alone, though only the ends t > 1 of rows from a < reach
+    # are read from the Chebyshev pieces.
+    table = DilationTable(spec.kernel, nu)
+    r = table.reach
+    a = np.array([0.0, 0.0, 0.0, 0.0, 2.5, 2.5, 2.5, r, 1.5 * r, 2.0 * r])
+    b = np.array([1.0, 3.0, 2.0 * r, math.inf, 0.5 * r, 3.0 * r, math.inf, 1.5 * r, 4.0 * r,
+                  math.inf])
+    v, e = table.integral(a, b)
+    for i in range(len(a)):
+        vi, ei = table.integral(a[i:i + 1], b[i:i + 1])
+        assert (v[i], e[i]) == (vi[0], ei[0]), i
 
 
 def test_infinite_support_transform_frozen_oracle():
@@ -861,6 +904,42 @@ def test_far_envelope_starts_at_the_kernel_crossover():
     ys = y1 * np.geomspace(1.0, 1e3, 400)
     res = apply(spec, f, ys, CFG, check=False)
     assert np.all(np.abs(res.values) <= np.sum(k * ys[:, None] ** kappa, axis=1) + res.errors)
+
+
+ENVELOPE_PRESETS = SERIES_PRESETS + [model_min(1.0)]
+
+
+@pytest.mark.parametrize("spec", ENVELOPE_PRESETS,
+                         ids=[f"{s.name}-{s.alpha}" for s in ENVELOPE_PRESETS])
+def test_far_envelope_read_agrees_with_the_array_path(spec):
+    # The envelope's oscillatory K, a Horner sum in Python floats, is
+    # |scale| (sum_(k <= n) |e_k| t^-k + 2 |e_(n+1)| t^-(n+1)) summed over
+    # numpy arrays, within 4 eps, at the crossover, the reach and 10 reach.
+    for nu in (spec.b0, spec.b0 - 1.3):
+        table = _dilation_table(spec.kernel, nu)
+        for t in (table.crossover, table.reach, 10.0 * table.reach):
+            env = table._far_envelope(t)
+            if not np.any(table.far_field.osc):
+                assert len(env) == 1 and table.drift is not None
+                continue
+            n, w, e_abs = table._osc_cut(1.0 / t)[0], np.full(1, 1.0 / t), table.osc_e_abs
+            k = abs(table.far_field.scale) * (np.polyval(e_abs[n::-1], w)
+                                              + 2.0 * e_abs[n + 1] * w ** (n + 1))
+            assert abs(env[0][0] - k[0]) <= 4.0 * EPS * k[0], (nu, t)
+            assert env[0][1] == table.osc_power
+
+
+def test_far_envelope_reads_no_tail_value(monkeypatch):
+    # The envelope is a scalar read: it evaluates no oscillatory tail value.
+    spec, f = hankel(0.0), TestFunction("far", [Piece(1.0, 2.0, 1.0, 0.0)])
+    before = far_envelope(spec, f, 1e-3)
+
+    def raises(*args):
+        raise AssertionError("_osc_tail called")
+
+    monkeypatch.setattr(DilationTable, "_osc_tail", raises)
+    after = far_envelope(spec, f, 1e-3)
+    assert all(np.array_equal(x, y) for x, y in zip(before, after))
 
 
 def test_struve_drift_that_does_not_decay_is_not_served():
