@@ -21,6 +21,7 @@ import functools
 import inspect
 import json
 import math
+import statistics
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -196,31 +197,29 @@ def _build_family(desc: dict) -> List[Tuple[float, TestFunction]]:
 _END_SHARE = 0.25
 
 
-def _lhs_norm(cfg: ExperimentConfig, f: TestFunction) -> Tuple[float, float]:
-    """The outer norm and its error: panels on a window [y0, y1] of the lhs
-    domain, the ends of (0, inf) in closed form (``_lower_tail``,
-    ``_upper_tail``).  A transform value that is not finite on the window
-    raises DivergentIntegral."""
+def _lhs_windows(cfg: ExperimentConfig, f: TestFunction, outer: QuadratureConfig):
+    """The outer norm and its error, as a coroutine: it yields each Kronrod
+    window (integrand, (y0, y1)) of the lhs domain under ``outer`` and is
+    sent that window's (value, error) or thrown its failure.  The ends of
+    (0, inf) are closed forms (``_lower_tail``, ``_upper_tail``).  A
+    transform value that is not finite on a window raises
+    DivergentIntegral."""
     spec, q = cfg.transform, cfg.exps.q
     u_exp = -q * cfg.power_pair[0]
 
     def integrand(ys):
-        ys = np.asarray(ys, dtype=float)
         vals = tr.apply(spec, f, ys, cfg.quadrature, check=False).values
         if not np.all(np.isfinite(vals)):
             raise DivergentIntegral("inner integral")
         return ys ** u_exp * np.abs(vals) ** q
 
-    # The norm integrand is nonnegative: no cancellation can fool the error
-    # estimator, so adaptive panels are reliable.
-    outer = replace(cfg.quadrature, rel_tol=max(cfg.quadrature.rel_tol, cfg.norm_rel_tol))
     share = _END_SHARE * outer.rel_tol
     (y0, y1), val, err, bound = cfg.lhs_domain, 0.0, 0.0, 0.0
     if y0 == 0.0:
         y0, val, err = _lower_tail(cfg, f, u_exp, y1, share)
     if math.isinf(y1):
         y1, bound, slope = _upper_tail(cfg, f, u_exp, y0)
-    win, win_err = integrate(integrand, (y0, y1), outer)
+    win, win_err = yield integrand, (y0, y1)
     val, err = val + win, err + win_err
     # The unreached tail lies in [0, bound] and is read as its midpoint, so
     # it costs bound / 2 of the error, which may take up to its share.
@@ -228,7 +227,7 @@ def _lhs_norm(cfg: ExperimentConfig, f: TestFunction) -> Tuple[float, float]:
         # The bound falls like y1^slope: one step to the y2 where half of it
         # meets the share, at most twelve decades on.
         y2 = y1 * min((0.5 * bound / (share * val)) ** (-1.0 / slope) if val > 0 else 1e12, 1e12)
-        win, win_err = integrate(integrand, (y1, y2), outer)
+        win, win_err = yield integrand, (y1, y2)
         val, err = val + win, err + win_err
         _, bound, _ = _upper_tail(cfg, f, u_exp, y2)
     val, err = val + 0.5 * bound, err + 0.5 * bound
@@ -283,25 +282,46 @@ def _rhs_norm(cfg: ExperimentConfig, f: TestFunction) -> Tuple[float, float]:
     return (total ** (1.0 / p), 0.0) if math.isfinite(total) else (math.inf, 0.0)
 
 
+def _record(cfg: ExperimentConfig, param: float, f: TestFunction, outer: QuadratureConfig):
+    """One member's ratio record, as a coroutine that yields the windows of
+    its outer norm (``_lhs_windows``)."""
+    try:
+        rhs, rhs_err = _rhs_norm(cfg, f)
+        if rhs == 0.0 or not math.isfinite(rhs):
+            return RatioRecord(param, math.nan, rhs, math.nan, 0.0, 0.0,
+                               "rhs zero or infinite; skipped")
+        lhs, lhs_err = yield from _lhs_windows(cfg, f, outer)
+        return RatioRecord(param, lhs, rhs, lhs / rhs, lhs_err, rhs_err)
+    except DivergentIntegral as exc:
+        return RatioRecord(param, math.inf, math.nan, math.inf, 0.0, 0.0,
+                           f"lhs divergent ({exc.direction})")
+    except NonConvergence as exc:
+        return RatioRecord(param, exc.value, math.nan, math.nan, exc.error, 0.0, "nonconvergent")
+
+
 def compute_ratio_records(cfg: ExperimentConfig) -> List[RatioRecord]:
-    records: List[RatioRecord] = []
-    for param, f in cfg.family:
-        note = ""
-        try:
-            rhs, rhs_err = _rhs_norm(cfg, f)
-            if rhs == 0.0 or not math.isfinite(rhs):
-                records.append(RatioRecord(param, math.nan, rhs, math.nan, 0.0, 0.0,
-                                           "rhs zero or infinite; skipped"))
-                continue
-            lhs, lhs_err = _lhs_norm(cfg, f)
-            records.append(RatioRecord(param, lhs, rhs, lhs / rhs, lhs_err, rhs_err))
-        except DivergentIntegral as exc:
-            records.append(RatioRecord(param, math.inf, math.nan, math.inf, 0.0, 0.0,
-                                       f"lhs divergent ({exc.direction})"))
-        except NonConvergence as exc:
-            records.append(RatioRecord(param, exc.value, math.nan, math.nan,
-                                       exc.error, 0.0, "nonconvergent"))
-    return records
+    """One record per family member (``_record``).  The members' windows
+    are integrated together: each ``integrate`` call takes the next window
+    of every member that has one, so a family takes one call for its first
+    windows and one more only where a tail budget extends a window."""
+    # The norm integrand is nonnegative: no cancellation can fool the error
+    # estimator, so adaptive panels are reliable.
+    outer = replace(cfg.quadrature, rel_tol=max(cfg.quadrature.rel_tol, cfg.norm_rel_tol))
+    members = [_record(cfg, param, f, outer) for param, f in cfg.family]
+    records: List[Optional[RatioRecord]] = [None] * len(members)
+    sent = dict.fromkeys(range(len(members)))  # what each unfinished member is sent next
+    while True:
+        asks = {}
+        for i, outcome in sent.items():
+            try:
+                asks[i] = (members[i].throw(outcome) if isinstance(outcome, Exception)
+                           else members[i].send(outcome))
+            except StopIteration as done:
+                records[i] = done.value
+        if not asks:
+            return records
+        sent = dict(zip(asks, integrate([g for g, _ in asks.values()],
+                                        [w for _, w in asks.values()], outer)))
 
 
 def dilation_exponent(cfg: ExperimentConfig) -> Optional[float]:
@@ -321,7 +341,7 @@ def verify_summary(cfg: ExperimentConfig, records: Sequence[RatioRecord]) -> dic
     and the dilation exponent is 0 or, for any other family, the fitted
     exponent is 0 within its bar (null with nothing to judge by)."""
     ratios = [r.ratio for r in records if r.note == "" and math.isfinite(r.ratio)]
-    max_ratio, median = (max(ratios), float(np.median(ratios))) if ratios else (None, None)
+    max_ratio, median = (max(ratios), statistics.median(ratios)) if ratios else (None, None)
     kappa = dilation_exponent(cfg)
     try:
         fit = fit_growth(records, cfg.growth_model)
@@ -372,11 +392,11 @@ def fit_growth(records: Sequence[RatioRecord], model: str) -> dict:
     if model == "log" and np.any(params <= 1.0):
         raise FitDegenerate("the log model needs every parameter above 1")
     x = np.log(np.log(params)) if model == "log" else np.log(params)
-    slope, intercept = np.polyfit(x, np.log(ratios), 1)
-    d = x - np.mean(x)
-    return {"model": model, "fitted_exponent": float(slope),
+    d, logs = x - np.mean(x), np.log(ratios)
+    slope = float(np.sum(d * logs) / np.sum(d * d))
+    return {"model": model, "fitted_exponent": slope,
             "fitted_exponent_err": float(np.sum(np.abs(d) * rel) / np.sum(d * d)),
-            "intercept": float(intercept), "rows_used": len(usable)}
+            "intercept": float(np.mean(logs) - slope * np.mean(x)), "rows_used": len(usable)}
 
 
 # ---------------------------------------------------------------------------

@@ -235,9 +235,12 @@ def _scan(factors: _Factors, label: str) -> ConditionReport:
         edge = sign * (hi if sign > 0.0 else lo)  # the outermost breakpoint, in log T
         if reach > edge:  # the end segment, from it to the reach
             ends.append(sign * min(reach, edge + 600.0 / rate))
-    edges = np.union1d(breaks, ends + [lo, hi] if ends else [])
-    reads = np.sort(np.concatenate([edges] + [
-        np.linspace(a, b, _INNER + int((b - a) * rate) + 2)[1:-1] for a, b in zip(edges, edges[1:])]))
+    reads = np.empty(0)  # neither breakpoint nor reach: the constant C
+    if len(breaks) or ends:
+        edges = np.union1d(breaks, ends + [lo, hi] if ends else [])
+        reads = np.sort(np.concatenate([edges] + [
+            np.linspace(a, b, _INNER + int((b - a) * rate) + 2)[1:-1]
+            for a, b in zip(edges, edges[1:])]))
     rep = _sup_scan(lambda r: _product(factors, r), label, reads, limits)
     if not rep.sup_value < math.inf:  # an infinite bracket, or a zero one under a negative power
         rep.verdict = "divergent" if rep.sup_value == math.inf else "indeterminate"

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import inspect
 import json
 import math
@@ -15,7 +16,9 @@ from wnilab.cli import (ConfigError, ExperimentConfig, FitDegenerate, RatioRecor
 from wnilab import cli, conditions as cond, transforms
 from wnilab.kernels import KERNELS
 from wnilab.transforms import _PRESETS
-from wnilab.weights import Weight
+from wnilab.weights import Weight, make_truncated_power
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _modelmin_config(beta=0.25, gamma=0.25, points=7, extra=None):
@@ -146,6 +149,61 @@ def test_divergent_inner_value_on_a_window_is_a_divergent_row(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def _one_by_one(cfg):
+    """Each member's record from a one-member family of its own."""
+    return [compute_ratio_records(dataclasses.replace(cfg, family=[member]))[0]
+            for member in cfg.family]
+
+
+def _hankel_verify_seed_7():
+    """The benchmark's seed-7 hankel-verify config: the shipped endpoint
+    family of thirteen members, its grid started where that seed draws it."""
+    doc = json.loads((CONFIGS / "hankel_verify_endpoint.json").read_text())
+    start = 10.0 ** (-3.0 + 0.5 * random.Random("hankel-verify:7").random())
+    doc["family"]["grid"].update(start=start, stop=start * 1e6)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    _hankel_verify_seed_7(),
+    # Two pieces per member, on a finite lhs window.
+    json.loads((CONFIGS / "cosine_sharpness_logN.json").read_text()),
+], ids=["hankel-verify-7", "cosine-logN"])
+def test_members_integrated_together_read_as_alone(doc):
+    # Every member's window in shared panel batches: each record is bitwise
+    # its record as a one-member family.
+    cfg = ExperimentConfig.from_dict(doc)
+    records = compute_ratio_records(cfg)
+    assert all(r.note == "" for r in records)
+    assert repr(records) == repr(_one_by_one(cfg))
+
+
+@pytest.mark.parametrize("bad", ["inner value not finite", "table not built"])
+def test_a_bad_member_changes_only_its_own_row(bad, monkeypatch):
+    # model_min(1) on the window [0.5, 2]: x^-2 on (r, inf) has a finite
+    # transform.  Of 1 on (r, inf) it is infinite at every y; x^-2.5 on
+    # (r, inf) reads the Phi_nu table of nu = -1.5, here one that cannot be
+    # built.  A bad member among healthy ones reads as it does alone, and
+    # every other row as without it.
+    cfg = ExperimentConfig.from_dict(_modelmin_config(extra={
+        "normalization": "power", "lhs_domain": [0.5, 2.0],
+        "weights": {"beta": 0.25, "gamma": -1.0}}))
+    healthy = [(r, make_truncated_power(-2.0, r, "right")) for r in (0.5, 1.0, 2.0, 4.0)]
+    if bad == "table not built":
+        table = transforms._dilation_table
+        monkeypatch.setattr(transforms, "_dilation_table",
+                            lambda kernel, nu: None if nu == -1.5 else table(kernel, nu))
+        member, note = (1.5, make_truncated_power(-2.5, 1.5, "right")), "nonconvergent"
+    else:
+        member, note = (1.5, make_truncated_power(0.0, 1.5, "right")), "lhs divergent (inner integral)"
+    clean = compute_ratio_records(dataclasses.replace(cfg, family=healthy))
+    mixed = compute_ratio_records(dataclasses.replace(cfg, family=healthy[:2] + [member] + healthy[2:]))
+    assert all(r.note == "" for r in clean)
+    assert repr(mixed[:2] + mixed[3:]) == repr(clean)
+    assert mixed[2].note == note
+    assert repr(mixed[2:3]) == repr(compute_ratio_records(dataclasses.replace(cfg, family=[member])))
+
+
 def test_fit_verdict_outside_the_dilation_setting():
     # On a restricted lhs domain the ratio is no longer one power of r: the
     # verdict is the fit's, a slope within its bar of 0.  A divergent row
@@ -200,12 +258,12 @@ def test_outer_norm_against_weber_schafheitlin(beta, side, monkeypatch):
     # the norm lies below any window start and comes from the closed form.
     # From beta = 0.6 (the shipped hankel_verify_endpoint family) the upper
     # tail's bound at the first window end costs half of itself, within its
-    # share, so each member takes one Kronrod window.
+    # share, so each member takes one Kronrod window, all in one call.
     windows = []
 
-    def counted(f, window, config):
-        windows.append(window)
-        return integrate(f, window, config)
+    def counted(integrands, family_windows, config):
+        windows.append(list(family_windows))
+        return integrate(integrands, family_windows, config)
 
     integrate = cli.integrate
     monkeypatch.setattr(cli, "integrate", counted)
@@ -215,7 +273,7 @@ def test_outer_norm_against_weber_schafheitlin(beta, side, monkeypatch):
         assert rec.note == ""
         assert abs(rec.lhs - exact) <= rec.lhs_err <= 1e-2 * exact
     if beta >= 0.6:
-        assert len(windows) == len(records)
+        assert [len(w) for w in windows] == [len(records)]
 
 
 @pytest.mark.parametrize("beta,end", [(-0.6, "y -> inf"), (1.005, "y -> 0")])

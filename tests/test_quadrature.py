@@ -11,25 +11,34 @@ from wnilab.quadrature import QuadratureConfig, integrate
 from wnilab.transforms import DilationTable, hankel, scripth, sine
 
 
+def _integrate(f, window, config=None):
+    """One window through ``integrate``: its (value, error), or its failure
+    raised."""
+    (outcome,) = integrate([f], [window], config)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def test_polynomial_exactness_single_panel():
     # The Kronrod rule integrates polynomials well past degree 20 on one panel.
     for k in (0, 3, 7, 13, 20):
-        val, _ = integrate(lambda x, k=k: x ** k, (1.0, 2.0))
+        val, _ = _integrate(lambda x, k=k: x ** k, (1.0, 2.0))
         exact = (2.0 ** (k + 1) - 1.0) / (k + 1)
         assert val == pytest.approx(exact, rel=1e-13)
 
 
 def test_trivial_closed_forms():
-    val, _ = integrate(lambda x: x, (0.5, 1.0))
+    val, _ = _integrate(lambda x: x, (0.5, 1.0))
     assert val == pytest.approx(0.375, rel=1e-12)
     # A window spanning twelve decades starts from geometric panels.
-    val, _ = integrate(lambda x: np.minimum(1.0, x ** -2.0), (1e-6, 1e6))
+    val, _ = _integrate(lambda x: np.minimum(1.0, x ** -2.0), (1e-6, 1e6))
     assert val == pytest.approx(2.0 - 2e-6, rel=1e-8)
 
 
 def test_sine_antiderivative_oracle():
     # int_a^r sin(x y) dx = (cos(a y) - cos(r y)) / y, frozen at (a, r, y) = (0.5, 3, 2).
-    val, _ = integrate(lambda x: np.sin(2.0 * x), (0.5, 3.0))
+    val, _ = _integrate(lambda x: np.sin(2.0 * x), (0.5, 3.0))
     assert val == pytest.approx((math.cos(1.0) - math.cos(6.0)) / 2.0, rel=1e-12)
 
 
@@ -37,8 +46,8 @@ def test_windows_only():
     # Ends at 0 and at infinity are the callers' to take in closed form.
     for window in ((0.0, 1.0), (-1.0, 1.0), (1.0, math.inf), (0.0, math.inf)):
         with pytest.raises(ValueError):
-            integrate(np.ones_like, window)
-    assert integrate(np.ones_like, (2.0, 1.0)) == (0.0, 0.0)
+            integrate([np.ones_like], [window])
+    assert integrate([np.ones_like], [(2.0, 1.0)]) == [(0.0, 0.0)]
 
 
 @pytest.mark.parametrize("n,tol", [(10, 1e-14), (100, 1e-13), (10000, 1e-9)])
@@ -47,15 +56,15 @@ def test_oscillatory_cancellation(n, tol):
     # within its bar.
     cfg = QuadratureConfig(abs_tol=tol, max_panels=50000)
     period = 2.0 * math.pi
-    val, err = integrate(np.sin, (period, period * (n + 1)), cfg)
+    val, err = _integrate(np.sin, (period, period * (n + 1)), cfg)
     assert abs(val) <= err
 
 
 def test_integrable_endpoint_singularities():
     # Steep powers near the lower end of a window many decades long.
-    val, _ = integrate(lambda x: x ** -0.9, (1e-10, 1.0))
+    val, _ = _integrate(lambda x: x ** -0.9, (1e-10, 1.0))
     assert val == pytest.approx(10.0 * (1.0 - 1e-1), rel=1e-10)
-    val, _ = integrate(lambda x: x ** -0.5, (1e-12, 2.0))
+    val, _ = _integrate(lambda x: x ** -0.5, (1e-12, 2.0))
     assert val == pytest.approx(2.0 * (math.sqrt(2.0) - 1e-6), rel=1e-12)
 
 
@@ -63,15 +72,51 @@ def test_refinement_consistency():
     # Halving rel_tol never moves a converged value by more than the
     # previous error estimate.
     f = lambda x: np.sin(3.0 * x) * x ** -0.3
-    v1, e1 = integrate(f, (1e-3, 10.0), QuadratureConfig(rel_tol=1e-6))
-    v2, _ = integrate(f, (1e-3, 10.0), QuadratureConfig(rel_tol=5e-7))
+    v1, e1 = _integrate(f, (1e-3, 10.0), QuadratureConfig(rel_tol=1e-6))
+    v2, _ = _integrate(f, (1e-3, 10.0), QuadratureConfig(rel_tol=5e-7))
     assert abs(v2 - v1) <= max(e1, 1e-14)
+
+
+
+def test_windows_refined_together_keep_their_own_outcomes():
+    # Windows that converge in their first batch, after refinement rounds,
+    # never (panel budget) or whose integrand raises or is not finite: each
+    # outcome together is bitwise the outcome alone, and a window leaves the
+    # later rounds once it has one.
+    cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14, max_panels=64)
+    rounds = {}
+
+    def counted(name, f):
+        def g(x):
+            rounds[name] = rounds.get(name, 0) + 1
+            return f(x)
+        return g
+
+    def divergent(x):
+        raise quadrature.DivergentIntegral("inner integral")
+
+    cases = {"first batch": (lambda x: x ** 3, (1.0, 2.0)),
+             "refined": (lambda x: np.sin(3.0 * x) * x ** -0.3, (1e-3, 10.0)),
+             "budget": (np.sin, (2.0 * math.pi, 2002.0 * math.pi)),
+             "raises": (divergent, (0.5, 1.0)),
+             "not finite": (lambda x: np.where(x < 0.75, math.nan, x), (0.5, 2.0))}
+    together = integrate([counted(name, f) for name, (f, _) in cases.items()],
+                         [w for _, w in cases.values()], cfg)
+    assert rounds == {"first batch": 1, "refined": 3, "budget": 9, "raises": 1, "not finite": 1}
+    for (f, window), got in zip(cases.values(), together):
+        (alone,) = integrate([f], [window], cfg)
+        if isinstance(alone, Exception):
+            assert (type(got), str(got)) == (type(alone), str(alone))
+        else:
+            assert got == alone
+    assert [type(o) for o in together[2:]] == [quadrature.NonConvergence,
+                                                quadrature.DivergentIntegral, ValueError]
 
 
 def _weighted_norm(f, weight, p, domain):
     """(integral over the domain of weight |f|^p)^(1/p), as the command
     line's outer norm integrates its window."""
-    val, _ = integrate(lambda x: weight(x) * np.abs(f(x)) ** p, domain)
+    val, _ = _integrate(lambda x: weight(x) * np.abs(f(x)) ** p, domain)
     return val ** (1.0 / p)
 
 
@@ -124,7 +169,7 @@ def test_table_reads_match_integrate():
     reads, read_errs = table._mid(xs)
     cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15)
     for x, read, read_err in zip(xs, reads, read_errs):
-        val, err = integrate(lambda t: t ** nu * spec.kernel.phi(t), (1.0, x), cfg)
+        val, err = _integrate(lambda t: t ** nu * spec.kernel.phi(t), (1.0, x), cfg)
         assert abs(read - val) <= read_err + err, x
 
 
