@@ -34,7 +34,7 @@ from . import conditions as cond
 from . import transforms as tr
 from .kernels import KERNELS
 from .quadrature import DivergentIntegral, NonConvergence, QuadratureConfig, integrate
-from .weights import (DIVERGENCE_MARGIN, ExponentSet, TestFunction, Weight,
+from .weights import (DIVERGENCE_MARGIN, ExponentSet, FunctionFamily, TestFunction, Weight,
                       make_log_counterexample, make_truncated_power, power_moment)
 
 
@@ -195,15 +195,66 @@ def _build_family(desc: dict) -> List[Tuple[float, TestFunction]]:
 
 # Share of the outer tolerance each closed-form end of the norm may take.
 _END_SHARE = 0.25
+# The ends raise each value to its power with the scalar pow (the C
+# library's): numpy's vectorized pow rounds some powers differently, and the
+# records written keep their digits.
 
 
-def _lhs_windows(cfg: ExperimentConfig, f: TestFunction, outer: QuadratureConfig):
+@dataclass
+class _Ends:
+    """One member's row of its family's ends pass (``_family_ends``): its
+    rhs and, where that is finite and not 0, the window [y0, y1] of its
+    outer norm, the lower tail T below y0 with its error E, the bound B on
+    the upper tail beyond y1 with its slope, or the failure its ends raise."""
+
+    rhs: float
+    y0: float
+    y1: float
+    tail: float = 0.0
+    tail_err: float = 0.0
+    bound: float = 0.0
+    slope: float = math.nan
+    failure: Optional[Exception] = None
+
+
+def _family_ends(cfg: ExperimentConfig, fam: FunctionFamily, share: float) -> List[_Ends]:
+    """Every member's rhs (``_rhs_norm``) and, for the members whose rhs is
+    finite and not 0, the closed-form ends of (0, inf) in the lhs domain:
+    ``_lower_tail``, then ``_upper_tail`` from the lower tail's y0, each one
+    vectorized pass over the members its end still serves.  A member keeps
+    the first failure its ends raise; a table that cannot be built fails
+    every member that reads it."""
+    lo, hi = cfg.lhs_domain
+    rows = [_Ends(rhs, lo, hi) for rhs in _rhs_norm(cfg, fam)]
+    pending = [i for i, row in enumerate(rows) if row.rhs != 0.0 and math.isfinite(row.rhs)]
+    u_exp = -cfg.exps.q * cfg.power_pair[0]
+
+    def end(read, names):
+        sub = fam if len(pending) == len(rows) else fam.take(pending)
+        try:
+            *values, failed = read(sub)
+        except NonConvergence as exc:  # a table every member reads
+            values, failed = [], dict.fromkeys(range(len(pending)), exc)
+        for j, (i, *row) in enumerate(zip(pending, *(v.tolist() for v in values))):
+            rows[i] = replace(rows[i], failure=failed.get(j), **dict(zip(names, row)))
+        return [i for j, i in enumerate(pending) if j not in failed]
+
+    if lo == 0.0 and pending:
+        pending = end(lambda sub: _lower_tail(cfg, sub, u_exp, hi, share),
+                      ("y0", "tail", "tail_err"))
+    if math.isinf(hi) and pending:
+        y_min = np.array([rows[i].y0 for i in pending])
+        pending = end(lambda sub: _upper_tail(cfg, sub, u_exp, y_min), ("y1", "bound", "slope"))
+    return rows
+
+
+def _lhs_windows(cfg: ExperimentConfig, f: TestFunction, ends: _Ends, outer: QuadratureConfig):
     """The outer norm and its error, as a coroutine: it yields each Kronrod
     window (integrand, (y0, y1)) of the lhs domain under ``outer`` and is
     sent that window's (value, error) or thrown its failure.  The ends of
-    (0, inf) are closed forms (``_lower_tail``, ``_upper_tail``).  A
-    transform value that is not finite on a window raises
-    DivergentIntegral."""
+    (0, inf) are closed forms, read from f's row of its family's ends pass
+    (``_family_ends``).  A transform value that is not finite on a window
+    raises DivergentIntegral."""
     spec, q = cfg.transform, cfg.exps.q
     u_exp = -q * cfg.power_pair[0]
 
@@ -213,13 +264,11 @@ def _lhs_windows(cfg: ExperimentConfig, f: TestFunction, outer: QuadratureConfig
             raise DivergentIntegral("inner integral")
         return ys ** u_exp * np.abs(vals) ** q
 
+    if ends.failure is not None:
+        raise ends.failure
     share = _END_SHARE * outer.rel_tol
-    (y0, y1), val, err, bound = cfg.lhs_domain, 0.0, 0.0, 0.0
-    if y0 == 0.0:
-        y0, val, err = _lower_tail(cfg, f, u_exp, y1, share)
-    if math.isinf(y1):
-        y1, bound, slope = _upper_tail(cfg, f, u_exp, y0)
-    win, win_err = yield integrand, (y0, y1)
+    y1, val, err, bound, slope = ends.y1, ends.tail, ends.tail_err, ends.bound, ends.slope
+    win, win_err = yield integrand, (ends.y0, y1)
     val, err = val + win, err + win_err
     # The unreached tail lies in [0, bound] and is read as its midpoint, so
     # it costs bound / 2 of the error, which may take up to its share.
@@ -229,7 +278,9 @@ def _lhs_windows(cfg: ExperimentConfig, f: TestFunction, outer: QuadratureConfig
         y2 = y1 * min((0.5 * bound / (share * val)) ** (-1.0 / slope) if val > 0 else 1e12, 1e12)
         win, win_err = yield integrand, (y1, y2)
         val, err = val + win, err + win_err
-        _, bound, _ = _upper_tail(cfg, f, u_exp, y2)
+        _, (bound,), _, failed = _upper_tail(cfg, FunctionFamily([f]), u_exp, y2)
+        if failed:
+            raise failed[0]
     val, err = val + 0.5 * bound, err + 0.5 * bound
     if val <= 0.0:
         return 0.0, err
@@ -237,61 +288,102 @@ def _lhs_windows(cfg: ExperimentConfig, f: TestFunction, outer: QuadratureConfig
     return norm, norm / (q * val) * err
 
 
-def _lower_tail(cfg: ExperimentConfig, f: TestFunction, u: float, y_cap: float,
-                share: float) -> Tuple[float, float, float]:
-    """(y0, T, E): T = integral_0^y0 y^u |A y^k|^q, A y^k the leading term of
-    F f's moment series, with error E.  The other terms move F f by a
-    factor within 1 +- r(y); y0 <= min(y_cap, 1/X) keeps r(y0) <= share / q.
-    Raises DivergentIntegral when u + q k <= -1."""
+def _logarithms(log: np.ndarray) -> dict:
+    """A NonConvergence for each member whose end meets a logarithm."""
+    return {i: NonConvergence(math.nan, math.inf, tr.LOG_TERM)
+            for i in np.flatnonzero(log).tolist()}
+
+
+def _alike(pattern: np.ndarray) -> List[np.ndarray]:
+    """The indices of the rows of a 2-D pattern, grouped by equal rows."""
+    if np.all(pattern == pattern[0]):
+        return [np.arange(len(pattern))]
+    _, group = np.unique(pattern, axis=0, return_inverse=True)
+    return [np.flatnonzero(group.reshape(-1) == g) for g in range(int(group.max()) + 1)]
+
+
+def _lower_tail(cfg: ExperimentConfig, fam: FunctionFamily, u: float, y_cap: float,
+                share: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """(y0, T, E, failed), a row per member of the family: T = integral_0^y0
+    y^u |A y^k|^q, A y^k the leading term of F f's moment series, with
+    error E.  The other terms move F f by a factor within 1 +- r(y); y0 <=
+    min(y_cap, 1/X) keeps r(y0) <= share / q.  ``failed`` maps a member's
+    index to what its end raises: DivergentIntegral when u + q k <= -1,
+    NonConvergence at a logarithmic term (``tr.near_expansion``)."""
     q = cfg.exps.q
-    c, powers, c_err, y_max = tr.near_expansion(cfg.transform, f)
-    live = np.flatnonzero(c)
-    lead = live[np.argmin(powers[live])]
+    c, powers, c_err, y_max, log = tr.near_expansion(cfg.transform, fam)
+    failed = _logarithms(log)
+    lead = np.argmin(np.where(c != 0.0, powers, math.inf), axis=1)
+    members = np.arange(len(c))
     slope = u + q * powers[lead] + 1.0
-    if slope <= DIVERGENCE_MARGIN:
-        raise DivergentIntegral("y -> 0")
-    rest = (np.abs(c) + c_err > 0.0) & (np.arange(len(c)) != lead)
-    size, gap = (np.abs(c) + c_err)[rest], powers[rest] - powers[lead]
-    amp = abs(c[lead])
-    r = lambda y: (c_err[lead] + float(np.sum(size * y ** gap))) / amp  # noqa: E731
-    y0 = min(y_cap, y_max)
-    if gap.size and r(y0) > share / q:  # floored: past it, r(y0) stays in the error
-        y0 = max(y0 * (share / q / r(y0)) ** (1.0 / float(np.min(gap))), 1e-300)
-    tail = amp ** q * y0 ** slope / slope
-    return y0, tail, tail * ((1.0 + r(y0)) ** q - 1.0)
+    for i in np.flatnonzero(slope <= DIVERGENCE_MARGIN).tolist():
+        failed.setdefault(i, DivergentIntegral("y -> 0"))
+    size, amp = np.abs(c) + c_err, np.abs(c[members, lead])
+    rest = (size > 0.0) & (np.arange(c.shape[1]) != lead[:, None])
+    y0 = np.minimum(y_cap, y_max)
+    tail, tail_err = np.zeros(len(c)), np.zeros(len(c))
+    # Members whose other terms are the same columns sum them alike.
+    for group in _alike(np.column_stack([rest, lead])):
+        cols, top = rest[group[0]], lead[group[0]]
+        gap, sizes, base = powers[cols] - powers[top], size[group][:, cols], c_err[group, top]
+        with np.errstate(all="ignore"):
+            def r(y):
+                return (base + np.sum(sizes * y[:, None] ** gap, axis=1)) / amp[group]
+
+            if gap.size:  # floored: past it, r(y0) stays in the error
+                step = 1.0 / float(np.min(gap))
+                for i, ratio in zip(group.tolist(), r(y0[group])):
+                    if ratio > share / q:
+                        y0[i] = max(y0[i] * (share / q / ratio) ** step, 1e-300)
+            for i, ratio in zip(group.tolist(), r(y0[group])):
+                tail[i] = amp[i] ** q * y0[i] ** slope[i] / slope[i]
+                tail_err[i] = tail[i] * ((1.0 + ratio) ** q - 1.0)
+    return y0, tail, tail_err, failed
 
 
-def _upper_tail(cfg: ExperimentConfig, f: TestFunction, u: float,
-                y_min: float) -> Tuple[float, float, float]:
-    """(y1, B, g): with |F f(y)| <= S (y/y1)^k beyond y1 >= y_min (S the
-    ``far_envelope`` at y1, k its top exponent), B = S^q y1^(u + 1) / -g
-    bounds integral_y1^inf y^u |F f|^q, g = u + q k + 1.  Raises
-    DivergentIntegral when g >= -1."""
-    k, kappa, y1 = tr.far_envelope(cfg.transform, f, y_min)
-    slope = u + cfg.exps.q * float(np.max(kappa, initial=-math.inf)) + 1.0
+def _upper_tail(cfg: ExperimentConfig, fam: FunctionFamily, u: float,
+                y_min) -> Tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """(y1, B, g, failed), a row per member of the family: with
+    |F f(y)| <= S (y/y1)^k beyond y1 >= y_min (S the ``far_envelope`` at
+    y1, k its top exponent, shared by the family), B = S^q y1^(u + 1) / -g
+    bounds integral_y1^inf y^u |F f|^q, g = u + q k + 1.  ``failed`` maps a
+    member's index to what its end raises: DivergentIntegral when g >= -1,
+    NonConvergence at a logarithmic term."""
+    q = cfg.exps.q
+    k, kappa, y1, log = tr.far_envelope(cfg.transform, fam, y_min)
+    failed = _logarithms(log)
+    slope = u + q * float(np.max(kappa, initial=-math.inf)) + 1.0
     if slope >= -DIVERGENCE_MARGIN:
-        raise DivergentIntegral("y -> inf")
-    return y1, float(np.sum(k * y1 ** kappa)) ** cfg.exps.q * y1 ** (u + 1.0) / -slope, slope
+        failed = {i: failed.get(i, DivergentIntegral("y -> inf")) for i in range(len(y1))}
+    with np.errstate(all="ignore"):
+        size = np.sum(k * y1[:, None] ** kappa, axis=1)
+        bound = np.array([s ** q * y ** (u + 1.0) / -slope for s, y in zip(size, y1)])
+    return y1, bound, np.full(len(y1), slope), failed
 
 
-def _rhs_norm(cfg: ExperimentConfig, f: TestFunction) -> Tuple[float, float]:
+def _rhs_norm(cfg: ExperimentConfig, fam: FunctionFamily) -> List[float]:
+    """||x^gamma f||_p of every member of the family, a sum of exact power
+    segments."""
     p = cfg.exps.p
     mu = p * cfg.power_pair[1]
-    total = sum(abs(piece.coef) ** p * power_moment(mu + p * piece.exponent, piece.lo, piece.hi)
-                for piece in f.pieces)
-    return (total ** (1.0 / p), 0.0) if math.isfinite(total) else (math.inf, 0.0)
+    terms = (np.array([[abs(c) ** p for c in row] for row in fam.coef.tolist()])
+             * power_moment(mu + p * fam.exponents, fam.lo, fam.hi))
+    total = 0.0
+    for column in terms.T:  # in piece order
+        total = total + column
+    return [t ** (1.0 / p) if math.isfinite(t) else math.inf for t in total.tolist()]
 
 
-def _record(cfg: ExperimentConfig, param: float, f: TestFunction, outer: QuadratureConfig):
+def _record(cfg: ExperimentConfig, param: float, f: TestFunction, ends: _Ends,
+            outer: QuadratureConfig):
     """One member's ratio record, as a coroutine that yields the windows of
-    its outer norm (``_lhs_windows``)."""
+    its outer norm (``_lhs_windows``) from its row of the family's ends."""
     try:
-        rhs, rhs_err = _rhs_norm(cfg, f)
-        if rhs == 0.0 or not math.isfinite(rhs):
-            return RatioRecord(param, math.nan, rhs, math.nan, 0.0, 0.0,
+        if ends.rhs == 0.0 or not math.isfinite(ends.rhs):
+            return RatioRecord(param, math.nan, ends.rhs, math.nan, 0.0, 0.0,
                                "rhs zero or infinite; skipped")
-        lhs, lhs_err = yield from _lhs_windows(cfg, f, outer)
-        return RatioRecord(param, lhs, rhs, lhs / rhs, lhs_err, rhs_err)
+        lhs, lhs_err = yield from _lhs_windows(cfg, f, ends, outer)
+        return RatioRecord(param, lhs, ends.rhs, lhs / ends.rhs, lhs_err, 0.0)
     except DivergentIntegral as exc:
         return RatioRecord(param, math.inf, math.nan, math.inf, 0.0, 0.0,
                            f"lhs divergent ({exc.direction})")
@@ -300,14 +392,21 @@ def _record(cfg: ExperimentConfig, param: float, f: TestFunction, outer: Quadrat
 
 
 def compute_ratio_records(cfg: ExperimentConfig) -> List[RatioRecord]:
-    """One record per family member (``_record``).  The members' windows
-    are integrated together: each ``integrate`` call takes the next window
-    of every member that has one, so a family takes one call for its first
-    windows and one more only where a tail budget extends a window."""
+    """One record per family member (``_record``).  The members fall into
+    families of one layout (``FunctionFamily.partition``), and each
+    family's rhs and closed-form ends are computed in one pass
+    (``_family_ends``) before any window is integrated.  The members'
+    windows are integrated together: each ``integrate`` call takes the next
+    window of every member that has one, so a family takes one call for
+    its first windows and one more only where a tail budget extends a
+    window."""
     # The norm integrand is nonnegative: no cancellation can fool the error
     # estimator, so adaptive panels are reliable.
     outer = replace(cfg.quadrature, rel_tol=max(cfg.quadrature.rel_tol, cfg.norm_rel_tol))
-    members = [_record(cfg, param, f, outer) for param, f in cfg.family]
+    members: list = [None] * len(cfg.family)
+    for index, fam in FunctionFamily.partition([f for _, f in cfg.family]):
+        for i, ends in zip(index, _family_ends(cfg, fam, _END_SHARE * outer.rel_tol)):
+            members[i] = _record(cfg, cfg.family[i][0], cfg.family[i][1], ends, outer)
     records: List[Optional[RatioRecord]] = [None] * len(members)
     sent = dict.fromkeys(range(len(members)))  # what each unfinished member is sent next
     while True:

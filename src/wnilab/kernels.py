@@ -119,10 +119,12 @@ def _struve_h_series(alpha: float, x: np.ndarray) -> np.ndarray:
 # large-argument branch
 # ---------------------------------------------------------------------------
 
-def _smallest_term_index(tau: np.ndarray, scale) -> int:
+def _smallest_term_index(tau: np.ndarray, scale):
     """Index of the last term of an asymptotic series kept by the smallest-
     term rule, given the term magnitudes tau: stop at the (first) smallest
-    term, or after the first term at most _SERIES_STOP * scale.
+    term, or after the first term at most _SERIES_STOP * scale.  Read along
+    the last axis of tau, one index per row against its own scale (an int
+    for a single series).
 
     Applied at the batch's smallest argument.  Each term there is an upper
     bound for the same term at larger arguments, so the truncation error of
@@ -130,13 +132,12 @@ def _smallest_term_index(tau: np.ndarray, scale) -> int:
     terms first rise and then fall; the smallest term lies past that rise.
     A term that is 0 while a later one is not (0 by cancellation) is passed
     over: only zeros that end the series stop it."""
-    later = np.maximum.accumulate(tau[::-1])[::-1]
+    later = np.maximum.accumulate(tau[..., ::-1], axis=-1)[..., ::-1]
     tau = np.where((tau == 0.0) & (later > 0.0), np.inf, tau)
-    last = int(np.argmin(tau))
-    small = np.flatnonzero(tau[1:] <= _SERIES_STOP * scale)
-    if small.size:
-        last = min(last, int(small[0]) + 1)
-    return last
+    last = np.argmin(tau, axis=-1)
+    small = tau[..., 1:] <= _SERIES_STOP * np.expand_dims(scale, -1)
+    last = np.where(np.any(small, axis=-1), np.minimum(last, np.argmax(small, axis=-1) + 1), last)
+    return int(last) if last.ndim == 0 else last
 
 
 @dataclass(frozen=True, eq=False)  # hashed by identity: KernelSpec is a cache key
@@ -245,19 +246,40 @@ _LAGUERRE_WEIGHTS = (
     1.342391030515004e-09, 3.0616016350350207e-12, 8.148077467426241e-16)
 
 
-def _struve_h_laplace(alpha: float, x: np.ndarray) -> np.ndarray:
+# The 24-node rule, derived alike (exact for degree 47): the 12-node rule's
+# own error on the Laplace term is read as its difference from this one.
+_LAGUERRE_24 = ((
+    0.05901985218150798, 0.31123914619848375, 0.7660969055459367, 1.4255975908036131,
+    2.2925620586321904, 3.3707742642089977, 4.665083703467171, 6.1815351187367655,
+    7.927539247172152, 9.912098015077706, 12.146102711729766, 14.642732289596674,
+    17.417992646508978, 20.491460082616424, 23.887329848169735, 27.635937174332717,
+    31.776041352374722, 36.35840580165162, 41.45172048487077, 47.153106445156325,
+    53.60857454469507, 61.05853144721876, 69.96224003510503, 81.49827923394889), (
+    0.14281197333478185, 0.2587741075174239, 0.2588067072728698, 0.18332268897777804,
+    0.0981662726299189, 0.040732478151408645, 0.013226019405120156, 0.0033693490584783036,
+    0.0006721625640935479, 0.00010446121465927518, 1.2544721977993332e-05,
+    1.15131581273728e-06, 7.96081295913363e-08, 4.0728589875499996e-09, 1.507008226292585e-10,
+    3.917736515058451e-12, 6.894181052958085e-14, 7.819800382459448e-16,
+    5.3501888130100375e-18, 2.0105174645555034e-20, 3.6057658645529593e-23,
+    2.4518188458784027e-26, 4.088301593680658e-30, 5.575345788328357e-35))
+
+
+def _struve_h_laplace(alpha: float, x: np.ndarray,
+                      rule=(_LAGUERRE_NODES, _LAGUERRE_WEIGHTS)) -> np.ndarray:
     """H_alpha - Y_alpha = 2 (x/2)^alpha / (sqrt(pi) G(alpha + 1/2))
     integral_0^inf e^(-x t) (1 + t^2)^(alpha - 1/2) dt (DLMF 11.5.2).  In
     s = x t the integrand is e^(-s) times a function whose nearest
-    singularity lies at distance x >= 12 from the real axis, so the
-    Gauss-Laguerre rule sums it to rounding (the secondary series DLMF
-    11.6.1 that this integral expands into is 7e-11 off at x = 20).  Where
-    (x/2)^alpha overflows (x = 1e4 from alpha = 84 on), the small ``lead``
-    multiplies its square root before the second factor; where that
+    singularity lies at distance x >= 12 from the real axis, which the
+    Gauss-Laguerre ``rule`` (nodes, weights) sums (the secondary series DLMF
+    11.6.1 that this integral expands into is 7e-11 off at x = 20); the
+    12-node rule's own error grows with the order, to 1.7e-14 relative at
+    alpha = 20 just above its crossover (``struve_h_error`` counts it).
+    Where (x/2)^alpha overflows (x = 1e4 from alpha = 84 on), the small
+    ``lead`` multiplies its square root before the second factor; where that
     overflows too, so does the value at every order ``_check_order``
     admits."""
     laplace = np.zeros_like(x)
-    for s, w in zip(_LAGUERRE_NODES, _LAGUERRE_WEIGHTS):
+    for s, w in zip(*rule):
         laplace += w * (1.0 + (s / x) ** 2) ** (alpha - 0.5)
     lead = 2.0 / math.gamma(alpha + 0.5) / (math.gamma(0.5) * x)
     with np.errstate(over="ignore"):
@@ -326,7 +348,9 @@ def struve_h_error(alpha: float, x):
     per branch as for ``bessel_j_error``, with 8 eps for the series' power,
     gamma values and cast, and for the Laplace term's rounding: max(8,
     |alpha - 1/2|) eps there, since each of its terms raises the rounded
-    1 + (s/x)^2 to the power alpha - 1/2."""
+    1 + (s/x)^2 to the power alpha - 1/2.  The Laplace term's 12-node rule
+    adds its own error, its difference from the 24-node rule, where that
+    exceeds the rounding (below it the two rules differ by rounding)."""
     def small(a):
         t0 = 1.0 / (math.gamma(1.5) * math.gamma(alpha + 1.5))
         return (t0 * (0.5 * a) ** (alpha + 1.0) * _series_rounding(1.5, alpha, a)
@@ -335,8 +359,10 @@ def struve_h_error(alpha: float, x):
     def large(a):
         val, err = _far_sum(_struve_far_field(alpha), a)
         laplace = _struve_h_laplace(alpha, a)
-        return (err + _EPS * np.abs(val + laplace)
-                + max(8.0, abs(alpha - 0.5)) * _EPS * np.abs(laplace))
+        rounding = max(8.0, abs(alpha - 0.5)) * _EPS * np.abs(laplace)
+        rule = np.abs(_struve_h_laplace(alpha, a, _LAGUERRE_24) - laplace)
+        return (err + _EPS * np.abs(val + laplace) + rounding
+                + np.where(rule > rounding, rule, 0.0))
     return _dispatch(x, alpha, small, large)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .kernels import (_ASYMPTOTIC_MAX_TERMS, KernelSpec, _smallest_term_index, bessel_j_kernel,
                       cosine_kernel, model_min_kernel, sine_kernel, struve_h_kernel)
 from .quadrature import NonConvergence, QuadratureConfig
-from .weights import DIVERGENCE_MARGIN, TestFunction, power_moment
+from .weights import DIVERGENCE_MARGIN, FunctionFamily, TestFunction, power_moment
 
 
 class AdmissibilityError(Exception):
@@ -168,20 +168,26 @@ def _power_terms(coefs: np.ndarray, exps: np.ndarray, de: np.ndarray, a: np.ndar
     return terms, np.sum(factor * np.abs(terms), axis=1)
 
 
-def _continued_powers(coefs, s: np.ndarray, t: float,
-                      ds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+# A power x^-1 integrated: no closed-form power end.
+LOG_TERM = "logarithmic term (a power x^-1 integrated)"
+
+
+def _continued_powers(coefs, s: np.ndarray, t, ds: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Terms coefs t^s / s, powers x^(s - 1) integrated to t and continued
-    analytically to the far end, and each term's error bound: 4 eps of it
-    plus (|log t| + 1/|s|) ds of it for an s rounded by up to ds (the
-    relative change of t^s / s with s).  A term with |s| below
-    DIVERGENCE_MARGIN is a logarithm: it raises NonConvergence."""
+    analytically to the far end, each term's error bound, 4 eps of it plus
+    (|log t| + 1/|s|) ds of it for an s rounded by up to ds (the relative
+    change of t^s / s with s), and the terms that are logarithms: a live
+    term with |s| below DIVERGENCE_MARGIN, whose value is not read.  coefs
+    and t may hold a row per member (a column each), broadcast against s."""
     live = coefs != 0.0
-    if np.any(live & (np.abs(s) < DIVERGENCE_MARGIN)):
-        raise NonConvergence(math.nan, math.inf, "logarithmic term (a power x^-1 integrated)")
-    s = np.where(live, s, 1.0)
+    logs = live & (np.abs(s) < DIVERGENCE_MARGIN)
+    s = np.where(live & ~logs, s, 1.0)
     terms = coefs * t ** s / s
-    log_t = abs(math.log(t)) if t > 0.0 else 0.0  # from t = 0 a term is 0 or inf
-    return terms, (4.0 * _EPS + ds * (log_t + 1.0 / np.abs(s))) * np.abs(terms)
+    # |log t| by the scalar log of each t, as the records were written; from
+    # t = 0 a term is 0 or inf
+    log_t = np.reshape([abs(math.log(x)) if x > 0.0 else 0.0 for x in np.ravel(t)], np.shape(t))
+    return terms, (4.0 * _EPS + ds * (log_t + 1.0 / np.abs(s))) * np.abs(terms), logs
 
 
 # Far-field series length: that of the kernels' asymptotic coefficients.
@@ -197,9 +203,10 @@ _CHEB_POINTS = (17, 33, 65, 129)
 def _cut(tau: np.ndarray) -> Tuple[int, float]:
     """(n, b) for a far-field series of term magnitudes tau at its smallest
     argument: n indexes the last term kept, the smallest (``_smallest_term_index``),
-    and b bounds the rest relative to the first term: twice the first omitted."""
-    n = _smallest_term_index(tau[:-1], tau[0])
-    return n, 2.0 * tau[n + 1] / tau[0]
+    and b bounds the rest relative to the first term: twice the first omitted.
+    Read along the last axis of tau, one (n, b) per row."""
+    n = _smallest_term_index(tau[..., :-1], tau[..., 0])
+    return n, 2.0 * np.take_along_axis(tau, np.expand_dims(n + 1, -1), -1)[..., 0] / tau[..., 0]
 
 
 def _chop(c: np.ndarray, tol: float = _EPS) -> int:
@@ -277,13 +284,15 @@ class DilationTable:
             self.reach = self._reach()
             self._build_pieces(kernel)
 
-    def _osc_cut(self, w_max: float) -> Tuple[int, float]:
-        """``_cut`` of the oscillatory tail's series at arguments from 1 / w_max on."""
-        return _cut(self.osc_e_abs * w_max ** np.arange(_FAR_TERMS))
+    def _osc_cut(self, w_max) -> Tuple[int, float]:
+        """``_cut`` of the oscillatory tail's series at arguments from 1 / w_max
+        on, one cut per w_max of an array."""
+        return _cut(self.osc_e_abs * np.expand_dims(w_max, -1) ** np.arange(_FAR_TERMS))
 
-    def _drift_cut(self, w_max: float) -> Tuple[int, float]:
-        """``_cut`` of the drift at arguments from 1 / w_max on."""
-        return _cut(np.abs(self.drift) * w_max ** (2.0 * np.arange(_FAR_TERMS)))
+    def _drift_cut(self, w_max) -> Tuple[int, float]:
+        """``_cut`` of the drift at arguments from 1 / w_max on, one cut per
+        w_max of an array."""
+        return _cut(np.abs(self.drift) * np.expand_dims(w_max, -1) ** (2.0 * np.arange(_FAR_TERMS)))
 
     def _reach(self) -> float:
         """The first of ceil(crossover), ceil(crossover) + 1, ... at which
@@ -420,51 +429,62 @@ class DilationTable:
                     err = err + np.where(fin, _EPS * moved, 0.0)
         return val, np.where(b > a, err, 0.0)
 
-    def _drift_end(self, t: float) -> Tuple[np.ndarray, np.ndarray, float]:
-        """The ``_drift_terms`` cut at t and integrated to t, d_j t^s_j / s_j
-        with s_j = nu + drift_power + 1 - 2j (s_j = 0, a logarithm, raises
-        NonConvergence), their error bounds and s_0."""
-        d, k = self._drift_terms(1.0 / t)
-        drift_power = self.far_field.drift_power
+    def _drift_end(self, t: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """For each t of an array, the drift integrated to t, d_j t^s_j / s_j
+        with s_j = nu + drift_power + 1 - 2j, cut at t (``_drift_terms``):
+        a row of terms per t, their error bounds, s, each row's count n of
+        terms up to the first omitted, and the rows where one of those is a
+        logarithm (s_j = 0)."""
+        n = self._drift_cut(1.0 / t)[0] + 2
+        drift_power, k = self.far_field.drift_power, 2.0 * np.arange(_FAR_TERMS)
         s = self.nu + drift_power + 1.0 - k
-        terms, terms_err = _continued_powers(
-            d, s, t, 2.0 * _EPS * (abs(self.nu) + abs(drift_power) + k + 1.0))
-        return terms, terms_err, s[0]
+        with np.errstate(over="ignore"):  # terms past a row's cut are not read
+            terms, terms_err, logs = _continued_powers(
+                self.drift, s, t[:, None], 2.0 * _EPS * (abs(self.nu) + abs(drift_power) + k + 1.0))
+        return terms, terms_err, s, n, np.any(logs & (np.arange(_FAR_TERMS) < n[:, None]), axis=1)
 
     def _far_end(self, t: float) -> Tuple[float, float]:
         """A(t) and its error bound at t >= crossover, A the far-field
         antiderivative of t^nu phi(t) (Phi(b) - Phi(a) = A(b) - A(a)): minus
-        ``_osc_tail``, plus ``_drift_end``, both series cut at t."""
+        ``_osc_tail``, plus ``_drift_end``, both series cut at t.  Raises
+        NonConvergence where a drift term is a logarithm."""
         val, err = 0.0, 0.0
         if np.any(self.far_field.osc):
             v, e = self._osc_tail(np.full(1, t), 1.0 / t)
             val, err = -float(v[0]), float(e[0])
         if self.drift is not None:
-            terms, terms_err, _ = self._drift_end(t)
-            val += float(np.sum(terms[:-1]))
-            err += 2.0 * abs(terms[-1]) + float(np.sum(terms_err))
+            terms, terms_err, _, (n,), (log,) = self._drift_end(np.full(1, t))
+            if log:
+                raise NonConvergence(math.nan, math.inf, LOG_TERM)
+            val += float(np.sum(terms[0, :n - 1]))
+            err += 2.0 * abs(terms[0, n - 1]) + float(np.sum(terms_err[0, :n]))
         return val, err
 
-    def _far_envelope(self, t: float) -> List[Tuple[float, float]]:
-        """(K, m) pairs with |A(T)| <= sum K T^m for T >= t >= crossover (A
-        as in ``_far_end``), each series cut at t, so a term T^(m - j) is at
-        most t^-j T^m.  The oscillatory pair is |scale| (sum_(k <= n) |e_k|
-        t^-k + 2 |e_(n+1)| t^-(n+1)), summed by Horner's rule in Python
-        floats, with m = osc_power."""
-        env = []
+    def _far_envelope(self, t: np.ndarray) -> Tuple[List[Tuple[np.ndarray, float]], np.ndarray]:
+        """(pairs, log) for an array t >= crossover: (K, m) pairs, K one value
+        per t, with |A(T)| <= sum K T^m for T >= t (A as in ``_far_end``),
+        each series cut at its own t, so a term T^(m - j) is at most t^-j T^m;
+        and the t whose drift meets a logarithm (their K is not read).  The
+        oscillatory pair is |scale| (sum_(k <= n) |e_k| t^-k + 2 |e_(n+1)|
+        t^-(n+1)), summed by Horner's rule in Python floats, with m =
+        osc_power."""
+        env, log = [], np.zeros(t.shape, dtype=bool)
         if np.any(self.far_field.osc):
-            w, e_abs = 1.0 / t, self._osc_e_abs
-            n = self._osc_cut(w)[0]
-            size = 0.0
-            for c in e_abs[n::-1]:
-                size = size * w + c
-            env.append((abs(self.far_field.scale) * (size + 2.0 * e_abs[n + 1] * w ** (n + 1)),
-                        self.osc_power))
+            e_abs, scale, k = self._osc_e_abs, abs(self.far_field.scale), []
+            for x, n in zip(t.tolist(), self._osc_cut(1.0 / t)[0].tolist()):
+                w, size = 1.0 / x, 0.0
+                for c in e_abs[n::-1]:
+                    size = size * w + c
+                k.append(scale * (size + 2.0 * e_abs[n + 1] * w ** (n + 1)))
+            env.append((np.array(k), self.osc_power))
         if self.drift is not None:
-            terms, _, s = self._drift_end(t)
-            k = np.abs(terms) * t ** -s
-            env.append((float(np.sum(k[:-1]) + 2.0 * k[-1]), s))
-        return env
+            terms, _, s, n, log = self._drift_end(t)
+            s0 = float(s[0])
+            k = np.abs(terms) * np.array([x ** -s0 for x in t.tolist()])[:, None]
+            env.append((np.array([float(np.sum(row[:j - 1]) + 2.0 * row[j - 1])
+                                  for row, j in zip(k, n.tolist())]), s0))
+        return env, log
 
     def integral(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Phi(b) - Phi(a) and its error bound, for arrays 0 <= a <= b <= inf
@@ -510,8 +530,10 @@ class DilationTable:
         return self._mellin
 
     def _mellin_read(self) -> Tuple[float, float]:
-        near, near_err = _continued_powers(self.coefs, self.exponents + 1.0, 1.0,
-                                           self.exponent_error)
+        near, near_err, logs = _continued_powers(self.coefs, self.exponents + 1.0, 1.0,
+                                                 self.exponent_error)
+        if np.any(logs):
+            raise NonConvergence(math.nan, math.inf, LOG_TERM)
         t = max(self.reach, self.crossover)
         mid, mid_err = self.integral(np.ones(1), np.full(1, t))
         a, a_err = self._far_end(t)
@@ -613,64 +635,80 @@ def _table_values(spec: TransformSpec, f: TestFunction,
         return scale * val, scale * err
 
 
-def near_expansion(spec: TransformSpec, f: TestFunction
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(c, p, errors of c, 1/X): F f(y) = sum c_i y^p_i for y <= 1/X, X
-    f's largest jump point.  The moment series y^c0 sum a_m y^(b1 + k m)
+def near_expansion(spec: TransformSpec, fam: FunctionFamily
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(c, p, errors of c, 1/X, log), a row of c and of its errors per member
+    of the family and p shared: F f(y) = sum c_i y^p_i for y <= 1/X, X f's
+    largest jump point.  The moment series y^c0 sum a_m y^(b1 + k m)
     M_(b0 + b1 + k m)(f) (the tables' a_m; exact moments, 0 where declared
     vanished, a piece reaching inf continued as -c lo^s / s, s = mu + e +
     1), plus for that piece its Mellin term c C y^(c0 - nu - 1) where C is
-    not 0 (``DilationTable.mellin``)."""
+    not 0 (``DilationTable.mellin``).  ``log`` marks the members whose
+    continuation meets a logarithm (``_continued_powers``); their rows are
+    not read."""
     series = spec.kernel.series or spec.kernel.near
-    a = _table(spec.kernel, spec.b0 + f.pieces[0].exponent).coefs
+    a = _table(spec.kernel, spec.b0 + float(fam.exponents[0])).coefs
     orders = spec.b0 + series.b1 + series.step * np.arange(len(a))
     rows, row_errs, mellin = [], [], []
-    for p in f.pieces:
-        if p.hi < math.inf:
-            rows.append(p.coef * power_moment(orders + p.exponent, p.lo, p.hi))
+    log = np.zeros(len(fam.members), dtype=bool)
+    for e, lo, hi, coef in zip(fam.exponents.tolist(), fam.lo.T, fam.hi.T, fam.coef.T):
+        lo, hi, coef = lo[:, None], hi[:, None], coef[:, None]
+        if hi[0, 0] < math.inf:  # a piece's open ends are the family's
+            rows.append(coef * power_moment(orders + e, lo, hi))
             row_errs.append(4.0 * _EPS * np.abs(rows[-1]))
             continue
-        nu = spec.b0 + p.exponent
+        nu = spec.b0 + e
         table = _table(spec.kernel, nu)
         c, c_err = table.mellin()  # raises where an s below is 0
         if c != 0.0:
-            mellin.append((p.coef * c, spec.c0 - nu - 1.0, abs(p.coef) * c_err))
-        row, row_err = _continued_powers(-p.coef, table.exponents + 1.0, p.lo, table.exponent_error)
+            mellin.append((coef[:, 0] * c, spec.c0 - nu - 1.0, np.abs(coef[:, 0]) * c_err))
+        row, row_err, logs = _continued_powers(-coef, table.exponents + 1.0, lo,
+                                               table.exponent_error)
         rows.append(row)
         row_errs.append(row_err)
-    vanished = np.array([any(abs(mu - v) <= 1e-12 for v in f.vanished_moments) for mu in orders])
+        log |= np.any(logs, axis=1)
+    vanished = np.array([any(abs(mu - v) <= 1e-12 for v in fam.vanished_moments) for mu in orders])
     coefs = np.where(vanished, 0.0, a * np.sum(rows, axis=0))
     errs = np.where(vanished, 0.0, np.abs(a) * np.sum(row_errs, axis=0))
-    c_m, p_m, e_m = (np.asarray(v, dtype=float) for v in zip(*mellin)) if mellin else ((),) * 3
-    y_max = 1.0 / max(f.breakpoints) if f.breakpoints else math.inf
-    return (np.concatenate([coefs, c_m]), np.concatenate([spec.c0 + orders - spec.b0, p_m]),
-            np.concatenate([errs, e_m]), y_max)
+    c_m, p_m, e_m = zip(*mellin) if mellin else ((), (), ())
+    shape = (len(fam.members), len(p_m))
+    with np.errstate(divide="ignore"):  # no jump point: y_max = inf
+        y_max = 1.0 / np.max(fam.jump_x, axis=1, initial=0.0)
+    return (np.hstack([coefs, np.reshape(np.transpose(c_m), shape)]),
+            np.concatenate([spec.c0 + orders - spec.b0, p_m]),
+            np.hstack([errs, np.reshape(np.transpose(e_m), shape)]), y_max, log)
 
 
-def far_envelope(spec: TransformSpec, f: TestFunction,
-                 y_min: float) -> Tuple[np.ndarray, np.ndarray, float]:
-    """(K, kappa, y1): |F f(y)| <= sum K_i y^kappa_i for y >= y1 = max(y_min,
+def far_envelope(spec: TransformSpec, fam: FunctionFamily, y_min
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(K, kappa, y1, log), a row of K and a y1 per member of the family and
+    kappa shared: |F f(y)| <= sum K_i y^kappa_i for y >= y1 = max(y_min,
     crossover / X), X f's smallest jump point, so every jump x y lies in the
-    kernel's asymptotic range.  A piece c x^e, nu = b0 + e, is y^(c0 - nu -
-    1) c [A(hi y) - A(lo y)] (``_far_envelope``; A(inf) = 0, and the Mellin
-    constant for -A(0)); the jumps at a point are summed per nu first."""
-    y1 = max(y_min, spec.kernel.crossover / min(f.breakpoints))
-    jumps, bounds = {}, []
-    for p in f.pieces:
-        nu = spec.b0 + p.exponent
-        for x, sign in ((p.lo, -1.0), (p.hi, 1.0)):
-            if 0.0 < x < math.inf:
-                jumps[x, nu] = jumps.get((x, nu), 0.0) + sign * p.coef
-        if p.lo == 0.0:
+    kernel's asymptotic range (y1 = y_min for an f without one).  A piece c
+    x^e, nu = b0 + e, is y^(c0 - nu - 1) c [A(hi y) - A(lo y)]
+    (``_far_envelope``, read at each member's own x y1; A(inf) = 0, and the
+    Mellin constant for -A(0)); the jumps at a point are summed per nu first
+    (``FunctionFamily``).  ``log`` marks the members whose far field meets a
+    logarithm; their rows are not read."""
+    y1 = np.maximum(y_min, spec.kernel.crossover / np.min(fam.jump_x, axis=1, initial=math.inf))
+    k, kappa, log = [], [], np.zeros(len(fam.members), dtype=bool)
+    for e, lo, coef in zip(fam.exponents.tolist(), fam.lo.T, fam.coef.T):
+        if lo[0] == 0.0:
+            nu = spec.b0 + e
             c, c_err = _table(spec.kernel, nu).mellin()
             if c != 0.0:
-                bounds.append((abs(p.coef) * (abs(c) + c_err), spec.c0 - nu - 1.0))
-    for (x, nu), jump in jumps.items():
-        if jump != 0.0:
-            bounds.extend((abs(jump) * k * x ** m, spec.c0 - nu - 1.0 + m)
-                          for k, m in _table(spec.kernel, nu)._far_envelope(x * y1))
-    k, kappa = (np.asarray(v, dtype=float) for v in zip(*bounds)) if bounds else (np.zeros(0),) * 2
-    return k, kappa, y1
+                k.append(np.abs(coef) * (abs(c) + c_err))
+                kappa.append(spec.c0 - nu - 1.0)
+    live = fam.jump_live
+    for e, x, jump in zip(fam.jump_exponents[live].tolist(), fam.jump_x[:, live].T,
+                          fam.jump[:, live].T):
+        nu = spec.b0 + e
+        pairs, logs = _table(spec.kernel, nu)._far_envelope(x * y1)
+        log |= logs
+        for kk, m in pairs:  # x^m by the scalar pow, as the records were written
+            k.append(np.abs(jump) * kk * np.array([t ** m for t in x.tolist()]))
+            kappa.append(spec.c0 - nu - 1.0 + m)
+    return np.reshape(np.transpose(k), (len(fam.members), len(kappa))), np.array(kappa), y1, log
 
 
 def apply(spec: TransformSpec, f: TestFunction, y_grid: Sequence[float],

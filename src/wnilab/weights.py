@@ -11,9 +11,10 @@ across threads.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -312,6 +313,70 @@ class TestFunction:
         """x^sigma * f."""
         pieces = [Piece(p.lo, p.hi, p.coef, p.exponent + sigma) for p in self.pieces]
         return TestFunction(self.family + f"*x^{sigma:g}", pieces, params=self.params)
+
+
+def _layout(f: TestFunction) -> Tuple[tuple, dict]:
+    """(key, jumps): f's jump points as (x, exponent) -> summed jump c (each
+    piece end inside (0, inf) adds -c at lo and c at hi), in order of first
+    appearance, and what of f a family's members share: the piece exponents,
+    which pieces start at 0 and which reach inf, the jumps' exponents and
+    which jumps are 0, and the vanished moments."""
+    jumps: dict = {}
+    for p in f.pieces:
+        for x, sign in ((p.lo, -1.0), (p.hi, 1.0)):
+            if 0.0 < x < math.inf:
+                jumps[x, p.exponent] = jumps.get((x, p.exponent), 0.0) + sign * p.coef
+    key = (tuple((p.exponent, p.lo == 0.0, p.hi == math.inf) for p in f.pieces),
+           tuple((e, c != 0.0) for (_, e), c in jumps.items()), f.vanished_moments)
+    return key, jumps
+
+
+class FunctionFamily:
+    """Test functions of one layout (``_layout``) as arrays with one row per
+    member: piece ends ``lo`` and ``hi`` and coefficients ``coef``, and the
+    jump points ``jump_x`` with their jumps ``jump``.  The ``exponents`` of
+    the pieces and the ``jump_exponents`` are shared, as is ``params``, the
+    parameters every member has alike.  A single function is a family of
+    one."""
+
+    def __init__(self, members: Sequence[TestFunction], layouts: Optional[list] = None):
+        """``layouts``: each member's ``_layout``, computed here if not given."""
+        self.members = list(members)
+        keys, jumps = zip(*(layouts or [_layout(f) for f in self.members]))
+        if len(set(keys)) != 1:
+            raise ValueError("family members must share one piece and jump layout")
+        pieces, jump_layout, self.vanished_moments = keys[0]
+        self.exponents = np.array([e for e, _, _ in pieces], dtype=float)
+        ends = np.array([[(p.lo, p.hi, p.coef) for p in f.pieces] for f in self.members])
+        self.lo, self.hi, self.coef = ends[:, :, 0], ends[:, :, 1], ends[:, :, 2]
+        self.jump_exponents = np.array([e for e, _ in jump_layout], dtype=float)
+        self.jump_live = np.array([live for _, live in jump_layout], dtype=bool)
+        shape = (len(self.members), len(jump_layout))
+        self.jump_x = np.array([list(j) for j in jumps], dtype=float).reshape(shape + (2,))[:, :, 0]
+        self.jump = np.array([list(j.values()) for j in jumps], dtype=float).reshape(shape)
+        first = self.members[0].params
+        self.params = {k: v for k, v in first.items()
+                       if all(f.params.get(k) == v for f in self.members)}
+
+    def take(self, index: Sequence[int]) -> "FunctionFamily":
+        """The members at ``index``, as a family of their own."""
+        sub = copy.copy(self)
+        sub.members = [self.members[i] for i in index]
+        for name in ("lo", "hi", "coef", "jump_x", "jump"):
+            setattr(sub, name, getattr(self, name)[index])
+        return sub
+
+    @classmethod
+    def partition(cls, functions: Sequence[TestFunction]
+                  ) -> List[Tuple[List[int], "FunctionFamily"]]:
+        """The functions as families of one layout each, with each family's
+        indices into ``functions``, in order of first appearance."""
+        groups: dict = {}
+        for i, f in enumerate(functions):
+            layout = _layout(f)
+            groups.setdefault(layout[0], []).append((i, layout))
+        return [([i for i, _ in rows], cls([functions[i] for i, _ in rows], [l for _, l in rows]))
+                for rows in groups.values()]
 
 
 class SingularSystem(Exception):

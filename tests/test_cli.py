@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import inspect
 import json
 import math
@@ -16,7 +17,7 @@ from wnilab.cli import (ConfigError, ExperimentConfig, FitDegenerate, RatioRecor
 from wnilab import cli, conditions as cond, transforms
 from wnilab.kernels import KERNELS
 from wnilab.transforms import _PRESETS
-from wnilab.weights import Weight, make_truncated_power
+from wnilab.weights import FunctionFamily, Piece, TestFunction, Weight, make_truncated_power
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -202,6 +203,104 @@ def test_a_bad_member_changes_only_its_own_row(bad, monkeypatch):
     assert repr(mixed[:2] + mixed[3:]) == repr(clean)
     assert mixed[2].note == note
     assert repr(mixed[2:3]) == repr(compute_ratio_records(dataclasses.replace(cfg, family=[member])))
+
+
+def _family_cases():
+    """Families of one layout each, covering both family kinds, both sides,
+    a finite lhs window and the failing ends: the CI smoke step's divergent
+    beta = -0.6 geometry, and the sine of x^-2 on (r, inf), whose Mellin
+    constant meets a logarithm."""
+    def shipped(name):
+        return json.loads((CONFIGS / f"{name}.json").read_text())
+
+    left = _hankel_verify_seed_7()
+    right = json.loads(json.dumps(left))
+    right["family"]["side"] = "right"
+    right["weights"]["gamma"] = -1.5
+    log = shipped("hankel_verify_endpoint")
+    log["family"] = {"kind": "log_counterexample", "b0_plus_b1": 1.0,
+                     "n_values": [2, 10, 100, 1000]}
+    divergent = shipped("hankel_verify_endpoint")
+    divergent["weights"]["beta"] = -0.6
+    sine = {"transform": {"name": "sine"}, "exponents": {"p": 2, "q": 2, "a": 1},
+            "weights": {"beta": 0, "gamma": 0}, "normalization": "power",
+            "family": {"kind": "truncated_power", "sigma": -2, "side": "right",
+                       "grid": {"start": 0.5, "stop": 2, "points": 4}},
+            "quadrature": {"rel_tol": 1e-8}}
+    return {"hankel-left-13": (left, ""), "hankel-right-13": (right, ""),
+            "hankel-log": (log, ""), "cosine-log-window": (shipped("cosine_sharpness_logN"), ""),
+            "hankel-divergent": (divergent, "lhs divergent (y -> inf)"),
+            "sine-log-end": (sine, "nonconvergent")}
+
+
+FAMILY_CASES = _family_cases()
+# The first 16 hex digits of the sha256 of each case's records CSV, as
+# written when every member's ends were computed member by member.
+MEMBER_BY_MEMBER_RECORDS = {
+    "hankel-left-13": "e3a492fe543b5291", "hankel-right-13": "9bc012c279cc5c6d",
+    "hankel-log": "e44ec04b87168e21", "cosine-log-window": "b97de37c60cc17b7",
+    "hankel-divergent": "912d477d871363ed", "sine-log-end": "e49b4e9388b33fc8",
+}
+
+
+@pytest.mark.parametrize("name", list(FAMILY_CASES))
+def test_family_ends_read_as_one_member_families(name, tmp_path):
+    # Every member's rhs, lower tail and upper tail from one pass over the
+    # family are bitwise those of its one-member family, failures included;
+    # so are its record and note, and the records CSV is the one written
+    # member by member.
+    doc, note = FAMILY_CASES[name]
+    cfg = ExperimentConfig.from_dict(doc)
+    [(index, fam)] = FunctionFamily.partition([f for _, f in cfg.family])
+    assert index == list(range(len(cfg.family))) and len(fam.members) >= 4
+    share = cli._END_SHARE * max(cfg.quadrature.rel_tol, cfg.norm_rel_tol)
+    rows = cli._family_ends(cfg, fam, share)
+    alone = [cli._family_ends(cfg, FunctionFamily([f]), share)[0] for f in fam.members]
+    def read(row):
+        return repr(dataclasses.replace(row, failure=None)), repr(row.failure)
+
+    assert [read(r) for r in rows] == [read(r) for r in alone]
+    records = compute_ratio_records(cfg)
+    assert [r.note for r in records] == [note] * len(records)
+    assert repr(records) == repr(_one_by_one(cfg))
+    cli.write_records_csv(tmp_path / "records.csv", cfg, records)
+    digest = hashlib.sha256((tmp_path / "records.csv").read_bytes()).hexdigest()[:16]
+    assert digest == MEMBER_BY_MEMBER_RECORDS[name]
+
+
+def test_members_whose_moments_vanish_apart_read_as_alone():
+    # f = x^-2 on (a, 1) minus x^-2 on (1, 2): hankel(0)'s first moment,
+    # log(1/a) - log 2, is exactly 0 at a = 1/2 only, so in one family the
+    # members' lower tails lead with different terms and sum different
+    # columns; each member's ends, record and note read as when it is alone.
+    doc = json.loads((CONFIGS / "hankel_verify_endpoint.json").read_text())
+    cfg = ExperimentConfig.from_dict(doc)
+    members = [TestFunction("pair", [Piece(a, 1.0, 1.0, -2.0), Piece(1.0, 2.0, -1.0, -2.0)])
+               for a in (0.25, 0.5, 0.125)]
+    cfg = dataclasses.replace(cfg, family=[(a, f) for a, f in zip((0.25, 0.5, 0.125), members)])
+    [(_, fam)] = FunctionFamily.partition(members)
+    c = transforms.near_expansion(cfg.transform, fam)[0]
+    assert c[1, 0] == 0.0 and c[0, 0] != 0.0 and c[2, 0] != 0.0
+    share = cli._END_SHARE * cfg.norm_rel_tol
+    rows, alone = cli._family_ends(cfg, fam, share), [
+        cli._family_ends(cfg, FunctionFamily([f]), share)[0] for f in members]
+    assert repr(rows) == repr(alone)
+    records = compute_ratio_records(cfg)
+    assert all(r.note == "" for r in records)
+    assert repr(records) == repr(_one_by_one(cfg))
+
+
+def test_members_of_other_layouts_form_families_of_their_own():
+    # A family list mixing piece layouts is read as one family per layout,
+    # each member keeping its place; one layout per FunctionFamily.
+    left = [make_truncated_power(0.0, r) for r in (0.5, 2.0)]
+    right = make_truncated_power(-2.0, 1.0, "right")
+    parts = FunctionFamily.partition([left[0], right, left[1]])
+    assert [index for index, _ in parts] == [[0, 2], [1]]
+    assert parts[0][1].lo.shape == (2, 1) and parts[0][1].params == {"sigma": 0.0, "side": "left"}
+    assert parts[0][1].take([1]).hi.tolist() == [[2.0]]
+    with pytest.raises(ValueError, match="one piece and jump layout"):
+        FunctionFamily([left[0], right])
 
 
 def test_fit_verdict_outside_the_dilation_setting():

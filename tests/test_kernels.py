@@ -141,6 +141,20 @@ def test_struve_high_orders_against_mpmath(alpha):
     assert np.max(np.abs(struve_h(alpha, xs) - ref) / np.abs(ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("alpha", [10.0, 14.5, 20.0])
+def test_struve_error_bound_above_the_crossover_at_high_orders(alpha):
+    # From just above the crossover 2 alpha to 80 every value lies within
+    # its bound of 50-digit mpmath.  At alpha = 20 the 12-node Laplace
+    # rule's own error (1.07e-7 at x = 40.25, 3.7 times the rest of the
+    # bound) is what the bound has to count.
+    xs = np.linspace(2.0 * alpha + 0.25, 80.0, 60)
+    got, err = struve_h(alpha, xs), struve_h_error(alpha, xs)
+    with mpmath.workdps(50):
+        seen = np.array([float(abs(mpmath.mpf(v) - mpmath.struveh(alpha, x)))
+                         for x, v in zip(xs, got)])
+    assert np.all(seen <= err), xs[seen > err]
+
+
 @pytest.mark.parametrize("alpha", [100.0, 140.0])
 def test_struve_large_order_large_argument_stays_finite(alpha):
     # (x/2)^alpha overflows at x = 1e4 while H_alpha(x) does not (9.5e208

@@ -14,7 +14,7 @@ from wnilab.transforms import (AdmissibilityError, MissingPrimitiveBound, Moment
                                far_envelope, hankel, model_min, moment_reduced_apply,
                                near_expansion, pointwise_bound, preset,
                                scripth, sine)
-from wnilab.weights import (GMWitness, Piece, TestFunction, make_log_counterexample,
+from wnilab.weights import (FunctionFamily, GMWitness, Piece, TestFunction, make_log_counterexample,
                             make_truncated_power, make_vanishing_moment_function)
 
 CFG = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13)
@@ -815,7 +815,8 @@ def test_continued_power_ends_within_their_bars(s):
         exact = 1 / (mpmath.mpf(nu) + 1) - 1 / (mpmath.mpf(nu) + mpmath.mpf(-0.5 * 0.3) + 1)
     assert abs(mpmath.mpf(c) - exact) <= err <= 1e-10 * abs(c)
     e = -1.3 + s
-    coefs, powers, errs, _ = near_expansion(spec, make_truncated_power(e, 1.0, "right"))
+    (coefs,), powers, (errs,), _, _ = near_expansion(
+        spec, FunctionFamily([make_truncated_power(e, 1.0, "right")]))
     with mpmath.workdps(50):
         exact = -1 / (mpmath.mpf(spec.b0) + mpmath.mpf(e) + 1)
     assert powers[0] == 0.0
@@ -854,7 +855,8 @@ END_IDS = [f"{s.name}-{f.params.get('side', 'log')}" for s, f in END_CASES]
 def test_near_expansion_is_the_transform_below_one_over_x(spec, f):
     # sum c_i y^p_i against the table reads for y up to 1/X, X the largest
     # jump point; a declared vanished moment is an exact 0.
-    c, p, c_err, y_max = near_expansion(spec, f)
+    (c,), p, (c_err,), (y_max,), (log,) = near_expansion(spec, FunctionFamily([f]))
+    assert not log
     ys = y_max * np.array([1e-3, 0.1, 0.5, 1.0])
     res = apply(spec, f, ys, CFG, check=False)
     series = np.sum(c * ys[:, None] ** p, axis=1)
@@ -873,7 +875,7 @@ def test_near_expansion_drops_a_vanishing_mellin_constant(spec, exact):
     # integral_0^inf cos are 0, so F f leads with y^0 at 0, not with the
     # rounding residue of the constant times y^-2 or y^-1.
     f = make_truncated_power(0.0, 1.0, "right")
-    c, p, c_err, y_max = near_expansion(spec, f)
+    (c,), p, (c_err,), _, _ = near_expansion(spec, FunctionFamily([f]))
     assert np.all(p >= 0.0) and p[np.flatnonzero(c)[0]] == 0.0
     ys = np.array([1e-3, 0.1, 0.5, 1.0])
     series = np.sum(c * ys[:, None] ** p, axis=1)
@@ -885,7 +887,8 @@ def test_near_expansion_drops_a_vanishing_mellin_constant(spec, exact):
 def test_far_envelope_bounds_the_transform(spec, f):
     # |F f| stays under the envelope on four decades beyond y1, and comes
     # within a factor 3 of it.
-    k, kappa, y1 = far_envelope(spec, f, 0.0)
+    (k,), kappa, (y1,), (log,) = far_envelope(spec, FunctionFamily([f]), 0.0)
+    assert not log
     assert y1 * min(f.breakpoints) == pytest.approx(12.0)
     ys = y1 * np.geomspace(1.0, 1e4, 400)
     res = apply(spec, f, ys, CFG, check=False)
@@ -899,7 +902,7 @@ def test_far_envelope_starts_at_the_kernel_crossover():
     # jump x y lies in the kernel's asymptotic range, and the envelope bounds
     # |F f| over three decades.
     spec, f = hankel(10.0), make_truncated_power(0.0, 1.0, "left")
-    k, kappa, y1 = far_envelope(spec, f, 1e-3)
+    (k,), kappa, (y1,), _ = far_envelope(spec, FunctionFamily([f]), 1e-3)
     assert y1 == 20.0
     ys = y1 * np.geomspace(1.0, 1e3, 400)
     res = apply(spec, f, ys, CFG, check=False)
@@ -917,21 +920,23 @@ def test_far_envelope_read_agrees_with_the_array_path(spec):
     # numpy arrays, within 4 eps, at the crossover, the reach and 10 reach.
     for nu in (spec.b0, spec.b0 - 1.3):
         table = _dilation_table(spec.kernel, nu)
-        for t in (table.crossover, table.reach, 10.0 * table.reach):
-            env = table._far_envelope(t)
-            if not np.any(table.far_field.osc):
-                assert len(env) == 1 and table.drift is not None
-                continue
+        ts = np.array([table.crossover, table.reach, 10.0 * table.reach])
+        env, log = table._far_envelope(ts)
+        assert not np.any(log)
+        if not np.any(table.far_field.osc):
+            assert len(env) == 1 and table.drift is not None
+            continue
+        for t, k_read in zip(ts, env[0][0]):
             n, w, e_abs = table._osc_cut(1.0 / t)[0], np.full(1, 1.0 / t), table.osc_e_abs
             k = abs(table.far_field.scale) * (np.polyval(e_abs[n::-1], w)
                                               + 2.0 * e_abs[n + 1] * w ** (n + 1))
-            assert abs(env[0][0] - k[0]) <= 4.0 * EPS * k[0], (nu, t)
-            assert env[0][1] == table.osc_power
+            assert abs(k_read - k[0]) <= 4.0 * EPS * k[0], (nu, t)
+        assert env[0][1] == table.osc_power
 
 
 def test_far_envelope_reads_no_tail_value(monkeypatch):
     # The envelope is a scalar read: it evaluates no oscillatory tail value.
-    spec, f = hankel(0.0), TestFunction("far", [Piece(1.0, 2.0, 1.0, 0.0)])
+    spec, f = hankel(0.0), FunctionFamily([TestFunction("far", [Piece(1.0, 2.0, 1.0, 0.0)])])
     before = far_envelope(spec, f, 1e-3)
 
     def raises(*args):
@@ -940,6 +945,57 @@ def test_far_envelope_reads_no_tail_value(monkeypatch):
     monkeypatch.setattr(DilationTable, "_osc_tail", raises)
     after = far_envelope(spec, f, 1e-3)
     assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
+
+FAMILIES = {
+    "hankel-left": (hankel(0.0), [make_truncated_power(0.0, r)
+                                  for r in np.geomspace(1e-3, 1e3, 13)]),
+    "hankel-right": (hankel(0.0), [make_truncated_power(0.0, r, "right")
+                                   for r in np.geomspace(1e-3, 1e3, 13)]),
+    "scripth-left": (scripth(0.0), [make_truncated_power(0.5, r)
+                                    for r in np.geomspace(0.1, 100, 6)]),
+    "scripth-right": (scripth(0.0), [make_truncated_power(-2.0, r, "right")
+                                     for r in np.geomspace(0.1, 100, 6)]),
+    "model_min-right": (model_min(1.0), [make_truncated_power(-2.5, r, "right")
+                                         for r in (0.5, 1.0, 2.0, 4.0)]),
+    "cosine-log": (cosine(), [make_log_counterexample(n, 0.0) for n in (10.0, 100.0, 1e3, 1e4)]),
+}
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_family_ends_are_the_one_member_ends(name):
+    # near_expansion and far_envelope read a family in one pass; each
+    # member's row is bitwise its one-member family's, its far-field cuts
+    # taken at its own x y1 (y_min varies by member, so y1 does), and the
+    # shared columns are the one-member ones.
+    spec, members = FAMILIES[name]
+    fam = FunctionFamily(members)
+    y_min = np.where(np.arange(len(members)) % 2, 40.0 / fam.jump_x.max(axis=1), 1e-3)
+    reads = [(lambda f, i: near_expansion(spec, f), (0, 2, 3, 4)),
+             (lambda f, i: far_envelope(spec, f, y_min[i]), (0, 2, 3))]
+    for end, rows in reads:
+        whole = end(fam, slice(None))
+        assert not np.any(whole[-1])
+        for i, f in enumerate(members):
+            alone = end(FunctionFamily([f]), slice(i, i + 1))
+            for k, (a, b) in enumerate(zip(whole, alone)):
+                got = a[i] if k in rows else a
+                assert np.asarray(got).tobytes() == np.asarray(b[0] if k in rows else b).tobytes()
+
+
+def test_far_envelope_without_a_jump_is_the_mellin_bound():
+    # x^-1.5 on (0, inf) has no jump point: hankel(0) reads it as C y^-1/2,
+    # C = 2.0921 its Mellin constant, and the envelope is that term's bound
+    # alone, from y1 = y_min.
+    spec, f = hankel(0.0), TestFunction("pure", [Piece(0.0, math.inf, 1.0, -1.5)])
+    (k,), kappa, (y1,), (log,) = far_envelope(spec, FunctionFamily([f]), 1.0)
+    assert y1 == 1.0 and not log and kappa.tolist() == [-0.5]
+    (c,), p, (c_err,), _, _ = near_expansion(spec, FunctionFamily([f]))
+    assert p[-1] == -0.5 and k[0] == abs(c[-1]) + c_err[-1]
+    assert c[-1] == pytest.approx(2.0921, abs=1e-4)
+    ys = np.geomspace(1.0, 1e4, 200)
+    res = apply(spec, f, ys, CFG, check=False)
+    assert np.all(np.abs(res.values) <= k[0] * ys ** kappa[0] + res.errors)
 
 
 def test_struve_drift_that_does_not_decay_is_not_served():
