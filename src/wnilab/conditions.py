@@ -1,6 +1,7 @@
 """Weight-condition evaluators: Hardy-type supremum pairs, the glued
 single-condition form, the Lorentz-space necessity condition, closed-form
-power ranges per transform, and the kernel additivity (Oinarov) diagnostic.
+power ranges per transform, and the kernel diagnostics in t = xy: envelope
+and primitive constants as suprema in t, and the Oinarov additivity verdict.
 
 Every weight is a piecewise power, and so is a product of weight powers
 (``Weight.product``): every bracket is the exact ``Weight.integral`` of
@@ -29,9 +30,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernels import KernelSpec
+from .kernels import KernelSpec, bessel_j_kernel, struve_h_kernel
+from .quadrature import NonConvergence
 from .weights import EXPONENT_TOLERANCE, ExponentSet, Weight
-from .transforms import TransformSpec, MissingPrimitiveBound, NoSeriesKernel
+from .transforms import (_REACH_CAP, MissingPrimitiveBound, NoSeriesKernel, TransformSpec, _cut,
+                         _table)
 
 ENDPOINT_TOLERANCE = 0.05  # verdicts this close to an analytic endpoint are not asserted
 
@@ -444,14 +447,148 @@ def power_hardy_verdict(spec: TransformSpec, exps: ExponentSet,
 
 
 # ---------------------------------------------------------------------------
-# kernel additivity diagnostic
+# kernel diagnostics in t = xy
 # ---------------------------------------------------------------------------
+
+# Reads lie _STEP apart in s = log t (t <= 1), t - 1 (t > 1): 16 to a period
+# 2 pi.  The read nearest a lobe's peak A is at least A cos(_STEP / 2), so a
+# lobe read below _LOBE times the best is not refined.  Reads past the
+# crossover come _BATCH at a time, until the far end's bound is within _END
+# of the best value.
+_STEP = math.pi / 8.0
+_LOBE = math.cos(0.5 * _STEP)
+_END = 4.0 * np.finfo(float).eps
+_BATCH = 32
+
+
+@dataclass
+class EnvelopeReport:
+    max_ratio: float
+    argmax_t: float  # 0 or inf where the supremum is an end limit
+    min_ratio: Optional[float] = None  # only for exact (two-sided) envelopes
+    argmin_t: Optional[float] = None
+
+
+def _t(s: np.ndarray) -> np.ndarray:
+    """t at the read abscissa s."""
+    return np.where(s > 0.0, 1.0 + s, np.exp(np.minimum(s, 0.0)))
+
+
+def _terms(c: np.ndarray, power: float, step: float, t: float) -> Tuple[float, float]:
+    """(lead, rest) of sum_j c_j t^(power - step j), c_j >= 0 (nan as 0): the
+    first term, and the others to the smallest term at t plus twice the first
+    omitted (``_cut``); bounds beyond t where no term grows, limits at 0, inf."""
+    c = np.append(c, (0.0, 0.0))  # a term past the cut, and one for ``_cut`` to read past it
+    with np.errstate(invalid="ignore", divide="ignore"):  # 0 inf where c_j = 0
+        tau = np.where(c > 0.0, c * np.float64(t) ** (power - step * np.arange(len(c))), 0.0)
+    if not 0.0 < tau[0] < math.inf:
+        return float(tau[0]), 0.0
+    n, rest = _cut(tau)
+    return float(tau[0]), float(np.sum(tau[1:n + 1]) + rest * tau[0])
+
+
+def _extremes(ratio: Callable[[np.ndarray], np.ndarray], near: Optional[list], far: list,
+              crossover: float, sign: float = 1.0) -> Tuple[float, float]:
+    """(C, t): the supremum (sign 1) or infimum (sign -1) of ``ratio`` over
+    t > 0 (t >= 1 without a ``near`` end) and where it is attained, t = 0 or
+    inf for an end limit.  An end is a list of series (c, power, step): past
+    t the ratio lies within their ``_terms`` of the first one's lead.  The
+    reads span from where the near end's bound, to where the far end's (by
+    _REACH_CAP past the crossover, else NonConvergence), is within _END of
+    the best value; ``_sup_scan`` refines each lobe read near the best."""
+    def bound(end: list, t: float) -> float:  # of sign * ratio, beyond t
+        (lead, rest), *others = [_terms(c, power, step, t) for c, power, step in end]
+        return sign * lead + rest + sum(a + b for a, b in others)
+
+    def read(s: np.ndarray) -> float:
+        """The best value so far, with the reads at s and their lobes near it."""
+        v = sign * ratio(_t(s))
+        edge = max(best, float(np.max(v))) * _LOBE ** sign
+        for i in np.flatnonzero(np.r_[True, v[1:] >= v[:-1]] & np.r_[v[:-1] > v[1:], True]
+                                & (v >= edge)).tolist():
+            rep = _sup_scan(lambda r: sign * ratio(np.maximum(_t(s[i] + np.log(r)), t_min)),
+                            "kernel constant", s[max(i - 1, 0):i + 2] - s[i], [])
+            found.append((rep.sup_value, max(float(_t(s[i] + math.log(rep.argmax_r))), t_min)))
+        return max(value for value, _ in found)
+
+    found = [(sign * max(sign * bound(end, t), 0.0), t)  # sign * ratio at the ends
+             for t, end in ((0.0, near), (math.inf, far)) if end]
+    best = max(value for value, _ in found)
+    lo, hi, t_min = 0, math.ceil((crossover - 1.0) / _STEP), 0.0 if near else 1.0
+    while near and bound(near, math.exp(lo * _STEP)) > best + abs(best) * _END:
+        lo -= 1
+    best = read(_STEP * np.arange(lo, hi + 1))
+    while bound(far, 1.0 + hi * _STEP) > best + abs(best) * _END:
+        if hi * _STEP > crossover + _REACH_CAP:
+            raise NonConvergence(math.nan, math.inf, f"no far-field bound within "
+                                 f"{_REACH_CAP} of the crossover meets the best read")
+        # from the last read on, so a lobe across it is seen whole
+        best, hi = read(_STEP * np.arange(hi, hi + _BATCH + 1)), hi + _BATCH
+    value, t = max(found, key=lambda pair: pair[0])
+    return sign * value, t
+
+
+def check_envelope(kernel: KernelSpec) -> EnvelopeReport:
+    """The supremum over t of |phi(t)| / min{t^b1, t^b2}, and for an exact
+    envelope its infimum (``_extremes``): toward 0 the series over t^b1, led
+    by |a_0|, toward inf the far field over t^b2, the drift's lead steady.
+    Raises ValueError for a kernel without a series and a far field."""
+    series, far = kernel.series or kernel.near, kernel.far_field
+    if series is None or far is None:
+        raise ValueError(f"{kernel.kind}: the envelope constant is read from the expansions")
+    env = kernel.envelope
+    low, high = sorted((env.b1, env.b2))  # the envelope's powers beyond t = 1 and below it
+    ends = (lambda t: np.abs(kernel.phi(t)) / env.bound(t),
+            [(np.abs(series.coefs), series.b1 - high, -series.step)],
+            [(np.abs(far.drift), far.drift_power - low, 2.0),
+             (abs(far.scale) * np.abs(far.osc), far.osc_power - low, 1.0)], kernel.crossover)
+    return EnvelopeReport(*_extremes(*ends), *(_extremes(*ends, -1.0) if env.exact else ()))
+
+
+def _primitive_bound(kernel: KernelSpec, nu: float, k_near: float, k_far: float,
+                     near: bool) -> Tuple[float, float]:
+    """(C, argmax_t): the supremum of |Phi_nu(t)| / min{t^k_near, t^k_far}
+    over t > 0, or t >= 1 without a ``near`` end, from the dilation table of
+    (kernel, nu): toward 0 its series integrated, sum a_m t^(e_m+1)/(e_m+1),
+    toward inf the Mellin constant plus the far field integrated."""
+    table = _table(kernel, nu)
+    far, step = table.far_field, (kernel.series or kernel.near).step
+    s = nu + far.drift_power + 1.0 - 2.0 * np.arange(len(far.drift))
+    with np.errstate(invalid="ignore"):  # 0 / 0 past a drift that ends
+        drift = np.abs(np.asarray(far.drift)) / np.abs(s)
+    return _extremes(lambda t: np.abs(table.integral(np.zeros(len(t)), t)[0])
+                     / np.minimum(t ** k_near, t ** k_far),
+                     [(np.abs(table.coefs / (table.exponents + 1.0)),
+                       table.exponents[0] + 1.0 - k_near, -step)] if near else None,
+                     [(np.array([abs(table.mellin()[0])]), -k_far, 1.0),
+                      (abs(far.scale) * table.osc_e_abs, table.osc_power - k_far, 1.0),
+                      (drift, nu + far.drift_power + 1.0 - k_far, 2.0)], kernel.crossover)
+
+
+def struve_primitive_bound(alpha: float, nu: float) -> Tuple[float, float]:
+    """(C, argmax_t) for the least C in |h(x; y)| <= C y^-1 x^nu min{(xy)^(a+2),
+    (xy)^a}, h the zero-constant primitive of t^nu Struve_a(t y): h(x; y) =
+    y^(-nu-1) Phi_nu(xy), so C is a supremum over t = xy."""
+    if nu < 0.5:
+        raise ValueError("nu must be >= 1/2")
+    return _primitive_bound(struve_h_kernel(alpha), nu, nu + alpha + 2.0, nu + alpha, True)
+
+
+def bessel_primitive_bound(alpha: float, nu: float) -> Tuple[float, float]:
+    """(C, argmax_t) for the least C in |g(x; y)| <= C x^(nu - a - 1/2)
+    y^(-a - 3/2) for xy >= 1, g the zero-constant primitive of t^nu j_a(t y):
+    g(x; y) = y^(-nu-1) Phi_nu(xy), so C is a supremum over t = xy >= 1."""
+    if alpha < -0.5 or nu <= -1.0:
+        raise ValueError("the order must be >= -1/2, and nu > -1 for an integrable origin")
+    return _primitive_bound(bessel_j_kernel(alpha), nu, nu - alpha - 0.5, nu - alpha - 0.5, False)
+
 
 @dataclass
 class OinarovReport:
     n_values: List[float]
     d_required: List[float]
-    verdict: str  # "bounded" | "unbounded"
+    verdict: str  # "bounded" | "unbounded" | "indeterminate"
+    exponent: Optional[float] = None  # kappa in d(N) ~ N^kappa, for an exact envelope
     feasible_d: Optional[float] = None
 
 
@@ -460,24 +597,24 @@ def oinarov_check(kernel: KernelSpec,
                   ab_pairs: Sequence[Tuple[float, float]] = ((2.0, 1.0), (3.0, 1.0))
                   ) -> OinarovReport:
     """Smallest d with d^-1 (K(t,u) + K(u,v)) <= K(t,v) <= d (K(t,u) + K(u,v))
-    on the triple family t = N^a, u = N^b, v = N^(-(a+b)/2), a > b > 0.
-    Reports unbounded growth of the required d with N."""
-    for a, b in ab_pairs:
-        if not (a > b > 0):
-            raise ValueError("pairs must satisfy a > b > 0")
-    d_req: List[float] = []
-    for n in n_grid:
-        worst = 1.0
-        for a, b in ab_pairs:
-            t, u, v = n ** a, n ** b, n ** (-(a + b) / 2.0)
-            k_tu, k_uv, k_tv = (float(kernel.phi(x * y)) for x, y in ((t, u), (u, v), (t, v)))
-            total = k_tu + k_uv
-            if k_tv <= 0.0 or total <= 0.0:
-                worst = math.inf
-                break
-            worst = max(worst, total / k_tv, k_tv / total)
-        d_req.append(worst)
-    growing = all(d_req[i + 1] >= 1.2 * d_req[i] for i in range(len(d_req) - 1))
-    if growing and d_req[-1] >= 3.0 * d_req[0]:
-        return OinarovReport(list(n_grid), d_req, "unbounded")
-    return OinarovReport(list(n_grid), d_req, "bounded", feasible_d=max(d_req))
+    on the triples t = N^a, u = N^b, v = N^(-(a+b)/2), a > b > 0, read at
+    each N: tu, uv and tv are N^s, s = a + b, (b - a)/2, (a - b)/2.  For an
+    exact envelope phi(N^s) is comparable to N^e(s), e(s) = s b1 (s < 0) and
+    s b2 (s > 0), so d(N) ~ N^kappa, kappa the largest over the pairs of
+    |max(e_tu, e_uv) - e_tv|: bounded iff kappa = 0; else indeterminate."""
+    a, b = np.reshape(np.asarray(ab_pairs, dtype=float), (-1, 2)).T
+    if not np.all((a > b) & (b > 0.0)):
+        raise ValueError("pairs must satisfy a > b > 0")
+    s = np.array([a + b, 0.5 * (b - a), 0.5 * (a - b)])
+    k = kernel.phi(np.asarray(n_grid, dtype=float)[:, None, None] ** s)  # [N, tu|uv|tv, pair]
+    k_tv, total = k[:, 2], k[:, 0] + k[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # d is inf where a K is not positive
+        d = np.where((k_tv > 0.0) & (total > 0.0), np.maximum(total / k_tv, k_tv / total), math.inf)
+    d_req, env = np.max(d, axis=1, initial=1.0).tolist(), kernel.envelope
+    if not env.exact:
+        return OinarovReport(list(n_grid), d_req, "indeterminate")
+    e = s * np.where(s < 0.0, env.b1, env.b2)
+    kappa = float(np.max(np.abs(np.maximum(e[0], e[1]) - e[2])))
+    if kappa > EXPONENT_TOLERANCE:
+        return OinarovReport(list(n_grid), d_req, "unbounded", kappa)
+    return OinarovReport(list(n_grid), d_req, "bounded", kappa, feasible_d=max(d_req))

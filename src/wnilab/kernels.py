@@ -391,7 +391,7 @@ class PowerEnvelope:
     """Two-regime power bound min{(xy)^b1, (xy)^b2} for a kernel phi(xy);
     a preset kernel reads it from its expansions (``_envelope``).
 
-    ``exact`` records that the bound is two-sided away from kernel zeros.
+    ``exact`` records that the bound is two-sided: phi has no zeros.
     ``strict`` is derived: the regimes genuinely cross (b1 - b2 > 0), which
     the power-range machinery requires.
     """
@@ -404,11 +404,9 @@ class PowerEnvelope:
     def strict(self) -> bool:
         return self.b1 - self.b2 > 0
 
-    def bound(self, x, y):
-        """min of the two regime bounds, without the fitted constant."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.minimum(x ** self.b1 * y ** self.b1, x ** self.b2 * y ** self.b2)
+    def bound(self, t):
+        """min{t^b1, t^b2} at t = xy, without the constant."""
+        return np.minimum(np.power(t, self.b1), np.power(t, self.b2))
 
 
 @dataclass(frozen=True, eq=False)  # hashed by identity, as FarField
@@ -537,49 +535,3 @@ KERNELS: Dict[str, Callable[..., KernelSpec]] = {
     "cosine": cosine_kernel,
     "model_min": model_min_kernel,
 }
-
-
-# ---------------------------------------------------------------------------
-# envelope verification
-# ---------------------------------------------------------------------------
-
-@dataclass
-class EnvelopeReport:
-    max_ratio: float
-    min_ratio: Optional[float]  # only for exact (two-sided) envelopes
-    argmax: Tuple[float, float]
-    masked_fraction: float
-    grid_shape: Tuple[int, int]
-
-
-_ZERO_MASK_LEVEL = 1e-3
-
-
-def check_envelope(kernel: KernelSpec,
-                   x_grid: Optional[np.ndarray] = None,
-                   y_grid: Optional[np.ndarray] = None) -> EnvelopeReport:
-    """Max (and, for two-sided envelopes, min) of |K| over its power bound
-    on a grid covering both regimes.  Points where the kernel sits below
-    1e-3 of the envelope are masked from the min: oscillation zeros do not
-    refute a two-sided estimate."""
-    if x_grid is None:
-        x_grid = np.geomspace(1e-3, 1e3, 200)
-    if y_grid is None:
-        y_grid = np.geomspace(1e-3, 1e3, 200)
-    xm, ym = np.meshgrid(x_grid, y_grid, indexing="ij")
-    kv = np.abs(kernel.phi(xm * ym))
-    env = kernel.envelope.bound(xm, ym)
-    ratio = kv / env
-    imax = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
-    masked = ratio < _ZERO_MASK_LEVEL
-    min_ratio = None
-    if kernel.envelope.exact:
-        live = ~masked
-        min_ratio = float(np.min(ratio[live])) if np.any(live) else math.nan
-    return EnvelopeReport(
-        max_ratio=float(ratio[imax]),
-        min_ratio=min_ratio,
-        argmax=(float(xm[imax]), float(ym[imax])),
-        masked_fraction=float(np.mean(masked)),
-        grid_shape=ratio.shape,
-    )

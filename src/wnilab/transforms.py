@@ -1,11 +1,11 @@
 """Integral transforms with power-type kernels: evaluation of
 F f(y) = y^c0 * integral x^b0 f(x) K(x,y) dx for the named transforms
 (Hankel, Struve, sine, cosine, model min-kernel), the regime table of
-admissibility and the pointwise bounds, the moment-reduced transform for
-series kernels, the kernel primitives and F f's closed forms toward y = 0
-and y = inf.  Every kernel is phi(xy), so every value is a read of a cached
-Phi_nu table (``DilationTable``): a power piece c x^e on (lo, hi) gives
-y^(c0 - nu - 1) c [Phi_nu(hi y) - Phi_nu(lo y)], nu = b0 + e.
+admissibility and the pointwise bounds, the kernel primitives and F f's
+closed forms toward y = 0 and y = inf.  Every kernel is phi(xy), so every
+value is a read of a cached Phi_nu table (``DilationTable``): a power piece
+c x^e on (lo, hi) gives y^(c0 - nu - 1) c [Phi_nu(hi y) - Phi_nu(lo y)],
+nu = b0 + e.
 """
 
 from __future__ import annotations
@@ -28,20 +28,12 @@ class AdmissibilityError(Exception):
     """The test function fails the integrability precondition."""
 
 
-class MomentsNotVanished(Exception):
-    """A moment required by the reduced-kernel route is nonzero."""
-
-
 class NoSeriesKernel(Exception):
     """The kernel has no power-series representation."""
 
 
 class MissingPrimitiveBound(Exception):
     """No primitive-function bound is available for this transform."""
-
-
-class EstimateViolation(Exception):
-    """A fitted bound constant exceeded its cap."""
 
 
 @dataclass(frozen=True)
@@ -561,59 +553,13 @@ def _table(kernel: KernelSpec, nu: float) -> DilationTable:
     return table
 
 
-def _primitive(kernel: KernelSpec, nu: float, x, y) -> Tuple[np.ndarray, np.ndarray]:
-    """integral_0^x t^nu phi(t y) dt and its error bound, for x, y > 0
-    broadcast against each other, from the dilation table of (kernel, nu).
-    Raises NonConvergence when that table cannot be built."""
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    if not (np.all(x > 0.0) and np.all(y > 0.0)):
-        raise ValueError("x and y must be positive")
-    table = _table(kernel, nu)
-    val, err = table.primitive(np.zeros(x.size), x.ravel(), y.ravel())
-    return val.reshape(x.shape), err.reshape(x.shape)
-
-
 def struve_primitive(alpha: float, nu: float, y: float, x: float) -> Tuple[float, float]:
-    """integral_0^x t^nu Struve_alpha(t y) dt and its error bound."""
-    if nu < 0.5:
-        raise ValueError("nu must be >= 1/2")
-    val, err = _primitive(struve_h_kernel(alpha), nu, x, y)
-    return float(val), float(err)
-
-
-def struve_primitive_bound(alpha: float, nu: float, x_grid: Sequence[float],
-                           y_grid: Sequence[float]) -> float:
-    """Fitted constant C in |h(x; y)| <= C y^-1 x^nu min{(xy)^(a+2), (xy)^a}."""
-    if nu < 0.5:
-        raise ValueError("nu must be >= 1/2")
-    xs = np.asarray(x_grid, dtype=float)[:, None]
-    ys = np.asarray(y_grid, dtype=float)[None, :]
-    h, _ = _primitive(struve_h_kernel(alpha), nu, xs, ys)
-    t = xs * ys
-    bound = xs ** nu / ys * np.minimum(t ** (alpha + 2.0), t ** alpha)
-    return float(np.max(np.abs(h) / bound, initial=0.0))
-
-
-_PRIMITIVE_CAP = 1e4
-
-
-def bessel_primitive_bound(alpha: float, nu: float, y: float, x_grid: Sequence[float]) -> float:
-    """Fitted C in |g(x; y)| <= C x^(nu - a - 1/2) y^(-a - 3/2) over grid
-    points with x*y >= 1, where g is the zero-constant primitive of
-    t^nu * bessel_j(alpha, t y).  Raises EstimateViolation where C exceeds
-    _PRIMITIVE_CAP."""
-    if alpha < -0.5:
-        raise ValueError("order must be >= -1/2")
-    if nu <= -1.0:
-        raise ValueError("nu must exceed -1 for an integrable origin")
-    xs = np.asarray(x_grid, dtype=float)
-    g, _ = _primitive(bessel_j_kernel(alpha), nu, xs, y)
-    bound = np.where(xs * y >= 1.0, xs ** (nu - alpha - 0.5) * y ** (-alpha - 1.5), np.inf)
-    best = float(np.max(np.abs(g) / bound, initial=0.0))
-    if best > _PRIMITIVE_CAP:
-        raise EstimateViolation(f"primitive estimate violated: fitted constant {best:.3g} "
-                                f"exceeds cap {_PRIMITIVE_CAP:.3g}")
-    return best
+    """integral_0^x t^nu Struve_alpha(t y) dt and its error bound, a read of
+    the dilation table of (Struve_alpha, nu)."""
+    if nu < 0.5 or not (x > 0.0 and y > 0.0):
+        raise ValueError("nu must be >= 1/2, and x and y positive")
+    val, err = _table(struve_h_kernel(alpha), nu).primitive(*np.array([[0.0], [x], [y]], float))
+    return float(val[0]), float(err[0])
 
 
 def _table_values(spec: TransformSpec, f: TestFunction,
@@ -812,39 +758,3 @@ def pointwise_bound(spec: TransformSpec, f: TestFunction, y: float,
     far = f.abs_weighted_integral(mu1, 1.0 / (lam * y), math.inf)
     return y ** k0 * near + y ** k1 * far
 
-
-# ---------------------------------------------------------------------------
-# moment-reduced transform for series kernels
-# ---------------------------------------------------------------------------
-
-# The largest |moment| ``moment_reduced_apply`` counts as vanished.
-_MOMENT_TOL = 1e-10
-
-
-def moment_reduced_apply(spec: TransformSpec, f: TestFunction, ell: int,
-                         y_grid: Sequence[float],
-                         config: Optional[QuadratureConfig] = None) -> TransformResult:
-    """F f through the reduced kernel G_ell(t) = t^(-b1) phi(t) -
-    sum_(m<ell) a_m t^(k m), valid when the moments M_mu(f) of orders
-    mu = b0 + b1 + m k (m < ell) vanish.  Every series kernel is phi(xy),
-    so y^(c0+b1) integral x^(b0+b1) f(x) G_ell(xy) dx is ``apply`` minus
-    the terms a_m y^(c0+b1+k m) M_mu(f), in closed form; the error adds eps
-    times each term's magnitude."""
-    series = spec.kernel.series
-    if series is None:
-        raise NoSeriesKernel(spec.name)
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    orders = spec.b0 + series.b1 + series.step * np.arange(ell)
-    moments = [f.moment(mu) for mu in orders]
-    for mu, moment in zip(orders, moments):
-        if abs(moment) > _MOMENT_TOL:
-            raise MomentsNotVanished(
-                f"moment of order {mu:g} is {moment:.3e} (tolerance {_MOMENT_TOL:g})")
-    res = apply(spec, f, y_grid, config, check=False)
-    ys = res.y_grid
-    for m, (a, moment) in enumerate(zip(series.coefs[:ell], moments)):
-        term = a * ys ** (spec.c0 + series.b1 + series.step * m) * moment
-        res.values -= term
-        res.errors += _EPS * np.abs(term)
-    return res

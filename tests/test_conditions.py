@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from wnilab.conditions import (ENDPOINT_TOLERANCE, EXPONENT_TOLERANCE, EnvelopeNotStrict,
-                               InverseRelationViolated, glued_condition, gm_power_range,
+                               InverseRelationViolated, _extremes, glued_condition, gm_power_range,
                                hardy_pair_condition, lorentz_necessity_condition,
                                oinarov_check, power_hardy_verdict, power_pitt_range,
                                vanishing_moment_range)
-from wnilab.kernels import KernelSpec, PowerEnvelope, model_min_kernel
+from wnilab.kernels import (KernelSpec, PowerEnvelope, bessel_j_kernel, model_min_kernel,
+                            sine_kernel, struve_h_kernel)
 from wnilab.transforms import (MissingPrimitiveBound, NoSeriesKernel, cosine,
                                hankel, model_min, scripth, sine)
 from wnilab.weights import ExponentSet, Weight
@@ -320,30 +321,66 @@ def test_analytic_pair_predicate():
     assert fin1 is None
 
 
+@pytest.mark.parametrize("center", [math.exp(-10.0), 20.0], ids=["near", "far"])
+def test_t_scan_reads_on_to_where_the_end_bounds_meet_the_best(center):
+    # A bump of height 1 on the limit 1, at t = e^-10 or at t = 20, past the
+    # crossover 12: found only by reading on until the end's bound (1 + 1e6 t
+    # toward 0, 1 + 1e8 t^-5 toward inf, each above the bump) meets the best.
+    def ratio(t):
+        return 1.0 + np.exp(-(np.log(t / center) if center < 1.0 else t - center) ** 2)
+
+    c, t = _extremes(ratio, [(np.ones(1), 0.0, -1.0), (np.array([1e6]), 1.0, -1.0)],
+                     [(np.ones(1), 0.0, 1.0), (np.array([1e8]), -5.0, 1.0)], 12.0)
+    assert c == pytest.approx(2.0, rel=1e-12) and t == pytest.approx(center, rel=1e-5)
+
+
 def test_oinarov_model_kernel_unbounded():
     # K = min{1, (xy)^-1}: required d grows like N^((a-b)/2) on the triples.
     rep = oinarov_check(model_min_kernel(2.0), n_grid=(10.0, 100.0, 1000.0),
                         ab_pairs=((2.0, 1.0),))
-    assert rep.verdict == "unbounded"
+    assert rep.verdict == "unbounded" and rep.exponent == 0.5
     for d, n in zip(rep.d_required, (10.0, 100.0, 1000.0)):
         assert d == pytest.approx(math.sqrt(n), rel=0.05)
 
 
+@pytest.mark.parametrize("kernel,kappa", [(model_min_kernel(2.0), 1.0),
+                                          (struve_h_kernel(0.75), 0.75)],
+                         ids=["model_min2", "struve0.75"])
+def test_oinarov_exponent_from_the_exact_envelope(kernel, kappa):
+    # With the default pairs (2, 1) and (3, 1), d(N) ~ N^kappa, kappa from the
+    # envelope's b1 and b2; the reads grow at that rate over four decades.
+    rep = oinarov_check(kernel, n_grid=(1e2, 1e6))
+    assert rep.verdict == "unbounded" and rep.exponent == pytest.approx(kappa, abs=1e-12)
+    assert math.log10(rep.d_required[1] / rep.d_required[0]) / 4.0 == pytest.approx(kappa,
+                                                                                      abs=0.05)
+
+
 def test_oinarov_constant_kernel_bounded():
-    const = KernelSpec("custom", PowerEnvelope(0.0, 0.0),
+    const = KernelSpec("custom", PowerEnvelope(0.0, 0.0, exact=True),
                        lambda t: np.ones_like(np.asarray(t, dtype=float)))
     rep = oinarov_check(const)
-    assert rep.verdict == "bounded"
+    assert rep.verdict == "bounded" and rep.exponent == 0.0
     assert rep.feasible_d == pytest.approx(2.0)
 
 
 def test_oinarov_exponential_kernel_diagnostic():
-    # e^{-xy} on the same triples: the scan reports whatever it finds.
+    # e^{-xy} is not comparable to its envelope: the reads are reported, and
+    # no verdict.
     expk = KernelSpec("custom", PowerEnvelope(0.0, 0.0),
                       lambda t: np.exp(-np.asarray(t, dtype=float)))
     rep = oinarov_check(expk)
-    assert rep.verdict in ("bounded", "unbounded")
+    assert rep.verdict == "indeterminate" and rep.exponent is None and rep.feasible_d is None
     assert all(d >= 1.0 for d in rep.d_required)
+
+
+@pytest.mark.parametrize("kernel", [bessel_j_kernel(0.0), sine_kernel()], ids=["bessel0", "sine"])
+def test_oinarov_oscillating_kernel_is_indeterminate(kernel):
+    # An oscillating kernel reads d = inf wherever a K is not positive (J_0
+    # at its zeros, sine at N^s in a negative half period); its envelope is
+    # not two-sided, so the reads give no verdict.
+    rep = oinarov_check(kernel)
+    assert math.inf in rep.d_required
+    assert rep.verdict == "indeterminate" and rep.feasible_d is None
 
 
 def test_condition_report_serializes():

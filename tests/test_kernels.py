@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from scipy.special import gamma as scipy_gamma, jv as scipy_jv, struve as scipy_struve
 
-from wnilab.kernels import (PowerEnvelope, _smallest_term_index, bessel_j, bessel_j_error,
-                            bessel_j_kernel, check_envelope, cosine_kernel, model_min_kernel,
+from wnilab.conditions import bessel_primitive_bound, check_envelope, struve_primitive_bound
+from wnilab.kernels import (KernelSpec, PowerEnvelope, _smallest_term_index, bessel_j,
+                            bessel_j_error, bessel_j_kernel, cosine_kernel, model_min_kernel,
                             sine_kernel, struve_derivative_check, struve_h, struve_h_error,
                             struve_h_kernel)
-from wnilab.transforms import bessel_primitive_bound, struve_primitive, struve_primitive_bound
+from wnilab.transforms import _table, struve_primitive
 
 XS = np.geomspace(1e-3, 100.0, 200)
 
@@ -315,8 +316,8 @@ def test_struve_primitive_far_field_against_mpmath(alpha):
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
 def test_struve_primitive_criterion_3_grid_against_mpmath(alpha):
-    # Every read of the criterion-3 grid (nu = alpha + 1) against the closed
-    # form, within its error bar.
+    # Every read of a 12 x 12 (x, y) grid (nu = alpha + 1) against the
+    # closed form, within its error bar.
     grid = np.geomspace(0.2, 20.0, 12)
     for x in grid:
         for y in grid:
@@ -334,21 +335,46 @@ def test_struve_primitive_small_x_order():
 
 
 def test_struve_primitive_bound_fitted_constant():
+    # The (1, 1/2) constant bounds every read of an (x, y) grid:
+    # |h(x; y)| <= C y^-1 x^nu min{(xy)^(a+2), (xy)^a}.
+    alpha, nu = 1.0, 0.5
+    c, t = struve_primitive_bound(alpha, nu)
+    assert 0.0 < c < 50.0 and 0.0 < t < math.inf
     grid = np.geomspace(0.3, 10.0, 6)
-    c = struve_primitive_bound(1.0, 0.5, grid, grid)
-    assert 0.0 < c < 50.0
+    for x in grid:
+        for y in grid:
+            val, _ = struve_primitive(alpha, nu, y, x)
+            bound = c / y * x ** nu * min((x * y) ** (alpha + 2.0), (x * y) ** alpha)
+            assert abs(val) <= bound * (1.0 + 1e-12), (x, y)
+
+
+# Dense reads: 4,001 points of t on [1e-6, 1e6] (the CI step reads 1e6).
+DENSE_T = np.geomspace(1e-6, 1e6, 4_001)
 
 
 def test_bessel_primitive_bound_examples():
-    # alpha = -1/2, nu = 0: the primitive is sin(x), and |sin x| <= 1 = x^0 y^-1.
-    c = bessel_primitive_bound(-0.5, 0.0, 1.0, np.linspace(1.0, 50.0, 25))
-    assert c == pytest.approx(1.0, abs=0.02)
-    c = bessel_primitive_bound(0.0, 1.0, 1.0, np.geomspace(1.0, 100.0, 30))
-    assert 0.0 < c < 10.0
-    # Stability under grid refinement.
-    c2 = bessel_primitive_bound(0.5, 1.5, 3.0, np.geomspace(0.4, 50.0, 20))
-    c3 = bessel_primitive_bound(0.5, 1.5, 3.0, np.geomspace(0.4, 50.0, 40))
-    assert abs(c3 - c2) / c2 < 0.25
+    # alpha = -1/2, nu = 0: the primitive is sin t, and sup_(t >= 1) |sin t|
+    # = 1 is its limit at infinity.
+    c, t = bessel_primitive_bound(-0.5, 0.0)
+    assert c == pytest.approx(1.0, rel=1e-12) and t == math.inf
+    # alpha = 0, nu = 1: the primitive is t J_1(t), C = sup_(t >= 1) t^(1/2) |J_1|;
+    # (1/2, 3/2): 20-digit quadrature of s^(3/2) sin(s) / s.  Each is attained at
+    # argmax_t and no dense read of t >= 1 exceeds it.
+    ts = DENSE_T[DENSE_T >= 1.0]
+    cases = (((0.0, 1.0), lambda t: t * mpmath.besselj(1, t)),
+             ((0.5, 1.5), lambda t: mpmath.quad(lambda s: s ** 1.5 * mpmath.sinc(s), [0, t])))
+    for (alpha, nu), exact in cases:
+        c, t = bessel_primitive_bound(alpha, nu)
+        k = nu - alpha - 0.5
+        with mpmath.workdps(20):
+            assert abs(abs(exact(mpmath.mpf(t))) / mpmath.mpf(t) ** k / c - 1) <= 1e-10
+        dense = np.abs(_table(bessel_j_kernel(alpha), nu).integral(np.zeros(len(ts)), ts)[0])
+        dense /= ts ** k
+        assert 1.0 <= t < 10.0 and c >= np.max(dense) * (1.0 - 1e-12)
+    assert bessel_primitive_bound(0.5, 1.5)[0] == pytest.approx(1.4006309, abs=1e-7)
+    # nu < alpha + 1/2 with a nonzero Mellin constant: |Phi_nu| / t^(nu-a-1/2)
+    # grows without bound.
+    assert bessel_primitive_bound(1.0, 0.0) == (math.inf, math.inf)
 
 
 def test_envelope_checks():
@@ -357,21 +383,79 @@ def test_envelope_checks():
     # Sine kernel: |sin t| <= min{t, 1} exactly, constant 1.
     rep = check_envelope(sine_kernel())
     assert rep.max_ratio <= 1.0 + 1e-12
-    # Two-sided Struve envelope for order > 1/2: masked min ratio positive.
+    # Two-sided Struve envelope for order > 1/2: a positive lower constant.
     rep = check_envelope(struve_h_kernel(0.75))
     assert rep.min_ratio is not None and 0.0 < rep.min_ratio <= rep.max_ratio
     rep = check_envelope(model_min_kernel(1.0))
     assert rep.max_ratio == pytest.approx(1.0, abs=1e-12)
     assert rep.min_ratio == pytest.approx(1.0, abs=1e-12)
+    # Without its expansions a kernel has no constant to read.
+    with pytest.raises(ValueError, match="expansions"):
+        check_envelope(KernelSpec("bare", PowerEnvelope(0.0, -0.5), bessel_j_kernel(0.0).phi))
 
 
-def test_envelope_constant_stability_under_refinement():
-    kern = bessel_j_kernel(0.75)
-    cs = []
-    for n in (100, 200, 400):
-        g = np.geomspace(1e-3, 1e3, n)
-        cs.append(check_envelope(kern, g, g).max_ratio)
-    assert max(cs) / min(cs) < 1.05
+def _mp_kernel(kernel, param):
+    """phi at 30 digits for a preset kernel of parameter ``param``."""
+    if kernel.kind == "bessel_j":
+        a = mpmath.mpf(param)
+        return lambda t: mpmath.gamma(a + 1) * (2 / t) ** a * mpmath.besselj(a, t)
+    if kernel.kind == "struve_h":
+        return lambda t: mpmath.struveh(param, t)
+    if kernel.kind == "model_min":
+        return lambda t: 1 if t <= 1 else t ** (-mpmath.mpf(param) / 2)
+    return {"sine": mpmath.sin, "cosine": mpmath.cos}[kernel.kind]
+
+
+def _struve_drift_lead(alpha):
+    """(H_a - Y_a)(t) t^(1-a) as t -> inf: 2^(1-a) / (sqrt(pi) Gamma(a + 1/2))."""
+    return 2.0 ** (1.0 - alpha) / (math.sqrt(math.pi) * math.gamma(alpha + 0.5))
+
+
+# A preset, its parameter, and the closed-form limits of |phi| / min{t^b1,
+# t^b2}: toward 0, and the lim sup and (exact envelopes) lim inf toward inf.
+_AMP = math.sqrt(2.0 / math.pi)
+ENVELOPE_LIMITS = [
+    (bessel_j_kernel, -0.5, 1.0, 1.0, None),
+    (bessel_j_kernel, 0.0, 1.0, _AMP, None),
+    (bessel_j_kernel, 0.75, 1.0, math.gamma(1.75) * 2.0 ** 0.75 * _AMP, None),
+    (bessel_j_kernel, 1.0, 1.0, 2.0 * _AMP, None),
+    (bessel_j_kernel, 2.5, 1.0, math.gamma(3.5) * 2.0 ** 2.5 * _AMP, None),
+    (struve_h_kernel, 0.25, 2.0 ** -1.25 / (math.gamma(1.5) * math.gamma(1.75)), _AMP, None),
+    (struve_h_kernel, 0.5, 2.0 ** -1.5 / (math.gamma(1.5) * math.gamma(2.0)), 2.0 * _AMP, None),
+    (struve_h_kernel, 0.75, 2.0 ** -1.75 / (math.gamma(1.5) * math.gamma(2.25)),
+     _struve_drift_lead(0.75), _struve_drift_lead(0.75)),
+    (struve_h_kernel, 1.0, 2.0 ** -2.0 / (math.gamma(1.5) * math.gamma(2.5)),
+     _struve_drift_lead(1.0), _struve_drift_lead(1.0)),
+    (lambda _: sine_kernel(), None, 1.0, 1.0, None),
+    (lambda _: cosine_kernel(), None, 1.0, 1.0, None),
+    (model_min_kernel, 1.0, 1.0, 1.0, 1.0),
+    (model_min_kernel, 2.0, 1.0, 1.0, 1.0),
+]
+
+
+def test_envelope_constants_are_attained_suprema():
+    # Each constant is attained: its ratio at argmax_t (argmin_t) by 30-digit
+    # mpmath, or the closed-form limit at the end t = 0 or inf it names.  No
+    # dense read lies above the supremum or below the infimum.
+    for factory, param, at_zero, sup_at_inf, inf_at_inf in ENVELOPE_LIMITS:
+        kernel = factory(param)
+        env, phi = kernel.envelope, _mp_kernel(kernel, param)
+        rep = check_envelope(kernel)
+        dense = np.abs(kernel.phi(DENSE_T)) / env.bound(DENSE_T)
+        assert rep.max_ratio >= np.max(dense) * (1.0 - 1e-12), kernel
+        extremes = [(rep.max_ratio, rep.argmax_t, at_zero, sup_at_inf)]
+        assert (rep.min_ratio is None) == (inf_at_inf is None), kernel
+        if rep.min_ratio is not None:
+            assert rep.min_ratio <= np.min(dense) * (1.0 + 1e-12), kernel
+            extremes.append((rep.min_ratio, rep.argmin_t, at_zero, inf_at_inf))
+        for value, t, limit_at_zero, limit_at_inf in extremes:
+            if t == 0.0 or t == math.inf:
+                exact = limit_at_zero if t == 0.0 else limit_at_inf
+            else:
+                with mpmath.workdps(30):
+                    t = mpmath.mpf(t)
+                    exact = abs(phi(t)) / min(t ** env.b1, t ** env.b2)
+            assert abs(exact / value - 1) <= 1e-10, (kernel, t)
 
 
 @pytest.mark.parametrize("kernel,b1,b2,exact", [

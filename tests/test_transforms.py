@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wnilab.kernels import FarField, KernelSpec, PowerEnvelope, check_envelope, struve_h
+from wnilab.conditions import check_envelope
+from wnilab.kernels import FarField, KernelSpec, PowerEnvelope, SeriesKernel, struve_h
 from wnilab.quadrature import NonConvergence, QuadratureConfig
-from wnilab.transforms import (AdmissibilityError, MissingPrimitiveBound, MomentsNotVanished,
-                               DilationTable, NoSeriesKernel, TransformSpec, _dilation_table,
-                               apply, check_admissible, cosine,
-                               far_envelope, hankel, model_min, moment_reduced_apply,
-                               near_expansion, pointwise_bound, preset,
-                               scripth, sine)
+from wnilab.transforms import (AdmissibilityError, MissingPrimitiveBound, DilationTable,
+                               TransformSpec, _dilation_table, apply, check_admissible, cosine,
+                               far_envelope, hankel, model_min, near_expansion, pointwise_bound,
+                               preset, scripth, sine)
 from wnilab.weights import (FunctionFamily, GMWitness, Piece, TestFunction, make_log_counterexample,
                             make_truncated_power, make_vanishing_moment_function)
 
@@ -107,8 +106,8 @@ def test_pointwise_bound_standard():
 
 
 def fit_env_constant(kernel: KernelSpec) -> float:
-    """Fitted envelope constant: the max kernel/envelope ratio over the
-    standard 200x200 log grid on (1e-3, 1e3)^2."""
+    """The envelope constant: the supremum over t of |phi(t)| over its
+    envelope."""
     return check_envelope(kernel).max_ratio
 
 
@@ -188,60 +187,73 @@ def test_admissibility_gate_reads_the_regime_its_transform_carries():
     assert abs(mpmath.mpf(res.values[0]) - exact) <= res.errors[0]
 
 
-def test_moment_reduced_agreement_and_errors():
-    spec = hankel(0.0)
-    f = make_log_counterexample(10.0, spec.b0)  # kills the b0+b1 moment
-    ys = np.geomspace(0.05, 5.0, 10)
-    direct = apply(spec, f, ys, CFG).values
-    reduced = moment_reduced_apply(spec, f, 1, ys, CFG).values
-    rel = np.abs(direct - reduced) / np.maximum(np.abs(direct), 1e-12)
-    assert np.max(rel) < 1e-6
-
-    with pytest.raises(MomentsNotVanished):
-        moment_reduced_apply(spec, make_truncated_power(0.0, 1.0, "left"), 1, [1.0], CFG)
-    with pytest.raises(NoSeriesKernel):
-        moment_reduced_apply(model_min(1.0), f, 1, [1.0], CFG)
-
-
-def _reduced_kernel(spec, ell):
-    """G_ell(t) = t^-b1 phi(t) - sum_(m<ell) a_m t^(k m), the kernel of the
-    moment-reduced transform, with its envelope min{t^(k ell), t^(k (ell - 1))}."""
+@pytest.mark.parametrize("spec,f", [
+    (hankel(0.0), make_log_counterexample(10.0, 1.0)),
+    (hankel(0.5), make_vanishing_moment_function([hankel(0.5).b0], [0.2, 1.0, 5.0]))],
+    ids=["hankel-0-log", "hankel-0.5-criterion-9"])
+def test_vanished_moment_leads_the_near_expansion_with_the_next_power(spec, f):
+    # F f is the transform through the reduced kernel G_1: its moment series
+    # drops the vanished moment's term exactly and is led by y^(c0 + b1 + k);
+    # 1 on (0, 1), whose moment does not vanish, keeps the y^(c0 + b1) term.
     series = spec.kernel.series
-    a = series.coefs[:ell]
+    (c,), p, _, _, _ = near_expansion(spec, FunctionFamily([f]))
+    assert c[0] == 0.0 and c[1] != 0.0
+    assert p[1] == spec.c0 + series.b1 + series.step
+    (c,), p, _, _, _ = near_expansion(spec, FunctionFamily([make_truncated_power(0.0, 1.0)]))
+    assert c[0] != 0.0 and p[0] == spec.c0 + series.b1
+
+
+def _reduced_kernel(spec):
+    """G_1(t) = t^-b1 phi(t) - a_0, the kernel of the moment-reduced
+    transform, as a bare callable with its envelope min{t^k, 1}."""
+    series = spec.kernel.series
 
     def g(t):
         t = np.asarray(t, dtype=float)
-        return spec.kernel.phi(t) * t ** -series.b1 - sum(a[m] * t ** (series.step * m)
-                                                          for m in range(ell))
-    env = PowerEnvelope(series.step * ell, series.step * (ell - 1))
-    return KernelSpec(f"{spec.kernel.kind}_reduced_{ell}", env, g)
+        return spec.kernel.phi(t) * t ** -series.b1 - series.coefs[0]
+    return KernelSpec(f"{spec.kernel.kind}_reduced_1", PowerEnvelope(series.step, 0.0), g)
+
+
+def _reduced_kernel_expansions(spec):
+    """G_1 with the expansions it is read from: the series a_1, a_2, ... and
+    t^-b1 phi's far field plus the drift -a_0 (for a kernel without drift)."""
+    series, far = spec.kernel.series, spec.kernel.far_field
+    return dataclasses.replace(
+        _reduced_kernel(spec), series=SeriesKernel(series.step, series.step, series.coefs[1:]),
+        far_field=FarField(far.scale, far.osc_power - series.b1, far.osc, 0.0,
+                           (-series.coefs[0],)), crossover=spec.kernel.crossover)
 
 
 def test_moment_reduced_sine_envelope():
-    # For the sine kernel with one killed moment, the reduced kernel obeys
-    # min{t^3, t} up to constant.
-    kern = _reduced_kernel(sine(), 1)
+    # For the sine kernel with one killed moment, the reduced kernel
+    # G_1(t) = sin(t)/t - 1 obeys min{t^2, 1}, with the constant 1 - sin(t)/t
+    # at the first minimum of sin(t)/t, where tan t = t.
+    kern = _reduced_kernel_expansions(sine())
     assert (kern.envelope.b1, kern.envelope.b2) == (2.0, 0.0)
-    rep = check_envelope(kern)
-    assert rep.max_ratio < 2.0
-    # sine series: G_1(t) = sin(t)/t - 1.
     ts = np.array([0.3, 0.9, 2.0, 7.0])
     assert np.allclose(kern.phi(ts), np.sin(ts) / ts - 1.0, rtol=1e-10, atol=1e-14)
+    rep = check_envelope(kern)
+    with mpmath.workdps(30):
+        t = mpmath.findroot(lambda t: mpmath.tan(t) - t, 4.49)
+        assert abs(rep.argmax_t / t - 1) <= 1e-6
+        assert abs((1 - mpmath.sin(t) / t) / rep.max_ratio - 1) <= 1e-12
 
 
 def test_reduced_kernel_has_no_far_field():
     # Beyond t = 1 the reduced kernel is phi minus a polynomial, which the
-    # large-argument form of phi does not describe: apply refuses it, and
-    # moment_reduced_apply takes the closed-form reduction identity instead.
+    # large-argument form of phi does not describe: as a bare callable, apply
+    # refuses it and check_envelope has no expansions to read.
     f = make_truncated_power(0.0, 1.0, "left")
     for spec in (hankel(0.0), sine(), cosine()):
         assert spec.kernel.far_field is not None
-        kernel = _reduced_kernel(spec, 1)
+        kernel = _reduced_kernel(spec)
         assert kernel.far_field is None and not kernel.oscillatory
         reduced = TransformSpec("reduced", spec.b0 + spec.kernel.series.b1,
                                 spec.c0 + spec.kernel.series.b1, kernel)
         with pytest.raises(ValueError, match="far field"):
             apply(reduced, f, [1.0], CFG, check=False)
+        with pytest.raises(ValueError, match="expansions"):
+            check_envelope(kernel)
 
 
 def test_apply_domain_is_positive_y():
@@ -626,10 +638,10 @@ def _mp_reduced_transform(spec, f, y):
     (hankel(0.5), make_vanishing_moment_function([hankel(0.5).b0], [0.2, 1.0, 5.0]))],
     ids=["hankel-0-log", "hankel-0.5-criterion-9"])
 def test_moment_reduced_against_quadrature(spec, f):
-    # The reduced transform against 20-digit quadrature of the reduced
-    # kernel itself (x y <= 50), without the reduction identity.
+    # f's vanished moment makes F f the reduced transform: apply against
+    # 20-digit quadrature of the reduced kernel itself (x y <= 50).
     ys = [0.05, 0.5, 5.0]
-    res = moment_reduced_apply(spec, f, 1, ys, CFG)
+    res = apply(spec, f, ys, CFG)
     assert res.notes == []
     with mpmath.workdps(20):
         for y, v, e in zip(ys, res.values, res.errors):
