@@ -82,6 +82,8 @@ class ExperimentConfig:
                 raise ConfigError("weights must set beta and gamma explicitly")
             beta, gamma = float(doc["weights"]["beta"]), float(doc["weights"]["gamma"])
             family = _build_family(doc["family"])
+            if not family:
+                raise ConfigError("the family has no members")
             domain = doc.get("lhs_domain")
             lhs_domain = (0.0, math.inf)
             if domain is not None:

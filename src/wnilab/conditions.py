@@ -1,7 +1,8 @@
 """Weight-condition evaluators: Hardy-type supremum pairs, the glued
 single-condition form, the Lorentz-space necessity condition, closed-form
-power ranges per transform, and the kernel diagnostics in t = xy: envelope
-and primitive constants as suprema in t, and the Oinarov additivity verdict.
+power ranges per transform, the kernel diagnostics in t = xy: envelope and
+primitive constants as suprema in t, and the Oinarov additivity verdict, and
+a test function's general-monotonicity witness as a supremum in x.
 
 Every weight is a piecewise power, and so is a product of weight powers
 (``Weight.product``): every bracket is the exact ``Weight.integral`` of
@@ -32,7 +33,8 @@ import numpy as np
 
 from .kernels import KernelSpec, bessel_j_kernel, struve_h_kernel
 from .quadrature import NonConvergence
-from .weights import EXPONENT_TOLERANCE, ExponentSet, Weight
+from .weights import (EXPONENT_TOLERANCE, ExponentSet, GMWitness, TestFunction, Weight,
+                      power_moment)
 from .transforms import (_REACH_CAP, MissingPrimitiveBound, NoSeriesKernel, TransformSpec, _cut,
                          _table)
 
@@ -618,3 +620,63 @@ def oinarov_check(kernel: KernelSpec,
     if kappa > EXPONENT_TOLERANCE:
         return OinarovReport(list(n_grid), d_req, "unbounded", kappa)
     return OinarovReport(list(n_grid), d_req, "bounded", kappa, feasible_d=max(d_req))
+
+
+# ---------------------------------------------------------------------------
+# general monotonicity
+# ---------------------------------------------------------------------------
+
+# The dilation constant: M(x) grows with it, so the least C cannot grow.
+_GM_LAMBDA = 8.0
+
+
+def _gm_ratio(f: TestFunction, x: np.ndarray) -> np.ndarray:
+    """R(x) = x V(x) / M(x) at each x of an array, 0 where V is: V the
+    variation of f on the closed [x, 2x] (each piece's |c| |b^e - a^e| on its
+    part [a, b] of it, plus every jump in it, its ends included), M the
+    integral of |f| over [x / lambda, lambda x]."""
+    v, mass = np.zeros_like(x), np.zeros_like(x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for p in f.pieces:
+            a, b = np.maximum(x, p.lo), np.minimum(2.0 * x, p.hi)
+            v += np.where(b > a, abs(p.coef) * np.abs(b ** p.exponent - a ** p.exponent), 0.0)
+            mass += abs(p.coef) * power_moment(p.exponent, np.maximum(x / _GM_LAMBDA, p.lo),
+                                               np.minimum(_GM_LAMBDA * x, p.hi))
+        for s in f.breakpoints:
+            jump = sum((p.coef if p.hi == s else -p.coef) * s ** p.exponent
+                       for p in f.pieces if s in (p.lo, p.hi))
+            v += np.where((x <= s) & (s <= 2.0 * x), abs(jump), 0.0)
+        return np.where(v > 0.0, x * v / mass, 0.0)
+
+
+def check_gm(f: Callable) -> Optional[GMWitness]:
+    """The general-monotonicity witness (C, lambda = 8) of a test function:
+    the least C with var_[x,2x] f <= (C/x) int_(x/lambda)^(lambda x) |f| for
+    every x > 0, the supremum of ``_gm_ratio``.
+
+    R is smooth between the events b, b/2, b/lambda and lambda b of each
+    breakpoint b, and counting the jumps at both ends of [x, 2x] makes its
+    read at an event at least both one-sided limits.  From the outermost
+    events on, the window sees one end piece c x^e alone, where R is the
+    constant |2^e - 1| / int_(1/lambda)^lambda t^e dt (1/(4 log lambda) at
+    e = -1; 0 where f vanishes), and one piece on (0, inf) has it
+    everywhere.  So the scan reads every event (those of x = 1 without
+    breakpoints) and points inside each segment between them, and refines
+    about the best read (``_sup_scan``).
+
+    One lambda serves: M only grows with lambda, so R and C cannot.
+    A callable without closed-form pieces, such as np.sin, gets None: no
+    constant can be certified for it.  So does a constant on (0, inf), where
+    V and so C are 0; every other test function has finitely many pieces
+    and gets a finite witness."""
+    if not isinstance(f, TestFunction):
+        return None
+    events = np.unique(np.outer(f.breakpoints or (1.0,), (1.0 / _GM_LAMBDA, 0.5, 1.0, _GM_LAMBDA)))
+    t, rate = np.log(events), 1.0 + max(abs(p.exponent) for p in f.pieces)
+    reads = np.sort(np.concatenate([t] + [np.linspace(a, b, _INNER + int((b - a) * rate) + 2)[1:-1]
+                                          for a, b in zip(t, t[1:])]))
+    # The events read in x as well: exp(log(b/2)) can miss b by a rounding,
+    # and so the jump there.  lambda and 1/2 are powers of 2, so b/2 is exact.
+    c = max(float(np.max(_gm_ratio(f, events))),
+            _sup_scan(lambda x: _gm_ratio(f, x), "general monotonicity", reads, []).sup_value)
+    return GMWitness(C=c, lam=_GM_LAMBDA) if c > 0.0 else None

@@ -1,5 +1,4 @@
-"""Weights, Lebesgue exponent sets, closed-form test-function families and
-general-monotonicity checks.
+"""Weights, Lebesgue exponent sets and closed-form test-function families.
 
 Weights and test functions are piecewise powers, so values, products,
 moments, absolute integrals and weight integrals all have exact closed
@@ -14,7 +13,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -454,86 +453,3 @@ def make_vanishing_moment_function(orders: Sequence[float],
               for i in range(m) if abs(coefs[i]) > 0]
     return TestFunction("vanishing_moments", pieces, vanished_moments=tuple(orders),
                         params={"orders": list(orders), "nodes": nodes, "exponent": e})
-
-
-# ---------------------------------------------------------------------------
-# general monotonicity
-# ---------------------------------------------------------------------------
-
-_GM_LAMBDAS = (1.25, 1.5, 2.0, 4.0, 8.0)
-_GM_C_CAP = 1e6
-_GM_GROWTH_CAP = 3.0  # max tolerated growth of the fitted C per decade
-
-
-def _variation(f: Callable, x: float) -> float:
-    """Total variation of f on [x, 2x] from a 128-point log subgrid, with
-    jump points sampled from both sides."""
-    pts = list(np.geomspace(x, 2.0 * x, 128))
-    for b in getattr(f, "breakpoints", ()):
-        if x <= b <= 2.0 * x:
-            pts.extend([b * (1.0 - 1e-9), b * (1.0 + 1e-9)])
-    pts = np.sort(np.asarray(pts))
-    vals = f(pts)
-    return float(np.sum(np.abs(np.diff(vals))))
-
-
-def check_gm(f: Callable) -> Optional[GMWitness]:
-    """Fit the smallest constant C (over the lambda menu _GM_LAMBDAS) such
-    that the variation of f on [x, 2x] is dominated by (C/x) times its
-    average over [x/lambda, lambda*x] on a grid of 40 points per decade on
-    [1e-3, 1e3].  f is a test function or any callable on (0, inf), such as
-    np.sin.
-
-    Membership needs more than C staying under the cap on a finite grid:
-    the required constant must not grow systematically across decades,
-    otherwise any bounded grid would certify sin-like functions.  Returns
-    None when no tested lambda admits a stable constant.
-    """
-    x_grid = np.geomspace(1e-3, 1e3, 241)
-    variations = np.asarray([_variation(f, float(x)) for x in x_grid])
-
-    best: Optional[GMWitness] = None
-    for lam in _GM_LAMBDAS:
-        required = np.empty(len(x_grid))
-        for i, x in enumerate(x_grid):
-            if variations[i] == 0.0:
-                required[i] = 0.0
-                continue
-            avg = _abs_mass(f, x / lam, lam * x)
-            required[i] = math.inf if avg == 0.0 else variations[i] * x / avg
-        cmax = float(np.max(required))
-        if not math.isfinite(cmax) or cmax > _GM_C_CAP or cmax == 0.0:
-            continue
-        if _grows_across_decades(x_grid, required):
-            continue
-        if best is None or cmax < best.C:
-            best = GMWitness(C=cmax, lam=lam)
-    return best
-
-
-def _abs_mass(f: Callable, a: float, b: float) -> float:
-    """integral_a^b |f| (0 < a < b): exact for a test function, a log-grid
-    trapezoid for any other callable (the GM diagnostic only needs
-    percent-level accuracy, and blind quadrature of |f| stalls on
-    oscillatory tails)."""
-    if isinstance(f, TestFunction):
-        return f.abs_weighted_integral(0.0, a, b)
-    grid = np.geomspace(a, b, 512)
-    return float(np.trapezoid(np.abs(f(grid)), grid))
-
-
-def _grows_across_decades(x_grid: np.ndarray, required: np.ndarray) -> bool:
-    lo, hi = math.log10(x_grid[0]), math.log10(x_grid[-1])
-    edges = np.arange(math.floor(lo), math.ceil(hi) + 1)
-    maxima = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mask = (x_grid >= 10.0 ** a) & (x_grid < 10.0 ** b)
-        if np.any(mask):
-            maxima.append(float(np.max(required[mask])))
-    live = [(i, m) for i, m in enumerate(maxima) if m > 0.0]
-    if len(live) < 3:
-        return False
-    idx = np.asarray([i for i, _ in live], dtype=float)
-    logm = np.log10([m for _, m in live])
-    slope = float(np.polyfit(idx, logm, 1)[0])
-    return slope > math.log10(_GM_GROWTH_CAP)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from wnilab.cli import ExperimentConfig, compute_ratio_records, fit_growth, verify_summary
-from wnilab.conditions import (check_envelope, glued_condition, hardy_pair_condition,
+from wnilab.conditions import (check_envelope, check_gm, glued_condition, hardy_pair_condition,
                                oinarov_check, power_hardy_verdict, power_pitt_range,
                                struve_primitive_bound)
 from wnilab.kernels import (FarField, KernelSpec, PowerEnvelope, SeriesKernel, bessel_j,
@@ -19,7 +19,7 @@ from wnilab.kernels import (FarField, KernelSpec, PowerEnvelope, SeriesKernel, b
 from wnilab.quadrature import QuadratureConfig
 from wnilab.transforms import (_table, apply, hankel, near_expansion, pointwise_bound, scripth,
                                sine)
-from wnilab.weights import (ExponentSet, FunctionFamily, Weight, check_gm, make_truncated_power,
+from wnilab.weights import (ExponentSet, FunctionFamily, Weight, make_truncated_power,
                             make_vanishing_moment_function, TestFunction, Piece)
 
 

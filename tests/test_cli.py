@@ -687,8 +687,11 @@ def test_check_conditions_weight_with_zeros(tmp_path, capsys, weights):
     {"lhs_domain": [-1.0, 2.0]},
     {"lhs_domain": [2.0, 1.0]},
     {"lhs_domain": [0.0, 0.0]},
+    {"family": {"kind": "truncated_power", "grid": {"start": 1.0, "stop": 2.0, "points": 0}}},
+    {"family": {"kind": "log_counterexample", "n_values": []}},
 ], ids=["non-numeric-rel-tol", "one-element-lhs-domain", "negative-lhs-domain",
-        "reversed-lhs-domain", "empty-lhs-domain"])
+        "reversed-lhs-domain", "empty-lhs-domain", "truncated-power-no-points",
+        "log-counterexample-no-n-values"])
 def test_verify_config_errors_exit_2(tmp_path, extra):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(_modelmin_config(points=2, extra=extra)))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from wnilab.conditions import (ENDPOINT_TOLERANCE, EXPONENT_TOLERANCE, EnvelopeNotStrict,
-                               InverseRelationViolated, _extremes, glued_condition, gm_power_range,
+                               InverseRelationViolated, _extremes, _gm_ratio, check_gm,
+                               glued_condition, gm_power_range,
                                hardy_pair_condition, lorentz_necessity_condition,
                                oinarov_check, power_hardy_verdict, power_pitt_range,
                                vanishing_moment_range)
@@ -14,7 +15,7 @@ from wnilab.kernels import (KernelSpec, PowerEnvelope, bessel_j_kernel, model_mi
                             sine_kernel, struve_h_kernel)
 from wnilab.transforms import (MissingPrimitiveBound, NoSeriesKernel, cosine,
                                hankel, model_min, scripth, sine)
-from wnilab.weights import ExponentSet, Weight
+from wnilab.weights import ExponentSet, Piece, TestFunction, Weight, make_truncated_power
 
 ES22 = ExponentSet(p=2.0, q=2.0, a=1.0)
 
@@ -643,3 +644,25 @@ def test_steep_table_far_from_one_reads_its_constant(x0):
         assert len(u.kinks) == 0
         _, rep = hardy_pair_condition(u, Weight.power(50.0), one, one, ES22)
         assert rep.finite and rep.sup_value == pytest.approx(x0 ** 25 / 49.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("f,exact", [
+    (make_truncated_power(0.0, 1.0, "left"), 8.0 / 7.0),  # at x = 1
+    (make_truncated_power(0.0, 10.0, "right"), 1.0 / 6.0),  # at x = 5: the jump at 2x
+    (TestFunction("x^-1", [Piece(0.0, math.inf, 1.0, -1.0)]), 1.0 / (4.0 * math.log(8.0))),
+    (TestFunction("min(1,x^-2)", [Piece(0.0, 1.0, 1.0, 0.0), Piece(1.0, math.inf, 1.0, -2.0)]),
+     3.0 / 7.0),
+    (make_truncated_power(0.5, 1.0, "left"), None),
+    (make_truncated_power(1.5, 2.0, "left"), None),
+    (make_truncated_power(0.3, 0.5, "left"), None),
+    (make_truncated_power(2.5, 1.0, "left"), None),
+], ids=["indicator", "indicator-right", "x^-1", "min(1,x^-2)", "x^0.5", "x^1.5", "x^0.3", "x^2.5"])
+def test_gm_constant_is_the_exact_supremum(f, exact):
+    # At lambda = 8 the witness is the closed-form supremum where one is
+    # known, and no dense closed-form read of x V(x) / M(x) lies above it.
+    witness = check_gm(f)
+    assert witness.lam == 8.0
+    if exact is not None:
+        assert witness.C == pytest.approx(exact, rel=1e-12)
+    dense = _gm_ratio(f, np.geomspace(1e-3, 1e3, 10**5))
+    assert witness.C >= np.max(dense) * (1.0 - 1e-12)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wnilab.conditions import check_envelope
+from wnilab.conditions import check_envelope, check_gm
 from wnilab.kernels import FarField, KernelSpec, PowerEnvelope, SeriesKernel, struve_h
 from wnilab.quadrature import NonConvergence, QuadratureConfig
 from wnilab.transforms import (AdmissibilityError, MissingPrimitiveBound, DilationTable,
@@ -125,7 +125,6 @@ def test_pointwise_bound_gm_dominates():
     alpha = 1.0
     spec = scripth(alpha)
     f = make_truncated_power(1.5, 1.0, "left")  # x^(a+1/2) on (0,1)
-    from wnilab.weights import check_gm
     witness = check_gm(f)
     assert witness is not None
     f.gm_witness = witness

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wnilab.conditions import check_gm
 from wnilab.transforms import check_admissible, hankel, scripth
 from wnilab.weights import (ExponentSet, GMWitness, Piece, SingularSystem,
-                            TestFunction, Weight,
-                            check_gm, make_log_counterexample,
+                            TestFunction, Weight, make_log_counterexample,
                             make_truncated_power, make_vanishing_moment_function,
                             power_moment)
 
@@ -231,7 +231,9 @@ def test_gm_witnesses():
     assert check_gm(make_truncated_power(1.5, 2.0, "left")) is not None
     mono = TestFunction("x^-1", [Piece(0.0, math.inf, 1.0, -1.0)])
     assert check_gm(mono) is not None
-    assert check_gm(np.sin) is None
+    assert check_gm(np.sin) is None  # no closed form, nothing to certify
+    # A constant has no variation, so no witness with C > 0.
+    assert check_gm(TestFunction("1", [Piece(0.0, math.inf, 1.0, 0.0)])) is None
 
 
 def test_gm_witness_validation():
