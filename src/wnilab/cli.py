@@ -256,7 +256,8 @@ def _lhs_windows(cfg: ExperimentConfig, f: TestFunction, ends: _Ends, outer: Qua
     sent that window's (value, error) or thrown its failure.  The ends of
     (0, inf) are closed forms, read from f's row of its family's ends pass
     (``_family_ends``).  A transform value that is not finite on a window
-    raises DivergentIntegral."""
+    raises DivergentIntegral.  The integrand is (y^(u/q) |F f|)^q: y^u alone
+    overflows near a lower tail's y0."""
     spec, q = cfg.transform, cfg.exps.q
     u_exp = -q * cfg.power_pair[0]
 
@@ -264,7 +265,8 @@ def _lhs_windows(cfg: ExperimentConfig, f: TestFunction, ends: _Ends, outer: Qua
         vals = tr.apply(spec, f, ys, cfg.quadrature, check=False).values
         if not np.all(np.isfinite(vals)):
             raise DivergentIntegral("inner integral")
-        return ys ** u_exp * np.abs(vals) ** q
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (ys ** (u_exp / q) * np.abs(vals)) ** q
 
     if ends.failure is not None:
         raise ends.failure
@@ -391,6 +393,9 @@ def _record(cfg: ExperimentConfig, param: float, f: TestFunction, ends: _Ends,
                            f"lhs divergent ({exc.direction})")
     except NonConvergence as exc:
         return RatioRecord(param, exc.value, math.nan, math.nan, exc.error, 0.0, "nonconvergent")
+    except ValueError:  # a window's integrand that is not finite (``integrate``)
+        return RatioRecord(param, math.nan, ends.rhs, math.nan, 0.0, 0.0,
+                           "nonconvergent (integrand not finite)")
 
 
 def compute_ratio_records(cfg: ExperimentConfig) -> List[RatioRecord]:
@@ -511,6 +516,7 @@ def run_conditions(doc: dict) -> dict:
         transform, exps = _shared_blocks(doc)
         u, v, pair = _weights(doc, transform, exps)
     s, w = Weight.power(transform.b0), Weight.power(transform.b0)
+    env, pb = transform.kernel.envelope, transform.primitive_bound
 
     brackets = cond.BracketTable()
     rep1, rep2 = cond.hardy_pair_condition(u, v, s, w, exps, brackets)
@@ -522,6 +528,12 @@ def run_conditions(doc: dict) -> dict:
         "hardy_condition_1": rep1.to_dict(),
         "hardy_condition_2": rep2.to_dict(),
         "pair_finite": rep1.finite and rep2.finite,
+        # The kernel hypotheses the ranges apply: closed forms of the expansions.
+        "kernel": {"envelope": {"b1": env.b1, "b2": env.b2, "exact": env.exact,
+                                "strict": env.strict},
+                   "two_factor_estimate": transform.kernel_est_holds,
+                   "oscillatory": transform.kernel.oscillatory,
+                   "primitive_bound": None if pb is None else {"b": pb.b, "c": pb.c}},
     }
     if exps.a == 1.0:
         try:
@@ -623,11 +635,13 @@ def merge_report(artifacts: Sequence[Path], out_dir: Path) -> Tuple[Path, Path]:
             pair = "" if vd is None else ("finite" if vd.get("pair_finite") else "divergent")
             consistent = ""
             if vd is not None and bounded.get(eid) is not None:
-                # The sharp (iff) range where the document has one: the
-                # Hardy pair is only sufficient for some transforms.
+                # The sharp (iff) range where the document has one; else the
+                # Hardy pair, which is only sufficient: a divergent pair
+                # neither proves nor refutes a bounded ratio.
                 sharp = vd.get("power_range_sharp")
                 holds = sharp["satisfied"] if sharp else vd.get("pair_finite")
-                consistent = "CONSISTENT" if bool(holds) == bounded[eid] else "INCONSISTENT"
+                consistent = ("UNDECIDED" if not sharp and not holds and bounded[eid]
+                              else "CONSISTENT" if bool(holds) == bounded[eid] else "INCONSISTENT")
             writer.writerow([r.get(c, "") for c in _CSV_COLUMNS] + [pair, consistent])
     out_json = out_dir / "report_summary.json"
     _write_json(out_json, {"rows": len(rows),

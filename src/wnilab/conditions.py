@@ -1,8 +1,9 @@
 """Weight-condition evaluators: Hardy-type supremum pairs, the glued
 single-condition form, the Lorentz-space necessity condition, closed-form
-power ranges per transform, the kernel diagnostics in t = xy: envelope and
-primitive constants as suprema in t, and the Oinarov additivity verdict, and
-a test function's general-monotonicity witness as a supremum in x.
+power ranges read from the kernel's expansions, the kernel diagnostics in
+t = xy: envelope and primitive constants as suprema in t, and the Oinarov
+additivity verdict, and a test function's general-monotonicity witness as a
+supremum in x.
 
 Every weight is a piecewise power, and so is a product of weight powers
 (``Weight.product``): every bracket is the exact ``Weight.integral`` of
@@ -31,12 +32,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernels import KernelSpec, bessel_j_kernel, struve_h_kernel
+from .kernels import KernelSpec
 from .quadrature import NonConvergence
-from .weights import (EXPONENT_TOLERANCE, ExponentSet, GMWitness, TestFunction, Weight,
-                      power_moment)
+from .weights import EXPONENT_TOLERANCE, ExponentSet, GMWitness, TestFunction, Weight
 from .transforms import (_REACH_CAP, MissingPrimitiveBound, NoSeriesKernel, TransformSpec, _cut,
-                         _table)
+                         _table, primitive_exponents)
 
 ENDPOINT_TOLERANCE = 0.05  # verdicts this close to an analytic endpoint are not asserted
 
@@ -372,11 +372,12 @@ def _relation_offset(spec: TransformSpec, exps: ExponentSet) -> float:
 
 def power_pitt_range(spec: TransformSpec, exps: ExponentSet
                      ) -> Tuple[RangeVerdict, Optional[RangeVerdict]]:
-    """Sufficient exponent range from the two-regime power envelope, and
-    the known sharp (iff) range where one exists for the named transform.
-    """
+    """Sufficient exponent range from the two-regime power envelope, and a
+    sharp (iff) range where the kernel oscillates: Pitt's range [max(1/q -
+    1/p', 0) + c0 + b2, 1/q + c0 + b1) with the two-factor estimate, else
+    the sufficient range itself for an exact envelope."""
     _require_strict(spec)
-    env = spec.kernel.envelope
+    env, oscillatory = spec.kernel.envelope, spec.kernel.oscillatory
     q, pp = exps.q, exps.p_prime
     offset = _relation_offset(spec, exps)
     suff = RangeVerdict("power_sufficient",
@@ -384,32 +385,27 @@ def power_pitt_range(spec: TransformSpec, exps: ExponentSet
                         False, False, offset)
 
     sharp: Optional[RangeVerdict] = None
-    if spec.name == "hankel":
-        lo = max(1.0 / q - 1.0 / pp, 0.0) - spec.alpha - 0.5
-        sharp = RangeVerdict("power_sharp", lo, 1.0 / q, True, False, offset, sharp=True)
-    elif spec.name == "sine":
-        lo = max(1.0 / q - 1.0 / pp, 0.0)
-        sharp = RangeVerdict("power_sharp", lo, 1.0 + 1.0 / q, True, False, offset, sharp=True)
-    elif spec.name == "scripth" and env.exact:
-        sharp = RangeVerdict("power_sharp", suff.lo, suff.hi, False, False,
-                             offset, sharp=True)
+    if oscillatory and spec.kernel_est_holds:
+        sharp = RangeVerdict("power_sharp", max(1.0 / q - 1.0 / pp, 0.0) + spec.c0 + env.b2,
+                             suff.hi, True, False, offset, sharp=True)
+    elif oscillatory and env.exact:
+        sharp = RangeVerdict("power_sharp", suff.lo, suff.hi, False, False, offset, sharp=True)
     return suff, sharp
 
 
 def gm_power_range(spec: TransformSpec, exps: ExponentSet) -> RangeVerdict:
     """Exponent range valid for admissible general-monotone functions,
     driven by the primitive bound (b >= 0, c < b1) instead of the kernel's
-    large-argument envelope."""
+    large-argument envelope; sharp wherever it exists."""
     pb = spec.primitive_bound
     if pb is None:
         raise MissingPrimitiveBound(spec.name)
     env = spec.kernel.envelope
     if pb.b < 0 or pb.c >= env.b1:
         raise ValueError("gm range needs primitive bound with b >= 0 and c < b1")
-    offset = _relation_offset(spec, exps)
-    sharp = spec.name in ("hankel", "sine", "cosine", "scripth")
     return RangeVerdict("gm_range", 1.0 / exps.q + spec.c0 + pb.c,
-                        1.0 / exps.q + spec.c0 + env.b1, False, False, offset, sharp=sharp)
+                        1.0 / exps.q + spec.c0 + env.b1, False, False,
+                        _relation_offset(spec, exps), sharp=True)
 
 
 def vanishing_moment_range(spec: TransformSpec, n: int, exps: ExponentSet) -> RangeVerdict:
@@ -547,12 +543,16 @@ def check_envelope(kernel: KernelSpec) -> EnvelopeReport:
     return EnvelopeReport(*_extremes(*ends), *(_extremes(*ends, -1.0) if env.exact else ()))
 
 
-def _primitive_bound(kernel: KernelSpec, nu: float, k_near: float, k_far: float,
-                     near: bool) -> Tuple[float, float]:
-    """(C, argmax_t): the supremum of |Phi_nu(t)| / min{t^k_near, t^k_far}
-    over t > 0, or t >= 1 without a ``near`` end, from the dilation table of
-    (kernel, nu): toward 0 its series integrated, sum a_m t^(e_m+1)/(e_m+1),
-    toward inf the Mellin constant plus the far field integrated."""
+def primitive_bound(kernel: KernelSpec, nu: float) -> Tuple[float, float]:
+    """(C, argmax_t): the supremum over t > 0 of |Phi_nu(t)| / min{t^k_near,
+    t^k_far} (``primitive_exponents``), from the dilation table of (kernel,
+    nu): toward 0 its series integrated, sum a_m t^(e_m+1)/(e_m+1), toward
+    inf the Mellin constant plus the far field integrated.  The primitive of
+    t^nu phi(t y) is y^(-nu-1) Phi_nu(xy), so C bounds it for every x and y.
+    Raises ValueError where t^nu phi(t) is not integrable at 0."""
+    k_near, k_far = primitive_exponents(kernel, nu)
+    if not k_near > 0.0:
+        raise ValueError(f"t^nu phi(t) ~ t^{k_near - 1.0:g} is not integrable at 0 (nu = {nu:g})")
     table = _table(kernel, nu)
     far, step = table.far_field, (kernel.series or kernel.near).step
     s = nu + far.drift_power + 1.0 - 2.0 * np.arange(len(far.drift))
@@ -561,28 +561,10 @@ def _primitive_bound(kernel: KernelSpec, nu: float, k_near: float, k_far: float,
     return _extremes(lambda t: np.abs(table.integral(np.zeros(len(t)), t)[0])
                      / np.minimum(t ** k_near, t ** k_far),
                      [(np.abs(table.coefs / (table.exponents + 1.0)),
-                       table.exponents[0] + 1.0 - k_near, -step)] if near else None,
+                       table.exponents[0] + 1.0 - k_near, -step)],
                      [(np.array([abs(table.mellin()[0])]), -k_far, 1.0),
                       (abs(far.scale) * table.osc_e_abs, table.osc_power - k_far, 1.0),
                       (drift, nu + far.drift_power + 1.0 - k_far, 2.0)], kernel.crossover)
-
-
-def struve_primitive_bound(alpha: float, nu: float) -> Tuple[float, float]:
-    """(C, argmax_t) for the least C in |h(x; y)| <= C y^-1 x^nu min{(xy)^(a+2),
-    (xy)^a}, h the zero-constant primitive of t^nu Struve_a(t y): h(x; y) =
-    y^(-nu-1) Phi_nu(xy), so C is a supremum over t = xy."""
-    if nu < 0.5:
-        raise ValueError("nu must be >= 1/2")
-    return _primitive_bound(struve_h_kernel(alpha), nu, nu + alpha + 2.0, nu + alpha, True)
-
-
-def bessel_primitive_bound(alpha: float, nu: float) -> Tuple[float, float]:
-    """(C, argmax_t) for the least C in |g(x; y)| <= C x^(nu - a - 1/2)
-    y^(-a - 3/2) for xy >= 1, g the zero-constant primitive of t^nu j_a(t y):
-    g(x; y) = y^(-nu-1) Phi_nu(xy), so C is a supremum over t = xy >= 1."""
-    if alpha < -0.5 or nu <= -1.0:
-        raise ValueError("the order must be >= -1/2, and nu > -1 for an integrable origin")
-    return _primitive_bound(bessel_j_kernel(alpha), nu, nu - alpha - 0.5, nu - alpha - 0.5, False)
 
 
 @dataclass
@@ -635,13 +617,12 @@ def _gm_ratio(f: TestFunction, x: np.ndarray) -> np.ndarray:
     variation of f on the closed [x, 2x] (each piece's |c| |b^e - a^e| on its
     part [a, b] of it, plus every jump in it, its ends included), M the
     integral of |f| over [x / lambda, lambda x]."""
-    v, mass = np.zeros_like(x), np.zeros_like(x)
+    v = np.zeros_like(x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for p in f.pieces:
             a, b = np.maximum(x, p.lo), np.minimum(2.0 * x, p.hi)
             v += np.where(b > a, abs(p.coef) * np.abs(b ** p.exponent - a ** p.exponent), 0.0)
-            mass += abs(p.coef) * power_moment(p.exponent, np.maximum(x / _GM_LAMBDA, p.lo),
-                                               np.minimum(_GM_LAMBDA * x, p.hi))
+        mass = f.abs_weighted_integral(0.0, x / _GM_LAMBDA, _GM_LAMBDA * x)
         for s in f.breakpoints:
             jump = sum((p.coef if p.hi == s else -p.coef) * s ** p.exponent
                        for p in f.pieces if s in (p.lo, p.hi))

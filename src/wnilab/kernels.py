@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -366,22 +366,6 @@ def struve_h_error(alpha: float, x):
     return _dispatch(x, alpha, small, large)
 
 
-def struve_derivative_check(alpha: float, x: float, h: float) -> float:
-    """Centered-difference residual of d/dx (x^a Struve_a(x)) = x^a Struve_{a-1}(x).
-
-    Requires alpha > 1/2 so both orders stay in range.  The residual decays
-    like h^2.
-    """
-    if alpha <= 0.5:
-        raise ValueError("derivative identity check needs order > 1/2")
-    if x <= h:
-        raise ValueError("step must be smaller than the evaluation point")
-    up = (x + h) ** alpha * struve_h(alpha, x + h)
-    dn = (x - h) ** alpha * struve_h(alpha, x - h)
-    diff = (up - dn) / (2.0 * h)
-    return abs(diff - x ** alpha * struve_h(alpha - 1.0, x))
-
-
 # ---------------------------------------------------------------------------
 # envelopes
 # ---------------------------------------------------------------------------
@@ -460,10 +444,10 @@ class KernelSpec:
     phi_error: Optional[Callable[[np.ndarray], np.ndarray]] = None
     crossover: float = _CROSSOVER
 
-    @property
+    @cached_property
     def oscillatory(self) -> bool:
         """phi oscillates with period 2 pi in t: its far field has an
-        oscillatory part."""
+        oscillatory part.  Read once per kernel."""
         return self.far_field is not None and bool(np.any(self.far_field.osc))
 
 

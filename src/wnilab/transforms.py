@@ -21,7 +21,8 @@ import numpy as np
 from .kernels import (_ASYMPTOTIC_MAX_TERMS, KernelSpec, _smallest_term_index, bessel_j_kernel,
                       cosine_kernel, model_min_kernel, sine_kernel, struve_h_kernel)
 from .quadrature import NonConvergence, QuadratureConfig
-from .weights import DIVERGENCE_MARGIN, FunctionFamily, TestFunction, power_moment
+from .weights import (DIVERGENCE_MARGIN, EXPONENT_TOLERANCE, FunctionFamily, TestFunction,
+                      power_moment)
 
 
 class AdmissibilityError(Exception):
@@ -39,64 +40,77 @@ class MissingPrimitiveBound(Exception):
 @dataclass(frozen=True)
 class PrimitiveBound:
     """|G(x,y)| <= C x^b y^c for xy >= 1, where G is the zero-constant
-    primitive of x^nu times the kernel factor."""
+    primitive of x^b0 times the kernel factor."""
 
     b: float
     c: float
 
 
+def primitive_exponents(kernel: KernelSpec, nu: float) -> Tuple[float, float]:
+    """(k_near, k_far): Phi_nu(t), the integral from 0 of t^nu phi(t), is
+    of order t^k_near toward 0, the series' leading power integrated, and
+    less its Mellin constant of order t^k_far toward inf, the larger of the
+    far field's parts integrated: the oscillatory one keeps its power, the
+    drift gains one."""
+    far = kernel.far_field
+    parts = [far.osc_power] * kernel.oscillatory + [far.drift_power + 1.0] * bool(far.drift)
+    return nu + (kernel.series or kernel.near).b1 + 1.0, nu + max(parts)
+
+
 @dataclass(frozen=True)
 class TransformSpec:
-    """Outer power factors (b0, c0) plus an evaluatable kernel.
-
-    kernel_est_holds records whether |K| <= C min{1, (x^b0 y^b0)^(-1/2)}
-    is valid, which the standard pointwise bound requires.
-    """
+    """F f(y) = y^c0 integral x^b0 f(x) phi(xy) dx: the outer power factors
+    (b0, c0) plus an evaluatable kernel.  The kernel hypotheses are read
+    from the kernel's expansions; ``alpha`` only names a preset's order."""
 
     name: str
     b0: float
     c0: float
     kernel: KernelSpec
-    kernel_est_holds: bool = False
-    primitive_bound: Optional[PrimitiveBound] = None
     alpha: Optional[float] = None
+
+    @property
+    def kernel_est_holds(self) -> bool:
+        """The two-factor estimate |t^c0 phi(t)| <= C min{1, t^(-b0/2)},
+        which the standard pointwise bound requires: the envelope of
+        t^c0 phi, min{t^(c0 + b1), t^(c0 + b2)}, lies below it."""
+        env = self.kernel.envelope
+        return (self.c0 + env.b1 >= -EXPONENT_TOLERANCE
+                and self.c0 + env.b2 <= -0.5 * self.b0 + EXPONENT_TOLERANCE)
+
+    @property
+    def primitive_bound(self) -> Optional[PrimitiveBound]:
+        """(b, c) for an oscillating kernel, None for any other: G(x, y) =
+        y^(-b0-1) Phi_b0(xy) is of order x^b y^c for xy >= 1 with b the
+        far exponent k_far of Phi_b0 (``primitive_exponents``) and c = b -
+        b0 - 1."""
+        if not self.kernel.oscillatory:
+            return None
+        b = primitive_exponents(self.kernel, self.b0)[1]
+        return PrimitiveBound(b, b - self.b0 - 1.0)
 
 
 def hankel(alpha: float) -> TransformSpec:
     """F f(y) = integral x^(2a+1) f(x) j_a(xy) dx with the normalized Bessel kernel."""
-    return TransformSpec(
-        name="hankel", b0=2.0 * alpha + 1.0, c0=0.0,
-        kernel=bessel_j_kernel(alpha), kernel_est_holds=True,
-        primitive_bound=PrimitiveBound(b=alpha + 0.5, c=-alpha - 1.5),
-        alpha=alpha)
+    return TransformSpec("hankel", 2.0 * alpha + 1.0, 0.0, bessel_j_kernel(alpha), alpha)
 
 
 def scripth(alpha: float) -> TransformSpec:
     """F f(y) = integral (xy)^(1/2) f(x) Struve_a(xy) dx."""
-    return TransformSpec(
-        name="scripth", b0=0.5, c0=0.5,
-        kernel=struve_h_kernel(alpha), kernel_est_holds=False,
-        primitive_bound=PrimitiveBound(b=alpha + 0.5, c=alpha - 1.0),
-        alpha=alpha)
+    return TransformSpec("scripth", 0.5, 0.5, struve_h_kernel(alpha), alpha)
 
 
 def sine() -> TransformSpec:
-    return TransformSpec(
-        name="sine", b0=0.0, c0=0.0, kernel=sine_kernel(), kernel_est_holds=True,
-        primitive_bound=PrimitiveBound(b=0.0, c=-1.0))
+    return TransformSpec("sine", 0.0, 0.0, sine_kernel())
 
 
 def cosine() -> TransformSpec:
-    return TransformSpec(
-        name="cosine", b0=0.0, c0=0.0, kernel=cosine_kernel(), kernel_est_holds=True,
-        primitive_bound=PrimitiveBound(b=0.0, c=-1.0))
+    return TransformSpec("cosine", 0.0, 0.0, cosine_kernel())
 
 
 def model_min(delta: float) -> TransformSpec:
     """The exactly two-sided model: K = 1 for xy <= 1, (xy)^(-delta/2) beyond."""
-    return TransformSpec(
-        name="model_min", b0=delta, c0=0.0, kernel=model_min_kernel(delta),
-        kernel_est_holds=True)
+    return TransformSpec("model_min", delta, 0.0, model_min_kernel(delta))
 
 
 _PRESETS = {

@@ -303,9 +303,11 @@ class TestFunction:
         return sum(p.coef * power_moment(mu + p.exponent, p.lo, p.hi)
                    for p in self.pieces)
 
-    def abs_weighted_integral(self, mu: float, a: float, b: float) -> float:
-        """integral_a^b x^mu |f(x)| dx."""
-        return sum(abs(p.coef) * power_moment(mu + p.exponent, max(a, p.lo), min(b, p.hi))
+    def abs_weighted_integral(self, mu: float, a, b):
+        """integral_a^b x^mu |f(x)| dx, broadcast over arrays of ends a and
+        b, a float for floats."""
+        return sum(abs(p.coef) * power_moment(mu + p.exponent, np.maximum(a, p.lo),
+                                              np.minimum(b, p.hi))
                    for p in self.pieces)
 
     def scaled(self, sigma: float) -> "TestFunction":

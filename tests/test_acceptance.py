@@ -13,14 +13,16 @@ import pytest
 from wnilab.cli import ExperimentConfig, compute_ratio_records, fit_growth, verify_summary
 from wnilab.conditions import (check_envelope, check_gm, glued_condition, hardy_pair_condition,
                                oinarov_check, power_hardy_verdict, power_pitt_range,
-                               struve_primitive_bound)
+                               primitive_bound)
 from wnilab.kernels import (FarField, KernelSpec, PowerEnvelope, SeriesKernel, bessel_j,
-                            model_min_kernel, struve_derivative_check, struve_h, struve_h_kernel)
+                            model_min_kernel, struve_h, struve_h_kernel)
 from wnilab.quadrature import QuadratureConfig
-from wnilab.transforms import (_table, apply, hankel, near_expansion, pointwise_bound, scripth,
-                               sine)
+from wnilab.transforms import (_table, apply, hankel, near_expansion, pointwise_bound,
+                               primitive_exponents, scripth, sine)
 from wnilab.weights import (ExponentSet, FunctionFamily, Weight, make_truncated_power,
                             make_vanishing_moment_function, TestFunction, Piece)
+
+from test_kernels import struve_derivative_check
 
 
 def _line(num: int, ok: bool, detail: str) -> bool:
@@ -53,21 +55,23 @@ def test_criterion_2_derivative_identity():
 def test_criterion_3_struve_primitive_bound():
     # C = sup_t |Phi_nu(t)| / min{t^(nu+a+2), t^(nu+a)}, Phi_nu the primitive of
     # t^nu H_a: attained at argmax_t (20-digit quadrature), and no dense read of
-    # t on [1e-6, 1e6] lies above it.
+    # t on [1e-6, 1e6] lies above it.  (1, 1/4) lies below the lemma's nu >= 1/2,
+    # which the supremum does not need.
     ts = np.geomspace(1e-6, 1e6, 4_001)
     worst, dense_ok, found = 0.0, True, []
-    for alpha, nu, value in ((0.5, 1.5, 0.6329492), (1.0, 0.5, 0.5341040), (1.0, 2.0, 0.3206279)):
-        c, t = struve_primitive_bound(alpha, nu)
+    for alpha, nu, value in ((0.5, 1.5, 0.6329492), (1.0, 0.5, 0.5341040), (1.0, 2.0, 0.3206279),
+                             (1.0, 0.25, 0.5981598)):
+        kernel = struve_h_kernel(alpha)
+        c, t = primitive_bound(kernel, nu)
         assert c == pytest.approx(value, abs=1e-7)
+        assert primitive_exponents(kernel, nu) == (nu + alpha + 2.0, nu + alpha)
         envelope = lambda t: np.minimum(t ** (nu + alpha + 2.0), t ** (nu + alpha))
         with mpmath.workdps(20):
             exact = abs(mpmath.quad(lambda s: s ** nu * mpmath.struveh(alpha, s), [0, t]))
             worst = max(worst, float(abs(exact / envelope(mpmath.mpf(t)) / c - 1)))
-        dense = np.abs(_table(struve_h_kernel(alpha), nu).integral(np.zeros(ts.size), ts)[0])
+        dense = np.abs(_table(kernel, nu).integral(np.zeros(ts.size), ts)[0])
         dense_ok = dense_ok and bool(np.max(dense / envelope(ts)) <= c * (1.0 + 1e-12))
         found.append(f"{c:.7f} at t={t:.4f}")
-    with pytest.raises(ValueError):
-        struve_primitive_bound(1.0, 0.25)
     assert _line(3, worst <= 1e-10 and dense_ok,
                  f"primitive bound constants {', '.join(found)}: {worst:.1e} from quadrature at "
                  f"argmax_t (tol 1e-10), no dense read above: {dense_ok}")

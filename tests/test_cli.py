@@ -150,6 +150,45 @@ def test_divergent_inner_value_on_a_window_is_a_divergent_row(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_steep_lower_tail_inside_the_sufficient_range_reads_its_ratio(tmp_path, capsys):
+    # scripth(1/4), beta = gamma = 2 in the power normalization, f = x^-2.8
+    # on (r, inf): the power range holds.  The lower tail puts y0 near 6e-78,
+    # where y^u = y^-4 alone overflows; (y^(u/q) |F f|)^q does not, so every
+    # member reads the same ratio (dilation exponent 0), with no note and no
+    # traceback.
+    doc = {"experiment_id": "scripth-steep", "transform": {"name": "scripth", "alpha": 0.25},
+           "exponents": {"p": 2.0, "q": 2.0, "a": 1.0}, "weights": {"beta": 2.0, "gamma": 2.0},
+           "normalization": "power",
+           "family": {"kind": "truncated_power", "sigma": -2.8, "side": "right",
+                      "grid": {"start": 0.1, "stop": 10.0, "points": 5}},
+           "quadrature": {"rel_tol": 1e-6, "norm_rel_tol": 1e-3}}
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(doc))
+    assert run_conditions(doc)["power_range"]["satisfied"] is True
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "scripth-steep_records.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5 and all(row["note"] == "" for row in rows)
+    assert all(float(row["ratio"]) == pytest.approx(1.71806, rel=1e-5) for row in rows)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_integrand_that_is_not_finite_is_a_nonconvergent_record(monkeypatch):
+    # Transform values so large that |F f|^q overflows on the window: each
+    # record says so and keeps its rhs, instead of the command failing.
+    apply = transforms.apply
+
+    def huge(*args, **kwargs):
+        res = apply(*args, **kwargs)
+        return dataclasses.replace(res, values=np.full_like(res.values, 1e200))
+
+    monkeypatch.setattr(transforms, "apply", huge)
+    cfg = ExperimentConfig.from_dict(_modelmin_config(points=2))
+    records = compute_ratio_records(cfg)
+    assert [r.note for r in records] == ["nonconvergent (integrand not finite)"] * 2
+    assert all(math.isnan(r.lhs) and 0.0 < r.rhs < math.inf for r in records)
+
+
 def _one_by_one(cfg):
     """Each member's record from a one-member family of its own."""
     return [compute_ratio_records(dataclasses.replace(cfg, family=[member]))[0]
@@ -234,11 +273,14 @@ def _family_cases():
 
 
 FAMILY_CASES = _family_cases()
-# The first 16 hex digits of the sha256 of each case's records CSV, as
-# written when every member's ends were computed member by member.
+# The first 16 hex digits of the sha256 of each case's records CSV, first
+# written when every member's ends were computed member by member; the first
+# four re-pinned when the outer integrand became (y^(u/q) |F f|)^q, which
+# moved their lhs and ratio by at most 3e-16 relative and lhs_err by at most
+# 4.4e-7.
 MEMBER_BY_MEMBER_RECORDS = {
-    "hankel-left-13": "e3a492fe543b5291", "hankel-right-13": "9bc012c279cc5c6d",
-    "hankel-log": "e44ec04b87168e21", "cosine-log-window": "b97de37c60cc17b7",
+    "hankel-left-13": "652fbffdd07399e3", "hankel-right-13": "cb787dc86a962464",
+    "hankel-log": "ae5f6afcfe7d4190", "cosine-log-window": "39bd1a624842a105",
     "hankel-divergent": "912d477d871363ed", "sine-log-end": "e49b4e9388b33fc8",
 }
 
@@ -443,6 +485,28 @@ def test_run_conditions_document():
     assert doc["pair_finite"] is False
 
 
+@pytest.mark.parametrize("transform,kernel", [
+    ({"name": "hankel", "alpha": 0.0},
+     {"envelope": {"b1": 0.0, "b2": -0.5, "exact": False, "strict": True},
+      "two_factor_estimate": True, "oscillatory": True,
+      "primitive_bound": {"b": 0.5, "c": -1.5}}),
+    ({"name": "scripth", "alpha": 1.0},
+     {"envelope": {"b1": 2.0, "b2": 0.0, "exact": True, "strict": True},
+      "two_factor_estimate": False, "oscillatory": True,
+      "primitive_bound": {"b": 1.5, "c": 0.0}}),
+    ({"name": "model_min", "delta": 2.0},
+     {"envelope": {"b1": 0.0, "b2": -1.0, "exact": True, "strict": True},
+      "two_factor_estimate": True, "oscillatory": False, "primitive_bound": None}),
+], ids=["hankel", "scripth", "model_min"])
+def test_conditions_document_names_its_kernel_hypotheses(transform, kernel, monkeypatch):
+    # The kernel block is closed forms read from the expansions: it needs no
+    # Phi_nu table and no kernel point.
+    monkeypatch.setattr(transforms, "_dilation_table", None)
+    doc = run_conditions({"transform": transform, "exponents": {"p": 2.0, "q": 2.0},
+                          "weights": {"beta": 0.25, "gamma": 0.25}})
+    assert doc["kernel"] == kernel
+
+
 def test_shipped_conditions_config_lorentz_finite():
     # Hankel order 0, beta = gamma = 1/4, p = q = 2: in the plain power
     # normalization u = y^(-1/2) and v = x^(5/2), with s = x, so the
@@ -537,6 +601,29 @@ def test_cli_end_to_end(tmp_path):
     merged = (out / "report.csv").read_text().splitlines()
     assert merged[0].endswith("pair_verdict,consistent")
     assert [line.split(",")[-1] for line in merged[1:]] == ["CONSISTENT"] * 5
+
+
+def test_report_is_undecided_where_only_a_sufficient_pair_diverges(tmp_path):
+    # The cosine transform has no sharp range, and its Hardy pair is
+    # divergent at every power pair; at beta = gamma = 0 (Plancherel) the
+    # ratio of the indicators of (0, r) is flat, so verify reads bounded.
+    # The pair is only sufficient: neither verdict refutes the other.
+    doc = {"experiment_id": "cos", "transform": {"name": "cosine"},
+           "exponents": {"p": 2.0, "q": 2.0, "a": 1.0}, "weights": {"beta": 0.0, "gamma": 0.0},
+           "normalization": "power",
+           "family": {"kind": "truncated_power", "sigma": 0.0, "side": "left",
+                      "grid": {"start": 0.5, "stop": 2.0, "points": 4}}}
+    path = tmp_path / "cos.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert main(["check-conditions", "--config", str(path), "--out", str(tmp_path)]) == 0
+    conditions = json.loads((tmp_path / "cos_conditions.json").read_text())
+    assert conditions["pair_finite"] is False and "power_range_sharp" not in conditions
+    assert json.loads((tmp_path / "cos_summary.json").read_text())["bounded"] is True
+    assert main(["report", str(tmp_path / "cos_records.csv"), str(tmp_path / "cos_summary.json"),
+                 str(tmp_path / "cos_conditions.json"), "--out", str(tmp_path)]) == 0
+    merged = (tmp_path / "report.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[-2:] for line in merged] == [["divergent", "UNDECIDED"]] * 4
 
 
 @pytest.mark.parametrize("name,bounded", [("hankel_verify_endpoint", False),

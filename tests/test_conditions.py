@@ -14,7 +14,7 @@ from wnilab.conditions import (ENDPOINT_TOLERANCE, EXPONENT_TOLERANCE, EnvelopeN
 from wnilab.kernels import (KernelSpec, PowerEnvelope, bessel_j_kernel, model_min_kernel,
                             sine_kernel, struve_h_kernel)
 from wnilab.transforms import (MissingPrimitiveBound, NoSeriesKernel, cosine,
-                               hankel, model_min, scripth, sine)
+                               hankel, model_min, preset, scripth, sine)
 from wnilab.weights import ExponentSet, Piece, TestFunction, Weight, make_truncated_power
 
 ES22 = ExponentSet(p=2.0, q=2.0, a=1.0)
@@ -255,6 +255,64 @@ def test_power_ranges_match_known_values():
 
     with pytest.raises(EnvelopeNotStrict):
         power_pitt_range(cosine(), ES22)
+
+
+# The kernel hypotheses each preset declared by hand before they were read
+# from the expansions: (name, parameters, two-factor estimate, primitive
+# bound (b, c) or None).
+DECLARED_HYPOTHESES = (
+    [("hankel", {"alpha": a}, True, (a + 0.5, -a - 1.5))
+     for a in (-0.5, -0.25, 0.0, 0.3, 0.5, 0.7, 1.0, 2.5, 5.0, 10.0)]
+    + [("scripth", {"alpha": a}, False, (a + 0.5, a - 1.0))
+       for a in (-0.25, 0.0, 0.25, 0.3, 0.5, 0.75, 1.0, 2.0)]
+    + [("sine", {}, True, (0.0, -1.0)), ("cosine", {}, True, (0.0, -1.0))]
+    + [("model_min", {"delta": d}, True, None) for d in (1.0, 2.0, 3.0)])
+
+
+def _declared_sharp(name, alpha, suff, exps):
+    """The sharp range each preset named by hand, (lo, hi, lo_closed), or None."""
+    m = max(1.0 / exps.q - 1.0 / exps.p_prime, 0.0)
+    if name == "hankel":
+        return m - alpha - 0.5, 1.0 / exps.q, True
+    if name == "sine":
+        return m, 1.0 + 1.0 / exps.q, True
+    if name == "scripth" and alpha > 0.5:
+        return suff.lo, suff.hi, False
+    return None
+
+
+@pytest.mark.parametrize("name,params,estimate,bound", DECLARED_HYPOTHESES,
+                         ids=[f"{n}-{p}" for n, p, _, _ in DECLARED_HYPOTHESES])
+def test_kernel_hypotheses_read_from_the_expansions_match_the_declared(name, params, estimate,
+                                                                      bound):
+    # The two-factor estimate, the primitive bound and both sharp-range rules
+    # read from each kernel's expansions are, bit for bit, what the presets
+    # declared; so is the gm range's sharp flag (every preset with a
+    # primitive bound).  At p = q = 2 and (3/2, 3), 1/q - 1/p' = 0 and the
+    # Pitt end is bitwise; at (5/4, 2) it is m + (c0 + b2) against the
+    # declared m - alpha - 1/2, a rounding apart.
+    spec = preset(name, **params)
+    pb = spec.primitive_bound
+    assert spec.kernel_est_holds is estimate
+    assert (None if pb is None else (pb.b, pb.c)) == bound
+    if pb is None:
+        with pytest.raises(MissingPrimitiveBound):
+            gm_power_range(spec, ES22)
+    else:
+        assert gm_power_range(spec, ES22).sharp
+    if not spec.kernel.envelope.strict:
+        return
+    for exps, rounding in ((ES22, 0.0), (ExponentSet(p=1.5, q=3.0), 0.0),
+                           (ExponentSet(p=1.25, q=2.0), 2.0 ** -52)):
+        suff, sharp = power_pitt_range(spec, exps)
+        declared = _declared_sharp(name, params.get("alpha"), suff, exps)
+        if declared is None:
+            assert sharp is None
+            continue
+        lo, hi, lo_closed = declared
+        assert (sharp.hi, sharp.lo_closed, sharp.hi_closed, sharp.sharp) == (hi, lo_closed,
+                                                                            False, True)
+        assert abs(sharp.lo - lo) <= rounding * max(1.0, abs(lo))
 
 
 def test_power_range_relation_offset():

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from scipy.special import gamma as scipy_gamma, jv as scipy_jv, struve as scipy_struve
 
-from wnilab.conditions import bessel_primitive_bound, check_envelope, struve_primitive_bound
+from wnilab.conditions import check_envelope, primitive_bound
 from wnilab.kernels import (KernelSpec, PowerEnvelope, _smallest_term_index, bessel_j,
                             bessel_j_error, bessel_j_kernel, cosine_kernel, model_min_kernel,
-                            sine_kernel, struve_derivative_check, struve_h, struve_h_error,
-                            struve_h_kernel)
-from wnilab.transforms import _table, struve_primitive
+                            sine_kernel, struve_h, struve_h_error, struve_h_kernel)
+from wnilab.transforms import _table, primitive_exponents, struve_primitive
 
 XS = np.geomspace(1e-3, 100.0, 200)
 
@@ -276,6 +275,18 @@ def test_orders_whose_constants_overflow_are_refused():
         bessel_j(200.0, 1e3)
 
 
+def struve_derivative_check(alpha: float, x: float, h: float) -> float:
+    """Centered-difference residual of d/dx (x^a Struve_a(x)) = x^a Struve_(a-1)(x),
+    which decays like h^2.  Requires alpha > 1/2 so both orders stay in range."""
+    if alpha <= 0.5:
+        raise ValueError("derivative identity check needs order > 1/2")
+    if x <= h:
+        raise ValueError("step must be smaller than the evaluation point")
+    up = (x + h) ** alpha * struve_h(alpha, x + h)
+    dn = (x - h) ** alpha * struve_h(alpha, x - h)
+    return abs((up - dn) / (2.0 * h) - x ** alpha * struve_h(alpha - 1.0, x))
+
+
 def test_derivative_identity_residual():
     # d/dx (x^a H_a) = x^a H_(a-1); centered differences decay like h^2.
     for alpha, x in ((1.5, 2.0), (2.0, 0.5)):
@@ -338,7 +349,7 @@ def test_struve_primitive_bound_fitted_constant():
     # The (1, 1/2) constant bounds every read of an (x, y) grid:
     # |h(x; y)| <= C y^-1 x^nu min{(xy)^(a+2), (xy)^a}.
     alpha, nu = 1.0, 0.5
-    c, t = struve_primitive_bound(alpha, nu)
+    c, t = primitive_bound(struve_h_kernel(alpha), nu)
     assert 0.0 < c < 50.0 and 0.0 < t < math.inf
     grid = np.geomspace(0.3, 10.0, 6)
     for x in grid:
@@ -353,28 +364,32 @@ DENSE_T = np.geomspace(1e-6, 1e6, 4_001)
 
 
 def test_bessel_primitive_bound_examples():
-    # alpha = -1/2, nu = 0: the primitive is sin t, and sup_(t >= 1) |sin t|
+    # alpha = -1/2, nu = 0: the primitive is sin t, and sup_t |sin t| / min{t, 1}
     # = 1 is its limit at infinity.
-    c, t = bessel_primitive_bound(-0.5, 0.0)
+    c, t = primitive_bound(bessel_j_kernel(-0.5), 0.0)
     assert c == pytest.approx(1.0, rel=1e-12) and t == math.inf
     # alpha = 0, nu = 1: the primitive is t J_1(t), C = sup_(t >= 1) t^(1/2) |J_1|;
     # (1/2, 3/2): 20-digit quadrature of s^(3/2) sin(s) / s.  Each is attained at
-    # argmax_t and no dense read of t >= 1 exceeds it.
-    ts = DENSE_T[DENSE_T >= 1.0]
+    # argmax_t, and no dense read of t > 0 exceeds it.
     cases = (((0.0, 1.0), lambda t: t * mpmath.besselj(1, t)),
              ((0.5, 1.5), lambda t: mpmath.quad(lambda s: s ** 1.5 * mpmath.sinc(s), [0, t])))
     for (alpha, nu), exact in cases:
-        c, t = bessel_primitive_bound(alpha, nu)
-        k = nu - alpha - 0.5
+        kernel = bessel_j_kernel(alpha)
+        c, t = primitive_bound(kernel, nu)
+        k_near, k_far = primitive_exponents(kernel, nu)
+        assert (k_near, k_far) == (nu + 1.0, nu - alpha - 0.5)
         with mpmath.workdps(20):
-            assert abs(abs(exact(mpmath.mpf(t))) / mpmath.mpf(t) ** k / c - 1) <= 1e-10
-        dense = np.abs(_table(bessel_j_kernel(alpha), nu).integral(np.zeros(len(ts)), ts)[0])
-        dense /= ts ** k
+            assert abs(abs(exact(mpmath.mpf(t))) / mpmath.mpf(t) ** k_far / c - 1) <= 1e-10
+        dense = np.abs(_table(kernel, nu).integral(np.zeros(len(DENSE_T)), DENSE_T)[0])
+        dense /= np.minimum(DENSE_T ** k_near, DENSE_T ** k_far)
         assert 1.0 <= t < 10.0 and c >= np.max(dense) * (1.0 - 1e-12)
-    assert bessel_primitive_bound(0.5, 1.5)[0] == pytest.approx(1.4006309, abs=1e-7)
+    assert primitive_bound(bessel_j_kernel(0.5), 1.5)[0] == pytest.approx(1.4006309, abs=1e-7)
     # nu < alpha + 1/2 with a nonzero Mellin constant: |Phi_nu| / t^(nu-a-1/2)
     # grows without bound.
-    assert bessel_primitive_bound(1.0, 0.0) == (math.inf, math.inf)
+    assert primitive_bound(bessel_j_kernel(1.0), 0.0) == (math.inf, math.inf)
+    # t^nu phi(t) not integrable at 0: no primitive from 0.
+    with pytest.raises(ValueError, match="not integrable at 0"):
+        primitive_bound(bessel_j_kernel(0.0), -1.0)
 
 
 def test_envelope_checks():

@@ -184,6 +184,21 @@ def test_log_counterexample_exact_moment():
         make_log_counterexample(1.5, 0.0)
 
 
+def test_abs_weighted_integral_broadcasts_over_its_ends():
+    # Array ends read each (a, b) as the scalar call does, bit for bit, and a
+    # scalar call is the per-piece sum with the ends clipped by max and min.
+    f = make_log_counterexample(10.0, 0.0)
+    a = np.array([0.0, 0.05, 0.5, 2.0, 20.0, 0.3])
+    b = np.array([0.1, 1.0, 3.0, math.inf, 30.0, 0.2])
+    for mu in (-1.5, 0.0, 1.0):
+        scalar = [f.abs_weighted_integral(mu, x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert all(type(v) is float for v in scalar)
+        assert f.abs_weighted_integral(mu, a, b).tolist() == scalar
+        assert scalar == [sum(abs(p.coef) * power_moment(mu + p.exponent, max(x, p.lo),
+                                                         min(y, p.hi)) for p in f.pieces)
+                          for x, y in zip(a.tolist(), b.tolist())]
+
+
 def _moment_by_quadrature(f, mu):
     """integral x^mu f by mpmath quadrature of f's values, piece by piece,
     an oracle independent of the exact moments and of the package's
