@@ -34,9 +34,9 @@ import numpy as np
 
 from .kernels import KernelSpec
 from .quadrature import NonConvergence
-from .weights import EXPONENT_TOLERANCE, ExponentSet, GMWitness, TestFunction, Weight
+from .weights import EXPONENT_TOLERANCE, ExponentSet, GMWitness, TestFunction, Weight, _power
 from .transforms import (_REACH_CAP, MissingPrimitiveBound, NoSeriesKernel, TransformSpec, _cut,
-                         _table, primitive_exponents)
+                         _table, integrable_exponents)
 
 ENDPOINT_TOLERANCE = 0.05  # verdicts this close to an analytic endpoint are not asserted
 
@@ -133,9 +133,12 @@ class _Term:
         return np.asarray(self.weight(x), dtype=float) ** self.weight_power * \
             self.integrand.integral(x, self.upper)
 
+    def kinks(self) -> Tuple[float, ...]:
+        return self.integrand.kinks + self.weight.kinks
+
     def breaks(self) -> np.ndarray:
         """log r at the images of the integrand's and the weight's kinks."""
-        kinks = np.concatenate([self.integrand.kinks, self.weight.kinks])
+        kinks = np.array(self.kinks(), dtype=float)
         return -np.log(kinks) if self.inverted else np.log(kinks)
 
     def rate(self) -> float:
@@ -147,27 +150,17 @@ class _Term:
     def growth(self, r_to_inf: bool) -> List[Tuple[float, float, float, float]]:
         """Parts (g, m, c, L): beyond its outermost kink the term is exactly
         the sum of c e^L T^g (log T)^m over them as T -> inf, where r = T
-        (``r_to_inf``) or r = 1/T.  L carries the anchor's power a^(-e) in
-        logs, which overflows where a steep end meets an anchor far from 1."""
+        (``r_to_inf``) or r = 1/T: the integrand's (``Weight.integral_growth``)
+        times the weight power's."""
         x_to_inf = r_to_inf != self.inverted
-        # Beyond its outermost kink the integrand is w(a) (x/a)^eps on its
-        # outer segment, anchored at a, and integrated from 1 toward the end x
-        # tends to it grows like T^e.  A read from that end is k T^e / |e|, any
-        # other k T^e / e, or k log T at e = 0, with k = w(a) a^(-eps), plus the
-        # constant making it the read at x = a (0 without kinks).
-        f, i = self.integrand, -1 if x_to_inf else 0
-        a, k, eps = f.anchors[i], f.at_anchors[i], f.exponents[i]
-        e, scale = eps + 1.0 if x_to_inf else -(eps + 1.0), -eps * math.log(a)
-        toward, log = self.upper == x_to_inf, abs(e) <= EXPONENT_TOLERANCE
-        parts = [(0.0, 1.0, k, scale) if log else (e, 0.0, k / abs(e) if toward else k / e, scale)]
-        if not toward and len(f.kinks):  # at x = a: T^e a^(-eps) = a, log T = +-log(a)
-            at_anchor = k * np.exp(scale) * math.log(a) * (1.0 if x_to_inf else -1.0) if log \
-                else k * a / e
-            parts.append((0.0, 0.0, float(f.integral(a, self.upper) - at_anchor), 0.0))
+        parts = self.integrand.integral_growth(self.upper, x_to_inf)
         w, wp = self.weight, self.weight_power
+        if not wp:
+            return parts
+        i = -1 if x_to_inf else 0
         a, k, eps = w.anchors[i], w.at_anchors[i], w.exponents[i]
-        shift = wp * (eps if x_to_inf else -eps)
-        return [(g + shift, m, c * k ** wp, s - wp * eps * math.log(a)) for g, m, c, s in parts]
+        shift, kp, scale = wp * (eps if x_to_inf else -eps), _power(k, wp), wp * eps * math.log(a)
+        return [(g + shift, m, c * kp, s - scale) for g, m, c, s in parts]
 
 
 # A bracket product: the product over its factors (terms, power) of
@@ -177,14 +170,13 @@ _Factors = Sequence[Tuple[Sequence[_Term], float]]
 
 def _product(factors: _Factors, r: np.ndarray) -> np.ndarray:
     """The product at every r of an array; inf where a base is 0 under a
-    negative power."""
+    negative power (0 ** -p and 0 * inf are left to the caller's errstate)."""
     val = np.ones_like(r)
     pole = np.zeros(r.shape, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0 ** -p and 0 * inf
-        for terms, power in factors:
-            base = sum(term.value(r) for term in terms)
-            pole |= (base == 0.0) & (power < 0.0)
-            val = val * base ** power
+    for terms, power in factors:
+        base = sum(term.value(r) for term in terms)
+        pole |= (base == 0.0) & (power < 0.0)
+        val = val * base ** power
     return np.where(pole, math.inf, val)
 
 
@@ -194,24 +186,26 @@ def _toward(factors: _Factors, r_to_inf: bool) -> Tuple[float, float, float, flo
     factor's base is led by its parts of largest g, then m; another part
     c e^L T^g' (log T)^m' is rounding once |c| e^L T^(g' - g) is _ROUNDING
     times the lead (at half the rate with a log; never if c or the lead
-    overflows).  The leads' scales e^L stay in logs until C is formed."""
+    overflows).  The leads' scales e^L stay in logs until C is formed.  A
+    limit that over- or underflows is left to the caller's errstate."""
     kappa, logs, limit, scale, reach = 0.0, 0.0, np.float64(1.0), 0.0, -math.inf
-    with np.errstate(all="ignore"):  # a limit that over- or underflows
-        for terms, power in factors:
-            parts = [part for term in terms for part in term.growth(r_to_inf)]
-            g = max(gj for gj, _, _, _ in parts)
-            m = max(mj for gj, mj, _, _ in parts if gj >= g - EXPONENT_TOLERANCE)
-            leads = [gj >= g - EXPONENT_TOLERANCE and mj == m for gj, mj, _, _ in parts]
-            ref = max(s for (_, _, _, s), led in zip(parts, leads) if led)
-            lead = sum(c * np.exp(s - ref) for (_, _, c, s), led in zip(parts, leads) if led)
-            for gj, mj, c, s in (part for part, led in zip(parts, leads) if not led):
-                ratio, gap = abs(c) / (_ROUNDING * lead), (g - gj) / (1.0 + mj)
-                reach = max(reach, (np.log(ratio) + (s - ref)) / gap if 0.0 < ratio < math.inf
-                            and gap > EXPONENT_TOLERANCE else math.inf)
-            kappa += power * g
-            logs += power * m
-            limit *= lead ** power
-            scale += power * ref
+    for terms, power in factors:
+        parts = [part for term in terms for part in term.growth(r_to_inf)]
+        g = max(part[0] for part in parts)
+        m = max(mj for gj, mj, _, _ in parts if gj >= g - EXPONENT_TOLERANCE)
+        leads, rest = [], []
+        for part in parts:
+            (leads if part[0] >= g - EXPONENT_TOLERANCE and part[1] == m else rest).append(part)
+        ref = max(s for _, _, _, s in leads)
+        lead = sum(c * np.exp(s - ref) for _, _, c, s in leads)
+        for gj, mj, c, s in rest:
+            ratio, gap = abs(c) / (_ROUNDING * lead), (g - gj) / (1.0 + mj)
+            reach = max(reach, (np.log(ratio) + (s - ref)) / gap if 0.0 < ratio < math.inf
+                        and gap > EXPONENT_TOLERANCE else math.inf)
+        kappa += power * g
+        logs += power * m
+        limit *= lead ** power
+        scale += power * ref
     return kappa, logs, float(limit * np.exp(scale)), reach
 
 
@@ -227,26 +221,28 @@ def _scan(factors: _Factors, label: str) -> ConditionReport:
     # The fastest rate in log r of r, a read, a weight power or a partial
     # product: none leaves the floats within 600 / rate of the breakpoints.
     rate = max(1.0, max(1.0, sum(abs(p) for _, p in factors)) * max(t.rate() for t in terms))
-    breaks = np.concatenate([t.breaks() for t in terms])
-    lo, hi = (breaks.min(), breaks.max()) if len(breaks) else (0.0, 0.0)
+    kinked = any(t.kinks() for t in terms)
+    breaks = np.concatenate([t.breaks() for t in terms]) if kinked else ()
+    lo, hi = (breaks.min(), breaks.max()) if kinked else (0.0, 0.0)
     limits, ends = [], []
-    for site, sign, r_end in (("r->inf", 1.0, math.inf), ("r->0", -1.0, 0.0)):
-        kappa, logs, limit, reach = _toward(factors, sign > 0.0)
-        if kappa > EXPONENT_TOLERANCE or (kappa >= -EXPONENT_TOLERANCE
-                                          and logs > EXPONENT_TOLERANCE):
-            return ConditionReport(math.inf, r_end, "divergent", site, label)
-        if abs(kappa) <= EXPONENT_TOLERANCE and abs(logs) <= EXPONENT_TOLERANCE:
-            limits.append((r_end, limit))
-        edge = sign * (hi if sign > 0.0 else lo)  # the outermost breakpoint, in log T
-        if reach > edge:  # the end segment, from it to the reach
-            ends.append(sign * min(reach, edge + 600.0 / rate))
-    reads = np.empty(0)  # neither breakpoint nor reach: the constant C
-    if len(breaks) or ends:
-        edges = np.union1d(breaks, ends + [lo, hi] if ends else [])
-        reads = np.sort(np.concatenate([edges] + [
-            np.linspace(a, b, _INNER + int((b - a) * rate) + 2)[1:-1]
-            for a, b in zip(edges, edges[1:])]))
-    rep = _sup_scan(lambda r: _product(factors, r), label, reads, limits)
+    with np.errstate(all="ignore"):  # a limit that over- or underflows; 0 ** -p, 0 * inf
+        for site, sign, r_end in (("r->inf", 1.0, math.inf), ("r->0", -1.0, 0.0)):
+            kappa, logs, limit, reach = _toward(factors, sign > 0.0)
+            if kappa > EXPONENT_TOLERANCE or (kappa >= -EXPONENT_TOLERANCE
+                                              and logs > EXPONENT_TOLERANCE):
+                return ConditionReport(math.inf, r_end, "divergent", site, label)
+            if abs(kappa) <= EXPONENT_TOLERANCE and abs(logs) <= EXPONENT_TOLERANCE:
+                limits.append((r_end, limit))
+            edge = sign * (hi if sign > 0.0 else lo)  # the outermost breakpoint, in log T
+            if reach > edge:  # the end segment, from it to the reach
+                ends.append(sign * min(reach, edge + 600.0 / rate))
+        reads = ()  # neither breakpoint nor reach: the constant C
+        if kinked or ends:
+            edges = np.union1d(breaks, ends + [lo, hi] if ends else [])
+            reads = np.sort(np.concatenate([edges] + [
+                np.linspace(a, b, _INNER + int((b - a) * rate) + 2)[1:-1]
+                for a, b in zip(edges, edges[1:])]))
+        rep = _sup_scan(lambda r: _product(factors, r), label, reads, limits)
     if not rep.sup_value < math.inf:  # an infinite bracket, or a zero one under a negative power
         rep.verdict = "divergent" if rep.sup_value == math.inf else "indeterminate"
         rep.divergence_site = "inner-integral endpoint" if rep.sup_value == math.inf else None
@@ -289,13 +285,12 @@ def glued_condition(u: Weight, v: Weight, s: Weight, w: Weight, exps: ExponentSe
     its end exponents must be 0 and its values there in [1/3, 3]."""
     if not math.isinf(exps.a_prime):
         raise ValueError("the glued condition applies to a = 1")
-    x = np.concatenate([s.nodes, 1.0 / np.asarray(w.nodes)])
-    ratio = np.asarray(s(x), dtype=float) * np.asarray(w(1.0 / x), dtype=float)
+    ratio = [s(x) * w(1.0 / x) for x in s.nodes + tuple(1.0 / y for y in w.nodes)]
     ends = (s.exponents[0] - w.exponents[-1], s.exponents[-1] - w.exponents[0])
-    if max(map(abs, ends)) > EXPONENT_TOLERANCE or not np.all((ratio >= 1.0 / 3.0) & (ratio <= 3.0)):
+    if max(map(abs, ends)) > EXPONENT_TOLERANCE or not all(1.0 / 3.0 <= r <= 3.0 for r in ratio):
         raise InverseRelationViolated(
             f"s(x) w(1/x) has end exponents {ends[0]:g}, {ends[1]:g} and ranges over "
-            f"[{ratio.min():.3g}, {ratio.max():.3g}] at the nodes")
+            f"[{min(ratio):.3g}, {max(ratio):.3g}] at the nodes")
 
     brackets = BracketTable() if brackets is None else brackets
     q, p_prime = exps.q, exps.p_prime
@@ -550,9 +545,7 @@ def primitive_bound(kernel: KernelSpec, nu: float) -> Tuple[float, float]:
     inf the Mellin constant plus the far field integrated.  The primitive of
     t^nu phi(t y) is y^(-nu-1) Phi_nu(xy), so C bounds it for every x and y.
     Raises ValueError where t^nu phi(t) is not integrable at 0."""
-    k_near, k_far = primitive_exponents(kernel, nu)
-    if not k_near > 0.0:
-        raise ValueError(f"t^nu phi(t) ~ t^{k_near - 1.0:g} is not integrable at 0 (nu = {nu:g})")
+    k_near, k_far = integrable_exponents(kernel, nu)
     table = _table(kernel, nu)
     far, step = table.far_field, (kernel.series or kernel.near).step
     s = nu + far.drift_power + 1.0 - 2.0 * np.arange(len(far.drift))

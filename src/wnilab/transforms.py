@@ -57,6 +57,15 @@ def primitive_exponents(kernel: KernelSpec, nu: float) -> Tuple[float, float]:
     return nu + (kernel.series or kernel.near).b1 + 1.0, nu + max(parts)
 
 
+def integrable_exponents(kernel: KernelSpec, nu: float) -> Tuple[float, float]:
+    """``primitive_exponents``; raises ValueError where t^nu phi(t) is not
+    integrable at 0 (k_near <= 0), where no primitive from 0 exists."""
+    k_near, k_far = primitive_exponents(kernel, nu)
+    if not k_near > 0.0:
+        raise ValueError(f"t^nu phi(t) ~ t^{k_near - 1.0:g} is not integrable at 0 (nu = {nu:g})")
+    return k_near, k_far
+
+
 @dataclass(frozen=True)
 class TransformSpec:
     """F f(y) = y^c0 integral x^b0 f(x) phi(xy) dx: the outer power factors
@@ -120,14 +129,16 @@ _PRESETS = {
     "cosine": cosine,
     "model_min": model_min,
 }
+# Each factory's parameter names, read once.
+_PARAMETERS = {name: tuple(inspect.signature(factory).parameters)
+               for name, factory in _PRESETS.items()}
 
 
 def preset(name: str, **params) -> TransformSpec:
     """The named transform; params must be exactly its factory's parameters."""
     if name not in _PRESETS:
         raise ValueError(f"unknown transform preset {name!r}")
-    factory = _PRESETS[name]
-    expected = inspect.signature(factory).parameters
+    factory, expected = _PRESETS[name], _PARAMETERS[name]
     for key in params:
         if key not in expected:
             raise ValueError(f"transform {name!r} has no parameter {key!r}")
@@ -569,10 +580,13 @@ def _table(kernel: KernelSpec, nu: float) -> DilationTable:
 
 def struve_primitive(alpha: float, nu: float, y: float, x: float) -> Tuple[float, float]:
     """integral_0^x t^nu Struve_alpha(t y) dt and its error bound, a read of
-    the dilation table of (Struve_alpha, nu)."""
-    if nu < 0.5 or not (x > 0.0 and y > 0.0):
-        raise ValueError("nu must be >= 1/2, and x and y positive")
-    val, err = _table(struve_h_kernel(alpha), nu).primitive(*np.array([[0.0], [x], [y]], float))
+    the dilation table of (Struve_alpha, nu).  Raises ValueError where
+    t^nu Struve_alpha(t) is not integrable at 0 (``integrable_exponents``)."""
+    if not (x > 0.0 and y > 0.0):
+        raise ValueError("x and y must be positive")
+    kernel = struve_h_kernel(alpha)
+    integrable_exponents(kernel, nu)
+    val, err = _table(kernel, nu).primitive(*np.array([[0.0], [x], [y]], float))
     return float(val[0]), float(err[0])
 
 

@@ -2,14 +2,16 @@
 
 Weights and test functions are piecewise powers, so values, products,
 moments, absolute integrals and weight integrals all have exact closed
-forms.  Both are immutable once built, apart from a weight's prefix and
-suffix sums: its first ``integral`` read fills them, in one assignment of
-the same arrays whichever thread fills them.  So both are safe to share
-across threads.
+forms.  Both are immutable once built, apart from a weight's caches: its
+first array read builds its segment table's arrays, its first ``integral``
+read its prefix and suffix sums, and its first ``integral_growth`` read of
+an end that end's parts, each in one assignment of the same values
+whichever thread fills it.  So both are safe to share across threads.
 """
 
 from __future__ import annotations
 
+import bisect
 import copy
 import math
 from dataclasses import dataclass
@@ -41,17 +43,20 @@ class Weight:
     decades), and a product of weight powers (``product``) the union of its
     factors' nodes.
 
-    Its segment table is built once: ``kinks`` are the nodes where the
-    exponent changes, segment j runs from ``edges[j]`` to ``edges[j + 1]``
-    (0, the kinks, inf), and on it w(x) = at_anchors[j] (x / anchors[j]) **
-    exponents[j], so exponents[0] and exponents[-1] are its end exponents.
-    Each segment is anchored at its node (kinks included) where |log w| is
-    least, so no value overflows or underflows where another node on the
-    segment does not.
+    Its segment table is built once, as tuples of floats: ``kinks`` are the
+    nodes where the exponent changes, segment j runs from ``edges[j]`` to
+    ``edges[j + 1]`` (0, the kinks, inf), and on it w(x) = at_anchors[j]
+    (x / anchors[j]) ** exponents[j], so exponents[0] and exponents[-1] are
+    its end exponents.  Each segment is anchored at its node (kinks
+    included) where |log w| is least, so no value overflows or underflows
+    where another node on the segment does not.  A read at a float is
+    scalar arithmetic on the table; the table's numpy arrays are built on
+    the first array read.
 
     ``integral`` reads integral_0^x w or integral_x^inf w exactly: a prefix
     or suffix sum of closed-form segments (``power_moment``) plus one
-    partial segment."""
+    partial segment.  ``integral_growth`` gives its closed form beyond the
+    outermost kink."""
 
     def __init__(self, nodes: Tuple[float, ...], values, exponents):
         exponents = [float(e) for e in exponents]
@@ -64,14 +69,16 @@ class Weight:
         bounds = [0] + kinked + [len(nodes) - 1]  # each segment's first and last node
         anchored = [min(range(lo, hi + 1), key=size.__getitem__)
                     for lo, hi in zip(bounds, bounds[1:])]
-        self.kinks = np.array([nodes[i] for i in kinked])
-        self.edges = np.array([0.0] + self.kinks.tolist() + [math.inf])
-        self.exponents = np.array(exponents[:1] + [exponents[i + 1] for i in kinked])
-        self.anchors = np.array([nodes[i] for i in anchored])
-        self.at_anchors = np.array([values[i] for i in anchored], dtype=float)
+        self.kinks = tuple(nodes[i] for i in kinked)
+        self.edges = (0.0,) + self.kinks + (math.inf,)
+        self.exponents = tuple(exponents[:1] + [exponents[i + 1] for i in kinked])
+        self.anchors = tuple(nodes[i] for i in anchored)
+        self.at_anchors = tuple(float(values[i]) for i in anchored)
         self.diverges_at_zero = self.exponents[0] <= -1.0 + DIVERGENCE_MARGIN
         self.diverges_at_infinity = self.exponents[-1] >= -1.0 - DIVERGENCE_MARGIN
+        self._arrays = None
         self._sums = None
+        self._growth = {}
 
     @classmethod
     def power(cls, exponent: float, coefficient: float = 1.0) -> "Weight":
@@ -101,34 +108,45 @@ class Weight:
         # The end exponents: log-log slopes fitted on the outermost decades.
         e0, einf = (float(np.polyfit(lx[m], ly[m], 1)[0]) if np.sum(m) > 1 else 0.0
                     for m in (lx <= lx[0] + math.log(10.0), lx >= lx[-1] - math.log(10.0)))
-        return cls(tuple(xs.tolist()), ys, np.concatenate([[e0], inner, [einf]]))
+        return cls(tuple(xs.tolist()), ys.tolist(), np.concatenate([[e0], inner, [einf]]))
 
     @classmethod
     def product(cls, factors: Sequence[Tuple["Weight", float]]) -> "Weight":
         """prod w^p over the factors (w, p): at the union of their nodes
         (the node 1 without any) its values are prod w(node)^p, and on each
-        piece its exponent is sum p e over the factors' exponents there.  One
-        factor at power 1 is that weight."""
+        piece its exponent is sum p e over the factors' exponents there, each
+        accumulated in the factors' order.  One factor at power 1 is that
+        weight."""
         factors = [(w, float(p)) for w, p in factors if p != 0.0]
         if len(factors) == 1 and factors[0][1] == 1.0:
             return factors[0][0]
-        nodes = np.asarray(sorted(set().union(*(w.nodes for w, _ in factors))) or [1.0])
-        starts = np.concatenate([[0.0], nodes])  # where each piece starts
-        values, exponents = np.ones_like(nodes), np.zeros_like(starts)
-        with np.errstate(all="ignore"):  # weights with zeros
-            for w, p in factors:
-                values = values * np.asarray(w(nodes), dtype=float) ** p
-                exponents = exponents + p * w.exponents[w._segment(starts)]
-        return cls(tuple(nodes.tolist()), values, exponents)
-
-    def _segment(self, x) -> np.ndarray:
-        """The index of the segment of each x (the number of kinks <= x)."""
-        return np.searchsorted(self.kinks, x, side="right")
+        nodes = sorted(set().union(*(w.nodes for w, _ in factors))) or [1.0]
+        starts = [0.0] + nodes  # where each piece starts
+        values, exponents = [1.0] * len(nodes), [0.0] * len(starts)
+        for w, p in factors:
+            values = [v * _power(w(x), p) for v, x in zip(values, nodes)]
+            exponents = [e + p * w.exponents[bisect.bisect_right(w.kinks, x)]
+                         for e, x in zip(exponents, starts)]
+        return cls(tuple(nodes), values, exponents)
 
     def __call__(self, x):
+        """w at x: a float at a float x >= 0, an array at an array (and at
+        any other x, so a negative x reads nan, not a complex power)."""
+        if isinstance(x, (float, int)) and x >= 0.0:
+            j = bisect.bisect_right(self.kinks, x)
+            return self.at_anchors[j] * _power(x / self.anchors[j], self.exponents[j])
+        kinks, _, exponents, anchors, at_anchors = self._segment_arrays()
         x = np.asarray(x, dtype=float)
-        j = self._segment(x)
-        return self.at_anchors[j] * (x / self.anchors[j]) ** self.exponents[j]
+        j = np.searchsorted(kinks, x, side="right")
+        return at_anchors[j] * (x / anchors[j]) ** exponents[j]
+
+    def _segment_arrays(self) -> Tuple[np.ndarray, ...]:
+        """(kinks, edges, exponents, anchors, at_anchors) as arrays, built on
+        the first array read."""
+        if self._arrays is None:
+            self._arrays = tuple(np.array(column, dtype=float) for column in (
+                self.kinks, self.edges, self.exponents, self.anchors, self.at_anchors))
+        return self._arrays
 
     @classmethod
     def from_descriptor(cls, d: dict) -> "Weight":
@@ -144,9 +162,10 @@ class Weight:
 
     def _moment(self, j: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """integral_a^b w on the segments j."""
-        c = self.anchors[j]
+        _, _, exponents, anchors, at_anchors = self._segment_arrays()
+        c = anchors[j]
         with np.errstate(invalid="ignore", over="ignore"):
-            return self.at_anchors[j] * c * power_moment(self.exponents[j], a / c, b / c)
+            return at_anchors[j] * c * power_moment(exponents[j], a / c, b / c)
 
     def integral(self, x, upper: bool = False) -> np.ndarray:
         """integral_0^x w, or integral_x^inf w if ``upper``, at each x of an
@@ -158,15 +177,52 @@ class Weight:
         x = np.asarray(x, dtype=float)
         if self.diverges_at_infinity if upper else self.diverges_at_zero:
             return np.full(x.shape, math.inf)
+        kinks, edges, exponents, _, _ = self._segment_arrays()
         if self._sums is None:
-            full = self._moment(np.arange(len(self.exponents)), self.edges[:-1], self.edges[1:])
+            full = self._moment(np.arange(len(exponents)), edges[:-1], edges[1:])
             self._sums = (np.concatenate([[0.0], np.cumsum(full)]),
                           np.append(np.cumsum(full[::-1])[::-1], 0.0))
         prefix, suffix = self._sums
-        j = self._segment(x)
+        j = np.searchsorted(kinks, x, side="right")
         if upper:
-            return suffix[j + 1] + self._moment(j, x, self.edges[j + 1])
-        return prefix[j] + self._moment(j, self.edges[j], x)
+            return suffix[j + 1] + self._moment(j, x, edges[j + 1])
+        return prefix[j] + self._moment(j, edges[j], x)
+
+    def integral_growth(self, upper: bool, x_to_inf: bool
+                        ) -> List[Tuple[float, float, float, float]]:
+        """Parts (g, m, c, L): beyond the outermost kink ``integral(x,
+        upper)`` is exactly the sum of c e^L T^g (log T)^m over them as T ->
+        inf, where x = T (``x_to_inf``) or x = 1/T.  L carries the anchor's
+        power a^(-eps) in logs, which overflows where a steep end meets an
+        anchor far from 1.  Computed once for each (upper, end)."""
+        key = (upper, x_to_inf)
+        if key in self._growth:
+            return self._growth[key]
+        # Beyond its outermost kink the weight is w(a) (x/a)^eps on its outer
+        # segment, anchored at a, and integrated from 1 toward the end x tends
+        # to it grows like T^e.  A read from that end is k T^e / |e|, any
+        # other k T^e / e, or k log T at e = 0, with k = w(a) a^(-eps), plus
+        # the constant making it the read at x = a (0 without kinks).
+        i = -1 if x_to_inf else 0
+        a, k, eps = self.anchors[i], self.at_anchors[i], self.exponents[i]
+        e, scale = eps + 1.0 if x_to_inf else -(eps + 1.0), -eps * math.log(a)
+        toward, log = upper == x_to_inf, abs(e) <= EXPONENT_TOLERANCE
+        parts = [(0.0, 1.0, k, scale) if log else (e, 0.0, k / abs(e) if toward else k / e, scale)]
+        if not toward and self.kinks:  # at x = a: T^e a^(-eps) = a, log T = +-log(a)
+            at_anchor = k * np.exp(scale) * math.log(a) * (1.0 if x_to_inf else -1.0) if log \
+                else k * a / e
+            parts.append((0.0, 0.0, float(self.integral(a, upper) - at_anchor), 0.0))
+        self._growth[key] = parts
+        return parts
+
+
+def _power(x: float, p: float) -> float:
+    """x ** p for x >= 0 with numpy's float semantics: 0 to a negative power,
+    and a power that overflows, are inf."""
+    try:
+        return x ** p
+    except (ZeroDivisionError, OverflowError):
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -558,6 +558,59 @@ def test_finite_pair_implies_finite_lorentz():
     assert finite_pairs >= 6
 
 
+@given(st.floats(min_value=0.5, max_value=3.0), st.floats(min_value=1.2, max_value=4.0),
+       st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=-0.5, max_value=1.5))
+@settings(max_examples=150, deadline=None)
+def test_power_conditions_on_the_relation_are_their_closed_forms(delta, q, p_share, t):
+    # Pure powers u = x^(-beta q), v = x^(gamma p), s = w = x^delta (the
+    # model_min(delta) kernel's b0), a = 1, on beta - gamma = 1/q - 1/p':
+    # every bracket product is constant in r.  A bracket of x^e reads
+    # x^(e+1)/|e+1| (from 0 where e > -1, to inf where e < -1, else it
+    # diverges), and a factor's terms are summed before its power, so each
+    # constant is its product at r = 1.  beta = 1/q - t delta/2 is inside the
+    # pair's range for 0 < t < 1.
+    p = 1.1 + p_share * (q - 1.1)
+    pp = p / (p - 1.0)
+    beta = 1.0 / q - 0.5 * t * delta
+    gamma = beta - (1.0 / q - 1.0 / pp)
+    eu, ev, es = -beta * q, gamma * p, delta
+
+    def exponent(*factors):  # the integrand prod x^(e p) over (e, p)
+        total = 0.0
+        for e, power in factors:
+            total += power * e
+        return total
+
+    v_dual = exponent((ev, 1.0 - pp))
+    low_u, low_v = (exponent((eu, 1.0)), False), (v_dual, False)
+    up_u = (exponent((eu, 1.0), (es, -0.5 * q)), True)
+    up_v = (exponent((ev, 1.0 - pp), (es, -0.5 * pp)), True)
+    conditions = {
+        "hardy_condition_1": [([low_u], 1.0 / q), ([low_v], 1.0 / pp)],
+        "hardy_condition_2": [([up_u], 1.0 / q), ([up_v], 1.0 / pp)],
+        "glued": [([low_v, up_v], 1.0 / pp), ([up_u, low_u], 1.0 / q)],
+        "lorentz_necessity": [([low_u], 1.0 / q),
+                              ([(exponent((ev, 1.0), (es, p)), False)], -1.0 / p),
+                              ([(es, False)], 1.0)],
+    }
+    doc = run_conditions({"transform": {"name": "model_min", "delta": delta},
+                          "exponents": {"p": p, "q": q, "a": 1.0},
+                          "weights": {"beta": beta, "gamma": gamma}})
+    for key, factors in conditions.items():
+        ends = [e + 1.0 for terms, _ in factors for e, _ in terms]
+        if min(map(abs, ends)) < 0.01:  # a bracket too near a logarithm to assert
+            continue
+        rep = doc[key]
+        if any((e + 1.0 < 0.0) != upper for terms, _ in factors for e, upper in terms):
+            assert rep["verdict"] == "divergent", (key, rep)
+            continue
+        constant = 1.0
+        for terms, power in factors:
+            constant *= sum(1.0 / abs(e + 1.0) for e, _ in terms) ** power
+        assert (rep["verdict"], rep["argmax_r"]) == ("finite", None), (key, rep)
+        assert abs(rep["sup_value"] / constant - 1.0) <= 1e-14, (key, rep["sup_value"], constant)
+
+
 def test_run_conditions_piecewise_validation():
     with pytest.raises(ConfigError):
         run_conditions({

@@ -359,6 +359,25 @@ def test_struve_primitive_bound_fitted_constant():
             assert abs(val) <= bound * (1.0 + 1e-12), (x, y)
 
 
+def test_struve_primitive_below_nu_one_half_against_mpmath():
+    # (1, 1/4) lies below the lemma's nu >= 1/2, but t^(1/4) Struve_1(t) is
+    # integrable at 0: reads against 25-digit quadrature, and at argmax_t the
+    # read over min{t^(nu+3), t^(nu+1)} is the primitive constant 0.5981598.
+    alpha, nu = 1.0, 0.25
+    c, t = primitive_bound(struve_h_kernel(alpha), nu)
+    with mpmath.workdps(25):
+        for x, y in ((0.3, 2.0), (5.0, 1.0), (t, 1.0), (40.0, 0.7)):
+            val, err = struve_primitive(alpha, nu, y, x)
+            exact = mpmath.quad(lambda s: s ** nu * mpmath.struveh(alpha, s * y),
+                                mpmath.linspace(0, x, 9))
+            assert abs(val / float(exact) - 1.0) <= 1e-10, (x, y)
+    val, _ = struve_primitive(alpha, nu, 1.0, t)
+    assert abs(val) / min(t ** (nu + 3.0), t ** (nu + 1.0)) == pytest.approx(0.5981598, abs=1e-7)
+    # t^nu Struve_1(t) ~ t^(nu+2): no primitive from 0 for nu <= -3.
+    with pytest.raises(ValueError, match="not integrable at 0"):
+        struve_primitive(alpha, -3.0, 1.0, 1.0)
+
+
 # Dense reads: 4,001 points of t on [1e-6, 1e6] (the CI step reads 1e6).
 DENSE_T = np.geomspace(1e-6, 1e6, 4_001)
 

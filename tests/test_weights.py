@@ -77,6 +77,61 @@ def test_product_of_tabulated_and_power_is_the_product_of_its_factors():
     np.testing.assert_allclose(prod(xs), tab(xs) ** 2 * power(xs), rtol=1e-15)
 
 
+def _ulps(a: float, b: float) -> float:
+    return 0.0 if a == b else abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+_exponent = st.floats(min_value=-3.0, max_value=3.0)
+
+
+@given(_exponent, _exponent, st.floats(min_value=0.1, max_value=10.0),
+       st.lists(st.floats(min_value=0.05, max_value=2.0), min_size=2, max_size=8),
+       st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=8, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_scalar_node_values_agree_with_array_reads(e1, e2, coefficient, log_gaps, log_y):
+    # A read at a float is scalar pow on the float table, a read at an array
+    # numpy's array pow, which may differ from it in the last bit.  At every
+    # node they agree within 1 ulp where w(node) is the pow alone (anchor
+    # value 1), and within 2 ulps where an anchor value multiplies it.
+    xs = np.exp(np.cumsum(log_gaps) - 3.0).tolist()
+    unit = [Weight.power(e1), Weight.piecewise_power(e1, e2)]
+    scaled = [Weight.power(e1, coefficient),
+              Weight.tabulated(xs, [math.exp(t) for t in log_y[:len(xs)]]),
+              Weight.tabulated(xs, [coefficient * x ** e1 for x in xs])]
+    for ulps, weights in ((1.0, unit), (2.0, scaled)):
+        for w in weights:
+            nodes = list(w.nodes)
+            for x, at_array in zip(nodes, w(np.array(nodes)).tolist()):
+                assert _ulps(w(x), at_array) <= ulps, (w.nodes, x)
+
+
+@given(st.lists(st.tuples(st.sampled_from(["power", "piecewise", "tabulated"]), _exponent,
+                          _exponent, st.floats(min_value=-2.0, max_value=2.0)),
+                min_size=2, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_product_exponents_are_the_factor_sums(draws):
+    # On each segment of a product its exponent is sum p e over the factors'
+    # exponents there, summed in the factors' order: exactly, not to rounding.
+    factors = []
+    for i, (form, e1, e2, p) in enumerate(draws):
+        if form == "power":
+            w = Weight.power(e1)
+        elif form == "piecewise":
+            w = Weight.piecewise_power(e1, e2)
+        else:
+            xs = [0.5 + i, 2.0 + i, 7.0 + i]
+            ys = [x ** e1 for x in xs[:2]]  # a kink at xs[1] where e2 != e1
+            w = Weight.tabulated(xs, ys + [ys[1] * (xs[2] / xs[1]) ** e2])
+        factors.append((w, p))
+    prod = Weight.product(factors)
+    for start, exponent in zip(prod.edges, prod.exponents):
+        expected = 0.0
+        for w, p in factors:
+            if p != 0.0:
+                expected += p * w.exponents[sum(k <= start for k in w.kinks)]
+        assert exponent == expected, (start, exponent, expected)
+
+
 @pytest.mark.parametrize("make", [
     lambda: Weight.tabulated([0.2, 0.7, 3.0, 9.0], [0.5, 1.3, 0.8, 0.02]),
     lambda: Weight.product([(Weight.tabulated([0.2, 0.7, 3.0, 9.0], [0.5, 1.3, 0.8, 2.0]), 2.0),
