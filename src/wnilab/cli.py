@@ -16,6 +16,7 @@ usage error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import functools
 import inspect
@@ -23,7 +24,6 @@ import json
 import math
 import statistics
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -34,8 +34,9 @@ from . import conditions as cond
 from . import transforms as tr
 from .kernels import KERNELS
 from .quadrature import DivergentIntegral, NonConvergence, QuadratureConfig, integrate
-from .weights import (DIVERGENCE_MARGIN, ExponentSet, FunctionFamily, TestFunction, Weight,
-                      make_log_counterexample, make_truncated_power, power_moment)
+from .weights import (DIVERGENCE_MARGIN, EXPONENT_TOLERANCE, ExponentSet, FunctionFamily,
+                      TestFunction, Weight, make_log_counterexample, make_truncated_power,
+                      power_moment)
 
 
 class ConfigError(Exception):
@@ -109,15 +110,17 @@ class ExperimentConfig:
                    family, norm, pair, lhs_domain, quad, norm_rel, model)
 
 
-@contextmanager
-def _config_fields():
+class _config_fields:
     """Missing or malformed config fields raise ConfigError."""
-    try:
-        yield
-    except KeyError as exc:
-        raise ConfigError(f"missing config field {exc}") from exc
-    except (IndexError, TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, trace):
+        if isinstance(exc, KeyError):
+            raise ConfigError(f"missing config field {exc}") from exc
+        if isinstance(exc, (IndexError, TypeError, ValueError)):
+            raise ConfigError(str(exc)) from exc
 
 
 def _shared_blocks(doc: dict) -> Tuple[tr.TransformSpec, ExponentSet]:
@@ -197,35 +200,34 @@ def _build_family(desc: dict) -> List[Tuple[float, TestFunction]]:
 
 # Share of the outer tolerance each closed-form end of the norm may take.
 _END_SHARE = 0.25
-# The ends raise each value to its power with the scalar pow (the C
-# library's): numpy's vectorized pow rounds some powers differently, and the
-# records written keep their digits.
+_EPS = float(np.finfo(float).eps)
+# The step by which an upper tail's y1 moves out: a fourth of a doubling.
+_MOVE = 2.0 ** 0.25
 
 
 @dataclass
 class _Ends:
-    """One member's row of its family's ends pass (``_family_ends``): its
-    rhs and, where that is finite and not 0, the window [y0, y1] of its
-    outer norm, the lower tail T below y0 with its error E, the bound B on
-    the upper tail beyond y1 with its slope, or the failure its ends raise."""
+    """One member's row of the ends pass (``_family_ends``): its rhs and,
+    where that is finite and not 0, its window [y0, y1], the lower tail T
+    below y0 and the upper tail beyond it, with their errors, or the failure
+    its ends raise."""
 
     rhs: float
     y0: float
     y1: float
     tail: float = 0.0
     tail_err: float = 0.0
-    bound: float = 0.0
-    slope: float = math.nan
+    upper: float = 0.0
+    upper_err: float = 0.0
     failure: Optional[Exception] = None
 
 
 def _family_ends(cfg: ExperimentConfig, fam: FunctionFamily, share: float) -> List[_Ends]:
-    """Every member's rhs (``_rhs_norm``) and, for the members whose rhs is
-    finite and not 0, the closed-form ends of (0, inf) in the lhs domain:
-    ``_lower_tail``, then ``_upper_tail`` from the lower tail's y0, each one
-    vectorized pass over the members its end still serves.  A member keeps
-    the first failure its ends raise; a table that cannot be built fails
-    every member that reads it."""
+    """Every member's rhs (``_rhs_norm``) and, where that is finite and not
+    0, the closed-form ends of (0, inf) in the lhs domain: ``_lower_tail``,
+    then ``_upper_tail`` from its y0 and its lower bound T - E, each one pass
+    over the members its end still serves.  A member keeps the first failure
+    its ends raise; a table that cannot be built fails all its readers."""
     lo, hi = cfg.lhs_domain
     rows = [_Ends(rhs, lo, hi) for rhs in _rhs_norm(cfg, fam)]
     pending = [i for i, row in enumerate(rows) if row.rhs != 0.0 and math.isfinite(row.rhs)]
@@ -246,50 +248,27 @@ def _family_ends(cfg: ExperimentConfig, fam: FunctionFamily, share: float) -> Li
                       ("y0", "tail", "tail_err"))
     if math.isinf(hi) and pending:
         y_min = np.array([rows[i].y0 for i in pending])
-        pending = end(lambda sub: _upper_tail(cfg, sub, u_exp, y_min), ("y1", "bound", "slope"))
+        lower = np.array([rows[i].tail - rows[i].tail_err for i in pending])
+        pending = end(lambda sub: _upper_tail(cfg, sub, u_exp, y_min, lower, share),
+                      ("y1", "upper", "upper_err"))
     return rows
 
 
-def _lhs_windows(cfg: ExperimentConfig, f: TestFunction, ends: _Ends, outer: QuadratureConfig):
-    """The outer norm and its error, as a coroutine: it yields each Kronrod
-    window (integrand, (y0, y1)) of the lhs domain under ``outer`` and is
-    sent that window's (value, error) or thrown its failure.  The ends of
-    (0, inf) are closed forms, read from f's row of its family's ends pass
-    (``_family_ends``).  A transform value that is not finite on a window
-    raises DivergentIntegral.  The integrand is (y^(u/q) |F f|)^q: y^u alone
-    overflows near a lower tail's y0."""
-    spec, q = cfg.transform, cfg.exps.q
+def _integrand(cfg: ExperimentConfig, f: TestFunction):
+    """y^u |F f|^q on a window, as (y^(u/q) |F f|)^q: y^u alone overflows
+    near a lower tail's y0.  An inner value that is not finite raises
+    DivergentIntegral."""
+    q = cfg.exps.q
     u_exp = -q * cfg.power_pair[0]
 
     def integrand(ys):
-        vals = tr.apply(spec, f, ys, cfg.quadrature, check=False).values
+        vals = tr.apply(cfg.transform, f, ys, cfg.quadrature, check=False).values
         if not np.all(np.isfinite(vals)):
             raise DivergentIntegral("inner integral")
         with np.errstate(over="ignore", invalid="ignore"):
             return (ys ** (u_exp / q) * np.abs(vals)) ** q
 
-    if ends.failure is not None:
-        raise ends.failure
-    share = _END_SHARE * outer.rel_tol
-    y1, val, err, bound, slope = ends.y1, ends.tail, ends.tail_err, ends.bound, ends.slope
-    win, win_err = yield integrand, (ends.y0, y1)
-    val, err = val + win, err + win_err
-    # The unreached tail lies in [0, bound] and is read as its midpoint, so
-    # it costs bound / 2 of the error, which may take up to its share.
-    if 0.5 * bound > share * val:
-        # The bound falls like y1^slope: one step to the y2 where half of it
-        # meets the share, at most twelve decades on.
-        y2 = y1 * min((0.5 * bound / (share * val)) ** (-1.0 / slope) if val > 0 else 1e12, 1e12)
-        win, win_err = yield integrand, (y1, y2)
-        val, err = val + win, err + win_err
-        _, (bound,), _, failed = _upper_tail(cfg, FunctionFamily([f]), u_exp, y2)
-        if failed:
-            raise failed[0]
-    val, err = val + 0.5 * bound, err + 0.5 * bound
-    if val <= 0.0:
-        return 0.0, err
-    norm = val ** (1.0 / q)
-    return norm, norm / (q * val) * err
+    return integrand
 
 
 def _logarithms(log: np.ndarray) -> dict:
@@ -298,71 +277,154 @@ def _logarithms(log: np.ndarray) -> dict:
             for i in np.flatnonzero(log).tolist()}
 
 
-def _alike(pattern: np.ndarray) -> List[np.ndarray]:
-    """The indices of the rows of a 2-D pattern, grouped by equal rows."""
-    if np.all(pattern == pattern[0]):
-        return [np.arange(len(pattern))]
-    _, group = np.unique(pattern, axis=0, return_inverse=True)
-    return [np.flatnonzero(group.reshape(-1) == g) for g in range(int(group.max()) + 1)]
-
-
 def _lower_tail(cfg: ExperimentConfig, fam: FunctionFamily, u: float, y_cap: float,
                 share: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """(y0, T, E, failed), a row per member of the family: T = integral_0^y0
     y^u |A y^k|^q, A y^k the leading term of F f's moment series, with
     error E.  The other terms move F f by a factor within 1 +- r(y); y0 <=
-    min(y_cap, 1/X) keeps r(y0) <= share / q.  ``failed`` maps a member's
-    index to what its end raises: DivergentIntegral when u + q k <= -1,
+    min(y_cap, 1/X) takes one step to where r(y0) = share / q (floored:
+    past it, r(y0) stays in the error).  ``failed`` maps a member's index to
+    what its end raises: DivergentIntegral when u + q k <= -1,
     NonConvergence at a logarithmic term (``tr.near_expansion``)."""
     q = cfg.exps.q
     c, powers, c_err, y_max, log = tr.near_expansion(cfg.transform, fam)
-    failed = _logarithms(log)
+    failed, members = _logarithms(log), np.arange(len(c))
     lead = np.argmin(np.where(c != 0.0, powers, math.inf), axis=1)
-    members = np.arange(len(c))
-    slope = u + q * powers[lead] + 1.0
+    slope, amp = u + q * powers[lead] + 1.0, np.abs(c[members, lead])
     for i in np.flatnonzero(slope <= DIVERGENCE_MARGIN).tolist():
         failed.setdefault(i, DivergentIntegral("y -> 0"))
-    size, amp = np.abs(c) + c_err, np.abs(c[members, lead])
+    size, gap = np.abs(c) + c_err, powers - powers[lead][:, None]
     rest = (size > 0.0) & (np.arange(c.shape[1]) != lead[:, None])
-    y0 = np.minimum(y_cap, y_max)
-    tail, tail_err = np.zeros(len(c)), np.zeros(len(c))
-    # Members whose other terms are the same columns sum them alike.
-    for group in _alike(np.column_stack([rest, lead])):
-        cols, top = rest[group[0]], lead[group[0]]
-        gap, sizes, base = powers[cols] - powers[top], size[group][:, cols], c_err[group, top]
-        with np.errstate(all="ignore"):
-            def r(y):
-                return (base + np.sum(sizes * y[:, None] ** gap, axis=1)) / amp[group]
+    with np.errstate(all="ignore"):  # each row along its own columns, the others 0
+        def r(y):
+            return (c_err[members, lead] + np.sum(np.where(rest, size * y[:, None] ** gap, 0.0),
+                                                  axis=1)) / amp
 
-            if gap.size:  # floored: past it, r(y0) stays in the error
-                step = 1.0 / float(np.min(gap))
-                for i, ratio in zip(group.tolist(), r(y0[group])):
-                    if ratio > share / q:
-                        y0[i] = max(y0[i] * (share / q / ratio) ** step, 1e-300)
-            for i, ratio in zip(group.tolist(), r(y0[group])):
-                tail[i] = amp[i] ** q * y0[i] ** slope[i] / slope[i]
-                tail_err[i] = tail[i] * ((1.0 + ratio) ** q - 1.0)
-    return y0, tail, tail_err, failed
+        y0, step = np.minimum(y_cap, y_max), 1.0 / np.min(np.where(rest, gap, math.inf), axis=1)
+        ratio = r(y0)
+        y0 = np.where(ratio > share / q, np.maximum(y0 * (share / q / ratio) ** step, 1e-300), y0)
+        tail = amp ** q * y0 ** slope / slope
+        return y0, tail, tail * ((1.0 + r(y0)) ** q - 1.0), failed
 
 
-def _upper_tail(cfg: ExperimentConfig, fam: FunctionFamily, u: float,
-                y_min) -> Tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """(y1, B, g, failed), a row per member of the family: with
-    |F f(y)| <= S (y/y1)^k beyond y1 >= y_min (S the ``far_envelope`` at
-    y1, k its top exponent, shared by the family), B = S^q y1^(u + 1) / -g
-    bounds integral_y1^inf y^u |F f|^q, g = u + q k + 1.  ``failed`` maps a
-    member's index to what its end raises: DivergentIntegral when g >= -1,
-    NonConvergence at a logarithmic term."""
+def _upper_tail(cfg: ExperimentConfig, fam: FunctionFamily, u: float, y_min: np.ndarray,
+                lower: np.ndarray, share: float
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """(y1, V, E, failed), a row per member of the family, each read along
+    its own row: V = integral_y1^inf y^u |F f|^q from F f's far expansion
+    beyond y1 >= y_min (``tr.far_expansion``), with error E, exact at q = 2
+    (``_square_tail``), else the lead's phase mean (``_mean_tail``, ``lower``
+    bounding the rest of the norm).  ``failed``: DivergentIntegral where u +
+    q top + 1 >= -DIVERGENCE_MARGIN, NonConvergence at a logarithm."""
     q = cfg.exps.q
-    k, kappa, y1, log = tr.far_envelope(cfg.transform, fam, y_min)
+    y1, expansions, top, log = tr.far_expansion(cfg.transform, fam, y_min)
     failed = _logarithms(log)
-    slope = u + q * float(np.max(kappa, initial=-math.inf)) + 1.0
-    if slope >= -DIVERGENCE_MARGIN:
+    if u + q * top + 1.0 >= -DIVERGENCE_MARGIN:
         failed = {i: failed.get(i, DivergentIntegral("y -> inf")) for i in range(len(y1))}
-    with np.errstate(all="ignore"):
-        size = np.sum(k * y1[:, None] ** kappa, axis=1)
-        bound = np.array([s ** q * y ** (u + 1.0) / -slope for s, y in zip(size, y1)])
-    return y1, bound, np.full(len(y1), slope), failed
+    value, err = np.zeros(len(y1)), np.zeros(len(y1))
+    for i, far in enumerate(expansions):
+        if i in failed:
+            continue
+        scale = float(y1[i]) ** (u + 1.0)
+        k, v, e = ((1.0, *_square_tail(far, u)) if q == 2.0 else
+                   _mean_tail(far, u, q, float(lower[i]) / scale, share, float(y1[i])))
+        y1[i], value[i], err[i] = y1[i] * k, v * scale, e * scale
+    return y1, value, err, failed
+
+
+def _oscillating_tail(h: np.ndarray, m: float, w: float) -> Tuple[float, float]:
+    """integral_1^inf Re[sum_n h_n v^(m - n) e^(i w v)] dv, w > 0: the series
+    of ``tr.by_parts`` from h's first term that is not 0 (a lead that
+    cancelled) to where |m - n + 1| meets w (past it the terms grow), cut at
+    its first smallest term or the first below 1e-18 of its lead; its bar
+    twice the first omitted term, plus 4 eps of the terms."""
+    live = np.flatnonzero(h)
+    if not live.size:
+        return 0.0, 0.0
+    h, m = h[live[0]:], m - live[0]
+    n = min(max(math.ceil(w + m + 1.0), 0), len(h) + tr._FAR_TERMS) + 2
+    e = tr.by_parts(h.tolist(), m, w, n)
+    size = [abs(x) for x in e]
+    cut = min(range(n - 1), key=size.__getitem__)
+    cut = next((k for k in range(1, cut) if size[k] <= 1e-18 * size[0]), cut)
+    total = 1j / w * cmath.exp(1j * w) * sum(e[:cut + 1])
+    return total.real, (2.0 * size[cut + 1] + 4.0 * _EPS * sum(size[:cut + 1])) / w
+
+
+def _square_tail(far: tr.FarExpansion, u: float) -> Tuple[float, float]:
+    """integral_1^inf v^u F(v)^2 dv and its error, F a far expansion: each
+    product Re[a e^(i xi v)] Re[b e^(i xi' v)] = Re[a b e^(i (xi + xi') v)] / 2
+    + Re[a conj(b) e^(i (xi - xi') v)] / 2 is a series by convolution, summed
+    per frequency and power and integrated as powers at frequency 0, by
+    parts at any other (``_oscillating_tail``).  The series S <= s v^a and
+    bars R <= r v^b (v >= 1) add (2 s r + r^2) / -(u + a + b + 1), rounding
+    8 eps s^2 / -(u + 2a + 1)."""
+    if not far.series:
+        return 0.0, 0.0
+    products: dict = {}
+    for j, (xi, p, a) in enumerate(far.series):
+        for k, (xi2, p2, b) in enumerate(far.series[j:]):
+            half = 0.5 if k == 0 else 1.0  # a power b is real: both halves at xi + xi2
+            parts = ([(xi + xi2, 2.0 * half * np.convolve(a, b))] if 0.0 in (xi, xi2) else
+                     [(xi + xi2, half * np.convolve(a, b)),
+                      (xi - xi2, half * np.convolve(a, np.conj(b)))])
+            for w, h in parts:
+                key, h = (abs(w), u + p + p2), np.conj(h) if w < 0.0 else h
+                products[key] = tr.padded_sum(products[key], h) if key in products else h
+    value, err = 0.0, 0.0
+    for (w, m), h in products.items():
+        v, e = ((float(h.real @ (1.0 / (np.arange(len(h)) - (m + 1.0)))), 0.0) if w == 0.0
+                else _oscillating_tail(h, m, w))
+        value, err = value + v, err + e
+    size = sum(float(np.abs(tau).sum()) for _, _, tau in far.series)
+    bar, top = sum(e for e, _ in far.bars), max(p for _, p, _ in far.series)
+    bar_top = max(q for _, q in far.bars)
+    return value, err + ((2.0 * size * bar + bar * bar) / -(u + top + bar_top + 1.0)
+                         + 8.0 * _EPS * size * size / -(u + 2.0 * top + 1.0))
+
+
+def _mean_tail(far: tr.FarExpansion, u: float, q: float, lower: float, share: float,
+               y1: float) -> Tuple[float, float, float]:
+    """(k, V, E): V = integral_(k y1)^inf y^u |F f|^q / y1^(u + 1) from the
+    lead A v^a (the terms of the largest power) of a far expansion, by its
+    phase mean m |A|^q: m = m_q = Gamma((q + 1)/2) / (sqrt(pi) Gamma(q/2 +
+    1)), the mean of |cos|^q, for one oscillation, 1 for a power.  The other
+    terms and bars move |F f| by at most r(v) |A| v^a, r falling, which costs
+    (1 + r)^q - 1 of |A|^q integral v^(u + q a) (as in ``_lower_tail``); the
+    harmonics |cos|^q - m_q, whose primitive spans pi m_q (1 - m_q), add by
+    the second mean value theorem at most |A|^q pi m_q (1 - m_q) / xi.  A
+    lead of several frequencies reads half its bound (sum |A|)^q (1 + r)^q.
+    With y1 moved by k every term scales by k^power, so E(k) is closed: k
+    grows by _MOVE until E <= share (lower + V - E), a lower bound on the
+    norm, where that can hold at all and y1 k < 1e300."""
+    terms = [(xi, p - n, c) for xi, p, tau in far.series for n, c in enumerate(tau.tolist()) if c]
+    if not terms:
+        return 1.0, 0.0, 0.0
+    a = max(p for _, p, _ in terms)
+    lead = [(xi, c) for xi, p, c in terms if p >= a - EXPONENT_TOLERANCE]
+    rest = [(abs(c), p - a) for _, p, c in terms if p < a - EXPONENT_TOLERANCE]
+    rest += [(e, b - a) for e, b in far.bars]
+    freqs, s = {xi for xi, _ in lead}, u + q * a + 1.0
+    amp = abs(sum(c.real if xi == 0.0 else c for xi, c in lead)) if len(freqs) == 1 else 0.0
+    several, m = amp == 0.0, 1.0 if freqs == {0.0} else math.gamma(0.5 * q + 0.5) / (
+        math.sqrt(math.pi) * math.gamma(0.5 * q + 1.0))
+    harmonic = 0.0 if several or m == 1.0 else math.pi * m * (1.0 - m) / max(freqs)
+    amp = sum(abs(c) for _, c in lead) if several else amp
+
+    def tail(k: float) -> Tuple[float, float]:
+        grow, bound = (1.0 + sum(e * k ** g for e, g in rest) / amp) ** q, amp ** q * k ** s / -s
+        if several:
+            return 0.5 * bound * grow, 0.5 * bound * grow
+        return m * bound, bound * (grow - 1.0) + amp ** q * harmonic * k ** (s - 1.0)
+
+    base = sum(e for e, g in rest if g >= -EXPONENT_TOLERANCE) / amp  # E / V as k -> inf
+    reachable = lower > 0.0 or (1.0 if several else ((1.0 + base) ** q - 1.0) / m) * (
+        1.0 + share) < share
+    k, (v, e) = 1.0, tail(1.0)
+    while reachable and e > share * (lower + v - e) and k * y1 < 1e300:
+        k *= _MOVE
+        v, e = tail(k)
+    return k, v, e
 
 
 def _rhs_norm(cfg: ExperimentConfig, fam: FunctionFamily) -> List[float]:
@@ -378,56 +440,46 @@ def _rhs_norm(cfg: ExperimentConfig, fam: FunctionFamily) -> List[float]:
     return [t ** (1.0 / p) if math.isfinite(t) else math.inf for t in total.tolist()]
 
 
-def _record(cfg: ExperimentConfig, param: float, f: TestFunction, ends: _Ends,
-            outer: QuadratureConfig):
-    """One member's ratio record, as a coroutine that yields the windows of
-    its outer norm (``_lhs_windows``) from its row of the family's ends."""
-    try:
-        if ends.rhs == 0.0 or not math.isfinite(ends.rhs):
-            return RatioRecord(param, math.nan, ends.rhs, math.nan, 0.0, 0.0,
-                               "rhs zero or infinite; skipped")
-        lhs, lhs_err = yield from _lhs_windows(cfg, f, ends, outer)
-        return RatioRecord(param, lhs, ends.rhs, lhs / ends.rhs, lhs_err, 0.0)
-    except DivergentIntegral as exc:
-        return RatioRecord(param, math.inf, math.nan, math.inf, 0.0, 0.0,
-                           f"lhs divergent ({exc.direction})")
-    except NonConvergence as exc:
-        return RatioRecord(param, exc.value, math.nan, math.nan, exc.error, 0.0, "nonconvergent")
-    except ValueError:  # a window's integrand that is not finite (``integrate``)
-        return RatioRecord(param, math.nan, ends.rhs, math.nan, 0.0, 0.0,
-                           "nonconvergent (integrand not finite)")
+def _record(param: float, ends: _Ends, outcome, q: float) -> RatioRecord:
+    """One member's ratio record from its row of the ends pass and its
+    window's outcome (``quadrature.integrate``): the norm's three parts
+    summed, or the failure its ends or its window raised (ValueError: an
+    integrand that is not finite), with its rhs."""
+    rhs, failure = ends.rhs, ends.failure or (outcome if isinstance(outcome, Exception) else None)
+    if rhs == 0.0 or not math.isfinite(rhs):
+        return RatioRecord(param, math.nan, rhs, math.nan, 0.0, 0.0,
+                           "rhs zero or infinite; skipped")
+    if failure is not None:
+        lhs = math.inf if isinstance(failure, DivergentIntegral) else math.nan
+        note = (f"lhs divergent ({failure.direction})" if lhs == math.inf else "nonconvergent"
+                if isinstance(failure, NonConvergence) else "nonconvergent (integrand not finite)")
+        return RatioRecord(param, lhs, rhs, lhs, 0.0, 0.0, note)
+    val = ends.tail + outcome[0] + ends.upper
+    err = ends.tail_err + outcome[1] + ends.upper_err
+    norm = max(val, 0.0) ** (1.0 / q)
+    return RatioRecord(param, norm, rhs, norm / rhs, norm / (q * val) * err if val > 0.0 else err,
+                       0.0)
 
 
 def compute_ratio_records(cfg: ExperimentConfig) -> List[RatioRecord]:
-    """One record per family member (``_record``).  The members fall into
-    families of one layout (``FunctionFamily.partition``), and each
-    family's rhs and closed-form ends are computed in one pass
-    (``_family_ends``) before any window is integrated.  The members'
-    windows are integrated together: each ``integrate`` call takes the next
-    window of every member that has one, so a family takes one call for
-    its first windows and one more only where a tail budget extends a
-    window."""
+    """One record per family member, in three steps: one ends pass per
+    family of one layout (``FunctionFamily.partition``, ``_family_ends``),
+    one ``integrate`` call over the window of every member whose ends hold,
+    and each member's ``_record``."""
     # The norm integrand is nonnegative: no cancellation can fool the error
     # estimator, so adaptive panels are reliable.
     outer = replace(cfg.quadrature, rel_tol=max(cfg.quadrature.rel_tol, cfg.norm_rel_tol))
-    members: list = [None] * len(cfg.family)
+    ends: List[_Ends] = [None] * len(cfg.family)
     for index, fam in FunctionFamily.partition([f for _, f in cfg.family]):
-        for i, ends in zip(index, _family_ends(cfg, fam, _END_SHARE * outer.rel_tol)):
-            members[i] = _record(cfg, cfg.family[i][0], cfg.family[i][1], ends, outer)
-    records: List[Optional[RatioRecord]] = [None] * len(members)
-    sent = dict.fromkeys(range(len(members)))  # what each unfinished member is sent next
-    while True:
-        asks = {}
-        for i, outcome in sent.items():
-            try:
-                asks[i] = (members[i].throw(outcome) if isinstance(outcome, Exception)
-                           else members[i].send(outcome))
-            except StopIteration as done:
-                records[i] = done.value
-        if not asks:
-            return records
-        sent = dict(zip(asks, integrate([g for g, _ in asks.values()],
-                                        [w for _, w in asks.values()], outer)))
+        for i, row in zip(index, _family_ends(cfg, fam, _END_SHARE * outer.rel_tol)):
+            ends[i] = row
+    live = [i for i, row in enumerate(ends)
+            if row.failure is None and row.rhs != 0.0 and math.isfinite(row.rhs)]
+    outcomes = dict(zip(live, integrate([_integrand(cfg, cfg.family[i][1]) for i in live],
+                                        [(ends[i].y0, ends[i].y1) for i in live], outer)
+                        if live else []))
+    return [_record(param, row, outcomes.get(i), cfg.exps.q)
+            for i, ((param, _), row) in enumerate(zip(cfg.family, ends))]
 
 
 def dilation_exponent(cfg: ExperimentConfig) -> Optional[float]:

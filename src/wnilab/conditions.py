@@ -467,30 +467,38 @@ def _t(s: np.ndarray) -> np.ndarray:
     return np.where(s > 0.0, 1.0 + s, np.exp(np.minimum(s, 0.0)))
 
 
-def _terms(c: np.ndarray, power: float, step: float, t: float) -> Tuple[float, float]:
-    """(lead, rest) of sum_j c_j t^(power - step j), c_j >= 0 (nan as 0): the
-    first term, and the others to the smallest term at t plus twice the first
-    omitted (``_cut``); bounds beyond t where no term grows, limits at 0, inf."""
+def _terms(c: np.ndarray, power: float, step: float, t: float) -> Tuple[np.ndarray, float]:
+    """(terms, bar) of sum_j c_j t^(power - step j) (nan c_j as 0): its terms
+    to the smallest at t, and twice the first omitted (``_cut``); bounds
+    beyond t where no term grows, limits at 0, inf."""
     c = np.append(c, (0.0, 0.0))  # a term past the cut, and one for ``_cut`` to read past it
     with np.errstate(invalid="ignore", divide="ignore"):  # 0 inf where c_j = 0
-        tau = np.where(c > 0.0, c * np.float64(t) ** (power - step * np.arange(len(c))), 0.0)
-    if not 0.0 < tau[0] < math.inf:
-        return float(tau[0]), 0.0
-    n, rest = _cut(tau)
-    return float(tau[0]), float(np.sum(tau[1:n + 1]) + rest * tau[0])
+        tau = np.where(np.abs(c) > 0.0, c * np.float64(t) ** (power - step * np.arange(len(c))), 0.0)
+    if not 0.0 < abs(tau[0]) < math.inf:
+        return tau[:1], 0.0
+    n, rest = _cut(np.abs(tau))
+    return tau[:n + 1], rest * abs(tau[0])
 
 
 def _extremes(ratio: Callable[[np.ndarray], np.ndarray], near: Optional[list], far: list,
-              crossover: float, sign: float = 1.0) -> Tuple[float, float]:
+              crossover: float, sign: float = 1.0, signed: bool = False) -> Tuple[float, float]:
     """(C, t): the supremum (sign 1) or infimum (sign -1) of ``ratio`` over
     t > 0 (t >= 1 without a ``near`` end) and where it is attained, t = 0 or
     inf for an end limit.  An end is a list of series (c, power, step): past
-    t the ratio lies within their ``_terms`` of the first one's lead.  The
-    reads span from where the near end's bound, to where the far end's (by
+    t the ratio lies within their ``_terms`` of the first one's lead, c >= 0.
+    A ``signed`` far end (a supremum only) keeps the signs of its c: there
+    each term lies between 0 and its value at t, so |ratio| is at most the
+    larger of the sums of its positive and its negative terms.  The reads
+    span from where the near end's bound, to where the far end's (by
     _REACH_CAP past the crossover, else NonConvergence), is within _END of
     the best value; ``_sup_scan`` refines each lobe read near the best."""
-    def bound(end: list, t: float) -> float:  # of sign * ratio, beyond t
-        (lead, rest), *others = [_terms(c, power, step, t) for c, power, step in end]
+    def bound(end: list, t: float, signed: bool = False) -> float:  # of sign * ratio, beyond t
+        parts = [_terms(c, power, step, t) for c, power, step in end]
+        if signed:
+            return max(sum(float(np.sum(np.maximum(s * terms, 0.0))) + bar for terms, bar in parts)
+                       for s in (1.0, -1.0))
+        (lead, rest), *others = [(float(terms[0]), float(np.sum(terms[1:]) + bar))
+                                 for terms, bar in parts]
         return sign * lead + rest + sum(a + b for a, b in others)
 
     def read(s: np.ndarray) -> float:
@@ -504,14 +512,14 @@ def _extremes(ratio: Callable[[np.ndarray], np.ndarray], near: Optional[list], f
             found.append((rep.sup_value, max(float(_t(s[i] + math.log(rep.argmax_r))), t_min)))
         return max(value for value, _ in found)
 
-    found = [(sign * max(sign * bound(end, t), 0.0), t)  # sign * ratio at the ends
+    found = [(sign * max(sign * bound(end, t, end is far and signed), 0.0), t)  # at the ends
              for t, end in ((0.0, near), (math.inf, far)) if end]
     best = max(value for value, _ in found)
     lo, hi, t_min = 0, math.ceil((crossover - 1.0) / _STEP), 0.0 if near else 1.0
     while near and bound(near, math.exp(lo * _STEP)) > best + abs(best) * _END:
         lo -= 1
     best = read(_STEP * np.arange(lo, hi + 1))
-    while bound(far, 1.0 + hi * _STEP) > best + abs(best) * _END:
+    while bound(far, 1.0 + hi * _STEP, signed) > best + abs(best) * _END:
         if hi * _STEP > crossover + _REACH_CAP:
             raise NonConvergence(math.nan, math.inf, f"no far-field bound within "
                                  f"{_REACH_CAP} of the crossover meets the best read")
@@ -542,22 +550,26 @@ def primitive_bound(kernel: KernelSpec, nu: float) -> Tuple[float, float]:
     """(C, argmax_t): the supremum over t > 0 of |Phi_nu(t)| / min{t^k_near,
     t^k_far} (``primitive_exponents``), from the dilation table of (kernel,
     nu): toward 0 its series integrated, sum a_m t^(e_m+1)/(e_m+1), toward
-    inf the Mellin constant plus the far field integrated.  The primitive of
-    t^nu phi(t y) is y^(-nu-1) Phi_nu(xy), so C bounds it for every x and y.
-    Raises ValueError where t^nu phi(t) is not integrable at 0."""
+    inf the Mellin constant plus the far field integrated, whose terms keep
+    their signs where it does not oscillate (``_extremes``).  The primitive
+    of t^nu phi(t y) is y^(-nu-1) Phi_nu(xy), so C bounds it for every x and
+    y.  Raises ValueError where t^nu phi(t) is not integrable at 0."""
     k_near, k_far = integrable_exponents(kernel, nu)
-    table = _table(kernel, nu)
+    table, signed = _table(kernel, nu), not kernel.oscillatory
     far, step = table.far_field, (kernel.series or kernel.near).step
     s = nu + far.drift_power + 1.0 - 2.0 * np.arange(len(far.drift))
     with np.errstate(invalid="ignore"):  # 0 / 0 past a drift that ends
-        drift = np.abs(np.asarray(far.drift)) / np.abs(s)
+        drift, mellin = np.asarray(far.drift) / s, np.array([table.mellin()[0]])
+    if not signed:
+        drift, mellin = np.abs(drift), np.abs(mellin)
     return _extremes(lambda t: np.abs(table.integral(np.zeros(len(t)), t)[0])
                      / np.minimum(t ** k_near, t ** k_far),
                      [(np.abs(table.coefs / (table.exponents + 1.0)),
                        table.exponents[0] + 1.0 - k_near, -step)],
-                     [(np.array([abs(table.mellin()[0])]), -k_far, 1.0),
+                     [(mellin, -k_far, 1.0),
                       (abs(far.scale) * table.osc_e_abs, table.osc_power - k_far, 1.0),
-                      (drift, nu + far.drift_power + 1.0 - k_far, 2.0)], kernel.crossover)
+                      (drift, nu + far.drift_power + 1.0 - k_far, 2.0)], kernel.crossover,
+                     signed=signed)
 
 
 @dataclass

@@ -14,7 +14,7 @@ import inspect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -226,6 +226,19 @@ def _cut(tau: np.ndarray) -> Tuple[int, float]:
     return n, 2.0 * np.take_along_axis(tau, np.expand_dims(n + 1, -1), -1)[..., 0] / tau[..., 0]
 
 
+def by_parts(g: Sequence[complex], m: float, w: float = 1.0,
+             n: Optional[int] = None) -> List[complex]:
+    """e_k, k < n (default len(g)), with integral_T^inf sum_k g_k t^(m - k)
+    e^(i w t) dt = (i / w) e^(i w T) sum_k e_k T^(m - k) by parts (the Abel
+    value where the envelope grows): e_k = g_k + (i / w) (m - k + 1) e_(k-1),
+    g_k = 0 past g, in Python complex scalars (numpy's are slow at this)."""
+    n = len(g) if n is None else n
+    e, step = list(g[:n]) + [0j] * (n - len(g)), 1j / w
+    for k in range(1, len(e)):
+        e[k] += step * (m - k + 1.0) * e[k - 1]
+    return e
+
+
 def _chop(c: np.ndarray, tol: float = _EPS) -> int:
     """How many leading coefficients of a Chebyshev series to keep at
     relative precision tol, or len(c) where the series has not yet reached
@@ -287,12 +300,8 @@ class DilationTable:
         self.nu = nu
         self.osc_power = float(nu + far.osc_power)
         osc = np.pad(far.osc.astype(complex), (0, _FAR_TERMS - len(far.osc)))
-        e = osc.tolist()  # the recurrence in Python scalars, which numpy's are slow against
-        for k in range(1, _FAR_TERMS):
-            e[k] += 1j * (self.osc_power - k + 1.0) * e[k - 1]
-        self.osc_e, self.osc_abs = np.array(e), np.abs(osc)
+        self.osc_e, self.osc_abs = np.array(by_parts(osc.tolist(), self.osc_power)), np.abs(osc)
         self.osc_e_abs = np.abs(self.osc_e)
-        self._osc_e_abs = self.osc_e_abs.tolist()  # the envelope's Horner sum in Python floats
         self.drift = np.pad(far.drift, (0, _FAR_TERMS - len(far.drift))) if far.drift else None
         self._mellin: Optional[Tuple[float, float]] = None
         self.crossover = kernel.crossover
@@ -398,10 +407,11 @@ class DilationTable:
         Integration by parts, integral_T^inf t^m e^(it) dt = i e^(iT) T^m
         sum_j m (m-1) ... (m-j+1) (i/T)^j (the Abel value where the envelope
         grows), gives one series i e^(iT) T^m0 sum_n e_n T^-n, m0 = nu +
-        osc_power, e_n = osc_n + i (m0 - n + 1) e_(n-1).  It is cut at its
-        smallest term at w_max, which bounds it at every larger argument.  E is
-        twice the first omitted term, eps times the summed terms' magnitudes
-        and eps t |t^nu phi(t)| for an end t rounded by up to eps t."""
+        osc_power, e_n = osc_n + i (m0 - n + 1) e_(n-1) (``by_parts``).  It is
+        cut at its smallest term at w_max, which bounds it at every larger
+        argument.  E is twice the first omitted term, eps times the summed
+        terms' magnitudes and eps t |t^nu phi(t)| for an end t rounded by up
+        to eps t."""
         far, m0, e, e_abs = self.far_field, self.osc_power, self.osc_e, self.osc_e_abs
         n = self._osc_cut(w_max)[0]
         w = 1.0 / t
@@ -446,12 +456,11 @@ class DilationTable:
                     err = err + np.where(fin, _EPS * moved, 0.0)
         return val, np.where(b > a, err, 0.0)
 
-    def _drift_end(self, t: np.ndarray
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _drift_end(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """For each t of an array, the drift integrated to t, d_j t^s_j / s_j
         with s_j = nu + drift_power + 1 - 2j, cut at t (``_drift_terms``):
-        a row of terms per t, their error bounds, s, each row's count n of
-        terms up to the first omitted, and the rows where one of those is a
+        a row of terms per t, their error bounds, each row's count n of terms
+        up to the first omitted, and the rows where one of those is a
         logarithm (s_j = 0)."""
         n = self._drift_cut(1.0 / t)[0] + 2
         drift_power, k = self.far_field.drift_power, 2.0 * np.arange(_FAR_TERMS)
@@ -459,7 +468,7 @@ class DilationTable:
         with np.errstate(over="ignore"):  # terms past a row's cut are not read
             terms, terms_err, logs = _continued_powers(
                 self.drift, s, t[:, None], 2.0 * _EPS * (abs(self.nu) + abs(drift_power) + k + 1.0))
-        return terms, terms_err, s, n, np.any(logs & (np.arange(_FAR_TERMS) < n[:, None]), axis=1)
+        return terms, terms_err, n, np.any(logs & (np.arange(_FAR_TERMS) < n[:, None]), axis=1)
 
     def _far_end(self, t: float) -> Tuple[float, float]:
         """A(t) and its error bound at t >= crossover, A the far-field
@@ -471,37 +480,12 @@ class DilationTable:
             v, e = self._osc_tail(np.full(1, t), 1.0 / t)
             val, err = -float(v[0]), float(e[0])
         if self.drift is not None:
-            terms, terms_err, _, (n,), (log,) = self._drift_end(np.full(1, t))
+            terms, terms_err, (n,), (log,) = self._drift_end(np.full(1, t))
             if log:
                 raise NonConvergence(math.nan, math.inf, LOG_TERM)
             val += float(np.sum(terms[0, :n - 1]))
             err += 2.0 * abs(terms[0, n - 1]) + float(np.sum(terms_err[0, :n]))
         return val, err
-
-    def _far_envelope(self, t: np.ndarray) -> Tuple[List[Tuple[np.ndarray, float]], np.ndarray]:
-        """(pairs, log) for an array t >= crossover: (K, m) pairs, K one value
-        per t, with |A(T)| <= sum K T^m for T >= t (A as in ``_far_end``),
-        each series cut at its own t, so a term T^(m - j) is at most t^-j T^m;
-        and the t whose drift meets a logarithm (their K is not read).  The
-        oscillatory pair is |scale| (sum_(k <= n) |e_k| t^-k + 2 |e_(n+1)|
-        t^-(n+1)), summed by Horner's rule in Python floats, with m =
-        osc_power."""
-        env, log = [], np.zeros(t.shape, dtype=bool)
-        if np.any(self.far_field.osc):
-            e_abs, scale, k = self._osc_e_abs, abs(self.far_field.scale), []
-            for x, n in zip(t.tolist(), self._osc_cut(1.0 / t)[0].tolist()):
-                w, size = 1.0 / x, 0.0
-                for c in e_abs[n::-1]:
-                    size = size * w + c
-                k.append(scale * (size + 2.0 * e_abs[n + 1] * w ** (n + 1)))
-            env.append((np.array(k), self.osc_power))
-        if self.drift is not None:
-            terms, _, s, n, log = self._drift_end(t)
-            s0 = float(s[0])
-            k = np.abs(terms) * np.array([x ** -s0 for x in t.tolist()])[:, None]
-            env.append((np.array([float(np.sum(row[:j - 1]) + 2.0 * row[j - 1])
-                                  for row, j in zip(k, n.tolist())]), s0))
-        return env, log
 
     def integral(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Phi(b) - Phi(a) and its error bound, for arrays 0 <= a <= b <= inf
@@ -653,36 +637,73 @@ def near_expansion(spec: TransformSpec, fam: FunctionFamily
             np.hstack([errs, np.reshape(np.transpose(e_m), shape)]), y_max, log)
 
 
-def far_envelope(spec: TransformSpec, fam: FunctionFamily, y_min
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(K, kappa, y1, log), a row of K and a y1 per member of the family and
-    kappa shared: |F f(y)| <= sum K_i y^kappa_i for y >= y1 = max(y_min,
-    crossover / X), X f's smallest jump point, so every jump x y lies in the
-    kernel's asymptotic range (y1 = y_min for an f without one).  A piece c
-    x^e, nu = b0 + e, is y^(c0 - nu - 1) c [A(hi y) - A(lo y)]
-    (``_far_envelope``, read at each member's own x y1; A(inf) = 0, and the
-    Mellin constant for -A(0)); the jumps at a point are summed per nu first
-    (``FunctionFamily``).  ``log`` marks the members whose far field meets a
-    logarithm; their rows are not read."""
+def padded_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b for 1-D arrays of any lengths, the shorter one padded with 0."""
+    a, b = (a, b) if len(a) >= len(b) else (b, a)
+    return np.concatenate([a[:len(b)] + b, a[len(b):]])
+
+
+class FarExpansion(NamedTuple):
+    """One member's F f beyond y1 in v = y / y1 >= 1: the sum of its
+    ``series`` (xi, P, tau), each sum_n Re[tau_n e^(i xi v)] v^(P - n) with
+    xi = X y1 (0 for powers), within the sum of E v^Q over its ``bars``."""
+
+    series: Tuple[Tuple[float, float, np.ndarray], ...]
+    bars: Tuple[Tuple[float, float], ...]
+
+
+def far_expansion(spec: TransformSpec, fam: FunctionFamily, y_min
+                  ) -> Tuple[np.ndarray, List[FarExpansion], float, np.ndarray]:
+    """(y1, expansions, top, log): per member its y1 = max(y_min, crossover /
+    X), X its smallest jump point, and its ``FarExpansion``; the largest lead
+    power; the members whose drift meets a logarithm (rows not read).  A
+    piece c x^e, nu = b0 + e, is c y^(c0 - nu - 1) [Phi_nu(hi y) - Phi_nu(lo
+    y)], Phi_nu = M + A past the crossover (``_far_end``): a piece from 0
+    adds c M y^(c0 - nu - 1), its bar |c| times M's error, and a jump J at x
+    (summed per nu) adds J y^(c0 - nu - 1) A(x y), the oscillatory series at
+    frequency x (``_osc_tail``) and the drift's powers (``_drift_end``), each
+    cut at the member's own x y1 with twice its first omitted term as its
+    bar.  Series of one frequency and lead power are summed: where f is
+    continuous the jumps' leads cancel."""
     y1 = np.maximum(y_min, spec.kernel.crossover / np.min(fam.jump_x, axis=1, initial=math.inf))
-    k, kappa, log = [], [], np.zeros(len(fam.members), dtype=bool)
-    for e, lo, coef in zip(fam.exponents.tolist(), fam.lo.T, fam.coef.T):
-        if lo[0] == 0.0:
-            nu = spec.b0 + e
-            c, c_err = _table(spec.kernel, nu).mellin()
-            if c != 0.0:
-                k.append(np.abs(coef) * (abs(c) + c_err))
-                kappa.append(spec.c0 - nu - 1.0)
+    series, bars, members = [{} for _ in fam.members], [[] for _ in fam.members], np.arange(len(y1))
+    top, log, zero = -math.inf, np.zeros(len(y1), dtype=bool), np.zeros(len(y1))
+
+    def add(p, xi, tau, bar, q):  # per member a frequency, a row of tau and a bar E v^q
+        nonlocal top
+        top = max(top, p)
+        for row, terms, x, t, e, qq in zip(series, bars, xi.tolist(), tau, bar.tolist(), q.tolist()):
+            if (x, p) in row:  # a sum within its rounding of 0 is 0
+                size, t = padded_sum(np.abs(row[x, p]), np.abs(t)), padded_sum(row[x, p], t)
+                t[np.abs(t) <= 4.0 * _EPS * size] = 0.0
+            row[x, p] = t
+            terms.append((e, qq))
+
+    for nu, lo, coef in zip((spec.b0 + fam.exponents).tolist(), fam.lo.T, fam.coef.T):
+        c, c_err = _table(spec.kernel, nu).mellin() if lo[0] == 0.0 else (0.0, 0.0)
+        if c != 0.0:
+            p = spec.c0 - nu - 1.0
+            add(p, zero, (coef * c * y1 ** p)[:, None] + 0j, np.abs(coef) * c_err * y1 ** p, zero + p)
     live = fam.jump_live
-    for e, x, jump in zip(fam.jump_exponents[live].tolist(), fam.jump_x[:, live].T,
-                          fam.jump[:, live].T):
-        nu = spec.b0 + e
-        pairs, logs = _table(spec.kernel, nu)._far_envelope(x * y1)
-        log |= logs
-        for kk, m in pairs:  # x^m by the scalar pow, as the records were written
-            k.append(np.abs(jump) * kk * np.array([t ** m for t in x.tolist()]))
-            kappa.append(spec.c0 - nu - 1.0 + m)
-    return np.reshape(np.transpose(k), (len(fam.members), len(kappa))), np.array(kappa), y1, log
+    for nu, x, jump in zip((spec.b0 + fam.jump_exponents[live]).tolist(), fam.jump_x[:, live].T,
+                           fam.jump[:, live].T):
+        table = _table(spec.kernel, nu)
+        far, t, lead = table.far_field, x * y1, jump * y1 ** (spec.c0 - nu - 1.0)
+        if np.any(far.osc):
+            p, n = spec.c0 - 1.0 + far.osc_power, table._osc_cut(1.0 / t)[0]
+            tau = ((-1j * far.scale) * lead * t ** table.osc_power)[:, None] * table.osc_e \
+                * (1.0 / t)[:, None] ** np.arange(_FAR_TERMS)
+            add(p, t, [row[:j + 1] for row, j in zip(tau, n.tolist())],
+                2.0 * np.abs(tau[members, n + 1]), p - n - 1.0)
+        if table.drift is not None:  # powers 2 apart, as a series of step 1
+            p, (terms, _, n, logs) = spec.c0 + far.drift_power, table._drift_end(t)
+            log |= logs
+            tau = np.zeros((len(t), 2 * _FAR_TERMS - 1), complex)
+            tau[:, ::2] = lead[:, None] * terms
+            add(p, zero, [row[:2 * j - 3] for row, j in zip(tau, n.tolist())],
+                2.0 * np.abs(tau[members, 2 * n - 2]), p - 2.0 * n + 2.0)
+    return y1, [FarExpansion(tuple((x, p, tau) for (x, p), tau in row.items()), tuple(terms))
+                for row, terms in zip(series, bars)], top, log
 
 
 def apply(spec: TransformSpec, f: TestFunction, y_grid: Sequence[float],

@@ -7,6 +7,7 @@ import math
 import random
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,10 +15,11 @@ from hypothesis import example, given, settings, strategies as st
 from wnilab.cli import (ConfigError, ExperimentConfig, FitDegenerate, RatioRecord,
                         _write_json, compute_ratio_records, fit_growth, main,
                         run_conditions, verify_summary)
-from wnilab import cli, conditions as cond, transforms
+from wnilab import cli, conditions as cond, quadrature, transforms
 from wnilab.kernels import KERNELS
 from wnilab.transforms import _PRESETS
-from wnilab.weights import FunctionFamily, Piece, TestFunction, Weight, make_truncated_power
+from wnilab.weights import (ExponentSet, FunctionFamily, Piece, TestFunction, Weight,
+                            make_truncated_power)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -81,6 +83,9 @@ def test_table_that_cannot_be_built_is_a_nonconvergent_record(monkeypatch):
     monkeypatch.setattr(transforms, "_dilation_table", lambda *args: None)
     records = compute_ratio_records(ExperimentConfig.from_dict(_modelmin_config(points=2)))
     assert [r.note for r in records] == ["nonconvergent"] * 2
+    # The rhs, a closed form of f, is known from the ends pass; lhs is not.
+    assert all(0.0 < r.rhs < math.inf and math.isnan(r.lhs) and math.isnan(r.ratio)
+               for r in records)
 
 
 def test_modelmin_ratio_grows_off_relation():
@@ -144,8 +149,9 @@ def test_divergent_inner_value_on_a_window_is_a_divergent_row(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
     with open(tmp_path / "mm-win_records.csv") as fh:
-        notes = [row["note"] for row in csv.DictReader(fh)]
-    assert len(notes) == 4 and all(note.startswith("lhs divergent") for note in notes)
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4 and all(row["note"].startswith("lhs divergent") for row in rows)
+    assert all(0.0 < float(row["rhs"]) < math.inf for row in rows)
     assert json.loads((tmp_path / "mm-win_summary.json").read_text())["bounded"] is False
     assert "Traceback" not in capsys.readouterr().err
 
@@ -277,11 +283,14 @@ FAMILY_CASES = _family_cases()
 # written when every member's ends were computed member by member; the first
 # four re-pinned when the outer integrand became (y^(u/q) |F f|)^q, which
 # moved their lhs and ratio by at most 3e-16 relative and lhs_err by at most
-# 4.4e-7.
+# 4.4e-7.  All but cosine-log-window (a finite lhs window, no upper tail)
+# re-pinned when the upper tail became a value: the three hankel families'
+# lhs moved by at most 0.36 of their earlier lhs_err (6.7e-4 relative), and
+# the failed rows of the last two now carry their rhs.
 MEMBER_BY_MEMBER_RECORDS = {
-    "hankel-left-13": "652fbffdd07399e3", "hankel-right-13": "cb787dc86a962464",
-    "hankel-log": "ae5f6afcfe7d4190", "cosine-log-window": "39bd1a624842a105",
-    "hankel-divergent": "912d477d871363ed", "sine-log-end": "e49b4e9388b33fc8",
+    "hankel-left-13": "a99f4d95c13c6f99", "hankel-right-13": "ffd77dcfe8ae3048",
+    "hankel-log": "0826a3c0f6863b98", "cosine-log-window": "39bd1a624842a105",
+    "hankel-divergent": "e8034fe1decab28e", "sine-log-end": "ed907809d9538093",
 }
 
 
@@ -397,9 +406,8 @@ def _hankel_sw_records(beta, side="left"):
 def test_outer_norm_against_weber_schafheitlin(beta, side, monkeypatch):
     # beta = 0.995 puts the integrand's end exponent at 0 at -0.99: most of
     # the norm lies below any window start and comes from the closed form.
-    # From beta = 0.6 (the shipped hankel_verify_endpoint family) the upper
-    # tail's bound at the first window end costs half of itself, within its
-    # share, so each member takes one Kronrod window, all in one call.
+    # The upper tail is the exact square of the far expansion, so each
+    # member takes one Kronrod window, all in one call, at every beta.
     windows = []
 
     def counted(integrands, family_windows, config):
@@ -413,8 +421,162 @@ def test_outer_norm_against_weber_schafheitlin(beta, side, monkeypatch):
         exact = rec.param ** (beta + 1.0) * math.sqrt(_weber_schafheitlin(1.0 + 2.0 * beta))
         assert rec.note == ""
         assert abs(rec.lhs - exact) <= rec.lhs_err <= 1e-2 * exact
-    if beta >= 0.6:
-        assert [len(w) for w in windows] == [len(records)]
+    assert [len(w) for w in windows] == [len(records)]
+
+
+def _counting(monkeypatch):
+    """Counters of the ``integrate`` calls and Kronrod panels that follow."""
+    counts = {"calls": 0, "panels": 0}
+    integrate, eval_panels = cli.integrate, quadrature._eval_panels
+
+    def counted_integrate(*args):
+        counts["calls"] += 1
+        return integrate(*args)
+
+    def counted_panels(f, lo, hi):
+        counts["panels"] += len(lo)
+        return eval_panels(f, lo, hi)
+
+    monkeypatch.setattr(cli, "integrate", counted_integrate)
+    monkeypatch.setattr(quadrature, "_eval_panels", counted_panels)
+    return counts
+
+
+def _truncated_power_doc(transform, p, q, side, beta, gamma, sigma, points=3):
+    return {"transform": transform, "exponents": {"p": p, "q": q, "a": 1.0},
+            "weights": {"beta": beta, "gamma": gamma}, "normalization": "power",
+            "family": {"kind": "truncated_power", "sigma": sigma, "side": side,
+                       "grid": {"start": 0.1, "stop": 10.0, "points": points}},
+            "quadrature": {"norm_rel_tol": 1e-2}}
+
+
+def _relation_grid():
+    """The exponent-relation grid: five presets, five (p, q), both sides and
+    beta at 1/4, 1/2 and 3/4 of the way through (1/q - b0/2, 1/q) (1/q - 1/4
+    for sine), gamma on the exponent relation and sigma 0.3 inside the rhs's
+    integrability bound."""
+    for transform in ({"name": "hankel", "alpha": 0.0}, {"name": "hankel", "alpha": 1.0},
+                      {"name": "sine"}, {"name": "scripth", "alpha": 0.25},
+                      {"name": "model_min", "delta": 1.0}):
+        spec = cli._build_transform(transform)
+        for p, q in ((1.5, 1.5), (1.5, 3.0), (2.0, 3.0), (2.0, 2.0), (1.25, 1.5)):
+            offset = cond._relation_offset(spec, ExponentSet(p, q))
+            start = 1.0 / q - (0.25 if spec.name == "sine" else 0.5 * spec.b0)
+            for side, inside in (("left", 0.3), ("right", -0.3)):
+                for frac in (0.25, 0.5, 0.75):
+                    beta = start + frac * (1.0 / q - start)
+                    gamma = beta - offset
+                    yield _truncated_power_doc(transform, p, q, side, beta, gamma,
+                                               -1.0 / p - gamma + inside)
+
+
+def test_relation_grid_reads_one_window_per_member(monkeypatch):
+    # 150 configs on the exponent relation, 120 of them at q != 2, where the
+    # upper tail is the lead's phase mean: every config takes one integrate
+    # call, no row carries a note, and the members of each config, dilations
+    # of one f, read one ratio within their bars.
+    counts, configs = _counting(monkeypatch), 0
+    for doc in _relation_grid():
+        calls = counts["calls"]
+        records = compute_ratio_records(ExperimentConfig.from_dict(doc))
+        assert counts["calls"] == calls + 1 and all(r.note == "" for r in records), doc
+        for a in records:
+            for b in records:
+                assert abs(a.ratio - b.ratio) <= (a.lhs_err / a.rhs + b.lhs_err / b.rhs), doc
+        configs += 1
+    assert configs == 150
+
+
+def test_sweep_example_takes_one_window_per_member(monkeypatch):
+    # hankel(0), beta = -0.75, gamma = 0.25, f = x^-1.05 on (r, inf): the
+    # upper tail falls only like y1^-0.5, and read as a bound it took a
+    # window extension of 895 panels.  Read exactly, each member takes one
+    # window, 70 panels in all, and its ratio lies within its bar of the
+    # Mellin-Parseval value: with Ff(y) = integral_1^inf x^-0.05 J_0(x y) dx
+    # (r = 1), ||y^0.75 Ff||_2^2 = (1/2pi) integral |M(1.25 + i t)|^2 dt,
+    # M(s) = 2^(s-1) Gamma(s/2) / Gamma(1 - s/2) / (s - 0.95), and the rhs is
+    # 0.6^(-1/2).  The midpoint read of the bound gave 0.92150134081 with a
+    # bar of 1.4e-3, which holds this value too.
+    counts = _counting(monkeypatch)
+    doc = _truncated_power_doc({"name": "hankel", "alpha": 0.0}, 2.0, 2.0, "right", -0.75, 0.25,
+                               -1.05, points=5)
+    records = compute_ratio_records(ExperimentConfig.from_dict(doc))
+    assert counts["calls"] == 1 and counts["panels"] <= 70
+    with mpmath.workdps(20):
+        def mellin(t):
+            s = mpmath.mpf(1.25) + 1j * t
+            return abs(2 ** (s - 1) * mpmath.gamma(s / 2) / mpmath.gamma(1 - s / 2)
+                       / (s - mpmath.mpf(0.95))) ** 2
+        norm = mpmath.quad(mellin, [0, 1, 10, 100, 1000, mpmath.inf]) / mpmath.pi
+        exact = float(mpmath.sqrt(norm * mpmath.mpf(0.6)))
+    assert exact == pytest.approx(0.92183602987, abs=1e-11)
+    for r in records:
+        assert r.note == "" and abs(r.ratio - exact) <= r.lhs_err / r.rhs
+        assert abs(r.ratio - 0.92150134081) <= 1.43e-3
+
+
+def test_outer_norm_at_q_3_against_the_model_kernel_closed_form():
+    # model_min(1) of x^sigma on (0, r) is r^(2+s)/(2+s) for r y <= 1 and
+    # y^(-2-s)/(2+s) + y^-1/2 (r^(1.5+s) - y^(-1.5-s))/(1.5+s) beyond: at
+    # (p, q) = (1.5, 3) the outer norm is integral y^u |F f|^3, a smooth
+    # quadrature.  Its far field is one power: the tail reads its lead
+    # |c|^3, and y1 moves out until the other terms fit their share.
+    beta = 1.0 / 12.0
+    doc = _truncated_power_doc({"name": "model_min", "delta": 1.0}, 1.5, 3.0, "left", beta,
+                               beta + 1.0, -1.0 / 1.5 - beta - 1.0 + 0.3)
+    cfg = ExperimentConfig.from_dict(doc)
+    assert cli.dilation_exponent(cfg) == pytest.approx(0.0, abs=1e-15)
+    s = mpmath.mpf(doc["family"]["sigma"])
+    for rec in compute_ratio_records(cfg):
+        r = mpmath.mpf(rec.param)
+
+        def ff(y):
+            if r * y <= 1:
+                return r ** (2 + s) / (2 + s)
+            return y ** (-2 - s) / (2 + s) + y ** -0.5 * (r ** (1.5 + s) - y ** (-1.5 - s)) / (1.5 + s)
+
+        exact = float(mpmath.cbrt(mpmath.quad(lambda y: y ** (-3 * beta) * abs(ff(y)) ** 3,
+                                              [0, 1 / r, 10 / r, 100 / r, mpmath.inf])))
+        assert rec.note == "" and abs(rec.lhs - exact) <= rec.lhs_err <= 1e-2 * exact
+
+
+def test_outer_norm_at_q_3_against_bessel_quadrature():
+    # hankel(0) of 1 on (0, r) is r J_1(r y) / y, so at (p, q) = (1.5, 3)
+    # the outer norm cubed is r^(3 beta + 5) integral s^(-3 beta) |J_1(s)/s|^3
+    # ds: mpmath quadrature between the zeros of J_1 to the 40th, and past it
+    # the mean (2 / (pi s))^(3/2) m_3 of |J_1|^3, m_3 = 4 / (3 pi).  (The
+    # series of a nonnegative integrand does not alternate, and
+    # mpmath.quadosc's extrapolation of it moves with the precision.)  The
+    # tail is the lead's phase mean, with the harmonics' bar.
+    beta = 1.0 / 12.0
+    cfg = ExperimentConfig.from_dict(_truncated_power_doc(
+        {"name": "hankel", "alpha": 0.0}, 1.5, 3.0, "left", beta, beta + 1.0, 0.0))
+    with mpmath.workdps(15):
+        zeros = [mpmath.mpf(0)] + [mpmath.besseljzero(1, n) for n in range(1, 41)]
+        power = -3.0 * beta - 4.5
+        tail = ((2 / mpmath.pi) ** 1.5 * 4 / (3 * mpmath.pi) * zeros[-1] ** (power + 1)
+                / -(power + 1))
+        cube = tail + mpmath.fsum(
+            mpmath.quad(lambda t: t ** (-3 * beta) * abs(mpmath.besselj(1, t) / t) ** 3, [a, b])
+            for a, b in zip(zeros, zeros[1:]))
+    for rec in compute_ratio_records(cfg):
+        exact = float(mpmath.cbrt(rec.param ** (3 * beta + 5) * cube))
+        assert rec.note == "" and abs(rec.lhs - exact) <= rec.lhs_err <= 1e-2 * exact
+
+
+def test_upper_tail_of_a_cancelled_lead_reads_its_next_terms():
+    # f = r^-3 x^(1/2) on (0, r) plus x^-2.5 beyond is continuous at r: the
+    # jumps' oscillatory leads cancel, so the q = 2 tail's product series
+    # start with zeros, and each by-parts series starts at its first term
+    # that is not 0.  What error is left is the series' own truncation at
+    # x y1 = 12 (read from the first zero, it was 55 % of the tail).
+    doc = _truncated_power_doc({"name": "hankel", "alpha": 0.0}, 2.0, 2.0, "left", -0.2, 0.5, 0.0)
+    cfg = ExperimentConfig.from_dict(doc)
+    members = [TestFunction("kink", [Piece(0.0, r, r ** -3.0, 0.5), Piece(r, math.inf, 1.0, -2.5)])
+               for r in (1.0, 2.0)]
+    [(_, fam)] = FunctionFamily.partition(members)
+    for row in cli._family_ends(cfg, fam, cli._END_SHARE * cfg.norm_rel_tol):
+        assert row.failure is None and 0.0 < row.upper_err <= 0.15 * row.upper
 
 
 @pytest.mark.parametrize("beta,end", [(-0.6, "y -> inf"), (1.005, "y -> 0")])

@@ -411,6 +411,23 @@ def test_bessel_primitive_bound_examples():
         primitive_bound(bessel_j_kernel(0.0), -1.0)
 
 
+@pytest.mark.parametrize("nu,limit", [(0.0, 2.0), (0.5, 1.0), (1.0, 2.0 / 3.0)])
+def test_model_kernel_primitive_bound_is_its_far_limit(nu, limit):
+    # model_min(1): Phi_nu(t) = 1/(nu + 1) + (t^(nu + 1/2) - 1)/(nu + 1/2) for
+    # t > 1, so |Phi_nu| / t^(nu + 1/2) rises to 1/(nu + 1/2) toward infinity,
+    # its supremum; below 1 the ratio is 1/(nu + 1) <= it.  The far end's
+    # Mellin term is negative: counted with its sign, the bound meets the
+    # limit.  No dense read of t > 0 exceeds it.
+    kernel = model_min_kernel(1.0)
+    assert primitive_bound(kernel, nu) == (pytest.approx(limit, rel=1e-15), math.inf)
+    k_near, k_far = primitive_exponents(kernel, nu)
+    phi = np.where(DENSE_T <= 1.0, DENSE_T ** (nu + 1.0) / (nu + 1.0),
+                   1.0 / (nu + 1.0) + (DENSE_T ** (nu + 0.5) - 1.0) / (nu + 0.5))
+    dense = np.abs(_table(kernel, nu).integral(np.zeros(len(DENSE_T)), DENSE_T)[0])
+    assert np.allclose(dense, phi, rtol=1e-13)
+    assert limit >= np.max(dense / np.minimum(DENSE_T ** k_near, DENSE_T ** k_far))
+
+
 def test_envelope_checks():
     rep = check_envelope(bessel_j_kernel(0.0))
     assert rep.max_ratio < 1.5

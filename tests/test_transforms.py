@@ -11,7 +11,7 @@ from wnilab.kernels import FarField, KernelSpec, PowerEnvelope, SeriesKernel, st
 from wnilab.quadrature import NonConvergence, QuadratureConfig
 from wnilab.transforms import (AdmissibilityError, MissingPrimitiveBound, DilationTable,
                                TransformSpec, _dilation_table, apply, check_admissible, cosine,
-                               far_envelope, hankel, model_min, near_expansion, pointwise_bound,
+                               far_expansion, hankel, model_min, near_expansion, pointwise_bound,
                                preset, scripth, sine)
 from wnilab.weights import (FunctionFamily, GMWitness, Piece, TestFunction, make_log_counterexample,
                             make_truncated_power, make_vanishing_moment_function)
@@ -894,30 +894,43 @@ def test_near_expansion_drops_a_vanishing_mellin_constant(spec, exact):
         assert abs(mpmath.mpf(v) - exact(mpmath.mpf(y))) <= e + 1e-13
 
 
+def _far_read(far, v):
+    """A far expansion's signed terms summed at an array v = y / y1 >= 1,
+    and its bar there."""
+    val, bar = np.zeros_like(v), np.zeros_like(v)
+    for xi, p, tau in far.series:
+        phase = np.exp(1j * xi * v)[:, None]
+        val += np.sum(np.real(tau * phase) * v[:, None] ** (p - np.arange(len(tau))), axis=1)
+    for e, q in far.bars:
+        bar += e * v ** q
+    return val, bar
+
+
 @pytest.mark.parametrize("spec,f", END_CASES, ids=END_IDS)
-def test_far_envelope_bounds_the_transform(spec, f):
-    # |F f| stays under the envelope on four decades beyond y1, and comes
-    # within a factor 3 of it.
-    (k,), kappa, (y1,), (log,) = far_envelope(spec, FunctionFamily([f]), 0.0)
-    assert not log
-    assert y1 * min(f.breakpoints) == pytest.approx(12.0)
-    ys = y1 * np.geomspace(1.0, 1e4, 400)
+def test_far_expansion_reproduces_the_transform(spec, f):
+    # The signed terms sum to F f within their bars on four decades beyond
+    # y1, which puts every jump at the crossover 12 or beyond.
+    y1, (far,), top, (log,) = far_expansion(spec, FunctionFamily([f]), 0.0)
+    assert not log and top == max(p for _, p, _ in far.series)
+    assert y1[0] * min(f.breakpoints) == pytest.approx(12.0)
+    ys = y1[0] * np.geomspace(1.0, 1e4, 400)
     res = apply(spec, f, ys, CFG, check=False)
-    envelope = np.sum(k * ys[:, None] ** kappa, axis=1)
-    assert np.all(np.abs(res.values) <= envelope + res.errors)
-    assert np.max(np.abs(res.values) / envelope) >= 1.0 / 3.0
+    val, bar = _far_read(far, ys / y1[0])
+    assert np.all(np.abs(val - res.values) <= bar + res.errors)
+    assert np.max(bar) <= 1e-3 * np.max(np.abs(res.values))
 
 
-def test_far_envelope_starts_at_the_kernel_crossover():
+def test_far_expansion_starts_at_the_kernel_crossover():
     # hankel(10) crosses over at 2 alpha = 20: from y1 = 20 / X on every
-    # jump x y lies in the kernel's asymptotic range, and the envelope bounds
-    # |F f| over three decades.
+    # jump x y lies in the kernel's asymptotic range, and the signed terms
+    # sum to F f over three decades.
     spec, f = hankel(10.0), make_truncated_power(0.0, 1.0, "left")
-    (k,), kappa, (y1,), _ = far_envelope(spec, FunctionFamily([f]), 1e-3)
-    assert y1 == 20.0
-    ys = y1 * np.geomspace(1.0, 1e3, 400)
+    y1, (far,), _, _ = far_expansion(spec, FunctionFamily([f]), 1e-3)
+    assert y1[0] == 20.0
+    ys = y1[0] * np.geomspace(1.0, 1e3, 400)
     res = apply(spec, f, ys, CFG, check=False)
-    assert np.all(np.abs(res.values) <= np.sum(k * ys[:, None] ** kappa, axis=1) + res.errors)
+    val, bar = _far_read(far, ys / y1[0])
+    assert np.all(np.abs(val - res.values) <= bar + res.errors)
 
 
 ENVELOPE_PRESETS = SERIES_PRESETS + [model_min(1.0)]
@@ -925,37 +938,59 @@ ENVELOPE_PRESETS = SERIES_PRESETS + [model_min(1.0)]
 
 @pytest.mark.parametrize("spec", ENVELOPE_PRESETS,
                          ids=[f"{s.name}-{s.alpha}" for s in ENVELOPE_PRESETS])
-def test_far_envelope_read_agrees_with_the_array_path(spec):
-    # The envelope's oscillatory K, a Horner sum in Python floats, is
-    # |scale| (sum_(k <= n) |e_k| t^-k + 2 |e_(n+1)| t^-(n+1)) summed over
-    # numpy arrays, within 4 eps, at the crossover, the reach and 10 reach.
-    for nu in (spec.b0, spec.b0 - 1.3):
-        table = _dilation_table(spec.kernel, nu)
-        ts = np.array([table.crossover, table.reach, 10.0 * table.reach])
-        env, log = table._far_envelope(ts)
-        assert not np.any(log)
-        if not np.any(table.far_field.osc):
-            assert len(env) == 1 and table.drift is not None
-            continue
-        for t, k_read in zip(ts, env[0][0]):
-            n, w, e_abs = table._osc_cut(1.0 / t)[0], np.full(1, 1.0 / t), table.osc_e_abs
-            k = abs(table.far_field.scale) * (np.polyval(e_abs[n::-1], w)
-                                              + 2.0 * e_abs[n + 1] * w ** (n + 1))
-            assert abs(k_read - k[0]) <= 4.0 * EPS * k[0], (nu, t)
-        assert env[0][1] == table.osc_power
+def test_far_expansion_is_the_far_field_antiderivative(spec):
+    # x^e on (1, inf) is -y^(c0 - nu - 1) A(y) beyond the crossover, A the
+    # table's far-field antiderivative (``_far_end``): the signed terms at
+    # y1 = t read it within their bars at the crossover, the reach and 10
+    # reach (the reach of a kernel that does not oscillate is 1), each series
+    # cut at its own t.
+    for e in (0.0, -1.3):
+        table = _dilation_table(spec.kernel, spec.b0 + e)
+        f = FunctionFamily([make_truncated_power(e, 1.0, "right")])
+        reach = max(table.reach, table.crossover)
+        for t in (table.crossover, reach, 10.0 * reach):
+            (y1,), (far,), _, (log,) = far_expansion(spec, f, t)
+            assert y1 == t and not log
+            a, a_err = table._far_end(t)
+            val, bar = _far_read(far, np.ones(1))
+            exact = -t ** (spec.c0 - spec.b0 - e - 1.0) * a
+            assert abs(val[0] - exact) <= bar[0] + abs(t ** (spec.c0 - spec.b0 - e - 1.0)) * a_err
 
 
-def test_far_envelope_reads_no_tail_value(monkeypatch):
-    # The envelope is a scalar read: it evaluates no oscillatory tail value.
+def test_far_expansion_reads_no_tail_value(monkeypatch):
+    # The expansion is a read of the tables' coefficients: it evaluates no
+    # oscillatory tail value.
     spec, f = hankel(0.0), FunctionFamily([TestFunction("far", [Piece(1.0, 2.0, 1.0, 0.0)])])
-    before = far_envelope(spec, f, 1e-3)
+    before = far_expansion(spec, f, 1e-3)
 
     def raises(*args):
         raise AssertionError("_osc_tail called")
 
     monkeypatch.setattr(DilationTable, "_osc_tail", raises)
-    after = far_envelope(spec, f, 1e-3)
-    assert all(np.array_equal(x, y) for x, y in zip(before, after))
+    assert _far_bytes(far_expansion(spec, f, 1e-3)) == _far_bytes(before)
+
+
+def _far_bytes(read):
+    """A far_expansion read as bytes: y1, each member's series and bars, top and log."""
+    y1, expansions, top, log = read
+    return (y1.tobytes(), [[(xi, p, tau.tobytes()) for xi, p, tau in far.series] + [far.bars]
+                           for far in expansions], top, log.tobytes())
+
+
+def test_far_expansion_cancels_the_lead_where_f_is_continuous():
+    # x^(1/2) on (0, 1) and x^-2 beyond: f is continuous at 1, where its
+    # exponent changes, so the two jumps' oscillatory leads cancel (their
+    # sum, within its rounding of 0, is 0) and the expansion starts a power
+    # lower; it still sums to F f within its bars.
+    spec = hankel(0.0)
+    f = TestFunction("kink", [Piece(0.0, 1.0, 1.0, 0.5), Piece(1.0, math.inf, 1.0, -2.0)])
+    y1, (far,), top, _ = far_expansion(spec, FunctionFamily([f]), 1e-3)
+    (tau,) = [tau for xi, _, tau in far.series if xi > 0.0]
+    assert tau[0] == 0.0 and tau[1] != 0.0
+    ys = y1[0] * np.geomspace(1.0, 1e3, 300)
+    res = apply(spec, f, ys, CFG, check=False)
+    val, bar = _far_read(far, ys / y1[0])
+    assert np.all(np.abs(val - res.values) <= bar + res.errors)
 
 
 FAMILIES = {
@@ -975,38 +1010,43 @@ FAMILIES = {
 
 @pytest.mark.parametrize("name", list(FAMILIES))
 def test_family_ends_are_the_one_member_ends(name):
-    # near_expansion and far_envelope read a family in one pass; each
+    # near_expansion and far_expansion read a family in one pass; each
     # member's row is bitwise its one-member family's, its far-field cuts
     # taken at its own x y1 (y_min varies by member, so y1 does), and the
     # shared columns are the one-member ones.
     spec, members = FAMILIES[name]
     fam = FunctionFamily(members)
     y_min = np.where(np.arange(len(members)) % 2, 40.0 / fam.jump_x.max(axis=1), 1e-3)
-    reads = [(lambda f, i: near_expansion(spec, f), (0, 2, 3, 4)),
-             (lambda f, i: far_envelope(spec, f, y_min[i]), (0, 2, 3))]
-    for end, rows in reads:
-        whole = end(fam, slice(None))
-        assert not np.any(whole[-1])
-        for i, f in enumerate(members):
-            alone = end(FunctionFamily([f]), slice(i, i + 1))
-            for k, (a, b) in enumerate(zip(whole, alone)):
-                got = a[i] if k in rows else a
-                assert np.asarray(got).tobytes() == np.asarray(b[0] if k in rows else b).tobytes()
+    whole = near_expansion(spec, fam)
+    assert not np.any(whole[-1])
+    for i, f in enumerate(members):
+        alone = near_expansion(spec, FunctionFamily([f]))
+        for k, (a, b) in enumerate(zip(whole, alone)):
+            got = a[i] if k in (0, 2, 3, 4) else a
+            assert np.asarray(got).tobytes() == np.asarray(b[0] if k in (0, 2, 3, 4) else b).tobytes()
+    y1, expansions, top, log = far_expansion(spec, fam, y_min)
+    assert not np.any(log)
+    for i, f in enumerate(members):
+        alone = _far_bytes(far_expansion(spec, FunctionFamily([f]), y_min[i:i + 1]))
+        row = (y1[i:i + 1], expansions[i:i + 1], top, log[i:i + 1])
+        assert _far_bytes(row) == alone
 
 
-def test_far_envelope_without_a_jump_is_the_mellin_bound():
+def test_far_expansion_without_a_jump_is_the_mellin_term():
     # x^-1.5 on (0, inf) has no jump point: hankel(0) reads it as C y^-1/2,
-    # C = 2.0921 its Mellin constant, and the envelope is that term's bound
-    # alone, from y1 = y_min.
+    # C = 2.0921 its Mellin constant, and the expansion is that term alone,
+    # with its error as its bar, from y1 = y_min.
     spec, f = hankel(0.0), TestFunction("pure", [Piece(0.0, math.inf, 1.0, -1.5)])
-    (k,), kappa, (y1,), (log,) = far_envelope(spec, FunctionFamily([f]), 1.0)
-    assert y1 == 1.0 and not log and kappa.tolist() == [-0.5]
+    (y1,), (far,), top, (log,) = far_expansion(spec, FunctionFamily([f]), 1.0)
+    assert y1 == 1.0 and not log and top == -0.5
     (c,), p, (c_err,), _, _ = near_expansion(spec, FunctionFamily([f]))
-    assert p[-1] == -0.5 and k[0] == abs(c[-1]) + c_err[-1]
+    assert p[-1] == -0.5 and far.series == ((0.0, -0.5, far.series[0][2]),)
+    assert far.series[0][2].tolist() == [c[-1]] and far.bars == ((c_err[-1], -0.5),)
     assert c[-1] == pytest.approx(2.0921, abs=1e-4)
     ys = np.geomspace(1.0, 1e4, 200)
     res = apply(spec, f, ys, CFG, check=False)
-    assert np.all(np.abs(res.values) <= k[0] * ys ** kappa[0] + res.errors)
+    val, bar = _far_read(far, ys)
+    assert np.all(np.abs(val - res.values) <= bar + res.errors)
 
 
 def test_struve_drift_that_does_not_decay_is_not_served():
