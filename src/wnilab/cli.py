@@ -224,10 +224,11 @@ class _Ends:
 
 def _family_ends(cfg: ExperimentConfig, fam: FunctionFamily, share: float) -> List[_Ends]:
     """Every member's rhs (``_rhs_norm``) and, where that is finite and not
-    0, the closed-form ends of (0, inf) in the lhs domain: ``_lower_tail``,
-    then ``_upper_tail`` from its y0 and its lower bound T - E, each one pass
-    over the members its end still serves.  A member keeps the first failure
-    its ends raise; a table that cannot be built fails all its readers."""
+    0, the closed-form ends of (0, inf) in the lhs domain (``_tail``): the
+    lower one, then the upper one from its y0 and its lower bound T - E,
+    each one pass over the members its end still serves.  A member keeps
+    the first failure its ends raise; a table that cannot be built fails all
+    its readers."""
     lo, hi = cfg.lhs_domain
     rows = [_Ends(rhs, lo, hi) for rhs in _rhs_norm(cfg, fam)]
     pending = [i for i, row in enumerate(rows) if row.rhs != 0.0 and math.isfinite(row.rhs)]
@@ -244,12 +245,14 @@ def _family_ends(cfg: ExperimentConfig, fam: FunctionFamily, share: float) -> Li
         return [i for j, i in enumerate(pending) if j not in failed]
 
     if lo == 0.0 and pending:
-        pending = end(lambda sub: _lower_tail(cfg, sub, u_exp, hi, share),
+        pending = end(lambda sub: _tail(cfg, u_exp, -1.0, np.zeros(len(sub.members)), share,
+                                        *tr.near_expansion(cfg.transform, sub, hi)),
                       ("y0", "tail", "tail_err"))
     if math.isinf(hi) and pending:
         y_min = np.array([rows[i].y0 for i in pending])
         lower = np.array([rows[i].tail - rows[i].tail_err for i in pending])
-        pending = end(lambda sub: _upper_tail(cfg, sub, u_exp, y_min, lower, share),
+        pending = end(lambda sub: _tail(cfg, u_exp, 1.0, lower, share,
+                                        *tr.far_expansion(cfg.transform, sub, y_min)),
                       ("y1", "upper", "upper_err"))
     return rows
 
@@ -277,59 +280,35 @@ def _logarithms(log: np.ndarray) -> dict:
             for i in np.flatnonzero(log).tolist()}
 
 
-def _lower_tail(cfg: ExperimentConfig, fam: FunctionFamily, u: float, y_cap: float,
-                share: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """(y0, T, E, failed), a row per member of the family: T = integral_0^y0
-    y^u |A y^k|^q, A y^k the leading term of F f's moment series, with
-    error E.  The other terms move F f by a factor within 1 +- r(y); y0 <=
-    min(y_cap, 1/X) takes one step to where r(y0) = share / q (floored:
-    past it, r(y0) stays in the error).  ``failed`` maps a member's index to
-    what its end raises: DivergentIntegral when u + q k <= -1,
-    NonConvergence at a logarithmic term (``tr.near_expansion``)."""
-    q = cfg.exps.q
-    c, powers, c_err, y_max, log = tr.near_expansion(cfg.transform, fam)
-    failed, members = _logarithms(log), np.arange(len(c))
-    lead = np.argmin(np.where(c != 0.0, powers, math.inf), axis=1)
-    slope, amp = u + q * powers[lead] + 1.0, np.abs(c[members, lead])
-    for i in np.flatnonzero(slope <= DIVERGENCE_MARGIN).tolist():
-        failed.setdefault(i, DivergentIntegral("y -> 0"))
-    size, gap = np.abs(c) + c_err, powers - powers[lead][:, None]
-    rest = (size > 0.0) & (np.arange(c.shape[1]) != lead[:, None])
-    with np.errstate(all="ignore"):  # each row along its own columns, the others 0
-        def r(y):
-            return (c_err[members, lead] + np.sum(np.where(rest, size * y[:, None] ** gap, 0.0),
-                                                  axis=1)) / amp
-
-        y0, step = np.minimum(y_cap, y_max), 1.0 / np.min(np.where(rest, gap, math.inf), axis=1)
-        ratio = r(y0)
-        y0 = np.where(ratio > share / q, np.maximum(y0 * (share / q / ratio) ** step, 1e-300), y0)
-        tail = amp ** q * y0 ** slope / slope
-        return y0, tail, tail * ((1.0 + r(y0)) ** q - 1.0), failed
-
-
-def _upper_tail(cfg: ExperimentConfig, fam: FunctionFamily, u: float, y_min: np.ndarray,
-                lower: np.ndarray, share: float
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """(y1, V, E, failed), a row per member of the family, each read along
-    its own row: V = integral_y1^inf y^u |F f|^q from F f's far expansion
-    beyond y1 >= y_min (``tr.far_expansion``), with error E, exact at q = 2
-    (``_square_tail``), else the lead's phase mean (``_mean_tail``, ``lower``
-    bounding the rest of the norm).  ``failed``: DivergentIntegral where u +
-    q top + 1 >= -DIVERGENCE_MARGIN, NonConvergence at a logarithm."""
-    q = cfg.exps.q
-    y1, expansions, top, log = tr.far_expansion(cfg.transform, fam, y_min)
+def _tail(cfg: ExperimentConfig, u: float, d: float, lower: np.ndarray, share: float,
+          y: np.ndarray, expansions: List[tr.FarExpansion], log: np.ndarray
+          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """(y', V, E, failed), a row per member of the family, each read along
+    its own row: V = the integral of t^u |F f(t)|^q beyond y' (d = 1, from
+    y1 = y of ``tr.far_expansion``) or below it (d = -1, from y0 = y of
+    ``tr.near_expansion``), with error E.  In v = (t / y)^d >= 1 it is
+    y^(u + 1) integral_1^inf v^w |G(v)|^q dv, w = d (u + 1) - 1, G the
+    member's expansion: exact at q = 2 (``_square_tail``), else the lead's
+    phase mean (``_mean_tail``, ``lower`` bounding the rest of the norm)
+    with the end moved to y' = y k^d.  The lead power a is the largest
+    power whose term is not 0; ``failed``: DivergentIntegral where w + q a +
+    1 >= -DIVERGENCE_MARGIN, NonConvergence at a logarithm."""
+    q, w = cfg.exps.q, d * (u + 1.0) - 1.0
     failed = _logarithms(log)
-    if u + q * top + 1.0 >= -DIVERGENCE_MARGIN:
-        failed = {i: failed.get(i, DivergentIntegral("y -> inf")) for i in range(len(y1))}
-    value, err = np.zeros(len(y1)), np.zeros(len(y1))
+    value, err = np.zeros(len(y)), np.zeros(len(y))
     for i, far in enumerate(expansions):
         if i in failed:
             continue
-        scale = float(y1[i]) ** (u + 1.0)
-        k, v, e = ((1.0, *_square_tail(far, u)) if q == 2.0 else
-                   _mean_tail(far, u, q, float(lower[i]) / scale, share, float(y1[i])))
-        y1[i], value[i], err[i] = y1[i] * k, v * scale, e * scale
-    return y1, value, err, failed
+        lead = max((p - n for _, p, tau in far.series for n, c in enumerate(tau.tolist()) if c),
+                   default=-math.inf)
+        if w + q * lead + 1.0 >= -DIVERGENCE_MARGIN:
+            failed[i] = DivergentIntegral("y -> inf" if d > 0.0 else "y -> 0")
+            continue
+        scale = float(y[i]) ** (u + 1.0)
+        k, v, e = ((1.0, *_square_tail(far, w, lead)) if q == 2.0 else
+                   _mean_tail(far, w, q, lead, float(lower[i]) / scale, share, float(y[i]) ** d))
+        y[i], value[i], err[i] = y[i] * k ** d, v * scale, e * scale
+    return y, value, err, failed
 
 
 def _oscillating_tail(h: np.ndarray, m: float, w: float) -> Tuple[float, float]:
@@ -351,14 +330,16 @@ def _oscillating_tail(h: np.ndarray, m: float, w: float) -> Tuple[float, float]:
     return total.real, (2.0 * size[cut + 1] + 4.0 * _EPS * sum(size[:cut + 1])) / w
 
 
-def _square_tail(far: tr.FarExpansion, u: float) -> Tuple[float, float]:
-    """integral_1^inf v^u F(v)^2 dv and its error, F a far expansion: each
-    product Re[a e^(i xi v)] Re[b e^(i xi' v)] = Re[a b e^(i (xi + xi') v)] / 2
-    + Re[a conj(b) e^(i (xi - xi') v)] / 2 is a series by convolution, summed
-    per frequency and power and integrated as powers at frequency 0, by
-    parts at any other (``_oscillating_tail``).  The series S <= s v^a and
-    bars R <= r v^b (v >= 1) add (2 s r + r^2) / -(u + a + b + 1), rounding
-    8 eps s^2 / -(u + 2a + 1)."""
+def _square_tail(far: tr.FarExpansion, u: float, top: float) -> Tuple[float, float]:
+    """integral_1^inf v^u F(v)^2 dv and its error, F an expansion of lead
+    power top: each product Re[a e^(i xi v)] Re[b e^(i xi' v)] = Re[a b e^(i
+    (xi + xi') v)] / 2 + Re[a conj(b) e^(i (xi - xi') v)] / 2 is a series by
+    convolution, summed per frequency and power and integrated term by term
+    at frequency 0 (its terms that are 0 skipped), by parts at any other
+    (``_oscillating_tail``).  The series S <= s v^top and the bars that are
+    not 0, R <= r v^b (v >= 1), add 2 s r / -(u + top + b + 1) and r^2 /
+    -(u + 2b + 1) (inf where a power is not integrable), rounding 8 eps s^2
+    / -(u + 2 top + 1)."""
     if not far.series:
         return 0.0, 0.0
     products: dict = {}
@@ -373,34 +354,36 @@ def _square_tail(far: tr.FarExpansion, u: float) -> Tuple[float, float]:
                 products[key] = tr.padded_sum(products[key], h) if key in products else h
     value, err = 0.0, 0.0
     for (w, m), h in products.items():
-        v, e = ((float(h.real @ (1.0 / (np.arange(len(h)) - (m + 1.0)))), 0.0) if w == 0.0
-                else _oscillating_tail(h, m, w))
+        v, e = ((sum(c / (n - m - 1.0) for n, c in enumerate(h.real.tolist()) if c), 0.0)
+                if w == 0.0 else _oscillating_tail(h, m, w))
         value, err = value + v, err + e
-    size = sum(float(np.abs(tau).sum()) for _, _, tau in far.series)
-    bar, top = sum(e for e, _ in far.bars), max(p for _, p, _ in far.series)
-    bar_top = max(q for _, q in far.bars)
-    return value, err + ((2.0 * size * bar + bar * bar) / -(u + top + bar_top + 1.0)
-                         + 8.0 * _EPS * size * size / -(u + 2.0 * top + 1.0))
+    size = sum(sum(map(abs, tau.tolist())) for _, _, tau in far.series)
+    bar, bar_top = 0.0, -math.inf
+    for e, q in far.bars:
+        if e:
+            bar, bar_top = bar + e, max(bar_top, q)
+    bounds = ((2.0 * size * bar, u + top + bar_top), (bar * bar, u + 2.0 * bar_top),
+              (8.0 * _EPS * size * size, u + 2.0 * top))
+    return value, err + sum(c / -(g + 1.0) if g < -1.0 else math.inf for c, g in bounds if c)
 
 
-def _mean_tail(far: tr.FarExpansion, u: float, q: float, lower: float, share: float,
-               y1: float) -> Tuple[float, float, float]:
-    """(k, V, E): V = integral_(k y1)^inf y^u |F f|^q / y1^(u + 1) from the
-    lead A v^a (the terms of the largest power) of a far expansion, by its
-    phase mean m |A|^q: m = m_q = Gamma((q + 1)/2) / (sqrt(pi) Gamma(q/2 +
-    1)), the mean of |cos|^q, for one oscillation, 1 for a power.  The other
-    terms and bars move |F f| by at most r(v) |A| v^a, r falling, which costs
-    (1 + r)^q - 1 of |A|^q integral v^(u + q a) (as in ``_lower_tail``); the
-    harmonics |cos|^q - m_q, whose primitive spans pi m_q (1 - m_q), add by
-    the second mean value theorem at most |A|^q pi m_q (1 - m_q) / xi.  A
-    lead of several frequencies reads half its bound (sum |A|)^q (1 + r)^q.
-    With y1 moved by k every term scales by k^power, so E(k) is closed: k
-    grows by _MOVE until E <= share (lower + V - E), a lower bound on the
-    norm, where that can hold at all and y1 k < 1e300."""
+def _mean_tail(far: tr.FarExpansion, u: float, q: float, a: float, lower: float, share: float,
+               reach: float) -> Tuple[float, float, float]:
+    """(k, V, E): V = integral_k^inf v^u |F(v)|^q dv from the lead A v^a
+    (the terms of the largest power) of an expansion F, by its phase mean m
+    |A|^q: m = m_q = Gamma((q + 1)/2) / (sqrt(pi) Gamma(q/2 + 1)), the mean
+    of |cos|^q, for one oscillation, 1 for a power.  The other terms and
+    bars move |F| by at most r(v) |A| v^a, r falling, which costs (1 + r)^q
+    - 1 of |A|^q integral v^(u + q a); the harmonics |cos|^q - m_q, whose
+    primitive spans pi m_q (1 - m_q), add by the second mean value theorem
+    at most |A|^q pi m_q (1 - m_q) / xi.  A lead of several frequencies
+    reads half its bound (sum |A|)^q (1 + r)^q.  With the end moved by k
+    every term scales by k^power, so E(k) is closed: k grows by _MOVE until
+    E <= share (lower + V - E), a lower bound on the norm, where that can
+    hold at all and k reach < 1e300."""
     terms = [(xi, p - n, c) for xi, p, tau in far.series for n, c in enumerate(tau.tolist()) if c]
     if not terms:
         return 1.0, 0.0, 0.0
-    a = max(p for _, p, _ in terms)
     lead = [(xi, c) for xi, p, c in terms if p >= a - EXPONENT_TOLERANCE]
     rest = [(abs(c), p - a) for _, p, c in terms if p < a - EXPONENT_TOLERANCE]
     rest += [(e, b - a) for e, b in far.bars]
@@ -421,7 +404,7 @@ def _mean_tail(far: tr.FarExpansion, u: float, q: float, lower: float, share: fl
     reachable = lower > 0.0 or (1.0 if several else ((1.0 + base) ** q - 1.0) / m) * (
         1.0 + share) < share
     k, (v, e) = 1.0, tail(1.0)
-    while reachable and e > share * (lower + v - e) and k * y1 < 1e300:
+    while reachable and e > share * (lower + v - e) and k * reach < 1e300:
         k *= _MOVE
         v, e = tail(k)
     return k, v, e

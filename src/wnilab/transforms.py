@@ -593,20 +593,40 @@ def _table_values(spec: TransformSpec, f: TestFunction,
         return scale * val, scale * err
 
 
-def near_expansion(spec: TransformSpec, fam: FunctionFamily
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(c, p, errors of c, 1/X, log), a row of c and of its errors per member
-    of the family and p shared: F f(y) = sum c_i y^p_i for y <= 1/X, X f's
-    largest jump point.  The moment series y^c0 sum a_m y^(b1 + k m)
-    M_(b0 + b1 + k m)(f) (the tables' a_m; exact moments, 0 where declared
-    vanished, a piece reaching inf continued as -c lo^s / s, s = mu + e +
-    1), plus for that piece its Mellin term c C y^(c0 - nu - 1) where C is
-    not 0 (``DilationTable.mellin``).  ``log`` marks the members whose
-    continuation meets a logarithm (``_continued_powers``); their rows are
-    not read."""
+def padded_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b for 1-D arrays of any lengths, the shorter one padded with 0."""
+    a, b = (a, b) if len(a) >= len(b) else (b, a)
+    return np.concatenate([a[:len(b)] + b, a[len(b):]])
+
+
+class FarExpansion(NamedTuple):
+    """One member's F f toward an end, in v >= 1: v = y / y1 beyond y1
+    (``far_expansion``) or v = y0 / y below y0 (``near_expansion``).  The
+    sum of its ``series`` (xi, P, tau), each sum_n Re[tau_n e^(i xi v)]
+    v^(P - n) with xi = X y1 (0 for powers), within the sum of E v^Q over
+    its ``bars``."""
+
+    series: Tuple[Tuple[float, float, np.ndarray], ...]
+    bars: Tuple[Tuple[float, float], ...]
+
+
+def near_expansion(spec: TransformSpec, fam: FunctionFamily, y_cap: float
+                   ) -> Tuple[np.ndarray, List[FarExpansion], np.ndarray]:
+    """(y0, expansions, log): per member its y0 = min(y_cap, 1/X), X its
+    largest jump point, and F f(y0 / v) in v >= 1 as a ``FarExpansion`` of
+    frequency 0; the members whose continuation meets a logarithm
+    (``_continued_powers``; rows not read).  Below 1/X, F f is the moment
+    series y^c0 sum_m a_m y^(b1 + k m) M_(b0 + b1 + k m)(f) (the tables' a_m;
+    exact moments, 0 where declared vanished, a piece reaching inf continued
+    as -c lo^s / s, s = mu + e + 1), one series of step k with zeros between
+    its terms, plus for that piece its Mellin term c C y^(c0 - nu - 1), a
+    series of its own where C is not 0 (``DilationTable.mellin``).  Each
+    coefficient's error is a bar at its power."""
     series = spec.kernel.series or spec.kernel.near
     a = _table(spec.kernel, spec.b0 + float(fam.exponents[0])).coefs
     orders = spec.b0 + series.b1 + series.step * np.arange(len(a))
+    with np.errstate(divide="ignore"):  # no jump point: 1/X = inf
+        y0 = np.minimum(y_cap, 1.0 / np.max(fam.jump_x, axis=1, initial=0.0))
     rows, row_errs, mellin = [], [], []
     log = np.zeros(len(fam.members), dtype=bool)
     for e, lo, hi, coef in zip(fam.exponents.tolist(), fam.lo.T, fam.hi.T, fam.coef.T):
@@ -619,47 +639,37 @@ def near_expansion(spec: TransformSpec, fam: FunctionFamily
         table = _table(spec.kernel, nu)
         c, c_err = table.mellin()  # raises where an s below is 0
         if c != 0.0:
-            mellin.append((coef[:, 0] * c, spec.c0 - nu - 1.0, np.abs(coef[:, 0]) * c_err))
+            p = spec.c0 - nu - 1.0
+            mellin.append((-p, (coef[:, 0] * c * y0 ** p).tolist(),
+                           (np.abs(coef[:, 0]) * c_err * y0 ** p).tolist()))
         row, row_err, logs = _continued_powers(-coef, table.exponents + 1.0, lo,
                                                table.exponent_error)
         rows.append(row)
         row_errs.append(row_err)
         log |= np.any(logs, axis=1)
     vanished = np.array([any(abs(mu - v) <= 1e-12 for v in fam.vanished_moments) for mu in orders])
-    coefs = np.where(vanished, 0.0, a * np.sum(rows, axis=0))
-    errs = np.where(vanished, 0.0, np.abs(a) * np.sum(row_errs, axis=0))
-    c_m, p_m, e_m = zip(*mellin) if mellin else ((), (), ())
-    shape = (len(fam.members), len(p_m))
-    with np.errstate(divide="ignore"):  # no jump point: y_max = inf
-        y_max = 1.0 / np.max(fam.jump_x, axis=1, initial=0.0)
-    return (np.hstack([coefs, np.reshape(np.transpose(c_m), shape)]),
-            np.concatenate([spec.c0 + orders - spec.b0, p_m]),
-            np.hstack([errs, np.reshape(np.transpose(e_m), shape)]), y_max, log)
-
-
-def padded_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a + b for 1-D arrays of any lengths, the shorter one padded with 0."""
-    a, b = (a, b) if len(a) >= len(b) else (b, a)
-    return np.concatenate([a[:len(b)] + b, a[len(b):]])
-
-
-class FarExpansion(NamedTuple):
-    """One member's F f beyond y1 in v = y / y1 >= 1: the sum of its
-    ``series`` (xi, P, tau), each sum_n Re[tau_n e^(i xi v)] v^(P - n) with
-    xi = X y1 (0 for powers), within the sum of E v^Q over its ``bars``."""
-
-    series: Tuple[Tuple[float, float, np.ndarray], ...]
-    bars: Tuple[Tuple[float, float], ...]
+    powers = spec.c0 + orders - spec.b0  # of y; those of v are their negatives
+    scale = y0[:, None] ** powers
+    tau = np.zeros((len(y0), series.step * (len(a) - 1) + 1))
+    tau[:, ::series.step] = np.where(vanished, 0.0, a * np.sum(rows, axis=0)) * scale
+    errs = np.where(vanished, 0.0, np.abs(a) * np.sum(row_errs, axis=0)) * scale
+    v_powers = (-powers).tolist()
+    expansions = []
+    for i, (t, err) in enumerate(zip(tau, errs.tolist())):
+        terms = [(0.0, p, np.array([c[i]])) for p, c, _ in mellin]
+        bars = (*zip(err, v_powers), *((e[i], p) for p, _, e in mellin))
+        expansions.append(FarExpansion(((0.0, v_powers[0], t), *terms), bars))
+    return y0, expansions, log
 
 
 def far_expansion(spec: TransformSpec, fam: FunctionFamily, y_min
-                  ) -> Tuple[np.ndarray, List[FarExpansion], float, np.ndarray]:
-    """(y1, expansions, top, log): per member its y1 = max(y_min, crossover /
-    X), X its smallest jump point, and its ``FarExpansion``; the largest lead
-    power; the members whose drift meets a logarithm (rows not read).  A
-    piece c x^e, nu = b0 + e, is c y^(c0 - nu - 1) [Phi_nu(hi y) - Phi_nu(lo
-    y)], Phi_nu = M + A past the crossover (``_far_end``): a piece from 0
-    adds c M y^(c0 - nu - 1), its bar |c| times M's error, and a jump J at x
+                  ) -> Tuple[np.ndarray, List[FarExpansion], np.ndarray]:
+    """(y1, expansions, log): per member its y1 = max(y_min, crossover / X),
+    X its smallest jump point, and its ``FarExpansion``; the members whose
+    drift meets a logarithm (rows not read).  A piece c x^e, nu = b0 + e, is
+    c y^(c0 - nu - 1) [Phi_nu(hi y) - Phi_nu(lo y)], Phi_nu = M + A past the
+    crossover (``_far_end``): a piece from 0 adds c M y^(c0 - nu - 1), its
+    bar |c| times M's error, and a jump J at x
     (summed per nu) adds J y^(c0 - nu - 1) A(x y), the oscillatory series at
     frequency x (``_osc_tail``) and the drift's powers (``_drift_end``), each
     cut at the member's own x y1 with twice its first omitted term as its
@@ -667,11 +677,9 @@ def far_expansion(spec: TransformSpec, fam: FunctionFamily, y_min
     continuous the jumps' leads cancel."""
     y1 = np.maximum(y_min, spec.kernel.crossover / np.min(fam.jump_x, axis=1, initial=math.inf))
     series, bars, members = [{} for _ in fam.members], [[] for _ in fam.members], np.arange(len(y1))
-    top, log, zero = -math.inf, np.zeros(len(y1), dtype=bool), np.zeros(len(y1))
+    log, zero = np.zeros(len(y1), dtype=bool), np.zeros(len(y1))
 
     def add(p, xi, tau, bar, q):  # per member a frequency, a row of tau and a bar E v^q
-        nonlocal top
-        top = max(top, p)
         for row, terms, x, t, e, qq in zip(series, bars, xi.tolist(), tau, bar.tolist(), q.tolist()):
             if (x, p) in row:  # a sum within its rounding of 0 is 0
                 size, t = padded_sum(np.abs(row[x, p]), np.abs(t)), padded_sum(row[x, p], t)
@@ -703,7 +711,7 @@ def far_expansion(spec: TransformSpec, fam: FunctionFamily, y_min
             add(p, zero, [row[:2 * j - 3] for row, j in zip(tau, n.tolist())],
                 2.0 * np.abs(tau[members, 2 * n - 2]), p - 2.0 * n + 2.0)
     return y1, [FarExpansion(tuple((x, p, tau) for (x, p), tau in row.items()), tuple(terms))
-                for row, terms in zip(series, bars)], top, log
+                for row, terms in zip(series, bars)], log
 
 
 def apply(spec: TransformSpec, f: TestFunction, y_grid: Sequence[float],

@@ -246,11 +246,15 @@ def test_criterion_9_moment_reduction():
     spec = hankel(0.5)
     series, far = spec.kernel.series, spec.kernel.far_field
     f = make_vanishing_moment_function([spec.b0 + series.b1], [0.2, 1.0, 5.0])
-    (c,), p, _, (y_max,), _ = near_expansion(spec, FunctionFamily([f]))
-    lead = float(p[np.flatnonzero(c)[0]])
-    ys = np.geomspace(0.02, 0.9 * y_max, 5)
+    # The expansion is F f(y0 / v) in v >= 1, y0 = 1/5: its powers of v are
+    # those of y negated.
+    (y0,), (near,), _ = near_expansion(spec, FunctionFamily([f]), math.inf)
+    lead = -max(p - float(np.flatnonzero(tau)[0]) for _, p, tau in near.series)
+    ys = np.geomspace(0.02, 0.9 * y0, 5)
     direct = apply(spec, f, ys, cfg).values
-    rel = float(np.max(np.abs(direct - np.sum(c * ys[:, None] ** p, axis=1)) / np.abs(direct)))
+    moments = sum(np.sum(tau * (y0 / ys[:, None]) ** (p - np.arange(len(tau))), axis=1)
+                  for _, p, tau in near.series)
+    rel = float(np.max(np.abs(direct - moments) / np.abs(direct)))
     g1 = KernelSpec("bessel_j_reduced_1", PowerEnvelope(series.step, 0.0),
                     lambda t: spec.kernel.phi(t) - series.coefs[0],
                     series=SeriesKernel(series.step, series.step, series.coefs[1:]),

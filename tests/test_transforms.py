@@ -194,12 +194,17 @@ def test_vanished_moment_leads_the_near_expansion_with_the_next_power(spec, f):
     # F f is the transform through the reduced kernel G_1: its moment series
     # drops the vanished moment's term exactly and is led by y^(c0 + b1 + k);
     # 1 on (0, 1), whose moment does not vanish, keeps the y^(c0 + b1) term.
-    series = spec.kernel.series
-    (c,), p, _, _, _ = near_expansion(spec, FunctionFamily([f]))
-    assert c[0] == 0.0 and c[1] != 0.0
-    assert p[1] == spec.c0 + series.b1 + series.step
-    (c,), p, _, _, _ = near_expansion(spec, FunctionFamily([make_truncated_power(0.0, 1.0)]))
-    assert c[0] != 0.0 and p[0] == spec.c0 + series.b1
+    # In v = y0 / y the kernel series is one series of step k, y^(c0 + b1)
+    # its first power.
+    series, k = spec.kernel.series, spec.kernel.series.step
+    _, (near,), _ = near_expansion(spec, FunctionFamily([f]), math.inf)
+    (_, p, tau), *_ = near.series
+    assert p == -(spec.c0 + series.b1)
+    assert tau[0] == 0.0 and tau[k] != 0.0 and not np.any(tau[1:k])
+    _, (near,), _ = near_expansion(spec, FunctionFamily([make_truncated_power(0.0, 1.0)]),
+                                   math.inf)
+    (_, p, tau), = near.series
+    assert tau[0] != 0.0 and p == -(spec.c0 + series.b1)
 
 
 def _reduced_kernel(spec):
@@ -826,12 +831,14 @@ def test_continued_power_ends_within_their_bars(s):
         exact = 1 / (mpmath.mpf(nu) + 1) - 1 / (mpmath.mpf(nu) + mpmath.mpf(-0.5 * 0.3) + 1)
     assert abs(mpmath.mpf(c) - exact) <= err <= 1e-10 * abs(c)
     e = -1.3 + s
-    (coefs,), powers, (errs,), _, _ = near_expansion(
-        spec, FunctionFamily([make_truncated_power(e, 1.0, "right")]))
+    (y0,), (near,), _ = near_expansion(
+        spec, FunctionFamily([make_truncated_power(e, 1.0, "right")]), math.inf)
     with mpmath.workdps(50):
         exact = -1 / (mpmath.mpf(spec.b0) + mpmath.mpf(e) + 1)
-    assert powers[0] == 0.0
-    assert abs(mpmath.mpf(coefs[0]) - exact) <= errs[0] <= 1e-10 * abs(coefs[0])
+    (_, p, (coef,)), *_ = near.series
+    (err, q), *_ = near.bars
+    assert y0 == 1.0 and p == q == 0.0
+    assert abs(mpmath.mpf(coef) - exact) <= err <= 1e-10 * abs(coef)
 
 
 def test_model_min_log_case_against_closed_form():
@@ -864,17 +871,24 @@ END_IDS = [f"{s.name}-{f.params.get('side', 'log')}" for s, f in END_CASES]
 
 @pytest.mark.parametrize("spec,f", END_CASES, ids=END_IDS)
 def test_near_expansion_is_the_transform_below_one_over_x(spec, f):
-    # sum c_i y^p_i against the table reads for y up to 1/X, X the largest
-    # jump point; a declared vanished moment is an exact 0.
-    (c,), p, (c_err,), (y_max,), (log,) = near_expansion(spec, FunctionFamily([f]))
-    assert not log
-    ys = y_max * np.array([1e-3, 0.1, 0.5, 1.0])
-    res = apply(spec, f, ys, CFG, check=False)
-    series = np.sum(c * ys[:, None] ** p, axis=1)
-    bound = res.errors + np.sum(c_err * ys[:, None] ** p, axis=1) + 1e-13 * np.abs(series)
-    assert np.all(np.abs(series - res.values) <= bound)
+    # The expansion in v = y0 / y against the table reads for y up to y0 =
+    # 1/X, X the largest jump point, or up to a lower cap; a declared
+    # vanished moment is an exact 0.
+    fam = FunctionFamily([f])
+    (y0,), (near,), (log,) = near_expansion(spec, fam, math.inf)
+    assert not log and y0 == 1.0 / max(f.breakpoints)
+    for cap in (math.inf, 0.3 * y0):
+        (y,), (near,), _ = near_expansion(spec, fam, cap)
+        assert y == min(cap, y0)
+        ys = y * np.array([1e-3, 0.1, 0.5, 1.0])
+        res = apply(spec, f, ys, CFG, check=False)
+        series, bar = _far_read(near, y / ys)
+        bound = res.errors + bar + 1e-13 * np.abs(series)
+        assert np.all(np.abs(series - res.values) <= bound)
     if f.vanished_moments:
-        assert c[0] == 0.0 and np.all(c[1:] != 0.0)
+        step, ((_, _, tau), *mellin) = spec.kernel.series.step, near.series
+        assert tau[0] == 0.0 and np.all(tau[step::step] != 0.0)
+        assert all(np.all(tau != 0.0) for _, _, tau in mellin)
 
 
 @pytest.mark.parametrize("spec,exact", [
@@ -886,11 +900,11 @@ def test_near_expansion_drops_a_vanishing_mellin_constant(spec, exact):
     # integral_0^inf cos are 0, so F f leads with y^0 at 0, not with the
     # rounding residue of the constant times y^-2 or y^-1.
     f = make_truncated_power(0.0, 1.0, "right")
-    (c,), p, (c_err,), _, _ = near_expansion(spec, FunctionFamily([f]))
-    assert np.all(p >= 0.0) and p[np.flatnonzero(c)[0]] == 0.0
+    (y0,), (near,), _ = near_expansion(spec, FunctionFamily([f]), math.inf)
+    (_, p, tau), = near.series  # no Mellin series
+    assert y0 == 1.0 and p == 0.0 and tau[0] != 0.0
     ys = np.array([1e-3, 0.1, 0.5, 1.0])
-    series = np.sum(c * ys[:, None] ** p, axis=1)
-    for y, v, e in zip(ys, series, np.sum(c_err * ys[:, None] ** p, axis=1)):
+    for y, v, e in zip(ys, *_far_read(near, 1.0 / ys)):
         assert abs(mpmath.mpf(v) - exact(mpmath.mpf(y))) <= e + 1e-13
 
 
@@ -910,8 +924,8 @@ def _far_read(far, v):
 def test_far_expansion_reproduces_the_transform(spec, f):
     # The signed terms sum to F f within their bars on four decades beyond
     # y1, which puts every jump at the crossover 12 or beyond.
-    y1, (far,), top, (log,) = far_expansion(spec, FunctionFamily([f]), 0.0)
-    assert not log and top == max(p for _, p, _ in far.series)
+    y1, (far,), (log,) = far_expansion(spec, FunctionFamily([f]), 0.0)
+    assert not log
     assert y1[0] * min(f.breakpoints) == pytest.approx(12.0)
     ys = y1[0] * np.geomspace(1.0, 1e4, 400)
     res = apply(spec, f, ys, CFG, check=False)
@@ -925,7 +939,7 @@ def test_far_expansion_starts_at_the_kernel_crossover():
     # jump x y lies in the kernel's asymptotic range, and the signed terms
     # sum to F f over three decades.
     spec, f = hankel(10.0), make_truncated_power(0.0, 1.0, "left")
-    y1, (far,), _, _ = far_expansion(spec, FunctionFamily([f]), 1e-3)
+    y1, (far,), _ = far_expansion(spec, FunctionFamily([f]), 1e-3)
     assert y1[0] == 20.0
     ys = y1[0] * np.geomspace(1.0, 1e3, 400)
     res = apply(spec, f, ys, CFG, check=False)
@@ -949,7 +963,7 @@ def test_far_expansion_is_the_far_field_antiderivative(spec):
         f = FunctionFamily([make_truncated_power(e, 1.0, "right")])
         reach = max(table.reach, table.crossover)
         for t in (table.crossover, reach, 10.0 * reach):
-            (y1,), (far,), _, (log,) = far_expansion(spec, f, t)
+            (y1,), (far,), (log,) = far_expansion(spec, f, t)
             assert y1 == t and not log
             a, a_err = table._far_end(t)
             val, bar = _far_read(far, np.ones(1))
@@ -971,10 +985,11 @@ def test_far_expansion_reads_no_tail_value(monkeypatch):
 
 
 def _far_bytes(read):
-    """A far_expansion read as bytes: y1, each member's series and bars, top and log."""
-    y1, expansions, top, log = read
-    return (y1.tobytes(), [[(xi, p, tau.tobytes()) for xi, p, tau in far.series] + [far.bars]
-                           for far in expansions], top, log.tobytes())
+    """A far_expansion or near_expansion read as bytes: its end, each
+    member's series and bars, and log."""
+    y, expansions, log = read
+    return (y.tobytes(), [[(xi, p, tau.tobytes()) for xi, p, tau in far.series] + [far.bars]
+                          for far in expansions], log.tobytes())
 
 
 def test_far_expansion_cancels_the_lead_where_f_is_continuous():
@@ -984,7 +999,7 @@ def test_far_expansion_cancels_the_lead_where_f_is_continuous():
     # lower; it still sums to F f within its bars.
     spec = hankel(0.0)
     f = TestFunction("kink", [Piece(0.0, 1.0, 1.0, 0.5), Piece(1.0, math.inf, 1.0, -2.0)])
-    y1, (far,), top, _ = far_expansion(spec, FunctionFamily([f]), 1e-3)
+    y1, (far,), _ = far_expansion(spec, FunctionFamily([f]), 1e-3)
     (tau,) = [tau for xi, _, tau in far.series if xi > 0.0]
     assert tau[0] == 0.0 and tau[1] != 0.0
     ys = y1[0] * np.geomspace(1.0, 1e3, 300)
@@ -1011,25 +1026,19 @@ FAMILIES = {
 @pytest.mark.parametrize("name", list(FAMILIES))
 def test_family_ends_are_the_one_member_ends(name):
     # near_expansion and far_expansion read a family in one pass; each
-    # member's row is bitwise its one-member family's, its far-field cuts
-    # taken at its own x y1 (y_min varies by member, so y1 does), and the
-    # shared columns are the one-member ones.
+    # member's row is bitwise its one-member family's: its y0 (capped at 1
+    # for the members whose 1/X lies beyond), its far-field cuts taken at its
+    # own x y1 (y_min varies by member, so y1 does) and its expansions.
     spec, members = FAMILIES[name]
     fam = FunctionFamily(members)
     y_min = np.where(np.arange(len(members)) % 2, 40.0 / fam.jump_x.max(axis=1), 1e-3)
-    whole = near_expansion(spec, fam)
-    assert not np.any(whole[-1])
-    for i, f in enumerate(members):
-        alone = near_expansion(spec, FunctionFamily([f]))
-        for k, (a, b) in enumerate(zip(whole, alone)):
-            got = a[i] if k in (0, 2, 3, 4) else a
-            assert np.asarray(got).tobytes() == np.asarray(b[0] if k in (0, 2, 3, 4) else b).tobytes()
-    y1, expansions, top, log = far_expansion(spec, fam, y_min)
-    assert not np.any(log)
-    for i, f in enumerate(members):
-        alone = _far_bytes(far_expansion(spec, FunctionFamily([f]), y_min[i:i + 1]))
-        row = (y1[i:i + 1], expansions[i:i + 1], top, log[i:i + 1])
-        assert _far_bytes(row) == alone
+    reads = {near_expansion: lambda rows: 1.0, far_expansion: lambda rows: y_min[rows]}
+    for read, end in reads.items():
+        y, expansions, log = read(spec, fam, end(slice(None)))
+        assert not np.any(log)
+        for i, f in enumerate(members):
+            alone = read(spec, FunctionFamily([f]), end(slice(i, i + 1)))
+            assert _far_bytes((y[i:i + 1], expansions[i:i + 1], log[i:i + 1])) == _far_bytes(alone)
 
 
 def test_far_expansion_without_a_jump_is_the_mellin_term():
@@ -1037,12 +1046,15 @@ def test_far_expansion_without_a_jump_is_the_mellin_term():
     # C = 2.0921 its Mellin constant, and the expansion is that term alone,
     # with its error as its bar, from y1 = y_min.
     spec, f = hankel(0.0), TestFunction("pure", [Piece(0.0, math.inf, 1.0, -1.5)])
-    (y1,), (far,), top, (log,) = far_expansion(spec, FunctionFamily([f]), 1.0)
-    assert y1 == 1.0 and not log and top == -0.5
-    (c,), p, (c_err,), _, _ = near_expansion(spec, FunctionFamily([f]))
-    assert p[-1] == -0.5 and far.series == ((0.0, -0.5, far.series[0][2]),)
-    assert far.series[0][2].tolist() == [c[-1]] and far.bars == ((c_err[-1], -0.5),)
-    assert c[-1] == pytest.approx(2.0921, abs=1e-4)
+    (y1,), (far,), (log,) = far_expansion(spec, FunctionFamily([f]), 1.0)
+    assert y1 == 1.0 and not log and far.series == ((0.0, -0.5, far.series[0][2]),)
+    # Below y0 = 1 the same term, in v = 1 / y: the Mellin series, its
+    # coefficient error the last bar.
+    (y0,), (near,), _ = near_expansion(spec, FunctionFamily([f]), 1.0)
+    (c, c_err) = far.series[0][2][0], far.bars[0][0]
+    assert y0 == 1.0 and near.series[-1][:2] == (0.0, 0.5) and near.series[-1][2].tolist() == [c]
+    assert near.bars[-1] == (c_err, 0.5) and far.bars == ((c_err, -0.5),)
+    assert c == pytest.approx(2.0921, abs=1e-4)
     ys = np.geomspace(1.0, 1e4, 200)
     res = apply(spec, f, ys, CFG, check=False)
     val, bar = _far_read(far, ys)
