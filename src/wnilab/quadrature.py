@@ -98,6 +98,19 @@ def _eval_panels(f, lo: np.ndarray, hi: np.ndarray):
 Outcome = Union[Tuple[float, float], Exception]
 
 
+def _geometric_edges(lo: float, hi: float, n: int) -> np.ndarray:
+    """np.geomspace(lo, hi, n) for 0 < lo < hi and n >= 2, bit for bit, by
+    numpy's own steps without its checks and casts: n equally spaced
+    log10 values, the last one log10(hi), as powers of 10, both ends
+    restored."""
+    a, b = np.log10(lo), np.log10(hi)
+    t = np.arange(n) * ((b - a) / (n - 1)) + a
+    t[-1] = b
+    edges = np.power(10.0, t)
+    edges[0], edges[-1] = lo, hi
+    return edges
+
+
 def integrate(integrands: Sequence[Callable[[np.ndarray], np.ndarray]],
               windows: Sequence[Tuple[float, float]],
               config: Optional[QuadratureConfig] = None) -> List[Outcome]:
@@ -125,7 +138,7 @@ def integrate(integrands: Sequence[Callable[[np.ndarray], np.ndarray]],
             outcomes[i] = (0.0, 0.0)
             continue
         # Geometric panels where the window spans more than a factor of 4.
-        edges = np.array([lo, hi]) if hi / lo <= 4.0 else np.geomspace(
+        edges = np.array([lo, hi]) if hi / lo <= 4.0 else _geometric_edges(
             lo, hi, math.ceil(math.log2(hi / lo)) + 1)
         if len(edges) - 1 > config.max_panels:
             outcomes[i] = NonConvergence(

@@ -172,16 +172,17 @@ def _power_terms(coefs: np.ndarray, exps: np.ndarray, de: np.ndarray, a: np.ndar
     against rows of a, b) and each row's error bound: 4 eps sum |term|, plus
     up to de (|log E| + min(1/|m|, log(b/a))) |term| from each exponent
     rounded by de, m = e + 1 and E the end where x^m is larger, each factor
-    at its maximum."""
+    at its maximum over the row's own ends, so a row's bound does not depend
+    on the rows read with it."""
     terms = coefs * power_moment(exps, a[:, None], b[:, None])
     m_lo, m_hi = sorted((exps[0] + 1.0, exps[-1] + 1.0))
-    # Finite from a = 0 are only terms with m > 0 (E = b), toward inf m < 0 (E = a).
-    ends = b if m_lo > 0 else a if m_hi < 0 else np.concatenate([a, b])
-    log_end = max(abs(math.log(x)) if 0 < x < math.inf else math.inf
-                  for x in (ends.min(initial=math.inf), ends.max(initial=0.0)))
     with np.errstate(divide="ignore", invalid="ignore"):
+        # Finite from a = 0 are only terms with m > 0 (E = b), toward inf
+        # m < 0 (E = a); |log E| is inf at E = 0 or inf.
+        ends = (b,) if m_lo > 0 else (a,) if m_hi < 0 else (a, b)
+        log_end = np.max([np.abs(np.log(t)) for t in ends], axis=0)
         steep = 1.0 / min(abs(m_lo), abs(m_hi)) if m_lo * m_hi > 0 else np.log(b / a)
-    factor = 4.0 * _EPS + de * (log_end + np.reshape(steep, (-1, 1)))
+    factor = 4.0 * _EPS + de * np.reshape(log_end + steep, (-1, 1))
     return terms, np.sum(factor * np.abs(terms), axis=1)
 
 
@@ -283,8 +284,8 @@ class DilationTable:
 
     The far field's constants, which depend only on (kernel, nu), are
     computed here once: the coefficients e_n of the oscillatory tail's
-    series (``_osc_tail``), the |osc_k| and the padded drift.  The Mellin
-    read is kept once made.
+    series (``_osc_tail``), the |osc_k|, the padded drift and Phi(1) - Phi(0)
+    (``near_unit``).  The Mellin read is kept once made.
     """
 
     def __init__(self, kernel: KernelSpec, nu: float):
@@ -296,6 +297,13 @@ class DilationTable:
         steps = series.step * np.arange(n)
         self.exponents = nu + series.b1 + steps
         self.exponent_error = 2.0 * _EPS * (abs(nu) + abs(series.b1) + steps + 1.0)
+        # Phi(1) - Phi(0) and its error bound, the near part of every read
+        # from a = 0 to b >= 1 (nan or inf where the series is not
+        # integrable at 0).
+        with np.errstate(invalid="ignore"):
+            terms, err = _power_terms(self.coefs, self.exponents, self.exponent_error,
+                                      np.zeros(1), np.ones(1))
+        self.near_unit = float(np.sum(terms, axis=1)[0]), float(err[0])
         far = self.far_field = kernel.far_field
         self.nu = nu
         self.osc_power = float(nu + far.osc_power)
@@ -489,11 +497,19 @@ class DilationTable:
 
     def integral(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Phi(b) - Phi(a) and its error bound, for arrays 0 <= a <= b <= inf
-        (inf where a drift term does not decay toward b = inf)."""
-        terms, near_err = _power_terms(self.coefs, self.exponents, self.exponent_error,
-                                       np.minimum(a, 1.0), np.minimum(b, 1.0))
-        near = np.sum(terms, axis=1)
+        (inf where a drift term does not decay toward b = inf).  The near
+        part, the series on (min(a, 1), min(b, 1)), is ``near_unit`` where
+        that is (0, 1) and 0 where it is empty; only the other rows sum the
+        series."""
         n = len(b)
+        near, near_err = np.zeros(n), np.zeros(n)
+        unit = (a == 0.0) & (b >= 1.0)
+        near[unit], near_err[unit] = self.near_unit
+        rows = np.flatnonzero(~(unit | (a >= np.minimum(b, 1.0))))
+        if rows.size:
+            terms, near_err[rows] = _power_terms(self.coefs, self.exponents, self.exponent_error,
+                                                 a[rows], np.minimum(b[rows], 1.0))
+            near[rows] = np.sum(terms, axis=1)
         mid, mid_err = np.zeros(2 * n), np.zeros(2 * n)
         if self.reach > 1.0:
             # Only ends t > 1 of reads from a < reach take from the pieces;

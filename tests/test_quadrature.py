@@ -36,6 +36,19 @@ def test_trivial_closed_forms():
     assert val == pytest.approx(2.0 - 2e-6, rel=1e-8)
 
 
+def test_geometric_edges_are_geomspace_bit_for_bit():
+    # Windows from just above a factor of 4 to twelve decades, anywhere from
+    # 1e-9 to 1e6, split as integrate splits them: the edges are
+    # np.geomspace's, bit for bit.
+    rng = np.random.default_rng(20)
+    for lo, decades in zip(10.0 ** rng.uniform(-9.0, 6.0, 4000),
+                           rng.uniform(math.log10(4.0) + 1e-12, 12.0, 4000)):
+        hi = lo * 10.0 ** decades
+        n = math.ceil(math.log2(hi / lo)) + 1
+        assert np.array_equal(quadrature._geometric_edges(lo, hi, n),
+                              np.geomspace(lo, hi, n)), (lo, hi)
+
+
 def test_sine_antiderivative_oracle():
     # int_a^r sin(x y) dx = (cos(a y) - cos(r y)) / y, frozen at (a, r, y) = (0.5, 3, 2).
     val, _ = _integrate(lambda x: np.sin(2.0 * x), (0.5, 3.0))

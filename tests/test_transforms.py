@@ -4,9 +4,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wnilab.conditions import check_envelope, check_gm
+from wnilab import transforms
 from wnilab.kernels import FarField, KernelSpec, PowerEnvelope, SeriesKernel, struve_h
 from wnilab.quadrature import NonConvergence, QuadratureConfig
 from wnilab.transforms import (AdmissibilityError, MissingPrimitiveBound, DilationTable,
@@ -14,7 +15,7 @@ from wnilab.transforms import (AdmissibilityError, MissingPrimitiveBound, Dilati
                                far_expansion, hankel, model_min, near_expansion, pointwise_bound,
                                preset, scripth, sine)
 from wnilab.weights import (FunctionFamily, GMWitness, Piece, TestFunction, make_log_counterexample,
-                            make_truncated_power, make_vanishing_moment_function)
+                            make_truncated_power, make_vanishing_moment_function, power_moment)
 
 CFG = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13)
 EPS = float(np.finfo(float).eps)
@@ -333,10 +334,9 @@ def test_table_past_a_far_field_term_cancelled_to_zero():
         assert not np.any(table.osc_e_abs[1:]) and table.reach == 12.0
 
 
-# Batches whose reads are independent of the batch: every b >= 1 (the
-# series' error takes no log of an end), and tail series that end (sin t at
-# nu = 0, t^2 j_(1/2)(t) = t sin t at nu = 2), so the far field's cut does
-# not move.
+# Batches whose reads are independent of the batch even beyond the reach:
+# tail series that end (sin t at nu = 0, t^2 j_(1/2)(t) = t sin t at
+# nu = 2), so the far field's cut at the batch's smallest end does not move.
 @pytest.mark.parametrize("spec,nu", [(sine(), 0.0), (hankel(0.5), 2.0)], ids=["sine", "hankel"])
 def test_chebyshev_reads_skip_rows_that_are_zero(spec, nu):
     # Rows from a = 0, from 1 < a < reach and from a >= reach, ending below
@@ -352,6 +352,76 @@ def test_chebyshev_reads_skip_rows_that_are_zero(spec, nu):
     for i in range(len(a)):
         vi, ei = table.integral(a[i:i + 1], b[i:i + 1])
         assert (v[i], e[i]) == (vi[0], ei[0]), i
+
+
+# Tables of the paper's power-type kernels at two nu each, and their reads
+# of Phi(1) - Phi(0) before the near part was kept on the table: one row
+# (0, 1) through the series, value and bar as float.hex.
+UNIT_TABLES = [(spec, nu) for spec in (hankel(0.0), scripth(0.0), sine(), cosine())
+               for nu in (-0.5, 1.0)]
+UNIT_READS = [
+    ("0x1.e745a1a069688p+0", "0x1.9b30b82c7f322p-48"),
+    ("0x1.c29c9ee970c6cp-2", "0x1.1a091166befd8p-50"),
+    ("0x1.9e6c41fef0eb8p-2", "0x1.085a71606a828p-50"),
+    ("0x1.9670ccc51be8fp-3", "0x1.c7081ec347b92p-52"),
+    ("0x1.3db6f9438cadfp-1", "0x1.a80c606248219p-50"),
+    ("0x1.34658fea80cc5p-2", "0x1.6dbcbf185634ep-51"),
+    ("0x1.cf1dcd087125fp+0", "0x1.b775a9f0a9610p-48"),
+    ("0x1.86ef93d7c26f4p-2", "0x1.35726ee9ac664p-50"),
+]
+UNIT_IDS = [f"{spec.name}-nu{nu:g}" for spec, nu in UNIT_TABLES]
+
+
+@pytest.mark.parametrize("table_nu,read", zip(UNIT_TABLES, UNIT_READS), ids=UNIT_IDS)
+def test_near_unit_is_the_one_row_read_from_zero_to_one(table_nu, read):
+    # The kept constant is the series' read of (0, 1) bit for bit: a read
+    # of (0, 1) adds to its bar only the rounding 2 eps |value|.
+    table = _dilation_table(table_nu[0].kernel, table_nu[1])
+    value, bar = (float.fromhex(x) for x in read)
+    v, e = table.integral(np.zeros(1), np.ones(1))
+    assert (v[0], e[0]) == (value, bar)
+    assert table.near_unit[0] == value
+    assert table.near_unit[1] + 2.0 * EPS * abs(table.near_unit[0]) == bar
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(k=st.integers(0, len(UNIT_TABLES) - 1),
+       rows=st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.booleans()),
+                     min_size=2, max_size=12))
+@example(k=0, rows=[(0.0, 0.01, True), (0.0, 0.5, True)])
+def test_reads_below_the_reach_do_not_depend_on_their_batch(k, rows):
+    # Rows from 0 or from a > 0, ending below 1, between 1 and the reach or
+    # beyond it, in one batch: each row ending below the reach reads its
+    # value and bar bitwise as it reads them alone.
+    spec, nu = UNIT_TABLES[k]
+    table = _dilation_table(spec.kernel, nu)
+    a = np.array([0.0 if zero else min(u, w) for u, w, zero in rows]) * table.reach
+    b = np.array([max(u, w) for u, w, _ in rows]) * table.reach
+    v, e = table.integral(a, b)
+    for i in np.flatnonzero(b < table.reach):
+        vi, ei = table.integral(a[i:i + 1], b[i:i + 1])
+        assert (v[i], e[i]) == (vi[0], ei[0]), (a[i], b[i])
+
+
+def test_window_read_of_a_left_truncated_power_sums_no_series(monkeypatch):
+    # x^sigma on (0, r) read across its window [1/r, crossover/r]: every row
+    # runs from 0 to r y >= 1, so its near part is the table's constant and
+    # the read makes no power_moment call.
+    spec, r = hankel(0.0), 0.3
+    f = make_truncated_power(0.0, r, "left")
+    ys = np.geomspace(1.0 / r, spec.kernel.crossover / r, 60)
+    expected = apply(spec, f, ys)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return power_moment(*args)
+
+    monkeypatch.setattr(transforms, "power_moment", counted)
+    got = apply(spec, f, ys)
+    assert calls == []
+    assert np.array_equal(got.values, expected.values) and np.array_equal(got.errors,
+                                                                          expected.errors)
 
 
 def test_infinite_support_transform_frozen_oracle():
