@@ -224,18 +224,61 @@ class _Ends:
 
 def _family_ends(cfg: ExperimentConfig, fam: FunctionFamily, share: float) -> List[_Ends]:
     """Every member's rhs (``_rhs_norm``) and, where that is finite and not
-    0, the closed-form ends of (0, inf) in the lhs domain (``_tail``): the
-    lower one, then the upper one from its y0 and its lower bound T - E,
-    each one pass over the members its end still serves.  A member keeps
-    the first failure its ends raise; a table that cannot be built fails all
-    its readers."""
+    0, the closed-form ends of (0, inf) in the lhs domain, read once per
+    dilation class (``FunctionFamily.dilations``, ``_class_ends``).  Every
+    kernel is phi(xy), so a member f = c g(x / lam) has F f(y) = c
+    lam^(b0 + 1 - c0) F g(lam y): its ends are its class's y0 / lam and
+    y1 / lam, and its tails and their errors its class's times (c lam^(b0 +
+    1 - c0))^q lam^(-u - 1), a factor kept in logs and applied as two
+    halves, so it overflows only where the product does.  Every member of a
+    class keeps its class's failure."""
     lo, hi = cfg.lhs_domain
     rows = [_Ends(rhs, lo, hi) for rhs in _rhs_norm(cfg, fam)]
     pending = [i for i, row in enumerate(rows) if row.rhs != 0.0 and math.isfinite(row.rhs)]
+    if not pending or not (lo == 0.0 or math.isinf(hi)):
+        return rows
+    units, index, lam, log_c = (fam if len(pending) == len(rows) else fam.take(pending)
+                                ).dilations(lo, hi)
+    classes = _class_ends(cfg, units, lam[np.unique(index, return_index=True)[1]], share)
+    spec, q, log_lam = cfg.transform, cfg.exps.q, np.log(lam)
+    logs = (q * log_c, q * (spec.b0 + 1.0 - spec.c0) * log_lam,
+            (q * cfg.power_pair[0] - 1.0) * log_lam)  # -u - 1 = q beta - 1
+    half = np.exp(0.5 * sum(logs)).tolist()
+    # Rounded logs move the factor by up to 4 eps (1 + their sizes) relative.
+    rel = (4.0 * _EPS * (1.0 + sum(np.abs(x) for x in logs))).tolist()
+    for i, k, scale, h, r in zip(pending, index.tolist(), lam.tolist(), half, rel):
+        row = classes[k]
+        y0 = min(row.y0 / scale, hi) if lo == 0.0 else lo
+        (tail, tail_err), (upper, upper_err) = (_scaled(row.tail, row.tail_err, h, r),
+                                                _scaled(row.upper, row.upper_err, h, r))
+        rows[i] = _Ends(rows[i].rhs, y0, max(row.y1 / scale, y0) if math.isinf(hi) else hi,
+                        tail, tail_err, upper, upper_err, row.failure)
+    return rows
+
+
+def _scaled(value: float, err: float, half: float, rel: float) -> Tuple[float, float]:
+    """A tail and its error times a factor half^2 of relative error rel; an
+    end not read (0, error 0) stays 0."""
+    if not (value or err):
+        return value, err
+    return value * half * half, (err + rel * abs(value)) * half * half
+
+
+def _class_ends(cfg: ExperimentConfig, units: FunctionFamily, lam: np.ndarray,
+                share: float) -> List[_Ends]:
+    """Each unit member's closed-form ends of (0, inf) in its scaled lhs
+    domain (lam lo, lam hi) (``_tail``): the lower one, then the upper one
+    from its y0 and its lower bound T - E, each one pass over the units its
+    end still serves; the rows' rhs is not read (0).  A unit keeps the first
+    failure its ends raise; a table that cannot be built fails all its
+    readers."""
+    lo, hi = cfg.lhs_domain
+    rows = [_Ends(0.0, lo * scale, hi * scale) for scale in lam.tolist()]
+    pending = list(range(len(rows)))
     u_exp = -cfg.exps.q * cfg.power_pair[0]
 
     def end(read, names):
-        sub = fam if len(pending) == len(rows) else fam.take(pending)
+        sub = units if len(pending) == len(rows) else units.take(pending)
         try:
             *values, failed = read(sub)
         except NonConvergence as exc:  # a table every member reads
@@ -244,9 +287,9 @@ def _family_ends(cfg: ExperimentConfig, fam: FunctionFamily, share: float) -> Li
             rows[i] = replace(rows[i], failure=failed.get(j), **dict(zip(names, row)))
         return [i for j, i in enumerate(pending) if j not in failed]
 
-    if lo == 0.0 and pending:
+    if lo == 0.0:
         pending = end(lambda sub: _tail(cfg, u_exp, -1.0, np.zeros(len(sub.members)), share,
-                                        *tr.near_expansion(cfg.transform, sub, hi)),
+                                        *tr.near_expansion(cfg.transform, sub, hi * lam)),
                       ("y0", "tail", "tail_err"))
     if math.isinf(hi) and pending:
         y_min = np.array([rows[i].y0 for i in pending])

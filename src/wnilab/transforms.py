@@ -409,19 +409,18 @@ class DilationTable:
         return val, (self.prefix_error[i] + self.piece_error[i]
                      + _EPS * (2.0 * np.abs(val) + t * self.piece_amp[i]))
 
-    def _osc_tail(self, t: np.ndarray, w_max: float) -> Tuple[np.ndarray, np.ndarray]:
-        """(V, E) at arrays t >= 1 / w_max: V = integral_t^inf of the
-        oscillatory part of t^nu phi(t) (0 at t = inf), E its error bound.
-        Integration by parts, integral_T^inf t^m e^(it) dt = i e^(iT) T^m
-        sum_j m (m-1) ... (m-j+1) (i/T)^j (the Abel value where the envelope
-        grows), gives one series i e^(iT) T^m0 sum_n e_n T^-n, m0 = nu +
-        osc_power, e_n = osc_n + i (m0 - n + 1) e_(n-1) (``by_parts``).  It is
-        cut at its smallest term at w_max, which bounds it at every larger
-        argument.  E is twice the first omitted term, eps times the summed
-        terms' magnitudes and eps t |t^nu phi(t)| for an end t rounded by up
-        to eps t."""
+    def _osc_tail(self, t: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(V, E) at arrays t: V = integral_t^inf of the oscillatory part of
+        t^nu phi(t) (0 at t = inf), E its error bound.  Integration by parts,
+        integral_T^inf t^m e^(it) dt = i e^(iT) T^m sum_j m (m-1) ... (m-j+1)
+        (i/T)^j (the Abel value where the envelope grows), gives one series i
+        e^(iT) T^m0 sum_n e_n T^-n, m0 = nu + osc_power, e_n = osc_n + i (m0 -
+        n + 1) e_(n-1) (``by_parts``).  It is cut after term n, its smallest
+        term at some t0 <= min(t) (``_osc_cut``), which bounds it at every
+        larger argument.  E is twice the first omitted term, eps times the
+        summed terms' magnitudes and eps t |t^nu phi(t)| for an end t rounded
+        by up to eps t."""
         far, m0, e, e_abs = self.far_field, self.osc_power, self.osc_e, self.osc_e_abs
-        n = self._osc_cut(w_max)[0]
         w = 1.0 / t
         amp = np.where(w > 0, abs(far.scale) * t ** m0, 0.0)
         val = amp * np.real(far.scale / abs(far.scale) * 1j * np.exp(1j * t)
@@ -431,42 +430,46 @@ class DilationTable:
         moved = _EPS * np.where(w > 0, t, 0.0) * np.polyval(self.osc_abs[n::-1], w)
         return np.where(w > 0, val, 0.0), amp * (trunc + 4.0 * _EPS * size + moved)
 
-    def _drift_terms(self, w_max: float) -> Tuple[np.ndarray, np.ndarray]:
-        """(d_j, 2j) of the drift sum_j d_j t^(nu + drift_power - 2j) of t^nu
-        phi(t), to the first term omitted at its smallest term at w_max."""
-        j = self._drift_cut(w_max)[0] + 2
-        return self.drift[:j], 2.0 * np.arange(j)
-
     def _far_field(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """integral_a^b t^nu phi(t) dt and its error bound from the kernel's
         large-argument form, for arrays a <= b <= inf, a in the asymptotic range:
-        the oscillatory part from ``_osc_tail``, the drift (``_drift_terms``)
-        as exact powers (inf where one does not decay toward b = inf), both
-        series cut at min(a)."""
-        if not np.any(b > a):
-            return np.zeros(a.shape), np.zeros(a.shape)
+        the oscillatory part from ``_osc_tail``, the drift d_j t^(nu +
+        drift_power - 2j) as exact powers to its first omitted term (inf where
+        one does not decay toward b = inf).  Each row's two series are cut at
+        its own a, and only the rows with b > a are summed (0, error 0, on
+        the others), so a row reads alike alone and in any batch."""
+        val, err = np.zeros(a.shape), np.zeros(a.shape)
+        rows = np.flatnonzero(b > a)
+        if not rows.size:
+            return val, err
         nu, drift_power = self.nu, self.far_field.drift_power
-        w_max = 1.0 / float(np.min(a))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            (val, err), (vb, eb) = (self._osc_tail(t, w_max) for t in (a, b))
-            val, err = val - vb, err + eb
-            if self.drift is not None:
-                d, k = self._drift_terms(w_max)
-                # Exponents are rounded by at most 2 eps times their summands' size.
-                terms, terms_err = _power_terms(d, nu + drift_power - k, 2.0 * _EPS
-                                                * (abs(nu) + abs(drift_power) + k + 1.0), a, b)
-                val = val + np.sum(terms[:, :-1], axis=1)
-                err = err + terms_err + 2.0 * np.abs(terms[:, -1])
-                for t in (a, b):
-                    fin = t < math.inf
-                    s = np.where(fin, t, 1.0)[:, None]
-                    moved = np.sum(np.abs(d) * s ** (nu + drift_power + 1.0 - k), axis=1)
-                    err = err + np.where(fin, _EPS * moved, 0.0)
-        return val, np.where(b > a, err, 0.0)
+            osc_n = self._osc_cut(1.0 / a[rows])[0]
+            drift_n = (np.zeros(rows.size, int) if self.drift is None
+                       else self._drift_cut(1.0 / a[rows])[0] + 2)
+            for n, j in sorted(set(zip(osc_n.tolist(), drift_n.tolist()))):
+                at = rows[(osc_n == n) & (drift_n == j)]
+                (v, e), (vb, eb) = (self._osc_tail(t[at], n) for t in (a, b))
+                v, e = v - vb, e + eb
+                if self.drift is not None:
+                    d, k = self.drift[:j], 2.0 * np.arange(j)
+                    # Exponents are rounded by at most 2 eps times their summands' size.
+                    terms, terms_err = _power_terms(d, nu + drift_power - k, 2.0 * _EPS
+                                                    * (abs(nu) + abs(drift_power) + k + 1.0),
+                                                    a[at], b[at])
+                    v = v + np.sum(terms[:, :-1], axis=1)
+                    e = e + terms_err + 2.0 * np.abs(terms[:, -1])
+                    for t in (a[at], b[at]):
+                        fin = t < math.inf
+                        s = np.where(fin, t, 1.0)[:, None]
+                        moved = np.sum(np.abs(d) * s ** (nu + drift_power + 1.0 - k), axis=1)
+                        e = e + np.where(fin, _EPS * moved, 0.0)
+                val[at], err[at] = v, e
+        return val, err
 
     def _drift_end(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """For each t of an array, the drift integrated to t, d_j t^s_j / s_j
-        with s_j = nu + drift_power + 1 - 2j, cut at t (``_drift_terms``):
+        with s_j = nu + drift_power + 1 - 2j, cut at t (``_drift_cut``):
         a row of terms per t, their error bounds, each row's count n of terms
         up to the first omitted, and the rows where one of those is a
         logarithm (s_j = 0)."""
@@ -485,7 +488,7 @@ class DilationTable:
         NonConvergence where a drift term is a logarithm."""
         val, err = 0.0, 0.0
         if np.any(self.far_field.osc):
-            v, e = self._osc_tail(np.full(1, t), 1.0 / t)
+            v, e = self._osc_tail(np.full(1, t), self._osc_cut(1.0 / t)[0])
             val, err = -float(v[0]), float(e[0])
         if self.drift is not None:
             terms, terms_err, (n,), (log,) = self._drift_end(np.full(1, t))

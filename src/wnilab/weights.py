@@ -394,7 +394,8 @@ class FunctionFamily:
     jump points ``jump_x`` with their jumps ``jump``.  The ``exponents`` of
     the pieces and the ``jump_exponents`` are shared, as is ``params``, the
     parameters every member has alike.  A single function is a family of
-    one."""
+    one.  Its members fall into dilation classes (``dilations``): members
+    that are c g(x / lam) of one unit member g."""
 
     def __init__(self, members: Sequence[TestFunction], layouts: Optional[list] = None):
         """``layouts``: each member's ``_layout``, computed here if not given."""
@@ -422,6 +423,48 @@ class FunctionFamily:
         for name in ("lo", "hi", "coef", "jump_x", "jump"):
             setattr(sub, name, getattr(self, name)[index])
         return sub
+
+    def dilations(self, lo: float, hi: float
+                  ) -> Tuple["FunctionFamily", np.ndarray, np.ndarray, np.ndarray]:
+        """(units, index, scale, log_coef): each member as f_i(x) = c_i
+        g_i(x / lam_i), with lam_i (``scale``) its largest finite piece end
+        (1 without one) and c_i = |a_i| lam_i^e_i, kept as log c_i
+        (``log_coef``), for a_i x^e_i its first piece whose coefficient is
+        not 0 (its first piece, |a_i| read as 1, where none is).  The unit
+        member g_i has f_i's piece ends and jump points over lam_i, and its
+        coefficients and jumps times lam_i^(e - e_i) / |a_i|.  Members whose
+        g_i and scaled lhs domain (lam_i lo, lam_i hi) are equal, float for
+        float, form one dilation class: ``units`` holds each class's g once,
+        in order of first appearance, and ``index`` each member's class.  A
+        member's g_i depends on that member alone, so a truncated-power
+        family is one class, and a member no other matches is a class of
+        one."""
+        rows = np.arange(len(self.members))
+        ends = np.concatenate([self.lo, np.where(np.isfinite(self.hi), self.hi, 0.0)], axis=1)
+        scale = np.max(ends, axis=1, initial=0.0)
+        scale = np.where(scale > 0.0, scale, 1.0)
+        anchor = np.argmax(self.coef != 0.0, axis=1)
+        size, power = np.abs(self.coef[rows, anchor]), self.exponents[anchor]
+        size = np.where(size > 0.0, size, 1.0)
+        lam = scale[:, None]
+        with np.errstate(over="ignore"):
+            coef = self.coef / size[:, None] * lam ** (self.exponents - power[:, None])
+            jump = self.jump / size[:, None] * lam ** (self.jump_exponents - power[:, None])
+        unit = {"lo": self.lo / lam, "hi": self.hi / lam, "coef": coef,
+                "jump_x": self.jump_x / lam, "jump": jump}
+        keys = np.concatenate([*unit.values(), lo * lam, hi * lam], axis=1).tolist()
+        classes: dict = {}
+        index = np.array([classes.setdefault(tuple(key), len(classes)) for key in keys])
+        first = np.unique(index, return_index=True)[1]
+        units = copy.copy(self)
+        for name, value in unit.items():
+            setattr(units, name, value[first])
+        ends = zip(units.lo.tolist(), units.hi.tolist(), units.coef.tolist())
+        units.members = [TestFunction(self.members[i].family,
+                                      list(map(Piece, *row, self.exponents.tolist())))
+                         for i, row in zip(first.tolist(), ends)]
+        units.params = {}
+        return units, index, scale, np.log(size) + power * np.log(scale)
 
     @classmethod
     def partition(cls, functions: Sequence[TestFunction]

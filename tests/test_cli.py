@@ -289,10 +289,15 @@ FAMILY_CASES = _family_cases()
 # the failed rows of the last two now carry their rhs.  The three hankel
 # families re-pinned again when the lower tail became a value, exact at
 # q = 2: their lhs moved by at most 0.29 (left and right) and 0.13 (log) of
-# their earlier lhs_err.
+# their earlier lhs_err.  The three re-pinned once more when the ends became
+# one read per dilation class, scaled to each member: the left and right
+# families' lhs moved by at most 7.1e-5 of their earlier lhs_err (8.4e-16
+# relative), and each lhs_err gained the rounding of the scale factor (at
+# most 7.9e-4 of itself; the log family's lhs is unchanged, its lhs_err
+# moved by 3.4e-14 relative).
 MEMBER_BY_MEMBER_RECORDS = {
-    "hankel-left-13": "8e0816d533678f34", "hankel-right-13": "c24899844b238093",
-    "hankel-log": "910187a8a3bc0430", "cosine-log-window": "39bd1a624842a105",
+    "hankel-left-13": "3c2c6f80b5f65f11", "hankel-right-13": "b38455fcb6f840cf",
+    "hankel-log": "c6f5bac7651952a0", "cosine-log-window": "39bd1a624842a105",
     "hankel-divergent": "e8034fe1decab28e", "sine-log-end": "ed907809d9538093",
 }
 
@@ -355,6 +360,80 @@ def test_members_of_other_layouts_form_families_of_their_own():
     assert parts[0][1].take([1]).hi.tolist() == [[2.0]]
     with pytest.raises(ValueError, match="one piece and jump layout"):
         FunctionFamily([left[0], right])
+
+
+def _scripth_probe_seed_7():
+    """The benchmark's seed-7 scripth-probe config: the shipped Struve
+    family of six members, its grid started where that seed draws it."""
+    doc = json.loads((CONFIGS / "scripth_probe.json").read_text())
+    start = 0.1 * 10.0 ** (0.5 * random.Random("scripth-probe:7").random())
+    doc["family"]["grid"].update(start=start, stop=start * 1e3)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [_hankel_verify_seed_7(), _scripth_probe_seed_7()],
+                         ids=["hankel-verify-7", "scripth-probe-7"])
+def test_exact_tails_are_read_once_per_dilation_class(doc, monkeypatch):
+    # A truncated-power family is one dilation class: its q = 2 tails are
+    # two square reads, its unit member's lower and upper, however many
+    # members it has (13 and 6 here; each member alone takes two).
+    calls = []
+    square = cli._square_tail
+
+    def counted(*args):
+        calls.append(args)
+        return square(*args)
+
+    monkeypatch.setattr(cli, "_square_tail", counted)
+    records = compute_ratio_records(ExperimentConfig.from_dict(doc))
+    assert len(calls) == 2 and all(r.note == "" for r in records)
+
+
+def _split_family(points=(0.3, 1.0, 7.0, 40.0)):
+    """1.5 x^-1/2 on (0, r a) less x^-1/2 on (r a, r), at a = 1/2 and 1/4:
+    two dilation classes of one layout."""
+    return [TestFunction("split", [Piece(0.0, r * a, 1.5, -0.5), Piece(r * a, r, -1.0, -0.5)])
+            for r in points for a in (0.5, 0.25)]
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0])
+def test_class_ends_read_each_member_as_its_direct_read(q):
+    # Every member's ends, read once per dilation class and scaled, lie
+    # within their bars of the member's own direct read (``_class_ends`` on
+    # the member as its own unit, lam = 1): y0 and y1 within rounding, each
+    # tail within the sum of the two errors.
+    doc = _truncated_power_doc({"name": "hankel", "alpha": 0.0}, 1.5, q, "left", 0.1, 0.6, 0.0)
+    cfg = ExperimentConfig.from_dict(doc)
+    members = _split_family()
+    fam = FunctionFamily(members)
+    assert len(fam.dilations(0.0, math.inf)[0].members) == 2
+    share = cli._END_SHARE * cfg.norm_rel_tol
+    for row, f in zip(cli._family_ends(cfg, fam, share), members):
+        [direct] = cli._class_ends(cfg, FunctionFamily([f]), np.ones(1), share)
+        assert row.failure is None and direct.failure is None
+        assert row.y0 == pytest.approx(direct.y0, rel=1e-14)
+        assert row.y1 == pytest.approx(direct.y1, rel=1e-14)
+        assert abs(row.tail - direct.tail) <= row.tail_err + direct.tail_err
+        assert abs(row.upper - direct.upper) <= row.upper_err + direct.upper_err
+        assert 0.0 < row.tail and 0.0 < row.upper
+        if q == 2.0:  # at q = 3 the upper lead has two frequencies, read as B/2 +- B/2
+            assert row.tail_err <= 1e-2 * row.tail and row.upper_err <= 1e-2 * row.upper
+
+
+@pytest.mark.parametrize("index", [19, 40, 61, 107, 141, 145])
+def test_members_at_extreme_r_read_their_unit_ratio(index):
+    # Relation-grid configs (hankel, sine, scripth and model_min; q = 2,
+    # 1.5 and 3; both sides) with members at r = 1e-120, 1 and 1e120: by
+    # dilation every ratio is the r = 1 ratio, and each reads it within the
+    # two bars, with no note and a finite bar.  A far member's tail read at
+    # its own y0 would overflow: y0^(u + 1) leaves the float range.
+    doc = list(_relation_grid())[index]
+    doc["family"]["grid"] = {"start": 1e-120, "stop": 1e120, "points": 3}
+    records = compute_ratio_records(ExperimentConfig.from_dict(doc))
+    unit = records[1]
+    for r in records:
+        assert r.note == "" and math.isfinite(r.lhs_err), (doc, r)
+        assert abs(r.ratio - unit.ratio) <= r.lhs_err / r.rhs + unit.lhs_err / unit.rhs, (doc, r)
 
 
 def test_fit_verdict_outside_the_dilation_setting():

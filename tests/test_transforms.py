@@ -403,6 +403,27 @@ def test_reads_below_the_reach_do_not_depend_on_their_batch(k, rows):
         assert (v[i], e[i]) == (vi[0], ei[0]), (a[i], b[i])
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(k=st.integers(0, len(UNIT_TABLES) - 1),
+       rows=st.lists(st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 40.0), st.booleans()),
+                     min_size=2, max_size=12))
+@example(k=3, rows=[(37.0 / 37.0, 44.4 / 37.0, False), (185.0 / 37.0, 314.5 / 37.0, False)])
+def test_reads_beyond_the_reach_do_not_depend_on_their_batch(k, rows):
+    # Rows reaching up to 40 reaches, some to inf: each row's far-field
+    # series is cut at its own a, so every row reads its value and bar
+    # bitwise as it reads them alone.  The example is scripth(0) at nu = 1
+    # (reach 37), whose row (185, 314.5) read one value in a batch with
+    # (37, 44.4) and another alone when the batch's smallest end cut both.
+    spec, nu = UNIT_TABLES[k]
+    table = _dilation_table(spec.kernel, nu)
+    a = np.array([min(u, w) for u, w, _ in rows]) * table.reach
+    b = np.array([math.inf if far else max(u, w) for u, w, far in rows]) * table.reach
+    v, e = table.integral(a, b)
+    for i in range(len(rows)):
+        vi, ei = table.integral(a[i:i + 1], b[i:i + 1])
+        assert repr((v[i], e[i])) == repr((vi[0], ei[0])), (a[i], b[i])
+
+
 def test_window_read_of_a_left_truncated_power_sums_no_series(monkeypatch):
     # x^sigma on (0, r) read across its window [1/r, crossover/r]: every row
     # runs from 0 to r y >= 1, so its near part is the table's constant and

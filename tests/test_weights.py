@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from wnilab.conditions import check_gm
 from wnilab.transforms import check_admissible, hankel, scripth
-from wnilab.weights import (ExponentSet, GMWitness, Piece, SingularSystem,
+from wnilab.weights import (ExponentSet, FunctionFamily, GMWitness, Piece, SingularSystem,
                             TestFunction, Weight, make_log_counterexample,
                             make_truncated_power, make_vanishing_moment_function,
                             power_moment)
@@ -368,3 +368,47 @@ def test_admissibility_modes():
 
     with pytest.raises(ValueError):
         check_admissible(ind, hk, "bogus")
+
+
+@pytest.mark.parametrize("sigma,side,start,stop,points", [
+    (0.0, "left", 10.0 ** -2.8, 10.0 ** 3.2, 13),   # a hankel-verify grid
+    (0.5, "left", 0.1 * 10.0 ** 0.37, 10.0 ** 1.37, 6),  # a scripth-probe grid
+    (-2.5, "right", 1e-120, 1e120, 9),
+])
+def test_truncated_powers_are_one_dilation_class(sigma, side, start, stop, points):
+    # x^sigma on (0, r) or (r, inf) is r^sigma g(x / r) with g the same unit
+    # member, float for float: one class, whatever the grid.
+    members = [make_truncated_power(sigma, r, side)
+               for r in np.geomspace(start, stop, points).tolist()]
+    fam = FunctionFamily(members)
+    units, index, scale, log_coef = fam.dilations(0.0, math.inf)
+    assert index.tolist() == [0] * points and len(units.members) == 1
+    assert scale.tolist() == [f.params["r"] for f in members]
+    assert np.allclose(log_coef, sigma * np.log(scale), rtol=1e-15, atol=1e-300)
+    assert units.coef.tolist() == [[1.0]] and units.jump_x.tolist() == [[1.0]]
+    assert units.lo.tolist() == [[0.0 if side == "left" else 1.0]]
+    # On a finite lhs window the scaled domains differ: classes of one.
+    assert fam.dilations(0.0, 2.0)[1].tolist() == list(range(points))
+
+
+def test_dilation_classes_depend_on_each_member_alone():
+    # Members split at r/2 and at r/4 form two classes in any order and in
+    # any company; log counterexamples of different N are classes of one.
+    def split(r, at):
+        return TestFunction("split", [Piece(0.0, r * at, 1.5, -0.5), Piece(r * at, r, -1.0, -0.5)])
+
+    members = [split(r, at) for r in (0.3, 1.0, 7.0) for at in (0.5, 0.25)]
+    units, index, scale, log_coef = FunctionFamily(members).dilations(0.0, math.inf)
+    assert index.tolist() == [0, 1] * 3 and len(units.members) == 2
+    assert units.hi.tolist() == [[0.5, 1.0], [0.25, 1.0]]
+    assert units.coef.tolist() == [[1.0, -1.0 / 1.5]] * 2
+    for i, f in enumerate(members):
+        unit = FunctionFamily([f]).dilations(0.0, math.inf)
+        assert repr(unit[0].lo) == repr(units.lo[index[i]:index[i] + 1])
+        assert (unit[2][0], unit[3][0]) == (scale[i], log_coef[i])
+        # f(x) = c g(x / lam) at points inside every piece
+        xs = np.array([0.1, 0.4, 0.9]) * scale[i]
+        g = units.members[index[i]](xs / scale[i])
+        assert np.allclose(f(xs), np.exp(log_coef[i]) * g, rtol=1e-14)
+    logs = FunctionFamily([make_log_counterexample(n, 1.0) for n in (2.0, 10.0, 100.0)])
+    assert logs.dilations(0.0, math.inf)[1].tolist() == [0, 1, 2]
